@@ -16,20 +16,38 @@ latency rises -- so :data:`HIGHER_IS_BETTER` values are either a bool for a
 whole section or a per-key dict.  The comparison logic
 (:func:`compare_sections`) is pure and unit-tested; only ``measure_smoke``
 touches wall clocks.
+
+The study control plane is guarded differently: two same-run A/B ratios
+(:func:`measure_control_plane` -- the sweep engine's wall over a bare
+``execute_spec`` loop on the same specs) against fixed ceilings
+(:data:`CONTROL_PLANE_CEILINGS`).  A ratio of two timings of one run needs no
+recorded baseline and no machine constant.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 _BENCH_DIR = Path(__file__).resolve().parent
 if str(_BENCH_DIR) not in sys.path:  # allow `python -m benchmarks.perf_guard`
     sys.path.insert(0, str(_BENCH_DIR))
 
-__all__ = ["SMOKE_KEYS", "HIGHER_IS_BETTER", "compare_sections", "measure_smoke", "main"]
+__all__ = [
+    "SMOKE_KEYS",
+    "HIGHER_IS_BETTER",
+    "CONTROL_PLANE_CEILINGS",
+    "compare_sections",
+    "ceiling_rows",
+    "measure_smoke",
+    "measure_control_plane",
+    "main",
+]
 
 #: The CI-sized measurement subset: one image size / rank count per section.
 SMOKE_KEYS = {
@@ -64,6 +82,12 @@ HIGHER_IS_BETTER = {
     "serving": {"smoke_predictions_per_s": True, "smoke_p99_ms": False},
     "device_comparison": True,
 }
+
+
+#: Most the engine may cost, as a multiple of the work it schedules: the wall of
+#: ``run_plan`` (cold cache) over a 640-spec all-synthetic plan divided by a bare
+#: ``[execute_spec(s) for s in plan.specs]`` loop, in-process and on a 2-worker pool.
+CONTROL_PLANE_CEILINGS = {"inline_over_bare": 5.0, "pool_over_bare": 9.0}
 
 
 def compare_sections(
@@ -114,6 +138,68 @@ def compare_sections(
                 }
             )
     return rows
+
+
+def ceiling_rows(measured: dict[str, float], ceilings: dict[str, float]) -> list[dict]:
+    """One row per same-run ratio, in :func:`compare_sections`'s shape; pure function.
+
+    The ceiling stands where a baseline would; ``regressed`` is crossing it.
+    """
+    return [
+        {
+            "section": "control_plane",
+            "key": key,
+            "baseline": ceiling,
+            "measured": measured[key],
+            "regression": (measured[key] - ceiling) / ceiling,
+            "regressed": measured[key] > ceiling,
+            "note": "same-run ratio vs ceiling",
+        }
+        for key, ceiling in ceilings.items()
+    ]
+
+
+def measure_control_plane(repeats: int = 5) -> dict[str, float]:
+    """Sweep-engine wall over a bare spec loop: median of ``repeats`` same-run ratios.
+
+    Each repeat times the three passes back to back, starting one place further
+    round the cycle than the last, so that no pass always runs first.
+    """
+    from repro.modeling.study import StudyConfiguration
+    from repro.study import build_plan, execute_spec, run_plan
+
+    config = StudyConfiguration(
+        architectures=("gpu1-k40m", "gpu-p100", "gpu-v100", "gpu-a100"),
+        techniques=("raytrace", "raster", "volume", "volume_unstructured"),
+        samples_per_technique=40,
+    )
+    plan = build_plan(config, include_compositing=False)
+    if plan.counts()["synthetic"] != 640 or len(plan) != 640:
+        raise RuntimeError(f"expected 640 synthetic specs, planned {plan.counts()}")
+
+    def sweep(jobs: int) -> None:
+        with tempfile.TemporaryDirectory(prefix="perf-guard-cache-") as root:
+            _corpus, report = run_plan(plan, jobs=jobs, cache=root, resume=False)
+        if report.executed != 640 or report.failed:
+            raise RuntimeError(f"control-plane sweep did not execute every spec: {report.as_dict()}")
+
+    passes = {
+        "bare": lambda: [execute_spec(spec) for spec in plan.specs],
+        "inline": lambda: sweep(1),
+        "pool": lambda: sweep(2),
+    }
+    passes["bare"]()  # imports and lazy tables, outside every timing
+    names = list(passes)
+    ratios: dict[str, list[float]] = {key: [] for key in CONTROL_PLANE_CEILINGS}
+    for repeat in range(repeats):
+        seconds = {}
+        for name in names[repeat % 3 :] + names[: repeat % 3]:
+            start = time.perf_counter()
+            passes[name]()
+            seconds[name] = time.perf_counter() - start
+        ratios["inline_over_bare"].append(seconds["inline"] / seconds["bare"])
+        ratios["pool_over_bare"].append(seconds["pool"] / seconds["bare"])
+    return {key: statistics.median(values) for key, values in ratios.items()}
 
 
 def measure_smoke() -> dict[str, dict[str, float]]:
@@ -185,6 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"measuring smoke subset ({sum(len(keys) for keys in SMOKE_KEYS.values())} keys) ...")
     measured = measure_smoke()
     rows = compare_sections(baseline, measured, args.tolerance)
+    print(f"measuring control-plane ratios ({len(CONTROL_PLANE_CEILINGS)} keys) ...")
+    rows += ceiling_rows(measure_control_plane(), CONTROL_PLANE_CEILINGS)
 
     failures = 0
     for row in rows:

@@ -11,9 +11,10 @@ pipeline:
 * :mod:`repro.study.executor` -- a process-pool executor with per-experiment
   timeouts, crash/exception isolation (failure rows instead of dead sweeps),
   and deterministic row assembly in plan order;
-* :mod:`repro.study.cache` -- a content-addressed on-disk row cache (config
-  identity + code digest) that makes interrupted sweeps resumable and keeps
-  unchanged configurations from ever re-rendering;
+* :mod:`repro.study.cache` -- a content-addressed, log-structured on-disk row
+  cache (config identity + code digest, one appended line per row) that makes
+  interrupted sweeps resumable and keeps unchanged configurations from ever
+  re-rendering;
 * :mod:`repro.study.corpus_io` -- the row-level JSON schema shared by
   workers, the cache, and corpus files, plus corpus merging;
 * :mod:`repro.study.adaptive` -- uncertainty-driven sweep planning: fit the

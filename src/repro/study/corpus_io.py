@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 from repro.modeling.study import (
@@ -193,10 +194,18 @@ def corpus_digest(corpus: StudyCorpus) -> str:
 
 
 def save_corpus(corpus: StudyCorpus, path: str | Path, metadata: dict | None = None) -> Path:
+    """Write the corpus file atomically: a reader (or an interrupted ``run
+    --out``) finds the previous complete file or the new one, never a prefix."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(corpus_to_payload(corpus, metadata), handle, indent=1)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            json.dump(corpus_to_payload(corpus, metadata), handle, indent=1)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -22,6 +22,13 @@ kill a timed-out task and treats a dead worker as a broken pool -- the
 opposite of the isolation contract above.  Each worker owns a private duplex
 pipe, so terminating one worker can never corrupt another's channel.
 
+A pipe message carries a *chunk* of specs sized from the worker's observed
+service time (about 10 ms of work, so a spec that takes that long travels
+alone and sub-millisecond specs travel dozens to a message); the worker
+streams one reply per spec.  The dispatcher treats the head of the chunk as
+the spec in flight: the deadline restarts at each reply, and a crash or
+timeout fails only the head -- its unstarted chunk-mates are requeued.
+
 The second layer is the study glue: :func:`execute_spec` turns one
 :class:`~repro.study.plan.ExperimentSpec` into a row payload by calling the
 same :class:`~repro.modeling.study.StudyHarness` methods the serial oracle
@@ -35,6 +42,7 @@ import multiprocessing
 import multiprocessing.connection
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.study.plan import (
@@ -56,6 +64,15 @@ __all__ = [
 
 #: Seconds between dispatcher wake-ups while waiting on workers.
 _POLL_SECONDS = 0.05
+
+#: Seconds of work one pipe message should carry, at the worker's observed
+#: per-spec service time.  Sub-millisecond specs travel in chunks so that the
+#: per-message cost (pickling, a pipe round trip, two context switches) is paid
+#: once per chunk; a spec that takes this long or longer travels alone.
+_CHUNK_SECONDS = 0.010
+
+#: Most specs one message carries, however cheap they have been.
+_MAX_CHUNK = 64
 
 
 @dataclass
@@ -81,32 +98,50 @@ class SweepOutcome:
 
 
 class _Worker:
-    """One pool process plus its private pipe and current assignment."""
+    """One pool process, its private pipe, and the chunk of specs it was sent.
+
+    ``chunk`` holds the indices sent and not yet answered, in execution order:
+    the head is the spec in flight (the one ``deadline`` applies to), the rest
+    have not started.
+    """
 
     def __init__(self, context, execute) -> None:
         parent_conn, child_conn = context.Pipe(duplex=True)
         self.conn = parent_conn
         self.process = context.Process(
-            target=_worker_loop, args=(execute, child_conn), daemon=True
+            target=_worker_loop, args=(execute, child_conn, parent_conn), daemon=True
         )
         self.process.start()
         child_conn.close()
-        self.task_index: int | None = None
+        self.chunk: deque[int] = deque()
         self.deadline: float | None = None
+        #: Mean seconds per spec of the last finished chunk, as seen from the
+        #: dispatcher (``None`` until a chunk finished: the first one is one spec).
+        self.service_seconds: float | None = None
+        self._sent_at = 0.0
+        self._sent = 0
 
-    def assign(self, index: int, spec, timeout: float | None) -> None:
-        self.conn.send((index, spec))
-        self.task_index = index
-        self.deadline = (time.monotonic() + timeout) if timeout else None
+    def assign(self, items: list[tuple[int, object]], timeout: float | None) -> None:
+        self.conn.send(items)
+        self.chunk.extend(index for index, _spec in items)
+        self._sent_at = time.monotonic()
+        self._sent = len(items)
+        self.deadline = (self._sent_at + timeout) if timeout else None
 
-    def release(self) -> None:
-        self.task_index = None
-        self.deadline = None
+    def answered(self, timeout: float | None) -> None:
+        """The in-flight spec replied: the next one in the chunk is in flight now."""
+        self.chunk.popleft()
+        now = time.monotonic()
+        if self.chunk:
+            self.deadline = (now + timeout) if timeout else None
+        else:
+            self.deadline = None
+            self.service_seconds = (now - self._sent_at) / self._sent
 
     def stop(self) -> None:
         try:
             self.conn.send(None)
-        except (OSError, BrokenPipeError):
+        except OSError:
             pass
         self.process.join(timeout=2.0)
         if self.process.is_alive():
@@ -123,22 +158,24 @@ class _Worker:
         self.conn.close()
 
 
-def _worker_loop(execute, conn) -> None:
-    """Worker main: receive ``(index, spec)``, reply ``(status, index, payload)``."""
+def _worker_loop(execute, conn, dispatcher_end) -> None:
+    """Worker main: receive a chunk of ``(index, spec)``, reply ``(status, index, payload)`` per spec."""
+    # A forked worker inherits the dispatcher's end of its own pipe; while it
+    # holds that, a dispatcher killed outright (``kill -9``) never reads as EOF
+    # here and the orphaned worker would wait for work forever.
+    dispatcher_end.close()
     while True:
         try:
-            item = conn.recv()
+            items = conn.recv()
         except (EOFError, OSError):
             return
-        if item is None:
+        if items is None:
             return
-        index, spec = item
-        try:
-            payload = execute(spec)
-            conn.send(("ok", index, payload))
-        except Exception as exc:
-            conn.send(
-                (
+        for index, spec in items:
+            try:
+                reply = ("ok", index, execute(spec))
+            except Exception as exc:
+                reply = (
                     "error",
                     index,
                     {
@@ -147,7 +184,10 @@ def _worker_loop(execute, conn) -> None:
                         "traceback": traceback.format_exc(),
                     },
                 )
-            )
+            try:
+                conn.send(reply)
+            except OSError:
+                return  # the dispatcher is gone; nobody is left to work for
 
 
 class SweepExecutor:
@@ -228,69 +268,76 @@ class SweepExecutor:
             self._record(index, payload, specs, keys, outcome)
 
     # -- pool path ----------------------------------------------------------------------
+    def _chunk_size(self, worker: _Worker, remaining: int) -> int:
+        """Specs the next message to ``worker`` carries: about ``_CHUNK_SECONDS`` of
+        work at its observed service time, and never more than its share of half
+        the remaining queue, so that the tail of a sweep stays balanced."""
+        if worker.service_seconds is None:
+            return 1
+        wanted = int(_CHUNK_SECONDS / max(worker.service_seconds, 1e-9))
+        return max(1, min(wanted, _MAX_CHUNK, remaining // (2 * self.jobs)))
+
     def _run_pool(self, specs, pending, keys, outcome) -> None:
         context = multiprocessing.get_context()
-        queue = list(pending)
-        workers: list[_Worker] = []
-        try:
-            for _ in range(min(self.jobs, len(queue))):
-                workers.append(_Worker(context, self.execute))
-            idle = list(workers)
-            while queue or any(w.task_index is not None for w in workers):
-                while queue and idle:
-                    worker = idle.pop()
-                    index = queue.pop(0)
-                    try:
-                        worker.assign(index, specs[index], self.timeout)
-                    except (OSError, BrokenPipeError):
-                        # Worker died before it could accept work; put the
-                        # spec back and replace the worker.
-                        queue.insert(0, index)
-                        worker.kill()
-                        workers.remove(worker)
-                        replacement = _Worker(context, self.execute)
-                        workers.append(replacement)
-                        idle.append(replacement)
+        queue = deque(pending)
+        workers = [_Worker(context, self.execute) for _ in range(min(self.jobs, len(queue)))]
 
-                busy = [w for w in workers if w.task_index is not None]
-                ready = multiprocessing.connection.wait(
-                    [w.conn for w in busy], timeout=_POLL_SECONDS
-                )
-                for conn in ready:
-                    worker = next(w for w in busy if w.conn is conn)
-                    index = worker.task_index
+        def replace(worker: _Worker) -> None:
+            worker.kill()
+            workers.remove(worker)
+            if queue:
+                workers.append(_Worker(context, self.execute))
+
+        def fail_in_flight(worker: _Worker, reason: str, message: str) -> None:
+            """Only the in-flight spec fails; its unstarted chunk-mates run elsewhere."""
+            outcome.failures.append(
+                SpecFailure(index=worker.chunk.popleft(), reason=reason, message=message)
+            )
+            queue.extendleft(reversed(worker.chunk))
+            worker.chunk.clear()
+            replace(worker)
+
+        try:
+            while queue or any(w.chunk for w in workers):
+                for worker in [w for w in workers if not w.chunk]:
+                    if not queue:
+                        break
+                    size = self._chunk_size(worker, len(queue))
+                    indices = [queue.popleft() for _ in range(size)]
                     try:
-                        status, reply_index, payload = conn.recv()
-                    except (EOFError, OSError):
-                        # The worker died without replying: crash isolation.
-                        outcome.failures.append(
-                            SpecFailure(
-                                index=index,
-                                reason="crash",
-                                message=f"worker exited with code {worker.process.exitcode}",
+                        worker.assign([(index, specs[index]) for index in indices], self.timeout)
+                    except OSError:
+                        # Worker died before it could accept work; put the
+                        # specs back and replace the worker.
+                        queue.extendleft(reversed(indices))
+                        replace(worker)
+
+                busy = {w.conn: w for w in workers if w.chunk}
+                for conn in multiprocessing.connection.wait(list(busy), timeout=_POLL_SECONDS):
+                    worker = busy[conn]
+                    # A chunk's replies arrive in a burst: take all that are there.
+                    while worker.chunk and conn.poll(0):
+                        try:
+                            status, index, payload = conn.recv()
+                        except (EOFError, OSError):
+                            # The worker died without replying: crash isolation.
+                            fail_in_flight(
+                                worker, "crash", f"worker exited with code {worker.process.exitcode}"
                             )
-                        )
-                        worker.kill()
-                        workers.remove(worker)
-                        if queue:
-                            replacement = _Worker(context, self.execute)
-                            workers.append(replacement)
-                            idle.append(replacement)
-                        continue
-                    worker.release()
-                    idle.append(worker)
-                    if status == "ok":
-                        self._record(reply_index, payload, specs, keys, outcome)
-                    else:
-                        outcome.failures.append(
-                            SpecFailure(
-                                index=reply_index,
-                                reason="error",
-                                error_type=payload["error_type"],
-                                message=payload["message"],
-                                traceback_text=payload["traceback"],
+                            break
+                        worker.answered(self.timeout)
+                        if status == "ok":
+                            self._record(index, payload, specs, keys, outcome)
+                        else:
+                            outcome.failures.append(
+                                SpecFailure(
+                                    index=index,
+                                    reason="error",
+                                    error_type=payload["error_type"],
+                                    message=payload["message"],
+                                    traceback_text=payload["traceback"],
+                                )
                             )
-                        )
 
                 now = time.monotonic()
                 for worker in [w for w in workers if w.deadline is not None and now > w.deadline]:
@@ -299,25 +346,13 @@ class SweepExecutor:
                         # pipe: let the next wait() iteration consume it
                         # rather than discarding a finished row as a timeout.
                         continue
-                    outcome.failures.append(
-                        SpecFailure(
-                            index=worker.task_index,
-                            reason="timeout",
-                            message=f"experiment exceeded {self.timeout:.1f}s",
-                        )
-                    )
-                    worker.kill()
-                    workers.remove(worker)
-                    if queue:
-                        replacement = _Worker(context, self.execute)
-                        workers.append(replacement)
-                        idle.append(replacement)
+                    fail_in_flight(worker, "timeout", f"experiment exceeded {self.timeout:.1f}s")
         finally:
             for worker in workers:
-                if worker.task_index is None:
-                    worker.stop()
-                else:
+                if worker.chunk:
                     worker.kill()
+                else:
+                    worker.stop()
 
     # -- shared -------------------------------------------------------------------------
     def _record(self, index, payload, specs, keys, outcome) -> None:
@@ -341,14 +376,19 @@ def execute_spec(spec: ExperimentSpec) -> dict:
     from repro.modeling.study import StudyConfiguration, StudyHarness
     from repro.study import corpus_io
 
-    harness = StudyHarness(
-        StudyConfiguration(
-            seed=spec.base_seed,
-            samples_in_depth=spec.samples_in_depth,
-            synthetic_samples_in_depth=spec.synthetic_samples_in_depth,
-            max_sampled_ranks=spec.max_sampled_ranks,
-        )
+    knobs = dict(
+        seed=spec.base_seed,
+        samples_in_depth=spec.samples_in_depth,
+        synthetic_samples_in_depth=spec.synthetic_samples_in_depth,
+        max_sampled_ranks=spec.max_sampled_ranks,
     )
+    if spec.kind == KIND_COMPOSITING:
+        knobs.update(
+            compositing_max_live_ranks=spec.compositing_max_live_ranks,
+            compositing_scenario=spec.compositing_scenario,
+            compositing_radices=spec.compositing_radices or None,
+        )
+    harness = StudyHarness(StudyConfiguration(**knobs))
     if spec.kind == KIND_RENDER:
         record = harness.run_experiment(
             spec.technique,

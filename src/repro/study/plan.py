@@ -25,7 +25,9 @@ then the compositing matrix (algorithms x task counts x pixel sizes).
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
+from operator import attrgetter
 
 from repro.modeling.study import HOST_ARCHITECTURE, StudyConfiguration
 from repro.util.rng import default_rng
@@ -78,6 +80,12 @@ class ExperimentSpec:
     #: part of the cache key, so the same configuration rendered on two
     #: back-ends occupies two cache entries.
     dpp_device: str = ""
+    #: Compositing specs only: the streaming budget, the streamed rows' scene
+    #: family and the explicit radix-k schedule (``()`` factors the task
+    #: count) of :class:`StudyConfiguration`; every other kind leaves them unset.
+    compositing_max_live_ranks: int = 0
+    compositing_scenario: str = ""
+    compositing_radices: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -90,8 +98,27 @@ class ExperimentSpec:
         knobs too (``samples_in_depth`` changes the render, ``base_seed``
         changes the noise/sub-image streams), so the content-addressed cache
         can never alias two experiments that would produce different rows.
+        Keys come out sorted; the dict is the caller's to mutate.
         """
-        return {name: value for name, value in sorted(asdict(self).items())}
+        return dict(zip(_SPEC_FIELDS, _spec_values(self)))
+
+    @cached_property
+    def corpus_key(self) -> tuple:
+        """:func:`spec_corpus_key` of this spec, computed once per instance."""
+        if self.kind == KIND_COMPOSITING:
+            return _compositing_corpus_key(self.algorithm, self.num_tasks, self.pixel_size**2)
+        host = self.kind == KIND_RENDER
+        return _experiment_corpus_key(
+            self.architecture,
+            self.technique,
+            self.simulation,
+            self.num_tasks,
+            self.cells_per_task,
+            self.image_width,
+            self.image_height,
+            self.samples_in_depth if host else self.synthetic_samples_in_depth,
+            self.dpp_device if host else "",
+        )
 
     def label(self) -> str:
         """Short human-readable identity used in logs and failure rows."""
@@ -103,6 +130,12 @@ class ExperimentSpec:
             f"/t{self.num_tasks}/c{self.cells_per_task}/{self.image_width}x{self.image_height}"
             f"{device_suffix}"
         )
+
+
+#: Field names in sorted order, and the matching value getter: a spec is flat
+#: (scalars and one tuple of ints), so its payload needs no ``asdict`` deep copy.
+_SPEC_FIELDS = tuple(sorted(f.name for f in fields(ExperimentSpec)))
+_spec_values = attrgetter(*_SPEC_FIELDS)
 
 
 @dataclass
@@ -211,6 +244,9 @@ def build_plan(config: StudyConfiguration, include_compositing: bool = True) -> 
                             algorithm=algorithm,
                             num_tasks=tasks,
                             pixel_size=size,
+                            compositing_max_live_ranks=config.compositing_max_live_ranks,
+                            compositing_scenario=config.compositing_scenario,
+                            compositing_radices=tuple(config.compositing_radices or ()),
                             **common,
                         )
                     )
@@ -286,12 +322,36 @@ def spec_from_payload(payload: dict, lenient: bool = False) -> ExperimentSpec:
         if not lenient:
             raise ValueError(message)
         warnings.warn(message, UserWarning, stacklevel=2)
-    return ExperimentSpec(**{name: value for name, value in payload.items() if name in known})
+    values = {name: value for name, value in payload.items() if name in known}
+    if "compositing_radices" in values:  # a JSON round trip turns the tuple into a list
+        values["compositing_radices"] = tuple(values["compositing_radices"])
+    return ExperimentSpec(**values)
 
 
 # ---------------------------------------------------------------------------
 # Experiment identity across plans and corpora (adaptive dedup)
 # ---------------------------------------------------------------------------
+
+def _experiment_corpus_key(
+    architecture, technique, simulation, num_tasks, cells, width, height, samples, dpp_device
+) -> tuple:
+    return (
+        "experiment",
+        architecture,
+        technique,
+        simulation,
+        int(num_tasks),
+        int(cells),
+        int(width),
+        int(height),
+        int(samples),
+        dpp_device,
+    )
+
+
+def _compositing_corpus_key(algorithm, num_tasks, pixels) -> tuple:
+    return (KIND_COMPOSITING, algorithm, int(num_tasks), int(pixels))
+
 
 def spec_corpus_key(payload: "ExperimentSpec | dict") -> tuple:
     """The *corpus-level* identity of an experiment, as a hashable tuple.
@@ -300,31 +360,28 @@ def spec_corpus_key(payload: "ExperimentSpec | dict") -> tuple:
     not record ``base_seed`` (two seeds rendering the same configuration
     produce interchangeable rows as far as the fitted models are concerned),
     so adaptive dedup must compare what a *row* can answer -- the observable
-    configuration.  Accepts a spec or its payload dict; compositing keys carry
-    total pixels (``pixel_size**2``) so they compare against
+    configuration.  Accepts a spec (whose key is computed once and kept on
+    the instance) or its payload dict; compositing keys carry total pixels
+    (``pixel_size**2``) so they compare against
     :class:`~repro.modeling.study.CompositingRecord.pixels` directly.
     """
     if isinstance(payload, ExperimentSpec):
-        payload = payload.key_payload()
+        return payload.corpus_key
     if payload["kind"] == KIND_COMPOSITING:
-        size = int(payload["pixel_size"])
-        return (KIND_COMPOSITING, payload["algorithm"], int(payload["num_tasks"]), size * size)
-    samples = (
-        payload["samples_in_depth"]
-        if payload["kind"] == KIND_RENDER
-        else payload["synthetic_samples_in_depth"]
-    )
-    return (
-        "experiment",
+        return _compositing_corpus_key(
+            payload["algorithm"], payload["num_tasks"], int(payload["pixel_size"]) ** 2
+        )
+    host = payload["kind"] == KIND_RENDER
+    return _experiment_corpus_key(
         payload["architecture"],
         payload["technique"],
         payload["simulation"],
-        int(payload["num_tasks"]),
-        int(payload["cells_per_task"]),
-        int(payload["image_width"]),
-        int(payload["image_height"]),
-        int(samples),
-        payload.get("dpp_device", "") if payload["kind"] == KIND_RENDER else "",
+        payload["num_tasks"],
+        payload["cells_per_task"],
+        payload["image_width"],
+        payload["image_height"],
+        payload["samples_in_depth" if host else "synthetic_samples_in_depth"],
+        payload.get("dpp_device", "") if host else "",
     )
 
 
@@ -340,21 +397,20 @@ def corpus_spec_keys(corpus) -> set[tuple]:
     keys: set[tuple] = set()
     for record in corpus.records:
         keys.add(
-            (
-                "experiment",
+            _experiment_corpus_key(
                 record.architecture,
                 record.technique,
                 record.simulation,
-                int(record.num_tasks),
-                int(record.cells_per_task),
-                int(record.image_width),
-                int(record.image_height),
-                int(record.samples_in_depth),
+                record.num_tasks,
+                record.cells_per_task,
+                record.image_width,
+                record.image_height,
+                record.samples_in_depth,
                 record.dpp_device if record.architecture == HOST_ARCHITECTURE else "",
             )
         )
     for record in corpus.compositing_records:
-        keys.add((KIND_COMPOSITING, record.algorithm, int(record.num_tasks), int(record.pixels)))
+        keys.add(_compositing_corpus_key(record.algorithm, record.num_tasks, record.pixels))
     for failure in corpus.failures:
         if failure.spec and "kind" in failure.spec:
             keys.add(spec_corpus_key(failure.spec))

@@ -524,6 +524,16 @@ class TestPerfGuardLogic:
         [row] = rows
         assert row["regressed"] and row["regression"] == pytest.approx(0.6)
 
+    def test_control_plane_ratio_fails_only_above_its_ceiling(self):
+        from perf_guard import CONTROL_PLANE_CEILINGS, ceiling_rows
+
+        measured = {"inline_over_bare": 2.4, "pool_over_bare": 9.5}
+        by_key = {row["key"]: row for row in ceiling_rows(measured, CONTROL_PLANE_CEILINGS)}
+        assert set(by_key) == set(CONTROL_PLANE_CEILINGS)
+        assert not by_key["inline_over_bare"]["regressed"]
+        assert by_key["pool_over_bare"]["regressed"]
+        assert by_key["pool_over_bare"]["baseline"] == CONTROL_PLANE_CEILINGS["pool_over_bare"]
+
     def test_checked_in_bench_record_has_every_smoke_key(self):
         from perf_guard import HIGHER_IS_BETTER, SMOKE_KEYS
 

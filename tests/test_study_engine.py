@@ -13,8 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +65,42 @@ def _hanging_execute(spec: dict) -> dict:
 
 def _dict_key(spec: dict) -> dict:
     return spec
+
+
+#: The culprit of the chunked-dispatch tests: far enough into the sweep that the
+#: workers' observed service time has grown the chunks to many specs.
+CULPRIT = 130
+
+
+def _crash_at_culprit(spec: dict) -> dict:
+    if spec["value"] == CULPRIT:
+        os._exit(13)
+    return {"row_type": "echo", "value": spec["value"] * 2}
+
+
+def _hang_at_culprit(spec: dict) -> dict:
+    if spec["value"] == CULPRIT:
+        time.sleep(60.0)
+    return {"row_type": "echo", "value": spec["value"] * 2}
+
+
+def _raise_at_culprit(spec: dict) -> dict:
+    if spec["value"] == CULPRIT:
+        raise ValueError("injected failure")
+    return {"row_type": "echo", "value": spec["value"] * 2}
+
+
+def _slow_execute(spec: dict) -> dict:
+    start = time.monotonic()  # CLOCK_MONOTONIC: one clock for every process of the machine
+    time.sleep(0.06)
+    return {"row_type": "echo", "value": spec["value"], "start": start, "end": time.monotonic()}
+
+
+def _cache_writer(root: str, base: int, count: int, barrier) -> None:
+    cache = CorpusCache(root, token="t")
+    barrier.wait(timeout=30.0)
+    for offset in range(count):
+        cache.put(cache.key({"x": base + offset}), {"value": base + offset})
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +185,125 @@ class TestSweepExecutor:
         assert resumed.payloads[2] == {"row_type": "echo", "value": 4}
 
 
+class TestChunkedDispatch:
+    """Sub-millisecond specs travel many to a message; isolation stays per spec."""
+
+    SPECS = [{"value": index} for index in range(240)]
+
+    @pytest.fixture
+    def chunks(self, monkeypatch):
+        """The index lists of every message the dispatcher sent, in order."""
+        from repro.study import executor
+
+        sent: list[list[int]] = []
+        assign = executor._Worker.assign
+
+        def recording(worker, items, timeout):
+            sent.append([index for index, _spec in items])
+            assign(worker, items, timeout)
+
+        monkeypatch.setattr(executor._Worker, "assign", recording)
+        return sent
+
+    @pytest.fixture
+    def roomy_chunks(self, chunks, monkeypatch):
+        """``chunks`` with 100x the work per message: a loaded machine may make a
+        trivial spec look slow, and the isolation tests want the culprit strictly
+        inside a chunk -- this leaves the cap and the tail share to size them
+        (1, 1, 59, 44, 33 -> the culprit's chunk is 105..137)."""
+        from repro.study import executor
+
+        monkeypatch.setattr(executor, "_CHUNK_SECONDS", 1.0)
+        return chunks
+
+    def _assert_only_the_culprit_failed(self, outcome, chunks, reason):
+        assert [(f.index, f.reason) for f in outcome.failures] == [(CULPRIT, reason)]
+        assert outcome.payloads[CULPRIT] is None
+        # plan = rows + failures, rows in plan order.
+        assert [p["value"] for p in outcome.payloads if p is not None] == [
+            2 * index for index in range(240) if index != CULPRIT
+        ]
+        assert outcome.executed == 239
+        # The culprit had chunk-mates, before and after it, and they all produced rows.
+        culprit_chunk = next(chunk for chunk in chunks if CULPRIT in chunk)
+        assert culprit_chunk[0] < CULPRIT < culprit_chunk[-1]
+
+    def test_crash_fails_one_spec_and_requeues_its_chunk_mates(self, roomy_chunks):
+        outcome = SweepExecutor(_crash_at_culprit, jobs=2, key_fn=_dict_key).run(self.SPECS)
+        self._assert_only_the_culprit_failed(outcome, roomy_chunks, "crash")
+
+    def test_timeout_fails_one_spec_and_requeues_its_chunk_mates(self, roomy_chunks):
+        start = time.monotonic()
+        outcome = SweepExecutor(_hang_at_culprit, jobs=2, timeout=1.0, key_fn=_dict_key).run(
+            self.SPECS
+        )
+        # The deadline restarts at each reply: one timeout, not one per chunk-mate.
+        assert time.monotonic() - start < 10.0
+        self._assert_only_the_culprit_failed(outcome, roomy_chunks, "timeout")
+
+    def test_exception_fails_one_spec_and_the_chunk_carries_on(self, roomy_chunks):
+        outcome = SweepExecutor(_raise_at_culprit, jobs=2, key_fn=_dict_key).run(self.SPECS)
+        self._assert_only_the_culprit_failed(outcome, roomy_chunks, "error")
+        assert outcome.failures[0].error_type == "ValueError"
+
+    def test_chunks_never_exceed_the_tail_share(self, chunks):
+        SweepExecutor(_echo_execute, jobs=2, key_fn=_dict_key).run(self.SPECS)
+        assert sorted(index for chunk in chunks for index in chunk) == list(range(240))
+        remaining = 240
+        for chunk in chunks:
+            assert len(chunk) <= max(1, remaining // 4)
+            remaining -= len(chunk)
+
+    def test_workers_exit_when_the_dispatcher_is_killed(self, tmp_path):
+        # ``kill -9`` on a sweep gives it no chance to stop its pool; the
+        # orphaned workers must notice the closed pipe and leave on their own.
+        script = textwrap.dedent(
+            """
+            import os, sys, time
+            from repro.study import SweepExecutor
+
+            def execute(spec):
+                open(os.path.join(sys.argv[1], f"worker-{os.getpid()}"), "w").close()
+                time.sleep(0.02)
+                return {"value": spec["value"]}
+
+            specs = [{"value": index} for index in range(100_000)]
+            SweepExecutor(execute, jobs=2, key_fn=lambda spec: spec).run(specs)
+            """
+        )
+        sweep = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)])
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(list(tmp_path.glob("worker-*"))) < 2:
+                assert sweep.poll() is None and time.monotonic() < deadline, "the pool never started"
+                time.sleep(0.02)
+        finally:
+            sweep.kill()
+            sweep.wait(timeout=30.0)
+        workers = [int(path.name.split("-")[1]) for path in tmp_path.glob("worker-*")]
+
+        def running(pid: int) -> bool:
+            try:  # a zombie nobody reaps has exited all the same
+                state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            except OSError:
+                return False
+            return state != "Z"
+
+        deadline = time.monotonic() + 20.0
+        while any(running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        leaked = [pid for pid in workers if running(pid)]
+        for pid in leaked:
+            os.kill(pid, 9)
+        assert not leaked, f"orphaned workers {leaked} outlived their dispatcher"
+
+    def test_slow_specs_travel_alone_and_overlap(self, chunks):
+        outcome = SweepExecutor(_slow_execute, jobs=2, key_fn=_dict_key).run(self.SPECS[:6])
+        assert all(len(chunk) == 1 for chunk in chunks) and len(chunks) == 6
+        first, second = outcome.payloads[0], outcome.payloads[1]
+        assert max(first["start"], second["start"]) < min(first["end"], second["end"])
+
+
 class TestCorpusCache:
     def test_key_is_order_insensitive_and_content_sensitive(self):
         a = cache_key({"x": 1, "y": 2}, token="t")
@@ -152,22 +312,101 @@ class TestCorpusCache:
         assert cache_key({"x": 1, "y": 3}, token="t") != a
         assert cache_key({"x": 1, "y": 2}, token="other") != a
 
+    @staticmethod
+    def _filled(root, count=4):
+        """A cache with ``count`` rows in one segment: ``(keys, segment path)``."""
+        cache = CorpusCache(root, token="t")
+        keys = [cache.key({"x": index}) for index in range(count)]
+        for index, key in enumerate(keys):
+            cache.put(key, {"row_type": "echo", "value": index}, spec_payload={"x": index})
+        [segment] = sorted(root.glob("*.rows"))
+        return keys, segment
+
+    @staticmethod
+    def _values(root, keys):
+        cache = CorpusCache(root, token="t")
+        return [(cache.get(key) or {}).get("value") for key in keys]
+
     def test_corrupt_entries_read_as_misses(self, tmp_path):
+        keys, segment = self._filled(tmp_path)
+        lines = segment.read_bytes().splitlines(keepends=True)
+        assert [line[:64].decode() for line in lines] == keys and all(line[64:65] == b"\t" for line in lines)
+        # An undecodable record under a valid key, and a line that is no record at all.
+        lines[1] = keys[1].encode() + b"\t{not json\n"
+        lines.insert(3, b"\x00\xff garbage without a key\n")
+        segment.write_bytes(b"".join(lines))
+        assert self._values(tmp_path, keys) == [0, None, 2, 3]
+        cache = CorpusCache(tmp_path, token="t")
+        cache.get(keys[0]), cache.get(keys[1])
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_torn_final_line_is_a_miss_and_earlier_rows_hit(self, tmp_path):
+        keys, segment = self._filled(tmp_path)
+        data = segment.read_bytes()
+        last_line = data.splitlines(keepends=True)[-1]
+        for kept in (len(last_line) - 1, len(last_line) // 2, 70, 3):  # newline lost ... key cut
+            segment.write_bytes(data[: len(data) - len(last_line) + kept])
+            assert self._values(tmp_path, keys) == [0, 1, 2, None]
+
+    def test_embedded_key_must_match_the_index_key(self, tmp_path):
+        keys, segment = self._filled(tmp_path, count=2)
+        lines = segment.read_bytes().splitlines(keepends=True)
+        # keys[0]'s record filed under keys[1]: a hit would return the wrong experiment's row.
+        lines[1] = keys[1].encode() + lines[0][64:]
+        segment.write_bytes(b"".join(lines))
+        assert self._values(tmp_path, keys) == [0, None]
+
+    def test_duplicate_key_last_complete_line_wins(self, tmp_path):
         cache = CorpusCache(tmp_path, token="t")
         key = cache.key({"x": 1})
-        cache.put(key, {"row_type": "echo", "value": 9})
-        assert cache.get(key) == {"row_type": "echo", "value": 9}
-        path = cache._path(key)
-        path.write_text("{not json")
-        assert cache.get(key) is None
+        cache.put(key, {"value": "first"})
+        assert cache.get(key) == {"value": "first"}
+        cache.put(key, {"value": "second"})
+        assert cache.get(key) == {"value": "second"}  # a cache sees its own later puts
+        assert CorpusCache(tmp_path, token="t").get(key) == {"value": "second"}
+        assert len(cache) == 1
+        [segment] = sorted(tmp_path.glob("*.rows"))
+        segment.write_bytes(segment.read_bytes()[:-5])  # the second write was cut short
+        assert CorpusCache(tmp_path, token="t").get(key) == {"value": "first"}
+        # A later writer's segment sorts after, and wins over, an earlier one's.
+        later = CorpusCache(tmp_path, token="t")
+        later.put(key, {"value": "third"})
+        assert len(sorted(tmp_path.glob("*.rows"))) == 2
+        assert CorpusCache(tmp_path, token="t").get(key) == {"value": "third"}
+
+    def test_two_processes_write_one_root_concurrently(self, tmp_path):
+        context = multiprocessing.get_context()
+        barrier = context.Barrier(2)
+        writers = [
+            context.Process(target=_cache_writer, args=(str(tmp_path), base, 150, barrier))
+            for base in (0, 1000)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=60.0)
+            assert writer.exitcode == 0
+        assert len(sorted(tmp_path.glob("*.rows"))) == 2  # one segment per writer
+        reader = CorpusCache(tmp_path, token="t")
+        assert len(reader) == 300
+        for base in (0, 1000):
+            for offset in range(150):
+                assert reader.get(reader.key({"x": base + offset})) == {"value": base + offset}
+        assert reader.misses == 0
 
     def test_len_and_clear(self, tmp_path):
         cache = CorpusCache(tmp_path, token="t")
         for index in range(3):
             cache.put(cache.key({"x": index}), {"v": index})
         assert len(cache) == 3
+        assert cache.key({"x": 2}) in cache and cache.key({"x": 3}) not in cache
+        assert len(CorpusCache(tmp_path, token="t")) == 3
         assert cache.clear() == 3
-        assert len(cache) == 0
+        assert len(cache) == 0 and cache.key({"x": 2}) not in cache
+        assert not list(tmp_path.iterdir())
+        # The cleared cache keeps working, in a new segment.
+        cache.put(cache.key({"x": 9}), {"v": 9})
+        assert len(cache) == 1 and len(CorpusCache(tmp_path, token="t")) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +432,35 @@ class TestPlan:
         plan = build_plan(self.CONFIG)
         for spec in plan.specs[:5]:
             assert spec_from_payload(spec.key_payload()) == spec
+
+    def test_payload_and_corpus_key_agree_with_the_dataclass(self):
+        # key_payload() skips the asdict deep copy and spec_corpus_key(spec)
+        # reads attributes; both must stay what the generic forms say.
+        from repro.study.plan import full_configuration, smoke_configuration, spec_corpus_key
+
+        for config in (smoke_configuration(), full_configuration()):
+            for spec in build_plan(config).specs:
+                payload = spec.key_payload()
+                assert payload == dict(sorted(dataclasses.asdict(spec).items()))
+                assert list(payload) == sorted(payload)
+                assert spec_corpus_key(spec) == spec_corpus_key(payload)
+                assert spec_from_payload(json.loads(json.dumps(payload))) == spec
+
+    def test_compositing_specs_carry_the_streaming_knobs(self):
+        config = dataclasses.replace(
+            self.CONFIG,
+            compositing_algorithms=("radix-k",),
+            compositing_task_counts=(16,),
+            compositing_max_live_ranks=8,
+            compositing_scenario="amr",
+            compositing_radices=(4, 4),
+        )
+        for spec in build_plan(config).specs:
+            knobs = (spec.compositing_max_live_ranks, spec.compositing_scenario, spec.compositing_radices)
+            assert knobs == ((8, "amr", (4, 4)) if spec.kind == "compositing" else (0, "", ()))
+            assert spec_from_payload(json.loads(json.dumps(spec.key_payload()))) == spec
+        default = build_plan(dataclasses.replace(config, compositing_scenario="uniform")).specs[-1]
+        assert cache_key(default.key_payload(), token="t") != cache_key(spec.key_payload(), token="t")
 
     def test_compositing_can_be_excluded(self):
         plan = build_plan(self.CONFIG, include_compositing=False)
@@ -329,6 +597,45 @@ class TestEngineMatchesOracle:
         assert all(np.isfinite(model.r_squared) for model in fitted.values())
 
 
+class TestCompositingKnobsReachTheEngine:
+    """``run_plan`` honours the streaming budget, scenario and radix schedule."""
+
+    CONFIG = StudyConfiguration(
+        architectures=("gpu1-k40m",),
+        techniques=("raytrace",),
+        samples_per_technique=1,
+        compositing_algorithms=("direct-send", "binary-swap", "radix-k"),
+        compositing_task_counts=(16,),
+        compositing_pixel_sizes=(32,),
+        compositing_max_live_ranks=8,
+        compositing_scenario="amr",
+        seed=11,
+    )
+
+    def test_streamed_scenario_rows_match_the_oracle(self):
+        engine, report = run_plan(build_plan(self.CONFIG), jobs=1)
+        assert report.failed == 0
+        oracle = StudyHarness(self.CONFIG).run_serial()
+        assert engine.compositing_records == oracle.compositing_records
+        assert len(engine.compositing_records) == 3
+        uniform, _ = run_plan(
+            build_plan(dataclasses.replace(self.CONFIG, compositing_scenario="uniform")), jobs=1
+        )
+        for amr_row, uniform_row in zip(engine.compositing_records, uniform.compositing_records):
+            assert amr_row != uniform_row
+
+    def test_explicit_radices_reach_the_compositor(self):
+        config = dataclasses.replace(
+            self.CONFIG, compositing_algorithms=("radix-k",), compositing_radices=(2, 8)
+        )
+        engine, _ = run_plan(build_plan(config), jobs=1)
+        assert engine.compositing_records == StudyHarness(config).run_serial().compositing_records
+        factored, _ = run_plan(
+            build_plan(dataclasses.replace(config, compositing_radices=None)), jobs=1
+        )
+        assert engine.compositing_records != factored.compositing_records
+
+
 # ---------------------------------------------------------------------------
 # Resume and failure semantics at the plan level
 # ---------------------------------------------------------------------------
@@ -430,6 +737,18 @@ class TestCorpusIO:
         assert loaded.failures[0].reason == "timeout"
         for a, b in zip(corpus.records, loaded.records):
             assert a == b
+
+    def test_save_is_atomic(self, tmp_path):
+        corpus, _ = run_plan(build_plan(FAST_CONFIG, include_compositing=False), jobs=1)
+        path = corpus_io.save_corpus(corpus, tmp_path / "corpus.json")
+        good = path.read_bytes()
+        assert good == json.dumps(corpus_io.corpus_to_payload(corpus), indent=1).encode()
+        # The metadata is the last section: everything before it has been
+        # streamed out when the encoder meets the object it cannot serialize.
+        with pytest.raises(TypeError):
+            corpus_io.save_corpus(corpus, path, metadata={"unserializable": object()})
+        assert path.read_bytes() == good
+        assert [entry.name for entry in tmp_path.iterdir()] == ["corpus.json"]
 
     def test_payload_without_failures_section_loads(self):
         corpus = corpus_io.corpus_from_payload({"schema": 1, "records": [], "compositing_records": []})
