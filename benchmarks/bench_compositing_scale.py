@@ -4,7 +4,9 @@ Companion to ``bench_compositing_throughput.py`` for the cohort scheduler:
 where that module measures the run-length engine against the dense reference
 at 64-256 ranks, this one drives
 :meth:`repro.compositing.Compositor.composite_streaming` at 1k-16k simulated
-ranks, where no dense engine fits in memory.  Three entry points:
+ranks -- the same driver under a live budget far below the population,
+where neither a list of framebuffers nor the reference fits in memory.
+Three entry points:
 
 CI smoke (the ``compositing-scale-smoke`` job):
 

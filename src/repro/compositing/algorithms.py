@@ -1,31 +1,46 @@
-"""The three sort-last exchange algorithms over run-length sub-images.
+"""One schedule-driven cohort driver for the three sort-last exchange algorithms.
 
-* :func:`direct_send` -- every rank is assigned one contiguous run of pixels
-  and receives that run from every other rank in a single exchange round
-  (Neumann 1993).
-* :func:`binary_swap` -- log2(P) rounds of pairwise half-image exchanges
-  (Ma et al. 1994); non-power-of-two task counts are handled with an initial
-  fold phase that pairs up the trailing ranks.
-* :func:`radix_k` -- the generalisation of Peterka et al. used by IceT and by
-  the paper's experiments: the task count is factored into radices and each
-  round performs a k-way exchange within groups of k ranks.
+Direct send (Neumann 1993), binary swap (Ma et al. 1994) and radix-k
+(Peterka et al., the algorithm IceT and the paper's experiments use) are one
+family: the participants are numbered in a mixed-radix system, round ``r``
+runs a ``radices[r]``-way exchange inside every group of participants that
+differ only in digit ``r``, each member keeps piece ``digit`` of the group's
+shared pixel interval, and the surviving pieces are gathered at rank 0.
+:func:`schedule_for` writes each algorithm down as a :class:`Schedule` value:
 
-This is the *fast* data path: per-rank images are
+* ``"direct-send"`` -- one ``P``-way round (``radices = (P,)``);
+* ``"binary-swap"`` -- ``log2`` two-way rounds over the largest power of two
+  of participants, after a prologue that folds the trailing ranks pairwise
+  so non-power-of-two task counts fit;
+* ``"radix-k"`` -- :func:`factor_radices` of the task count, or the caller's
+  explicit (validated) schedule.
+
+:func:`run_schedule` executes any schedule.  Per-rank images are
 :class:`~repro.compositing.runimage.RunImage` (contiguous active-pixel runs
-with an SoA payload), a round's traffic is posted as one batched array-valued
-:meth:`~repro.runtime.communicator.SimulatedCommunicator.exchange`, and a
-round's merges resolve in one :func:`~repro.compositing.merge.merge_groups`
-call -- O(rounds) array operations instead of O(pixels · pieces) Python work.
-The communication pattern (who sends which run to whom, and where the round
-boundaries fall) is identical to the dense reference drivers in
+with an SoA payload) produced on demand by ``factory(position)``; a round's
+traffic is posted as one batched array-valued
+:meth:`~repro.runtime.communicator.SimulatedCommunicator.exchange` and its
+merges resolve in one :func:`~repro.compositing.merge.merge_groups` call --
+O(rounds) array operations instead of O(pixels · pieces) Python work.  The
+communication pattern (who sends which run to whom, and where the round
+boundaries fall) is that of the dense reference drivers in
 :mod:`repro.compositing.reference`, which the differential tests hold this
 module to within 1e-10.
 
+The driver is a cohort scheduler: at most ``max_live_ranks`` full rank images
+are live at once (plus one transient -- a running partial, or the second
+member of a prologue pair), so the same code runs 8 ranks held in a list and
+16,384 ranks generated on the fly.  Cohort execution is a pure reordering of
+the schedule's merge operations -- OVER blends are elementwise and depth
+selection is an exact (depth, key) tournament -- so the result is
+bit-identical for every ``max_live_ranks``.
+
 Ordering note: the OVER operator is only associative when every pairwise
 merge combines fragments that are adjacent and contiguous in visibility
-order.  Callers hand the algorithms their sub-images already sorted by
-visibility (ascending ``RunImage.key``), and every merge folds group pieces
-in ascending key order, exactly as the reference's ``_ordered_fold`` does.
+order.  Position ``p`` of the factory is visibility position ``p`` (ascending
+= front to back), participants are numbered in ascending rank order, and
+every merge folds a group's pieces in that order, exactly as the reference's
+``_ordered_fold`` does.
 """
 
 from __future__ import annotations
@@ -35,28 +50,41 @@ from typing import Callable
 
 import numpy as np
 
-from repro.compositing.merge import fold_bag_into_partial, merge_groups
-from repro.compositing.runimage import RunImage, payload_fragments
+from repro.compositing.merge import PAIRWISE_FOLD_MAX_SETS, fold_bag_into_partial, merge_groups
+from repro.compositing.runimage import RunImage
 from repro.runtime.communicator import SimulatedCommunicator
 
 __all__ = [
-    "direct_send",
-    "binary_swap",
-    "radix_k",
-    "assemble_at_root",
+    "ALGORITHMS",
+    "Schedule",
+    "schedule_for",
+    "run_schedule",
     "factor_radices",
     "validate_radices",
     "RadixFactorError",
     "StreamStats",
-    "direct_send_streaming",
-    "binary_swap_streaming",
-    "radix_k_streaming",
 ]
+
+ALGORITHMS = ("direct-send", "binary-swap", "radix-k")
+
+
+def _partition_edges(lengths, parts: int) -> np.ndarray:
+    """``np.linspace(0, n, parts + 1).astype(int64)`` for every ``n`` in ``lengths``.
+
+    ``lengths`` is a scalar or an array (the result gains a trailing axis):
+    an exchange round cuts every member's interval in one call.  The
+    arithmetic is ``np.linspace``'s own -- ``i * (n / parts)``, end point
+    exact -- because the cut points are part of the wire accounting.
+    """
+    lengths = np.asarray(lengths, dtype=np.float64)
+    edges = (np.arange(parts + 1) * (lengths[..., None] / parts)).astype(np.int64)
+    edges[..., -1] = lengths
+    return edges
 
 
 def _pixel_partition(num_pixels: int, parts: int) -> list[tuple[int, int]]:
     """Split ``[0, num_pixels)`` into ``parts`` near-equal contiguous runs."""
-    edges = np.linspace(0, num_pixels, parts + 1).astype(np.int64)
+    edges = _partition_edges(num_pixels, parts)
     return [(int(edges[i]), int(edges[i + 1])) for i in range(parts)]
 
 
@@ -148,332 +176,55 @@ def _replace_image(template: RunImage, merged: tuple[np.ndarray, np.ndarray, np.
     return RunImage.from_arrays(pixels, rgba, depth, template.width, template.height, key=template.key)
 
 
-def _with_depth(mode: str) -> bool:
-    """Over-mode wire payloads drop the depth plane (the scalar key stands in)."""
-    return mode == "depth"
+@dataclass(frozen=True)
+class Schedule:
+    """One exchange algorithm at one task count, as data.
 
+    ``radices[r]`` is the group width of exchange round ``r`` over the
+    *participants*; ``participants[i]`` is the rank whose link carries
+    participant ``i``'s traffic (ascending, and rank 0 is participant 0).
+    ``fold_pairs`` is the prologue: each ``(keeper, sender)`` pair of ranks is
+    merged at the keeper -- a participant -- in a round of its own before the
+    first exchange.
 
-def assemble_at_root(
-    owned: dict[int, tuple[int, int]],
-    images: list[RunImage],
-    comm: SimulatedCommunicator,
-    mode: str,
-) -> RunImage:
-    """Gather each rank's owned run at rank 0 and assemble the final run image.
-
-    ``owned`` maps rank to its ``(start, stop)`` interval; the intervals tile
-    ``[0, num_pixels)``, so concatenating the pieces (sorted by pixel) yields
-    the complete composited image.
+    The last two attributes are the only places direct-send's wire accounting
+    differs from a one-round radix-k: it posts nothing for an owner whose
+    pixel interval is empty (more ranks than pixels), where radix-k still
+    sends the 64-byte message header, and it goes straight from its exchange
+    to the gather, where binary-swap and radix-k close every exchange round
+    (leaving one empty round in the log before the gather).
     """
-    comm.next_round()
-    sends = []
-    for rank, (start, stop) in sorted(owned.items()):
-        if rank == 0 or start >= stop:
-            continue
-        payload, nbytes = images[rank].piece_message(start, stop, with_depth=_with_depth(mode))
-        sends.append((rank, 0, payload, nbytes))
-    delivered = comm.exchange(sends)
 
-    start, stop = owned.get(0, (0, 0))
-    pieces = [images[0].fragments(start, stop)] if stop > start else []
-    for _, payload in delivered.get(0, []):
-        pixels, rgba, depth, _ = payload_fragments(payload)
-        pieces.append((pixels, rgba, depth))
-    pieces = [piece for piece in pieces if len(piece[0])]
-    if not pieces:
-        empty = np.empty(0, dtype=np.int64)
-        return RunImage.from_arrays(empty, np.empty((0, 4)), np.empty(0), images[0].width, images[0].height)
-    all_pixels = np.concatenate([piece[0] for piece in pieces])
-    order = np.argsort(all_pixels, kind="stable")  # owned intervals are disjoint
-    if mode == "depth":
-        depth = np.concatenate([piece[2] for piece in pieces])[order]
-    else:
-        depth = np.zeros(len(all_pixels))  # over-mode depth lives in the keys
-    return RunImage.from_arrays(
-        all_pixels[order],
-        np.concatenate([piece[1] for piece in pieces])[order],
-        depth,
-        images[0].width,
-        images[0].height,
+    radices: tuple[int, ...]
+    participants: tuple[int, ...]
+    fold_pairs: tuple[tuple[int, int], ...] = ()
+    skip_empty_pieces: bool = False
+    trailing_round: bool = True
+
+
+def schedule_for(algorithm: str, size: int, radices=None) -> Schedule:
+    """The :class:`Schedule` of ``algorithm`` over ``size`` ranks.
+
+    ``radices`` is radix-k's explicit schedule (:class:`RadixFactorError`
+    unless its product is ``size``); the other two algorithms take none.
+    """
+    if size < 1:
+        raise ValueError("a compositing schedule needs at least one rank")
+    if algorithm == "direct-send":
+        return Schedule((size,), tuple(range(size)), skip_empty_pieces=True, trailing_round=False)
+    if algorithm == "binary-swap":
+        # The trailing 2 * (size - power) ranks fold pairwise, so the `power`
+        # participants still hold contiguous runs of the visibility order.
+        power = 1 << (size.bit_length() - 1)
+        pairs = tuple((keeper, keeper + 1) for keeper in range(2 * power - size, size, 2))
+        participants = tuple(range(2 * power - size)) + tuple(keeper for keeper, _ in pairs)
+        return Schedule((2,) * (power.bit_length() - 1), participants, fold_pairs=pairs)
+    if algorithm == "radix-k":
+        radices = factor_radices(size) if radices is None else validate_radices(size, radices)
+        return Schedule(tuple(radices), tuple(range(size)))
+    raise ValueError(
+        f"unknown compositing algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
     )
-
-
-def direct_send(
-    images: list[RunImage], comm: SimulatedCommunicator, mode: str
-) -> tuple[RunImage, int]:
-    """Direct-send compositing; returns ``(final_image_at_root, merge_operations)``."""
-    size = comm.size
-    if len(images) != size:
-        raise ValueError("need exactly one sub-image per rank")
-    num_pixels = images[0].num_pixels
-    partition = _pixel_partition(num_pixels, size)
-
-    # One exchange round: every rank sends every other rank's run to its owner.
-    edges = np.array([start for start, _ in partition] + [num_pixels], dtype=np.int64)
-    sends = []
-    for source in range(size):
-        messages = images[source].piece_table(edges, with_depth=_with_depth(mode))
-        for owner in range(size):
-            if owner == source:
-                continue
-            start, stop = partition[owner]
-            if start >= stop:
-                continue
-            payload, nbytes = messages[owner]
-            sends.append((source, owner, payload, nbytes))
-    delivered = comm.exchange(sends)
-
-    # Every owner's fold resolves in one batched merge across all owners.
-    groups = []
-    for owner in range(size):
-        start, stop = partition[owner]
-        if start >= stop:
-            continue
-        own_pixels, own_rgba, own_depth = images[owner].fragments(start, stop)
-        fragment_sets = [(owner, own_pixels, own_rgba, own_depth)]
-        for source, payload in delivered.get(owner, []):
-            pixels, rgba, depth, _ = payload_fragments(payload)
-            fragment_sets.append((source, pixels, rgba, depth))
-        groups.append((owner, fragment_sets))
-    resolved, merges = merge_groups(groups, num_pixels, mode)
-    for owner, _ in groups:
-        images[owner] = _replace_image(images[owner], resolved[owner])
-
-    owned = {rank: partition[rank] for rank in range(size)}
-    final = assemble_at_root(owned, images, comm, mode)
-    return final, merges
-
-
-def binary_swap(
-    images: list[RunImage], comm: SimulatedCommunicator, mode: str
-) -> tuple[RunImage, int]:
-    """Binary-swap compositing with a pairing fold for non-power-of-two task counts."""
-    size = comm.size
-    if len(images) != size:
-        raise ValueError("need exactly one sub-image per rank")
-    num_pixels = images[0].num_pixels
-    merges = 0
-
-    power = 1
-    while power * 2 <= size:
-        power *= 2
-    extra = size - power
-
-    # Fold phase: the trailing 2*extra ranks are merged pairwise so that the
-    # remaining participants hold contiguous runs of the visibility order.
-    participants = list(range(size - 2 * extra))
-    if extra:
-        pair_ranks = list(range(size - 2 * extra, size))
-        pairs = list(zip(pair_ranks[0::2], pair_ranks[1::2]))
-        sends = []
-        for first, second in pairs:
-            payload, nbytes = images[second].piece_message(0, num_pixels, with_depth=_with_depth(mode))
-            sends.append((second, first, payload, nbytes))
-        delivered = comm.exchange(sends)
-        groups = []
-        for first, second in pairs:
-            own_pixels, own_rgba, own_depth = images[first].fragments(0, num_pixels)
-            _, payload = delivered[first][0]
-            pixels, rgba, depth, _ = payload_fragments(payload)
-            groups.append((first, [(first, own_pixels, own_rgba, own_depth), (second, pixels, rgba, depth)]))
-            participants.append(first)
-        resolved, folded = merge_groups(groups, num_pixels, mode)
-        merges += folded
-        for first, _ in groups:
-            images[first] = _replace_image(images[first], resolved[first])
-        comm.next_round()
-    assert len(participants) == power
-
-    # Swap rounds over participant indices (participants are visibility-ordered).
-    owned = {index: (0, num_pixels) for index in range(power)}
-    rounds = int(np.log2(power)) if power > 1 else 0
-    store = {index: images[participants[index]] for index in range(power)}
-    for round_index in range(rounds):
-        merges += _swap_round(
-            store, owned, participants, range(power), 1 << round_index, comm, mode, num_pixels, None
-        )
-        comm.next_round()
-    for index in range(power):
-        images[participants[index]] = store[index]
-
-    owned_by_rank = {participants[index]: owned[index] for index in range(power)}
-    # Rank 0 is always a participant (index 0), so assembly at rank 0 is valid.
-    final = assemble_at_root(owned_by_rank, images, comm, mode)
-    return final, merges
-
-
-def radix_k(
-    images: list[RunImage],
-    comm: SimulatedCommunicator,
-    mode: str,
-    radices: list[int] | None = None,
-) -> tuple[RunImage, int]:
-    """Radix-k compositing; ``radices`` defaults to a factorisation of the task count.
-
-    The mixed-radix digit layout keeps every exchange group contiguous in the
-    (visibility-ordered) rank numbering, so folding group pieces in digit
-    order preserves OVER correctness.
-    """
-    size = comm.size
-    if len(images) != size:
-        raise ValueError("need exactly one sub-image per rank")
-    num_pixels = images[0].num_pixels
-    if radices is None:
-        radices = factor_radices(size)
-    radices = validate_radices(size, radices)
-    merges = 0
-
-    owned = {rank: (0, num_pixels) for rank in range(size)}
-    digits = {rank: _mixed_radix_digits(rank, radices) for rank in range(size)}
-    store = {rank: images[rank] for rank in range(size)}
-    stride = 1
-    for round_index, radix in enumerate(radices):
-        merges += _radix_round(
-            store, owned, digits, range(size), round_index, radix, stride, comm, mode, num_pixels, None
-        )
-        comm.next_round()
-        stride *= radix
-    for rank in range(size):
-        images[rank] = store[rank]
-
-    final = assemble_at_root(owned, images, comm, mode)
-    return final, merges
-
-
-# ---------------------------------------------------------------------------
-# Shared round bodies (the in-memory drivers above and the cohort scheduler
-# below execute the exact same exchange + merge per round through these).
-# ---------------------------------------------------------------------------
-
-
-def _swap_round(
-    store: dict[int, RunImage],
-    owned: dict[int, tuple[int, int]],
-    participants: list[int],
-    indices,
-    bit: int,
-    comm: SimulatedCommunicator,
-    mode: str,
-    num_pixels: int,
-    round_index: int | None,
-) -> int:
-    """One binary-swap round over ``indices`` (participant-index addressed).
-
-    ``store`` maps participant index to its current image (full image or
-    retired piece -- the pixel-value slicing of ``piece_message`` works on
-    both), ``owned`` the index's current interval.  ``round_index`` addresses
-    the communicator log explicitly (cohort blocks revisit one logical round
-    at different wall-clock times); ``None`` records into the current round,
-    which is what the in-memory driver uses.  Returns the merge-op count.
-    """
-    with_depth = _with_depth(mode)
-    sends = []
-    for index in indices:
-        partner = index ^ bit
-        start, stop = owned[index]
-        middle = (start + stop) // 2
-        send_range = (middle, stop) if index < partner else (start, middle)
-        payload, nbytes = store[index].piece_message(*send_range, with_depth=with_depth)
-        sends.append((participants[index], participants[partner], payload, nbytes))
-    delivered = comm.exchange(sends, round_index=round_index)
-    groups = []
-    for index in indices:
-        partner = index ^ bit
-        start, stop = owned[index]
-        middle = (start + stop) // 2
-        keep_range = (start, middle) if index < partner else (middle, stop)
-        rank = participants[index]
-        _, payload = delivered[rank][0]
-        pixels, rgba, depth, _ = payload_fragments(payload)
-        own_pixels, own_rgba, own_depth = store[index].fragments(*keep_range)
-        groups.append(
-            (index, [(index, own_pixels, own_rgba, own_depth), (partner, pixels, rgba, depth)])
-        )
-        owned[index] = keep_range
-    resolved, folded = merge_groups(groups, num_pixels, mode)
-    for index, _ in groups:
-        store[index] = _replace_image(store[index], resolved[index])
-    return folded
-
-
-def _radix_round(
-    store: dict[int, RunImage],
-    owned: dict[int, tuple[int, int]],
-    digits: dict[int, list[int]],
-    member_ranks,
-    round_index: int,
-    radix: int,
-    stride: int,
-    comm: SimulatedCommunicator,
-    mode: str,
-    num_pixels: int,
-    log_round: int | None,
-) -> int:
-    """One radix-k round over ``member_ranks`` (rank addressed).
-
-    Group members at round ``round_index`` differ only in that round's digit,
-    so they share an owned interval; each member keeps piece ``my_digit`` of
-    its interval's ``radix``-way partition and receives the matching piece
-    from every group partner.  ``log_round`` addresses the communicator log
-    explicitly (``None`` = current round, the in-memory driver's behavior).
-    Returns the merge-op count.
-    """
-    with_depth = _with_depth(mode)
-    pieces_of = {}
-    for rank in member_ranks:
-        start, stop = owned[rank]
-        pieces = _pixel_partition(stop - start, radix)
-        pieces_of[rank] = [(start + a, start + b) for a, b in pieces]
-    # Exchange phase: every rank sends each group partner its piece.
-    sends = []
-    for rank in member_ranks:
-        my_digit = digits[rank][round_index]
-        rank_edges = np.array(
-            [start for start, _ in pieces_of[rank]] + [pieces_of[rank][-1][1]], dtype=np.int64
-        )
-        messages = store[rank].piece_table(rank_edges, with_depth=with_depth)
-        for member_digit in range(radix):
-            if member_digit == my_digit:
-                continue
-            partner = rank + (member_digit - my_digit) * stride
-            payload, nbytes = messages[member_digit]
-            sends.append((rank, partner, payload, nbytes))
-    delivered = comm.exchange(sends, round_index=log_round)
-    # Merge phase: every group's digit-ordered fold in one batched merge.
-    groups = []
-    for rank in member_ranks:
-        my_digit = digits[rank][round_index]
-        keep_start, keep_stop = pieces_of[rank][my_digit]
-        own_pixels, own_rgba, own_depth = store[rank].fragments(keep_start, keep_stop)
-        fragment_sets = [(my_digit, own_pixels, own_rgba, own_depth)]
-        for source, payload in delivered.get(rank, []):
-            pixels, rgba, depth, _ = payload_fragments(payload)
-            fragment_sets.append((digits[source][round_index], pixels, rgba, depth))
-        groups.append((rank, fragment_sets))
-        owned[rank] = (keep_start, keep_stop)
-    resolved, folded = merge_groups(groups, num_pixels, mode)
-    for rank, _ in groups:
-        store[rank] = _replace_image(store[rank], resolved[rank])
-    return folded
-
-
-# ---------------------------------------------------------------------------
-# The cohort scheduler: streaming/hierarchical execution to thousands of ranks.
-#
-# The in-memory drivers above materialize every rank's RunImage for the whole
-# exchange, which caps the simulated scale near 256 ranks.  The streaming
-# drivers below execute the *same* rounds as a pure reordering: rank images
-# are generated on demand (``factory(position)``), processed in bounded
-# cohorts (generate -> merge -> retire), and only compacted owned-interval
-# pieces survive a cohort.  Because every merge kernel invocation sees the
-# same per-pixel operation chains in the same order -- OVER blends are
-# elementwise and depth selection is an exact (depth, key) tournament -- the
-# streamed result is bit-identical to the in-memory engine (and therefore to
-# the dense reference oracle wherever that still fits), and independent of
-# ``max_live_ranks``.  The memory contract: at most ``max_live_ranks`` full
-# rank images are live at once, plus one transient (the running direct-send
-# partial, or the second member of a non-power-of-two fold pair).
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -481,8 +232,8 @@ class StreamStats:
     """Cohort-execution bookkeeping reported alongside a streamed composite.
 
     ``peak_live_images`` counts simultaneously-live *full rank images* (the
-    memory contract bounds it by ``max_live_ranks + 1``); retired pieces and
-    the bounded running partial are not full images.  ``cohorts`` counts
+    memory contract bounds it by ``max_live_ranks + 1``); a running partial
+    counts as one, retired pieces do not.  ``cohorts`` counts
     generate->merge->retire batches, and ``total_active_pixels`` accumulates
     every generated image's active-pixel count (the Eq. 5.5 ``avg(AP)``
     numerator, summed so the caller can average without holding the images).
@@ -549,447 +300,219 @@ def _retire_piece(image: RunImage, start: int, stop: int, width: int, height: in
     )
 
 
-def _assemble_pieces(
-    owned: dict[int, tuple[int, int]],
-    pieces: dict[int, RunImage],
-    comm: SimulatedCommunicator,
-    mode: str,
-    round_index: int,
+def run_schedule(
+    schedule: Schedule,
+    factory: Callable[[int], RunImage],
     width: int,
     height: int,
-) -> RunImage:
-    """:func:`assemble_at_root` over retired pieces with explicit round addressing."""
-    sends = []
-    for rank, (start, stop) in sorted(owned.items()):
-        if rank == 0 or start >= stop:
-            continue
-        payload, nbytes = pieces[rank].piece_message(start, stop, with_depth=_with_depth(mode))
-        sends.append((rank, 0, payload, nbytes))
-    delivered = comm.exchange(sends, round_index=round_index)
+    comm: SimulatedCommunicator,
+    mode: str,
+    max_live_ranks: int,
+) -> tuple[RunImage, int, StreamStats]:
+    """Run ``schedule`` over ``factory``'s images; returns ``(final, merge_ops, stats)``.
 
-    start, stop = owned.get(0, (0, 0))
-    fragments = [pieces[0].fragments(start, stop)] if stop > start else []
-    for _, payload in delivered.get(0, []):
-        pixels, rgba, depth, _ = payload_fragments(payload)
-        fragments.append((pixels, rgba, depth))
-    fragments = [piece for piece in fragments if len(piece[0])]
-    if not fragments:
-        empty = np.empty(0, dtype=np.int64)
-        return RunImage.from_arrays(empty, np.empty((0, 4)), np.empty(0), width, height)
+    Group members of round ``r`` share every digit but digit ``r``, so rounds
+    ``0..m-1`` stay inside aligned blocks of ``prod(radices[:m])`` consecutive
+    participants.  Each block runs the longest such prefix that fits in
+    ``max_live_ranks``: generate its members (folding prologue pairs on the
+    fly), exchange locally, retire every member to a copy of its owned
+    interval.  The remaining rounds run over the retired pieces -- whose total
+    size is bounded by per-block pixel coverage, not by the rank count -- and
+    one gather assembles the image at rank 0.
+
+    A round-0 group wider than the budget cannot be live at once, and one
+    wider than :data:`~repro.compositing.merge.PAIRWISE_FOLD_MAX_SETS` is
+    cheaper as a sorted bag than as pairwise folds.  Either way the group's
+    k-way exchange *is* a per-pixel left fold of its members in rank order,
+    so it streams instead: chunks of at most ``max_live_ranks`` members are
+    folded onto one running partial
+    (:func:`~repro.compositing.merge.fold_bag_into_partial` -- the identical
+    operation chain, split at chunk boundaries), the partial is sliced into
+    the members' pieces, and the wire traffic is charged per link
+    (``record_link_totals``; a rank posts ``k - 1`` messages, and enumerating
+    ``P^2`` tuples at 16k ranks is off the table).  A schedule with a
+    prologue keeps to blocks -- a pair's second member and a running partial
+    would both sit on top of the budget.  Later wide rounds are
+    ``merge_groups``' business.
+
+    Traffic lands in the logical round it belongs to (``round_index``
+    addressing), however the blocks interleave in wall-clock time.
+    """
+    num_pixels = width * height
+    with_depth = mode == "depth"  # over-mode payloads drop the depth plane (the key stands in)
+    budget = int(max_live_ranks)
+    radices, participants = schedule.radices, schedule.participants
+    count = len(participants)
+    fold_partner = dict(schedule.fold_pairs)
+    first_round = 1 if fold_partner else 0
+    assembly_round = first_round + len(radices) + int(schedule.trailing_round)
+    comm.ensure_rounds(assembly_round + 1)
+
+    ledger = _LiveLedger()
+    merges = total_active = cohorts = 0
+    pieces: dict[int, RunImage] = {}
+    owned: dict[int, tuple[int, int]] = {}
+
+    def generate(index: int) -> RunImage:
+        """Participant ``index``'s image, its prologue partner already folded in."""
+        nonlocal merges, total_active
+        rank = participants[index]
+        image = _materialize(factory, rank, width, height, ledger)
+        total_active += image.active_pixels
+        if rank in fold_partner:
+            sender = fold_partner[rank]
+            partner = _materialize(factory, sender, width, height, ledger)
+            total_active += partner.active_pixels
+            payload, nbytes = partner.piece_message(0, num_pixels, with_depth=with_depth)
+            comm.exchange([(sender, rank, payload, nbytes)], round_index=0)
+            fragment_sets = [(rank, *image.fragments(0, num_pixels)), (sender, *payload[:3])]
+            resolved, folded = merge_groups([(index, fragment_sets)], num_pixels, mode)
+            merges += folded
+            image = _replace_image(image, resolved[index])
+            ledger.release()  # the folded pair partner retires immediately
+        return image
+
+    def exchange_round(store, intervals, members, round_index: int, stride: int) -> None:
+        """Round ``round_index`` over ``members`` (full images or retired pieces).
+
+        Every member cuts its interval ``radix`` ways, keeps piece ``digit``
+        and sends each other piece to the group partner holding that digit.
+        """
+        nonlocal merges
+        radix = radices[round_index]
+        bounds = np.array([intervals[index] for index in members], dtype=np.int64)
+        cuts = bounds[:, :1] + _partition_edges(bounds[:, 1] - bounds[:, 0], radix)
+        sends, kept = [], {}
+        for index, edges in zip(members, cuts):
+            digit = index // stride % radix
+            messages = store[index].piece_table(edges, with_depth=with_depth)
+            kept[index] = messages[digit][0][:3]
+            intervals[index] = (int(edges[digit]), int(edges[digit + 1]))
+            for other in range(radix):
+                if other == digit or (
+                    schedule.skip_empty_pieces and edges[other] == edges[other + 1]
+                ):
+                    continue
+                payload, nbytes = messages[other]
+                partner = index + (other - digit) * stride
+                sends.append((participants[index], participants[partner], payload, nbytes))
+        delivered = comm.exchange(sends, round_index=first_round + round_index)
+        # Ranks ascend with the digit inside a group, so they serve as fold keys.
+        groups = []
+        for index in members:
+            rank = participants[index]
+            received = [(source, *payload[:3]) for source, payload in delivered.get(rank, [])]
+            groups.append((index, [(rank, *kept[index]), *received]))
+        resolved, folded = merge_groups(groups, num_pixels, mode)
+        merges += folded
+        for index in members:
+            store[index] = _replace_image(store[index], resolved[index])
+
+    if radices and (
+        radices[0] > PAIRWISE_FOLD_MAX_SETS or (radices[0] > budget and not fold_partner)
+    ):
+        radix = radices[0]
+        edges = _partition_edges(num_pixels, radix)
+        posted = edges[1:] > edges[:-1] if schedule.skip_empty_pieces else np.ones(radix, dtype=bool)
+        sent_bytes = np.zeros(comm.size)
+        sent_msgs = np.zeros(comm.size, dtype=np.int64)
+        recv_bytes = np.zeros(comm.size)
+        recv_msgs = np.zeros(comm.size, dtype=np.int64)
+        for group_start in range(0, count, radix):
+            group_ranks = np.asarray(participants[group_start : group_start + radix])
+            partial = None
+            for chunk_start in range(group_start, group_start + radix, budget):
+                cohorts += 1
+                members = range(chunk_start, min(chunk_start + budget, group_start + radix))
+                images = [generate(index) for index in members]
+                for index, image in zip(members, images):
+                    nbytes = image.piece_wire_table(edges, with_depth)
+                    mask = posted.copy()
+                    mask[index - group_start] = False
+                    sent_bytes[participants[index]] += float(nbytes[mask].sum())
+                    sent_msgs[participants[index]] += int(np.count_nonzero(mask))
+                    recv_bytes[group_ranks] += np.where(mask, nbytes, 0.0)
+                    recv_msgs[group_ranks] += mask
+                active = np.array([image.active_pixels for image in images], dtype=np.int64)
+                first_fold = partial is None
+                partial, folded = fold_bag_into_partial(
+                    partial,
+                    np.concatenate([image.pixels for image in images]),
+                    np.concatenate([image.rgba for image in images]),
+                    np.concatenate([image.depth for image in images]) if with_depth else None,
+                    np.repeat(np.asarray(members, dtype=np.int64), active) if with_depth else None,
+                    mode,
+                )
+                merges += folded
+                if first_fold:
+                    ledger.acquire()  # the running partial counts as one live image
+                del images
+                ledger.release(len(members))
+            # The pieces tile the partial, so views of it pin nothing extra.
+            pixels, rgba, depth, _ = partial
+            bounds = np.searchsorted(pixels, edges)
+            for digit in range(radix):
+                lo, hi = int(bounds[digit]), int(bounds[digit + 1])
+                index = group_start + digit
+                pieces[index] = RunImage.from_arrays(
+                    pixels[lo:hi],
+                    rgba[lo:hi],
+                    depth[lo:hi] if with_depth else np.zeros(hi - lo),
+                    width,
+                    height,
+                    key=participants[index],
+                )
+                owned[index] = (int(edges[digit]), int(edges[digit + 1]))
+            ledger.release()
+        comm.record_link_totals(first_round, sent_bytes, sent_msgs, recv_bytes, recv_msgs)
+        local_rounds = 1
+    else:
+        block, local_rounds = 1, 0
+        while local_rounds < len(radices) and block * radices[local_rounds] <= budget:
+            block *= radices[local_rounds]
+            local_rounds += 1
+        for block_start in range(0, count, block):
+            cohorts += 1
+            members = range(block_start, block_start + block)
+            store = {index: generate(index) for index in members}
+            intervals = dict.fromkeys(members, (0, num_pixels))
+            stride = 1
+            for round_index in range(local_rounds):
+                exchange_round(store, intervals, members, round_index, stride)
+                stride *= radices[round_index]
+            for index in members:
+                pieces[index] = _retire_piece(store[index], *intervals[index], width, height)
+                owned[index] = intervals[index]
+                ledger.release()
+            del store
+
+    stride = int(np.prod(radices[:local_rounds], dtype=np.int64))
+    for round_index in range(local_rounds, len(radices)):
+        exchange_round(pieces, owned, range(count), round_index, stride)
+        stride *= radices[round_index]
+
+    # Gather: the owned intervals tile [0, num_pixels), so concatenating the
+    # pieces (sorted by pixel) yields the complete composited image.
+    sends = []
+    for index in range(1, count):
+        start, stop = owned[index]
+        if start < stop:
+            payload, nbytes = pieces[index].piece_message(start, stop, with_depth=with_depth)
+            sends.append((participants[index], 0, payload, nbytes))
+    delivered = comm.exchange(sends, round_index=assembly_round)
+    fragments = [pieces[0].fragments(*owned[0])]
+    fragments += [payload[:3] for _, payload in delivered.get(0, [])]
     all_pixels = np.concatenate([piece[0] for piece in fragments])
     order = np.argsort(all_pixels, kind="stable")  # owned intervals are disjoint
-    if mode == "depth":
+    if with_depth:
         depth = np.concatenate([piece[2] for piece in fragments])[order]
     else:
         depth = np.zeros(len(all_pixels))  # over-mode depth lives in the keys
-    return RunImage.from_arrays(
+    final = RunImage.from_arrays(
         all_pixels[order],
         np.concatenate([piece[1] for piece in fragments])[order],
         depth,
         width,
         height,
     )
-
-
-def direct_send_streaming(
-    factory: Callable[[int], RunImage],
-    size: int,
-    width: int,
-    height: int,
-    comm: SimulatedCommunicator,
-    mode: str,
-    max_live_ranks: int = 256,
-) -> tuple[RunImage, int, StreamStats]:
-    """Cohort-streamed direct-send; returns ``(final, merge_ops, stats)``.
-
-    Direct-send's single exchange round makes every owner fold the whole
-    rank population over its pixel run; since the owner runs tile the image,
-    the union of all folds is one global per-pixel left fold in rank order.
-    The scheduler therefore keeps a single running partial over the full
-    pixel range and folds each cohort's concatenated fragment bag onto it
-    through :func:`~repro.compositing.merge.fold_bag_into_partial` -- the
-    identical operation chain the in-memory owner-band merge performs, split
-    at cohort boundaries.  Wire accounting is aggregated per link (a rank
-    posts P-1 messages; enumerating P^2 tuples at 16k ranks is off the
-    table) via ``SimulatedCommunicator.record_link_totals``.
-    """
-    if size < 1:
-        raise ValueError("streaming composite requires at least one rank")
-    num_pixels = width * height
-    partition = _pixel_partition(num_pixels, size)
-    edges = np.array([start for start, _ in partition] + [num_pixels], dtype=np.int64)
-    interval_active = edges[1:] > edges[:-1]
-    with_depth = _with_depth(mode)
-    comm.ensure_rounds(2)
-
-    ledger = _LiveLedger()
-    partial = None
-    merges = 0
-    total_active = 0
-    cohorts = 0
-    sent_bytes = np.zeros(size)
-    sent_msgs = np.zeros(size, dtype=np.int64)
-    recv_bytes = np.zeros(size)
-    recv_msgs = np.zeros(size, dtype=np.int64)
-
-    chunk = max(1, int(max_live_ranks))
-    for cohort_start in range(0, size, chunk):
-        cohorts += 1
-        ranks = range(cohort_start, min(cohort_start + chunk, size))
-        images = []
-        for rank in ranks:
-            image = _materialize(factory, rank, width, height, ledger)
-            total_active += image.active_pixels
-            nbytes = image.piece_wire_table(edges, with_depth)
-            mask = interval_active.copy()
-            mask[rank] = False
-            sent_bytes[rank] += float(nbytes[mask].sum())
-            sent_msgs[rank] += int(np.count_nonzero(mask))
-            np.add(recv_bytes, np.where(mask, nbytes, 0.0), out=recv_bytes)
-            recv_msgs += mask
-            images.append(image)
-        bag_pixels = np.concatenate([image.pixels for image in images])
-        bag_rgba = np.concatenate([image.rgba for image in images])
-        bag_depth = (
-            np.concatenate([image.depth for image in images]) if with_depth else None
-        )
-        bag_keys = (
-            np.repeat(
-                np.asarray(ranks, dtype=np.int64),
-                np.array([image.active_pixels for image in images], dtype=np.int64),
-            )
-            if with_depth
-            else None
-        )
-        first_fold = partial is None
-        partial, folded = fold_bag_into_partial(partial, bag_pixels, bag_rgba, bag_depth, bag_keys, mode)
-        merges += folded
-        if first_fold:
-            ledger.acquire()  # the running partial counts as one live image
-        images = None
-        ledger.release(len(ranks))
-    comm.record_link_totals(0, sent_bytes, sent_msgs, recv_bytes, recv_msgs)
-
-    pixels, rgba, depth, _ = partial
-    final = RunImage.from_arrays(
-        pixels, rgba, depth if with_depth else np.zeros(len(pixels)), width, height
-    )
-    # Assembly round: each owner ships its (merged) run to root; the merged
-    # content of each owner interval is exactly the matching slice of the
-    # global partial, so the wire sizes come off the final image's runs.
-    final_bytes = final.piece_wire_table(edges, with_depth)
-    mask = interval_active.copy()
-    mask[0] = False
-    assembly_sent = np.where(mask, final_bytes, 0.0)
-    assembly_sent_msgs = mask.astype(np.int64)
-    assembly_recv = np.zeros(size)
-    assembly_recv_msgs = np.zeros(size, dtype=np.int64)
-    assembly_recv[0] = float(final_bytes[mask].sum())
-    assembly_recv_msgs[0] = int(np.count_nonzero(mask))
-    comm.record_link_totals(1, assembly_sent, assembly_sent_msgs, assembly_recv, assembly_recv_msgs)
-
-    stats = StreamStats(int(max_live_ranks), ledger.peak, cohorts, total_active)
-    return final, merges, stats
-
-
-def binary_swap_streaming(
-    factory: Callable[[int], RunImage],
-    size: int,
-    width: int,
-    height: int,
-    comm: SimulatedCommunicator,
-    mode: str,
-    max_live_ranks: int = 256,
-) -> tuple[RunImage, int, StreamStats]:
-    """Cohort-streamed binary-swap; returns ``(final, merge_ops, stats)``.
-
-    Swap round ``r`` pairs participant indices differing in bit ``r``, so
-    rounds ``0..log2(B)-1`` stay inside aligned blocks of ``B`` participants
-    (``B`` = largest power of two within ``max_live_ranks``).  Phase 1 runs
-    those rounds block by block -- generate the block's members (folding
-    non-power-of-two pairs on the fly), swap locally, retire each member to
-    its owned-interval piece.  Phase 2 runs the remaining cross-block rounds
-    over the retired pieces, whose total size is bounded by the per-block
-    pixel coverage, not the rank count.  Round traffic is recorded into the
-    same logical round log the in-memory driver produces.
-    """
-    if size < 1:
-        raise ValueError("streaming composite requires at least one rank")
-    num_pixels = width * height
-    with_depth = _with_depth(mode)
-    power = 1
-    while power * 2 <= size:
-        power *= 2
-    extra = size - power
-    fold_round = 1 if extra else 0
-    swap_rounds = int(np.log2(power)) if power > 1 else 0
-    total_rounds = fold_round + swap_rounds + 2  # trailing empty round + assembly
-    assembly_round = total_rounds - 1
-    comm.ensure_rounds(total_rounds)
-
-    # Participant recipes, in the in-memory driver's participant order: plain
-    # leading ranks first, then the first member of each trailing fold pair.
-    recipes: list[tuple] = [("plain", rank) for rank in range(size - 2 * extra)]
-    pair_ranks = list(range(size - 2 * extra, size))
-    recipes += [("pair", first, second) for first, second in zip(pair_ranks[0::2], pair_ranks[1::2])]
-    participants = [recipe[1] for recipe in recipes]
-
-    block = 1
-    while block * 2 <= min(int(max_live_ranks), power):
-        block *= 2
-    local_rounds = int(np.log2(block))
-
-    ledger = _LiveLedger()
-    merges = 0
-    total_active = 0
-    cohorts = 0
-    pieces: dict[int, RunImage] = {}
-    owned: dict[int, tuple[int, int]] = {}
-
-    for block_start in range(0, power, block):
-        cohorts += 1
-        members = range(block_start, block_start + block)
-        store: dict[int, RunImage] = {}
-        for index in members:
-            recipe = recipes[index]
-            if recipe[0] == "plain":
-                image = _materialize(factory, recipe[1], width, height, ledger)
-                total_active += image.active_pixels
-            else:
-                _, first, second = recipe
-                image = _materialize(factory, first, width, height, ledger)
-                partner_image = _materialize(factory, second, width, height, ledger)
-                total_active += image.active_pixels + partner_image.active_pixels
-                payload, nbytes = partner_image.piece_message(0, num_pixels, with_depth=with_depth)
-                comm.exchange([(second, first, payload, nbytes)], round_index=0)
-                own_pixels, own_rgba, own_depth = image.fragments(0, num_pixels)
-                pixels, rgba, depth, _ = payload_fragments(payload)
-                resolved, folded = merge_groups(
-                    [
-                        (
-                            first,
-                            [
-                                (first, own_pixels, own_rgba, own_depth),
-                                (second, pixels, rgba, depth),
-                            ],
-                        )
-                    ],
-                    num_pixels,
-                    mode,
-                )
-                merges += folded
-                image = _replace_image(image, resolved[first])
-                ledger.release()  # the folded pair partner retires immediately
-            store[index] = image
-        block_owned = {index: (0, num_pixels) for index in members}
-        for local_round in range(local_rounds):
-            merges += _swap_round(
-                store,
-                block_owned,
-                participants,
-                members,
-                1 << local_round,
-                comm,
-                mode,
-                num_pixels,
-                fold_round + local_round,
-            )
-        for index in members:
-            start, stop = block_owned[index]
-            pieces[index] = _retire_piece(store[index], start, stop, width, height)
-            owned[index] = (start, stop)
-            ledger.release()
-        store = None
-
-    for swap_round in range(local_rounds, swap_rounds):
-        merges += _swap_round(
-            pieces,
-            owned,
-            participants,
-            range(power),
-            1 << swap_round,
-            comm,
-            mode,
-            num_pixels,
-            fold_round + swap_round,
-        )
-
-    owned_by_rank = {participants[index]: owned[index] for index in range(power)}
-    pieces_by_rank = {participants[index]: pieces[index] for index in range(power)}
-    final = _assemble_pieces(owned_by_rank, pieces_by_rank, comm, mode, assembly_round, width, height)
-    stats = StreamStats(int(max_live_ranks), ledger.peak, cohorts, total_active)
-    return final, merges, stats
-
-
-def radix_k_streaming(
-    factory: Callable[[int], RunImage],
-    size: int,
-    width: int,
-    height: int,
-    comm: SimulatedCommunicator,
-    mode: str,
-    max_live_ranks: int = 256,
-    radices: list[int] | None = None,
-) -> tuple[RunImage, int, StreamStats]:
-    """Cohort-streamed radix-k; returns ``(final, merge_ops, stats)``.
-
-    Rounds ``0..m-1`` with ``prod(radices[:m]) <= max_live_ranks`` are local
-    to blocks of ``prod(radices[:m])`` consecutive ranks (group members at
-    round ``r`` share all digits except digit ``r``), so phase 1 streams
-    those blocks exactly like binary-swap's.  When even the first radix
-    exceeds the live budget (prime task counts factor to ``[P]``), round 0's
-    single k-way group *is* a global rank-order fold over its owned run, and
-    the scheduler streams it with the same running-partial bag fold as
-    direct-send before slicing the partial into the per-digit pieces.  Later
-    rounds always run over retired pieces.
-    """
-    if size < 1:
-        raise ValueError("streaming composite requires at least one rank")
-    num_pixels = width * height
-    with_depth = _with_depth(mode)
-    if radices is None:
-        radices = factor_radices(size)
-    radices = validate_radices(size, radices)
-    rounds = len(radices)
-    total_rounds = rounds + 2  # trailing empty round + assembly
-    assembly_round = rounds + 1
-    comm.ensure_rounds(total_rounds)
-    digits = {rank: _mixed_radix_digits(rank, radices) for rank in range(size)}
-
-    ledger = _LiveLedger()
-    merges = 0
-    total_active = 0
-    cohorts = 0
-    pieces: dict[int, RunImage] = {}
-    owned: dict[int, tuple[int, int]] = {}
-
-    prefix_rounds = 0
-    prefix = 1
-    while prefix_rounds < rounds and prefix * radices[prefix_rounds] <= int(max_live_ranks):
-        prefix *= radices[prefix_rounds]
-        prefix_rounds += 1
-
-    if prefix_rounds == 0:
-        # Round 0's radix alone exceeds the live budget: stream each group's
-        # k-way fold through a running partial, in chunks of max_live_ranks.
-        radix = radices[0]
-        partition = _pixel_partition(num_pixels, radix)
-        edges = np.array([start for start, _ in partition] + [num_pixels], dtype=np.int64)
-        sent_bytes = np.zeros(size)
-        sent_msgs = np.zeros(size, dtype=np.int64)
-        recv_bytes = np.zeros(size)
-        recv_msgs = np.zeros(size, dtype=np.int64)
-        chunk = max(1, int(max_live_ranks))
-        for group_start in range(0, size, radix):
-            partial = None
-            for chunk_start in range(group_start, group_start + radix, chunk):
-                cohorts += 1
-                ranks = range(chunk_start, min(chunk_start + chunk, group_start + radix))
-                images = []
-                for rank in ranks:
-                    image = _materialize(factory, rank, width, height, ledger)
-                    total_active += image.active_pixels
-                    nbytes = image.piece_wire_table(edges, with_depth)
-                    my_digit = rank - group_start
-                    mask = np.ones(radix, dtype=bool)
-                    mask[my_digit] = False
-                    sent_bytes[rank] += float(nbytes[mask].sum())
-                    sent_msgs[rank] += radix - 1
-                    np.add(
-                        recv_bytes[group_start : group_start + radix],
-                        np.where(mask, nbytes, 0.0),
-                        out=recv_bytes[group_start : group_start + radix],
-                    )
-                    recv_msgs[group_start : group_start + radix] += mask
-                    images.append(image)
-                bag_pixels = np.concatenate([image.pixels for image in images])
-                bag_rgba = np.concatenate([image.rgba for image in images])
-                bag_depth = (
-                    np.concatenate([image.depth for image in images]) if with_depth else None
-                )
-                bag_keys = (
-                    np.repeat(
-                        np.asarray(ranks, dtype=np.int64) - group_start,
-                        np.array([image.active_pixels for image in images], dtype=np.int64),
-                    )
-                    if with_depth
-                    else None
-                )
-                first_fold = partial is None
-                partial, folded = fold_bag_into_partial(
-                    partial, bag_pixels, bag_rgba, bag_depth, bag_keys, mode
-                )
-                merges += folded
-                if first_fold:
-                    ledger.acquire()
-                images = None
-                ledger.release(len(ranks))
-            pixels, rgba, depth, _ = partial
-            bounds = np.searchsorted(pixels, edges)
-            for digit in range(radix):
-                lo, hi = int(bounds[digit]), int(bounds[digit + 1])
-                rank = group_start + digit
-                pieces[rank] = RunImage.from_arrays(
-                    pixels[lo:hi].copy(),
-                    rgba[lo:hi].copy(),
-                    depth[lo:hi].copy() if with_depth else np.zeros(hi - lo),
-                    width,
-                    height,
-                    key=rank,
-                )
-                owned[rank] = partition[digit]
-            partial = None
-            ledger.release()  # the group partial is sliced into pieces and dropped
-        comm.record_link_totals(0, sent_bytes, sent_msgs, recv_bytes, recv_msgs)
-    else:
-        for block_start in range(0, size, prefix):
-            cohorts += 1
-            members = range(block_start, block_start + prefix)
-            store: dict[int, RunImage] = {}
-            for rank in members:
-                store[rank] = _materialize(factory, rank, width, height, ledger)
-                total_active += store[rank].active_pixels
-            block_owned = {rank: (0, num_pixels) for rank in members}
-            stride = 1
-            for local_round in range(prefix_rounds):
-                merges += _radix_round(
-                    store,
-                    block_owned,
-                    digits,
-                    members,
-                    local_round,
-                    radices[local_round],
-                    stride,
-                    comm,
-                    mode,
-                    num_pixels,
-                    local_round,
-                )
-                stride *= radices[local_round]
-            for rank in members:
-                start, stop = block_owned[rank]
-                pieces[rank] = _retire_piece(store[rank], start, stop, width, height)
-                owned[rank] = (start, stop)
-                ledger.release()
-            store = None
-
-    stride = int(np.prod(radices[:max(prefix_rounds, 1)]))
-    for round_index in range(max(prefix_rounds, 1), rounds):
-        merges += _radix_round(
-            pieces,
-            owned,
-            digits,
-            range(size),
-            round_index,
-            radices[round_index],
-            stride,
-            comm,
-            mode,
-            num_pixels,
-            round_index,
-        )
-        stride *= radices[round_index]
-
-    final = _assemble_pieces(owned, pieces, comm, mode, assembly_round, width, height)
-    stats = StreamStats(int(max_live_ranks), ledger.peak, cohorts, total_active)
-    return final, merges, stats
+    return final, merges, StreamStats(budget, ledger.peak, cohorts, total_active)

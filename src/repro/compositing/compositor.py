@@ -10,10 +10,16 @@ Two interchangeable engines execute the exchange:
 
 * ``"runlength"`` (default) -- the fast data path: per-rank images are
   compacted to :class:`~repro.compositing.runimage.RunImage` run-length
-  sub-images, rounds exchange array-valued payloads in one batched
+  sub-images and the algorithm's :class:`~repro.compositing.algorithms.Schedule`
+  runs through the one cohort driver
+  (:func:`~repro.compositing.algorithms.run_schedule`): rounds exchange
+  array-valued payloads in one batched
   :meth:`~repro.runtime.communicator.SimulatedCommunicator.exchange`, and
   merges resolve through the batched dpp kernels of
-  :mod:`repro.compositing.merge`.
+  :mod:`repro.compositing.merge`.  :meth:`Compositor.composite` and
+  :meth:`Compositor.composite_streaming` are the same engine: the first
+  serves the images from a list with the whole population as its live
+  budget, the second takes a ``factory`` and a ``max_live_ranks`` bound.
 * ``"reference"`` -- the original dense per-run Python drivers
   (:mod:`repro.compositing.reference`), kept as the differential-testing
   oracle; the fast engine must match it within 1e-10 on every algorithm,
@@ -32,15 +38,7 @@ import numpy as np
 
 from typing import Callable
 
-from repro.compositing.algorithms import (
-    binary_swap,
-    binary_swap_streaming,
-    direct_send,
-    direct_send_streaming,
-    radix_k,
-    radix_k_streaming,
-    validate_radices,
-)
+from repro.compositing.algorithms import ALGORITHMS, run_schedule, schedule_for
 from repro.compositing.image import from_framebuffer
 from repro.compositing.reference import composite_reference
 from repro.compositing.runimage import RunImage, active_mask, run_image_from_framebuffer
@@ -51,19 +49,7 @@ from repro.util.timing import Timer
 
 __all__ = ["CompositeResult", "Compositor"]
 
-_ALGORITHMS = {
-    "direct-send": direct_send,
-    "binary-swap": binary_swap,
-    "radix-k": radix_k,
-}
-
-_STREAMING = {
-    "direct-send": direct_send_streaming,
-    "binary-swap": binary_swap_streaming,
-    "radix-k": radix_k_streaming,
-}
-
-_ENGINES = ("runlength", "reference", "cohort")
+_ENGINES = ("runlength", "reference")
 
 
 @dataclass
@@ -105,10 +91,10 @@ class CompositeResult:
     num_tasks: int
     num_pixels: int
     engine: str = "runlength"
-    #: Cohort-engine bookkeeping (zero on the dense engines): the configured
-    #: live-image budget, the observed peak (contract: at most budget + 1),
-    #: generate->merge->retire batches, and a compact per-round traffic
-    #: summary (the round-log artifact the CI scale gate uploads).
+    #: Cohort bookkeeping of the run-length engine (zero on the reference
+    #: engine): the live-image budget, the observed peak (contract: at most
+    #: budget + 1), generate->merge->retire batches, and a compact per-round
+    #: traffic summary (the round-log artifact the CI scale gate uploads).
     max_live_ranks: int = 0
     peak_live_images: int = 0
     cohorts: int = 0
@@ -143,9 +129,9 @@ class Compositor:
     radices: list[int] | None = None
 
     def __post_init__(self) -> None:
-        if self.algorithm not in _ALGORITHMS:
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(
-                f"unknown compositing algorithm {self.algorithm!r}; choose from {sorted(_ALGORITHMS)}"
+                f"unknown compositing algorithm {self.algorithm!r}; choose from {sorted(ALGORITHMS)}"
             )
         if self.radices is not None and self.algorithm != "radix-k":
             raise ValueError("an explicit radix schedule requires algorithm='radix-k'")
@@ -170,11 +156,9 @@ class Compositor:
             Required for ``"over"``: smaller values composite in front
             (typically each block's distance from the camera).
         engine:
-            ``"runlength"`` (fast path, default), ``"reference"`` (dense
-            oracle), or ``"cohort"`` (the streaming scheduler running over
-            the same framebuffers -- primarily for differential testing; at
-            scale use :meth:`composite_streaming` so rank images need never
-            coexist).
+            ``"runlength"`` (fast path, default) or ``"reference"`` (dense
+            oracle).  At scale use :meth:`composite_streaming`, so the rank
+            images need never coexist.
         """
         if not framebuffers:
             raise ValueError("composite requires at least one framebuffer")
@@ -196,57 +180,39 @@ class Compositor:
         else:
             raise ValueError(f"unknown compositing mode {mode!r}")
 
-        if self.radices is not None:
-            validate_radices(len(ordered), self.radices)
-        comm = SimulatedCommunicator(len(ordered), self.network)
-        algorithm = _ALGORITHMS[self.algorithm]
-        if engine == "cohort":
-            images = [
-                run_image_from_framebuffer(framebuffer, mode, key=position)
-                for position, framebuffer in enumerate(ordered)
-            ]
-            return self.composite_streaming(
-                lambda position: images[position],
-                len(ordered),
-                ordered[0].width,
-                ordered[0].height,
-                mode,
-                background=background,
-                rank_background=tuple(float(v) for v in ordered[0].background),
-            )
         if engine == "runlength":
             images = [
                 run_image_from_framebuffer(framebuffer, mode, key=position)
                 for position, framebuffer in enumerate(ordered)
             ]
-            average_active = float(np.mean([image.active_pixels for image in images]))
-            with Timer() as timer:
-                if self.algorithm == "radix-k":
-                    final, merges = algorithm(images, comm, mode, radices=self.radices)
-                else:
-                    final, merges = algorithm(images, comm, mode)
-            framebuffer = self._assemble(final, mode, len(ordered), ordered[0].background, background)
-        else:
-            if mode == "over":
-                sub_images = [
-                    from_framebuffer(framebuffer, position)
-                    for position, framebuffer in enumerate(ordered)
-                ]
-            else:
-                sub_images = [from_framebuffer(framebuffer) for framebuffer in ordered]
-            average_active = float(
-                np.mean(
-                    [int(np.count_nonzero(active_mask(fb.rgba, fb.depth, mode))) for fb in ordered]
-                )
+            return self.composite_streaming(
+                images.__getitem__,
+                len(ordered),
+                ordered[0].width,
+                ordered[0].height,
+                mode,
+                max_live_ranks=len(ordered),
+                background=background,
+                rank_background=tuple(float(v) for v in ordered[0].background),
             )
-            with Timer() as timer:
-                dense, merges = composite_reference(
-                    self.algorithm, [image.copy() for image in sub_images], comm, mode,
-                    radices=self.radices,
-                )
-            framebuffer = dense.to_framebuffer(background)
+        if mode == "over":
+            sub_images = [
+                from_framebuffer(framebuffer, position)
+                for position, framebuffer in enumerate(ordered)
+            ]
+        else:
+            sub_images = [from_framebuffer(framebuffer) for framebuffer in ordered]
+        average_active = float(
+            np.mean([int(np.count_nonzero(active_mask(fb.rgba, fb.depth, mode))) for fb in ordered])
+        )
+        comm = SimulatedCommunicator(len(ordered), self.network)
+        with Timer() as timer:
+            dense, merges = composite_reference(
+                self.algorithm, [image.copy() for image in sub_images], comm, mode,
+                radices=self.radices,
+            )
         return CompositeResult(
-            framebuffer=framebuffer,
+            framebuffer=dense.to_framebuffer(background),
             local_seconds=timer.elapsed,
             network_seconds=comm.estimate_time(),
             bytes_exchanged=comm.total_bytes(),
@@ -255,7 +221,7 @@ class Compositor:
             average_active_pixels=average_active,
             num_tasks=len(ordered),
             num_pixels=ordered[0].num_pixels,
-            engine=engine,
+            engine="reference",
         )
 
     def composite_streaming(
@@ -276,10 +242,11 @@ class Compositor:
         position ``position`` (ascending = front to back; for depth
         compositing any order works) and is called exactly once per rank, in
         bounded cohorts -- at most ``max_live_ranks`` rank images are live at
-        any point, so 16k simulated ranks fit where the dense engines cap out
-        near 256.  The result is bit-identical to running :meth:`composite`
-        over the same images (the scheduler is a pure reordering of the same
-        merge operations) and invariant to ``max_live_ranks``.
+        any point, so 16k simulated ranks fit where a list of framebuffers
+        caps out near 256.  The result is bit-identical to running
+        :meth:`composite` over the same images (cohort execution is a pure
+        reordering of the same merge operations) and invariant to
+        ``max_live_ranks``.
 
         ``rank_background`` is the background the simulated renders used
         (what uncovered pixels show); defaults to ``background``.
@@ -290,15 +257,11 @@ class Compositor:
             raise ValueError("composite requires at least one task")
         if max_live_ranks < 1:
             raise ValueError("max_live_ranks must be positive")
-        if self.radices is not None:
-            validate_radices(num_tasks, self.radices)
+        schedule = schedule_for(self.algorithm, num_tasks, self.radices)
         comm = SimulatedCommunicator(num_tasks, self.network)
-        driver = _STREAMING[self.algorithm]
-        kwargs = {"radices": self.radices} if self.algorithm == "radix-k" else {}
         with Timer() as timer:
-            final, merges, stats = driver(
-                factory, num_tasks, width, height, comm, mode,
-                max_live_ranks=max_live_ranks, **kwargs,
+            final, merges, stats = run_schedule(
+                schedule, factory, width, height, comm, mode, max_live_ranks
             )
         fill = tuple(float(v) for v in (rank_background if rank_background is not None else background))
         framebuffer = self._assemble(final, mode, num_tasks, np.asarray(fill), background)
@@ -312,7 +275,7 @@ class Compositor:
             average_active_pixels=stats.total_active_pixels / num_tasks,
             num_tasks=num_tasks,
             num_pixels=width * height,
-            engine="cohort",
+            engine="runlength",
             max_live_ranks=stats.max_live_ranks,
             peak_live_images=stats.peak_live_images,
             cohorts=stats.cohorts,

@@ -15,9 +15,9 @@ constant number of array operations, through two kernels:
   visibility-key order, the association of the reference's
   ``_ordered_fold``, so results agree to floating-point roundoff (well
   inside the 1e-10 differential tolerance).
-* :func:`merge_fragments` -- the wide-group path (direct-send's P-way
-  folds): one combined-key sort groups the whole round's fragment bag per
-  pixel -- every group offset into the disjoint band
+* :func:`merge_fragments` -- the wide-group path (a radix above
+  :data:`PAIRWISE_FOLD_MAX_SETS`): one combined-key sort groups the whole
+  round's fragment bag per pixel -- every group offset into the disjoint band
   ``group_id * num_pixels + pixel`` -- then the device-routed
   :func:`repro.dpp.primitives.segmented_argmin` picks each pixel's nearest
   fragment (``"depth"``), or the fragments are folded front-to-back one
@@ -38,7 +38,8 @@ from repro.dpp.primitives import gather, segmented_argmin
 __all__ = ["merge_fragments", "merge_sorted_pair", "merge_groups", "fold_bag_into_partial"]
 
 #: Groups with at most this many fragment sets fold pairwise through
-#: :func:`merge_sorted_pair`; wider groups (direct-send) use the sorted bag.
+#: :func:`merge_sorted_pair`; wider groups use the sorted bag (and the driver
+#: streams a wider *first*-round group through :func:`fold_bag_into_partial`).
 PAIRWISE_FOLD_MAX_SETS = 8
 
 #: Shared ascending-index pool; slicing it replaces per-merge ``np.arange``
@@ -430,7 +431,7 @@ def merge_groups(
     set is ``(key, pixels, rgba, depth)`` with pixel-sorted members
     (``depth`` may be ``None`` in ``"over"`` mode).  Narrow groups (at most
     :data:`PAIRWISE_FOLD_MAX_SETS` sets) fold in ascending key order through
-    :func:`merge_sorted_pair`; wider groups (direct-send) are offset into
+    :func:`merge_sorted_pair`; wider groups are offset into
     disjoint pixel bands and resolved in one :func:`merge_fragments` bag.
 
     Returns ``({group_id: (pixels, rgba, depth)}, merge_ops)``.

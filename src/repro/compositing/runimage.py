@@ -27,12 +27,8 @@ finite depth):
 * ``"over"`` (alpha) compositing: a pixel contributes iff its alpha is
   positive (per-pixel depth is replaced by the constant visibility key).
 
-Construction from a framebuffer is the stream-compaction idiom: the hot
-default (``compact="inline"``) reverse-indexes the active mask and gathers
-the survivors directly, while ``compact="dpp"`` routes the identical
-compaction through the device-routed, instrumented
-:func:`repro.dpp.primitives.stream_compact` primitive -- differential tests
-hold the two routes equal.
+Construction from a framebuffer is the stream-compaction idiom executed
+directly: reverse-index the active mask, gather the survivors.
 """
 
 from __future__ import annotations
@@ -41,14 +37,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dpp.primitives import stream_compact
 from repro.rendering.framebuffer import Framebuffer
 
 __all__ = [
     "RunImage",
     "active_mask",
     "expand_runs",
-    "payload_fragments",
     "runs_from_pixels",
     "run_image_from_framebuffer",
 ]
@@ -124,8 +118,16 @@ class RunImage:
     def _run_positions(self) -> np.ndarray:
         """Payload positions where a new contiguous run starts (excluding 0)."""
         if self._positions is None:
-            self._positions = np.flatnonzero(np.diff(self.pixels) != 1) + 1
+            self._positions = self._run_breaks()
         return self._positions
+
+    def _run_breaks(self) -> np.ndarray:
+        """:attr:`_run_positions` without caching: the compositing driver cuts a
+        whole cohort of live images once each, and a cache per image only adds
+        to the peak (~2.5 MB of 38 at 1,024 ranks under a 256-image budget)."""
+        if self._positions is not None:
+            return self._positions
+        return np.flatnonzero(np.diff(self.pixels) != 1) + 1
 
     @property
     def num_runs(self) -> int:
@@ -218,14 +220,15 @@ class RunImage:
         """Vectorized :meth:`wire_bytes` for every interval ``[edges[i], edges[i+1])``.
 
         Returns the ``(len(edges) - 1,)`` float array of simulated wire sizes
-        without materializing any payload views -- the streaming direct-send
-        accounting needs one such row per source rank (P entries each), and a
-        per-piece Python loop would make that O(P^2) interpreter work.
+        without materializing any payload views -- the link-total accounting
+        of a streamed exchange group needs one such row per member (k entries
+        each), and a per-piece Python loop would make that O(k^2) interpreter
+        work.
         """
         edges = np.asarray(edges, dtype=np.int64)
         bounds = np.searchsorted(self.pixels, edges)
         active = np.diff(bounds)
-        positions = self._run_positions
+        positions = self._run_breaks()
         run_low = np.searchsorted(positions, bounds[:-1], side="right")
         run_high = np.searchsorted(positions, bounds[1:], side="left")
         runs = 1 + (run_high - run_low)
@@ -242,7 +245,7 @@ class RunImage:
         """
         edges = np.asarray(edges, dtype=np.int64)
         bounds = np.searchsorted(self.pixels, edges)
-        positions = self._run_positions
+        positions = self._run_breaks()
         run_low = np.searchsorted(positions, bounds[:-1], side="right")
         run_high = np.searchsorted(positions, bounds[1:], side="left")
         per_pixel = 40.0 if with_depth else 32.0
@@ -264,45 +267,10 @@ class RunImage:
         return messages
 
 
-def payload_fragments(payload) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
-    """Unpack a :meth:`RunImage.piece_message` payload into merge fragments.
-
-    ``depth`` is ``None`` for ``"over"`` payloads (the scalar key carries the
-    visibility order; see :mod:`repro.compositing.merge`).
-    """
-    pixels, rgba, depth, key = payload
-    return pixels, rgba, depth, int(key)
-
-
-def run_image_from_framebuffer(
-    framebuffer: Framebuffer, mode: str, key: int = 0, compact: str = "inline"
-) -> RunImage:
-    """Compact one rank's framebuffer into a :class:`RunImage`.
-
-    ``compact`` selects how the active pixels are gathered:
-
-    * ``"inline"`` (default) -- the stream-compaction idiom executed
-      directly (reverse-index the mask, gather the survivors); this is the
-      hot path the compositor uses, with no per-primitive ceremony.
-    * ``"dpp"`` -- the device-routed :func:`repro.dpp.primitives.stream_compact`
-      primitive (reduce + scan + reverse-index + gather), instrumented by the
-      op counters like the renderers' own hot paths.  Differential tests
-      hold both routes to identical results.
-    """
+def run_image_from_framebuffer(framebuffer: Framebuffer, mode: str, key: int = 0) -> RunImage:
+    """Compact one rank's framebuffer into a :class:`RunImage`."""
     rgba = framebuffer.rgba.reshape(-1, 4)
     depth = framebuffer.depth.reshape(-1)
-    mask = active_mask(rgba, depth, mode)
-    if compact == "dpp":
-        pixel_ids = np.arange(framebuffer.num_pixels, dtype=np.int64)
-        _, (pixels, active_rgba, active_depth) = stream_compact(mask, pixel_ids, rgba, depth)
-        active_rgba = np.asarray(active_rgba, dtype=np.float64)
-        active_depth = np.asarray(active_depth, dtype=np.float64)
-    elif compact == "inline":
-        pixels = np.flatnonzero(mask)
-        active_rgba = rgba[pixels]
-        active_depth = depth[pixels]
-    else:
-        raise ValueError(f"unknown compaction route {compact!r}; choose 'inline' or 'dpp'")
-    if mode == "over":
-        active_depth = np.full(len(pixels), float(key))
-    return RunImage(framebuffer.width, framebuffer.height, pixels, active_rgba, active_depth, key=key)
+    pixels = np.flatnonzero(active_mask(rgba, depth, mode))
+    active_depth = np.full(len(pixels), float(key)) if mode == "over" else depth[pixels]
+    return RunImage(framebuffer.width, framebuffer.height, pixels, rgba[pixels], active_depth, key=key)

@@ -1,7 +1,7 @@
 """Per-rank scene factories for thousand-rank streaming composites.
 
-The streaming drivers in :mod:`repro.compositing.algorithms` never hold the
-whole rank population; they pull each rank's :class:`RunImage` from a factory
+The cohort driver in :mod:`repro.compositing.algorithms` never holds the
+whole rank population; it pulls each rank's :class:`RunImage` from a factory
 callable on demand.  This module provides the study's synthetic scene
 factories.  All of them are *deterministic per rank* -- calling
 ``factory(rank)`` twice yields byte-identical images -- which is what the

@@ -263,11 +263,12 @@ def compositing_features_from_result(result) -> "CompositingFeatures":
 
 
 def contention_features_from_result(result) -> dict[str, float]:
-    """Per-round contention descriptors of a (streamed) composite.
+    """Per-round contention descriptors of a composite.
 
-    The cohort engine attaches a compact round summary to its
-    :class:`~repro.compositing.CompositeResult` (``round_summary``); this
-    flattens it into scalars a model or report row can consume:
+    The run-length engine attaches a compact round summary to every
+    :class:`~repro.compositing.CompositeResult` (``round_summary``), from
+    ``composite()`` and ``composite_streaming()`` alike; this flattens it
+    into scalars a model or report row can consume:
 
     * ``rounds`` -- communication rounds on the critical path;
     * ``busiest_round_seconds`` -- the single worst per-round link occupancy
@@ -277,8 +278,8 @@ def contention_features_from_result(result) -> dict[str, float]:
       busiest round: near ``1/rounds`` for balanced exchanges, approaching 1
       when one fan-in round (e.g. final assembly) dominates.
 
-    Returns all-zero features for results without a round summary (the dense
-    engines do not record one).
+    Returns all-zero features for results without a round summary (only
+    ``engine="reference"``, the oracle, records none).
     """
     summary = getattr(result, "round_summary", None) or []
     if not summary:

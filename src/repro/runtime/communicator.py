@@ -75,29 +75,6 @@ class _MessageLog:
         self.recv_bytes_by_rank[dest] += num_bytes
         self.recv_messages_by_rank[dest] += 1
 
-    def record_bulk(
-        self, sources: np.ndarray, dests: np.ndarray, nbytes: np.ndarray
-    ) -> None:
-        """Aggregate-record many messages without per-message Python work.
-
-        The streaming direct-send driver charges P*(P-1) logical messages per
-        composite; at 16k ranks that is ~268M sends, far too many to enumerate.
-        The per-link sums are all the cost model needs, so the caller hands
-        over flat arrays and this folds them with two bincounts per direction.
-        """
-        sources = np.asarray(sources, dtype=np.int64)
-        dests = np.asarray(dests, dtype=np.int64)
-        nbytes = np.asarray(nbytes, dtype=np.float64)
-        for ranks, byte_map, msg_map in (
-            (sources, self.bytes_by_rank, self.messages_by_rank),
-            (dests, self.recv_bytes_by_rank, self.recv_messages_by_rank),
-        ):
-            uniq, inverse, counts = np.unique(ranks, return_inverse=True, return_counts=True)
-            sums = np.bincount(inverse, weights=nbytes)
-            for rank, total, count in zip(uniq.tolist(), sums.tolist(), counts.tolist()):
-                byte_map[rank] += total
-                msg_map[rank] += int(count)
-
     def critical_seconds(self, model: NetworkModel) -> float:
         """Busiest link direction's communication time for this round."""
         directions: tuple[tuple[dict[int, float], dict[int, int]], ...]
@@ -211,34 +188,6 @@ class SimulatedCommunicator:
             delivered[dest].append((source, payload))
         return dict(delivered)
 
-    def record_traffic(
-        self,
-        sources: np.ndarray,
-        dests: np.ndarray,
-        nbytes: np.ndarray,
-        round_index: int | None = None,
-    ) -> None:
-        """Account messages in bulk without delivering payloads.
-
-        Used where the data movement is implicit in a streaming merge (the
-        payload never exists as a per-message object) but the wire traffic
-        still has to feed the round log.  ``sources``/``dests``/``nbytes``
-        are parallel flat arrays; aggregation is vectorized so recording the
-        P^2 direct-send message matrix at 16k ranks stays cheap.
-        """
-        sources = np.asarray(sources, dtype=np.int64)
-        dests = np.asarray(dests, dtype=np.int64)
-        nbytes = np.asarray(nbytes, dtype=np.float64)
-        if not (sources.shape == dests.shape == nbytes.shape):
-            raise ValueError("sources, dests and nbytes must be parallel flat arrays")
-        if sources.size == 0:
-            return
-        for name, ranks in (("source", sources), ("destination", dests)):
-            bad = (ranks < 0) | (ranks >= self.size)
-            if bad.any():
-                raise IndexError(f"{name} rank {int(ranks[bad][0])} out of range")
-        self._round_log(round_index).record_bulk(sources, dests, nbytes)
-
     def record_link_totals(
         self,
         round_index: int,
@@ -249,11 +198,11 @@ class SimulatedCommunicator:
     ) -> None:
         """Fold pre-aggregated per-rank link totals into one round's log.
 
-        The streaming direct-send driver accumulates a whole cohort's traffic
-        into dense per-rank arrays (one slot per link direction) instead of
-        materializing the message matrix; this adds those sums straight into
-        the round's per-link maps.  All four arrays must have shape
-        ``(size,)``, indexed by rank.
+        The compositing driver streams a wide exchange group by accumulating
+        each cohort's traffic into dense per-rank arrays (one slot per link
+        direction) instead of materializing the message matrix; this adds
+        those sums straight into the round's per-link maps.  All four arrays
+        must have shape ``(size,)``, indexed by rank.
         """
         arrays = (sent_bytes, sent_messages, recv_bytes, recv_messages)
         if any(np.asarray(array).shape != (self.size,) for array in arrays):

@@ -213,20 +213,6 @@ class TestRunImage:
         over_image = run_image_from_framebuffer(framebuffer, "over", key=3)
         assert np.all(over_image.depth == 3.0)
 
-    def test_inline_and_dpp_compaction_agree(self, rng):
-        framebuffer = Framebuffer(9, 7)
-        mask = rng.random((7, 9)) < 0.5
-        covered = int(mask.sum())
-        framebuffer.rgba[mask] = np.column_stack([rng.random((covered, 3)), np.ones(covered)])
-        framebuffer.depth[mask] = rng.random(covered)
-        inline = run_image_from_framebuffer(framebuffer, "depth", compact="inline")
-        dpp = run_image_from_framebuffer(framebuffer, "depth", compact="dpp")
-        assert np.array_equal(inline.pixels, dpp.pixels)
-        assert np.array_equal(inline.rgba, dpp.rgba)
-        assert np.array_equal(inline.depth, dpp.depth)
-        with pytest.raises(ValueError):
-            run_image_from_framebuffer(framebuffer, "depth", compact="nope")
-
     def test_piece_message_clips_runs_and_charges_wire_bytes(self):
         # One image with runs [2, 5) and [8, 11); cut at pixel 4.
         pixels = np.array([2, 3, 4, 8, 9, 10])

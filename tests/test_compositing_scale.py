@@ -1,18 +1,21 @@
 """Thousand-rank streaming compositing: differential and contract tests.
 
-The cohort scheduler (``Compositor.composite_streaming``) is a pure
-reordering of the dense run-length engine's merge operations, so its contract
-splits at the oracle boundary:
+One schedule-driven cohort driver (``algorithms.run_schedule``) serves both
+``Compositor.composite`` (a list of framebuffers, budget = the population)
+and ``Compositor.composite_streaming`` (a factory and a ``max_live_ranks``
+budget).  Cohort execution is a pure reordering of the schedule's merge
+operations, so its contract splits at the oracle boundary:
 
-* **at or below 256 ranks** the dense engine still fits and the streamed
-  result must be *byte-identical* to ``engine="runlength"`` and within
-  ``1e-10`` of ``composite_reference``;
+* **at or below 256 ranks** ``composite_reference`` still fits: any budget
+  must be *byte-identical* to ``composite()`` over the same images and within
+  ``1e-10`` of ``engine="reference"``;
 * **above 256 ranks** no dense oracle exists, so correctness is pinned by
   cohort-size invariance: any two ``max_live_ranks`` budgets must produce
   byte-identical images, identical merge counts, and identical network
   accounting.
 
-Also covered here: the ``_LiveLedger`` memory contract
+Also covered here: the schedule family (binary-swap and direct-send as radix
+schedules), the ``_LiveLedger`` memory contract
 (``peak_live_images <= max_live_ranks + 1``), the radix-schedule validation
 error (library + CLI exit code 8), the scale scenarios (uniform / AMR proxy /
 camera orbit), the contention-aware round accounting, and the extrapolated
@@ -35,7 +38,8 @@ from repro.compositing import (
     scene_factory,
     validate_radices,
 )
-from repro.compositing.runimage import RunImage
+from repro.compositing.algorithms import _partition_edges, schedule_for
+from repro.compositing.runimage import RunImage, run_image_from_framebuffer
 from repro.machines.archspec import get_architecture
 from repro.modeling.features import contention_features_from_result
 from repro.rendering.rays import CameraPath
@@ -66,34 +70,53 @@ def _stream(algorithm, scenario, tasks, size, max_live, mode="depth", seed=2016)
     )
 
 
+def _stream_framebuffers(algorithm, framebuffers, mode, max_live, visibility=None):
+    """``composite_streaming`` over the run images ``composite()`` would build."""
+    order = range(len(framebuffers)) if visibility is None else np.argsort(visibility, kind="stable")
+    images = [
+        run_image_from_framebuffer(framebuffers[index], mode, key=position)
+        for position, index in enumerate(order)
+    ]
+    first = framebuffers[0]
+    return Compositor(algorithm).composite_streaming(
+        images.__getitem__,
+        len(images),
+        first.width,
+        first.height,
+        mode,
+        max_live_ranks=max_live,
+        rank_background=tuple(float(v) for v in first.background),
+    )
+
+
+def _assert_same_composite(left, right):
+    assert left.framebuffer.rgba.tobytes() == right.framebuffer.rgba.tobytes()
+    assert left.framebuffer.depth.tobytes() == right.framebuffer.depth.tobytes()
+    assert left.merge_operations == right.merge_operations
+    assert left.bytes_exchanged == right.bytes_exchanged
+    assert left.messages == right.messages
+    assert left.network_seconds == right.network_seconds
+
+
 class TestDenseOracle:
-    """Below 256 ranks the streamed result must equal the dense engines."""
+    """Below 256 ranks any cohort budget must equal ``composite()`` and the oracle."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("tasks", (1, 2, 5, 13, 16, 31))
     def test_cohort_engine_is_byte_identical_to_runlength(self, rng, algorithm, tasks):
         framebuffers = _random_framebuffers(rng, tasks)
         dense = Compositor(algorithm).composite([fb.copy() for fb in framebuffers], mode="depth")
-        cohort = Compositor(algorithm).composite(
-            [fb.copy() for fb in framebuffers], mode="depth", engine="cohort"
-        )
-        assert cohort.framebuffer.rgba.tobytes() == dense.framebuffer.rgba.tobytes()
-        assert cohort.framebuffer.depth.tobytes() == dense.framebuffer.depth.tobytes()
-        assert cohort.merge_operations == dense.merge_operations
-        assert cohort.network_seconds == pytest.approx(dense.network_seconds)
-        assert cohort.engine == "cohort"
+        cohort = _stream_framebuffers(algorithm, framebuffers, "depth", max_live=3)
+        _assert_same_composite(cohort, dense)
+        assert cohort.peak_live_images <= 3 + 1
+        assert cohort.engine == dense.engine == "runlength"
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("tasks", (3, 8, 12))
     def test_cohort_engine_matches_reference_in_over_mode(self, rng, algorithm, tasks):
         framebuffers = _random_framebuffers(rng, tasks, alpha=0.6)
         visibility = list(rng.permutation(tasks).astype(float))
-        cohort = Compositor(algorithm).composite(
-            [fb.copy() for fb in framebuffers],
-            mode="over",
-            visibility_order=visibility,
-            engine="cohort",
-        )
+        cohort = _stream_framebuffers(algorithm, framebuffers, "over", 3, visibility)
         reference = Compositor(algorithm).composite(
             [fb.copy() for fb in framebuffers],
             mode="over",
@@ -102,6 +125,44 @@ class TestDenseOracle:
         )
         assert np.allclose(
             cohort.framebuffer.rgba, reference.framebuffer.rgba, atol=1e-10, rtol=0.0
+        )
+
+    def test_cohort_is_not_an_engine(self, rng):
+        framebuffers = _random_framebuffers(rng, 2)
+        for engine in ("cohort", "warp-drive"):
+            with pytest.raises(ValueError, match="unknown compositing engine"):
+                Compositor().composite(framebuffers, mode="depth", engine=engine)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("mode", ("depth", "over"))
+    def test_composite_past_the_old_dense_boundary(self, rng, algorithm, mode):
+        """300 framebuffers: ``composite()`` = oracle = any streaming budget."""
+        framebuffers = _random_framebuffers(rng, 300, width=6, height=5, alpha=0.7, fill=0.4)
+        visibility = list(rng.permutation(300).astype(float)) if mode == "over" else None
+        fast = Compositor(algorithm).composite(
+            framebuffers, mode=mode, visibility_order=visibility
+        )
+        reference = Compositor(algorithm).composite(
+            framebuffers, mode=mode, visibility_order=visibility, engine="reference"
+        )
+        assert np.allclose(fast.framebuffer.rgba, reference.framebuffer.rgba, atol=1e-10, rtol=0.0)
+        assert fast.max_live_ranks == 300
+        streamed = _stream_framebuffers(algorithm, framebuffers, mode, 7, visibility)
+        _assert_same_composite(streamed, fast)
+        assert streamed.peak_live_images <= 7 + 1
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("tasks", (8, 64))
+    def test_composite_records_the_round_log(self, rng, algorithm, tasks):
+        """Contention features exist on every row, not only above 256 ranks."""
+        framebuffers = _random_framebuffers(rng, tasks)
+        result = Compositor(algorithm).composite(framebuffers, mode="depth")
+        features = contention_features_from_result(result)
+        assert features["rounds"] > 0
+        assert features["network_seconds"] == result.network_seconds
+        assert (
+            sum(entry["busiest_link_seconds"] for entry in result.round_summary)
+            == result.network_seconds
         )
 
     @settings(max_examples=20, deadline=None)
@@ -124,6 +185,69 @@ class TestDenseOracle:
         assert streamed.merge_operations == dense.merge_operations
         assert streamed.network_seconds == pytest.approx(dense.network_seconds)
         assert streamed.peak_live_images <= max_live + 1
+
+
+class TestScheduleFamily:
+    """Binary-swap and direct-send are radix schedules plus two accounting attributes."""
+
+    def test_schedules_are_plain_data(self):
+        direct = schedule_for("direct-send", 5)
+        assert direct.radices == (5,) and direct.participants == (0, 1, 2, 3, 4)
+        assert direct.skip_empty_pieces and not direct.trailing_round
+        swap = schedule_for("binary-swap", 6)
+        assert swap.radices == (2, 2)
+        assert swap.participants == (0, 1, 2, 4) and swap.fold_pairs == ((2, 3), (4, 5))
+        radix = schedule_for("radix-k", 12)
+        assert radix.radices == (4, 3) and not radix.fold_pairs
+        assert radix == schedule_for("radix-k", 12, [4, 3])
+        assert not radix.skip_empty_pieces and radix.trailing_round
+        with pytest.raises(ValueError, match="unknown compositing algorithm"):
+            schedule_for("ring", 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(min_value=0, max_value=1 << 24), min_size=1, max_size=8),
+        parts=st.integers(min_value=1, max_value=600),
+    )
+    def test_partition_cuts_are_the_reference_cuts(self, lengths, parts):
+        """One vectorized call per round cuts exactly where ``np.linspace`` does."""
+        expected = [np.linspace(0, length, parts + 1).astype(np.int64) for length in lengths]
+        assert np.array_equal(_partition_edges(lengths, parts), expected)
+        assert np.array_equal(_partition_edges(lengths[0], parts), expected[0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        tasks=st.integers(min_value=1, max_value=70),
+        log2_tasks=st.integers(min_value=1, max_value=6),
+        size=st.sampled_from((2, 3, 9)),
+        mode=st.sampled_from(("depth", "over")),
+        max_live=st.sampled_from((1, 5, 64)),
+    )
+    def test_radix_schedules_reproduce_the_other_two(self, tasks, log2_tasks, size, mode, max_live):
+        def run(algorithm, count, radices=None):
+            factory = scene_factory("uniform", count, size, size, mode=mode, seed=7)
+            return Compositor(algorithm, radices=radices).composite_streaming(
+                factory, count, size, size, mode=mode, max_live_ranks=max_live
+            )
+
+        # [2] * k over a power of two is binary-swap, down to the round log.
+        power = 1 << log2_tasks
+        swap, as_radix = run("binary-swap", power), run("radix-k", power, [2] * log2_tasks)
+        _assert_same_composite(as_radix, swap)
+        assert as_radix.round_summary == swap.round_summary
+
+        # [P] is direct-send (primes and P > pixels included) except for the
+        # two schedule attributes: an extra empty round before the gather, and
+        # 64-byte headers posted for owners whose pixel interval is empty.
+        direct, as_radix = run("direct-send", tasks), run("radix-k", tasks, [tasks])
+        assert as_radix.framebuffer.rgba.tobytes() == direct.framebuffer.rgba.tobytes()
+        assert as_radix.framebuffer.depth.tobytes() == direct.framebuffer.depth.tobytes()
+        assert as_radix.merge_operations == direct.merge_operations
+        assert as_radix.network_seconds == direct.network_seconds
+        assert len(as_radix.round_summary) == len(direct.round_summary) + 1
+        empty_owners = max(0, tasks - size * size)
+        assert as_radix.messages == direct.messages + empty_owners * (tasks - 1)
+        assert as_radix.bytes_exchanged == direct.bytes_exchanged + 64.0 * empty_owners * (tasks - 1)
 
 
 class TestCohortInvariance:
