@@ -10,14 +10,23 @@ from __future__ import annotations
 import numpy as np
 
 from common import print_table
-from repro.modeling.study import StudyConfiguration, StudyHarness
+from repro.modeling.study import StudyConfiguration
+from repro.study import run_study
+
+
+def _compositing_rows(task_counts, pixel_sizes):
+    """The radix-k compositing matrix alone (no rendering techniques)."""
+    config = StudyConfiguration(
+        seed=7,
+        techniques=(),
+        compositing_task_counts=task_counts,
+        compositing_pixel_sizes=pixel_sizes,
+    )
+    return run_study(config).compositing_records
 
 
 def test_fig12_compositing_histogram(benchmark):
-    harness = StudyHarness(StudyConfiguration(seed=7))
-    records = harness.run_compositing_sweep(
-        task_counts=(2, 4, 8, 16, 32), pixel_sizes=(64, 96, 128, 192), algorithm="radix-k"
-    )
+    records = _compositing_rows((2, 4, 8, 16, 32), (64, 96, 128, 192))
 
     rows = []
     by_tasks: dict[int, list[float]] = {}
@@ -28,7 +37,7 @@ def test_fig12_compositing_histogram(benchmark):
         by_pixels.setdefault(record.pixels, []).append(record.seconds)
     print_table("Figure 12: compositing time by tasks and pixels", ["tasks", "pixels", "avg active px", "time"], rows)
 
-    benchmark(lambda: harness.run_compositing_sweep(task_counts=(4,), pixel_sizes=(96,)))
+    benchmark(lambda: _compositing_rows((4,), (96,)))
 
     # Dominant trend: more pixels -> slower.
     pixel_keys = sorted(by_pixels)

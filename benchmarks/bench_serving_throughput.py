@@ -45,11 +45,12 @@ _BENCH_DIR = Path(__file__).resolve().parent
 if str(_BENCH_DIR) not in sys.path:  # allow `python -m benchmarks.bench_serving_throughput`
     sys.path.insert(0, str(_BENCH_DIR))
 
-from repro.modeling.study import StudyConfiguration, StudyHarness
+from repro.modeling.study import StudyConfiguration
 from repro.reporting import ModelSuite, Predictor
 from repro.serving.client import request_bytes
 from repro.serving.core import canonical_config
 from repro.serving.server import start_server
+from repro.study import run_study
 
 __all__ = [
     "build_models_fixture",
@@ -83,7 +84,7 @@ def build_models_fixture(out_dir: Path) -> Path:
         compositing_pixel_sizes=(32, 48, 64),
         seed=2016,
     )
-    suite = ModelSuite.fit_corpus(StudyHarness(config).run())
+    suite = ModelSuite.fit_corpus(run_study(config))
     return suite.save(out_dir / "models.json")
 
 

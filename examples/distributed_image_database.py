@@ -20,9 +20,10 @@ from repro.geometry import Camera
 from repro.geometry.triangles import external_faces
 from repro.insitu.imageio import write_ppm
 from repro.modeling.feasibility import images_within_budget
-from repro.modeling.study import StudyConfiguration, StudyHarness
+from repro.modeling.study import StudyConfiguration
 from repro.rendering import RayTracer, RayTracerConfig, Scene, Workload
 from repro.runtime import BlockDecomposition
+from repro.study import run_study
 
 NUM_TASKS = 8
 CELLS_PER_TASK = 12
@@ -80,7 +81,7 @@ def main() -> None:
 
     # Extrapolate with the fitted models: the Figure 14 question at paper scale.
     print("\nfitting the performance models (small sweep)...")
-    corpus = StudyHarness(StudyConfiguration(samples_per_technique=8, seed=5)).run()
+    corpus = run_study(StudyConfiguration(samples_per_technique=8, seed=5))
     models = corpus.fit_all_models()
     compositing_model = corpus.fit_compositing_model()
     points = images_within_budget(

@@ -21,12 +21,13 @@ from repro.machines import KernelCostModel
 from repro.modeling import RenderingConfiguration, map_configuration_to_features
 from repro.modeling.calibration import MachineCalibration, validate_large_scale_prediction
 from repro.modeling.feasibility import raytracing_vs_rasterization
-from repro.modeling.study import StudyConfiguration, StudyHarness
+from repro.modeling.study import StudyConfiguration
+from repro.study import run_study
 
 
 def main() -> None:
     print("running the study sweep (this renders a few dozen small images)...")
-    corpus = StudyHarness(StudyConfiguration(samples_per_technique=10, seed=2016)).run()
+    corpus = run_study(StudyConfiguration(samples_per_technique=10, seed=2016))
     print(f"gathered {len(corpus.records)} rendering experiments "
           f"and {len(corpus.compositing_records)} compositing experiments\n")
 

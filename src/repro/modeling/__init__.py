@@ -14,8 +14,9 @@ The package implements the full Chapter V methodology:
 * :mod:`repro.modeling.models` -- the per-technique performance models of
   Equations 5.1-5.5 (ray tracing, rasterization, volume rendering, image
   compositing, and the combined multi-node model).
-* :mod:`repro.modeling.study` -- the experiment harness that runs the
-  rendering sweep, gathers the regression corpus, and fits the models.
+* :mod:`repro.modeling.study` -- the study's data model: the sweep
+  configuration, the corpus rows, and the corpus that fits the models
+  (:mod:`repro.study` runs the sweep that gathers it).
 * :mod:`repro.modeling.calibration` -- small-sample re-calibration for a new
   machine and large-scale prediction (the Titan workflow of Section 5.7).
 * :mod:`repro.modeling.feasibility` -- the in situ viability analyses of
@@ -44,7 +45,6 @@ from repro.modeling.study import (
     FailureRecord,
     StudyConfiguration,
     StudyCorpus,
-    StudyHarness,
 )
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "RenderingConfiguration",
     "StudyConfiguration",
     "StudyCorpus",
-    "StudyHarness",
     "TotalRenderingModel",
     "VolumeRenderingModel",
     "feature_arrays",

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.modeling.features import RenderingConfiguration, map_configuration_to_features
 from repro.modeling.models import RayTracingModel, make_model
-from repro.modeling.study import StudyConfiguration, StudyHarness
+from repro.modeling.study import StudyConfiguration
 
 __all__ = ["CalibrationResult", "MachineCalibration"]
 
@@ -60,20 +60,19 @@ class MachineCalibration:
     calibration_samples: int = 10
     seed: int = 77
     task_counts: tuple[int, ...] = (1, 2, 4, 8)
-    _harness: StudyHarness = field(init=False)
+    _config: StudyConfiguration = field(init=False)
 
     def __post_init__(self) -> None:
         architectures = (
             ("cpu-host", self.architecture) if self.architecture != "cpu-host" else ("cpu-host",)
         )
-        config = StudyConfiguration(
+        self._config = StudyConfiguration(
             architectures=architectures,
             simulations=(self.simulation,),
             task_counts=self.task_counts,
             samples_per_technique=self.calibration_samples,
             seed=self.seed,
         )
-        self._harness = StudyHarness(config)
 
     def calibrate(self, technique: str) -> CalibrationResult:
         """Run the calibration experiments for one technique and fit its model."""
@@ -96,12 +95,14 @@ class MachineCalibration:
     def _run_technique(self, technique: str):
         """Run only the requested technique's calibration sweep.
 
-        The harness is handed a single-technique copy of the calibration
+        The sweep is handed a single-technique copy of the calibration
         configuration; the stored configuration itself is never mutated, so
         repeated/interleaved ``calibrate`` calls stay independent.
         """
-        return StudyHarness(replace(self._harness.config, techniques=(technique,))).run(
-            include_compositing=False
+        from repro.study import run_study  # repro.study imports repro.modeling
+
+        return run_study(
+            replace(self._config, techniques=(technique,)), include_compositing=False
         )
 
 

@@ -8,6 +8,8 @@ pipeline:
 * :mod:`repro.study.plan` -- declarative matrix expansion of a
   :class:`~repro.modeling.study.StudyConfiguration` into explicit, cacheable
   :class:`~repro.study.plan.ExperimentSpec` rows;
+* :mod:`repro.study.experiments` -- the experiment bodies: one function of a
+  spec per kind (host render, synthesized experiment, compositing row);
 * :mod:`repro.study.executor` -- a process-pool executor with per-experiment
   timeouts, crash/exception isolation (failure rows instead of dead sweeps),
   and deterministic row assembly in plan order;
@@ -25,10 +27,12 @@ pipeline:
   [--adaptive]`` / ``run [--adaptive] --jobs N --resume`` / ``merge`` /
   ``fit`` subcommands.
 
-:class:`~repro.modeling.study.StudyHarness` is a thin client of this engine
-(and keeps its pre-engine serial loop as the differential oracle); the
-benchmark suite's corpus fixtures run through :func:`run_study` so every
-table/figure benchmark rides the same pipeline CI exercises.
+:func:`run_study` is the one configuration -> corpus call (plan, execute,
+raise on failure rows); the library, the examples and the benchmark suite's
+corpus fixtures all go through it, so every table/figure benchmark rides the
+same pipeline CI exercises.  The serial oracle is the executor itself at
+``jobs=1`` (an in-process loop, no pool, no cache): a pool run is
+contractually row-for-row equal to it.
 """
 
 from repro.study.adaptive import (
@@ -87,6 +91,7 @@ __all__ = [
 
 def run_study(
     config=None,
+    include_compositing: bool = True,
     jobs: int = 1,
     cache_dir=None,
     timeout: float | None = None,
@@ -95,16 +100,27 @@ def run_study(
 ):
     """One-call engine entry point: configuration -> corpus.
 
-    The benchmark fixtures and examples use this instead of spelling out
-    plan/execute; ``cache_dir`` (a path) turns on the content-addressed row
-    cache so repeated corpus builds -- e.g. across benchmark sessions -- skip
-    every unchanged configuration.
+    The configuration (default :class:`~repro.modeling.study.StudyConfiguration`)
+    is expanded by :func:`build_plan` and executed by :func:`run_plan` --
+    in-process when ``jobs == 1``, on a process pool otherwise.  ``cache_dir``
+    (a path) turns on the content-addressed row cache so repeated corpus
+    builds -- e.g. across benchmark sessions -- skip every unchanged
+    configuration.
 
     ``strict`` (default) raises if any experiment failed, so a corpus consumed
     by model fits can never silently shrink; pass ``strict=False`` (or use
     :func:`run_plan`, which also returns the report) for failure isolation.
     """
-    from repro.modeling.study import StudyConfiguration, StudyHarness
+    from repro.modeling.study import StudyConfiguration
 
-    harness = StudyHarness(config if config is not None else StudyConfiguration())
-    return harness.run(jobs=jobs, cache=cache_dir, timeout=timeout, resume=resume, strict=strict)
+    plan = build_plan(config if config is not None else StudyConfiguration(), include_compositing)
+    corpus, _report = run_plan(plan, jobs=jobs, cache=cache_dir, timeout=timeout, resume=resume)
+    if strict and corpus.failures:
+        details = "; ".join(
+            f"[{f.reason}] {f.kind} {f.error_type}: {f.message}" for f in corpus.failures[:5]
+        )
+        raise RuntimeError(
+            f"{len(corpus.failures)} of {len(plan.specs)} experiments failed "
+            f"(pass strict=False to keep the partial corpus): {details}"
+        )
+    return corpus

@@ -30,10 +30,12 @@ the spec in flight: the deadline restarts at each reply, and a crash or
 timeout fails only the head -- its unstarted chunk-mates are requeued.
 
 The second layer is the study glue: :func:`execute_spec` turns one
-:class:`~repro.study.plan.ExperimentSpec` into a row payload by calling the
-same :class:`~repro.modeling.study.StudyHarness` methods the serial oracle
-uses, and :func:`run_plan` assembles executor output back into a
-:class:`~repro.modeling.study.StudyCorpus` in plan order.
+:class:`~repro.study.plan.ExperimentSpec` into a row payload by dispatching
+``spec.kind`` to its function of the spec in :mod:`repro.study.experiments`,
+and :func:`run_plan` assembles executor output back into a
+:class:`~repro.modeling.study.StudyCorpus` in plan order.  The in-process
+path (``jobs=1``, no timeout: a bare loop, no pool) is the serial oracle the
+pool is contractually row-for-row equal to.
 """
 
 from __future__ import annotations
@@ -45,6 +47,18 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.modeling.study import FailureRecord, StudyCorpus
+from repro.study.cache import CorpusCache
+from repro.study.corpus_io import (
+    compositing_record_to_payload,
+    experiment_record_to_payload,
+    record_from_payload,
+)
+from repro.study.experiments import (
+    run_compositing_case,
+    run_experiment,
+    run_synthetic_experiment,
+)
 from repro.study.plan import (
     KIND_COMPOSITING,
     KIND_RENDER,
@@ -366,53 +380,18 @@ class SweepExecutor:
 # Study glue: spec execution and plan -> corpus assembly
 # ---------------------------------------------------------------------------
 
+#: Spec kind -> (experiment body, row serializer).
+_EXPERIMENTS = {
+    KIND_RENDER: (run_experiment, experiment_record_to_payload),
+    KIND_SYNTHETIC: (run_synthetic_experiment, experiment_record_to_payload),
+    KIND_COMPOSITING: (run_compositing_case, compositing_record_to_payload),
+}
+
+
 def execute_spec(spec: ExperimentSpec) -> dict:
-    """Run one experiment spec to a row payload (pure function of the spec).
-
-    Reconstructs a minimal harness from the spec's knobs and calls the same
-    per-experiment methods :meth:`StudyHarness.run_serial` calls, so the
-    engine and the oracle share one definition of every experiment.
-    """
-    from repro.modeling.study import StudyConfiguration, StudyHarness
-    from repro.study import corpus_io
-
-    knobs = dict(
-        seed=spec.base_seed,
-        samples_in_depth=spec.samples_in_depth,
-        synthetic_samples_in_depth=spec.synthetic_samples_in_depth,
-        max_sampled_ranks=spec.max_sampled_ranks,
-    )
-    if spec.kind == KIND_COMPOSITING:
-        knobs.update(
-            compositing_max_live_ranks=spec.compositing_max_live_ranks,
-            compositing_scenario=spec.compositing_scenario,
-            compositing_radices=spec.compositing_radices or None,
-        )
-    harness = StudyHarness(StudyConfiguration(**knobs))
-    if spec.kind == KIND_RENDER:
-        record = harness.run_experiment(
-            spec.technique,
-            spec.simulation,
-            spec.num_tasks,
-            spec.cells_per_task,
-            spec.image_width,
-            spec.image_height,
-            dpp_device=spec.dpp_device or None,
-        )
-        return corpus_io.experiment_record_to_payload(record)
-    if spec.kind == KIND_SYNTHETIC:
-        record = harness.run_synthetic_experiment(
-            spec.architecture,
-            spec.technique,
-            spec.simulation,
-            spec.num_tasks,
-            spec.cells_per_task,
-            spec.image_width,
-            spec.image_height,
-        )
-        return corpus_io.experiment_record_to_payload(record)
-    record = harness.run_compositing_case(spec.algorithm, spec.num_tasks, spec.pixel_size)
-    return corpus_io.compositing_record_to_payload(record)
+    """Run one experiment spec to a row payload (pure function of the spec)."""
+    run, to_payload = _EXPERIMENTS[spec.kind]
+    return to_payload(run(spec))
 
 
 @dataclass
@@ -448,12 +427,8 @@ def run_plan(
 
     ``cache`` may be a :class:`~repro.study.cache.CorpusCache` or a directory
     path.  Rows land in plan order regardless of completion order, so the
-    corpus is row-for-row comparable with the serial oracle's.
+    corpus of a pool run is row-for-row comparable with the inline run's.
     """
-    from repro.modeling.study import FailureRecord, StudyCorpus
-    from repro.study import corpus_io
-    from repro.study.cache import CorpusCache
-
     if cache is not None and not isinstance(cache, CorpusCache):
         cache = CorpusCache(cache)
     executor = SweepExecutor(execute_spec, jobs=jobs, timeout=timeout, cache=cache)
@@ -464,7 +439,7 @@ def run_plan(
     for index, spec in enumerate(plan.specs):
         payload = outcome.payloads[index]
         if payload is not None:
-            record = corpus_io.record_from_payload(payload)
+            record = record_from_payload(payload)
             if payload["row_type"] == "compositing":
                 corpus.compositing_records.append(record)
             else:

@@ -1,0 +1,308 @@
+"""The experiment bodies: one function of an :class:`ExperimentSpec` per kind.
+
+Each keeps the paper's Section 5.4 rule -- the slowest task of an experiment
+becomes one regression row -- for one spec kind: :func:`run_experiment`
+renders a sample of the decomposed ranks on the host and records measured
+wall-clock, :func:`run_synthetic_experiment` maps the configuration to model
+inputs (Section 5.8) and synthesizes times with
+:mod:`repro.machines.costmodel` (the substitution documented in DESIGN.md),
+and :func:`run_compositing_case` composites synthetic sub-images for one
+Eq. 5.5 row.  A spec carries every knob its body reads, so each is a pure
+function of the spec (host wall-clock aside).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.compositing import Compositor, scene_factory
+from repro.dpp import get_device, use_device
+from repro.geometry.tetra import tetrahedralize_uniform_grid
+from repro.geometry.transforms import Camera
+from repro.geometry.triangles import external_faces
+from repro.machines.costmodel import synthesize_render_time
+from repro.modeling.features import RenderingConfiguration, map_configuration_to_features
+from repro.modeling.study import HOST_ARCHITECTURE, CompositingRecord, ExperimentRecord
+from repro.rendering import (
+    Rasterizer,
+    RayTracer,
+    RayTracerConfig,
+    Scene,
+    StructuredVolumeConfig,
+    StructuredVolumeRenderer,
+    UnstructuredVolumeConfig,
+    UnstructuredVolumeRenderer,
+    Workload,
+)
+from repro.rendering.framebuffer import Framebuffer
+from repro.rendering.result import RenderResult
+from repro.runtime.decomposition import BlockDecomposition
+from repro.study.plan import ExperimentSpec
+from repro.util.rng import default_rng, derive_seed
+
+__all__ = [
+    "run_experiment",
+    "run_synthetic_experiment",
+    "run_compositing_case",
+]
+
+#: Pixel-blending throughput assumed for the compositing corpus (bytes of
+#: exchanged image data blended per second).  The measured Python blending
+#: time is dominated by interpreter overhead on the reproduction's small
+#: images, so the corpus charges blending at a realistic rate instead and
+#: keeps the simulated-network estimate for communication.
+COMPOSITING_BLEND_BYTES_PER_SECOND = 2.5e9
+
+
+def _lulesh_field(points: np.ndarray) -> np.ndarray:
+    """Expanding-shell energy field (Sedov-like)."""
+    radius = np.linalg.norm(points - 0.1, axis=1)
+    return np.exp(-((radius - 0.55) ** 2) / 0.02) + 0.2 * np.exp(-radius / 0.3)
+
+
+def _kripke_field(points: np.ndarray) -> np.ndarray:
+    """Clustered scalar-flux field."""
+    centers = np.array([[0.3, 0.4, 0.5], [0.7, 0.6, 0.4], [0.5, 0.2, 0.7]])
+    widths = np.array([0.05, 0.08, 0.04])
+    value = np.full(len(points), 0.1)
+    for center, width in zip(centers, widths):
+        value += np.exp(-np.sum((points - center) ** 2, axis=1) / (2 * width))
+    return value
+
+
+def _cloverleaf_field(points: np.ndarray) -> np.ndarray:
+    """Advecting-front density field."""
+    return 1.0 / (1.0 + np.exp(-12.0 * (points[:, 0] - 0.4))) + 0.1 * np.sin(
+        6.0 * np.pi * points[:, 1]
+    ) * np.sin(6.0 * np.pi * points[:, 2])
+
+
+_SIMULATION_FIELDS = {
+    "lulesh": _lulesh_field,
+    "kripke": _kripke_field,
+    "cloverleaf": _cloverleaf_field,
+}
+
+
+def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
+    """Render one host configuration; returns the slowest sampled rank's record.
+
+    ``spec.dpp_device`` selects the DPP back-end the render's primitives run
+    on (``""`` keeps the caller's active device).  An unknown or unavailable
+    device raises before any rendering happens, which the sweep executor
+    records as an ordinary failure row.
+    """
+    if spec.simulation not in _SIMULATION_FIELDS:
+        raise KeyError(f"unknown simulation {spec.simulation!r}")
+    decomposition = BlockDecomposition(spec.num_tasks, spec.cells_per_task)
+    camera = Camera.framing_bounds(
+        decomposition.global_bounds, spec.image_width, spec.image_height
+    )
+
+    results: list[RenderResult] = []
+    with use_device(spec.dpp_device or get_device().name) as device:
+        for rank in _sampled_ranks(spec.num_tasks, spec.max_sampled_ranks):
+            grid = decomposition.block_grid_with_field(
+                rank, "scalar", _SIMULATION_FIELDS[spec.simulation]
+            )
+            results.append(_render_block(spec.technique, grid, camera, spec.samples_in_depth))
+
+    # Slowest-task proxy, chosen deterministically: the rank with the
+    # largest observed workload (active pixels, then object count, then
+    # rank order).  Selecting by measured wall-clock would make the
+    # recorded *features* depend on timing jitter, and the corpus would no
+    # longer be reproducible run to run -- the pool's row-for-row parity
+    # with the inline executor rests on this choice being a pure function
+    # of the spec.
+    slowest = max(
+        enumerate(results),
+        key=lambda pair: (pair[1].features.active_pixels, pair[1].features.objects, -pair[0]),
+    )[1]
+    phases = dict(slowest.phase_seconds)
+    build = phases.get("bvh_build", 0.0)
+    return ExperimentRecord(
+        architecture=HOST_ARCHITECTURE,
+        technique=spec.technique,
+        simulation=spec.simulation,
+        num_tasks=spec.num_tasks,
+        cells_per_task=spec.cells_per_task,
+        image_width=spec.image_width,
+        image_height=spec.image_height,
+        features=slowest.features,
+        phase_seconds=phases,
+        build_seconds=build,
+        frame_seconds=slowest.total_seconds - build,
+        samples_in_depth=spec.samples_in_depth,
+        dpp_device=device.name,
+    )
+
+
+def _sampled_ranks(num_tasks: int, max_sampled_ranks: int) -> list[int]:
+    """Evenly spaced subset of ranks actually rendered (slowest-task proxy)."""
+    count = min(max_sampled_ranks, num_tasks)
+    if count == num_tasks:
+        return list(range(num_tasks))
+    return sorted({int(round(index)) for index in np.linspace(0, num_tasks - 1, count)})
+
+
+def _render_block(technique: str, grid, camera: Camera, samples_in_depth: int) -> RenderResult:
+    """Render one rank's block with the requested technique (host-measured)."""
+    if technique in ("raytrace", "raster"):
+        surface = external_faces(grid, scalar_field="scalar")
+        scene = Scene(surface)
+        if technique == "raytrace":
+            tracer = RayTracer(scene, RayTracerConfig(workload=Workload.SHADING))
+            return tracer.render(camera)
+        return Rasterizer(scene).render(camera)
+    if technique == "volume_unstructured":
+        renderer = UnstructuredVolumeRenderer(
+            tetrahedralize_uniform_grid(grid),
+            "scalar",
+            config=UnstructuredVolumeConfig(samples_in_depth=samples_in_depth),
+        )
+        return renderer.render(camera)
+    if technique != "volume":
+        raise KeyError(f"unknown technique {technique!r}")
+    renderer = StructuredVolumeRenderer(
+        grid,
+        "scalar",
+        config=StructuredVolumeConfig(samples_in_depth=samples_in_depth),
+    )
+    return renderer.render(camera)
+
+
+_COSTMODEL_TECHNIQUE = {
+    "raytrace": "raytrace",
+    "raster": "raster",
+    "volume": "volume_structured",
+    "volume_unstructured": "volume_unstructured",
+}
+
+
+def run_synthetic_experiment(spec: ExperimentSpec) -> ExperimentRecord:
+    """Synthesize one full-scale experiment for a non-host architecture.
+
+    Inputs come from the Section 5.8 mapping (no rendering is needed) and
+    per-phase times from :mod:`repro.machines.costmodel` with measurement
+    noise, reproducing the corpus the paper gathered on its GPUs.
+
+    The noise stream is derived from the study seed plus every config key
+    of the experiment, never shared between experiments, so the record is
+    a pure function of the spec -- executing the sweep in any order (or on
+    any process pool) yields bit-identical synthetic rows.
+    """
+    rng = default_rng(
+        spec.base_seed,
+        "synthetic-experiment",
+        spec.architecture,
+        spec.technique,
+        spec.simulation,
+        spec.num_tasks,
+        spec.cells_per_task,
+        spec.image_width,
+        spec.image_height,
+    )
+    features = map_configuration_to_features(
+        RenderingConfiguration(
+            technique=spec.technique,
+            architecture=spec.architecture,
+            num_tasks=spec.num_tasks,
+            cells_per_task=spec.cells_per_task,
+            image_width=spec.image_width,
+            image_height=spec.image_height,
+            samples_in_depth=spec.synthetic_samples_in_depth,
+        )
+    )
+    phases = synthesize_render_time(
+        spec.architecture, _COSTMODEL_TECHNIQUE[spec.technique], features, rng
+    )
+    return ExperimentRecord(
+        architecture=spec.architecture,
+        technique=spec.technique,
+        simulation=spec.simulation,
+        num_tasks=spec.num_tasks,
+        cells_per_task=spec.cells_per_task,
+        image_width=spec.image_width,
+        image_height=spec.image_height,
+        features=features,
+        phase_seconds=phases,
+        build_seconds=phases.get("bvh_build", 0.0),
+        frame_seconds=sum(seconds for name, seconds in phases.items() if name != "bvh_build"),
+        samples_in_depth=spec.synthetic_samples_in_depth,
+    )
+
+
+def run_compositing_case(spec: ExperimentSpec) -> CompositingRecord:
+    """One row of the Eq. 5.5 corpus: composite ``spec.num_tasks`` synthetic sub-images.
+
+    Per-rank sub-images are synthesized (a contiguous screen block of
+    active pixels per rank whose size follows the Section 5.8 mapping)
+    rather than rendered, so that large task counts stay cheap -- the
+    run-length engine keeps even the 64-rank rows fast.  The recorded
+    compositing time combines the simulated-network estimate of the
+    exchange (critical path over rounds) with the blending work charged
+    at :data:`COMPOSITING_BLEND_BYTES_PER_SECOND`.
+
+    Like the synthetic render experiments, the sub-image stream is seeded
+    per configuration (study seed + algorithm + tasks + size), so the row
+    is a pure function of the spec regardless of sweep order.
+    """
+    algorithm, num_tasks, pixel_size = spec.algorithm, spec.num_tasks, spec.pixel_size
+    stream = (spec.base_seed, "compositing-sweep", algorithm, num_tasks, pixel_size)
+    radices = None
+    if algorithm == "radix-k" and spec.compositing_radices:
+        radices = list(spec.compositing_radices)
+    compositor = Compositor(algorithm, radices=radices)
+    if num_tasks > spec.compositing_max_live_ranks:
+        # Thousand-rank rows: stream per-rank images through the cohort
+        # scheduler instead of materializing the whole population.
+        factory = scene_factory(
+            spec.compositing_scenario,
+            num_tasks,
+            pixel_size,
+            pixel_size,
+            mode="over",
+            seed=derive_seed(*stream),
+        )
+        result = compositor.composite_streaming(
+            factory,
+            num_tasks,
+            pixel_size,
+            pixel_size,
+            mode="over",
+            max_live_ranks=spec.compositing_max_live_ranks,
+        )
+    else:
+        framebuffers = _synthetic_sub_images(num_tasks, pixel_size, pixel_size, default_rng(*stream))
+        visibility = list(np.arange(num_tasks, dtype=np.float64))
+        result = compositor.composite(framebuffers, mode="over", visibility_order=visibility)
+    # Blending happens concurrently on every rank, so charge the per-rank
+    # share of the exchanged bytes (the critical path), not the total.
+    blend_seconds = (
+        result.bytes_exchanged / max(num_tasks, 1) / COMPOSITING_BLEND_BYTES_PER_SECOND
+    )
+    return CompositingRecord.from_result(
+        result, seconds=result.network_seconds + blend_seconds, algorithm=algorithm
+    )
+
+
+def _synthetic_sub_images(
+    tasks: int, width: int, height: int, rng: np.random.Generator
+) -> list[Framebuffer]:
+    """Synthetic per-rank framebuffers with mapping-consistent active-pixel counts."""
+    framebuffers = []
+    fill = 0.55 / tasks ** (1.0 / 3.0)
+    active = max(int(fill * width * height), 1)
+    side = max(int(np.sqrt(active)), 1)
+    for _ in range(tasks):
+        framebuffer = Framebuffer(width, height)
+        x0 = int(rng.integers(0, max(width - side, 1)))
+        y0 = int(rng.integers(0, max(height - side, 1)))
+        block = (slice(y0, min(y0 + side, height)), slice(x0, min(x0 + side, width)))
+        shape = framebuffer.rgba[block][..., 0].shape
+        framebuffer.rgba[block] = np.concatenate(
+            [rng.random(shape + (3,)), np.full(shape + (1,), 0.7)], axis=-1
+        )
+        framebuffer.depth[block] = rng.random(shape) * 10.0
+        framebuffers.append(framebuffer)
+    return framebuffers

@@ -13,13 +13,14 @@ what makes the rest of the engine possible:
 * the plan is serializable (``python -m repro.study plan --out plan.json``)
   and diffable, so a sweep is reviewable before it spends hours rendering;
 * the plan order *is* the corpus order: the engine reassembles rows by spec
-  index, which keeps a parallel sweep row-for-row identical to the serial
-  oracle (:meth:`~repro.modeling.study.StudyHarness.run_serial`).
+  index, which keeps a pool sweep row-for-row identical to the in-process
+  ``jobs=1`` loop (the serial oracle).
 
-The expansion reproduces the oracle's enumeration exactly: one host-measured
+:func:`build_plan` is the only enumeration of the matrix: one host-measured
 pass per technique drawing from the ``"study"`` RNG stream, one synthesized
 full-scale pass per non-host architecture drawing from ``"study-synthetic"``,
-then the compositing matrix (algorithms x task counts x pixel sizes).
+then the compositing matrix (algorithms x task counts x pixel sizes).  Its
+order is pinned by a frozen plan digest in ``tests/test_study_engine.py``.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ __all__ = [
     "corpus_spec_keys",
 ]
 
-#: Spec kinds and the experiment they resolve to.
-KIND_RENDER = "render"  # host-measured render (StudyHarness.run_experiment)
+#: Spec kinds and the :mod:`repro.study.experiments` function they resolve to.
+KIND_RENDER = "render"  # host-measured render (run_experiment)
 KIND_SYNTHETIC = "synthetic"  # mapped + cost-model experiment (run_synthetic_experiment)
 KIND_COMPOSITING = "compositing"  # Eq. 5.5 compositing row (run_compositing_case)
 
@@ -94,7 +95,7 @@ class ExperimentSpec:
     def key_payload(self) -> dict:
         """The identity of this experiment as a flat, JSON-stable dict.
 
-        Every field participates: the config keys obviously, and the harness
+        Every field participates: the config keys obviously, and the study
         knobs too (``samples_in_depth`` changes the render, ``base_seed``
         changes the noise/sub-image streams), so the content-addressed cache
         can never alias two experiments that would produce different rows.
@@ -175,9 +176,8 @@ class SweepPlan:
 def build_plan(config: StudyConfiguration, include_compositing: bool = True) -> SweepPlan:
     """Expand a study configuration into the explicit experiment matrix.
 
-    The enumeration (loop nesting *and* RNG stream consumption) mirrors
-    :meth:`StudyHarness.run_serial` exactly; the engine's row-for-row parity
-    with the serial oracle rests on this function staying in lockstep with it.
+    This is the one place the matrix is enumerated: the loop nesting *and*
+    the RNG stream consumption here define the corpus order.
     """
     specs: list[ExperimentSpec] = []
     common = dict(
@@ -193,7 +193,7 @@ def build_plan(config: StudyConfiguration, include_compositing: bool = True) -> 
             # One stratified draw per technique, shared by every DPP back-end:
             # the device axis compares back-ends on *identical* configurations
             # and leaves the RNG stream exactly where the single-device
-            # enumeration (and the serial oracle) leaves it.
+            # enumeration leaves it.
             samples = config.stratified_samples(rng)
             for dpp_device in config.dpp_devices:
                 for image_size, cells, tasks, simulation in samples:

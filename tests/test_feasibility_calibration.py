@@ -235,7 +235,7 @@ class TestMachineCalibration:
         )
         first = calibrator.calibrate("raster")
         # The stored configuration is never mutated by a calibrate call ...
-        assert calibrator._harness.config.techniques == ("raytrace", "raster", "volume")
+        assert calibrator._config.techniques == ("raytrace", "raster", "volume")
         second = calibrator.calibrate("raster")
         # ... so synthetic-architecture refits reproduce coefficients exactly.
         assert np.array_equal(

@@ -14,8 +14,8 @@ import pytest
 from repro.modeling.crossval import k_fold_cross_validation
 from repro.modeling.feasibility import images_within_budget, raytracing_vs_rasterization
 from repro.modeling.regression import fit_linear_model
-from repro.modeling.study import FailureRecord, StudyConfiguration, StudyCorpus, StudyHarness
-from repro.study import corpus_io
+from repro.modeling.study import FailureRecord, StudyConfiguration, StudyCorpus
+from repro.study import corpus_io, run_study
 
 
 def _design(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -93,7 +93,7 @@ class TestRegressionEdgeCases:
 def tiny_models():
     """Synthetic-only corpus (no rendering): fast fitted models for one device."""
     config = StudyConfiguration(architectures=("gpu1-k40m",), samples_per_technique=6, seed=11)
-    corpus = StudyHarness(config).run(include_compositing=False)
+    corpus = run_study(config, include_compositing=False)
     return corpus.fit_all_models()
 
 
@@ -132,7 +132,7 @@ class TestFailureRowHandling:
             compositing_task_counts=(2, 4),
             compositing_pixel_sizes=(32,),
         )
-        corpus = StudyHarness(config).run()
+        corpus = run_study(config)
         corpus.failures.append(
             FailureRecord(kind="render", reason="crash", spec={"technique": "raytrace"})
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,10 +18,11 @@ from repro.modeling.features import (
 )
 from repro.modeling.models import CompositingModel, RayTracingModel
 from repro.modeling.regression import LinearRegressionResult
-from repro.modeling.study import StudyConfiguration, StudyCorpus, StudyHarness
+from repro.modeling.study import StudyConfiguration, StudyCorpus
 from repro.reporting import ModelSuite, Predictor, generate_report
 from repro.reporting.suite import MODELS_SCHEMA_VERSION, FittedModel, _coefficient_warnings
 from repro.study import cli as study_cli
+from repro.study import run_study
 from repro.study.corpus_io import corpus_digest, save_corpus
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
@@ -41,7 +43,7 @@ def corpus() -> StudyCorpus:
         compositing_pixel_sizes=(32, 48, 64),
         seed=99,
     )
-    return StudyHarness(config).run()
+    return run_study(config)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +106,25 @@ class TestModelSuite:
         for failure in suite.failures:
             assert failure["reason"] == "degenerate-fit"
             assert failure["message"]
+
+    def test_unknown_technique_is_a_failure_not_a_volume_model(self, corpus):
+        # A corpus file whose rows carry a technique the registry does not
+        # know (typo, newer schema) used to be fitted as a volume model.
+        mystery = [
+            dataclasses.replace(row, technique="mystery")
+            for row in corpus.select("gpu1-k40m", "volume")
+        ]
+        mixed = StudyCorpus(records=corpus.select("gpu1-k40m", "raster") + mystery)
+        with pytest.raises(ValueError, match="unknown technique 'mystery'"):
+            mixed.fit_model("gpu1-k40m", "mystery")
+        with pytest.raises(ValueError, match="unknown technique 'mystery'"):
+            mixed.cross_validate("gpu1-k40m", "mystery")
+        suite = ModelSuite.fit_corpus(mixed)
+        assert sorted(suite.entries) == [("gpu1-k40m", "raster")]
+        [failure] = suite.failures
+        assert (failure["architecture"], failure["technique"]) == ("gpu1-k40m", "mystery")
+        assert failure["error_type"] == "ValueError"
+        assert failure["num_rows"] == len(mystery)
 
     def test_get_unknown_key_lists_available(self, suite):
         with pytest.raises(KeyError, match="gpu1-k40m/raytrace"):

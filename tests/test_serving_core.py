@@ -8,10 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.modeling.study import StudyConfiguration, StudyCorpus, StudyHarness
+from repro.modeling.study import StudyConfiguration, StudyCorpus
 from repro.reporting import ModelSuite, Predictor
 from repro.serving import LRUCache, ModelHandle, ServingCore, ServingError, canonical_config
 from repro.serving.core import RENDER_DEFAULTS
+from repro.study import run_study
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +27,7 @@ def corpus() -> StudyCorpus:
         compositing_pixel_sizes=(32, 48, 64),
         seed=7,
     )
-    return StudyHarness(config).run()
+    return run_study(config)
 
 
 @pytest.fixture(scope="module")

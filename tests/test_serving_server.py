@@ -7,12 +7,13 @@ import json
 
 import pytest
 
-from repro.modeling.study import StudyConfiguration, StudyHarness
+from repro.modeling.study import StudyConfiguration
 from repro.reporting import ModelSuite
 from repro.serving.batching import BatchRequest, MicroBatcher
 from repro.serving.client import ServingClient, read_response, request_bytes
 from repro.serving.core import ModelHandle, ServingCore, canonical_config
 from repro.serving.server import start_server
+from repro.study import run_study
 
 
 def _fit_suite(seed: int) -> ModelSuite:
@@ -26,7 +27,7 @@ def _fit_suite(seed: int) -> ModelSuite:
         compositing_pixel_sizes=(32, 48, 64),
         seed=seed,
     )
-    return ModelSuite.fit_corpus(StudyHarness(config).run())
+    return ModelSuite.fit_corpus(run_study(config))
 
 
 @pytest.fixture(scope="module")

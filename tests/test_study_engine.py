@@ -2,9 +2,10 @@
 
 The two acceptance properties of the engine live here:
 
-* a parallel sweep (``jobs=4``) over 48+ configurations is row-for-row
-  identical to the serial :meth:`StudyHarness.run_serial` oracle (config keys
-  exact, features to 1e-10, synthesized timings bit-equal);
+* a pool sweep (``jobs=4``) over 48+ configurations is row-for-row identical
+  to the serial oracle -- the same plan through the executor's in-process
+  ``jobs=1`` loop (config keys exact, features to 1e-10, synthesized timings
+  bit-equal) -- and the plan's enumeration order is pinned by a frozen digest;
 * a killed-then-resumed sweep completes from cache without re-running any
   finished configuration.
 """
@@ -12,6 +13,7 @@ The two acceptance properties of the engine live here:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -24,17 +26,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.modeling.study import FailureRecord, StudyConfiguration, StudyHarness
+from repro.modeling.study import FailureRecord, StudyConfiguration
 from repro.study import (
     CorpusCache,
     SweepExecutor,
     build_plan,
     cache_key,
+    execute_spec,
     run_plan,
+    run_study,
 )
 from repro.study import cli as study_cli
 from repro.study import corpus_io
-from repro.study.plan import spec_from_payload
+from repro.study.plan import smoke_configuration, spec_from_payload
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +503,12 @@ class TestPlan:
             samples_in_depth=12,
             seed=9,
         )
-        record = StudyHarness(config).run_experiment("volume_unstructured", "kripke", 2, 4, 32, 32)
+        spec = dataclasses.replace(
+            build_plan(config).specs[0], cells_per_task=4, image_width=32, image_height=32
+        )
+        assert (spec.kind, spec.simulation, spec.num_tasks) == ("render", "kripke", 2)
+        record = corpus_io.record_from_payload(execute_spec(spec))
+        assert record.samples_in_depth == 12
         assert record.technique == "volume_unstructured"
         assert set(record.phase_seconds) <= set(PHASE_GROUPS)
         grouped = {}
@@ -526,14 +535,22 @@ ORACLE_CONFIG = StudyConfiguration(
 )
 
 
+# The serial oracle is the executor's in-process path: ``jobs=1`` is a bare
+# loop over the plan (no pool, no pipes, no cache).  The pool must agree with
+# it row for row, and ``test_plan_enumeration_is_frozen`` pins the order both
+# walk.
+
+
 @pytest.fixture(scope="module")
 def oracle_corpus():
-    return StudyHarness(ORACLE_CONFIG).run_serial()
+    corpus, _report = run_plan(build_plan(ORACLE_CONFIG), jobs=1)
+    return corpus
 
 
 @pytest.fixture(scope="module")
 def engine_corpus():
-    return StudyHarness(ORACLE_CONFIG).run(jobs=4)
+    corpus, _report = run_plan(build_plan(ORACLE_CONFIG), jobs=4)
+    return corpus
 
 
 def _config_key(record):
@@ -548,7 +565,27 @@ def _config_key(record):
     )
 
 
+def _plan_digest(config: StudyConfiguration) -> str:
+    labels = "\n".join(spec.label() for spec in build_plan(config).specs)
+    return hashlib.sha256(labels.encode()).hexdigest()
+
+
 class TestEngineMatchesOracle:
+    def test_plan_enumeration_is_frozen(self):
+        # Hex literals recorded at the commit that still carried the
+        # hand-written serial loop, whose order the oracle test there proved
+        # equal to ``build_plan``'s: a reordered or re-drawn matrix fails here.
+        assert _plan_digest(ORACLE_CONFIG) == (
+            "a2283fbbf8b2ec5a3be55fb8b76a9b2523721946333bc3cb82e6bdc5640d0a66"
+        )
+        assert _plan_digest(smoke_configuration()) == (
+            "ca202dc8ddeb705ceb0f88eb8212778ec58630264babca54dbfc327e78de3611"
+        )
+        two_devices = dataclasses.replace(ORACLE_CONFIG, dpp_devices=("serial", "vectorized"))
+        assert _plan_digest(two_devices) == (
+            "fe4244f8b0945c92594a9fe3bf1a14b1abf44c391e93f09a379704bca2bf60e8"
+        )
+
     def test_sweep_covers_at_least_48_configurations(self, oracle_corpus):
         assert len(oracle_corpus.records) >= 48
 
@@ -615,7 +652,7 @@ class TestCompositingKnobsReachTheEngine:
     def test_streamed_scenario_rows_match_the_oracle(self):
         engine, report = run_plan(build_plan(self.CONFIG), jobs=1)
         assert report.failed == 0
-        oracle = StudyHarness(self.CONFIG).run_serial()
+        oracle = run_study(self.CONFIG, jobs=2)  # the knobs survive the pipe to a worker
         assert engine.compositing_records == oracle.compositing_records
         assert len(engine.compositing_records) == 3
         uniform, _ = run_plan(
@@ -629,7 +666,7 @@ class TestCompositingKnobsReachTheEngine:
             self.CONFIG, compositing_algorithms=("radix-k",), compositing_radices=(2, 8)
         )
         engine, _ = run_plan(build_plan(config), jobs=1)
-        assert engine.compositing_records == StudyHarness(config).run_serial().compositing_records
+        assert engine.compositing_records == run_study(config, jobs=2).compositing_records
         factored, _ = run_plan(
             build_plan(dataclasses.replace(config, compositing_radices=None)), jobs=1
         )
@@ -695,11 +732,19 @@ class TestResumeSemantics:
             task_counts=(1,),
             seed=5,
         )
-        harness = StudyHarness(config)
-        with pytest.raises(RuntimeError, match="experiments failed"):
-            harness.run(include_compositing=False)
-        corpus = harness.run(include_compositing=False, strict=False)
+        with pytest.raises(RuntimeError, match="2 of 2 experiments failed"):
+            run_study(config, include_compositing=False)
+        corpus = run_study(config, include_compositing=False, strict=False)
         assert len(corpus.failures) == 2 and corpus.records == []
+        assert corpus.compositing_records == []
+        # With the compositing matrix the failures stay and its rows land.
+        config = dataclasses.replace(
+            config, compositing_task_counts=(2,), compositing_pixel_sizes=(16,)
+        )
+        with pytest.raises(RuntimeError, match="2 of 3 experiments failed"):
+            run_study(config)
+        corpus = run_study(config, strict=False)
+        assert len(corpus.failures) == 2 and len(corpus.compositing_records) == 1
 
     def test_broken_config_records_failure_row(self):
         plan = build_plan(FAST_CONFIG, include_compositing=False)

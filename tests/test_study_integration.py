@@ -1,4 +1,4 @@
-"""Integration tests: the study harness, calibration, and feasibility analyses end to end."""
+"""Integration tests: the study sweep, calibration, and feasibility analyses end to end."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ from repro.modeling import RenderingConfiguration, map_configuration_to_features
 from repro.modeling.calibration import MachineCalibration, validate_large_scale_prediction
 from repro.modeling.feasibility import images_within_budget, raytracing_vs_rasterization
 from repro.modeling.models import RayTracingModel
-from repro.modeling.study import StudyConfiguration, StudyHarness
+from repro.modeling.study import StudyConfiguration
+from repro.study import run_study
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +25,7 @@ def small_corpus():
         samples_in_depth=40,
         seed=99,
     )
-    return StudyHarness(config).run()
+    return run_study(config)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,7 @@ def fitted_models(small_corpus):
     return small_corpus.fit_all_models()
 
 
-class TestStudyHarness:
+class TestStudyCorpus:
     def test_corpus_covers_architectures_and_techniques(self, small_corpus):
         assert set(small_corpus.architectures()) == {"cpu-host", "gpu1-k40m"}
         assert set(small_corpus.techniques()) == {"raytrace", "raster", "volume"}
