@@ -10,10 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from common import print_table
+from repro.modeling.study import COMPOSITING_ARCHITECTURE
 
 
 def test_fig13_compositing_crossval_error(benchmark, study_corpus):
-    summary = study_corpus.cross_validate_compositing(k=3, seed=29)
+    summary = study_corpus.cross_validate(COMPOSITING_ARCHITECTURE, "compositing", k=3, seed=29)
     pixels = np.array([record.pixels for record in study_corpus.compositing_records])
     errors = np.abs(summary.errors) * 100.0
 
@@ -27,5 +28,5 @@ def test_fig13_compositing_crossval_error(benchmark, study_corpus):
     print_table("Figure 13: compositing cross-validation error by predicted-time band", ["band", "mean |err|", "max |err|"], rows)
     print(f"resolutions in corpus: {sorted(set(pixels.tolist()))}")
 
-    benchmark(lambda: study_corpus.cross_validate_compositing(k=3, seed=29))
+    benchmark(lambda: study_corpus.cross_validate(COMPOSITING_ARCHITECTURE, "compositing", k=3, seed=29))
     assert len(summary.errors) == len(study_corpus.compositing_records)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from common import print_table
+from repro.modeling.study import COMPOSITING_ARCHITECTURE
 
 
 def test_table14_compositing_accuracy(benchmark, study_corpus, compositing_model):
-    summary = study_corpus.cross_validate_compositing(k=3, seed=23)
+    summary = study_corpus.cross_validate(COMPOSITING_ARCHITECTURE, "compositing", k=3, seed=23)
     accuracy = summary.accuracy_row()
     print_table(
         "Table 14: compositing model accuracy",
@@ -21,7 +22,7 @@ def test_table14_compositing_accuracy(benchmark, study_corpus, compositing_model
         ]],
     )
 
-    benchmark(lambda: study_corpus.fit_compositing_model())
+    benchmark(lambda: study_corpus.fit_model(COMPOSITING_ARCHITECTURE, "compositing"))
     # The compositing model is the weakest of the set (paper: 29% average error,
     # 88% within 50%); require a broadly similar level of usefulness.
     assert accuracy["within_50"] >= 50.0

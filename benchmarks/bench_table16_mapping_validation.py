@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from common import print_table
 from repro.modeling import RenderingConfiguration, map_configuration_to_features
-from repro.modeling.models import RayTracingModel
 
 
 def test_table16_mapping_validation(benchmark, study_corpus, fitted_models):
@@ -30,12 +29,8 @@ def test_table16_mapping_validation(benchmark, study_corpus, fitted_models):
             samples_in_depth=200,
         )
         mapped = map_configuration_to_features(config)
-        if isinstance(model, RayTracingModel):
-            predicted_mapping = model.predict(mapped)
-            predicted_observed = model.predict(record.features)
-        else:
-            predicted_mapping = model.predict(mapped)
-            predicted_observed = model.predict(record.features)
+        predicted_mapping = model.predict(mapped)
+        predicted_observed = model.predict(record.features)
         actual = record.total_seconds
         ratios.append(predicted_mapping / max(actual, 1e-12))
         rows.append(

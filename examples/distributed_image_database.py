@@ -20,7 +20,7 @@ from repro.geometry import Camera
 from repro.geometry.triangles import external_faces
 from repro.insitu.imageio import write_ppm
 from repro.modeling.feasibility import images_within_budget
-from repro.modeling.study import StudyConfiguration
+from repro.modeling.study import COMPOSITING_ARCHITECTURE, StudyConfiguration
 from repro.rendering import RayTracer, RayTracerConfig, Scene, Workload
 from repro.runtime import BlockDecomposition
 from repro.study import run_study
@@ -83,7 +83,7 @@ def main() -> None:
     print("\nfitting the performance models (small sweep)...")
     corpus = run_study(StudyConfiguration(samples_per_technique=8, seed=5))
     models = corpus.fit_all_models()
-    compositing_model = corpus.fit_compositing_model()
+    compositing_model = corpus.fit_model(COMPOSITING_ARCHITECTURE, "compositing")
     points = images_within_budget(
         models,
         budget_seconds=60.0,

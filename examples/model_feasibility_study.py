@@ -21,7 +21,7 @@ from repro.machines import KernelCostModel
 from repro.modeling import RenderingConfiguration, map_configuration_to_features
 from repro.modeling.calibration import MachineCalibration, validate_large_scale_prediction
 from repro.modeling.feasibility import raytracing_vs_rasterization
-from repro.modeling.study import StudyConfiguration
+from repro.modeling.study import COMPOSITING_ARCHITECTURE, StudyConfiguration
 from repro.study import run_study
 
 
@@ -44,7 +44,7 @@ def main() -> None:
               f"{row['within_50']:.0f}/{row['within_25']:.0f}/{row['within_10']:.0f}/{row['within_5']:.0f}  "
               f"avg err {row['average_percent']:.1f}%")
 
-    compositing = corpus.fit_compositing_model()
+    compositing = corpus.fit_model(COMPOSITING_ARCHITECTURE, "compositing")
     print(f"\ncompositing model R^2 = {compositing.r_squared:.3f}")
 
     print("\nTitan-style calibration and large-scale prediction:")

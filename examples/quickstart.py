@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.geometry import Camera, isosurface_marching_tets, make_named_dataset
 from repro.insitu.imageio import write_ppm
-from repro.modeling.models import VolumeRenderingModel
+from repro.modeling.models import make_model
 from repro.rendering import (
     Rasterizer,
     RayTracer,
@@ -66,7 +66,7 @@ def main() -> None:
         result = StructuredVolumeRenderer(grid, "density", config=StructuredVolumeConfig(samples_in_depth=100)).render(cam)
         features.append(result.features)
         times.append(result.total_seconds)
-    model = VolumeRenderingModel()
+    model = make_model("volume")
     model.fit(features, np.array(times))
     print("\nfitted volume-rendering model (T = c0*AP*CS + c1*AP*SPR + c2):")
     for name, value in model.coefficients.items():

@@ -12,8 +12,8 @@ The package implements the full Chapter V methodology:
   Spanned) and the a-priori mapping from user-facing rendering configurations
   to those variables (Section 5.8).
 * :mod:`repro.modeling.models` -- the per-technique performance models of
-  Equations 5.1-5.5 (ray tracing, rasterization, volume rendering, image
-  compositing, and the combined multi-node model).
+  Equations 5.1-5.3 and 5.5 (ray tracing, rasterization, volume rendering,
+  image compositing): one model type over a registry table of term groups.
 * :mod:`repro.modeling.study` -- the study's data model: the sweep
   configuration, the corpus rows, and the corpus that fits the models
   (:mod:`repro.study` runs the sweep that gathers it).
@@ -31,14 +31,7 @@ from repro.modeling.features import (
     map_configuration_batch,
     map_configuration_to_features,
 )
-from repro.modeling.models import (
-    CompositingModel,
-    RasterizationModel,
-    RayTracingModel,
-    TotalRenderingModel,
-    VolumeRenderingModel,
-    make_model,
-)
+from repro.modeling.models import PerformanceModel, make_model
 from repro.modeling.regression import LinearRegressionResult, fit_linear_model
 from repro.modeling.study import (
     ExperimentRecord,
@@ -48,18 +41,14 @@ from repro.modeling.study import (
 )
 
 __all__ = [
-    "CompositingModel",
     "CrossValidationSummary",
     "ExperimentRecord",
     "FailureRecord",
     "LinearRegressionResult",
-    "RasterizationModel",
-    "RayTracingModel",
+    "PerformanceModel",
     "RenderingConfiguration",
     "StudyConfiguration",
     "StudyCorpus",
-    "TotalRenderingModel",
-    "VolumeRenderingModel",
     "feature_arrays",
     "fit_linear_model",
     "k_fold_cross_validation",

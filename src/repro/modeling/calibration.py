@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from repro.modeling.features import RenderingConfiguration, map_configuration_to_features
-from repro.modeling.models import RayTracingModel, make_model
+from repro.modeling.models import PerformanceModel
 from repro.modeling.study import StudyConfiguration
 
 __all__ = ["CalibrationResult", "MachineCalibration"]
@@ -28,15 +26,12 @@ class CalibrationResult:
 
     architecture: str
     technique: str
-    model: object
+    model: PerformanceModel
     sample_points: int
 
     def predict_configuration(self, config: RenderingConfiguration, include_build: bool = True) -> float:
         """Predict the per-task render time of a configuration via the mapping."""
-        features = map_configuration_to_features(config)
-        if isinstance(self.model, RayTracingModel):
-            return self.model.predict(features, include_build=include_build)
-        return self.model.predict(features)
+        return self.model.predict(map_configuration_to_features(config), include_build=include_build)
 
 
 @dataclass

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.modeling.features import RenderingConfiguration, map_configuration_to_features
-from repro.modeling.models import CompositingModel, CompositingFeatures, RayTracingModel
+from repro.modeling.features import map_configuration_batch
+from repro.modeling.models import PerformanceModel
 
 __all__ = [
     "BudgetPoint",
@@ -51,35 +51,33 @@ class BudgetPoint:
 
 
 def _predict_frame_seconds(
-    model: object,
-    config: RenderingConfiguration,
-    compositing_model: CompositingModel | None,
-) -> tuple[float, float]:
-    """(per-frame seconds, one-time seconds) for a configuration via the mapping."""
-    features = map_configuration_to_features(config)
-    if isinstance(model, RayTracingModel):
-        frame = model.predict(features, include_build=False)
-        build = model.predict(features, include_build=True) - frame
-    else:
-        frame = model.predict(features)
-        build = 0.0
+    model: PerformanceModel,
+    arrays: dict[str, np.ndarray],
+    compositing_model: PerformanceModel | None,
+    pixels: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(per-frame seconds, one-time seconds) of mapped configurations.
+
+    The per-frame time is Eq. 5.4 for one mapped task: the local render plus,
+    when a compositing model is given, Eq. 5.5 at the task's active pixels.
+    """
+    frame = model.predict(arrays, include_build=False)
+    # Not the build group's own prediction: Figures 14/15 print this difference.
+    build = model.predict(arrays, include_build=True) - frame
     if compositing_model is not None:
-        comp_features = CompositingFeatures(
-            average_active_pixels=float(features.active_pixels),
-            pixels=config.pixels,
-            num_tasks=config.num_tasks,
+        frame = frame + compositing_model.predict(
+            {"average_active_pixels": arrays["active_pixels"], "pixels": pixels}
         )
-        frame += compositing_model.predict(comp_features)
-    return max(frame, 1e-12), max(build, 0.0)
+    return np.maximum(frame, 1e-12), np.maximum(build, 0.0)
 
 
 def images_within_budget(
-    models: dict[tuple[str, str], object],
+    models: dict[tuple[str, str], PerformanceModel],
     budget_seconds: float = 60.0,
     num_tasks: int = 32,
     cells_per_task: int = 200,
     image_sizes: np.ndarray | None = None,
-    compositing_model: CompositingModel | None = None,
+    compositing_model: PerformanceModel | None = None,
     samples_in_depth: int = 1000,
 ) -> list[BudgetPoint]:
     """Predict how many images fit in a time budget for every fitted model.
@@ -101,25 +99,22 @@ def images_within_budget(
     """
     if image_sizes is None:
         image_sizes = np.arange(1024, 4096 + 1, 128)
+    sizes = np.asarray(image_sizes, dtype=np.int64)
     points: list[BudgetPoint] = []
     for (architecture, technique), model in sorted(models.items()):
-        for size in image_sizes:
-            config = RenderingConfiguration(
-                technique=technique,
-                architecture=architecture,
-                num_tasks=num_tasks,
-                cells_per_task=cells_per_task,
-                image_width=int(size),
-                image_height=int(size),
-                samples_in_depth=samples_in_depth,
-            )
-            frame, build = _predict_frame_seconds(model, config, compositing_model)
+        arrays = map_configuration_batch(
+            technique, num_tasks, cells_per_task, sizes, sizes, samples_in_depth
+        )
+        frames, builds = _predict_frame_seconds(
+            model, arrays, compositing_model, (sizes * sizes).astype(np.float64)
+        )
+        for size, frame, build in zip(sizes.tolist(), frames.tolist(), builds.tolist()):
             remaining = max(budget_seconds - build, 0.0)
             points.append(
                 BudgetPoint(
                     architecture=architecture,
                     technique=technique,
-                    image_size=int(size),
+                    image_size=size,
                     seconds_per_image=frame,
                     images_in_budget=int(remaining // frame),
                 )
@@ -128,8 +123,8 @@ def images_within_budget(
 
 
 def raytracing_vs_rasterization(
-    raytracing_model: RayTracingModel,
-    rasterization_model: object,
+    raytracing_model: PerformanceModel,
+    rasterization_model: PerformanceModel,
     architecture: str,
     num_tasks: int = 32,
     num_renderings: int = 100,
@@ -142,40 +137,26 @@ def raytracing_vs_rasterization(
     ``num_renderings`` renderings is computed for both techniques, including
     the single amortised BVH build for ray tracing.  The returned dictionary
     holds the two axes and the ratio matrix (``ratio > 1`` means ray tracing
-    produces more images per unit time).
+    produces more images per unit time).  ``architecture`` names the machine
+    the two models were fitted for; the Section 5.8 mapping does not depend
+    on it.
     """
     if image_sizes is None:
         image_sizes = np.arange(384, 4096 + 1, 128)
     if data_sizes is None:
         data_sizes = np.arange(100, 500 + 1, 25)
-    ratio = np.zeros((len(data_sizes), len(image_sizes)))
-    for row, cells in enumerate(data_sizes):
-        for column, size in enumerate(image_sizes):
-            rt_config = RenderingConfiguration(
-                technique="raytrace",
-                architecture=architecture,
-                num_tasks=num_tasks,
-                cells_per_task=int(cells),
-                image_width=int(size),
-                image_height=int(size),
-            )
-            rast_config = RenderingConfiguration(
-                technique="raster",
-                architecture=architecture,
-                num_tasks=num_tasks,
-                cells_per_task=int(cells),
-                image_width=int(size),
-                image_height=int(size),
-            )
-            rt_features = map_configuration_to_features(rt_config)
-            rast_features = map_configuration_to_features(rast_config)
-            rt_frame = raytracing_model.predict(rt_features, include_build=False)
-            rt_build = raytracing_model.predict(rt_features, include_build=True) - rt_frame
-            rt_total = rt_build + num_renderings * rt_frame
-            rast_total = num_renderings * rasterization_model.predict(rast_features)
-            ratio[row, column] = rast_total / max(rt_total, 1e-12)
+    # One row per (data size, image size) cell, data size outermost.
+    cells = np.repeat(np.asarray(data_sizes, dtype=np.int64), len(image_sizes))
+    sizes = np.tile(np.asarray(image_sizes, dtype=np.int64), len(data_sizes))
+    rt_arrays = map_configuration_batch("raytrace", num_tasks, cells, sizes, sizes)
+    rast_arrays = map_configuration_batch("raster", num_tasks, cells, sizes, sizes)
+    rt_frame = raytracing_model.predict(rt_arrays, include_build=False)
+    rt_build = raytracing_model.predict(rt_arrays, include_build=True) - rt_frame
+    rt_total = rt_build + num_renderings * rt_frame
+    rast_total = num_renderings * rasterization_model.predict(rast_arrays)
+    ratio = rast_total / np.maximum(rt_total, 1e-12)
     return {
         "image_sizes": np.asarray(image_sizes),
         "data_sizes": np.asarray(data_sizes),
-        "ratio": ratio,
+        "ratio": ratio.reshape(len(data_sizes), len(image_sizes)),
     }

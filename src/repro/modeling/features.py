@@ -34,6 +34,7 @@ from repro.rendering.result import ObservedFeatures, RenderResult
 
 __all__ = [
     "RenderingConfiguration",
+    "CompositingFeatures",
     "map_configuration_to_features",
     "map_configuration_batch",
     "feature_arrays",
@@ -212,8 +213,9 @@ def map_configuration_batch(
 def feature_arrays(feature_list: list[ObservedFeatures]) -> dict[str, np.ndarray]:
     """Column arrays (float64) for a list of observed features.
 
-    The batch prediction path consumes these; values equal ``float(attr)`` of
-    the scalar design-matrix rows, so vectorized and scalar designs coincide.
+    Fitting, cross validation and prediction all consume these: the models'
+    term groups (:data:`repro.modeling.models.MODEL_GROUPS`) build their design
+    matrices from the columns.
     """
     return {
         "objects": np.array([float(f.objects) for f in feature_list], dtype=np.float64),
@@ -244,7 +246,16 @@ def features_from_result(result: RenderResult) -> dict[str, float | str]:
     return row
 
 
-def compositing_features_from_result(result) -> "CompositingFeatures":
+@dataclass
+class CompositingFeatures:
+    """Inputs of the compositing model (Eq. 5.5)."""
+
+    average_active_pixels: float
+    pixels: int
+    num_tasks: int = 1
+
+
+def compositing_features_from_result(result) -> CompositingFeatures:
     """The Eq. 5.5 model inputs of one parallel composite.
 
     ``avg(AP)`` comes straight from the compositor's run-length accounting
@@ -253,8 +264,6 @@ def compositing_features_from_result(result) -> "CompositingFeatures":
     compacts and exchanges.  Accepts any object with the
     :class:`repro.compositing.CompositeResult` accounting fields.
     """
-    from repro.modeling.models import CompositingFeatures
-
     return CompositingFeatures(
         average_active_pixels=float(result.average_active_pixels),
         pixels=int(result.num_pixels),

@@ -1,349 +1,187 @@
 """The per-technique performance models (Equations 5.1 - 5.5).
 
-Every model turns the observed (or mapped) input variables into the terms of
-its linear equation, fits coefficients with ordinary least squares, and
-predicts run times for new inputs.
+A performance model is a table of *term groups*.  Each group is one linear
+regression -- the paper fits them with R's ``lm`` -- over a short list of terms
+computed from the observed (or mapped) input variables; the model's prediction
+is the sum of its groups.  :data:`MODEL_GROUPS` is that table, and it is the
+list of the paper's equations:
 
-* Ray tracing (Eq. 5.1)::
+==============  =========  ==============================================
+technique       group      equation
+==============  =========  ==============================================
+``raytrace``    ``build``  Eq. 5.1, first half:  ``c0 * O + c1``
+``raytrace``    ``frame``  Eq. 5.1, second half: ``c2 * (AP * log2(O)) + c3 * AP + c4``
+``raster``      ``fit``    Eq. 5.2: ``c0 * O + c1 * (VO * PPT) + c2``
+``volume*``     ``fit``    Eq. 5.3: ``c0 * (AP * CS) + c1 * (AP * SPR) + c2``
+``compositing`` ``fit``    Eq. 5.5: ``c0 * avg(AP) + c1 * Pixels + c2``
+==============  =========  ==============================================
 
-      T_RT = (c0 * O + c1) + (c2 * (AP * log2(O)) + c3 * AP + c4)
+Ray tracing is the one row with two groups: the acceleration-structure build
+is timed and fit separately so repeated-rendering analyses can amortise it
+(``predict(..., include_build=False)`` skips the group named ``build``).
+Everything else -- fitting, cross validation, prediction, the coefficient
+table -- is written once over ``model.groups`` and never asks which technique
+it is serving.
 
-  The first group is the acceleration-structure build, which is timed and fit
-  separately so repeated-rendering analyses can amortise it.
+Each equation has exactly one definition: the vectorized ``*_terms`` function
+of its group, mapping feature column arrays (see
+:func:`repro.modeling.features.feature_arrays`) to the ``(n, p)`` design
+matrix.  A single observation is the one-row batch.
 
-* Rasterization (Eq. 5.2)::
-
-      T_RAST = c0 * O + c1 * (VO * PPT) + c2
-
-* Volume rendering (Eq. 5.3)::
-
-      T_VR = c0 * (AP * CS) + c1 * (AP * SPR) + c2
-
-* Image compositing (Eq. 5.5)::
-
-      T_COMP = c0 * avg(AP) + c1 * Pixels + c2
-
-* Total multi-node rendering (Eq. 5.4)::
-
-      T_total = max_tasks(T_LR) + T_COMP
+The total multi-node time (Eq. 5.4, ``T_total = max_tasks(T_LR) + T_COMP``)
+is composed by its one consumer, :mod:`repro.modeling.feasibility`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.modeling.crossval import CrossValidationSummary, k_fold_cross_validation
+from repro.modeling.features import feature_arrays
 from repro.modeling.regression import LinearRegressionResult, fit_linear_model
 from repro.rendering.result import ObservedFeatures
 
-__all__ = [
-    "SingleTermModel",
-    "RayTracingModel",
-    "RasterizationModel",
-    "VolumeRenderingModel",
-    "CompositingModel",
-    "TotalRenderingModel",
-    "make_model",
-]
+__all__ = ["MODEL_GROUPS", "PerformanceModel", "make_model"]
 
 
-class SingleTermModel:
-    """Base class for the single-equation models (rasterization, volume, compositing).
+def _raytrace_build_terms(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    objects = np.asarray(arrays["objects"], dtype=np.float64)
+    return np.stack([objects, np.ones_like(objects)], axis=1)
 
-    Subclasses define :meth:`term_row` (the design-matrix row for one
-    observation) and :attr:`term_names`.
+
+def _raytrace_frame_terms(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    objects = np.maximum(np.asarray(arrays["objects"], dtype=np.float64), 2.0)
+    active = np.asarray(arrays["active_pixels"], dtype=np.float64)
+    return np.stack([active * np.log2(objects), active, np.ones_like(active)], axis=1)
+
+
+def _raster_terms(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    objects = np.asarray(arrays["objects"], dtype=np.float64)
+    candidates = np.asarray(arrays["visible_objects"], dtype=np.float64) * np.asarray(
+        arrays["pixels_per_triangle"], dtype=np.float64
+    )
+    return np.stack([objects, candidates, np.ones_like(objects)], axis=1)
+
+
+def _volume_terms(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    active = np.asarray(arrays["active_pixels"], dtype=np.float64)
+    cells = np.asarray(arrays["cells_spanned"], dtype=np.float64)
+    samples = np.asarray(arrays["samples_per_ray"], dtype=np.float64)
+    return np.stack([active * cells, active * samples, np.ones_like(active)], axis=1)
+
+
+def _compositing_terms(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    active = np.asarray(arrays["average_active_pixels"], dtype=np.float64)
+    pixels = np.asarray(arrays["pixels"], dtype=np.float64)
+    return np.stack([active, pixels, np.ones_like(active)], axis=1)
+
+
+_VOLUME_GROUPS = (("fit", ("c0_ap_cs", "c1_ap_spr", "c2_intercept"), _volume_terms, True),)
+
+#: ``technique -> ordered term groups``, each group a ``(name, term_names,
+#: term_matrix, nonnegative)`` tuple.  ``term_matrix(arrays)`` builds the
+#: ``(n, p)`` design from feature column arrays.  Renderer groups constrain
+#: coefficients to be non-negative (the paper treats negative coefficients as
+#: a sign of an invalid model); the compositing group keeps plain OLS,
+#: matching its negative intercept in Table 17.
+MODEL_GROUPS = {
+    "raytrace": (
+        ("build", ("c0_objects", "c1_intercept"), _raytrace_build_terms, True),
+        ("frame", ("c2_ap_log_o", "c3_ap", "c4_intercept"), _raytrace_frame_terms, True),
+    ),
+    "raster": (("fit", ("c0_objects", "c1_vo_ppt", "c2_intercept"), _raster_terms, True),),
+    "volume": _VOLUME_GROUPS,
+    "volume_structured": _VOLUME_GROUPS,
+    "volume_unstructured": _VOLUME_GROUPS,
+    "compositing": (
+        ("fit", ("c0_avg_active_pixels", "c1_pixels", "c2_intercept"), _compositing_terms, False),
+    ),
+}
+
+
+def _columns(features) -> dict[str, np.ndarray]:
+    """Feature column arrays of a batch given as arrays or as a list of observations."""
+    return features if isinstance(features, dict) else feature_arrays(features)
+
+
+class PerformanceModel:
+    """One technique's model: its term groups and, once fit, one OLS result per group.
+
+    A batch of inputs is either feature column arrays (a ``dict`` of aligned
+    float64 columns) or a list of :class:`ObservedFeatures`.
     """
 
-    technique: str = ""
-    term_names: tuple[str, ...] = ()
-    #: Renderer models constrain coefficients to be non-negative (the paper
-    #: treats negative coefficients as a sign of an invalid model); the
-    #: compositing model keeps plain OLS, matching its negative intercept in
-    #: Table 17.
-    nonnegative: bool = True
+    def __init__(self, technique: str, groups: tuple) -> None:
+        self.technique = technique
+        self.groups = groups
+        self.fits: dict[str, LinearRegressionResult] = {}
 
-    def __init__(self) -> None:
-        self.fit_result: LinearRegressionResult | None = None
-
-    # -- design matrices ---------------------------------------------------------------
-    def term_row(self, features: ObservedFeatures) -> np.ndarray:
-        raise NotImplementedError
-
-    @staticmethod
-    def term_matrix(arrays: dict[str, np.ndarray]) -> np.ndarray:
-        """Vectorized design matrix from feature column arrays.
-
-        ``arrays`` maps :class:`ObservedFeatures` attribute names to aligned
-        float64 columns (see :func:`repro.modeling.features.feature_arrays`).
-        Row ``i`` equals :meth:`term_row` of observation ``i`` exactly -- the
-        batch :class:`~repro.reporting.predictor.Predictor` relies on that.
-        """
-        raise NotImplementedError
-
-    def design_matrix(self, feature_list: list[ObservedFeatures]) -> np.ndarray:
-        """Design matrix for a list of observations."""
-        return np.array([self.term_row(features) for features in feature_list], dtype=np.float64)
-
-    # -- fitting -------------------------------------------------------------------------
-    def fit(self, feature_list: list[ObservedFeatures], times: np.ndarray) -> LinearRegressionResult:
-        """Fit the model coefficients to observed run times."""
-        design = self.design_matrix(feature_list)
-        self.fit_result = fit_linear_model(
-            design, np.asarray(times, dtype=np.float64), self.term_names, nonnegative=self.nonnegative
-        )
-        return self.fit_result
+    def fit(self, features, *targets: np.ndarray) -> dict[str, LinearRegressionResult]:
+        """Fit every group to its observed times (one target per group, in group order)."""
+        arrays = _columns(features)
+        self.fits = {
+            name: fit_linear_model(term_matrix(arrays), target, term_names, nonnegative=nonnegative)
+            for (name, term_names, term_matrix, nonnegative), target in zip(
+                self.groups, targets, strict=True
+            )
+        }
+        return self.fits
 
     def cross_validate(
-        self, feature_list: list[ObservedFeatures], times: np.ndarray, k: int = 3, seed: int | None = None
+        self, features, *targets: np.ndarray, k: int = 3, seed: int | None = None
     ) -> CrossValidationSummary:
-        """K-fold cross validation of the model on a corpus."""
-        return k_fold_cross_validation(
-            self.design_matrix(feature_list), np.asarray(times), k, seed, nonnegative=self.nonnegative
-        )
+        """K-fold cross validation of the *total* (summed over groups) prediction.
 
-    # -- prediction ---------------------------------------------------------------------------
-    def _require_fit(self) -> LinearRegressionResult:
-        if self.fit_result is None:
-            raise RuntimeError(f"{type(self).__name__} has not been fit yet")
-        return self.fit_result
-
-    def predict(self, features: ObservedFeatures) -> float:
-        """Predicted run time (seconds) for one observation."""
-        return float(self._require_fit().predict(self.term_row(features)[None, :])[0])
-
-    def predict_many(self, feature_list: list[ObservedFeatures]) -> np.ndarray:
-        """Predicted run times for many observations."""
-        return self._require_fit().predict(self.design_matrix(feature_list))
-
-    # -- reporting -----------------------------------------------------------------------------
-    @property
-    def coefficients(self) -> dict[str, float]:
-        """Named coefficients of the fitted model."""
-        return self._require_fit().named_coefficients()
-
-    @property
-    def r_squared(self) -> float:
-        """Multiple R-squared of the fit."""
-        return self._require_fit().r_squared
-
-
-class RasterizationModel(SingleTermModel):
-    """Equation 5.2: ``c0 * O + c1 * (VO * PPT) + c2``."""
-
-    technique = "raster"
-    term_names = ("c0_objects", "c1_vo_ppt", "c2_intercept")
-
-    def term_row(self, features: ObservedFeatures) -> np.ndarray:
-        return np.array(
-            [
-                float(features.objects),
-                float(features.visible_objects) * float(features.pixels_per_triangle),
-                1.0,
-            ]
-        )
-
-    @staticmethod
-    def term_matrix(arrays: dict[str, np.ndarray]) -> np.ndarray:
-        objects = np.asarray(arrays["objects"], dtype=np.float64)
-        candidates = np.asarray(arrays["visible_objects"], dtype=np.float64) * np.asarray(
-            arrays["pixels_per_triangle"], dtype=np.float64
-        )
-        return np.stack([objects, candidates, np.ones_like(objects)], axis=1)
-
-
-class VolumeRenderingModel(SingleTermModel):
-    """Equation 5.3: ``c0 * (AP * CS) + c1 * (AP * SPR) + c2``."""
-
-    technique = "volume"
-    term_names = ("c0_ap_cs", "c1_ap_spr", "c2_intercept")
-
-    def term_row(self, features: ObservedFeatures) -> np.ndarray:
-        active = float(features.active_pixels)
-        return np.array(
-            [
-                active * float(features.cells_spanned),
-                active * float(features.samples_per_ray),
-                1.0,
-            ]
-        )
-
-    @staticmethod
-    def term_matrix(arrays: dict[str, np.ndarray]) -> np.ndarray:
-        active = np.asarray(arrays["active_pixels"], dtype=np.float64)
-        cells = np.asarray(arrays["cells_spanned"], dtype=np.float64)
-        samples = np.asarray(arrays["samples_per_ray"], dtype=np.float64)
-        return np.stack([active * cells, active * samples, np.ones_like(active)], axis=1)
-
-
-@dataclass
-class CompositingFeatures:
-    """Inputs of the compositing model (Eq. 5.5)."""
-
-    average_active_pixels: float
-    pixels: int
-    num_tasks: int = 1
-
-
-class CompositingModel(SingleTermModel):
-    """Equation 5.5: ``c0 * avg(AP) + c1 * Pixels + c2``."""
-
-    technique = "compositing"
-    term_names = ("c0_avg_active_pixels", "c1_pixels", "c2_intercept")
-    nonnegative = False
-
-    def term_row(self, features: CompositingFeatures) -> np.ndarray:  # type: ignore[override]
-        return np.array([float(features.average_active_pixels), float(features.pixels), 1.0])
-
-    @staticmethod
-    def term_matrix(arrays: dict[str, np.ndarray]) -> np.ndarray:
-        active = np.asarray(arrays["average_active_pixels"], dtype=np.float64)
-        pixels = np.asarray(arrays["pixels"], dtype=np.float64)
-        return np.stack([active, pixels, np.ones_like(active)], axis=1)
-
-
-class RayTracingModel:
-    """Equation 5.1, fit as two groups: BVH build and per-frame tracing/shading."""
-
-    technique = "raytrace"
-    build_term_names = ("c0_objects", "c1_intercept")
-    frame_term_names = ("c2_ap_log_o", "c3_ap", "c4_intercept")
-
-    def __init__(self) -> None:
-        self.build_fit: LinearRegressionResult | None = None
-        self.frame_fit: LinearRegressionResult | None = None
-
-    # -- design matrices -------------------------------------------------------------------
-    @staticmethod
-    def build_term_row(features: ObservedFeatures) -> np.ndarray:
-        return np.array([float(features.objects), 1.0])
-
-    @staticmethod
-    def frame_term_row(features: ObservedFeatures) -> np.ndarray:
-        objects = max(float(features.objects), 2.0)
-        active = float(features.active_pixels)
-        return np.array([active * np.log2(objects), active, 1.0])
-
-    @staticmethod
-    def build_term_matrix(arrays: dict[str, np.ndarray]) -> np.ndarray:
-        objects = np.asarray(arrays["objects"], dtype=np.float64)
-        return np.stack([objects, np.ones_like(objects)], axis=1)
-
-    @staticmethod
-    def frame_term_matrix(arrays: dict[str, np.ndarray]) -> np.ndarray:
-        objects = np.maximum(np.asarray(arrays["objects"], dtype=np.float64), 2.0)
-        active = np.asarray(arrays["active_pixels"], dtype=np.float64)
-        return np.stack([active * np.log2(objects), active, np.ones_like(active)], axis=1)
-
-    def build_design(self, feature_list: list[ObservedFeatures]) -> np.ndarray:
-        return np.array([self.build_term_row(f) for f in feature_list])
-
-    def frame_design(self, feature_list: list[ObservedFeatures]) -> np.ndarray:
-        return np.array([self.frame_term_row(f) for f in feature_list])
-
-    # -- fitting -------------------------------------------------------------------------------
-    def fit(
-        self,
-        feature_list: list[ObservedFeatures],
-        build_times: np.ndarray,
-        frame_times: np.ndarray,
-    ) -> tuple[LinearRegressionResult, LinearRegressionResult]:
-        """Fit the build and frame groups from separately timed phases."""
-        self.build_fit = fit_linear_model(
-            self.build_design(feature_list), np.asarray(build_times), self.build_term_names, nonnegative=True
-        )
-        self.frame_fit = fit_linear_model(
-            self.frame_design(feature_list), np.asarray(frame_times), self.frame_term_names, nonnegative=True
-        )
-        return self.build_fit, self.frame_fit
-
-    def cross_validate(
-        self,
-        feature_list: list[ObservedFeatures],
-        build_times: np.ndarray,
-        frame_times: np.ndarray,
-        k: int = 3,
-        seed: int | None = None,
-    ) -> CrossValidationSummary:
-        """Cross-validate the *total* (build + frame) prediction.
-
-        The combined design matrix concatenates both term groups so each fold
-        fits the same structure the full model uses.
+        The design concatenates every group's terms so each fold fits the same
+        structure the full model uses.
         """
-        design = np.concatenate([self.build_design(feature_list), self.frame_design(feature_list)], axis=1)
-        total = np.asarray(build_times) + np.asarray(frame_times)
-        return k_fold_cross_validation(design, total, k, seed, nonnegative=True)
+        arrays = _columns(features)
+        design = np.concatenate([term_matrix(arrays) for _, _, term_matrix, _ in self.groups], axis=1)
+        nonnegative = all(nonnegative for *_, nonnegative in self.groups)
+        return k_fold_cross_validation(design, np.sum(targets, axis=0), k, seed, nonnegative=nonnegative)
 
-    # -- prediction --------------------------------------------------------------------------------
-    def _require_fit(self) -> None:
-        if self.build_fit is None or self.frame_fit is None:
-            raise RuntimeError("RayTracingModel has not been fit yet")
+    def group_fits(self, include_build: bool = True) -> list[tuple[object, LinearRegressionResult]]:
+        """The ``(term_matrix, fit)`` pairs a prediction sums, in group order.
 
-    def predict(self, features: ObservedFeatures, include_build: bool = True) -> float:
-        """Predicted seconds for one render (optionally excluding the BVH build)."""
-        self._require_fit()
-        frame = float(self.frame_fit.predict(self.frame_term_row(features)[None, :])[0])
-        if not include_build:
-            return frame
-        build = float(self.build_fit.predict(self.build_term_row(features)[None, :])[0])
-        return build + frame
+        ``include_build=False`` leaves out the group named ``build`` (the
+        one-time BVH construction); a model without one is unaffected.
+        """
+        if not self.fits:
+            raise RuntimeError(f"the {self.technique} model has not been fit yet")
+        return [
+            (term_matrix, self.fits[name])
+            for name, _, term_matrix, _ in self.groups
+            if include_build or name != "build"
+        ]
 
-    def predict_many(self, feature_list: list[ObservedFeatures], include_build: bool = True) -> np.ndarray:
-        self._require_fit()
-        frame = self.frame_fit.predict(self.frame_design(feature_list))
-        if not include_build:
-            return frame
-        return frame + self.build_fit.predict(self.build_design(feature_list))
+    def predict(self, features, include_build: bool = True):
+        """Predicted seconds: an array for a batch, a float for one :class:`ObservedFeatures`."""
+        if isinstance(features, ObservedFeatures):
+            return float(self.predict([features], include_build)[0])
+        arrays = _columns(features)
+        seconds = None
+        for term_matrix, fit in self.group_fits(include_build):
+            group_seconds = fit.predict(term_matrix(arrays))
+            seconds = group_seconds if seconds is None else seconds + group_seconds
+        return seconds
 
-    # -- reporting ------------------------------------------------------------------------------------
     @property
     def coefficients(self) -> dict[str, float]:
-        """The five coefficients c0..c4 of Eq. 5.1 (Table 17 layout)."""
-        self._require_fit()
-        named = {}
-        named.update(self.build_fit.named_coefficients())
-        named.update(self.frame_fit.named_coefficients())
+        """Named coefficients of every group, in group order (Table 17 layout)."""
+        named: dict[str, float] = {}
+        for name, *_ in self.groups:
+            named.update(self.fits[name].named_coefficients())
         return named
 
     @property
     def r_squared(self) -> float:
-        """R-squared of the per-frame group (the paper reports the render-time fit)."""
-        self._require_fit()
-        return self.frame_fit.r_squared
+        """R-squared of the last group: the render-time fit (for ray tracing the
+        paper reports the per-frame fit, not the build's)."""
+        return self.fits[self.groups[-1][0]].r_squared
 
 
-@dataclass
-class TotalRenderingModel:
-    """Equation 5.4: ``T_total = max_tasks(T_LR) + T_COMP``."""
-
-    local_model: RayTracingModel | RasterizationModel | VolumeRenderingModel
-    compositing_model: CompositingModel
-
-    def predict(
-        self,
-        per_task_features: list[ObservedFeatures],
-        compositing_features: "CompositingFeatures",
-        include_build: bool = True,
-    ) -> float:
-        """Predicted end-to-end time for one distributed rendering."""
-        if not per_task_features:
-            raise ValueError("at least one task's features are required")
-        if isinstance(self.local_model, RayTracingModel):
-            local = max(self.local_model.predict(f, include_build) for f in per_task_features)
-        else:
-            local = max(self.local_model.predict(f) for f in per_task_features)
-        return local + self.compositing_model.predict(compositing_features)
-
-
-def make_model(technique: str):
-    """Factory mapping a technique name to its model class instance."""
-    if technique == "raytrace":
-        return RayTracingModel()
-    if technique == "raster":
-        return RasterizationModel()
-    if technique in ("volume", "volume_structured", "volume_unstructured"):
-        return VolumeRenderingModel()
-    if technique == "compositing":
-        return CompositingModel()
-    raise ValueError(f"unknown technique {technique!r}")
+def make_model(technique: str) -> PerformanceModel:
+    """An unfit model for a technique name (a key of :data:`MODEL_GROUPS`)."""
+    if technique not in MODEL_GROUPS:
+        raise ValueError(f"unknown technique {technique!r}")
+    return PerformanceModel(technique, MODEL_GROUPS[technique])

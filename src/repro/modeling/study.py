@@ -27,11 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.modeling.models import CompositingFeatures, CompositingModel, RayTracingModel, make_model
+from repro.modeling.features import compositing_features_from_result, feature_arrays
+from repro.modeling.models import PerformanceModel, make_model
 from repro.rendering.result import ObservedFeatures
 
 __all__ = [
     "HOST_ARCHITECTURE",
+    "COMPOSITING_ARCHITECTURE",
     "StudyConfiguration",
     "ExperimentRecord",
     "CompositingRecord",
@@ -41,6 +43,13 @@ __all__ = [
 
 #: Host architecture name whose timings are real measurements.
 HOST_ARCHITECTURE = "cpu-host"
+
+#: Placeholder architecture label of the (architecture-independent) Eq. 5.5
+#: slice: ``fit_model(COMPOSITING_ARCHITECTURE, "compositing")``.
+COMPOSITING_ARCHITECTURE = "-"
+
+#: Which measured time of an :class:`ExperimentRecord` each term group is fit to.
+_GROUP_TARGET = {"build": "build_seconds", "frame": "frame_seconds", "fit": "total_seconds"}
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +182,6 @@ class CompositingRecord:
         the corpus consumes the run-length engine's mode-aware active-pixel
         accounting unchanged in meaning.
         """
-        from repro.modeling.features import compositing_features_from_result
-
         features = compositing_features_from_result(result)
         return cls(
             num_tasks=features.num_tasks,
@@ -183,9 +190,6 @@ class CompositingRecord:
             seconds=seconds,
             algorithm=algorithm,
         )
-
-    def features(self) -> CompositingFeatures:
-        return CompositingFeatures(self.average_active_pixels, self.pixels, self.num_tasks)
 
 
 @dataclass
@@ -257,59 +261,48 @@ class StudyCorpus:
 
     # -- model fitting -----------------------------------------------------------------
     def _model_and_data(self, architecture: str, technique: str):
-        """``(model, features, *targets)`` of one slice; an unknown technique raises."""
+        """``(model, arrays, targets)`` of one slice; an unknown technique raises.
+
+        ``"compositing"`` selects the Eq. 5.5 rows (which carry no
+        architecture); every other technique selects rendering rows.  Either
+        way the model sees feature column arrays plus one target per group.
+        """
         model = make_model(technique)
-        rows = self.select(architecture, technique)
-        features = [row.features for row in rows]
-        if isinstance(model, RayTracingModel):
-            return (
-                model,
-                features,
-                np.array([row.build_seconds for row in rows]),
-                np.array([row.frame_seconds for row in rows]),
-            )
-        return model, features, np.array([row.total_seconds for row in rows])
+        if technique == "compositing":
+            rows = self.compositing_records
+            arrays = {
+                "average_active_pixels": np.array(
+                    [row.average_active_pixels for row in rows], dtype=np.float64
+                ),
+                "pixels": np.array([row.pixels for row in rows], dtype=np.float64),
+            }
+            targets = [np.array([row.seconds for row in rows])]
+        else:
+            rows = self.select(architecture, technique)
+            arrays = feature_arrays([row.features for row in rows])
+            targets = [
+                np.array([getattr(row, _GROUP_TARGET[name]) for row in rows])
+                for name, *_ in model.groups
+            ]
+        return model, arrays, targets
 
-    def fit_model(self, architecture: str, technique: str):
+    def fit_model(self, architecture: str, technique: str) -> PerformanceModel:
         """Fit the technique's model to this corpus slice and return it."""
-        model, features, *targets = self._model_and_data(architecture, technique)
-        if not features:
+        model, arrays, targets = self._model_and_data(architecture, technique)
+        if not len(targets[0]):
             raise ValueError(f"no records for ({architecture!r}, {technique!r})")
-        model.fit(features, *targets)
+        model.fit(arrays, *targets)
         return model
 
-    def fit_all_models(self) -> dict[tuple[str, str], object]:
+    def fit_all_models(self) -> dict[tuple[str, str], PerformanceModel]:
         """Fit every (architecture, technique) pair present in the corpus."""
-        fitted: dict[tuple[str, str], object] = {}
-        for architecture in self.architectures():
-            for technique in self.techniques():
-                if self.select(architecture, technique):
-                    fitted[(architecture, technique)] = self.fit_model(architecture, technique)
-        return fitted
-
-    def fit_compositing_model(self) -> CompositingModel:
-        """Fit Eq. 5.5 to the compositing corpus."""
-        if not self.compositing_records:
-            raise ValueError("no compositing records gathered")
-        model = CompositingModel()
-        model.fit(
-            [row.features() for row in self.compositing_records],
-            np.array([row.seconds for row in self.compositing_records]),
-        )
-        return model
+        return {
+            (architecture, technique): self.fit_model(architecture, technique)
+            for architecture, technique, _ in self.slices()
+        }
 
     # -- cross validation ------------------------------------------------------------------
     def cross_validate(self, architecture: str, technique: str, k: int = 3, seed: int | None = None):
         """K-fold cross validation of one (architecture, technique) slice."""
-        model, features, *targets = self._model_and_data(architecture, technique)
-        return model.cross_validate(features, *targets, k, seed)
-
-    def cross_validate_compositing(self, k: int = 3, seed: int | None = None):
-        """K-fold cross validation of the compositing model."""
-        model = CompositingModel()
-        return model.cross_validate(
-            [row.features() for row in self.compositing_records],
-            np.array([row.seconds for row in self.compositing_records]),
-            k,
-            seed,
-        )
+        model, arrays, targets = self._model_and_data(architecture, technique)
+        return model.cross_validate(arrays, *targets, k=k, seed=seed)

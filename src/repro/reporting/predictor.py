@@ -28,9 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.modeling.features import feature_arrays, map_configuration_batch
-from repro.modeling.models import RayTracingModel
-from repro.modeling.regression import LinearRegressionResult
+from repro.modeling.features import CAMERA_FILL_FRACTION, feature_arrays, map_configuration_batch
 from repro.rendering.result import ObservedFeatures
 from repro.reporting.suite import FittedModel, ModelSuite
 
@@ -42,17 +40,15 @@ DEFAULT_INTERVAL_SIGMAS = 2.0
 
 @dataclass(frozen=True)
 class TermPlan:
-    """Hoisted term-design metadata for one ``(entry, include_build)`` query shape.
+    """Hoisted interval metadata for one ``(entry, include_build)`` query shape.
 
-    Built once per shape and cached on the :class:`Predictor`: the ordered
-    ``(term-matrix builder, fit)`` pairs and the combined residual standard
-    deviation.  Repeated ``predict_features``/``predict_configurations`` calls
-    on the same slice reuse the plan instead of re-dispatching on the model
-    type and re-deriving the interval variance per call -- the serving tier's
-    hot path hits this thousands of times per second.
+    Built once per shape and cached on the :class:`Predictor`: the combined
+    residual standard deviation of the term groups the shape sums.  Repeated
+    ``predict_features``/``predict_configurations`` calls on the same slice
+    reuse the plan instead of re-deriving the interval variance per call --
+    the serving tier's hot path hits this thousands of times per second.
     """
 
-    builders: tuple[tuple[object, LinearRegressionResult], ...]
     residual_std: float
 
 
@@ -113,7 +109,7 @@ class Predictor:
 
         ``features`` is either a list of :class:`ObservedFeatures` (corpus
         rows) or a dictionary of aligned column arrays.  On a fitted suite
-        this reproduces ``model.predict_many`` exactly (the round-trip
+        this reproduces ``model.predict`` exactly (the round-trip
         guarantee the reporting acceptance tests pin down).
         """
         entry = self.suite.get(architecture, technique)
@@ -202,8 +198,6 @@ class Predictor:
                 # fraction shrunk by the task count's cube root, matching
                 # map_configuration_to_features (scalar pow: see
                 # map_configuration_batch on why not array pow).
-                from repro.modeling.features import CAMERA_FILL_FRACTION
-
                 active = np.array(
                     [
                         CAMERA_FILL_FRACTION * float(row["pixel_size"]) ** 2
@@ -243,39 +237,24 @@ class Predictor:
     def term_plan(self, entry: FittedModel, include_build: bool) -> TermPlan:
         """The cached :class:`TermPlan` for one entry and build-inclusion choice.
 
-        Building a plan resolves the model-type dispatch, the term-matrix
-        builders, and the (quadrature-combined, for ray tracing with build)
-        residual standard deviation exactly once; every later call on the
-        same shape is a dictionary hit with no new structure allocated.
+        A single group's interval is its own residual standard deviation;
+        several groups (ray tracing with the build included) combine in
+        quadrature.  Every later call on the same shape is a dictionary hit
+        with no new structure allocated.
         """
         key = (entry.architecture, entry.technique, include_build)
         plan = self._plans.get(key)
-        if plan is not None:
-            return plan
-        model = entry.model
-        if isinstance(model, RayTracingModel):
-            builders = [(RayTracingModel.frame_term_matrix, model.frame_fit)]
-            variance = model.frame_fit.residual_std**2
-            if include_build:
-                builders.append((RayTracingModel.build_term_matrix, model.build_fit))
-                variance += model.build_fit.residual_std**2
-            plan = TermPlan(tuple(builders), float(np.sqrt(variance)))
-        else:
-            plan = TermPlan(
-                ((type(model).term_matrix, model.fit_result),), float(model.fit_result.residual_std)
-            )
-        self._plans[key] = plan
+        if plan is None:
+            stds = [float(fit.residual_std) for _, fit in entry.model.group_fits(include_build)]
+            combined = stds[0] if len(stds) == 1 else float(np.sqrt(sum(std**2 for std in stds)))
+            plan = self._plans[key] = TermPlan(combined)
         return plan
 
     def _predict_entry(
         self, entry: FittedModel, arrays: dict[str, np.ndarray], include_build: bool, sigmas: float
     ) -> PredictionBatch:
-        plan = self.term_plan(entry, include_build)
-        seconds = None
-        for builder, fit in plan.builders:
-            term_seconds = fit.predict(builder(arrays))
-            seconds = term_seconds if seconds is None else seconds + term_seconds
-        residual_std = plan.residual_std
+        seconds = entry.model.predict(arrays, include_build)
+        residual_std = self.term_plan(entry, include_build).residual_std
         half_width = sigmas * residual_std
         return PredictionBatch(
             seconds=seconds,

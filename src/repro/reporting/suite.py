@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.modeling.crossval import CrossValidationSummary
-from repro.modeling.models import RayTracingModel, make_model
+from repro.modeling.models import PerformanceModel, make_model
 from repro.modeling.regression import LinearRegressionResult
-from repro.modeling.study import StudyCorpus
+from repro.modeling.study import COMPOSITING_ARCHITECTURE, StudyCorpus
 
 __all__ = [
     "MODELS_SCHEMA_VERSION",
@@ -37,9 +37,6 @@ __all__ = [
 
 #: Version guard of the ``models.json`` schema.
 MODELS_SCHEMA_VERSION = 1
-
-#: Placeholder architecture label of the (architecture-independent) Eq. 5.5 fit.
-COMPOSITING_ARCHITECTURE = "-"
 
 #: Fits explaining less variance than this are flagged with a structured
 #: warning (the paper's weakest usable model, compositing, sits near 0.7).
@@ -60,7 +57,7 @@ class FittedModel:
 
     architecture: str
     technique: str
-    model: object
+    model: PerformanceModel
     num_rows: int
     crossval: CrossValidationSummary | None = None
     crossval_accuracy: dict | None = None
@@ -72,10 +69,8 @@ class FittedModel:
         return (self.architecture, self.technique)
 
     def fit_groups(self) -> dict[str, LinearRegressionResult]:
-        """The model's OLS fit groups (two for ray tracing, one otherwise)."""
-        if isinstance(self.model, RayTracingModel):
-            return {"build": self.model.build_fit, "frame": self.model.frame_fit}
-        return {"fit": self.model.fit_result}
+        """The model's OLS fit per term group (two for ray tracing, one otherwise)."""
+        return self.model.fits
 
     def diagnostics(self) -> dict:
         """Residual/coefficient diagnostics of every fit group."""
@@ -157,28 +152,24 @@ class ModelSuite:
         skipped and why.
         """
         suite = cls(folds=folds, seed=seed)
-        for architecture, technique, rows in corpus.slices():
+        slices = [(architecture, technique, len(rows)) for architecture, technique, rows in corpus.slices()]
+        if corpus.compositing_records:
+            slices.append((COMPOSITING_ARCHITECTURE, "compositing", len(corpus.compositing_records)))
+        for architecture, technique, num_rows in slices:
             try:
                 model = corpus.fit_model(architecture, technique)
             except Exception as error:  # noqa: BLE001 -- every degenerate fit becomes a row
-                suite.failures.append(_failure(architecture, technique, len(rows), error))
+                suite.failures.append(_failure(architecture, technique, num_rows, error))
                 continue
-            entry = FittedModel(architecture, technique, model, len(rows))
+            entry = FittedModel(architecture, technique, model, num_rows)
             suite._finish_entry(
                 entry,
                 lambda: corpus.cross_validate(architecture, technique, k=folds, seed=seed),
             )
-            suite.entries[entry.key] = entry
-        if corpus.compositing_records:
-            rows = corpus.compositing_records
-            try:
-                model = corpus.fit_compositing_model()
-            except Exception as error:  # noqa: BLE001
-                suite.failures.append(_failure(COMPOSITING_ARCHITECTURE, "compositing", len(rows), error))
-            else:
-                entry = FittedModel(COMPOSITING_ARCHITECTURE, "compositing", model, len(rows))
-                suite._finish_entry(entry, lambda: corpus.cross_validate_compositing(k=folds, seed=seed))
+            if technique == "compositing":
                 suite.compositing = entry
+            else:
+                suite.entries[entry.key] = entry
         return suite
 
     def _finish_entry(self, entry: FittedModel, run_crossval) -> None:
@@ -202,7 +193,7 @@ class ModelSuite:
             )
 
     # -- access ------------------------------------------------------------------------
-    def models(self) -> dict[tuple[str, str], object]:
+    def models(self) -> dict[tuple[str, str], PerformanceModel]:
         """Renderer models keyed by ``(architecture, technique)``.
 
         The same shape :meth:`StudyCorpus.fit_all_models` returns, so the
@@ -370,12 +361,7 @@ def _entry_payload(entry: FittedModel) -> dict:
 def _entry_from_payload(payload: dict) -> FittedModel:
     technique = payload["technique"]
     model = make_model(technique)
-    fits = payload["fits"]
-    if isinstance(model, RayTracingModel):
-        model.build_fit = _fit_from_payload(fits["build"])
-        model.frame_fit = _fit_from_payload(fits["frame"])
-    else:
-        model.fit_result = _fit_from_payload(fits["fit"])
+    model.fits = {name: _fit_from_payload(payload["fits"][name]) for name, *_ in model.groups}
     crossval = payload.get("crossval") or None
     return FittedModel(
         architecture=payload["architecture"],

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.machines.costmodel import KernelCostModel
 from repro.modeling.features import RenderingConfiguration, map_configuration_to_features
-from repro.modeling.models import RayTracingModel
 from repro.modeling.study import HOST_ARCHITECTURE, StudyCorpus
 from repro.reporting.suite import ModelSuite
 
@@ -193,10 +192,7 @@ def table15_large_scale_prediction(suite: ModelSuite, corpus: StudyCorpus) -> tu
         actual = oracle.total(
             _SYNTHETIC_TECHNIQUE[entry.technique], features, include_build=False
         )
-        if isinstance(entry.model, RayTracingModel):
-            predicted = entry.model.predict(features, include_build=False)
-        else:
-            predicted = entry.model.predict(features)
+        predicted = entry.model.predict(features, include_build=False)
         difference = 100.0 * (predicted - actual) / max(actual, 1e-12)
         rows.append(
             {

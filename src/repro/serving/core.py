@@ -27,8 +27,10 @@ extra keys differently still get faithful echoes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -79,17 +81,27 @@ class ServingError(Exception):
         return {"error": error}
 
 
-def _positive_int(config: dict, key: str, default: int) -> int:
-    value = config.get(key, default)
+def _number(value, what: str, kind: type, minimum: int = 0):
+    """``kind(value)`` when that is a finite number ``>= minimum``, else a structured error.
+
+    JSON carries ``1e999`` (parsed to ``inf``) and ``NaN``: ``int(inf)`` raises
+    ``OverflowError``, and a ``nan`` would be served as non-JSON output under a
+    cache key that never equals itself.
+    """
     try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise ServingError(
-            "invalid-configuration", f"configuration key {key!r} must be an integer, got {value!r}"
-        ) from None
-    if value < 1:
-        raise ServingError("invalid-configuration", f"configuration key {key!r} must be positive")
-    return value
+        number = kind(value)
+        if isfinite(number) and number >= minimum:
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ServingError(
+        "invalid-configuration",
+        f"{what!r} must be a finite {kind.__name__} >= {minimum}, got {value!r}",
+    )
+
+
+def _positive_int(config: dict, key: str) -> int:
+    return _number(config.get(key, RENDER_DEFAULTS[key]), key, int, 1)
 
 
 def canonical_config(config: dict) -> tuple:
@@ -116,15 +128,11 @@ def canonical_config(config: dict) -> tuple:
                 "compositing configurations need 'average_active_pixels' and 'pixels' keys",
                 missing=missing,
             )
-        try:
-            average = float(config["average_active_pixels"])
-            pixels = int(config["pixels"])
-        except (TypeError, ValueError):
-            raise ServingError(
-                "invalid-configuration",
-                "compositing configurations need numeric 'average_active_pixels' and 'pixels'",
-            ) from None
-        return ("compositing", average, pixels)
+        return (
+            "compositing",
+            _number(config["average_active_pixels"], "average_active_pixels", float),
+            _number(config["pixels"], "pixels", int),
+        )
     if technique not in TECHNIQUES:
         raise ServingError(
             "invalid-configuration",
@@ -133,16 +141,23 @@ def canonical_config(config: dict) -> tuple:
     architecture = config.get("architecture")
     if not isinstance(architecture, str) or not architecture:
         raise ServingError("invalid-configuration", "configurations need a non-empty 'architecture'")
+    include_build = config.get("include_build", RENDER_DEFAULTS["include_build"])
+    if not isinstance(include_build, bool):
+        # bool("false") is True: a string would silently include the build time.
+        raise ServingError(
+            "invalid-configuration",
+            f"configuration key 'include_build' must be true or false, got {include_build!r}",
+        )
     return (
         "render",
         architecture,
         technique,
-        _positive_int(config, "num_tasks", RENDER_DEFAULTS["num_tasks"]),
-        _positive_int(config, "cells_per_task", RENDER_DEFAULTS["cells_per_task"]),
-        _positive_int(config, "image_width", RENDER_DEFAULTS["image_width"]),
-        _positive_int(config, "image_height", RENDER_DEFAULTS["image_height"]),
-        _positive_int(config, "samples_in_depth", RENDER_DEFAULTS["samples_in_depth"]),
-        bool(config.get("include_build", RENDER_DEFAULTS["include_build"])),
+        _positive_int(config, "num_tasks"),
+        _positive_int(config, "cells_per_task"),
+        _positive_int(config, "image_width"),
+        _positive_int(config, "image_height"),
+        _positive_int(config, "samples_in_depth"),
+        include_build,
     )
 
 
@@ -205,8 +220,6 @@ class ModelHandle:
     @classmethod
     def from_bytes(cls, data: bytes, path: str, generation: int = 0) -> "ModelHandle":
         """Build a handle from raw ``models.json`` bytes (the watcher's entry point)."""
-        import hashlib
-
         suite = ModelSuite.from_payload(json.loads(data))
         return cls(
             predictor=Predictor(suite),
@@ -281,7 +294,7 @@ class ServingCore:
         :meth:`ModelHandle.missing_slice`.
         """
         handle = handle or self._handle
-        sigmas = self.default_sigmas if sigmas is None else float(sigmas)
+        sigmas = self.default_sigmas if sigmas is None else _number(sigmas, "sigmas", float)
         results: list = [None] * len(canon)
         groups: dict[tuple, list[int]] = {}
         cache = self.cache

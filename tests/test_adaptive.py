@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.modeling.models import VolumeRenderingModel
+from repro.modeling.models import make_model
 from repro.modeling.regression import LinearRegressionResult
 from repro.reporting.predictor import Predictor
 from repro.reporting.suite import FittedModel, ModelSuite
@@ -86,13 +86,13 @@ def _volume_entry(architecture: str, residual_std: float) -> FittedModel:
     interval is clipped at zero and every width is exactly
     ``2 * sigmas * residual_std`` -- hand-computable.
     """
-    model = VolumeRenderingModel()
-    model.fit_result = LinearRegressionResult(
+    model = make_model("volume")
+    model.fits["fit"] = LinearRegressionResult(
         coefficients=np.array([0.0, 0.0, 5.0]),
         r_squared=1.0,
         residual_std=residual_std,
         num_observations=10,
-        term_names=VolumeRenderingModel.term_names,
+        term_names=model.groups[0][1],
     )
     return FittedModel(architecture, "volume", model, num_rows=10)
 

@@ -14,12 +14,7 @@ from repro.machines import KernelCostModel
 from repro.modeling import RenderingConfiguration, map_configuration_to_features
 from repro.modeling.calibration import MachineCalibration, validate_large_scale_prediction
 from repro.modeling.feasibility import images_within_budget, raytracing_vs_rasterization
-from repro.modeling.models import (
-    CompositingModel,
-    RasterizationModel,
-    RayTracingModel,
-    VolumeRenderingModel,
-)
+from repro.modeling.models import PerformanceModel, make_model
 from repro.modeling.regression import LinearRegressionResult
 
 
@@ -33,29 +28,29 @@ def _fit(coefficients, term_names, residual_std=0.01) -> LinearRegressionResult:
     )
 
 
-def _hand_raytracer(build=(1e-6, 0.01), frame=(0.0, 1e-6, 0.02)) -> RayTracingModel:
-    model = RayTracingModel()
-    model.build_fit = _fit(build, RayTracingModel.build_term_names)
-    model.frame_fit = _fit(frame, RayTracingModel.frame_term_names)
+def _hand_model(technique: str, **coefficients) -> PerformanceModel:
+    """A model whose groups carry hand-chosen coefficients (``group name -> values``)."""
+    model = make_model(technique)
+    model.fits = {
+        name: _fit(coefficients[name], term_names) for name, term_names, *_ in model.groups
+    }
     return model
 
 
-def _hand_volume(coefficients=(1e-9, 2e-8, 0.005)) -> VolumeRenderingModel:
-    model = VolumeRenderingModel()
-    model.fit_result = _fit(coefficients, VolumeRenderingModel.term_names)
-    return model
+def _hand_raytracer(build=(1e-6, 0.01), frame=(0.0, 1e-6, 0.02)) -> PerformanceModel:
+    return _hand_model("raytrace", build=build, frame=frame)
 
 
-def _hand_raster(coefficients=(1e-7, 3e-7, 0.001)) -> RasterizationModel:
-    model = RasterizationModel()
-    model.fit_result = _fit(coefficients, RasterizationModel.term_names)
-    return model
+def _hand_volume(coefficients=(1e-9, 2e-8, 0.005)) -> PerformanceModel:
+    return _hand_model("volume", fit=coefficients)
 
 
-def _hand_compositing(coefficients=(1e-7, 1e-8, 0.002)) -> CompositingModel:
-    model = CompositingModel()
-    model.fit_result = _fit(coefficients, CompositingModel.term_names)
-    return model
+def _hand_raster(coefficients=(1e-7, 3e-7, 0.001)) -> PerformanceModel:
+    return _hand_model("raster", fit=coefficients)
+
+
+def _hand_compositing(coefficients=(1e-7, 1e-8, 0.002)) -> PerformanceModel:
+    return _hand_model("compositing", fit=coefficients)
 
 
 class TestImagesWithinBudget:
@@ -239,5 +234,5 @@ class TestMachineCalibration:
         second = calibrator.calibrate("raster")
         # ... so synthetic-architecture refits reproduce coefficients exactly.
         assert np.array_equal(
-            first.model.fit_result.coefficients, second.model.fit_result.coefficients
+            first.model.fits["fit"].coefficients, second.model.fits["fit"].coefficients
         )

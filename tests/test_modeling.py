@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 from repro.machines import ArchitectureSpec, KernelCostModel, get_architecture, list_architectures
 from repro.machines.costmodel import synthesize_render_time
 from repro.modeling import (
-    RasterizationModel,
-    RayTracingModel,
     RenderingConfiguration,
-    VolumeRenderingModel,
+    feature_arrays,
     fit_linear_model,
     k_fold_cross_validation,
     make_model,
     map_configuration_to_features,
 )
-from repro.modeling.models import CompositingFeatures, CompositingModel, TotalRenderingModel
+from repro.modeling.feasibility import images_within_budget
+from repro.modeling.models import MODEL_GROUPS
 from repro.modeling.regression import relative_errors
 from repro.rendering.result import ObservedFeatures
 
@@ -38,6 +37,12 @@ def _synthetic_features(rng, count, technique="volume"):
             f.pixels_per_triangle = float(rng.uniform(2, 20))
         features.append(f)
     return features
+
+
+def _design(model, features, group="fit"):
+    """One group's design matrix for a list of observations (or column arrays)."""
+    arrays = features if isinstance(features, dict) else feature_arrays(features)
+    return next(term_matrix(arrays) for name, _, term_matrix, _ in model.groups if name == group)
 
 
 class TestRegression:
@@ -161,8 +166,8 @@ class TestModels:
     def test_volume_model_recovers_planted_coefficients(self, rng):
         features = _synthetic_features(rng, 40)
         truth = np.array([3e-9, 5e-8, 1e-3])
-        model = VolumeRenderingModel()
-        times = model.design_matrix(features) @ truth
+        model = make_model("volume")
+        times = _design(model, features) @ truth
         model.fit(features, times)
         assert model.r_squared > 0.999
         fitted = np.array(list(model.coefficients.values()))
@@ -172,20 +177,20 @@ class TestModels:
 
     def test_raster_model_fit_and_predict(self, rng):
         features = _synthetic_features(rng, 30, technique="raster")
-        model = RasterizationModel()
+        model = make_model("raster")
         truth = np.array([2e-8, 4e-9, 5e-4])
-        times = model.design_matrix(features) @ truth
+        times = _design(model, features) @ truth
         model.fit(features, times + 0.01 * times.std() * rng.standard_normal(len(times)))
         assert model.r_squared > 0.95
         assert np.all(np.array(list(model.coefficients.values())) >= 0.0)
 
     def test_raytracing_model_build_and_frame(self, rng):
         features = _synthetic_features(rng, 30)
-        model = RayTracingModel()
+        model = make_model("raytrace")
         build_truth = np.array([5e-8, 1e-3])
         frame_truth = np.array([2e-9, 3e-8, 2e-3])
-        build_times = model.build_design(features) @ build_truth
-        frame_times = model.frame_design(features) @ frame_truth
+        build_times = _design(model, features, "build") @ build_truth
+        frame_times = _design(model, features, "frame") @ frame_truth
         model.fit(features, build_times, frame_times)
         total = model.predict(features[0])
         frame_only = model.predict(features[0], include_build=False)
@@ -196,33 +201,45 @@ class TestModels:
         }
 
     def test_compositing_and_total_models(self, rng):
-        comp_features = [CompositingFeatures(rng.uniform(1e3, 1e5), int(rng.integers(1e4, 1e6))) for _ in range(25)]
-        comp = CompositingModel()
+        comp_arrays = {
+            "average_active_pixels": rng.uniform(1e3, 1e5, 25),
+            "pixels": rng.integers(1e4, 1e6, 25).astype(np.float64),
+        }
+        comp = make_model("compositing")
         truth = np.array([2e-8, 5e-8, 1e-3])
-        times = comp.design_matrix(comp_features) @ truth
-        comp.fit(comp_features, times)
+        times = _design(comp, comp_arrays) @ truth
+        comp.fit(comp_arrays, times)
         assert comp.r_squared > 0.999
 
-        volume = VolumeRenderingModel()
+        volume = make_model("volume")
         vol_features = _synthetic_features(rng, 20)
-        volume.fit(vol_features, volume.design_matrix(vol_features) @ np.array([1e-9, 1e-8, 1e-3]))
-        total_model = TotalRenderingModel(volume, comp)
-        total = total_model.predict(vol_features[:4], comp_features[0])
-        assert total > 0
-        with pytest.raises(ValueError):
-            total_model.predict([], comp_features[0])
+        volume.fit(vol_features, _design(volume, vol_features) @ np.array([1e-9, 1e-8, 1e-3]))
+        # Eq. 5.4 (local render + compositing) lives in the feasibility analysis.
+        models = {("cpu-host", "volume"): volume}
+        kwargs = dict(num_tasks=8, cells_per_task=32, image_sizes=np.array([256]))
+        (local,) = images_within_budget(models, **kwargs)
+        (total,) = images_within_budget(models, compositing_model=comp, **kwargs)
+        mapped = map_configuration_to_features(
+            RenderingConfiguration("volume", "cpu-host", 8, 32, 256, 256)
+        )
+        assert local.seconds_per_image == volume.predict(mapped)
+        composite = comp.predict(
+            {"average_active_pixels": [float(mapped.active_pixels)], "pixels": [256.0 * 256.0]}
+        )[0]
+        assert total.seconds_per_image == local.seconds_per_image + composite
 
     def test_unfit_model_raises(self):
         with pytest.raises(RuntimeError):
-            VolumeRenderingModel().predict(ObservedFeatures())
+            make_model("volume").predict(ObservedFeatures())
         with pytest.raises(RuntimeError):
-            RayTracingModel().predict(ObservedFeatures())
+            make_model("raytrace").predict(ObservedFeatures())
 
     def test_make_model_factory(self):
-        assert isinstance(make_model("raytrace"), RayTracingModel)
-        assert isinstance(make_model("raster"), RasterizationModel)
-        assert isinstance(make_model("volume"), VolumeRenderingModel)
-        assert isinstance(make_model("compositing"), CompositingModel)
+        for technique, groups in MODEL_GROUPS.items():
+            model = make_model(technique)
+            assert model.technique == technique and model.groups is groups and model.fits == {}
+        assert [name for name, *_ in make_model("raytrace").groups] == ["build", "frame"]
+        assert make_model("volume").groups is make_model("volume_unstructured").groups
         with pytest.raises(ValueError):
             make_model("nope")
 

@@ -164,5 +164,5 @@ class TestFailureRowHandling:
         assert loaded.fit_all_models() == {}
         with pytest.raises(ValueError, match="no records"):
             loaded.fit_model("gpu1-k40m", "volume")
-        with pytest.raises(ValueError, match="no compositing records"):
-            loaded.fit_compositing_model()
+        with pytest.raises(ValueError, match="no records"):
+            loaded.fit_model("-", "compositing")

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.modeling.features import (
     RenderingConfiguration,
@@ -16,7 +18,7 @@ from repro.modeling.features import (
     map_configuration_batch,
     map_configuration_to_features,
 )
-from repro.modeling.models import CompositingModel, RayTracingModel
+from repro.modeling.models import MODEL_GROUPS, make_model
 from repro.modeling.regression import LinearRegressionResult
 from repro.modeling.study import StudyConfiguration, StudyCorpus
 from repro.reporting import ModelSuite, Predictor, generate_report
@@ -77,13 +79,13 @@ class TestModelSuite:
             assert set(group) >= {"r_squared", "residual_std", "coefficients", "negative_terms"}
 
     def test_negative_coefficients_become_structured_warnings(self):
-        model = CompositingModel()
-        model.fit_result = LinearRegressionResult(
+        model = make_model("compositing")
+        model.fits["fit"] = LinearRegressionResult(
             coefficients=np.array([1e-6, 2e-9, -0.25]),
             r_squared=0.9,
             residual_std=0.01,
             num_observations=10,
-            term_names=CompositingModel.term_names,
+            term_names=model.groups[0][1],
         )
         entry = FittedModel("-", "compositing", model, 10)
         warnings = _coefficient_warnings(entry)
@@ -169,7 +171,7 @@ class TestPredictor:
         for (architecture, technique), entry in suite.entries.items():
             rows = corpus.select(architecture, technique)
             features = [row.features for row in rows]
-            expected = entry.model.predict_many(features)
+            expected = entry.model.predict(features)
             got = predictor.predict_features(architecture, technique, features).seconds
             assert np.max(np.abs(expected - got)) <= 1e-10
 
@@ -265,19 +267,101 @@ class TestBatchMapping:
         with pytest.raises(ValueError, match="positive"):
             map_configuration_batch("raytrace", 0, 10, 64, 64)
 
-    def test_term_matrix_rows_equal_term_rows(self, corpus):
-        rows = corpus.select("gpu1-k40m", "raster")
-        features = [row.features for row in rows]
-        arrays = feature_arrays(features)
-        from repro.modeling.models import RasterizationModel, VolumeRenderingModel
 
-        raster = RasterizationModel()
-        assert np.array_equal(raster.term_matrix(arrays), raster.design_matrix(features))
-        volume = VolumeRenderingModel()
-        assert np.array_equal(volume.term_matrix(arrays), volume.design_matrix(features))
-        raytrace = RayTracingModel()
-        assert np.array_equal(raytrace.build_term_matrix(arrays), raytrace.build_design(features))
-        assert np.array_equal(raytrace.frame_term_matrix(arrays), raytrace.frame_design(features))
+
+def _volume_rows(f: dict) -> list[float]:  # Eq. 5.3: c0 * (AP * CS) + c1 * (AP * SPR) + c2
+    return [f["active_pixels"] * f["cells_spanned"], f["active_pixels"] * f["samples_per_ray"], 1.0]
+
+
+#: The paper's equations written out for ONE observation ``f`` (a dict of
+#: floats), one list of terms per group -- the oracle the registry's
+#: vectorized ``term_matrix`` functions are checked against.
+PAPER_EQUATIONS = {
+    "raytrace": {
+        # Eq. 5.1: (c0 * O + c1) + (c2 * (AP * log2(O)) + c3 * AP + c4)
+        "build": lambda f: [f["objects"], 1.0],
+        "frame": lambda f: [
+            f["active_pixels"] * np.log2(max(f["objects"], 2.0)),  # log2 of an empty scene is clamped
+            f["active_pixels"],
+            1.0,
+        ],
+    },
+    # Eq. 5.2: c0 * O + c1 * (VO * PPT) + c2
+    "raster": {"fit": lambda f: [f["objects"], f["visible_objects"] * f["pixels_per_triangle"], 1.0]},
+    "volume": {"fit": _volume_rows},
+    "volume_structured": {"fit": _volume_rows},
+    "volume_unstructured": {"fit": _volume_rows},
+    # Eq. 5.5: c0 * avg(AP) + c1 * Pixels + c2
+    "compositing": {"fit": lambda f: [f["average_active_pixels"], f["pixels"], 1.0]},
+}
+
+RENDER_COLUMNS = (
+    "objects", "active_pixels", "visible_objects", "pixels_per_triangle", "samples_per_ray", "cells_spanned",
+)
+COMPOSITING_COLUMNS = ("average_active_pixels", "pixels")
+
+
+def _assert_groups_match_paper(arrays: dict[str, np.ndarray], techniques) -> None:
+    count = len(next(iter(arrays.values())))
+    observations = [{name: float(column[i]) for name, column in arrays.items()} for i in range(count)]
+    for technique in techniques:
+        for name, term_names, term_matrix, _ in MODEL_GROUPS[technique]:
+            expected = np.array([PAPER_EQUATIONS[technique][name](f) for f in observations])
+            assert expected.shape == (count, len(term_names))
+            assert np.array_equal(term_matrix(arrays), expected), (technique, name)
+
+
+class TestTermGroups:
+    def test_term_groups_match_the_paper_equations(self, corpus):
+        render = [t for t in MODEL_GROUPS if t != "compositing"]
+        for _, _, rows in corpus.slices():
+            _assert_groups_match_paper(feature_arrays([row.features for row in rows]), render)
+        records = corpus.compositing_records
+        compositing = {
+            "average_active_pixels": np.array([r.average_active_pixels for r in records], dtype=np.float64),
+            "pixels": np.array([r.pixels for r in records], dtype=np.float64),
+        }
+        _assert_groups_match_paper(compositing, ["compositing"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.floats(0.0, 1e9)] * len(RENDER_COLUMNS + COMPOSITING_COLUMNS)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_term_groups_match_the_paper_equations_on_generated_columns(self, rows):
+        columns = np.array(rows, dtype=np.float64).T
+        arrays = dict(zip(RENDER_COLUMNS + COMPOSITING_COLUMNS, columns))
+        _assert_groups_match_paper(arrays, MODEL_GROUPS)
+
+    @pytest.mark.parametrize("technique", sorted(MODEL_GROUPS))
+    def test_payload_round_trip_and_batch_invariance(self, technique):
+        """fit -> models.json payload -> loaded model predicts bit-equal, whole or split."""
+        rng = np.random.default_rng(515)
+        count = 24
+        arrays = {name: rng.uniform(1.0, 1e5, count) for name in RENDER_COLUMNS + COMPOSITING_COLUMNS}
+        model = make_model(technique)
+        model.fit(arrays, *[rng.uniform(0.01, 2.0, count) for _ in model.groups])
+        entry = FittedModel("arch", technique, model, count)
+        suite = ModelSuite()
+        if technique == "compositing":
+            suite.compositing = entry
+        else:
+            suite.entries[entry.key] = entry
+        loaded = ModelSuite.from_payload(json.loads(json.dumps(suite.to_payload())))
+        loaded_model = loaded.get("arch", technique).model
+        assert list(loaded_model.fits) == [name for name, *_ in model.groups]
+        for include_build in (True, False):
+            whole = model.predict(arrays, include_build)
+            assert np.array_equal(loaded_model.predict(arrays, include_build), whole)
+            for split in (1, 17):
+                parts = [
+                    loaded_model.predict({n: c[piece] for n, c in arrays.items()}, include_build)
+                    for piece in (slice(None, split), slice(split, None))
+                ]
+                assert np.array_equal(np.concatenate(parts), whole)
 
 
 class TestGenerateReport:

@@ -78,6 +78,32 @@ class TestCanonicalConfig:
         with pytest.raises(ServingError):
             canonical_config({"architecture": "a", "technique": "volume", "num_tasks": 0})
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"architecture": "a", "technique": "raytrace", "num_tasks": float("inf")},  # JSON 1e999
+            {"architecture": "a", "technique": "raytrace", "num_tasks": 10**400},
+            {"architecture": "a", "technique": "raytrace", "image_width": float("nan")},
+            {"architecture": "a", "technique": "raytrace", "include_build": "false"},
+            {"technique": "compositing", "average_active_pixels": float("nan"), "pixels": 4096},
+            {"technique": "compositing", "average_active_pixels": float("inf"), "pixels": 4096},
+            {"technique": "compositing", "average_active_pixels": -5.0, "pixels": 4096},
+            {"technique": "compositing", "average_active_pixels": 512.0, "pixels": -1},
+            {"technique": "compositing", "average_active_pixels": 512.0, "pixels": float("inf")},
+        ],
+    )
+    def test_hostile_values_are_rejected(self, config):
+        with pytest.raises(ServingError) as excinfo:
+            canonical_config(config)
+        assert excinfo.value.code == "invalid-configuration"
+
+    @pytest.mark.parametrize("sigmas", [float("nan"), float("inf"), -1])
+    def test_hostile_sigmas_are_rejected(self, core, sigmas):
+        with pytest.raises(ServingError) as excinfo:
+            core.predict_rows([CONFIGS[0]], sigmas=sigmas)
+        assert excinfo.value.code == "invalid-configuration"
+        assert core.cache.stats()["misses"] == 0
+
     def test_compositing_requires_its_inputs(self):
         with pytest.raises(ServingError) as excinfo:
             canonical_config({"technique": "compositing"})
@@ -206,9 +232,9 @@ class TestTermPlans:
         with_build = predictor.term_plan(entry, include_build=True)
         frame_only = predictor.term_plan(entry, include_build=False)
         model = entry.model
-        assert frame_only.residual_std == float(model.frame_fit.residual_std)
+        assert frame_only.residual_std == float(model.fits["frame"].residual_std)
         assert with_build.residual_std == pytest.approx(
-            float(np.sqrt(model.frame_fit.residual_std**2 + model.build_fit.residual_std**2))
+            float(np.sqrt(model.fits["frame"].residual_std**2 + model.fits["build"].residual_std**2))
         )
 
     def test_repeated_predictions_do_not_grow_per_call_state(self, models_path):

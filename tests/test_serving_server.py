@@ -187,9 +187,31 @@ class TestHttpSurface:
                 status, payload = await client.request("POST", "/predict", [])
                 assert status == 400
                 await client.close()
+                # Hostile numbers (raw bodies: 1e999 parses to inf, NaN to nan) are
+                # rejected, and the connection lives on to answer what follows.
+                config = json.dumps(CONFIG)
+                for body in (
+                    '{"architecture":"gpu1-k40m","technique":"raytrace","num_tasks":1e999}',
+                    '{"technique":"compositing","average_active_pixels":NaN,"pixels":4096}',
+                    '{"technique":"compositing","average_active_pixels":512.0,"pixels":-1}',
+                    '{"architecture":"gpu1-k40m","technique":"raytrace","include_build":"false"}',
+                    f'{{"configs":[{config}],"sigmas":NaN}}',
+                    f'{{"configs":[{config}],"sigmas":1e999}}',
+                    f'{{"configs":[{config}],"sigmas":-1}}',
+                ):
+                    reader, writer = await asyncio.open_connection(server.host, server.port)
+                    head = f"POST /predict HTTP/1.1\r\nHost: serving\r\nContent-Length: {len(body)}\r\n\r\n"
+                    writer.write((head + body).encode() + request_bytes("POST", "/predict", CONFIG))
+                    await writer.drain()
+                    status, error = await read_response(reader)
+                    assert status == 400, body
+                    assert json.loads(error)["error"]["code"] == "invalid-configuration", body
+                    assert await read_response(reader) == (200, solo), body
+                    writer.close()
             finally:
                 await server.close()
 
+        solo = asyncio.run(_predict_alone(models_path, CONFIG))
         asyncio.run(scenario())
 
     def test_unknown_model_does_not_fail_batch_mates(self, models_path):

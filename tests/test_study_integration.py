@@ -9,8 +9,7 @@ from repro.machines import KernelCostModel
 from repro.modeling import RenderingConfiguration, map_configuration_to_features
 from repro.modeling.calibration import MachineCalibration, validate_large_scale_prediction
 from repro.modeling.feasibility import images_within_budget, raytracing_vs_rasterization
-from repro.modeling.models import RayTracingModel
-from repro.modeling.study import StudyConfiguration
+from repro.modeling.study import COMPOSITING_ARCHITECTURE, StudyConfiguration
 from repro.study import run_study
 
 
@@ -63,9 +62,9 @@ class TestStudyCorpus:
         assert row["average_percent"] < 60.0
 
     def test_compositing_model_fit(self, small_corpus):
-        model = small_corpus.fit_compositing_model()
+        model = small_corpus.fit_model(COMPOSITING_ARCHITECTURE, "compositing")
         assert np.isfinite(model.r_squared)
-        summary = small_corpus.cross_validate_compositing(k=3, seed=5)
+        summary = small_corpus.cross_validate(COMPOSITING_ARCHITECTURE, "compositing", k=3, seed=5)
         assert len(summary.errors) == len(small_corpus.compositing_records)
 
     def test_select_filters(self, small_corpus):
