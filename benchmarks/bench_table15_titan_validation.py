@@ -33,8 +33,7 @@ def test_table15_titan_scale_prediction(benchmark):
             image_height=2048,
         )
         features = map_configuration_to_features(config)
-        synthetic_technique = {"raytrace": "raytrace", "raster": "raster", "volume": "volume_structured"}[technique]
-        measured = oracle.total(synthetic_technique, features, include_build=False)
+        measured = oracle.total(technique, features, include_build=False)
         row = validate_large_scale_prediction(calibration, config, measured)
         differences[technique] = row["difference_percent"]
         rows.append(

@@ -53,8 +53,7 @@ def main() -> None:
     for technique in ("raytrace", "volume", "raster"):
         calibration = calibrator.calibrate(technique)
         config = RenderingConfiguration(technique, "gpu2-titan-k20", 1024, 252, 2048, 2048)
-        synthetic = {"raytrace": "raytrace", "raster": "raster", "volume": "volume_structured"}[technique]
-        measured = oracle.total(synthetic, map_configuration_to_features(config), include_build=False)
+        measured = oracle.total(technique, map_configuration_to_features(config), include_build=False)
         row = validate_large_scale_prediction(calibration, config, measured)
         print(f"  {technique:<9} actual {row['actual_seconds']:.4f}s  predicted {row['predicted_seconds']:.4f}s  "
               f"({row['difference_percent']:+.1f}%, {int(row['sample_points'])} calibration points)")

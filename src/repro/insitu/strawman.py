@@ -41,28 +41,20 @@ from repro.geometry.mesh import (
 )
 from repro.geometry.tetra import hex_to_tets
 from repro.geometry.transforms import Camera
-from repro.geometry.triangles import external_faces
 from repro.insitu.blueprint import node_to_mesh, validate_mesh_node
 from repro.insitu.conduit import ConduitNode
 from repro.insitu.imageio import write_ppm
 from repro.rendering import (
-    Rasterizer,
-    RayTracer,
-    RayTracerConfig,
     Renderer,
     RenderResult,
-    Scene,
     StructuredVolumeRenderer,
     UnstructuredVolumeRenderer,
-    Workload,
 )
 from repro.rendering.framebuffer import Framebuffer
+from repro.techniques import Technique, get_technique
 from repro.util.timing import Timer
 
 __all__ = ["StrawmanOptions", "Strawman"]
-
-_SURFACE_RENDERERS = ("raytrace", "raster")
-_ALL_RENDERERS = ("raytrace", "raster", "volume")
 
 
 @dataclass
@@ -224,13 +216,12 @@ class Strawman:
 
         final: Framebuffer | None = None
         for plot in plots:
-            if plot.renderer not in _ALL_RENDERERS:
-                raise ValueError(f"unknown renderer {plot.renderer!r}; choose from {_ALL_RENDERERS}")
+            technique = get_technique(plot.renderer)
             framebuffers: list[Framebuffer] = []
             visibility: list[float] = []
             with Timer() as render_timer:
                 for rank, mesh in meshes.items():
-                    renderer = self._make_renderer(mesh, plot)
+                    renderer = self._make_renderer(mesh, plot.variable, technique)
                     result = renderer.render(camera)
                     record.results.append(result)
                     framebuffers.append(result.framebuffer)
@@ -238,7 +229,7 @@ class Strawman:
             record.render_seconds += render_timer.elapsed
 
             with Timer() as composite_timer:
-                if plot.renderer in _SURFACE_RENDERERS:
+                if technique.surface:
                     composite = compositor.composite(framebuffers, mode="depth")
                 else:
                     composite = compositor.composite(framebuffers, mode="over", visibility_order=visibility)
@@ -248,31 +239,27 @@ class Strawman:
             final = layer if final is None else layer.depth_composite(final)
         record.framebuffer = final
 
-    def _make_renderer(self, mesh: Mesh, plot: _Plot) -> Renderer:
+    def _make_renderer(self, mesh: Mesh, variable: str, technique: Technique) -> Renderer:
         """Build the :class:`~repro.rendering.Renderer` for one rank's mesh.
 
         Every renderer family satisfies the same protocol, so the draw loop
         renders and orders sub-images without per-family branches.
         """
-        if plot.renderer in _SURFACE_RENDERERS:
-            surface = external_faces(self._as_hex_mesh(mesh), scalar_field=plot.variable)
-            scene = Scene(surface)
-            if plot.renderer == "raytrace":
-                return RayTracer(scene, RayTracerConfig(workload=Workload.SHADING))
-            return Rasterizer(scene)
+        if technique.surface:
+            return technique.make_renderer(self._as_hex_mesh(mesh), variable, 0)  # no sample count
 
-        # Volume rendering: structured grids use the structured ray caster,
-        # everything else goes through hex -> tet decomposition.
-        field_name, values = mesh.field(plot.variable)
+        # Volume rendering follows the published mesh: structured grids use the
+        # structured ray caster, everything else goes through hex -> tet decomposition.
+        field_name, values = mesh.field(variable)
         if isinstance(mesh, UniformGrid) and field_name == "point":
-            return StructuredVolumeRenderer(mesh, plot.variable)
+            return StructuredVolumeRenderer(mesh, variable)
         if isinstance(mesh, RectilinearGrid) and field_name == "point":
-            return StructuredVolumeRenderer(mesh.to_uniform_resampled(), plot.variable)
+            return StructuredVolumeRenderer(mesh.to_uniform_resampled(), variable)
         hex_mesh = self._as_hex_mesh(mesh)
-        point_values = self._point_values(hex_mesh, plot.variable)
-        hex_mesh.add_point_field(plot.variable + "_point", point_values)
+        point_values = self._point_values(hex_mesh, variable)
+        hex_mesh.add_point_field(variable + "_point", point_values)
         tets = hex_to_tets(hex_mesh)
-        return UnstructuredVolumeRenderer(tets, plot.variable + "_point")
+        return UnstructuredVolumeRenderer(tets, variable + "_point")
 
     @staticmethod
     def _as_hex_mesh(mesh: Mesh) -> UnstructuredHexMesh:

@@ -30,17 +30,42 @@ import numpy as np
 
 from repro.machines.archspec import ArchitectureSpec, get_architecture
 from repro.rendering.result import ObservedFeatures
+from repro.techniques import get_technique
 from repro.util.rng import default_rng
 
 __all__ = ["synthesize_render_time", "KernelCostModel"]
 
-#: Techniques whose phases the cost model knows how to synthesize.
-TECHNIQUES = ("raytrace", "raster", "volume_structured", "volume_unstructured")
+
+def _objects(features: ObservedFeatures) -> float:
+    return max(float(features.objects), 1.0)
 
 
-def _noise(rng: np.random.Generator, sigma: float) -> float:
-    """Multiplicative log-normal noise factor with unit median."""
-    return float(np.exp(rng.normal(0.0, sigma)))
+def _active_pixels(features: ObservedFeatures) -> float:
+    return float(features.active_pixels)
+
+
+#: ``model family -> ordered (phase, rate, work)``: each phase is one kernel
+#: doing ``work(features)`` at the architecture's ``rate`` attribute.  The
+#: family is the ``family`` of the technique's row in the technique table.
+_FAMILY_PHASES = {
+    "raytrace": (
+        ("bvh_build", "build_rate", _objects),
+        ("trace", "traversal_rate", lambda f: _active_pixels(f) * np.log2(max(_objects(f), 2.0))),
+        ("shade", "shade_rate", _active_pixels),
+    ),
+    "raster": (
+        ("culling", "cull_rate", _objects),
+        (
+            "rasterize",
+            "raster_rate",
+            lambda f: float(f.visible_objects) * max(float(f.pixels_per_triangle), 0.0),
+        ),
+    ),
+    "volume": (
+        ("cell_lookup", "cell_rate", lambda f: _active_pixels(f) * max(float(f.cells_spanned), 1.0)),
+        ("sampling", "sample_rate", lambda f: _active_pixels(f) * max(float(f.samples_per_ray), 0.0)),
+    ),
+}
 
 
 def synthesize_render_time(
@@ -50,54 +75,24 @@ def synthesize_render_time(
     rng: np.random.Generator | None = None,
     include_build: bool = True,
 ) -> dict[str, float]:
-    """Synthesize per-phase times for one render on one architecture.
+    """Synthesize ``phase name -> seconds`` for one render on one architecture.
 
-    Parameters
-    ----------
-    architecture:
-        Spec or registered name.
-    technique:
-        ``"raytrace"``, ``"raster"``, ``"volume_structured"``, or
-        ``"volume_unstructured"``.
-    features:
-        Observed (or mapped) model-input variables for the render.
-    rng:
-        Noise stream; a deterministic default is derived from the
-        architecture and technique when omitted.
-    include_build:
-        Include the one-time acceleration-structure build phase for the ray
-        tracer.
-
-    Returns
-    -------
-    dict
-        Phase name to synthesized seconds.
+    ``architecture`` is a spec or a registered name, ``technique`` a name of
+    :data:`repro.techniques.TECHNIQUES`, ``features`` the render's observed (or
+    mapped) model-input variables.  ``rng`` is the noise stream (a
+    deterministic default is derived from the architecture and technique when
+    omitted); ``include_build=False`` leaves out the one-time
+    acceleration-structure build phase of the families that have one.
     """
     spec = architecture if isinstance(architecture, ArchitectureSpec) else get_architecture(architecture)
-    if technique not in TECHNIQUES:
-        raise ValueError(f"unknown technique {technique!r}; choose from {TECHNIQUES}")
+    kernels = _FAMILY_PHASES[get_technique(technique).family]
     rng = rng if rng is not None else default_rng(None, "costmodel", spec.name, technique)
-    overhead = spec.kernel_overhead_seconds
-    objects = max(float(features.objects), 1.0)
-    active_pixels = float(features.active_pixels)
     phases: dict[str, float] = {}
-
-    if technique == "raytrace":
-        if include_build:
-            phases["bvh_build"] = (objects / spec.build_rate + overhead) * _noise(rng, spec.noise_sigma)
-        traversal_work = active_pixels * np.log2(max(objects, 2.0))
-        phases["trace"] = (traversal_work / spec.traversal_rate + overhead) * _noise(rng, spec.noise_sigma)
-        phases["shade"] = (active_pixels / spec.shade_rate + overhead) * _noise(rng, spec.noise_sigma)
-    elif technique == "raster":
-        visible = float(features.visible_objects)
-        candidates = visible * max(float(features.pixels_per_triangle), 0.0)
-        phases["culling"] = (objects / spec.cull_rate + overhead) * _noise(rng, spec.noise_sigma)
-        phases["rasterize"] = (candidates / spec.raster_rate + overhead) * _noise(rng, spec.noise_sigma)
-    else:  # structured or unstructured volume rendering
-        cell_work = active_pixels * max(float(features.cells_spanned), 1.0)
-        sample_work = active_pixels * max(float(features.samples_per_ray), 0.0)
-        phases["cell_lookup"] = (cell_work / spec.cell_rate + overhead) * _noise(rng, spec.noise_sigma)
-        phases["sampling"] = (sample_work / spec.sample_rate + overhead) * _noise(rng, spec.noise_sigma)
+    for name, rate, work in kernels:
+        if include_build or name != "bvh_build":
+            # One draw of multiplicative log-normal noise (unit median) per phase.
+            noise = float(np.exp(rng.normal(0.0, spec.noise_sigma)))
+            phases[name] = (work(features) / getattr(spec, rate) + spec.kernel_overhead_seconds) * noise
     return phases
 
 
@@ -105,9 +100,8 @@ def synthesize_render_time(
 class KernelCostModel:
     """Stateful wrapper: one architecture, one reproducible noise stream.
 
-    The study harness uses one :class:`KernelCostModel` per (architecture,
-    technique) pair so repeated calls draw successive noise samples from the
-    same deterministic stream.
+    Repeated calls draw successive noise samples from the same deterministic
+    stream (Table 15's oracle is one model per architecture).
     """
 
     architecture: ArchitectureSpec | str

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.rendering.result import ObservedFeatures, RenderResult
+from repro.rendering.result import ObservedFeatures
+from repro.techniques import get_technique
 
 __all__ = [
     "RenderingConfiguration",
@@ -38,7 +39,6 @@ __all__ = [
     "map_configuration_to_features",
     "map_configuration_batch",
     "feature_arrays",
-    "features_from_result",
     "compositing_features_from_result",
     "contention_features_from_result",
     "CAMERA_FILL_FRACTION",
@@ -60,10 +60,13 @@ SAMPLES_PER_RAY_BASELINE = 373.0
 #: their inside test).
 PIXELS_PER_TRIANGLE_FACTOR = 4.0
 
-#: Techniques recognised by the mapping.  ``volume_unstructured`` (the
-#: Chapter III tetrahedral renderer) maps exactly like ``volume``: objects are
-#: the task's cells and SPR scales with the sampling depth.
-TECHNIQUES = ("raytrace", "raster", "volume", "volume_unstructured")
+#: The Section 5.8 inputs beyond ``O`` / ``AP`` / ``CS`` that each model
+#: family's equation consumes and both mappings therefore fill in.
+_FAMILY_EXTRAS = {
+    "raytrace": (),
+    "raster": ("visible_objects", "pixels_per_triangle"),
+    "volume": ("samples_per_ray",),
+}
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,7 @@ class RenderingConfiguration:
     Attributes
     ----------
     technique:
-        ``"raytrace"``, ``"raster"``, ``"volume"``, or
-        ``"volume_unstructured"``.
+        A name of :data:`repro.techniques.TECHNIQUES`.
     architecture:
         Registered architecture name (``"cpu-host"``, ``"gpu1-k40m"``, ...).
     num_tasks:
@@ -97,8 +99,7 @@ class RenderingConfiguration:
     samples_in_depth: int = 1000
 
     def __post_init__(self) -> None:
-        if self.technique not in TECHNIQUES:
-            raise ValueError(f"unknown technique {self.technique!r}; choose from {TECHNIQUES}")
+        get_technique(self.technique)
         if self.num_tasks < 1 or self.cells_per_task < 1:
             raise ValueError("num_tasks and cells_per_task must be positive")
         if self.image_width < 1 or self.image_height < 1:
@@ -123,27 +124,23 @@ def map_configuration_to_features(config: RenderingConfiguration) -> ObservedFea
     mapping err on the slow side (Section 5.8, "overestimates lead to
     conservative results").
     """
+    technique = get_technique(config.technique)
     n = config.cells_per_task
     task_shrink = config.num_tasks ** (1.0 / 3.0)
     active_pixels = CAMERA_FILL_FRACTION * config.pixels / task_shrink
-
-    if config.technique in ("raytrace", "raster"):
-        objects = 12 * n * n
-    else:
-        objects = n**3
-
     features = ObservedFeatures(
-        objects=int(objects),
+        objects=int(12 * n * n if technique.surface else n**3),
         active_pixels=int(round(active_pixels)),
         cells_spanned=n,
     )
-    if config.technique == "raster":
+    extras = _FAMILY_EXTRAS[technique.family]
+    if "visible_objects" in extras:
         visible = min(features.active_pixels, features.objects)
         features.visible_objects = int(visible)
         features.pixels_per_triangle = (
             PIXELS_PER_TRIANGLE_FACTOR * features.active_pixels / max(visible, 1)
         )
-    if config.technique in ("volume", "volume_unstructured"):
+    if "samples_per_ray" in extras:
         scale = config.samples_in_depth / 1000.0
         features.samples_per_ray = SAMPLES_PER_RAY_BASELINE * scale / task_shrink
     return features
@@ -165,8 +162,7 @@ def map_configuration_batch(
     same clamps), so the batch :class:`~repro.reporting.predictor.Predictor`
     and the scalar prediction path agree bit for bit.
     """
-    if technique not in TECHNIQUES:
-        raise ValueError(f"unknown technique {technique!r}; choose from {TECHNIQUES}")
+    technique = get_technique(technique)
     num_tasks, cells, width, height, samples = np.broadcast_arrays(
         np.atleast_1d(np.asarray(num_tasks, dtype=np.float64)),
         np.atleast_1d(np.asarray(cells_per_task, dtype=np.float64)),
@@ -185,11 +181,7 @@ def map_configuration_batch(
     pixels = width * height
     active_pixels = np.rint(CAMERA_FILL_FRACTION * pixels / task_shrink)
 
-    if technique in ("raytrace", "raster"):
-        objects = np.floor(12.0 * cells * cells)
-    else:
-        objects = np.floor(cells**3)
-
+    objects = np.floor(12.0 * cells * cells if technique.surface else cells**3)
     arrays = {
         "objects": objects,
         "active_pixels": active_pixels,
@@ -198,13 +190,14 @@ def map_configuration_batch(
         "samples_per_ray": np.zeros_like(active_pixels),
         "cells_spanned": cells.copy(),
     }
-    if technique == "raster":
+    extras = _FAMILY_EXTRAS[technique.family]
+    if "visible_objects" in extras:
         visible = np.minimum(active_pixels, objects)
         arrays["visible_objects"] = visible
         arrays["pixels_per_triangle"] = (
             PIXELS_PER_TRIANGLE_FACTOR * active_pixels / np.maximum(visible, 1.0)
         )
-    if technique in ("volume", "volume_unstructured"):
+    if "samples_per_ray" in extras:
         scale = samples / 1000.0
         arrays["samples_per_ray"] = SAMPLES_PER_RAY_BASELINE * scale / task_shrink
     return arrays
@@ -227,23 +220,6 @@ def feature_arrays(feature_list: list[ObservedFeatures]) -> dict[str, np.ndarray
         "samples_per_ray": np.array([float(f.samples_per_ray) for f in feature_list], dtype=np.float64),
         "cells_spanned": np.array([float(f.cells_spanned) for f in feature_list], dtype=np.float64),
     }
-
-
-def features_from_result(result: RenderResult) -> dict[str, float | str]:
-    """One standardized corpus row from any renderer family's result.
-
-    Every renderer validates its phases against the shared schema of
-    :mod:`repro.rendering.result`, so this mapping is renderer-agnostic: the
-    Section 5.3 model-input variables (``O``, ``AP``, ``VO``, ``PPT``,
-    ``SPR``, ``CS``) plus the canonical phase groups (``t_setup``,
-    ``t_sample``, ``t_shade``, ``t_composite``) and total render time.
-    """
-    row: dict[str, float | str] = dict(result.features.as_dict())
-    for group, seconds in result.grouped_seconds().items():
-        row[f"t_{group}"] = seconds
-    row["t_total"] = result.total_seconds
-    row["technique"] = result.technique
-    return row
 
 
 @dataclass

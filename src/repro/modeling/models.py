@@ -7,14 +7,17 @@ is the sum of its groups.  :data:`MODEL_GROUPS` is that table, and it is the
 list of the paper's equations:
 
 ==============  =========  ==============================================
-technique       group      equation
+family          group      equation
 ==============  =========  ==============================================
 ``raytrace``    ``build``  Eq. 5.1, first half:  ``c0 * O + c1``
 ``raytrace``    ``frame``  Eq. 5.1, second half: ``c2 * (AP * log2(O)) + c3 * AP + c4``
 ``raster``      ``fit``    Eq. 5.2: ``c0 * O + c1 * (VO * PPT) + c2``
-``volume*``     ``fit``    Eq. 5.3: ``c0 * (AP * CS) + c1 * (AP * SPR) + c2``
+``volume``      ``fit``    Eq. 5.3: ``c0 * (AP * CS) + c1 * (AP * SPR) + c2``
 ``compositing`` ``fit``    Eq. 5.5: ``c0 * avg(AP) + c1 * Pixels + c2``
 ==============  =========  ==============================================
+
+A rendering technique's row in :data:`repro.techniques.TECHNIQUES` names its
+family: both volume renderers share Eq. 5.3.
 
 Ray tracing is the one row with two groups: the acceleration-structure build
 is timed and fit separately so repeated-rendering analyses can amortise it
@@ -40,6 +43,7 @@ from repro.modeling.crossval import CrossValidationSummary, k_fold_cross_validat
 from repro.modeling.features import feature_arrays
 from repro.modeling.regression import LinearRegressionResult, fit_linear_model
 from repro.rendering.result import ObservedFeatures
+from repro.techniques import get_technique
 
 __all__ = ["MODEL_GROUPS", "PerformanceModel", "make_model"]
 
@@ -76,9 +80,7 @@ def _compositing_terms(arrays: dict[str, np.ndarray]) -> np.ndarray:
     return np.stack([active, pixels, np.ones_like(active)], axis=1)
 
 
-_VOLUME_GROUPS = (("fit", ("c0_ap_cs", "c1_ap_spr", "c2_intercept"), _volume_terms, True),)
-
-#: ``technique -> ordered term groups``, each group a ``(name, term_names,
+#: ``model family -> ordered term groups``, each group a ``(name, term_names,
 #: term_matrix, nonnegative)`` tuple.  ``term_matrix(arrays)`` builds the
 #: ``(n, p)`` design from feature column arrays.  Renderer groups constrain
 #: coefficients to be non-negative (the paper treats negative coefficients as
@@ -90,9 +92,7 @@ MODEL_GROUPS = {
         ("frame", ("c2_ap_log_o", "c3_ap", "c4_intercept"), _raytrace_frame_terms, True),
     ),
     "raster": (("fit", ("c0_objects", "c1_vo_ppt", "c2_intercept"), _raster_terms, True),),
-    "volume": _VOLUME_GROUPS,
-    "volume_structured": _VOLUME_GROUPS,
-    "volume_unstructured": _VOLUME_GROUPS,
+    "volume": (("fit", ("c0_ap_cs", "c1_ap_spr", "c2_intercept"), _volume_terms, True),),
     "compositing": (
         ("fit", ("c0_avg_active_pixels", "c1_pixels", "c2_intercept"), _compositing_terms, False),
     ),
@@ -181,7 +181,6 @@ class PerformanceModel:
 
 
 def make_model(technique: str) -> PerformanceModel:
-    """An unfit model for a technique name (a key of :data:`MODEL_GROUPS`)."""
-    if technique not in MODEL_GROUPS:
-        raise ValueError(f"unknown technique {technique!r}")
-    return PerformanceModel(technique, MODEL_GROUPS[technique])
+    """An unfit model for a rendering technique name, or for ``"compositing"``."""
+    family = technique if technique == "compositing" else get_technique(technique).family
+    return PerformanceModel(technique, MODEL_GROUPS[family])

@@ -135,8 +135,7 @@ class RenderResult:
     features:
         Observed model-input variables for this render.
     technique:
-        Short name of the renderer (``"raytrace"``, ``"raster"``,
-        ``"volume_structured"``, ``"volume_unstructured"``).
+        The renderer's name in :data:`repro.techniques.TECHNIQUES`.
     """
 
     framebuffer: Framebuffer

@@ -286,7 +286,7 @@ class StructuredVolumeRenderer:
         features.active_pixels = int(n_active)
         features.cells_spanned = int(max(self.grid.cell_dims))
         if n_active == 0:
-            return RenderResult(framebuffer, phases, features, technique="volume_structured")
+            return RenderResult(framebuffer, phases, features, technique="volume")
 
         step = self.grid.bounds.diagonal / config.samples_in_depth
 
@@ -337,7 +337,7 @@ class StructuredVolumeRenderer:
             depth = np.where(accum_alpha > 0.0, near, np.inf)
             framebuffer.write_pixels(active_ids, rgba, depth)
         phases["compositing"] = timer.elapsed
-        return RenderResult(framebuffer, phases, features, technique="volume_structured")
+        return RenderResult(framebuffer, phases, features, technique="volume")
 
     def _trilinear_reference(self, positions: np.ndarray) -> np.ndarray:
         """The pre-refactor trilinear interpolator (triple fancy indexing),
@@ -389,7 +389,7 @@ class StructuredVolumeRenderer:
         features.active_pixels = int(len(active_ids))
         features.cells_spanned = int(max(self.grid.cell_dims))
         if len(active_ids) == 0:
-            return RenderResult(framebuffer, phases, features, technique="volume_structured")
+            return RenderResult(framebuffer, phases, features, technique="volume")
 
         step = self.grid.bounds.diagonal / config.samples_in_depth
         tf = self.transfer_function
@@ -438,7 +438,7 @@ class StructuredVolumeRenderer:
             depth = np.where(accum_alpha > 0.0, near, np.inf)
             framebuffer.write_pixels(active_ids, rgba, depth)
         phases["compositing"] = timer.elapsed
-        return RenderResult(framebuffer, phases, features, technique="volume_structured")
+        return RenderResult(framebuffer, phases, features, technique="volume")
 
     def visibility_depth(self, camera: Camera) -> float:
         """Distance from the camera to the volume center (for visibility ordering)."""

@@ -46,13 +46,6 @@ LARGE_SCALE_ORACLE_SEED = 314
 #: the experiment being validated.
 HOST_MAPPING_SAMPLES_IN_DEPTH = 200
 
-_SYNTHETIC_TECHNIQUE = {
-    "raytrace": "raytrace",
-    "raster": "raster",
-    "volume": "volume_structured",
-    "volume_unstructured": "volume_unstructured",
-}
-
 
 def markdown_table(headers: list[str], rows: list[list[object]]) -> str:
     """A GitHub-flavored Markdown table."""
@@ -189,9 +182,7 @@ def table15_large_scale_prediction(suite: ModelSuite, corpus: StudyCorpus) -> tu
         )
         features = map_configuration_to_features(config)
         oracle = KernelCostModel(entry.architecture, seed=LARGE_SCALE_ORACLE_SEED)
-        actual = oracle.total(
-            _SYNTHETIC_TECHNIQUE[entry.technique], features, include_build=False
-        )
+        actual = oracle.total(entry.technique, features, include_build=False)
         predicted = entry.model.predict(features, include_build=False)
         difference = 100.0 * (predicted - actual) / max(actual, 1e-12)
         rows.append(

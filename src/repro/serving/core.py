@@ -35,9 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.modeling.features import TECHNIQUES
 from repro.reporting.predictor import DEFAULT_INTERVAL_SIGMAS, Predictor
 from repro.reporting.suite import MODELS_SCHEMA_VERSION, ModelSuite
+from repro.techniques import get_technique
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
@@ -133,11 +133,10 @@ def canonical_config(config: dict) -> tuple:
             _number(config["average_active_pixels"], "average_active_pixels", float),
             _number(config["pixels"], "pixels", int),
         )
-    if technique not in TECHNIQUES:
-        raise ServingError(
-            "invalid-configuration",
-            f"unknown technique {technique!r}; choose from {list(TECHNIQUES) + ['compositing']}",
-        )
+    try:
+        get_technique(technique)
+    except ValueError as error:
+        raise ServingError("invalid-configuration", f"{error}, compositing") from None
     architecture = config.get("architecture")
     if not isinstance(architecture, str) or not architecture:
         raise ServingError("invalid-configuration", "configurations need a non-empty 'architecture'")

@@ -57,6 +57,7 @@ from repro.study.cache import CorpusCache
 from repro.study.corpus_io import load_corpus, merge_corpora, save_corpus
 from repro.study.executor import run_plan
 from repro.study.plan import build_plan, full_configuration, smoke_configuration
+from repro.techniques import TECHNIQUES, get_technique
 
 #: Exit code of a fit/report whose every slice was degenerate.
 EXIT_ALL_FITS_DEGENERATE = 5
@@ -83,6 +84,13 @@ def _comma_tuple(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _technique_names(text: str) -> tuple[str, ...]:
+    try:
+        return tuple(get_technique(name).name for name in _comma_tuple(text))
+    except ValueError as error:  # a typo is a usage error, not a plan of failing specs
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
 def _comma_ints(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in _comma_tuple(text))
 
@@ -95,8 +103,8 @@ def _add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
     matrix.add_argument("--simulations", type=_comma_tuple, help="comma list, e.g. kripke,lulesh")
     matrix.add_argument(
         "--techniques",
-        type=_comma_tuple,
-        help="comma list from raytrace,raster,volume,volume_unstructured",
+        type=_technique_names,
+        help="comma list from " + ",".join(TECHNIQUES),
     )
     matrix.add_argument("--architectures", type=_comma_tuple, help="comma list, e.g. cpu-host,gpu1-k40m")
     matrix.add_argument(

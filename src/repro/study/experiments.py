@@ -17,27 +17,14 @@ import numpy as np
 
 from repro.compositing import Compositor, scene_factory
 from repro.dpp import get_device, use_device
-from repro.geometry.tetra import tetrahedralize_uniform_grid
 from repro.geometry.transforms import Camera
-from repro.geometry.triangles import external_faces
 from repro.machines.costmodel import synthesize_render_time
 from repro.modeling.features import RenderingConfiguration, map_configuration_to_features
 from repro.modeling.study import HOST_ARCHITECTURE, CompositingRecord, ExperimentRecord
-from repro.rendering import (
-    Rasterizer,
-    RayTracer,
-    RayTracerConfig,
-    Scene,
-    StructuredVolumeConfig,
-    StructuredVolumeRenderer,
-    UnstructuredVolumeConfig,
-    UnstructuredVolumeRenderer,
-    Workload,
-)
 from repro.rendering.framebuffer import Framebuffer
-from repro.rendering.result import RenderResult
 from repro.runtime.decomposition import BlockDecomposition
 from repro.study.plan import ExperimentSpec
+from repro.techniques import get_technique
 from repro.util.rng import default_rng, derive_seed
 
 __all__ = [
@@ -88,10 +75,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
     """Render one host configuration; returns the slowest sampled rank's record.
 
     ``spec.dpp_device`` selects the DPP back-end the render's primitives run
-    on (``""`` keeps the caller's active device).  An unknown or unavailable
-    device raises before any rendering happens, which the sweep executor
-    records as an ordinary failure row.
+    on (``""`` keeps the caller's active device).  An unknown technique (a
+    stale plan file or cache entry) and an unknown or unavailable device both
+    raise before any block is built, which the sweep executor records as an
+    ordinary failure row.
     """
+    technique = get_technique(spec.technique)
     if spec.simulation not in _SIMULATION_FIELDS:
         raise KeyError(f"unknown simulation {spec.simulation!r}")
     decomposition = BlockDecomposition(spec.num_tasks, spec.cells_per_task)
@@ -99,13 +88,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
         decomposition.global_bounds, spec.image_width, spec.image_height
     )
 
-    results: list[RenderResult] = []
+    results = []
     with use_device(spec.dpp_device or get_device().name) as device:
         for rank in _sampled_ranks(spec.num_tasks, spec.max_sampled_ranks):
             grid = decomposition.block_grid_with_field(
                 rank, "scalar", _SIMULATION_FIELDS[spec.simulation]
             )
-            results.append(_render_block(spec.technique, grid, camera, spec.samples_in_depth))
+            renderer = technique.make_renderer(grid, "scalar", spec.samples_in_depth)
+            results.append(renderer.render(camera))
 
     # Slowest-task proxy, chosen deterministically: the rank with the
     # largest observed workload (active pixels, then object count, then
@@ -145,40 +135,6 @@ def _sampled_ranks(num_tasks: int, max_sampled_ranks: int) -> list[int]:
     return sorted({int(round(index)) for index in np.linspace(0, num_tasks - 1, count)})
 
 
-def _render_block(technique: str, grid, camera: Camera, samples_in_depth: int) -> RenderResult:
-    """Render one rank's block with the requested technique (host-measured)."""
-    if technique in ("raytrace", "raster"):
-        surface = external_faces(grid, scalar_field="scalar")
-        scene = Scene(surface)
-        if technique == "raytrace":
-            tracer = RayTracer(scene, RayTracerConfig(workload=Workload.SHADING))
-            return tracer.render(camera)
-        return Rasterizer(scene).render(camera)
-    if technique == "volume_unstructured":
-        renderer = UnstructuredVolumeRenderer(
-            tetrahedralize_uniform_grid(grid),
-            "scalar",
-            config=UnstructuredVolumeConfig(samples_in_depth=samples_in_depth),
-        )
-        return renderer.render(camera)
-    if technique != "volume":
-        raise KeyError(f"unknown technique {technique!r}")
-    renderer = StructuredVolumeRenderer(
-        grid,
-        "scalar",
-        config=StructuredVolumeConfig(samples_in_depth=samples_in_depth),
-    )
-    return renderer.render(camera)
-
-
-_COSTMODEL_TECHNIQUE = {
-    "raytrace": "raytrace",
-    "raster": "raster",
-    "volume": "volume_structured",
-    "volume_unstructured": "volume_unstructured",
-}
-
-
 def run_synthetic_experiment(spec: ExperimentSpec) -> ExperimentRecord:
     """Synthesize one full-scale experiment for a non-host architecture.
 
@@ -213,9 +169,7 @@ def run_synthetic_experiment(spec: ExperimentSpec) -> ExperimentRecord:
             samples_in_depth=spec.synthetic_samples_in_depth,
         )
     )
-    phases = synthesize_render_time(
-        spec.architecture, _COSTMODEL_TECHNIQUE[spec.technique], features, rng
-    )
+    phases = synthesize_render_time(spec.architecture, spec.technique, features, rng)
     return ExperimentRecord(
         architecture=spec.architecture,
         technique=spec.technique,

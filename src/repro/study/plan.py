@@ -31,6 +31,7 @@ from functools import cached_property
 from operator import attrgetter
 
 from repro.modeling.study import HOST_ARCHITECTURE, StudyConfiguration
+from repro.techniques import TECHNIQUES, get_technique
 from repro.util.rng import default_rng
 
 __all__ = [
@@ -177,8 +178,11 @@ def build_plan(config: StudyConfiguration, include_compositing: bool = True) -> 
     """Expand a study configuration into the explicit experiment matrix.
 
     This is the one place the matrix is enumerated: the loop nesting *and*
-    the RNG stream consumption here define the corpus order.
+    the RNG stream consumption here define the corpus order.  An unknown
+    technique fails the plan here, before anything is enumerated or run.
     """
+    for technique in config.techniques:
+        get_technique(technique)
     specs: list[ExperimentSpec] = []
     common = dict(
         base_seed=config.seed,
@@ -278,7 +282,7 @@ def smoke_configuration(seed: int = 2016) -> StudyConfiguration:
 
 def full_configuration(seed: int = 2016) -> StudyConfiguration:
     """The widest matrix the reproduction renders: every simulation in
-    :mod:`repro.simulations`, all four renderer families, all three
+    :mod:`repro.simulations`, every technique of the table, all three
     compositing algorithms, both devices, stratified resolution/size pairs
     up to the benchmark's full 192^2 resolution.
 
@@ -294,7 +298,7 @@ def full_configuration(seed: int = 2016) -> StudyConfiguration:
     validates at Titan scale.
     """
     return StudyConfiguration(
-        techniques=("raytrace", "raster", "volume", "volume_unstructured"),
+        techniques=tuple(TECHNIQUES),
         compositing_algorithms=("direct-send", "binary-swap", "radix-k"),
         compositing_task_counts=(2, 4, 8, 16, 32, 64, 256, 1024, 4096),
         compositing_scenario="amr",

@@ -280,17 +280,6 @@ class TestRendererProtocol:
         assert set(groups) == {"setup", "sample", "shade", "composite"}
         assert sum(groups.values()) == pytest.approx(result.total_seconds)
 
-    def test_features_from_result_one_schema(self, small_scene, blob_grid, small_camera):
-        from repro.modeling.features import features_from_result
-
-        surface = features_from_result(RayTracer(small_scene).render(small_camera))
-        volume = features_from_result(
-            StructuredVolumeRenderer(blob_grid, "density").render(small_camera)
-        )
-        assert set(surface) == set(volume)
-        assert surface["technique"] == "raytrace"
-        assert volume["technique"] == "volume_structured"
-
 
 class TestDepthConvention:
     def test_finite_depth_on_miss_rejected(self):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.geometry import Camera
 from repro.machines import ArchitectureSpec, KernelCostModel, get_architecture, list_architectures
 from repro.machines.costmodel import synthesize_render_time
 from repro.modeling import (
@@ -15,12 +18,17 @@ from repro.modeling import (
     fit_linear_model,
     k_fold_cross_validation,
     make_model,
+    map_configuration_batch,
     map_configuration_to_features,
 )
 from repro.modeling.feasibility import images_within_budget
 from repro.modeling.models import MODEL_GROUPS
 from repro.modeling.regression import relative_errors
-from repro.rendering.result import ObservedFeatures
+from repro.rendering.result import PHASE_GROUPS, ObservedFeatures
+from repro.reporting.suite import FittedModel, ModelSuite
+from repro.runtime.decomposition import BlockDecomposition
+from repro.serving.core import ServingError, canonical_config
+from repro.techniques import TECHNIQUES, get_technique
 
 
 def _synthetic_features(rng, count, technique="volume"):
@@ -162,6 +170,77 @@ class TestFeaturesMapping:
             RenderingConfiguration("raytrace", "cpu-host", 1, 10, 0, 64)
 
 
+class TestTechniqueTable:
+    """Every layer that reads the technique table, checked once per row."""
+
+    @pytest.mark.parametrize("row", TECHNIQUES.values(), ids=list(TECHNIQUES))
+    def test_every_layer_serves_the_row(self, row, rng):
+        assert get_technique(row.name) is row
+
+        # Rendering: a tiny decomposed block through the row's renderer.
+        decomposition = BlockDecomposition(1, 4)
+        grid = decomposition.block_grid_with_field(0, "scalar", lambda points: points[:, 0])
+        camera = Camera.framing_bounds(decomposition.global_bounds, 12, 12)
+        result = row.make_renderer(grid, "scalar", 8).render(camera)
+        assert result.technique == row.name
+        assert result.phase_seconds and set(result.phase_seconds) <= set(PHASE_GROUPS)
+        assert (result.features.objects == 12 * 4 * 4) == row.surface
+
+        # Section 5.8: the scalar mapping equals the batch one element for element.
+        tasks, cells, sizes = [1, 8, 127], [6, 200, 33], [64, 1024, 333]
+        batch = map_configuration_batch(row.name, tasks, cells, sizes, sizes, 500)
+        for i in range(3):
+            mapped = map_configuration_to_features(
+                RenderingConfiguration(row.name, "gpu1-k40m", tasks[i], cells[i], sizes[i], sizes[i], 500)
+            )
+            for name, column in batch.items():
+                assert column[i] == float(getattr(mapped, name)), name
+
+        # Cost model: the phases the row's model groups have targets for.
+        model = make_model(row.name)
+        assert model.technique == row.name and model.groups is MODEL_GROUPS[row.family]
+        phases = synthesize_render_time("gpu1-k40m", row.name, mapped, np.random.default_rng(0))
+        assert all(seconds > 0.0 for seconds in phases.values())
+        assert ("bvh_build" in phases) == ("build" in [name for name, *_ in model.groups])
+        assert "bvh_build" not in synthesize_render_time(
+            "gpu1-k40m", row.name, mapped, np.random.default_rng(0), include_build=False
+        )
+
+        # Model registry: fits, and round-trips through the models.json payload.
+        features = _synthetic_features(rng, 12, row.name)
+        model.fit(features, *[rng.uniform(0.01, 1.0, 12) for _ in model.groups])
+        suite = ModelSuite()
+        suite.entries[("gpu1-k40m", row.name)] = FittedModel("gpu1-k40m", row.name, model, 12)
+        loaded = ModelSuite.from_payload(json.loads(json.dumps(suite.to_payload())))
+        loaded_model = loaded.get("gpu1-k40m", row.name).model
+        assert loaded_model.technique == row.name
+        assert np.array_equal(loaded_model.predict(features), model.predict(features))
+
+        # Serving: the wire name is a valid query.
+        assert canonical_config({"architecture": "gpu1-k40m", "technique": row.name})[2] == row.name
+
+    def test_an_unknown_name_is_one_error_everywhere(self):
+        with pytest.raises(ValueError) as expected:
+            get_technique("nope")
+        message = str(expected.value)
+        assert message == "unknown technique 'nope'; choose from " + ", ".join(TECHNIQUES)
+        for call in (
+            lambda: RenderingConfiguration("nope", "cpu-host", 1, 10, 64, 64),
+            lambda: map_configuration_batch("nope", 1, 10, 64, 64),
+            lambda: synthesize_render_time("gpu1-k40m", "nope", ObservedFeatures()),
+            lambda: make_model("nope"),
+        ):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == message
+        for unknown in ("nope", None, ["volume"]):  # a JSON request may carry any type
+            with pytest.raises(ServingError) as served:
+                canonical_config({"architecture": "a", "technique": unknown})
+            assert served.value.code == "invalid-configuration"
+            assert str(served.value).startswith(f"unknown technique {unknown!r}; choose from raytrace,")
+            assert str(served.value).endswith("compositing")
+
+
 class TestModels:
     def test_volume_model_recovers_planted_coefficients(self, rng):
         features = _synthetic_features(rng, 40)
@@ -259,8 +338,8 @@ class TestMachines:
 
     def test_gpu_faster_than_cpu_for_same_features(self):
         features = ObservedFeatures(objects=50_000, active_pixels=500_000, samples_per_ray=100, cells_spanned=128)
-        cpu = KernelCostModel("cpu1-surface", seed=1).total("volume_structured", features)
-        gpu = KernelCostModel("gpu1-k40m", seed=1).total("volume_structured", features)
+        cpu = KernelCostModel("cpu1-surface", seed=1).total("volume", features)
+        gpu = KernelCostModel("gpu1-k40m", seed=1).total("volume", features)
         assert gpu < cpu
 
     def test_ispc_backend_faster_than_openmp_on_phi(self):

@@ -168,7 +168,7 @@ class TestStructuredVolume:
         camera = Camera.framing_bounds(blob_grid.bounds, 40, 40, zoom=1.2)
         renderer = StructuredVolumeRenderer(blob_grid, "density")
         result = renderer.render(camera)
-        assert result.technique == "volume_structured"
+        assert result.technique == "volume"
         assert result.features.objects == blob_grid.num_cells
         assert result.features.active_pixels > 0
         assert result.features.samples_per_ray > 0

@@ -26,6 +26,7 @@ from repro.reporting.suite import MODELS_SCHEMA_VERSION, FittedModel, _coefficie
 from repro.study import cli as study_cli
 from repro.study import run_study
 from repro.study.corpus_io import corpus_digest, save_corpus
+from repro.techniques import TECHNIQUES
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
@@ -289,8 +290,6 @@ PAPER_EQUATIONS = {
     # Eq. 5.2: c0 * O + c1 * (VO * PPT) + c2
     "raster": {"fit": lambda f: [f["objects"], f["visible_objects"] * f["pixels_per_triangle"], 1.0]},
     "volume": {"fit": _volume_rows},
-    "volume_structured": {"fit": _volume_rows},
-    "volume_unstructured": {"fit": _volume_rows},
     # Eq. 5.5: c0 * avg(AP) + c1 * Pixels + c2
     "compositing": {"fit": lambda f: [f["average_active_pixels"], f["pixels"], 1.0]},
 }
@@ -336,7 +335,7 @@ class TestTermGroups:
         arrays = dict(zip(RENDER_COLUMNS + COMPOSITING_COLUMNS, columns))
         _assert_groups_match_paper(arrays, MODEL_GROUPS)
 
-    @pytest.mark.parametrize("technique", sorted(MODEL_GROUPS))
+    @pytest.mark.parametrize("technique", sorted([*TECHNIQUES, "compositing"]))
     def test_payload_round_trip_and_batch_invariance(self, technique):
         """fit -> models.json payload -> loaded model predicts bit-equal, whole or split."""
         rng = np.random.default_rng(515)
@@ -569,6 +568,20 @@ class TestReportingCLI:
         assert payload["error"]["code"] == "unknown-model"
         assert payload["error"]["available"], "the error must list the servable slices"
         assert "no fitted model" in captured.err
+
+    @pytest.mark.parametrize("command", ["plan", "run"])
+    def test_unknown_technique_is_rejected_before_anything_is_planned(self, command, tmp_path, capsys):
+        out, cache = tmp_path / "out.json", tmp_path / "cache"
+        args = [command, "--preset", "smoke", "--techniques", "raytrace,voluem", "--out", str(out)]
+        if command == "run":
+            args += ["--cache-dir", str(cache)]
+        with pytest.raises(SystemExit) as usage_error:
+            study_cli.main(args)
+        assert usage_error.value.code == 2
+        captured = capsys.readouterr()
+        assert "unknown technique 'voluem'; choose from " + ", ".join(TECHNIQUES) in captured.err
+        assert captured.out == ""
+        assert not out.exists() and not cache.exists()
 
     def test_predict_requires_a_configuration_source(self, suite, tmp_path, capsys):
         models = str(suite.save(tmp_path / "models.json"))

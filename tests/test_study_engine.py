@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.modeling.study import FailureRecord, StudyConfiguration
+from repro.runtime.decomposition import BlockDecomposition
 from repro.study import (
     CorpusCache,
     SweepExecutor,
@@ -727,7 +728,8 @@ class TestResumeSemantics:
         # failure is loud, never a silently smaller corpus under the fits.
         config = StudyConfiguration(
             architectures=("cpu-host",),
-            techniques=("not-a-technique",),
+            techniques=("raytrace",),
+            simulations=("not-a-simulation",),
             samples_per_technique=2,
             task_counts=(1,),
             seed=5,
@@ -746,20 +748,40 @@ class TestResumeSemantics:
         corpus = run_study(config, strict=False)
         assert len(corpus.failures) == 2 and len(corpus.compositing_records) == 1
 
-    def test_broken_config_records_failure_row(self):
+    def test_broken_config_records_failure_row(self, monkeypatch):
+        # A technique the table does not hold can only arrive from a stale plan
+        # file or cache (build_plan rejects it): it degrades to one ordinary
+        # failure row, the same message on the synthetic and the render path,
+        # and the render path spends nothing on it.
         plan = build_plan(FAST_CONFIG, include_compositing=False)
         specs = list(plan.specs)
         specs[3] = dataclasses.replace(specs[3], technique="does-not-exist")
+        specs.append(dataclasses.replace(specs[3], kind="render", architecture="cpu-host"))
         broken = dataclasses.replace(plan, specs=specs)
+        monkeypatch.setattr(
+            BlockDecomposition, "block_grid_with_field", lambda *a: pytest.fail("built a block")
+        )
         corpus, report = run_plan(broken, jobs=1)
-        assert report.failed == 1
-        assert len(corpus.records) == len(specs) - 1
-        [failure] = corpus.failures
-        assert failure.kind == "synthetic"
-        assert failure.reason == "error"
-        assert failure.spec["technique"] == "does-not-exist"
+        assert report.failed == 2
+        assert len(corpus.records) == len(specs) - 2
+        assert [failure.kind for failure in corpus.failures] == ["synthetic", "render"]
+        for failure in corpus.failures:
+            assert failure.reason == "error"
+            assert failure.spec["technique"] == "does-not-exist"
+            assert failure.error_type == "ValueError"
+            assert failure.message == (
+                "unknown technique 'does-not-exist'; "
+                "choose from raytrace, raster, volume, volume_unstructured"
+            )
         # Failure rows never block fitting the healthy slice of the corpus.
         assert corpus.fit_all_models()
+
+    def test_unknown_technique_fails_the_plan_not_its_specs(self):
+        config = dataclasses.replace(FAST_CONFIG, techniques=("raytrace", "voluem"))
+        with pytest.raises(ValueError, match="unknown technique 'voluem'; choose from"):
+            build_plan(config)
+        with pytest.raises(ValueError, match="unknown technique 'voluem'; choose from"):
+            run_study(config, strict=False)
 
 
 # ---------------------------------------------------------------------------
