@@ -133,7 +133,15 @@ class StudyConfiguration:
 
 @dataclass
 class ExperimentRecord:
-    """One row of the rendering corpus (the slowest sampled rank of one test)."""
+    """One row of the rendering corpus: the slowest task of one experiment (Section 5.4).
+
+    On host rows "slowest" is the sampled rank with the largest observed
+    workload -- ``(active_pixels, objects)``, lowest rank on a tie -- and its
+    features and phase times are the row; sampled ranks whose pixel bound
+    shows they cannot be that rank are never rendered
+    (:func:`repro.study.experiments.run_experiment`).  Synthesized rows take
+    their features from the Section 5.8 mapping instead.
+    """
 
     architecture: str
     technique: str

@@ -3,14 +3,19 @@
 Two builders are provided, mirroring the study's configurations:
 
 * **LBVH** (``method="lbvh"``) -- primitives are sorted along a Morton curve
-  of their centroids and the hierarchy is emitted by recursively splitting
-  the sorted range at its midpoint.  This is the linear-BVH family used by
-  the paper's VTK-m ray tracer (a variant of Karras 2012) whose build time is
-  O(n); the Eq. 5.1 term ``c0 * O`` models exactly this build.
+  of their centroids and every range of the sorted codes splits where the
+  highest differing bit of its first and last code flips (Karras 2012: the
+  plane of the Z-order cell; ranges of equal codes split at their midpoint).
+  A node's split depends only on its own range, so the tree is built level
+  by level with array operations -- all ranges of a level split at once --
+  rather than node by node (:func:`_build_lbvh`).  This is the linear-BVH
+  family used by the paper's VTK-m ray tracer, whose build time is O(n); the
+  Eq. 5.1 term ``c0 * O`` models exactly this build.
 * **SAH** (``method="sah"``) -- a binned surface-area-heuristic top-down
-  build producing higher-quality trees at higher build cost.  The
-  specialised-ray-tracer baselines (Embree / OptiX proxies, Tables 3 and 4)
-  use this builder.
+  build producing higher-quality trees at higher build cost: a split needs
+  the partition its parent made, so it stays recursive (:class:`_Builder`).
+  The specialised-ray-tracer baselines (Embree / OptiX proxies, Tables 3 and
+  4) use this builder.
 
 The tree is stored flat in structure-of-arrays form so traversal can run
 vectorized over large ray batches: per node we keep the AABB corners, the
@@ -78,7 +83,11 @@ class BVH:
         return self.primitive_count[node] > 0
 
     def max_depth(self) -> int:
-        """Depth of the deepest node (root = 0), computed once and cached."""
+        """Depth of the deepest node (root = 0).
+
+        The level-synchronous LBVH build records it; any other tree is walked
+        once and the result cached.
+        """
         if self._max_depth is None:
             if self.num_nodes == 0:
                 self._max_depth = 0
@@ -180,7 +189,7 @@ class BVH:
 
 
 class _Builder:
-    """Shared recursive build machinery for both split strategies."""
+    """Top-down build over an arbitrary split function (the SAH builder's driver)."""
 
     def __init__(self, lows: np.ndarray, highs: np.ndarray, centroids: np.ndarray, leaf_size: int):
         self.lows = lows
@@ -250,29 +259,6 @@ class _Builder:
         )
 
 
-def _make_lbvh_split(sorted_codes: np.ndarray):
-    """Karras-style LBVH split over the Morton-sorted primitive range.
-
-    Each range splits where the highest differing bit of its first and last
-    Morton codes flips -- the spatial plane of the Z-order cell -- which
-    produces far less node overlap (and therefore fewer traversal visits)
-    than splitting the range at its midpoint.  Ranges whose codes are all
-    identical fall back to the midpoint.
-    """
-
-    def split(order: np.ndarray, start: int, end: int) -> int:
-        first = int(sorted_codes[start])
-        last = int(sorted_codes[end - 1])
-        if first == last:
-            return (start + end) // 2
-        top_bit = (first ^ last).bit_length() - 1
-        # First index whose code has the highest differing bit set.
-        threshold = ((first >> top_bit) | 1) << top_bit
-        return start + int(np.searchsorted(sorted_codes[start:end], threshold))
-
-    return split
-
-
 def _make_sah_split(lows: np.ndarray, highs: np.ndarray, centroids: np.ndarray, num_bins: int = 8):
     """Binned SAH split closure over the primitive geometry arrays."""
 
@@ -321,6 +307,83 @@ def _surface_area(lows: np.ndarray, highs: np.ndarray) -> float:
     return float(2.0 * (dx * dy + dy * dz + dz * dx))
 
 
+def _build_lbvh(
+    lows: np.ndarray, highs: np.ndarray, centroids: np.ndarray, leaf_size: int
+) -> BVH:
+    """Level-synchronous LBVH: every range of a level splits in one pass.
+
+    Nodes are numbered level by level (root 0, a split node's children
+    adjacent, left first).  A range of more than ``leaf_size`` sorted codes
+    splits at the first code that has the highest differing bit of the
+    range's first and last code set; all codes left of the range are smaller
+    than that threshold and all codes right of it are not, so one global
+    ``searchsorted`` answers every range of the level.  Ranges whose codes
+    are all equal split at their midpoint.  Leaves partition the sorted
+    order, so one ``reduceat`` yields their boxes; internal boxes are the
+    union of their children's, level by level from the bottom.
+    """
+    codes = morton_codes_points(centroids)
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order].astype(np.int64)
+
+    starts = np.zeros(1, dtype=np.int64)
+    ends = np.full(1, len(order), dtype=np.int64)
+    level_starts, level_ends, level_left = [], [], []
+    num_nodes = 0
+    while True:
+        num_nodes += len(starts)
+        first, last = codes[starts], codes[ends - 1]
+        differing = first ^ last
+        # Codes are 30-bit, so the float exponent is the exact bit length.
+        top_bit = np.maximum(np.frexp(differing.astype(np.float64))[1] - 1, 0)
+        position = np.where(
+            differing == 0,
+            (starts + ends) // 2,
+            np.searchsorted(codes, ((first >> top_bit) | 1) << top_bit),
+        )
+        inner = np.flatnonzero(ends - starts > leaf_size)
+        left = np.full(len(starts), -1, dtype=np.int64)
+        left[inner] = num_nodes + 2 * np.arange(len(inner), dtype=np.int64)
+        level_starts.append(starts)
+        level_ends.append(ends)
+        level_left.append(left)
+        if len(inner) == 0:
+            break
+        starts = np.column_stack([starts[inner], position[inner]]).ravel()
+        ends = np.column_stack([position[inner], ends[inner]]).ravel()
+
+    starts = np.concatenate(level_starts)
+    left_child = np.concatenate(level_left)
+    is_leaf = left_child < 0
+    node_low = np.empty((num_nodes, 3))
+    node_high = np.empty((num_nodes, 3))
+    leaves = np.flatnonzero(is_leaf)
+    leaves = leaves[np.argsort(starts[leaves])]
+    node_low[leaves] = np.minimum.reduceat(lows[order], starts[leaves], axis=0)
+    node_high[leaves] = np.maximum.reduceat(highs[order], starts[leaves], axis=0)
+    level_first = num_nodes
+    for left in reversed(level_left):
+        level_first -= len(left)
+        inner = np.flatnonzero(left >= 0)
+        children = left[inner]
+        node_low[level_first + inner] = np.minimum(node_low[children], node_low[children + 1])
+        node_high[level_first + inner] = np.maximum(node_high[children], node_high[children + 1])
+
+    bvh = BVH(
+        node_low=node_low,
+        node_high=node_high,
+        left_child=left_child,
+        right_child=np.where(is_leaf, -1, left_child + 1),
+        first_primitive=np.where(is_leaf, starts, 0),
+        primitive_count=np.where(is_leaf, np.concatenate(level_ends) - starts, 0),
+        primitive_order=order.astype(np.int64),
+        leaf_size=leaf_size,
+        method="lbvh",
+    )
+    bvh._max_depth = len(level_left) - 1
+    return bvh
+
+
 def build_bvh(
     mesh: TriangleMesh,
     leaf_size: int = DEFAULT_LEAF_SIZE,
@@ -335,7 +398,7 @@ def build_bvh(
     leaf_size:
         Maximum primitives per leaf.
     method:
-        ``"lbvh"`` (Morton-sorted midpoint splits, linear-time flavour) or
+        ``"lbvh"`` (Morton-sorted Karras splits, linear-time flavour) or
         ``"sah"`` (binned surface-area heuristic, higher quality).
 
     Returns
@@ -348,14 +411,11 @@ def build_bvh(
         raise ValueError("leaf_size must be at least 1")
     lows, highs = mesh.triangle_bounds()
     centroids = mesh.centroids()
-    builder = _Builder(lows, highs, centroids, leaf_size)
     if method == "lbvh":
-        codes = morton_codes_points(centroids)
-        order = np.argsort(codes, kind="stable")
-        order = builder.build(order, _make_lbvh_split(codes[order]))
-    elif method == "sah":
+        return _build_lbvh(lows, highs, centroids, leaf_size)
+    if method == "sah":
+        builder = _Builder(lows, highs, centroids, leaf_size)
         order = np.arange(mesh.num_triangles, dtype=np.int64)
         order = builder.build(order, _make_sah_split(lows, highs, centroids))
-    else:
-        raise ValueError(f"unknown BVH build method {method!r}")
-    return builder.finish(order, leaf_size, method)
+        return builder.finish(order, leaf_size, method)
+    raise ValueError(f"unknown BVH build method {method!r}")

@@ -2,10 +2,11 @@
 
 Each keeps the paper's Section 5.4 rule -- the slowest task of an experiment
 becomes one regression row -- for one spec kind: :func:`run_experiment`
-renders a sample of the decomposed ranks on the host and records measured
-wall-clock, :func:`run_synthetic_experiment` maps the configuration to model
+records the measured wall-clock of the sampled rank with the largest observed
+workload, rendering on the host only the sampled ranks its pixel bound cannot
+rule out; :func:`run_synthetic_experiment` maps the configuration to model
 inputs (Section 5.8) and synthesizes times with
-:mod:`repro.machines.costmodel` (the substitution documented in DESIGN.md),
+:mod:`repro.machines.costmodel` (the substitution documented in DESIGN.md);
 and :func:`run_compositing_case` composites synthetic sub-images for one
 Eq. 5.5 row.  A spec carries every knob its body reads, so each is a pure
 function of the spec (host wall-clock aside).
@@ -22,8 +23,9 @@ from repro.machines.costmodel import synthesize_render_time
 from repro.modeling.features import RenderingConfiguration, map_configuration_to_features
 from repro.modeling.study import HOST_ARCHITECTURE, CompositingRecord, ExperimentRecord
 from repro.rendering.framebuffer import Framebuffer
+from repro.rendering.rays import pixels_reaching
 from repro.runtime.decomposition import BlockDecomposition
-from repro.study.plan import ExperimentSpec
+from repro.study.plan import ExperimentSpec, require_sampled_ranks
 from repro.techniques import get_technique
 from repro.util.rng import default_rng, derive_seed
 
@@ -74,40 +76,53 @@ _SIMULATION_FIELDS = {
 def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
     """Render one host configuration; returns the slowest sampled rank's record.
 
+    The slowest-task proxy is chosen deterministically: the sampled rank with
+    the largest observed workload ``(active_pixels, objects)``, the lowest
+    rank on a tie.  Selecting by measured wall-clock would make the recorded
+    *features* depend on timing jitter, and the corpus would no longer be
+    reproducible run to run -- the pool's row-for-row parity with the inline
+    executor rests on this choice being a pure function of the spec.
+
+    Only ranks that can be that rank are rendered.  Each sampled rank's
+    ``active_pixels`` is bounded from above by the pixel rays that reach its
+    block (:func:`~repro.rendering.rays.pixels_reaching`); ranks are visited
+    in descending bound, and once a bound is strictly below the best rendered
+    ``active_pixels`` that rank and every later one lose the comparison
+    whatever they would have rendered, so the row is the one rendering every
+    sampled rank yields (DESIGN.md, "Determinism and the serial-oracle
+    contract").
+
     ``spec.dpp_device`` selects the DPP back-end the render's primitives run
-    on (``""`` keeps the caller's active device).  An unknown technique (a
-    stale plan file or cache entry) and an unknown or unavailable device both
-    raise before any block is built, which the sweep executor records as an
-    ordinary failure row.
+    on (``""`` keeps the caller's active device).  An unknown technique or a
+    ``max_sampled_ranks`` below 1 (a stale plan file or cache entry) and an
+    unknown or unavailable device all raise before any block is built, which
+    the sweep executor records as an ordinary failure row.
     """
     technique = get_technique(spec.technique)
     if spec.simulation not in _SIMULATION_FIELDS:
         raise KeyError(f"unknown simulation {spec.simulation!r}")
+    ranks = _sampled_ranks(spec.num_tasks, require_sampled_ranks(spec.max_sampled_ranks))
     decomposition = BlockDecomposition(spec.num_tasks, spec.cells_per_task)
     camera = Camera.framing_bounds(
         decomposition.global_bounds, spec.image_width, spec.image_height
     )
 
-    results = []
+    slowest, slowest_key = None, (-1, 0, 0)  # below every bound: the first visit renders
     with use_device(spec.dpp_device or get_device().name) as device:
-        for rank in _sampled_ranks(spec.num_tasks, spec.max_sampled_ranks):
+        boxes = [decomposition.block_bounds(rank) for rank in ranks]
+        # A single sampled rank is rendered whatever its bound.
+        bounds = pixels_reaching(camera, boxes) if len(boxes) > 1 else [0]
+        for position in sorted(range(len(ranks)), key=lambda index: (-bounds[index], index)):
+            if bounds[position] < slowest_key[0]:
+                break
             grid = decomposition.block_grid_with_field(
-                rank, "scalar", _SIMULATION_FIELDS[spec.simulation]
+                ranks[position], "scalar", _SIMULATION_FIELDS[spec.simulation]
             )
-            renderer = technique.make_renderer(grid, "scalar", spec.samples_in_depth)
-            results.append(renderer.render(camera))
+            result = technique.make_renderer(grid, "scalar", spec.samples_in_depth).render(camera)
+            key = (result.features.active_pixels, result.features.objects, -position)
+            if key > slowest_key:
+                slowest, slowest_key = result, key
 
-    # Slowest-task proxy, chosen deterministically: the rank with the
-    # largest observed workload (active pixels, then object count, then
-    # rank order).  Selecting by measured wall-clock would make the
-    # recorded *features* depend on timing jitter, and the corpus would no
-    # longer be reproducible run to run -- the pool's row-for-row parity
-    # with the inline executor rests on this choice being a pure function
-    # of the spec.
-    slowest = max(
-        enumerate(results),
-        key=lambda pair: (pair[1].features.active_pixels, pair[1].features.objects, -pair[0]),
-    )[1]
     phases = dict(slowest.phase_seconds)
     build = phases.get("bvh_build", 0.0)
     return ExperimentRecord(
@@ -128,7 +143,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
 
 
 def _sampled_ranks(num_tasks: int, max_sampled_ranks: int) -> list[int]:
-    """Evenly spaced subset of ranks actually rendered (slowest-task proxy)."""
+    """Evenly spaced subset of ranks considered for the slowest-task proxy."""
     count = min(max_sampled_ranks, num_tasks)
     if count == num_tasks:
         return list(range(num_tasks))

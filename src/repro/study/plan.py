@@ -38,6 +38,7 @@ __all__ = [
     "ExperimentSpec",
     "SweepPlan",
     "build_plan",
+    "require_sampled_ranks",
     "smoke_configuration",
     "full_configuration",
     "spec_from_payload",
@@ -174,15 +175,25 @@ class SweepPlan:
         }
 
 
+def require_sampled_ranks(max_sampled_ranks: int) -> int:
+    """``max_sampled_ranks`` of a host render; the one place a value below 1 is rejected."""
+    if max_sampled_ranks < 1:
+        raise ValueError(f"max_sampled_ranks must be at least 1 for a host render, got {max_sampled_ranks}")
+    return max_sampled_ranks
+
+
 def build_plan(config: StudyConfiguration, include_compositing: bool = True) -> SweepPlan:
     """Expand a study configuration into the explicit experiment matrix.
 
     This is the one place the matrix is enumerated: the loop nesting *and*
     the RNG stream consumption here define the corpus order.  An unknown
-    technique fails the plan here, before anything is enumerated or run.
+    technique, or host renders that would sample no rank, fail the plan here,
+    before anything is enumerated or run.
     """
     for technique in config.techniques:
         get_technique(technique)
+    if HOST_ARCHITECTURE in config.architectures and config.techniques:
+        require_sampled_ranks(config.max_sampled_ranks)
     specs: list[ExperimentSpec] = []
     common = dict(
         base_seed=config.seed,

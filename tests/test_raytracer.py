@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import Camera, TriangleMesh
 from repro.rendering.raytracer import RayTracer, RayTracerConfig, Workload, build_bvh
+from repro.rendering.raytracer.bvh import BVH, _Builder
 from repro.rendering.raytracer.shading import hemisphere_samples, occlusion_to_ambient
 from repro.rendering.raytracer.traversal import (
     any_hit,
@@ -18,6 +19,7 @@ from repro.rendering.raytracer.traversal import (
     ray_aabb_intersect,
 )
 from repro.rendering.scene import Light, Material, Scene
+from repro.util.morton import morton_codes_points
 
 
 def _random_triangle_soup(rng, count: int) -> TriangleMesh:
@@ -26,7 +28,77 @@ def _random_triangle_soup(rng, count: int) -> TriangleMesh:
     return TriangleMesh(vertices, triangles, rng.random(count * 3))
 
 
+def _recursive_lbvh(mesh: TriangleMesh, leaf_size: int) -> BVH:
+    """The node-at-a-time LBVH the level-synchronous build replaced, kept as its oracle.
+
+    Each range of the Morton-sorted codes splits where the highest differing
+    bit of its first and last code flips (Karras 2012); ranges whose codes are
+    all identical split at the midpoint.
+    """
+    lows, highs = mesh.triangle_bounds()
+    centroids = mesh.centroids()
+    codes = morton_codes_points(centroids)
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+
+    def split(order: np.ndarray, start: int, end: int) -> int:
+        first = int(sorted_codes[start])
+        last = int(sorted_codes[end - 1])
+        if first == last:
+            return (start + end) // 2
+        top_bit = (first ^ last).bit_length() - 1
+        # First index whose code has the highest differing bit set.
+        threshold = ((first >> top_bit) | 1) << top_bit
+        return start + int(np.searchsorted(sorted_codes[start:end], threshold))
+
+    builder = _Builder(lows, highs, centroids, leaf_size)
+    return builder.finish(builder.build(order, split), leaf_size, "lbvh")
+
+
+def _depth_first(bvh: BVH) -> list[tuple]:
+    """Per node, left subtree first: its leaf range (or ``None``) and its box.
+
+    The two builders number nodes differently; this is the tree without the numbering.
+    """
+    nodes = []
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        count = int(bvh.primitive_count[node])
+        leaf_range = (int(bvh.first_primitive[node]), count) if count else None
+        nodes.append((leaf_range, bvh.node_low[node], bvh.node_high[node]))
+        if not count:
+            stack += [int(bvh.right_child[node]), int(bvh.left_child[node])]
+    return nodes
+
+
 class TestBVH:
+    @given(
+        seed=st.integers(0, 10_000),
+        distinct=st.integers(1, 80),
+        copies=st.integers(1, 6),
+        leaf_size=st.integers(1, 8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_level_synchronous_lbvh_is_the_recursive_tree(self, seed, distinct, copies, leaf_size):
+        # ``copies`` coincident triangles per distinct one share a centroid, hence
+        # a Morton code: those ranges exercise the midpoint split.  One distinct
+        # triangle, one copy is the single-node tree.
+        soup = _random_triangle_soup(np.random.default_rng(seed), distinct)
+        mesh = TriangleMesh(soup.vertices, np.repeat(soup.triangles, copies, axis=0))
+        fast = build_bvh(mesh, leaf_size=leaf_size)
+        slow = _recursive_lbvh(mesh, leaf_size)
+        assert np.array_equal(fast.primitive_order, slow.primitive_order)
+        assert fast.num_nodes == slow.num_nodes
+        for (fast_range, fast_low, fast_high), (slow_range, slow_low, slow_high) in zip(
+            _depth_first(fast), _depth_first(slow)
+        ):
+            assert fast_range == slow_range
+            assert np.array_equal(fast_low, slow_low) and np.array_equal(fast_high, slow_high)
+        assert fast.validate(mesh)
+        assert fast._max_depth is not None and slow._max_depth is None  # recorded vs walked
+        assert fast.max_depth() == slow.max_depth()
+
     @pytest.mark.parametrize("method", ["lbvh", "sah"])
     def test_containment_invariant(self, small_surface, method):
         bvh = build_bvh(small_surface, leaf_size=4, method=method)

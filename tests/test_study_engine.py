@@ -25,8 +25,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.geometry.transforms import Camera
 from repro.modeling.study import FailureRecord, StudyConfiguration
+from repro.rendering import Framebuffer
+from repro.rendering.rays import pixels_reaching
+from repro.rendering.result import ObservedFeatures, RenderResult
 from repro.runtime.decomposition import BlockDecomposition
 from repro.study import (
     CorpusCache,
@@ -38,8 +44,9 @@ from repro.study import (
     run_study,
 )
 from repro.study import cli as study_cli
-from repro.study import corpus_io
-from repro.study.plan import smoke_configuration, spec_from_payload
+from repro.study import corpus_io, experiments
+from repro.study.plan import ExperimentSpec, smoke_configuration, spec_from_payload
+from repro.techniques import TECHNIQUES, get_technique
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +524,213 @@ class TestPlan:
             grouped[PHASE_GROUPS[phase]] = grouped.get(PHASE_GROUPS[phase], 0.0) + seconds
         assert sum(grouped.values()) == pytest.approx(record.total_seconds)
         assert record.frame_seconds > 0.0
+
+
+# ---------------------------------------------------------------------------
+# The Section 5.4 rule: which sampled rank becomes the row
+# ---------------------------------------------------------------------------
+
+def _render_spec(**overrides) -> ExperimentSpec:
+    """A small multi-rank host render spec; keywords replace its fields."""
+    values = dict(
+        kind="render",
+        base_seed=0,
+        architecture="cpu-host",
+        technique="raytrace",
+        simulation="kripke",
+        num_tasks=8,
+        cells_per_task=3,
+        image_width=24,
+        image_height=24,
+        samples_in_depth=8,
+        max_sampled_ranks=3,
+    )
+    return ExperimentSpec(**{**values, **overrides})
+
+
+def _block_camera(spec: ExperimentSpec) -> tuple[BlockDecomposition, Camera]:
+    decomposition = BlockDecomposition(spec.num_tasks, spec.cells_per_task)
+    camera = Camera.framing_bounds(
+        decomposition.global_bounds, spec.image_width, spec.image_height
+    )
+    return decomposition, camera
+
+
+def _render_rank(spec: ExperimentSpec, rank: int) -> RenderResult:
+    decomposition, camera = _block_camera(spec)
+    grid = decomposition.block_grid_with_field(
+        rank, "scalar", experiments._SIMULATION_FIELDS[spec.simulation]
+    )
+    renderer = TECHNIQUES[spec.technique].make_renderer(grid, "scalar", spec.samples_in_depth)
+    return renderer.render(camera)
+
+
+def _exhaustive_features(spec: ExperimentSpec) -> ObservedFeatures:
+    """The oracle: render *every* sampled rank, keep the largest workload."""
+    ranks = experiments._sampled_ranks(spec.num_tasks, spec.max_sampled_ranks)
+    results = [_render_rank(spec, rank) for rank in ranks]
+    return max(
+        enumerate(results),
+        key=lambda pair: (pair[1].features.active_pixels, pair[1].features.objects, -pair[0]),
+    )[1].features
+
+
+@pytest.fixture
+def rendered_origins(monkeypatch):
+    """Origins of the blocks ``run_experiment`` hands to ``make_renderer``, in call order."""
+    origins = []
+
+    def spying_row(name):
+        row = get_technique(name)
+
+        def make_renderer(grid, field_name, samples_in_depth):
+            origins.append(tuple(grid.origin))
+            return row.make_renderer(grid, field_name, samples_in_depth)
+
+        return dataclasses.replace(row, make_renderer=make_renderer)
+
+    monkeypatch.setattr(experiments, "get_technique", spying_row)
+    return origins
+
+
+def _inconclusive_bounds(monkeypatch):
+    """Every rank's bound becomes the whole image: nothing can be certified."""
+    monkeypatch.setattr(
+        experiments,
+        "pixels_reaching",
+        lambda camera, boxes: [camera.width * camera.height] * len(boxes),
+    )
+
+
+class TestSlowestRankSelection:
+    """``run_experiment`` renders only what it must and records the exhaustive row."""
+
+    @pytest.mark.parametrize("max_sampled_ranks", [2, 3, 4])
+    @pytest.mark.parametrize("num_tasks", [2, 4, 8])
+    @pytest.mark.parametrize("technique", list(TECHNIQUES))
+    def test_row_equals_rendering_every_sampled_rank(
+        self, technique, num_tasks, max_sampled_ranks
+    ):
+        spec = _render_spec(
+            technique=technique, num_tasks=num_tasks, max_sampled_ranks=max_sampled_ranks
+        )
+        assert experiments.run_experiment(spec).features == _exhaustive_features(spec)
+
+    @pytest.mark.parametrize("technique", list(TECHNIQUES))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_tasks=st.integers(1, 12),
+        cells=st.integers(1, 5),
+        width=st.integers(1, 40),
+        height=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_pixel_bound_covers_the_rendered_active_pixels(
+        self, technique, num_tasks, cells, width, height, data
+    ):
+        # The certificate the pruning rests on.  A technique row that lights a
+        # pixel whose center ray misses its block fails here.
+        rank = data.draw(st.integers(0, num_tasks - 1))
+        spec = _render_spec(
+            technique=technique,
+            num_tasks=num_tasks,
+            cells_per_task=cells,
+            image_width=width,
+            image_height=height,
+        )
+        decomposition, camera = _block_camera(spec)
+        (bound,) = pixels_reaching(camera, [decomposition.block_bounds(rank)])
+        assert bound >= _render_rank(spec, rank).features.active_pixels
+
+    @pytest.mark.parametrize("technique", list(TECHNIQUES))
+    def test_an_inconclusive_bound_renders_the_rank(
+        self, technique, monkeypatch, rendered_origins
+    ):
+        spec = _render_spec(technique=technique)  # 8 tasks, ranks 0 / 4 / 7 sampled
+        pruned = experiments.run_experiment(spec)
+        assert 1 <= len(rendered_origins) < 3
+        del rendered_origins[:]
+        _inconclusive_bounds(monkeypatch)
+        exhaustive = experiments.run_experiment(spec)
+        decomposition, _ = _block_camera(spec)
+        assert rendered_origins == [
+            tuple(decomposition.block_bounds(rank).low) for rank in (0, 4, 7)
+        ]
+        assert exhaustive.features == pruned.features
+
+    @pytest.mark.parametrize("real_bounds", [True, False])
+    def test_an_exact_tie_keeps_the_lowest_rank(self, real_bounds, monkeypatch):
+        # Every block reports the workload that equals rank 0's bound, the
+        # smallest, so rank 0 is visited last with a bound that is *not* below
+        # the best: a non-strict comparison would skip it and keep rank 4.
+        # Which block a result came from is smuggled out through a feature the
+        # selection does not read.
+        spec = _render_spec()  # 8 tasks, ranks 0 / 4 / 7 sampled
+        decomposition, camera = _block_camera(spec)
+        blocks = {rank: decomposition.block_bounds(rank) for rank in (0, 4, 7)}
+        bounds = pixels_reaching(camera, list(blocks.values()))
+        assert bounds[0] < min(bounds[1:])
+        rank_at = {tuple(box.low): rank for rank, box in blocks.items()}
+
+        class TiedRenderer:
+            def __init__(self, grid, field_name, samples_in_depth):
+                self.rank = rank_at[tuple(grid.origin)]
+
+            def render(self, camera):
+                features = ObservedFeatures(
+                    objects=7, active_pixels=bounds[0], cells_spanned=self.rank
+                )
+                return RenderResult(Framebuffer(camera.width, camera.height), {}, features)
+
+        row = dataclasses.replace(TECHNIQUES["raytrace"], make_renderer=TiedRenderer)
+        monkeypatch.setattr(experiments, "get_technique", lambda name: row)
+        if not real_bounds:
+            _inconclusive_bounds(monkeypatch)
+        assert experiments.run_experiment(spec).features.cells_spanned == 0
+
+    def test_smoke_preset_renders_one_block_per_spec(self, rendered_origins):
+        specs = [spec for spec in build_plan(smoke_configuration()).specs if spec.kind == "render"]
+        assert specs and all(spec.num_tasks > 1 < spec.max_sampled_ranks for spec in specs)
+        for spec in specs:
+            experiments.run_experiment(spec)
+        assert len(rendered_origins) == len(specs)
+
+    @pytest.mark.parametrize(
+        "override, error",
+        [
+            ({"technique": "does-not-exist"}, ValueError),
+            ({"simulation": "not-a-simulation"}, KeyError),
+            ({"dpp_device": "not-a-device"}, KeyError),
+            ({"max_sampled_ranks": 0}, ValueError),
+        ],
+        ids=["technique", "simulation", "device", "max_sampled_ranks"],
+    )
+    def test_nothing_is_rendered_before_a_broken_spec_raises(
+        self, override, error, rendered_origins
+    ):
+        with pytest.raises(error):
+            experiments.run_experiment(_render_spec(**override))
+        assert rendered_origins == []
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_sampling_no_rank_fails_the_plan_not_its_specs(self, value):
+        message = f"max_sampled_ranks must be at least 1 for a host render, got {value}"
+        config = dataclasses.replace(smoke_configuration(), max_sampled_ranks=value)
+        with pytest.raises(ValueError, match=message):
+            build_plan(config)
+        with pytest.raises(ValueError, match=message):
+            run_study(config, strict=False)
+        # No host renders planned, nothing to sample: the plan stands.
+        modeled = dataclasses.replace(config, architectures=("gpu1-k40m",))
+        assert len(build_plan(modeled)) == len(
+            build_plan(dataclasses.replace(modeled, max_sampled_ranks=2))
+        )
+        # A stale spec still carrying the value is one ordinary failure row.
+        stale = _render_spec(max_sampled_ranks=value)
+        corpus, report = run_plan(dataclasses.replace(build_plan(modeled), specs=[stale]), jobs=1)
+        assert report.failed == 1
+        (failure,) = corpus.failures
+        assert (failure.error_type, failure.message) == ("ValueError", message)
 
 
 # ---------------------------------------------------------------------------
