@@ -14,16 +14,13 @@ This package reproduces that layer in Python:
   vectorized kernels, mirroring the paper's OpenMP-vs-ISPC back-end swap).
 * :mod:`repro.dpp.primitives` -- the primitives themselves, dispatching to the
   active device and recording per-invocation instrumentation.
-* :mod:`repro.dpp.instrument` -- operation counters and timings per primitive,
-  standing in for PAPI / nvprof hardware counters.
-* :mod:`repro.dpp.arrays` -- a struct-of-arrays container following the
-  memory-layout best practice noted in Chapter III.
+* :mod:`repro.dpp.instrument` -- per-scope operation counters and primitive
+  time, standing in for PAPI / nvprof hardware counters.
 * :mod:`repro.dpp.frontier` -- the compacted-frontier kernel engine shared by
   the BVH traversal loop and both volume ray casters: contiguous SoA lane
   state, device-routed flush/compaction, and per-lane retirement.
 """
 
-from repro.dpp.arrays import SOAArray
 from repro.dpp.frontier import FrontierEngine, FrontierKernel, FrontierLanes
 from repro.dpp.device import (
     Device,
@@ -38,7 +35,7 @@ from repro.dpp.device import (
     register_lazy_device,
     use_device,
 )
-from repro.dpp.instrument import InstrumentationScope, OpCounters, get_instrumentation
+from repro.dpp.instrument import OpCounters, get_instrumentation
 from repro.dpp.primitives import (
     exclusive_scan,
     gather,
@@ -58,9 +55,7 @@ __all__ = [
     "FrontierEngine",
     "FrontierKernel",
     "FrontierLanes",
-    "InstrumentationScope",
     "OpCounters",
-    "SOAArray",
     "SerialDevice",
     "VectorizedDevice",
     "device_available",

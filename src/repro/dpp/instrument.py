@@ -1,4 +1,4 @@
-"""Primitive-level instrumentation: timings and operation counters.
+"""Primitive-level instrumentation: per-scope operation counters.
 
 The study gathered PAPI counters on the CPU and nvprof metrics on the GPU to
 derive per-phase instructions-per-cycle (Table 7) and to populate the
@@ -11,22 +11,30 @@ hardware counters, so instead every data-parallel primitive invocation reports
 
 into a process-global :class:`OpCounters` object.  The ratio of elements
 touched to bytes moved plays the role of arithmetic intensity / IPC in the
-per-phase analyses, and the timings feed the model-fitting corpus.
+per-phase analyses.
 
-Scopes (:class:`InstrumentationScope`) give each rendering phase its own
-namespace, so a volume render records ``volume.sampling`` separately from
-``volume.compositing`` just as the paper's harness did.
+Every invocation is filed under the *active scope*.  A renderer never names
+one: :class:`repro.rendering.result.PhaseClock` runs each phase under
+``"<family>.<phase>"``, so a volume render records ``volume.sampling``
+separately from ``volume.compositing`` just as the paper's harness did.  The
+active scope is held in a :class:`contextvars.ContextVar` like the active
+device (:mod:`repro.dpp.device`): interleaved asyncio tasks and threads each
+file their primitives under their own scope and restore their own previous
+scope on exit.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.util.timing import TimingRegistry
+__all__ = ["OpCounters", "get_instrumentation", "reset_instrumentation"]
 
-__all__ = ["OpCounters", "InstrumentationScope", "get_instrumentation", "reset_instrumentation"]
+_ACTIVE_SCOPE: contextvars.ContextVar[str] = contextvars.ContextVar(
+    "repro_dpp_active_scope", default="global"
+)
 
 
 @dataclass
@@ -36,69 +44,51 @@ class _PhaseCounters:
     invocations: int = 0
     elements: int = 0
     bytes_moved: int = 0
+    seconds: float = 0.0
 
 
 @dataclass
 class OpCounters:
-    """Process-global primitive instrumentation.
+    """Process-global primitive instrumentation; every query is exact per scope."""
 
-    Attributes
-    ----------
-    timings:
-        Hierarchical wall-clock registry; phase names follow the active scope.
-    """
-
-    timings: TimingRegistry = field(default_factory=TimingRegistry)
     _phases: dict[str, _PhaseCounters] = field(default_factory=dict)
-    _scope: str = "global"
-    enabled: bool = True
 
-    # -- scope management -----------------------------------------------------
     @contextlib.contextmanager
     def scope(self, name: str) -> Iterator[str]:
-        """Temporarily switch the active scope (dotted names nest naturally)."""
-        previous = self._scope
-        self._scope = name
+        """Make ``name`` the active scope in this context for the enclosed block."""
+        token = _ACTIVE_SCOPE.set(name)
         try:
             yield name
         finally:
-            self._scope = previous
+            _ACTIVE_SCOPE.reset(token)
 
-    @property
-    def active_scope(self) -> str:
-        return self._scope
-
-    # -- recording -------------------------------------------------------------
-    def record(self, primitive: str, elements: int, bytes_moved: int, seconds: float) -> None:
+    def record(self, elements: int, bytes_moved: int, seconds: float) -> None:
         """Record one primitive invocation under the active scope."""
-        if not self.enabled:
-            return
-        key = f"{self._scope}.{primitive}"
-        phase = self._phases.setdefault(self._scope, _PhaseCounters())
+        phase = self._phases.setdefault(_ACTIVE_SCOPE.get(), _PhaseCounters())
         phase.invocations += 1
         phase.elements += int(elements)
         phase.bytes_moved += int(bytes_moved)
-        self.timings.record(key, seconds)
+        phase.seconds += seconds
 
     # -- queries ----------------------------------------------------------------
+    def _counters(self, scope: str) -> _PhaseCounters:
+        return self._phases.get(scope) or _PhaseCounters()
+
     def elements(self, scope: str) -> int:
         """Total elements touched by primitives in ``scope``."""
-        phase = self._phases.get(scope)
-        return phase.elements if phase else 0
+        return self._counters(scope).elements
 
     def bytes_moved(self, scope: str) -> int:
         """Total estimated bytes moved by primitives in ``scope``."""
-        phase = self._phases.get(scope)
-        return phase.bytes_moved if phase else 0
+        return self._counters(scope).bytes_moved
 
     def invocations(self, scope: str) -> int:
         """Number of primitive invocations recorded in ``scope``."""
-        phase = self._phases.get(scope)
-        return phase.invocations if phase else 0
+        return self._counters(scope).invocations
 
     def seconds(self, scope: str) -> float:
         """Wall-clock seconds recorded by primitives in ``scope``."""
-        return self.timings.subtotal(scope + ".")
+        return self._counters(scope).seconds
 
     def arithmetic_intensity(self, scope: str) -> float:
         """Elements touched per byte moved -- the reproduction's IPC proxy."""
@@ -114,19 +104,13 @@ class OpCounters:
     def snapshot(self) -> dict[str, dict[str, float]]:
         """Per-scope dictionary of counters (for reports and tests)."""
         return {
-            scope: {
-                "invocations": float(phase.invocations),
-                "elements": float(phase.elements),
-                "bytes_moved": float(phase.bytes_moved),
-                "seconds": self.seconds(scope),
-            }
+            scope: {name: float(value) for name, value in vars(phase).items()}
             for scope, phase in self._phases.items()
         }
 
     def clear(self) -> None:
-        """Forget all counters and timings."""
+        """Forget all counters."""
         self._phases.clear()
-        self.timings.clear()
 
 
 #: Module-level singleton used by :mod:`repro.dpp.primitives`.
@@ -141,20 +125,3 @@ def get_instrumentation() -> OpCounters:
 def reset_instrumentation() -> None:
     """Clear the process-global instrumentation (used by tests and the harness)."""
     _INSTRUMENTATION.clear()
-
-
-class InstrumentationScope:
-    """Convenience context manager: ``with InstrumentationScope("volume.sampling"): ...``"""
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-        self._manager = None
-
-    def __enter__(self) -> str:
-        self._manager = _INSTRUMENTATION.scope(self._name)
-        return self._manager.__enter__()
-
-    def __exit__(self, *exc_info: object) -> None:
-        assert self._manager is not None
-        self._manager.__exit__(*exc_info)
-        self._manager = None

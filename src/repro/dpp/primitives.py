@@ -7,18 +7,17 @@ EAVL/VTK-m implementations, so that the algorithmic-complexity terms used by
 the performance models (objects touched, pixels touched, samples taken) can be
 counted at this single choke point.
 
-Each primitive
-
-1. validates its inputs,
-2. dispatches execution to the active :class:`repro.dpp.device.Device`, and
-3. records wall-clock time, elements touched, and bytes moved into the global
-   :class:`repro.dpp.instrument.OpCounters`.
+Each primitive validates its inputs and hands the device call to
+:func:`_dispatch`, the one place dpp time is taken: it runs the call on the
+chosen :class:`repro.dpp.device.Device` and records wall-clock time, elements
+touched, and bytes moved into the global
+:class:`repro.dpp.instrument.OpCounters`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -38,13 +37,21 @@ __all__ = [
 ]
 
 
-def _array_bytes(arrays: Sequence[np.ndarray]) -> int:
-    """Sum of buffer sizes, used as the bytes-moved estimate."""
-    return int(sum(np.asarray(a).nbytes for a in arrays))
+def _dispatch(call: Callable, elements: int, *operands):
+    """Run ``call(*operands)`` on a device, timing it and recording its traffic.
 
-
-def _record(primitive: str, elements: int, arrays: Sequence[np.ndarray], seconds: float) -> None:
-    get_instrumentation().record(primitive, elements, _array_bytes(arrays), seconds)
+    Bytes moved are estimated as the operand buffers plus every array the call
+    produced that is not itself an operand (``scatter`` returns its output
+    operand; a reduction returns a scalar).
+    """
+    start = time.perf_counter()
+    result = call(*operands)
+    seconds = time.perf_counter() - start
+    buffers = [a for a in operands if isinstance(a, np.ndarray)]
+    produced = result if isinstance(result, tuple) else (result,)
+    buffers += [np.asarray(a) for a in produced if np.ndim(a) and all(a is not b for b in buffers)]
+    get_instrumentation().record(elements, sum(a.nbytes for a in buffers), seconds)
+    return result
 
 
 def map_field(functor: Callable, *arrays: np.ndarray, device: str | None = None):
@@ -77,12 +84,7 @@ def map_field(functor: Callable, *arrays: np.ndarray, device: str | None = None)
     for array in arrays[1:]:
         if len(array) != length:
             raise ValueError("map_field inputs must share their leading dimension")
-    start = time.perf_counter()
-    result = get_device(device).map(functor, *arrays)
-    elapsed = time.perf_counter() - start
-    outputs = result if isinstance(result, tuple) else (result,)
-    _record("map", length, arrays + tuple(np.asarray(o) for o in outputs), elapsed)
-    return result
+    return _dispatch(get_device(device).map, length, functor, *arrays)
 
 
 def gather(values: np.ndarray, indices: np.ndarray, device: str | None = None) -> np.ndarray:
@@ -99,11 +101,7 @@ def gather(values: np.ndarray, indices: np.ndarray, device: str | None = None) -
         raise ValueError("cannot gather from an empty array")
     if len(indices) and (indices.min() < 0 or indices.max() >= len(values)):
         raise IndexError("gather index out of range")
-    start = time.perf_counter()
-    result = get_device(device).gather(values, indices)
-    elapsed = time.perf_counter() - start
-    _record("gather", len(indices), (values, indices, result), elapsed)
-    return result
+    return _dispatch(get_device(device).gather, len(indices), values, indices)
 
 
 def scatter(
@@ -125,11 +123,7 @@ def scatter(
         raise ValueError("scatter values and indices must have equal length")
     if len(indices) and (indices.min() < 0 or indices.max() >= len(output)):
         raise IndexError("scatter index out of range")
-    start = time.perf_counter()
-    result = get_device(device).scatter(values, indices, output)
-    elapsed = time.perf_counter() - start
-    _record("scatter", len(indices), (values, indices, output), elapsed)
-    return result
+    return _dispatch(get_device(device).scatter, len(indices), values, indices, output)
 
 
 def reduce_field(values: np.ndarray, operator: str = "add", device: str | None = None):
@@ -141,31 +135,19 @@ def reduce_field(values: np.ndarray, operator: str = "add", device: str | None =
     direct device callers get the identical contract.
     """
     values = np.asarray(values)
-    start = time.perf_counter()
-    result = get_device(device).reduce(values, operator)
-    elapsed = time.perf_counter() - start
-    _record("reduce", len(values), (values,), elapsed)
-    return result
+    return _dispatch(get_device(device).reduce, len(values), values, operator)
 
 
 def inclusive_scan(values: np.ndarray, device: str | None = None) -> np.ndarray:
     """Inclusive prefix sum: ``out[i] = sum(values[:i+1])``."""
     values = np.asarray(values)
-    start = time.perf_counter()
-    result = get_device(device).scan(values, inclusive=True)
-    elapsed = time.perf_counter() - start
-    _record("scan", len(values), (values, result), elapsed)
-    return result
+    return _dispatch(get_device(device).scan, len(values), values, True)
 
 
 def exclusive_scan(values: np.ndarray, device: str | None = None) -> np.ndarray:
     """Exclusive prefix sum: ``out[i] = sum(values[:i])`` with ``out[0] = 0``."""
     values = np.asarray(values)
-    start = time.perf_counter()
-    result = get_device(device).scan(values, inclusive=False)
-    elapsed = time.perf_counter() - start
-    _record("scan", len(values), (values, result), elapsed)
-    return result
+    return _dispatch(get_device(device).scan, len(values), values, False)
 
 
 def reverse_index(
@@ -187,11 +169,7 @@ def reverse_index(
         raise ValueError("reverse_index flags and scan_result must be one-dimensional")
     if len(flags) != len(scan_result):
         raise ValueError("flags and scan_result must have equal length")
-    start = time.perf_counter()
-    result = get_device(device).reverse_index(scan_result, flags)
-    elapsed = time.perf_counter() - start
-    _record("reverse_index", len(flags), (scan_result, flags, result), elapsed)
-    return result
+    return _dispatch(get_device(device).reverse_index, len(flags), scan_result, flags)
 
 
 def segmented_argmin(
@@ -242,11 +220,9 @@ def segmented_argmin(
         # winner for it; reject it rather than diverge (use +inf for "no
         # candidate", as the ray tracer's masked intersection distances do).
         raise ValueError("segmented_argmin values must not contain NaN")
-    start = time.perf_counter()
-    result = get_device(device).segmented_argmin(values, segment_starts, tiebreak)
-    elapsed = time.perf_counter() - start
-    _record("segmented_argmin", len(values), (values, segment_starts, tiebreak, result), elapsed)
-    return result
+    return _dispatch(
+        get_device(device).segmented_argmin, len(values), values, segment_starts, tiebreak
+    )
 
 
 def stream_compact(flags: np.ndarray, *arrays: np.ndarray, device: str | None = None):

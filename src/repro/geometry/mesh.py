@@ -25,8 +25,6 @@ by the structured volume renderer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.geometry.aabb import AABB
@@ -127,17 +125,6 @@ class Mesh:
         if name in self.cell_fields:
             return "cell", self.cell_fields[name]
         raise KeyError(f"no field named {name!r}")
-
-
-@dataclass
-class _GridGeometry:
-    """Shared point/cell bookkeeping for the three structured variants."""
-
-    dims: tuple[int, int, int]
-
-    @property
-    def cell_dims(self) -> tuple[int, int, int]:
-        return (self.dims[0] - 1, self.dims[1] - 1, self.dims[2] - 1)
 
 
 class UniformGrid(Mesh):

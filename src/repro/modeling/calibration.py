@@ -58,11 +58,10 @@ class MachineCalibration:
     _config: StudyConfiguration = field(init=False)
 
     def __post_init__(self) -> None:
-        architectures = (
-            ("cpu-host", self.architecture) if self.architecture != "cpu-host" else ("cpu-host",)
-        )
+        # Only the target architecture is planned: rows of any other one are
+        # never selected by the fit, and a host row costs a real render.
         self._config = StudyConfiguration(
-            architectures=architectures,
+            architectures=(self.architecture,),
             simulations=(self.simulation,),
             task_counts=self.task_counts,
             samples_per_technique=self.calibration_samples,
@@ -79,12 +78,6 @@ class MachineCalibration:
             model=model,
             sample_points=len(corpus.select(self.architecture, technique)),
         )
-
-    def calibrate_all(
-        self, techniques: tuple[str, ...] = ("raytrace", "raster", "volume")
-    ) -> dict[str, CalibrationResult]:
-        """Calibrate every technique; returns results keyed by technique."""
-        return {technique: self.calibrate(technique) for technique in techniques}
 
     # -- internals -------------------------------------------------------------------
     def _run_technique(self, technique: str):

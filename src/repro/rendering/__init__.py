@@ -25,6 +25,7 @@ from repro.rendering.result import (
     PHASE_GROUP_ORDER,
     PHASE_GROUPS,
     ObservedFeatures,
+    PhaseClock,
     RenderResult,
 )
 from repro.rendering.scene import Light, Material, Scene
@@ -59,6 +60,7 @@ __all__ = [
     "ObservedFeatures",
     "PHASE_GROUPS",
     "PHASE_GROUP_ORDER",
+    "PhaseClock",
     "Rasterizer",
     "RasterizerConfig",
     "RayEmitter",

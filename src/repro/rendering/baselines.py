@@ -38,7 +38,7 @@ from repro.geometry.transforms import Camera
 from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.raytracer.bvh import build_bvh
 from repro.rendering.raytracer.traversal import closest_hit
-from repro.rendering.result import ObservedFeatures, RenderResult
+from repro.rendering.result import ObservedFeatures, PhaseClock, RenderResult
 from repro.rendering.scene import Scene
 from repro.rendering.volume.transfer_function import TransferFunction
 from repro.rendering.volume.unstructured import UnstructuredVolumeConfig, UnstructuredVolumeRenderer
@@ -116,12 +116,12 @@ class ProjectedTetrahedraRenderer:
             )
 
     def render(self, camera: Camera) -> RenderResult:
-        phases: dict[str, float] = {}
+        clock = PhaseClock("havs_proxy")
         framebuffer = Framebuffer(camera.width, camera.height)
         features = ObservedFeatures(objects=self.mesh.num_cells)
         width, height = camera.width, camera.height
 
-        with Timer() as timer:
+        with clock.phase("sort"):
             points = self.mesh.points()
             screen, w = camera.world_to_screen(points)
             depth = camera.depth_along_view(points)
@@ -131,9 +131,8 @@ class ProjectedTetrahedraRenderer:
             cell_depth = depth[corner].mean(axis=1)
             cell_extent = depth[corner].max(axis=1) - depth[corner].min(axis=1)
             order = np.argsort(-cell_depth, kind="stable")  # back to front
-        phases["sort"] = timer.elapsed
 
-        with Timer() as timer:
+        with clock.phase("rasterize"):
             tet_xy = screen[corner][..., :2]
             lo = np.floor(tet_xy.min(axis=1)).astype(np.int64)
             hi = np.ceil(tet_xy.max(axis=1)).astype(np.int64)
@@ -169,7 +168,6 @@ class ProjectedTetrahedraRenderer:
                 # chunk is acceptable because cells arrive depth-sorted).
                 accum_rgb[pixel] = alpha[:, None] * rgb + (1.0 - alpha[:, None]) * accum_rgb[pixel]
                 accum_alpha[pixel] = alpha + (1.0 - alpha) * accum_alpha[pixel]
-        phases["rasterize"] = timer.elapsed
 
         features.active_pixels = int(np.count_nonzero(accum_alpha > 0.0))
         written = np.flatnonzero(accum_alpha > 0.0)
@@ -180,7 +178,7 @@ class ProjectedTetrahedraRenderer:
         # not drag the layer depth negative.
         nearest = float(cell_depth[ordered].min()) if len(ordered) else np.inf
         framebuffer.write_pixels(written, rgba[written], np.full(len(written), max(nearest, 0.0)))
-        return RenderResult(framebuffer, phases, features, technique="havs_proxy")
+        return RenderResult(framebuffer, clock.seconds, features, technique="havs_proxy")
 
     def visibility_depth(self, camera: Camera) -> float:
         """Distance from the camera to the mesh center (for visibility ordering)."""
@@ -236,7 +234,7 @@ class ConnectivityRayCaster:
 
     def render(self, camera: Camera) -> RenderResult:
         self.preprocess()
-        phases: dict[str, float] = {}
+        clock = PhaseClock("bunyk_proxy")
         framebuffer = Framebuffer(camera.width, camera.height)
         features = ObservedFeatures(objects=self.mesh.num_cells)
         order, starts, ends, res = self._locator
@@ -245,15 +243,14 @@ class ConnectivityRayCaster:
         cell_scalar = np.asarray(self.mesh.point_fields[self.field_name])[self.mesh.connectivity].mean(axis=1)
         tf = self.transfer_function
 
-        with Timer() as timer:
+        with clock.phase("ray_setup"):
             pixel_ids = np.arange(camera.width * camera.height, dtype=np.int64)
             origins, directions = camera.generate_rays(pixel_ids)
             near, far = ray_box_intervals(origins, directions, bounds.low, bounds.high)
             near = np.maximum(near, 0.0)
             active = far > near
-        phases["ray_setup"] = timer.elapsed
 
-        with Timer() as timer:
+        with clock.phase("march"):
             active_ids = np.flatnonzero(active)
             step = bounds.diagonal / self.samples_in_depth
             accum_rgb = np.zeros((len(active_ids), 3))
@@ -280,7 +277,6 @@ class ConnectivityRayCaster:
                 weight = (1.0 - accum_alpha) * alpha
                 accum_rgb += weight[:, None] * rgb
                 accum_alpha += weight
-        phases["march"] = timer.elapsed
 
         features.active_pixels = int(np.count_nonzero(accum_alpha > 0.0))
         features.samples_per_ray = float(n_steps)
@@ -290,7 +286,7 @@ class ConnectivityRayCaster:
         # Covered pixels report their ray's entry distance (the shared depth
         # convention); misses stay inf.
         framebuffer.write_pixels(written, rgba[covered], near[written])
-        return RenderResult(framebuffer, phases, features, technique="bunyk_proxy")
+        return RenderResult(framebuffer, clock.seconds, features, technique="bunyk_proxy")
 
     def visibility_depth(self, camera: Camera) -> float:
         """Distance from the camera to the mesh center (for visibility ordering)."""

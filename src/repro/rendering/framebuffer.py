@@ -54,11 +54,6 @@ class Framebuffer:
         if depth is not None:
             self.depth.reshape(-1)[pixel_ids] = depth
 
-    def read_pixels(self, pixel_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Read ``(rgba, depth)`` at flat pixel indices."""
-        pixel_ids = np.asarray(pixel_ids, dtype=np.int64)
-        return self.rgba.reshape(-1, 4)[pixel_ids], self.depth.reshape(-1)[pixel_ids]
-
     # -- compositing helpers ---------------------------------------------------------
     def blend_over(self, other: "Framebuffer") -> "Framebuffer":
         """Composite ``self`` over ``other`` using straight-alpha OVER."""

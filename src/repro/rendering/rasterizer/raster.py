@@ -24,13 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dpp.instrument import InstrumentationScope
 from repro.geometry.transforms import Camera
 from repro.rendering.framebuffer import Framebuffer
-from repro.rendering.result import ObservedFeatures, RenderResult
+from repro.rendering.result import ObservedFeatures, PhaseClock, RenderResult
 from repro.rendering.scene import Scene
 from repro.util.packing import chunk_ranges, segment_local_indices
-from repro.util.timing import Timer
 
 __all__ = ["RasterizerConfig", "Rasterizer"]
 
@@ -63,14 +61,14 @@ class Rasterizer:
     def render(self, camera: Camera) -> RenderResult:
         """Rasterize the scene from ``camera``."""
         mesh = self.scene.mesh
-        phases: dict[str, float] = {}
+        clock = PhaseClock("raster")
         framebuffer = Framebuffer(camera.width, camera.height)
         features = ObservedFeatures(objects=mesh.num_triangles)
         if mesh.num_triangles == 0:
-            return RenderResult(framebuffer, phases, features, technique="raster")
+            return RenderResult(framebuffer, clock.seconds, features, technique="raster")
 
         # -- culling phase: classify every triangle against the view -------------
-        with Timer() as timer, InstrumentationScope("raster.culling"):
+        with clock.phase("culling"):
             screen, w = camera.world_to_screen(mesh.vertices)
             corner_ids = mesh.triangles
             corner_screen = screen[corner_ids]              # (nt, 3, 3)
@@ -91,24 +89,22 @@ class Rasterizer:
                 edge2 = corner_screen[:, 2, :2] - corner_screen[:, 0, :2]
                 signed_area = edge1[:, 0] * edge2[:, 1] - edge1[:, 1] * edge2[:, 0]
                 visible &= signed_area <= 0.0
-        phases["culling"] = timer.elapsed
 
         visible_ids = np.flatnonzero(visible)
         features.visible_objects = int(len(visible_ids))
         if len(visible_ids) == 0:
-            return RenderResult(framebuffer, phases, features, technique="raster")
+            return RenderResult(framebuffer, clock.seconds, features, technique="raster")
 
         # -- rasterization phase: barycentric sampling of each footprint ------------
-        with Timer() as timer, InstrumentationScope("raster.rasterize"):
+        with clock.phase("rasterize"):
             pixels_considered, fragments = self._rasterize_visible(
                 camera, framebuffer, visible_ids, corner_screen, corner_ids
             )
-        phases["rasterize"] = timer.elapsed
 
         features.pixels_per_triangle = pixels_considered / max(len(visible_ids), 1)
         features.active_pixels = framebuffer.active_pixels()
-        phases.setdefault("fragments", 0.0)
-        return RenderResult(framebuffer, phases, features, technique="raster")
+        clock.add("fragments", 0.0)
+        return RenderResult(framebuffer, clock.seconds, features, technique="raster")
 
     def visibility_depth(self, camera: Camera) -> float:
         """Distance from the camera to the scene center (for visibility ordering)."""

@@ -221,7 +221,3 @@ class CameraPath:
             near=template.near,
             far=template.far,
         )
-
-    def emitter_at(self, frame: int, supersample: int = 1, morton_order: bool = False) -> RayEmitter:
-        """A :class:`RayEmitter` positioned at ``frame`` of the orbit."""
-        return RayEmitter(self.camera_at(frame), supersample=supersample, morton_order=morton_order)

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dpp.instrument import InstrumentationScope
 from repro.dpp.primitives import map_field, stream_compact
 from repro.geometry.transforms import Camera
 from repro.rendering.framebuffer import Framebuffer
@@ -47,7 +46,7 @@ from repro.rendering.raytracer.shading import (
 )
 from repro.rendering.raytracer.traversal import any_hit, closest_hit
 from repro.rendering.rays import RayEmitter
-from repro.rendering.result import ObservedFeatures, RenderResult
+from repro.rendering.result import ObservedFeatures, PhaseClock, RenderResult
 from repro.rendering.scene import Scene
 from repro.util.rng import default_rng
 from repro.util.timing import Timer
@@ -160,20 +159,19 @@ class RayTracer:
     def render(self, camera: Camera) -> RenderResult:
         """Render the scene from ``camera`` and return the image plus measurements."""
         config = self.config
-        phases: dict[str, float] = {}
+        clock = PhaseClock("raytrace")
         mesh = self.scene.mesh
 
-        with InstrumentationScope("raytrace.bvh_build"):
-            bvh = self.build_acceleration_structure()
-        phases["bvh_build"] = self._bvh_seconds
+        # The build is cached across renders; every render reports the seconds
+        # the one build took.
+        bvh = self.build_acceleration_structure()
+        clock.add("bvh_build", self._bvh_seconds)
 
-        with Timer() as timer, InstrumentationScope("raytrace.ray_setup"):
+        with clock.phase("ray_setup"):
             pixel_ids, origins, directions = self._generate_rays(camera)
-        phases["ray_setup"] = timer.elapsed
 
-        with Timer() as timer, InstrumentationScope("raytrace.trace"):
+        with clock.phase("trace"):
             hits = closest_hit(bvh, mesh, origins, directions, dtype=config.ray_state_dtype)
-        phases["trace"] = timer.elapsed
 
         framebuffer = Framebuffer(camera.width, camera.height)
         features = ObservedFeatures(objects=mesh.num_triangles)
@@ -184,11 +182,11 @@ class RayTracer:
         if config.workload is Workload.INTERSECTION_ONLY:
             # The Mrays/s benchmark writes only the hit distance as grayscale.
             self._write_depth_image(framebuffer, camera, pixel_ids, hits)
-            return RenderResult(framebuffer, phases, features, technique="raytrace")
+            return RenderResult(framebuffer, clock.seconds, features, technique="raytrace")
 
         # Optionally compact away rays that missed everything before shading.
         if config.compaction or config.workload is Workload.FULL:
-            with Timer() as timer, InstrumentationScope("raytrace.compaction"):
+            with clock.phase("compaction"):
                 _, (pixel_ids, origins, directions, tri, t, u, v) = stream_compact(
                     hit_mask,
                     pixel_ids,
@@ -199,31 +197,31 @@ class RayTracer:
                     hits.u,
                     hits.v,
                 )
-            phases["compaction"] = timer.elapsed
         else:
             keep = hit_mask
             pixel_ids, origins, directions = pixel_ids[keep], origins[keep], directions[keep]
             tri, t, u, v = hits.triangle[keep], hits.t[keep], hits.u[keep], hits.v[keep]
 
         if len(tri) == 0:
-            return RenderResult(framebuffer, phases, features, technique="raytrace")
+            return RenderResult(framebuffer, clock.seconds, features, technique="raytrace")
 
-        with Timer() as timer, InstrumentationScope("raytrace.shade"):
+        with clock.phase("shade_setup"):
             points = origins + t[:, None] * directions
             normals = map_field(lambda tr, uu, vv: interpolate_normals(self.scene, tr, uu, vv), tri, u, v)
             scalars = interpolate_scalars(self.scene, tri, u, v)
             vmin, vmax = self.scene.scalar_range or (None, None)
             base_colors = self.scene.color_table.map_scalars(scalars, vmin, vmax)
             view_dirs = -directions
-        phases["shade_setup"] = timer.elapsed
 
         ambient = None
         visibility = None
         if config.workload is Workload.FULL:
-            ambient = self._ambient_occlusion(bvh, points, normals, phases)
-            visibility = self._shadows(bvh, points, phases)
+            with clock.phase("ambient_occlusion"):
+                ambient = self._ambient_occlusion(bvh, points, normals)
+            with clock.phase("shadows"):
+                visibility = self._shadows(bvh, points)
 
-        with Timer() as timer, InstrumentationScope("raytrace.shade"):
+        with clock.phase("shade"):
             shaded = map_field(
                 lambda p, n, vd, bc: blinn_phong(self.scene, p, n, vd, bc, visibility, ambient),
                 points,
@@ -231,66 +229,57 @@ class RayTracer:
                 view_dirs,
                 base_colors,
             )
-            if config.reflections:
-                shaded = self._add_reflections(bvh, points, directions, normals, shaded, phases)
-        phases["shade"] = timer.elapsed
+        if config.reflections:
+            with clock.phase("reflections"):
+                shaded = self._add_reflections(bvh, points, directions, normals, shaded)
 
-        with Timer() as timer, InstrumentationScope("raytrace.accumulate"):
+        with clock.phase("accumulate"):
             self._accumulate(framebuffer, camera, pixel_ids, shaded, t)
-        phases["accumulate"] = timer.elapsed
-        return RenderResult(framebuffer, phases, features, technique="raytrace")
+        return RenderResult(framebuffer, clock.seconds, features, technique="raytrace")
 
     # -- secondary ray stages ---------------------------------------------------------
-    def _ambient_occlusion(
-        self, bvh: BVH, points: np.ndarray, normals: np.ndarray, phases: dict[str, float]
-    ) -> np.ndarray:
+    def _ambient_occlusion(self, bvh: BVH, points: np.ndarray, normals: np.ndarray) -> np.ndarray:
         """Trace hemispheric occlusion rays and return per-hit ambient factors."""
         config = self.config
-        with Timer() as timer, InstrumentationScope("raytrace.ambient_occlusion"):
-            rng = default_rng(config.seed, "raytrace-ao")
-            sample_dirs = hemisphere_samples(normals, config.ao_samples, rng)
-            sample_origins = np.repeat(points, config.ao_samples, axis=0)
-            # Offset origins slightly along the normal to avoid self-hits.
-            sample_origins = sample_origins + 1e-4 * np.repeat(normals, config.ao_samples, axis=0)
-            max_distance = config.ao_distance_fraction * max(self.scene.mesh.bounds.diagonal, 1e-12)
-            occluded = any_hit(
-                bvh,
-                self.scene.mesh,
-                sample_origins,
-                sample_dirs,
-                t_max=max_distance,
-                dtype=config.ray_state_dtype,
-            )
-            ambient = occlusion_to_ambient(occluded, config.ao_samples)
-        phases["ambient_occlusion"] = timer.elapsed
-        return ambient
+        rng = default_rng(config.seed, "raytrace-ao")
+        sample_dirs = hemisphere_samples(normals, config.ao_samples, rng)
+        sample_origins = np.repeat(points, config.ao_samples, axis=0)
+        # Offset origins slightly along the normal to avoid self-hits.
+        sample_origins = sample_origins + 1e-4 * np.repeat(normals, config.ao_samples, axis=0)
+        max_distance = config.ao_distance_fraction * max(self.scene.mesh.bounds.diagonal, 1e-12)
+        occluded = any_hit(
+            bvh,
+            self.scene.mesh,
+            sample_origins,
+            sample_dirs,
+            t_max=max_distance,
+            dtype=config.ray_state_dtype,
+        )
+        return occlusion_to_ambient(occluded, config.ao_samples)
 
-    def _shadows(self, bvh: BVH, points: np.ndarray, phases: dict[str, float]) -> np.ndarray:
+    def _shadows(self, bvh: BVH, points: np.ndarray) -> np.ndarray:
         """Trace shadow rays toward every light; returns (n_hits, n_lights) visibility.
 
         All lights' visibility rays are traced through a single batched
         ``any_hit`` query with a per-ray distance limit, so the traversal
         engine sees one wide frontier instead of one narrow query per light.
         """
-        with Timer() as timer, InstrumentationScope("raytrace.shadows"):
-            n_points = len(points)
-            light_positions = np.stack([light.position for light in self.scene.lights])
-            to_light = light_positions[None, :, :] - points[:, None, :]  # (n, lights, 3)
-            distance = np.linalg.norm(to_light, axis=2)
-            distance[distance == 0.0] = 1.0
-            directions = to_light / distance[:, :, None]
-            origins = points[:, None, :] + 1e-4 * directions
-            blocked = any_hit(
-                bvh,
-                self.scene.mesh,
-                origins.reshape(-1, 3),
-                directions.reshape(-1, 3),
-                t_max=(distance - 1e-3).ravel(),
-                dtype=self.config.ray_state_dtype,
-            )
-            visibility = 1.0 - blocked.reshape(n_points, len(self.scene.lights)).astype(np.float64)
-        phases["shadows"] = timer.elapsed
-        return visibility
+        n_points = len(points)
+        light_positions = np.stack([light.position for light in self.scene.lights])
+        to_light = light_positions[None, :, :] - points[:, None, :]  # (n, lights, 3)
+        distance = np.linalg.norm(to_light, axis=2)
+        distance[distance == 0.0] = 1.0
+        directions = to_light / distance[:, :, None]
+        origins = points[:, None, :] + 1e-4 * directions
+        blocked = any_hit(
+            bvh,
+            self.scene.mesh,
+            origins.reshape(-1, 3),
+            directions.reshape(-1, 3),
+            t_max=(distance - 1e-3).ravel(),
+            dtype=self.config.ray_state_dtype,
+        )
+        return 1.0 - blocked.reshape(n_points, len(self.scene.lights)).astype(np.float64)
 
     def _add_reflections(
         self,
@@ -299,24 +288,21 @@ class RayTracer:
         directions: np.ndarray,
         normals: np.ndarray,
         shaded: np.ndarray,
-        phases: dict[str, float],
     ) -> np.ndarray:
         """Single-bounce specular reflections blended into the shaded color."""
-        with Timer() as timer, InstrumentationScope("raytrace.reflections"):
-            reflect_dirs = directions - 2.0 * np.einsum("ij,ij->i", directions, normals)[:, None] * normals
-            origins = points + 1e-4 * reflect_dirs
-            bounce = closest_hit(
-                bvh, self.scene.mesh, origins, reflect_dirs, dtype=self.config.ray_state_dtype
-            )
-            mask = bounce.hit_mask
-            if np.any(mask):
-                scalars = interpolate_scalars(self.scene, bounce.triangle[mask], bounce.u[mask], bounce.v[mask])
-                vmin, vmax = self.scene.scalar_range or (None, None)
-                bounce_colors = self.scene.color_table.map_scalars(scalars, vmin, vmax)
-                weight = self.config.reflection_attenuation
-                shaded = shaded.copy()
-                shaded[mask] = np.clip((1.0 - weight) * shaded[mask] + weight * bounce_colors, 0.0, 1.0)
-        phases["reflections"] = timer.elapsed
+        reflect_dirs = directions - 2.0 * np.einsum("ij,ij->i", directions, normals)[:, None] * normals
+        origins = points + 1e-4 * reflect_dirs
+        bounce = closest_hit(
+            bvh, self.scene.mesh, origins, reflect_dirs, dtype=self.config.ray_state_dtype
+        )
+        mask = bounce.hit_mask
+        if np.any(mask):
+            scalars = interpolate_scalars(self.scene, bounce.triangle[mask], bounce.u[mask], bounce.v[mask])
+            vmin, vmax = self.scene.scalar_range or (None, None)
+            bounce_colors = self.scene.color_table.map_scalars(scalars, vmin, vmax)
+            weight = self.config.reflection_attenuation
+            shaded = shaded.copy()
+            shaded[mask] = np.clip((1.0 - weight) * shaded[mask] + weight * bounce_colors, 0.0, 1.0)
         return shaded
 
     # -- framebuffer writes --------------------------------------------------------------

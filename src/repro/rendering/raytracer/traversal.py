@@ -103,10 +103,6 @@ class HitRecord:
         """Boolean mask of rays that hit something."""
         return self.triangle >= 0
 
-    def hit_points(self, origins: np.ndarray, directions: np.ndarray) -> np.ndarray:
-        """World-space intersection points (undefined content for misses)."""
-        return origins + self.t[:, None] * directions
-
 
 def ray_aabb_intersect(
     origins: np.ndarray,

@@ -4,7 +4,8 @@ Every renderer in :mod:`repro.rendering` returns a :class:`RenderResult`
 containing
 
 * the :class:`~repro.rendering.framebuffer.Framebuffer`,
-* per-phase wall-clock times (the regression targets), and
+* per-phase wall-clock times (the regression targets), taken by the render's
+  :class:`PhaseClock`, and
 * the *observed model input variables* of Section 5.3 -- Objects, Active
   Pixels, Visible Objects, Pixels Per Triangle, Samples Per Ray, Cells
   Spanned -- so the study harness can fit models against observed inputs and
@@ -13,14 +14,19 @@ containing
 
 from __future__ import annotations
 
+import contextlib
+import time
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.dpp.instrument import get_instrumentation
 from repro.rendering.framebuffer import Framebuffer
 
 __all__ = [
     "ObservedFeatures",
+    "PhaseClock",
     "RenderResult",
     "PHASE_GROUPS",
     "PHASE_GROUP_ORDER",
@@ -30,11 +36,11 @@ __all__ = [
 PHASE_GROUP_ORDER = ("setup", "sample", "shade", "composite")
 
 #: The standardized phase-name schema: every phase a renderer may report,
-#: mapped to its canonical group.  ``RenderResult`` rejects unregistered
-#: names, so downstream consumers (the in situ mini-app, the compositing
-#: harness, and the modeling corpus) read one schema instead of ad-hoc
-#: per-renderer dictionaries; per-family names stay paper-faithful (the
-#: unstructured renderer still reports Algorithm 2's phases) but roll up
+#: mapped to its canonical group.  :class:`PhaseClock` and ``RenderResult``
+#: reject unregistered names, so downstream consumers (the in situ mini-app,
+#: the compositing harness, and the modeling corpus) read one schema instead
+#: of ad-hoc per-renderer dictionaries; per-family names stay paper-faithful
+#: (the unstructured renderer still reports Algorithm 2's phases) but roll up
 #: into the same four groups everywhere.
 PHASE_GROUPS = {
     # acceleration/locator builds and per-frame set-up
@@ -63,6 +69,56 @@ PHASE_GROUPS = {
     "compositing": "composite",
     "fragments": "composite",
 }
+
+
+def _require_registered(names: Iterable[str]) -> None:
+    unknown = sorted(name for name in names if name not in PHASE_GROUPS)
+    if unknown:
+        raise ValueError(
+            f"unregistered phase names {unknown}; the standardized schema "
+            f"accepts {sorted(PHASE_GROUPS)} (extend PHASE_GROUPS to add one)"
+        )
+
+
+class PhaseClock:
+    """The per-phase stopwatch of one render.
+
+    ``with clock.phase("trace"):`` is everything a renderer writes for a
+    phase: the block is timed into ``clock.seconds["trace"]`` (a repeated
+    phase accumulates) and runs under the dpp scope ``"<family>.trace"``, so
+    the phase's time and its primitive counters cannot be filed under
+    different names.  A name outside :data:`PHASE_GROUPS` raises before the
+    block runs.
+
+    A phase opened inside another is charged its own time only and the outer
+    phase keeps the rest, so ``sum(clock.seconds.values())`` never exceeds the
+    wall-clock of the render that owns the clock.  :meth:`add` is for seconds
+    that were not measured around a block of this render.
+    """
+
+    def __init__(self, family: str) -> None:
+        self.family = family
+        self.seconds: dict[str, float] = {}
+        self._nested = 0.0  # seconds of the phases closed inside the open one
+
+    def add(self, name: str, seconds: float) -> None:
+        """Accumulate ``seconds`` under ``name`` without timing anything."""
+        _require_registered((name,))
+        self.seconds[name] = self.seconds.get(name, 0.0) + seconds
+
+    @contextlib.contextmanager
+    def phase(self, name: str) -> Iterator[None]:
+        """Time the enclosed block as phase ``name`` under its dpp scope."""
+        _require_registered((name,))
+        outer_nested, self._nested = self._nested, 0.0
+        start = time.perf_counter()
+        try:
+            with get_instrumentation().scope(f"{self.family}.{name}"):
+                yield
+        finally:
+            elapsed = time.perf_counter() - start
+            self.add(name, elapsed - self._nested)
+            self._nested = outer_nested + elapsed
 
 
 def _validate_depth_convention(framebuffer: Framebuffer) -> None:
@@ -144,12 +200,7 @@ class RenderResult:
     technique: str = ""
 
     def __post_init__(self) -> None:
-        unknown = sorted(name for name in self.phase_seconds if name not in PHASE_GROUPS)
-        if unknown:
-            raise ValueError(
-                f"unregistered phase names {unknown}; the standardized schema "
-                f"accepts {sorted(PHASE_GROUPS)} (extend PHASE_GROUPS to add one)"
-            )
+        _require_registered(self.phase_seconds)
         _validate_depth_convention(self.framebuffer)
 
     @property

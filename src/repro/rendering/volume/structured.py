@@ -37,16 +37,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dpp.frontier import FrontierEngine, FrontierLanes
-from repro.dpp.instrument import InstrumentationScope
 from repro.dpp.primitives import map_field
 from repro.geometry.aabb import ray_box_intervals
 from repro.geometry.mesh import UniformGrid
 from repro.geometry.transforms import Camera
 from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.rays import RayEmitter
-from repro.rendering.result import ObservedFeatures, RenderResult
+from repro.rendering.result import ObservedFeatures, PhaseClock, RenderResult
 from repro.rendering.volume.transfer_function import TransferFunction
-from repro.util.timing import Timer
 
 __all__ = ["StructuredVolumeConfig", "StructuredVolumeRenderer"]
 
@@ -273,24 +271,23 @@ class StructuredVolumeRenderer:
     def render(self, camera: Camera) -> RenderResult:
         """Volume render the grid from ``camera`` on the frontier engine."""
         config = self.config
-        phases: dict[str, float] = {}
+        clock = PhaseClock("volume")
         framebuffer = Framebuffer(camera.width, camera.height)
         features = ObservedFeatures(objects=self.grid.num_cells)
 
-        with Timer() as timer, InstrumentationScope("volume.ray_setup"):
+        with clock.phase("ray_setup"):
             emitter = RayEmitter(camera)
             active_ids, origins, directions, near, far = emitter.emit_clipped(self.grid.bounds)
-        phases["ray_setup"] = timer.elapsed
 
         n_active = len(active_ids)
         features.active_pixels = int(n_active)
         features.cells_spanned = int(max(self.grid.cell_dims))
         if n_active == 0:
-            return RenderResult(framebuffer, phases, features, technique="volume")
+            return RenderResult(framebuffer, clock.seconds, features, technique="volume")
 
         step = self.grid.bounds.diagonal / config.samples_in_depth
 
-        with Timer() as timer, InstrumentationScope("volume.sampling"):
+        with clock.phase("sampling"):
             max_samples = int(np.ceil((far - near).max() / step))
             kernel = _SlabSampleKernel(
                 self._trilinear_kernel,
@@ -329,15 +326,13 @@ class StructuredVolumeRenderer:
             FrontierEngine().run(kernel, lanes, outputs)
             accum_rgb = outputs["accum_rgb"]
             accum_alpha = outputs["accum_alpha"]
-        phases["sampling"] = timer.elapsed
         features.samples_per_ray = int(outputs["samples"].sum()) / max(n_active, 1)
 
-        with Timer() as timer, InstrumentationScope("volume.compositing"):
+        with clock.phase("compositing"):
             rgba = np.concatenate([accum_rgb, accum_alpha[:, None]], axis=1)
             depth = np.where(accum_alpha > 0.0, near, np.inf)
             framebuffer.write_pixels(active_ids, rgba, depth)
-        phases["compositing"] = timer.elapsed
-        return RenderResult(framebuffer, phases, features, technique="volume")
+        return RenderResult(framebuffer, clock.seconds, features, technique="volume")
 
     def _trilinear_reference(self, positions: np.ndarray) -> np.ndarray:
         """The pre-refactor trilinear interpolator (triple fancy indexing),
@@ -374,27 +369,26 @@ class StructuredVolumeRenderer:
         reference for the engine path (golden-image tests and the volume
         throughput benchmark's seed baseline)."""
         config = self.config
-        phases: dict[str, float] = {}
+        clock = PhaseClock("volume")
         framebuffer = Framebuffer(camera.width, camera.height)
         features = ObservedFeatures(objects=self.grid.num_cells)
 
-        with Timer() as timer:
+        with clock.phase("ray_setup"):
             pixel_ids = np.arange(camera.width * camera.height, dtype=np.int64)
             origins, directions = camera.generate_rays(pixel_ids)
             t_near, t_far = self._ray_box_interval(origins, directions)
             active = t_far > t_near
-        phases["ray_setup"] = timer.elapsed
 
         active_ids = np.flatnonzero(active)
         features.active_pixels = int(len(active_ids))
         features.cells_spanned = int(max(self.grid.cell_dims))
         if len(active_ids) == 0:
-            return RenderResult(framebuffer, phases, features, technique="volume")
+            return RenderResult(framebuffer, clock.seconds, features, technique="volume")
 
         step = self.grid.bounds.diagonal / config.samples_in_depth
         tf = self.transfer_function
 
-        with Timer() as timer:
+        with clock.phase("sampling"):
             origins = origins[active_ids]
             directions = directions[active_ids]
             near = t_near[active_ids]
@@ -430,15 +424,13 @@ class StructuredVolumeRenderer:
                 accum_alpha[alive] = 1.0 - (1.0 - accum_alpha[alive]) * transparency[:, -1]
                 # Early ray termination between slabs.
                 alive = alive[accum_alpha[alive] < config.early_termination_alpha]
-        phases["sampling"] = timer.elapsed
         features.samples_per_ray = samples_taken / max(len(active_ids), 1)
 
-        with Timer() as timer:
+        with clock.phase("compositing"):
             rgba = np.concatenate([accum_rgb, accum_alpha[:, None]], axis=1)
             depth = np.where(accum_alpha > 0.0, near, np.inf)
             framebuffer.write_pixels(active_ids, rgba, depth)
-        phases["compositing"] = timer.elapsed
-        return RenderResult(framebuffer, phases, features, technique="volume")
+        return RenderResult(framebuffer, clock.seconds, features, technique="volume")
 
     def visibility_depth(self, camera: Camera) -> float:
         """Distance from the camera to the volume center (for visibility ordering)."""

@@ -54,7 +54,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dpp.frontier import FrontierEngine, FrontierLanes
-from repro.dpp.instrument import InstrumentationScope
 from repro.dpp.primitives import (
     exclusive_scan,
     gather,
@@ -68,10 +67,9 @@ from repro.geometry.mesh import UnstructuredTetMesh
 from repro.geometry.tetra import tet_face_planes
 from repro.geometry.transforms import Camera
 from repro.rendering.framebuffer import Framebuffer
-from repro.rendering.result import ObservedFeatures, RenderResult
+from repro.rendering.result import ObservedFeatures, PhaseClock, RenderResult
 from repro.rendering.volume.transfer_function import TransferFunction
 from repro.util.packing import chunk_ranges, segment_local_indices
-from repro.util.timing import Timer
 
 __all__ = ["UnstructuredVolumeConfig", "UnstructuredVolumeRenderer"]
 
@@ -151,27 +149,27 @@ class _TetPassKernel:
     output_fields = ("accum_rgb", "accum_alpha")
 
     def __init__(
-        self, renderer: "UnstructuredVolumeRenderer", camera: Camera, prepared: _PreparedTets
+        self,
+        renderer: "UnstructuredVolumeRenderer",
+        camera: Camera,
+        prepared: _PreparedTets,
+        clock: PhaseClock,
     ) -> None:
         self.renderer = renderer
         self.camera = camera
         self.prepared = prepared
+        self.clock = clock
         config = renderer.config
         self.num_pixels = camera.width * camera.height
         self.total_slots = config.samples_in_depth
         self.slots_per_pass = int(np.ceil(self.total_slots / config.num_passes))
         self.pass_index = 0
-        self.phases = {
-            "pass_selection": 0.0,
-            "screen_space": 0.0,
-            "sampling": 0.0,
-            "compositing": 0.0,
-        }
         self.samples_with_data = 0
 
     def step(self, lanes: FrontierLanes) -> np.ndarray:
         renderer = self.renderer
         config = renderer.config
+        clock = self.clock
         accum_alpha = lanes["accum_alpha"]
         first_slot = self.pass_index * self.slots_per_pass
         last_slot = min(first_slot + self.slots_per_pass, self.total_slots)
@@ -180,25 +178,23 @@ class _TetPassKernel:
             return np.ones(len(lanes), dtype=bool)
         final_pass = self.pass_index >= config.num_passes or last_slot >= self.total_slots
 
-        with Timer() as timer, InstrumentationScope("volume.pass_selection"):
+        with clock.phase("pass_selection"):
             active = renderer._pass_selection(
                 self.prepared.slot_low, self.prepared.slot_high, first_slot, last_slot
             )
-        self.phases["pass_selection"] += timer.elapsed
         if len(active) == 0:
             done = np.ones(len(lanes), dtype=bool) if final_pass else lanes.retired.copy()
             return done
 
-        with Timer() as timer, InstrumentationScope("volume.screen_space"):
+        with clock.phase("screen_space"):
             # Screen-space tet vertices: (px, py, depth-slot), plus the face
             # planes powering the fragment sampler's analytic span test.
             vertices = self.prepared.screen_vertices[active]
             active_planes = self.prepared.face_planes[active]
             active_heights = self.prepared.face_heights[active]
             active_scalars = self.prepared.tet_scalars[active]
-        self.phases["screen_space"] += timer.elapsed
 
-        with Timer() as timer, InstrumentationScope("volume.sampling"):
+        with clock.phase("sampling"):
             # Lane residency is the sampler's early-termination mask: only
             # pixels still resident (and not retired) receive samples.
             open_mask = np.zeros(self.num_pixels, dtype=bool)
@@ -215,16 +211,14 @@ class _TetPassKernel:
                 sample_scalar,
                 open_mask,
             )
-        self.phases["sampling"] += timer.elapsed
 
-        with Timer() as timer, InstrumentationScope("volume.compositing"):
+        with clock.phase("compositing"):
             rows = gather(sample_scalar, lanes.lane_ids)
             self.samples_with_data += int(np.count_nonzero(~np.isnan(rows)))
             live = ~lanes.retired
             renderer._composite_rows(
                 rows, lanes["accum_rgb"], accum_alpha, self.prepared.step_length, live
             )
-        self.phases["compositing"] += timer.elapsed
 
         if final_pass:
             return np.ones(len(lanes), dtype=bool)
@@ -306,11 +300,11 @@ class UnstructuredVolumeRenderer:
         features = ObservedFeatures(objects=self.mesh.num_cells)
         num_pixels = camera.width * camera.height
 
-        with Timer() as timer, InstrumentationScope("volume.initialization"):
+        clock = PhaseClock("volume")
+        with clock.phase("initialization"):
             prepared = self._prepare(camera)
-        initialization_seconds = timer.elapsed
 
-        kernel = _TetPassKernel(self, camera, prepared)
+        kernel = _TetPassKernel(self, camera, prepared, clock)
         lanes = FrontierLanes(
             np.arange(num_pixels, dtype=np.int64),
             {
@@ -322,16 +316,13 @@ class UnstructuredVolumeRenderer:
             "accum_rgb": np.zeros((num_pixels, 3)),
             "accum_alpha": np.zeros(num_pixels),
         }
-        with Timer() as engine_timer, InstrumentationScope("volume.compositing"):
+        # The engine's flush/compaction work runs between kernel steps, in no
+        # phase the kernel opens; the enclosing phase keeps it as compositing
+        # (it is per-pixel accumulator movement).
+        with clock.phase("compositing"):
             FrontierEngine().run(kernel, lanes, outputs)
         accum_rgb = outputs["accum_rgb"]
         accum_alpha = outputs["accum_alpha"]
-        phases = {"initialization": initialization_seconds, **kernel.phases}
-        # The engine's flush/compaction work runs between kernel steps, so it
-        # lands in no kernel-timed phase; attribute the residual to
-        # compositing (it is per-pixel accumulator movement).
-        engine_overhead = max(engine_timer.elapsed - sum(kernel.phases.values()), 0.0)
-        phases["compositing"] += engine_overhead
 
         features.active_pixels = int(np.count_nonzero(accum_alpha > 0.0))
         features.samples_per_ray = kernel.samples_with_data / max(features.active_pixels, 1)
@@ -344,28 +335,21 @@ class UnstructuredVolumeRenderer:
         framebuffer.write_pixels(
             written, rgba[written], np.full(len(written), max(prepared.depth_min, 0.0))
         )
-        return RenderResult(framebuffer, phases, features, technique="volume_unstructured")
+        return RenderResult(framebuffer, clock.seconds, features, technique="volume_unstructured")
 
     def render_reference(self, camera: Camera) -> RenderResult:
         """Pre-frontier full-width multi-pass loop, kept as the differential
         reference for the engine path (golden-image tests and the volume
         throughput benchmark's seed baseline)."""
         config = self.config
-        phases = {
-            "initialization": 0.0,
-            "pass_selection": 0.0,
-            "screen_space": 0.0,
-            "sampling": 0.0,
-            "compositing": 0.0,
-        }
+        clock = PhaseClock("volume")
         framebuffer = Framebuffer(camera.width, camera.height)
         features = ObservedFeatures(objects=self.mesh.num_cells)
         num_pixels = camera.width * camera.height
         total_slots = config.samples_in_depth
 
-        with Timer() as timer:
+        with clock.phase("initialization"):
             prepared = self._prepare(camera)
-        phases["initialization"] = timer.elapsed
 
         accum_rgb = np.zeros((num_pixels, 3))
         accum_alpha = np.zeros(num_pixels)
@@ -379,35 +363,31 @@ class UnstructuredVolumeRenderer:
             if first_slot >= last_slot:
                 break
 
-            with Timer() as timer:
+            with clock.phase("pass_selection"):
                 active = self._pass_selection(
                     prepared.slot_low, prepared.slot_high, first_slot, last_slot
                 )
-            phases["pass_selection"] += timer.elapsed
             if len(active) == 0:
                 continue
 
-            with Timer() as timer:
+            with clock.phase("screen_space"):
                 # Screen-space tet vertices: (px, py, depth-slot).
                 vertices = prepared.screen_vertices[active]
                 active_scalars = prepared.tet_scalars[active]
-            phases["screen_space"] += timer.elapsed
 
-            with Timer() as timer:
+            with clock.phase("sampling"):
                 sample_scalar = np.full((num_pixels, last_slot - first_slot), np.nan)
                 open_mask = accum_alpha < config.early_termination_alpha
                 pairs = self._sample_pass_reference(
                     camera, vertices, active_scalars, first_slot, last_slot, sample_scalar, open_mask
                 )
                 cells_touched_max = max(cells_touched_max, pairs)
-            phases["sampling"] += timer.elapsed
 
-            with Timer() as timer:
+            with clock.phase("compositing"):
                 samples_with_data += int(np.count_nonzero(~np.isnan(sample_scalar)))
                 self._composite_rows(
                     sample_scalar, accum_rgb, accum_alpha, prepared.step_length, None
                 )
-            phases["compositing"] += timer.elapsed
 
         features.active_pixels = int(np.count_nonzero(accum_alpha > 0.0))
         features.samples_per_ray = samples_with_data / max(features.active_pixels, 1)
@@ -418,7 +398,7 @@ class UnstructuredVolumeRenderer:
         framebuffer.write_pixels(
             written, rgba[written], np.full(len(written), max(prepared.depth_min, 0.0))
         )
-        return RenderResult(framebuffer, phases, features, technique="volume_unstructured")
+        return RenderResult(framebuffer, clock.seconds, features, technique="volume_unstructured")
 
     # -- sampling (fragment-sorted fast path) -----------------------------------------------
     @staticmethod

@@ -242,11 +242,6 @@ class SimulatedCommunicator:
         while len(self._rounds) < count:
             self._rounds.append(_MessageLog())
 
-    @property
-    def num_rounds(self) -> int:
-        """Number of rounds currently in the log (including the open one)."""
-        return len(self._rounds)
-
     def total_bytes(self) -> float:
         """All bytes sent in the lifetime of the communicator."""
         return float(

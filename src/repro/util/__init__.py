@@ -4,8 +4,8 @@ This package holds small building blocks used throughout :mod:`repro`:
 
 * :mod:`repro.util.morton` -- Z-order (Morton) curve encoding used to order
   camera rays and to build the linear BVH (LBVH).
-* :mod:`repro.util.timing` -- lightweight wall-clock timers and a hierarchical
-  timing registry used by the data-gathering infrastructure.
+* :mod:`repro.util.timing` -- the whole-call stopwatch (render phases are timed
+  by :class:`repro.rendering.result.PhaseClock`).
 * :mod:`repro.util.rng` -- deterministic random-number-generator helpers so
   every experiment in the study is reproducible.
 """
@@ -22,14 +22,12 @@ from repro.util.morton import (
     unpart1by2,
 )
 from repro.util.rng import default_rng, derive_seed, spawn_rngs
-from repro.util.timing import Timer, TimingRegistry, format_seconds
+from repro.util.timing import Timer
 
 __all__ = [
     "Timer",
-    "TimingRegistry",
     "default_rng",
     "derive_seed",
-    "format_seconds",
     "morton_decode_2d",
     "morton_decode_3d",
     "morton_encode_2d",

@@ -1,37 +1,18 @@
-"""Wall-clock timers and a hierarchical timing registry.
+"""The whole-call stopwatch.
 
-The performance study (Chapter V) gathers per-phase run times for every
-rendering experiment; Chapter VI motivates a generic "data gathering
-infrastructure" that records hierarchical timings with low overhead.  The
-:class:`TimingRegistry` here is that infrastructure: renderers register
-phase timings under dotted names (``"raytrace.bvh_build"``,
-``"volume.sampling"``) and the study harness later retrieves them to build
-the regression corpus.
+:class:`Timer` times one call from outside -- a compositing run, a simulation
+step, a cached acceleration-structure build.  A *render phase* is not timed
+with it: phases go through :class:`repro.rendering.result.PhaseClock`, which
+also names the phase's dpp scope and keeps nested phases from being counted
+twice.
 """
 
 from __future__ import annotations
 
 import time
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
-__all__ = ["Timer", "TimingRegistry", "format_seconds"]
-
-
-def format_seconds(seconds: float) -> str:
-    """Render a duration with units matched to its magnitude."""
-    if seconds < 0:
-        return f"-{format_seconds(-seconds)}"
-    if seconds < 1e-6:
-        return f"{seconds * 1e9:.1f} ns"
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.1f} us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.2f} ms"
-    if seconds < 120.0:
-        return f"{seconds:.3f} s"
-    return f"{seconds / 60.0:.2f} min"
+__all__ = ["Timer"]
 
 
 @dataclass
@@ -67,116 +48,3 @@ class Timer:
         self.elapsed += time.perf_counter() - self._start
         self._start = None
         return self.elapsed
-
-    def reset(self) -> None:
-        """Zero the accumulated time."""
-        self.elapsed = 0.0
-        self._start = None
-
-
-@dataclass
-class _PhaseRecord:
-    """Accumulated statistics for one named phase."""
-
-    total: float = 0.0
-    count: int = 0
-    minimum: float = float("inf")
-    maximum: float = 0.0
-
-    def add(self, seconds: float) -> None:
-        self.total += seconds
-        self.count += 1
-        self.minimum = min(self.minimum, seconds)
-        self.maximum = max(self.maximum, seconds)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
-@dataclass
-class TimingRegistry:
-    """Hierarchical accumulator of named phase timings.
-
-    Phase names are dotted paths; :meth:`subtotal` aggregates over a prefix so
-    callers can ask for e.g. the total of every ``"volume.*"`` phase.
-    """
-
-    _records: dict[str, _PhaseRecord] = field(default_factory=lambda: defaultdict(_PhaseRecord))
-
-    def record(self, name: str, seconds: float) -> None:
-        """Accumulate ``seconds`` under ``name``."""
-        if seconds < 0:
-            raise ValueError("negative duration recorded")
-        self._records[name].add(seconds)
-
-    def time(self, name: str) -> "_RegistryTimer":
-        """Return a context manager that records its elapsed time under ``name``."""
-        return _RegistryTimer(self, name)
-
-    def total(self, name: str) -> float:
-        """Total accumulated seconds for an exact phase name (0.0 if unseen)."""
-        record = self._records.get(name)
-        return record.total if record else 0.0
-
-    def count(self, name: str) -> int:
-        """Number of samples recorded for an exact phase name."""
-        record = self._records.get(name)
-        return record.count if record else 0
-
-    def mean(self, name: str) -> float:
-        """Mean duration for an exact phase name (0.0 if unseen)."""
-        record = self._records.get(name)
-        return record.mean if record else 0.0
-
-    def subtotal(self, prefix: str) -> float:
-        """Sum of totals over every phase whose name starts with ``prefix``."""
-        return sum(rec.total for name, rec in self._records.items() if name.startswith(prefix))
-
-    def phases(self) -> Iterator[str]:
-        """Iterate over recorded phase names in insertion order."""
-        return iter(self._records.keys())
-
-    def as_dict(self) -> dict[str, float]:
-        """Snapshot of phase totals."""
-        return {name: rec.total for name, rec in self._records.items()}
-
-    def clear(self) -> None:
-        """Forget all recorded phases."""
-        self._records.clear()
-
-    def merge(self, other: "TimingRegistry") -> None:
-        """Fold another registry's totals into this one."""
-        for name, rec in other._records.items():
-            mine = self._records[name]
-            mine.total += rec.total
-            mine.count += rec.count
-            mine.minimum = min(mine.minimum, rec.minimum)
-            mine.maximum = max(mine.maximum, rec.maximum)
-
-    def report(self) -> str:
-        """Human-readable multi-line summary sorted by total time."""
-        lines = ["phase                                    total      count   mean"]
-        for name, rec in sorted(self._records.items(), key=lambda kv: -kv[1].total):
-            lines.append(
-                f"{name:<40} {format_seconds(rec.total):>10} {rec.count:>7}"
-                f" {format_seconds(rec.mean):>10}"
-            )
-        return "\n".join(lines)
-
-
-class _RegistryTimer:
-    """Context manager produced by :meth:`TimingRegistry.time`."""
-
-    def __init__(self, registry: TimingRegistry, name: str) -> None:
-        self._registry = registry
-        self._name = name
-        self._timer = Timer()
-
-    def __enter__(self) -> Timer:
-        self._timer.start()
-        return self._timer
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._timer.stop()
-        self._registry.record(self._name, self._timer.elapsed)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.dpp import (
     DeviceUnavailableError,
-    SOAArray,
     device_available,
     exclusive_scan,
     gather,
@@ -142,6 +141,66 @@ class TestContextLocalActivation:
                 assert get_device().name == "vectorized"
             assert get_device().name == "serial"
         assert get_device().name == "vectorized"
+
+
+class TestContextLocalScope:
+    """Regression tests for the instrumentation scope being context-local.
+
+    The active scope used to be a process-global attribute of ``OpCounters``,
+    so interleaved ``scope`` blocks filed each other's primitives under the
+    wrong name and restored the wrong previous scope.
+    """
+
+    @staticmethod
+    def _two_gathers():
+        gather(np.arange(8), np.arange(4))
+        gather(np.arange(8), np.arange(4))
+
+    @staticmethod
+    def _invocations():
+        snapshot = get_instrumentation().snapshot()
+        return {scope: int(row["invocations"]) for scope, row in snapshot.items()}
+
+    def test_asyncio_tasks_record_under_their_own_scope(self):
+        async def worker(name, barrier):
+            with get_instrumentation().scope(name):
+                await barrier.wait()  # both tasks now hold their scope
+                gather(np.arange(8), np.arange(4))
+                await asyncio.sleep(0)  # force another interleave point
+                gather(np.arange(8), np.arange(4))
+
+        async def main():
+            barrier = asyncio.Barrier(2)
+            await asyncio.gather(worker("a", barrier), worker("b", barrier))
+
+        asyncio.run(main())
+        assert self._invocations() == {"a": 2, "b": 2}
+
+    def test_threads_record_under_their_own_scope(self):
+        barrier = threading.Barrier(2)
+
+        def worker(name):
+            with get_instrumentation().scope(name):
+                barrier.wait(timeout=10)  # both threads hold their scope concurrently
+                self._two_gathers()
+                barrier.wait(timeout=10)  # ... and keep it until both have recorded
+
+        threads = [threading.Thread(target=worker, args=(name,)) for name in ("a", "b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert self._invocations() == {"a": 2, "b": 2}
+
+    def test_copied_context_does_not_leak_scope(self):
+        context = contextvars.copy_context()
+        manager = get_instrumentation().scope("inner")
+        context.run(manager.__enter__)
+        self._two_gathers()  # the un-copied context never entered the scope
+        context.run(self._two_gathers)
+        context.run(manager.__exit__, None, None, None)
+        assert self._invocations() == {"global": 2, "inner": 2}
 
 
 class _SpyDevice(VectorizedDevice):
@@ -407,40 +466,16 @@ class TestPrimitives:
         assert instrumentation.seconds("unit-test") >= 0.0
         assert "unit-test" in instrumentation.scopes()
 
-
-class TestSOAArray:
-    def test_field_length_validation(self):
-        soa = SOAArray({"a": np.arange(4)})
-        with pytest.raises(ValueError):
-            soa["b"] = np.arange(5)
-
-    def test_select_and_compact(self):
-        soa = SOAArray({"a": np.arange(6), "b": np.arange(6) * 2.0})
-        picked = soa.select(np.array([5, 0]))
-        assert picked["a"].tolist() == [5, 0]
-        compacted = soa.compact(np.array([True, False, True, False, False, False]))
-        assert compacted["b"].tolist() == [0.0, 4.0]
-
-    def test_compact_length_mismatch(self):
-        soa = SOAArray({"a": np.arange(3)})
-        with pytest.raises(ValueError):
-            soa.compact(np.array([True, False]))
-
-    def test_concatenate(self):
-        a = SOAArray({"x": np.arange(3)})
-        b = SOAArray({"x": np.arange(2)})
-        combined = a.concatenate(b)
-        assert len(combined) == 5
-        with pytest.raises(ValueError):
-            a.concatenate(SOAArray({"y": np.arange(2)}))
-
-    def test_copy_independent(self):
-        original = SOAArray({"x": np.arange(3)})
-        duplicate = original.copy()
-        duplicate["x"][0] = 99
-        assert original["x"][0] == 0
-
-    def test_nbytes_and_names(self):
-        soa = SOAArray({"a": np.zeros(4), "b": np.zeros((4, 2))})
-        assert soa.names == ["a", "b"]
-        assert soa.nbytes == 4 * 8 + 8 * 8
+    def test_snapshot_rows_and_exact_scope_queries(self):
+        instrumentation = get_instrumentation()
+        with instrumentation.scope("family.phase"):
+            gather(np.arange(10), np.arange(6))
+        snapshot = instrumentation.snapshot()
+        assert set(snapshot) == {"family.phase"}
+        row = snapshot["family.phase"]
+        assert set(row) == {"invocations", "elements", "bytes_moved", "seconds"}
+        assert all(isinstance(value, float) for value in row.values())
+        assert row["seconds"] == instrumentation.seconds("family.phase") > 0.0
+        # Every query is exact per scope: a dotted child is not its parent's.
+        assert instrumentation.seconds("family") == 0.0
+        assert instrumentation.elements("family") == 0

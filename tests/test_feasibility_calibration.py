@@ -224,6 +224,24 @@ class TestMachineCalibration:
         expected = 100.0 * (row["predicted_seconds"] - measured) / measured
         assert row["difference_percent"] == pytest.approx(expected, rel=1e-9)
 
+    def test_only_the_target_architecture_is_planned(self):
+        # A synthesized target used to plan ("cpu-host", target): every
+        # calibrate() rendered ``calibration_samples`` host experiments whose
+        # rows the fit never selected.  Dropping them must not move the fit.
+        calibrator = MachineCalibration("gpu2-titan-k20")  # seed 77
+        corpus = calibrator._run_technique("raytrace")
+        assert corpus.architectures() == ["gpu2-titan-k20"]
+        assert len(corpus.records) == calibrator.calibration_samples
+        fits = calibrator.calibrate("raytrace").model.fits
+        assert fits["build"].coefficients == pytest.approx(
+            [1.5628570736545823e-08, 0.00060021626056256], rel=1e-9
+        )
+        assert fits["frame"].coefficients == pytest.approx(
+            [0.0, 1.0968606331312317e-08, 0.0006757174359861035], rel=1e-9
+        )
+        # The host stays when it *is* the target.
+        assert MachineCalibration("cpu-host")._config.architectures == ("cpu-host",)
+
     def test_repeated_calibration_is_deterministic_and_isolated(self):
         calibrator = MachineCalibration(
             "gpu1-k40m", simulation="kripke", calibration_samples=6, seed=11, task_counts=(1, 2)

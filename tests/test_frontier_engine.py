@@ -9,17 +9,22 @@ testing against ``brute_force_closest_hit``).
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.dpp import FrontierEngine, FrontierLanes, use_device
+from repro.dpp import FrontierEngine, FrontierLanes, gather, use_device
 from repro.dpp.instrument import get_instrumentation, reset_instrumentation
 from repro.geometry import Camera
 from repro.geometry.aabb import ray_box_intervals, safe_reciprocal
+from repro.geometry.triangles import external_faces
 from repro.rendering import (
+    PhaseClock,
     Rasterizer,
     RayEmitter,
     RayTracer,
+    RayTracerConfig,
     Renderer,
     RenderResult,
     Scene,
@@ -27,8 +32,10 @@ from repro.rendering import (
     StructuredVolumeRenderer,
     UnstructuredVolumeConfig,
     UnstructuredVolumeRenderer,
+    Workload,
 )
 from repro.rendering.framebuffer import Framebuffer
+from repro.techniques import TECHNIQUES
 from repro.util.morton import morton_encode_2d
 
 
@@ -279,6 +286,122 @@ class TestRendererProtocol:
         groups = result.grouped_seconds()
         assert set(groups) == {"setup", "sample", "shade", "composite"}
         assert sum(groups.values()) == pytest.approx(result.total_seconds)
+
+
+def _ray_tracer(**config):
+    return lambda grid: RayTracer(
+        Scene(external_faces(grid, scalar_field="density")), RayTracerConfig(**config)
+    )
+
+
+_RAY_TRACE_SHADING = {"bvh_build", "ray_setup", "trace", "shade_setup", "shade", "accumulate"}
+_ALGORITHM_2 = {"initialization", "pass_selection", "screen_space", "sampling", "compositing"}
+
+#: The phases each ``TECHNIQUES`` row reports on the blob grid (the ray-tracing
+#: row is ``Workload.SHADING``) -- the names corpus rows, the cost model,
+#: Figures 4/5 and Tables 6/7 read.
+_TECHNIQUE_PHASES = {
+    "raytrace": _RAY_TRACE_SHADING,
+    "raster": {"culling", "rasterize", "fragments"},
+    "volume": {"ray_setup", "sampling", "compositing"},
+    "volume_unstructured": _ALGORITHM_2,
+}
+
+#: ``(id, family, make(grid) -> renderer, phases)``: every ``TECHNIQUES`` row,
+#: the other ray-tracing workloads, and the optional reflection bounce.
+_CLOCK_CASES = [
+    *(
+        (
+            name,
+            row.family,
+            lambda grid, row=row: row.make_renderer(grid, "density", 40),
+            _TECHNIQUE_PHASES[name],
+        )
+        for name, row in TECHNIQUES.items()
+    ),
+    (
+        "raytrace-intersection-only",
+        "raytrace",
+        _ray_tracer(workload=Workload.INTERSECTION_ONLY),
+        {"bvh_build", "ray_setup", "trace"},
+    ),
+    (
+        "raytrace-full",
+        "raytrace",
+        _ray_tracer(workload=Workload.FULL, ao_samples=2),
+        _RAY_TRACE_SHADING | {"compaction", "ambient_occlusion", "shadows"},
+    ),
+    (
+        "raytrace-reflections",
+        "raytrace",
+        _ray_tracer(reflections=True),
+        _RAY_TRACE_SHADING | {"reflections"},
+    ),
+]
+
+
+class TestPhaseClock:
+    @pytest.mark.parametrize(
+        "family, make, phases",
+        [case[1:] for case in _CLOCK_CASES],
+        ids=[case[0] for case in _CLOCK_CASES],
+    )
+    def test_render_phases(self, blob_grid, family, make, phases):
+        renderer = make(blob_grid)
+        camera = Camera.framing_bounds(blob_grid.bounds, 32, 32, zoom=1.2)
+        renderer.render(camera)  # the timed render reuses the cached BVH
+        reset_instrumentation()
+        start = time.perf_counter()
+        result = renderer.render(camera)
+        wall = time.perf_counter() - start
+        assert set(result.phase_seconds) == phases
+        # No second of the render is charged to two phases (the reflection
+        # bounce used to be timed inside ``shade`` and again as ``reflections``).
+        assert result.seconds_excluding("bvh_build") <= wall
+        # A phase's primitives are filed under "<family>.<phase>" -- the
+        # convention Tables 6/7 read the per-phase counters by.
+        scopes = set(get_instrumentation().scopes())
+        assert scopes <= {f"{family}.{phase}" for phase in phases}
+        assert scopes or family == "raster"  # the rasterizer calls no primitive
+
+    def test_unregistered_name_raises_before_the_block_runs(self):
+        clock = PhaseClock("volume")
+        ran = []
+        with pytest.raises(ValueError, match="unregistered phase"):
+            with clock.phase("smapling"):
+                ran.append(True)
+        with pytest.raises(ValueError, match="unregistered phase"):
+            clock.add("smapling", 1.0)
+        assert not ran and clock.seconds == {}
+
+    def test_repeated_phase_accumulates_and_nested_time_is_charged_once(self):
+        clock = PhaseClock("volume")
+        start = time.perf_counter()
+        with clock.phase("compositing"):
+            for _ in range(2):
+                with clock.phase("sampling"):
+                    time.sleep(0.005)
+            with clock.phase("compositing"):
+                time.sleep(0.002)
+        wall = time.perf_counter() - start
+        clock.add("sampling", 1.0)
+        assert set(clock.seconds) == {"sampling", "compositing"}
+        assert clock.seconds["sampling"] >= 1.01
+        assert 0.002 <= clock.seconds["compositing"] <= wall - 0.01
+        assert sum(clock.seconds.values()) - 1.0 <= wall
+
+    def test_exception_inside_a_phase_records_it_and_restores_the_scope(self):
+        clock = PhaseClock("volume")
+        with pytest.raises(RuntimeError, match="boom"):
+            with clock.phase("sampling"):
+                with clock.phase("compositing"):
+                    gather(np.arange(4), np.arange(2))
+                    raise RuntimeError("boom")
+        assert set(clock.seconds) == {"sampling", "compositing"}
+        gather(np.arange(4), np.arange(2))
+        instrumentation = get_instrumentation()
+        assert instrumentation.invocations("volume.compositing") == 1
+        assert instrumentation.invocations("global") == 1
 
 
 class TestDepthConvention:

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 from repro.util import (
     Timer,
-    TimingRegistry,
     default_rng,
     derive_seed,
-    format_seconds,
     morton_decode_2d,
     morton_decode_3d,
     morton_encode_2d,
@@ -95,43 +93,6 @@ class TestTiming:
     def test_timer_stop_without_start_raises(self):
         with pytest.raises(RuntimeError):
             Timer().stop()
-
-    def test_registry_records_and_aggregates(self):
-        registry = TimingRegistry()
-        registry.record("render.trace", 0.5)
-        registry.record("render.trace", 0.25)
-        registry.record("render.shade", 0.1)
-        assert registry.total("render.trace") == pytest.approx(0.75)
-        assert registry.count("render.trace") == 2
-        assert registry.mean("render.trace") == pytest.approx(0.375)
-        assert registry.subtotal("render.") == pytest.approx(0.85)
-
-    def test_registry_time_context_manager(self):
-        registry = TimingRegistry()
-        with registry.time("phase"):
-            time.sleep(0.005)
-        assert registry.total("phase") > 0.0
-        assert registry.count("phase") == 1
-
-    def test_registry_merge(self):
-        a, b = TimingRegistry(), TimingRegistry()
-        a.record("x", 1.0)
-        b.record("x", 2.0)
-        b.record("y", 3.0)
-        a.merge(b)
-        assert a.total("x") == pytest.approx(3.0)
-        assert a.total("y") == pytest.approx(3.0)
-
-    def test_registry_rejects_negative(self):
-        with pytest.raises(ValueError):
-            TimingRegistry().record("x", -1.0)
-
-    def test_format_seconds_units(self):
-        assert "ns" in format_seconds(1e-8)
-        assert "us" in format_seconds(5e-5)
-        assert "ms" in format_seconds(5e-3)
-        assert "s" in format_seconds(2.0)
-        assert "min" in format_seconds(300.0)
 
 
 class TestRng:
