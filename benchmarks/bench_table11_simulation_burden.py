@@ -9,7 +9,7 @@ rendering being the most expensive).
 from __future__ import annotations
 
 from common import print_table
-from repro.insitu import ConduitNode, Strawman, StrawmanOptions
+from repro.insitu import ConduitNode, Strawman, StrawmanOptions, describe_simulation
 from repro.simulations import create_proxy
 
 CONFIGS = [
@@ -42,7 +42,7 @@ def test_table11_simulation_burden(benchmark, tmp_path):
         vis_seconds = 0.0
         for _ in range(CYCLES):
             sim_seconds += proxy.advance(1)
-            strawman.publish(proxy.describe())
+            strawman.publish(describe_simulation(proxy))
             record = strawman.execute(_actions(proxy.primary_field, renderer))
             vis_seconds += record.total_seconds
         strawman.close()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from common import print_table
 from repro.machines import KernelCostModel
 from repro.modeling import RenderingConfiguration, map_configuration_to_features
-from repro.modeling.calibration import MachineCalibration, validate_large_scale_prediction
+from repro.study.calibration import MachineCalibration, validate_large_scale_prediction
 
 TECHNIQUES = ("raytrace", "volume", "raster")
 

@@ -8,7 +8,8 @@ pieces, mirroring the paper's design:
   including zero-copy ``set_external`` semantics).
 * :mod:`repro.insitu.blueprint` -- the mesh-description conventions: how a
   uniform / rectilinear / unstructured mesh and its fields are laid out in a
-  node tree, plus validation and conversion to :mod:`repro.geometry` meshes.
+  node tree, validation, conversion to :mod:`repro.geometry` meshes, and
+  ``describe_simulation`` (a :mod:`repro.simulations` proxy's state as a tree).
 * :mod:`repro.insitu.strawman` -- the batch in situ interface itself:
   ``Open`` / ``Publish`` / ``Execute`` / ``Close``, an action vocabulary
   (AddPlot / DrawPlots / SaveImage), per-rank rendering with the renderers of
@@ -20,7 +21,7 @@ pieces, mirroring the paper's design:
 """
 
 from repro.insitu.conduit import ConduitNode
-from repro.insitu.blueprint import mesh_to_node, node_to_mesh, validate_mesh_node
+from repro.insitu.blueprint import describe_simulation, mesh_to_node, node_to_mesh, validate_mesh_node
 from repro.insitu.strawman import Strawman, StrawmanOptions
 from repro.insitu.imageio import write_ppm, write_pgm
 
@@ -28,6 +29,7 @@ __all__ = [
     "ConduitNode",
     "Strawman",
     "StrawmanOptions",
+    "describe_simulation",
     "mesh_to_node",
     "node_to_mesh",
     "validate_mesh_node",

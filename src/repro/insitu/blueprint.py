@@ -36,8 +36,9 @@ from repro.geometry.mesh import (
     UnstructuredTetMesh,
 )
 from repro.insitu.conduit import ConduitNode
+from repro.simulations.base import SimulationProxy
 
-__all__ = ["mesh_to_node", "node_to_mesh", "validate_mesh_node"]
+__all__ = ["describe_simulation", "mesh_to_node", "node_to_mesh", "validate_mesh_node"]
 
 
 def mesh_to_node(mesh: Mesh, zero_copy: bool = True) -> ConduitNode:
@@ -81,6 +82,15 @@ def mesh_to_node(mesh: Mesh, zero_copy: bool = True) -> ConduitNode:
     for name, values in mesh.cell_fields.items():
         node[f"fields/{name}/association"] = "element"
         setter(node.fetch(f"fields/{name}/values"), np.asarray(values))
+    return node
+
+
+def describe_simulation(proxy: SimulationProxy) -> ConduitNode:
+    """Publish a proxy's current state as a Conduit-like node tree (Chapter IV)."""
+    node = mesh_to_node(proxy.mesh())
+    node["state/cycle"] = proxy.cycle
+    node["state/time"] = proxy.time
+    node["state/name"] = proxy.name
     return node
 
 

@@ -49,6 +49,7 @@ from repro.rendering import (
     RenderResult,
     StructuredVolumeRenderer,
     UnstructuredVolumeRenderer,
+    make_renderer,
 )
 from repro.rendering.framebuffer import Framebuffer
 from repro.techniques import Technique, get_technique
@@ -246,7 +247,7 @@ class Strawman:
         renders and orders sub-images without per-family branches.
         """
         if technique.surface:
-            return technique.make_renderer(self._as_hex_mesh(mesh), variable, 0)  # no sample count
+            return make_renderer(technique.name, self._as_hex_mesh(mesh), variable, 0)  # no sample count
 
         # Volume rendering follows the published mesh: structured grids use the
         # structured ray caster, everything else goes through hex -> tet decomposition.

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.machines.archspec import ArchitectureSpec, get_architecture
-from repro.rendering.result import ObservedFeatures
-from repro.techniques import get_technique
+from repro.techniques import ObservedFeatures, get_technique
 from repro.util.rng import default_rng
 
 __all__ = ["synthesize_render_time", "KernelCostModel"]

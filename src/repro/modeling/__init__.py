@@ -15,10 +15,9 @@ The package implements the full Chapter V methodology:
   Equations 5.1-5.3 and 5.5 (ray tracing, rasterization, volume rendering,
   image compositing): one model type over a registry table of term groups.
 * :mod:`repro.modeling.study` -- the study's data model: the sweep
-  configuration, the corpus rows, and the corpus that fits the models
-  (:mod:`repro.study` runs the sweep that gathers it).
-* :mod:`repro.modeling.calibration` -- small-sample re-calibration for a new
-  machine and large-scale prediction (the Titan workflow of Section 5.7).
+  configuration, the corpus rows with their JSON codecs and digest, and the
+  corpus that fits the models (:mod:`repro.study` runs the sweep that gathers
+  it, and the Section 5.7 calibration workflow that sweeps and fits).
 * :mod:`repro.modeling.feasibility` -- the in situ viability analyses of
   Section 5.9 (images within a time budget; ray tracing versus
   rasterization).

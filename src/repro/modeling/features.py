@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.rendering.result import ObservedFeatures
-from repro.techniques import get_technique
+from repro.techniques import ObservedFeatures, get_technique
 
 __all__ = [
     "RenderingConfiguration",

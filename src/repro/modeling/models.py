@@ -42,8 +42,7 @@ import numpy as np
 from repro.modeling.crossval import CrossValidationSummary, k_fold_cross_validation
 from repro.modeling.features import feature_arrays
 from repro.modeling.regression import LinearRegressionResult, fit_linear_model
-from repro.rendering.result import ObservedFeatures
-from repro.techniques import get_technique
+from repro.techniques import ObservedFeatures, get_technique
 
 __all__ = ["MODEL_GROUPS", "PerformanceModel", "make_model"]
 

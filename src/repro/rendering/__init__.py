@@ -10,12 +10,15 @@ per-phase timings (validated against the standardized phase-name schema of
 :mod:`repro.rendering.result`), and the observed performance-model input
 variables, while ``visibility_depth(camera)`` orders sub-images for sort-last
 compositing.  Primary rays for every image-order renderer come from the
-shared :class:`repro.rendering.rays.RayEmitter`.
+shared :class:`repro.rendering.rays.RayEmitter`.  :func:`make_renderer` builds
+the renderer of a :data:`repro.techniques.TECHNIQUES` name.
 """
 
 from typing import Protocol, runtime_checkable
 
+from repro.geometry.tetra import tetrahedralize_uniform_grid
 from repro.geometry.transforms import Camera
+from repro.geometry.triangles import external_faces
 from repro.rendering.color import ColorTable, normalize_scalars
 from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.rasterizer import Rasterizer, RasterizerConfig
@@ -36,6 +39,7 @@ from repro.rendering.volume import (
     UnstructuredVolumeConfig,
     UnstructuredVolumeRenderer,
 )
+from repro.techniques import TECHNIQUES, get_technique
 
 
 @runtime_checkable
@@ -50,6 +54,41 @@ class Renderer(Protocol):
     def render(self, camera: Camera) -> RenderResult: ...
 
     def visibility_depth(self, camera: Camera) -> float: ...
+
+
+def _ray_tracer(mesh, field_name: str, samples_in_depth: int) -> Renderer:
+    scene = Scene(external_faces(mesh, scalar_field=field_name))
+    return RayTracer(scene, RayTracerConfig(workload=Workload.SHADING))
+
+
+def _rasterizer(mesh, field_name: str, samples_in_depth: int) -> Renderer:
+    return Rasterizer(Scene(external_faces(mesh, scalar_field=field_name)))
+
+
+def _structured_volume(grid, field_name: str, samples_in_depth: int) -> Renderer:
+    config = StructuredVolumeConfig(samples_in_depth=samples_in_depth)
+    return StructuredVolumeRenderer(grid, field_name, config=config)
+
+
+def _unstructured_volume(grid, field_name: str, samples_in_depth: int) -> Renderer:
+    config = UnstructuredVolumeConfig(samples_in_depth=samples_in_depth)
+    return UnstructuredVolumeRenderer(tetrahedralize_uniform_grid(grid), field_name, config=config)
+
+
+#: Geometry preparation plus renderer construction, one entry per ``TECHNIQUES`` row.
+_CONSTRUCTORS = {
+    "raytrace": _ray_tracer,
+    "raster": _rasterizer,
+    "volume": _structured_volume,
+    "volume_unstructured": _unstructured_volume,
+}
+if set(_CONSTRUCTORS) != set(TECHNIQUES):
+    raise ImportError(f"renderer constructors {sorted(_CONSTRUCTORS)} != TECHNIQUES {sorted(TECHNIQUES)}")
+
+
+def make_renderer(name: str, mesh, field_name: str, samples_in_depth: int) -> Renderer:
+    """The renderer of technique ``name`` over ``mesh`` (surface techniques ignore the sample count)."""
+    return _CONSTRUCTORS[get_technique(name).name](mesh, field_name, samples_in_depth)
 
 
 __all__ = [
@@ -75,5 +114,6 @@ __all__ = [
     "UnstructuredVolumeConfig",
     "UnstructuredVolumeRenderer",
     "Workload",
+    "make_renderer",
     "normalize_scalars",
 ]

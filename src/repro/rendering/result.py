@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.dpp.instrument import get_instrumentation
 from repro.rendering.framebuffer import Framebuffer
+from repro.techniques import ObservedFeatures
 
 __all__ = [
     "ObservedFeatures",
@@ -147,34 +148,6 @@ def _validate_depth_convention(framebuffer: Framebuffer) -> None:
             "depth convention violated: negative depth (clamp behind-camera "
             "geometry before writing)"
         )
-
-
-@dataclass
-class ObservedFeatures:
-    """Observed values of the model input variables for one local render.
-
-    Attributes mirror Section 5.3's variable list.  Variables that do not
-    apply to a renderer are left at zero (e.g. ``samples_per_ray`` for the
-    ray tracer).
-    """
-
-    objects: int = 0
-    active_pixels: int = 0
-    visible_objects: int = 0
-    pixels_per_triangle: float = 0.0
-    samples_per_ray: float = 0.0
-    cells_spanned: int = 0
-
-    def as_dict(self) -> dict[str, float]:
-        """Dictionary keyed by the short names used in the model equations."""
-        return {
-            "O": float(self.objects),
-            "AP": float(self.active_pixels),
-            "VO": float(self.visible_objects),
-            "PPT": float(self.pixels_per_triangle),
-            "SPR": float(self.samples_per_ray),
-            "CS": float(self.cells_spanned),
-        }
 
 
 @dataclass

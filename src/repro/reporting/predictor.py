@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.modeling.features import CAMERA_FILL_FRACTION, feature_arrays, map_configuration_batch
-from repro.rendering.result import ObservedFeatures
 from repro.reporting.suite import FittedModel, ModelSuite
+from repro.techniques import ObservedFeatures
 
 __all__ = ["PredictionBatch", "Predictor", "TermPlan", "DEFAULT_INTERVAL_SIGMAS"]
 

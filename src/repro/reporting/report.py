@@ -25,11 +25,10 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.modeling.study import StudyCorpus
+from repro.modeling.study import StudyCorpus, corpus_digest
 from repro.reporting.figures import FIGURE_EMITTERS
 from repro.reporting.suite import ModelSuite
 from repro.reporting.tables import TABLE_EMITTERS
-from repro.study.corpus_io import corpus_digest
 
 __all__ = ["REPORT_SCHEMA_VERSION", "ReportResult", "generate_report"]
 

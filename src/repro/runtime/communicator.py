@@ -17,15 +17,15 @@ picks up at large rank counts (e.g. direct-send funnelling P-1 messages into
 each destination inside a single round).
 
 The interface intentionally mirrors the small subset of mpi4py that IceT-style
-compositing needs: ``send``/``recv``, ``barrier``, ``gather``, ``allreduce``,
-plus rank/size queries.
+compositing needs: ``send``/``recv``, ``barrier``, ``gather``, plus rank/size
+queries.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -364,7 +364,3 @@ class RankCommunicator:
             else:
                 gathered.append(self.world._recv(source, root, tag))
         return gathered
-
-    def allreduce(self, value: float, op: Callable[[float, float], float] = max) -> float:
-        """Driver-side reduction helper (identity in a single-rank world)."""
-        return value

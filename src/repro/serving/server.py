@@ -193,8 +193,9 @@ class PredictionServer:
     async def _serve_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         conn = _Connection(writer)
         buffer = b""
+        framing_lost = False
         try:
-            while True:
+            while not framing_lost:
                 chunk = await reader.read(65536)
                 if not chunk:
                     break
@@ -208,10 +209,16 @@ class PredictionServer:
                     lowered = header.lower()
                     marker = lowered.find(b"content-length:")
                     if marker >= 0:
-                        line_end = lowered.find(b"\r\n", marker)
-                        if line_end < 0:
-                            line_end = len(lowered)
-                        length = int(lowered[marker + 15 : line_end])
+                        value = lowered[marker + 15 :].split(b"\r\n", 1)[0].strip()
+                        if not value.isdigit() or len(value) > 18:  # int() raises on ~4300 digits
+                            # Where the next request starts is unknowable: answer, then close.
+                            self.requests += 1
+                            self.errors += 1
+                            error = _error_response(400, "bad-request", "malformed Content-Length")
+                            conn.fill(conn.reserve(), error)
+                            framing_lost = True
+                            break
+                        length = int(value)
                     total = header_end + 4 + length
                     if len(buffer) < total:
                         break
@@ -220,7 +227,7 @@ class PredictionServer:
                     request_line = header.split(b"\r\n", 1)[0]
                     self._route(request_line, body, conn)
                 await writer.drain()
-            # EOF: let in-flight batched responses finish before closing.
+            # EOF (or lost framing): let in-flight batched responses finish before closing.
             while conn.slots:
                 self.batcher.flush()
                 if conn.slots:
@@ -420,7 +427,3 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("shutting down", file=sys.stderr)
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -16,9 +16,9 @@ externally visible properties:
 
 All three implement the :class:`repro.simulations.base.SimulationProxy`
 interface: ``advance()`` steps the physics and returns the per-cycle
-simulation time, ``mesh()`` exposes the current mesh + fields, and
-``describe()`` publishes the state through the Conduit-like tree consumed by
-the Strawman-like in situ interface (Chapter IV).
+simulation time and ``mesh()`` exposes the current mesh + fields.
+:func:`repro.insitu.describe_simulation` publishes a proxy's state through the
+Conduit-like tree consumed by the Strawman-like in situ interface (Chapter IV).
 """
 
 from repro.simulations.amr import AmrProxy

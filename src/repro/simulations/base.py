@@ -59,17 +59,3 @@ class SimulationProxy(ABC):
     def name(self) -> str:
         """Short proxy name (class name without the ``Proxy`` suffix)."""
         return type(self).__name__.replace("Proxy", "").lower()
-
-    def describe(self) -> "ConduitNode":
-        """Publish the current state as a Conduit-like node tree (Chapter IV).
-
-        The layout follows the mesh-description conventions implemented in
-        :mod:`repro.insitu.blueprint`.
-        """
-        from repro.insitu.blueprint import mesh_to_node  # local import to avoid a cycle
-
-        node = mesh_to_node(self.mesh())
-        node["state/cycle"] = self.cycle
-        node["state/time"] = self.time
-        node["state/name"] = self.name
-        return node

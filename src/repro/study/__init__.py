@@ -17,12 +17,14 @@ pipeline:
   cache (config identity + code digest, one appended line per row) that makes
   interrupted sweeps resumable and keeps unchanged configurations from ever
   re-rendering;
-* :mod:`repro.study.corpus_io` -- the row-level JSON schema shared by
-  workers, the cache, and corpus files, plus corpus merging;
+* :mod:`repro.study.corpus_io` -- corpus files (atomic save / load) and
+  merging; the row schema lives with the rows in :mod:`repro.modeling.study`;
 * :mod:`repro.study.adaptive` -- uncertainty-driven sweep planning: fit the
   models, score candidates by prediction-interval width, select the widest
   batch deterministically (with :mod:`repro.study.trajectory` recording the
   error-vs-corpus-size learning curve);
+* :mod:`repro.study.calibration` -- the Section 5.7 workflow: sweep a small
+  calibration sample for a new machine, fit, predict at scale;
 * :mod:`repro.study.cli` -- ``python -m repro.study`` with ``plan
   [--adaptive]`` / ``run [--adaptive] --jobs N --resume`` / ``merge`` /
   ``fit`` subcommands.
@@ -35,6 +37,7 @@ same pipeline CI exercises.  The serial oracle is the executor itself at
 contractually row-for-row equal to it.
 """
 
+from repro.modeling.study import StudyConfiguration
 from repro.study.adaptive import (
     AdaptiveRun,
     AdaptiveSelection,
@@ -111,8 +114,6 @@ def run_study(
     by model fits can never silently shrink; pass ``strict=False`` (or use
     :func:`run_plan`, which also returns the report) for failure isolation.
     """
-    from repro.modeling.study import StudyConfiguration
-
     plan = build_plan(config if config is not None else StudyConfiguration(), include_compositing)
     corpus, _report = run_plan(plan, jobs=jobs, cache=cache_dir, timeout=timeout, resume=resume)
     if strict and corpus.failures:

@@ -37,8 +37,11 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 
-from repro.modeling.study import StudyConfiguration, StudyCorpus
-from repro.study.corpus_io import corpus_digest, merge_corpora
+from repro.modeling.study import StudyConfiguration, StudyCorpus, corpus_digest
+from repro.reporting.predictor import Predictor
+from repro.reporting.suite import ModelSuite
+from repro.study.corpus_io import merge_corpora
+from repro.study.executor import run_plan
 from repro.study.plan import (
     ExperimentSpec,
     SweepPlan,
@@ -46,6 +49,7 @@ from repro.study.plan import (
     corpus_spec_keys,
     spec_corpus_key,
 )
+from repro.study.trajectory import trajectory_row
 
 __all__ = [
     "ADAPTIVE_SCHEMA_VERSION",
@@ -143,8 +147,6 @@ def score_candidates(specs: list[ExperimentSpec], suite, sigmas: float = 2.0) ->
     break on the candidate's corpus key, so the order -- and therefore the
     selected batch -- is deterministic.
     """
-    from repro.reporting.predictor import Predictor
-
     predictor = suite if isinstance(suite, Predictor) else Predictor(suite)
     widths = predictor.interval_widths_for_specs([spec.key_payload() for spec in specs], sigmas=sigmas)
     scored = []
@@ -246,8 +248,6 @@ def select_batch(
         seen.add(key)
         fresh.append(spec)
     if suite is None:
-        from repro.reporting.suite import ModelSuite
-
         suite = ModelSuite.fit_corpus(corpus, folds=folds, seed=seed)
     scored = score_candidates(fresh, suite, sigmas=sigmas)
     return AdaptiveSelection(
@@ -323,10 +323,6 @@ def run_adaptive_rounds(
     widest candidates leave the pool, so the curve tracks uncertainty
     actually retired, not resampled.
     """
-    from repro.reporting.suite import ModelSuite
-    from repro.study.executor import run_plan
-    from repro.study.trajectory import trajectory_row
-
     token = selection_token(corpus_digest(corpus), config, seed)
     pool = candidate_plan(config, token, expand, include_compositing).specs
     run = AdaptiveRun(corpus=corpus)

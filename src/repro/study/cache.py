@@ -55,6 +55,8 @@ import time
 from functools import lru_cache
 from pathlib import Path
 
+import repro
+
 __all__ = ["CACHE_SCHEMA_VERSION", "CorpusCache", "cache_key", "code_token"]
 
 #: Bump when the row payload schema changes shape (invalidates every entry).
@@ -67,8 +69,6 @@ _KEY_LENGTH = 64  # hex characters of a SHA-256
 @lru_cache(maxsize=1)
 def code_token() -> str:
     """Digest of every ``.py`` file in the installed ``repro`` package."""
-    import repro
-
     # ``repro`` is a namespace package (no __init__.py), so __file__ is None;
     # __path__ still names its single source directory.
     package_root = Path(next(iter(repro.__path__))).resolve()

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from repro.modeling.features import RenderingConfiguration, map_configuration_to_features
 from repro.modeling.models import PerformanceModel
 from repro.modeling.study import StudyConfiguration
+from repro.study import run_study
 
 __all__ = ["CalibrationResult", "MachineCalibration"]
 
@@ -87,11 +88,7 @@ class MachineCalibration:
         configuration; the stored configuration itself is never mutated, so
         repeated/interleaved ``calibrate`` calls stay independent.
         """
-        from repro.study import run_study  # repro.study imports repro.modeling
-
-        return run_study(
-            replace(self._config, techniques=(technique,)), include_compositing=False
-        )
+        return run_study(replace(self._config, techniques=(technique,)), include_compositing=False)
 
 
 def validate_large_scale_prediction(

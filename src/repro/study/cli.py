@@ -53,10 +53,15 @@ from dataclasses import replace
 
 from repro.compositing import RadixFactorError, validate_radices
 from repro.modeling.study import StudyConfiguration
+from repro.reporting.report import generate_report
+from repro.reporting.suite import ModelSuite
+from repro.serving.core import ServingCore, ServingError
+from repro.study.adaptive import run_adaptive_rounds, select_batch
 from repro.study.cache import CorpusCache
 from repro.study.corpus_io import load_corpus, merge_corpora, save_corpus
 from repro.study.executor import run_plan
 from repro.study.plan import build_plan, full_configuration, smoke_configuration
+from repro.study.trajectory import append_trajectory_rows
 from repro.techniques import TECHNIQUES, get_technique
 
 #: Exit code of a fit/report whose every slice was degenerate.
@@ -286,8 +291,6 @@ def _print_selection(selection) -> None:
 
 
 def _command_plan_adaptive(args) -> int:
-    from repro.study.adaptive import select_batch
-
     corpus, code = _load_adaptive_corpus(args)
     if corpus is None:
         return code
@@ -314,9 +317,6 @@ def _command_plan_adaptive(args) -> int:
 
 
 def _command_run_adaptive(args) -> int:
-    from repro.study.adaptive import run_adaptive_rounds
-    from repro.study.trajectory import append_trajectory_rows
-
     corpus, code = _load_adaptive_corpus(args)
     if corpus is None:
         return code
@@ -454,8 +454,6 @@ def _degenerate_exit(suite) -> int:
 
 
 def _command_fit(args) -> int:
-    from repro.reporting.suite import ModelSuite
-
     corpus = load_corpus(args.corpus)
     _print_corpus_line(corpus)
     suite = ModelSuite.fit_corpus(corpus, folds=args.folds, seed=args.seed)
@@ -485,8 +483,6 @@ def _command_fit(args) -> int:
 
 
 def _command_report(args) -> int:
-    from repro.reporting.report import generate_report
-
     corpus = load_corpus(args.corpus)
     _print_corpus_line(corpus)
     result = generate_report(corpus, args.out_dir, folds=args.folds, seed=args.seed)
@@ -504,8 +500,6 @@ def _command_report(args) -> int:
 
 
 def _command_predict(args) -> int:
-    from repro.serving.core import ServingCore, ServingError
-
     core = ServingCore.from_path(args.models, cache_size=0)
     if args.configs:
         with open(args.configs, encoding="utf-8") as handle:

@@ -47,13 +47,14 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.modeling.study import FailureRecord, StudyCorpus
-from repro.study.cache import CorpusCache
-from repro.study.corpus_io import (
+from repro.modeling.study import (
+    FailureRecord,
+    StudyCorpus,
     compositing_record_to_payload,
     experiment_record_to_payload,
     record_from_payload,
 )
+from repro.study.cache import CorpusCache
 from repro.study.experiments import (
     run_compositing_case,
     run_experiment,

@@ -22,6 +22,7 @@ from repro.geometry.transforms import Camera
 from repro.machines.costmodel import synthesize_render_time
 from repro.modeling.features import RenderingConfiguration, map_configuration_to_features
 from repro.modeling.study import HOST_ARCHITECTURE, CompositingRecord, ExperimentRecord
+from repro.rendering import make_renderer
 from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.rays import pixels_reaching
 from repro.runtime.decomposition import BlockDecomposition
@@ -118,7 +119,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
             grid = decomposition.block_grid_with_field(
                 ranks[position], "scalar", _SIMULATION_FIELDS[spec.simulation]
             )
-            result = technique.make_renderer(grid, "scalar", spec.samples_in_depth).render(camera)
+            result = make_renderer(technique.name, grid, "scalar", spec.samples_in_depth).render(camera)
             key = (result.features.active_pixels, result.features.objects, -position)
             if key > slowest_key:
                 slowest, slowest_key = result, key

@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.study.corpus_io import corpus_digest
+from repro.modeling.study import corpus_digest
+from repro.study.plan import spec_corpus_key
 
 __all__ = [
     "LEARNING_SCHEMA_VERSION",
@@ -40,8 +41,6 @@ def trajectory_row(corpus, suite, selection, round_index: int = 0) -> dict:
     table, and its selected specs' corpus keys are recorded so CI can assert
     that no later round re-selects them.
     """
-    from repro.study.plan import spec_corpus_key
-
     return {
         "round": int(round_index),
         "corpus_digest": corpus_digest(corpus),

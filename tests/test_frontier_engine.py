@@ -33,6 +33,7 @@ from repro.rendering import (
     UnstructuredVolumeConfig,
     UnstructuredVolumeRenderer,
     Workload,
+    make_renderer,
 )
 from repro.rendering.framebuffer import Framebuffer
 from repro.techniques import TECHNIQUES
@@ -314,7 +315,7 @@ _CLOCK_CASES = [
         (
             name,
             row.family,
-            lambda grid, row=row: row.make_renderer(grid, "density", 40),
+            lambda grid, name=name: make_renderer(name, grid, "density", 40),
             _TECHNIQUE_PHASES[name],
         )
         for name, row in TECHNIQUES.items()

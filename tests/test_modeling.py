@@ -24,6 +24,7 @@ from repro.modeling import (
 from repro.modeling.feasibility import images_within_budget
 from repro.modeling.models import MODEL_GROUPS
 from repro.modeling.regression import relative_errors
+from repro.rendering import make_renderer
 from repro.rendering.result import PHASE_GROUPS, ObservedFeatures
 from repro.reporting.suite import FittedModel, ModelSuite
 from repro.runtime.decomposition import BlockDecomposition
@@ -181,7 +182,7 @@ class TestTechniqueTable:
         decomposition = BlockDecomposition(1, 4)
         grid = decomposition.block_grid_with_field(0, "scalar", lambda points: points[:, 0])
         camera = Camera.framing_bounds(decomposition.global_bounds, 12, 12)
-        result = row.make_renderer(grid, "scalar", 8).render(camera)
+        result = make_renderer(row.name, grid, "scalar", 8).render(camera)
         assert result.technique == row.name
         assert result.phase_seconds and set(result.phase_seconds) <= set(PHASE_GROUPS)
         assert (result.features.objects == 12 * 4 * 4) == row.surface

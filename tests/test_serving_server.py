@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -213,6 +214,50 @@ class TestHttpSurface:
 
         solo = asyncio.run(_predict_alone(models_path, CONFIG))
         asyncio.run(scenario())
+
+    @pytest.mark.parametrize("length", ["-47", "abc", pytest.param("9" * 5000, id="5000-digits")])
+    def test_a_bad_content_length_is_a_400_and_the_server_lives_on(self, models_path, length):
+        # ``-47`` is the negated length of its own header: the parse loop used
+        # to consume nothing and spin inside the event loop, ``/healthz``
+        # included; the others raised out of the connection callback (empty
+        # reply).  The scenario runs on a daemon thread so that a spinning
+        # event loop fails this test instead of hanging the suite.
+        async def scenario():
+            server = await start_server(models_path, watch=False)
+            try:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(
+                    request_bytes("POST", "/predict", CONFIG)
+                    + f"POST /predict HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+                )
+                await writer.drain()
+                assert await read_response(reader) == (200, solo)
+                status, error = await read_response(reader)
+                assert status == 400 and json.loads(error)["error"]["code"] == "bad-request"
+                assert await reader.read() == b"", "the connection is closed: framing is lost"
+                writer.close()
+                client = await ServingClient.connect(server.host, server.port)
+                status, health = await client.request("GET", "/healthz")
+                assert status == 200 and health["status"] == "ok"
+                await client.close()
+            finally:
+                await server.close()
+
+        solo = asyncio.run(_predict_alone(models_path, CONFIG))
+        failures = []
+
+        def run():
+            try:
+                asyncio.run(scenario())
+            except BaseException as error:  # re-raised on the test's thread below
+                failures.append(error)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), "the server's event loop stopped answering"
+        if failures:
+            raise failures[0]
 
     def test_unknown_model_does_not_fail_batch_mates(self, models_path):
         """A bad request inside a pipelined batch answers 404; its mates answer 200."""

@@ -12,6 +12,7 @@ from repro.insitu import (
     ConduitNode,
     Strawman,
     StrawmanOptions,
+    describe_simulation,
     mesh_to_node,
     node_to_mesh,
     validate_mesh_node,
@@ -197,7 +198,7 @@ class TestProxies:
         for name in ("lulesh", "kripke", "cloverleaf"):
             proxy = create_proxy(name, 5, seed=2)
             proxy.advance(1)
-            node = proxy.describe()
+            node = describe_simulation(proxy)
             assert validate_mesh_node(node) == []
             assert node["state/cycle"] == 1
 
@@ -235,7 +236,7 @@ class TestStrawman:
         proxy.advance(1)
         strawman = Strawman()
         strawman.open(StrawmanOptions(num_ranks=1, output_directory=str(tmp_path), default_width=40, default_height=40))
-        strawman.publish(proxy.describe())
+        strawman.publish(describe_simulation(proxy))
         record = strawman.execute(self._actions(proxy.primary_field, renderer, file_name=f"img_{renderer}"))
         assert record.framebuffer is not None
         assert record.framebuffer.active_pixels() > 0
@@ -263,7 +264,7 @@ class TestStrawman:
         proxy.advance(1)
         strawman = Strawman()
         strawman.open(StrawmanOptions(num_ranks=1, output_directory=str(tmp_path), default_width=32, default_height=32))
-        strawman.publish(proxy.describe())
+        strawman.publish(describe_simulation(proxy))
         record = strawman.execute(self._actions("e", "raytrace"))
         assert record.framebuffer.active_pixels() > 0
 
@@ -272,7 +273,7 @@ class TestStrawman:
         proxy.advance(1)
         strawman = Strawman()
         strawman.open(StrawmanOptions(num_ranks=1, output_directory=str(tmp_path), default_width=24, default_height=24))
-        strawman.publish(proxy.describe())
+        strawman.publish(describe_simulation(proxy))
         bad = ConduitNode()
         entry = bad.append()
         entry["action"] = "Explode"
@@ -286,9 +287,9 @@ class TestStrawman:
         proxy.advance(1)
         strawman = Strawman()
         strawman.open(StrawmanOptions(num_ranks=1, output_directory=str(tmp_path), default_width=24, default_height=24))
-        strawman.publish(proxy.describe())
+        strawman.publish(describe_simulation(proxy))
         strawman.execute(self._actions(proxy.primary_field, "raster"))
         proxy.advance(1)
-        strawman.publish(proxy.describe())
+        strawman.publish(describe_simulation(proxy))
         strawman.execute(self._actions(proxy.primary_field, "raster"))
         assert len(strawman.history) == 2

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.geometry.transforms import Camera
 from repro.modeling.study import FailureRecord, StudyConfiguration
-from repro.rendering import Framebuffer
+from repro.rendering import Framebuffer, make_renderer
 from repro.rendering.rays import pixels_reaching
 from repro.rendering.result import ObservedFeatures, RenderResult
 from repro.runtime.decomposition import BlockDecomposition
@@ -46,7 +46,7 @@ from repro.study import (
 from repro.study import cli as study_cli
 from repro.study import corpus_io, experiments
 from repro.study.plan import ExperimentSpec, smoke_configuration, spec_from_payload
-from repro.techniques import TECHNIQUES, get_technique
+from repro.techniques import TECHNIQUES
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +561,7 @@ def _render_rank(spec: ExperimentSpec, rank: int) -> RenderResult:
     grid = decomposition.block_grid_with_field(
         rank, "scalar", experiments._SIMULATION_FIELDS[spec.simulation]
     )
-    renderer = TECHNIQUES[spec.technique].make_renderer(grid, "scalar", spec.samples_in_depth)
+    renderer = make_renderer(spec.technique, grid, "scalar", spec.samples_in_depth)
     return renderer.render(camera)
 
 
@@ -580,16 +580,11 @@ def rendered_origins(monkeypatch):
     """Origins of the blocks ``run_experiment`` hands to ``make_renderer``, in call order."""
     origins = []
 
-    def spying_row(name):
-        row = get_technique(name)
+    def spying_make_renderer(name, grid, field_name, samples_in_depth):
+        origins.append(tuple(grid.origin))
+        return make_renderer(name, grid, field_name, samples_in_depth)
 
-        def make_renderer(grid, field_name, samples_in_depth):
-            origins.append(tuple(grid.origin))
-            return row.make_renderer(grid, field_name, samples_in_depth)
-
-        return dataclasses.replace(row, make_renderer=make_renderer)
-
-    monkeypatch.setattr(experiments, "get_technique", spying_row)
+    monkeypatch.setattr(experiments, "make_renderer", spying_make_renderer)
     return origins
 
 
@@ -673,7 +668,7 @@ class TestSlowestRankSelection:
         rank_at = {tuple(box.low): rank for rank, box in blocks.items()}
 
         class TiedRenderer:
-            def __init__(self, grid, field_name, samples_in_depth):
+            def __init__(self, name, grid, field_name, samples_in_depth):
                 self.rank = rank_at[tuple(grid.origin)]
 
             def render(self, camera):
@@ -682,8 +677,7 @@ class TestSlowestRankSelection:
                 )
                 return RenderResult(Framebuffer(camera.width, camera.height), {}, features)
 
-        row = dataclasses.replace(TECHNIQUES["raytrace"], make_renderer=TiedRenderer)
-        monkeypatch.setattr(experiments, "get_technique", lambda name: row)
+        monkeypatch.setattr(experiments, "make_renderer", TiedRenderer)
         if not real_bounds:
             _inconclusive_bounds(monkeypatch)
         assert experiments.run_experiment(spec).features.cells_spanned == 0

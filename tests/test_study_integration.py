@@ -7,7 +7,7 @@ import pytest
 
 from repro.machines import KernelCostModel
 from repro.modeling import RenderingConfiguration, map_configuration_to_features
-from repro.modeling.calibration import MachineCalibration, validate_large_scale_prediction
+from repro.study.calibration import MachineCalibration, validate_large_scale_prediction
 from repro.modeling.feasibility import images_within_budget, raytracing_vs_rasterization
 from repro.modeling.study import COMPOSITING_ARCHITECTURE, StudyConfiguration
 from repro.study import run_study
