@@ -51,8 +51,12 @@ SMOKE_RANKS = 1024
 #: The two cohort budgets whose outputs must be byte-identical.
 SMOKE_LIVE_BUDGETS = (64, 256)
 
-#: Peak traced allocation allowed for one 1,024-rank smoke composite.
-SMOKE_MEMORY_BUDGET_BYTES = 300_000_000
+#: Peak traced allocation allowed for one 1,024-rank smoke composite under the
+#: 64-image budget.  Measured: 24.0 MB (binary-swap) and 22.4 MB (radix-k);
+#: ``tracemalloc`` bytes do not depend on the machine, so the head-room is for
+#: numpy versions, not for noise -- a driver that keeps a cohort's images
+#: beside its band, or the cut band beside the fold's output, lands above it.
+SMOKE_MEMORY_BUDGET_BYTES = 40_000_000
 
 SMOKE_ALGORITHMS = ("binary-swap", "radix-k")
 

@@ -17,15 +17,15 @@ shared pixel interval, and the surviving pieces are gathered at rank 0.
 
 :func:`run_schedule` executes any schedule.  Per-rank images are
 :class:`~repro.compositing.runimage.RunImage` (contiguous active-pixel runs
-with an SoA payload) produced on demand by ``factory(position)``; a round's
-traffic is posted as one batched array-valued
-:meth:`~repro.runtime.communicator.SimulatedCommunicator.exchange` and its
-merges resolve in one :func:`~repro.compositing.merge.merge_groups` call --
-O(rounds) array operations instead of O(pixels · pieces) Python work.  The
-communication pattern (who sends which run to whom, and where the round
-boundaries fall) is that of the dense reference drivers in
-:mod:`repro.compositing.reference`, which the differential tests hold this
-module to within 1e-10.
+with an SoA payload) produced on demand by ``factory(position)``.  A round
+is round-synchronous: the members of all its groups sit end to end in one
+stream, each in its own pixel band, so one ``searchsorted`` cuts every
+member, one byte table charges every link, and the kernels of
+:mod:`repro.compositing.merge` fold every group together -- O(radix) array
+operations a round instead of O(groups) Python calls.  The communication
+pattern (who sends which run to whom, and where the round boundaries fall)
+is that of the dense reference drivers in :mod:`repro.compositing.reference`,
+which the differential tests hold this module to within 1e-10.
 
 The driver is a cohort scheduler: at most ``max_live_ranks`` full rank images
 are live at once (plus one transient -- a running partial, or the second
@@ -50,9 +50,15 @@ from typing import Callable
 
 import numpy as np
 
-from repro.compositing.merge import PAIRWISE_FOLD_MAX_SETS, fold_bag_into_partial, merge_groups
-from repro.compositing.runimage import RunImage
+from repro.compositing.merge import (
+    PAIRWISE_FOLD_MAX_SETS,
+    fold_bag_into_partial,
+    merge_fragments,
+    merge_sorted_pair,
+)
+from repro.compositing.runimage import RunImage, expand_runs, wire_bytes_table
 from repro.runtime.communicator import SimulatedCommunicator
+from repro.util.timing import Timer
 
 __all__ = [
     "ALGORITHMS",
@@ -170,12 +176,6 @@ def _mixed_radix_digits(rank: int, radices: list[int]) -> list[int]:
     return digits
 
 
-def _replace_image(template: RunImage, merged: tuple[np.ndarray, np.ndarray, np.ndarray]) -> RunImage:
-    """A new :class:`RunImage` holding ``merged`` fragments, keeping shape and key."""
-    pixels, rgba, depth = merged
-    return RunImage.from_arrays(pixels, rgba, depth, template.width, template.height, key=template.key)
-
-
 @dataclass(frozen=True)
 class Schedule:
     """One exchange algorithm at one task count, as data.
@@ -237,20 +237,24 @@ class StreamStats:
     generate->merge->retire batches, and ``total_active_pixels`` accumulates
     every generated image's active-pixel count (the Eq. 5.5 ``avg(AP)``
     numerator, summed so the caller can average without holding the images).
+    ``factory_seconds`` is the wall clock spent inside ``factory(position)``
+    calls -- image generation, not compositing.
     """
 
     max_live_ranks: int
     peak_live_images: int
     cohorts: int
     total_active_pixels: int
+    factory_seconds: float = 0.0
 
 
 class _LiveLedger:
-    """Counts live full rank images; the scheduler's memory-contract witness."""
+    """Counts live full rank images -- the scheduler's memory-contract witness -- and times their making."""
 
     def __init__(self) -> None:
         self.live = 0
         self.peak = 0
+        self.factory_timer = Timer()
 
     def acquire(self, count: int = 1) -> None:
         self.live += count
@@ -268,8 +272,9 @@ def _materialize(
     height: int,
     ledger: _LiveLedger,
 ) -> RunImage:
-    """Generate one rank's image, pin its visibility key, and count it live."""
-    image = factory(position)
+    """Generate one rank's image (on the factory's clock) and count it live."""
+    with ledger.factory_timer:
+        image = factory(position)
     if not isinstance(image, RunImage):
         raise TypeError(
             f"streaming factory must return a RunImage, got {type(image).__name__} "
@@ -280,23 +285,16 @@ def _materialize(
             f"factory image for position {position} is {image.width}x{image.height}, "
             f"expected {width}x{height}"
         )
-    if image.key != position:
-        image = RunImage.from_arrays(
-            image.pixels, image.rgba, image.depth, width, height, key=position
-        )
     ledger.acquire()
     return image
 
 
-def _retire_piece(image: RunImage, start: int, stop: int, width: int, height: int) -> RunImage:
-    """Copy an owned-interval slice out of a full image so the image can be freed.
-
-    ``fragments`` returns views; retiring a view would pin the whole rank
-    image's payload in memory, defeating the cohort contract.
-    """
-    pixels, rgba, depth = image.fragments(start, stop)
-    return RunImage.from_arrays(
-        pixels.copy(), rgba.copy(), depth.copy(), width, height, key=image.key
+def _concatenate(streams: list, with_depth: bool) -> tuple:
+    """Member streams ``(pixels, rgba, depth)`` end to end (no depth plane in over mode)."""
+    return (
+        np.concatenate([stream[0] for stream in streams]),
+        np.concatenate([stream[1] for stream in streams]),
+        np.concatenate([stream[2] for stream in streams]) if with_depth else None,
     )
 
 
@@ -315,10 +313,14 @@ def run_schedule(
     ``0..m-1`` stay inside aligned blocks of ``prod(radices[:m])`` consecutive
     participants.  Each block runs the longest such prefix that fits in
     ``max_live_ranks``: generate its members (folding prologue pairs on the
-    fly), exchange locally, retire every member to a copy of its owned
-    interval.  The remaining rounds run over the retired pieces -- whose total
-    size is bounded by per-block pixel coverage, not by the rank count -- and
-    one gather assembles the image at rank 0.
+    fly), copy them into one *band* -- participant ``i``'s stream moved to
+    pixels ``i * num_pixels + pixel``, so the members end to end are a single
+    ascending stream -- release the images, run the local rounds band to
+    band, and retire every member to its slice of the last round's output.
+    The remaining rounds run over the retired pieces -- whose total size is
+    bounded by per-block pixel coverage, not by the rank count -- in passes
+    of whole groups totalling at most ``max_live_ranks`` members, and one
+    gather assembles the image at rank 0.
 
     A round-0 group wider than the budget cannot be live at once, and one
     wider than :data:`~repro.compositing.merge.PAIRWISE_FOLD_MAX_SETS` is
@@ -327,86 +329,141 @@ def run_schedule(
     so it streams instead: chunks of at most ``max_live_ranks`` members are
     folded onto one running partial
     (:func:`~repro.compositing.merge.fold_bag_into_partial` -- the identical
-    operation chain, split at chunk boundaries), the partial is sliced into
-    the members' pieces, and the wire traffic is charged per link
-    (``record_link_totals``; a rank posts ``k - 1`` messages, and enumerating
-    ``P^2`` tuples at 16k ranks is off the table).  A schedule with a
-    prologue keeps to blocks -- a pair's second member and a running partial
-    would both sit on top of the budget.  Later wide rounds are
-    ``merge_groups``' business.
+    operation chain, split at chunk boundaries) and the partial is sliced
+    into the members' pieces.  A schedule with a prologue keeps to blocks --
+    a pair's second member and a running partial would both sit on top of
+    the budget.
 
-    Traffic lands in the logical round it belongs to (``round_index``
-    addressing), however the blocks interleave in wall-clock time.
+    No message is ever enumerated (a 16k-rank direct send is ``P^2`` of
+    them): every round's traffic is summed per link from a vectorized byte
+    table -- wire sizes are whole numbers of bytes, so the sums are exact in
+    any order -- under the logical round it belongs to, however the blocks
+    interleave in wall-clock time, and posted once with
+    ``record_link_totals``.
     """
     num_pixels = width * height
     with_depth = mode == "depth"  # over-mode payloads drop the depth plane (the key stands in)
     budget = int(max_live_ranks)
-    radices, participants = schedule.radices, schedule.participants
+    radices = schedule.radices
+    participants = np.asarray(schedule.participants, dtype=np.int64)
     count = len(participants)
     fold_partner = dict(schedule.fold_pairs)
     first_round = 1 if fold_partner else 0
     assembly_round = first_round + len(radices) + int(schedule.trailing_round)
     comm.ensure_rounds(assembly_round + 1)
+    # traffic[round] rows: sent bytes, sent messages, received bytes, received messages.
+    traffic = np.zeros((assembly_round + 1, 4, comm.size))
 
     ledger = _LiveLedger()
     merges = total_active = cohorts = 0
-    pieces: dict[int, RunImage] = {}
-    owned: dict[int, tuple[int, int]] = {}
+    pieces: list = [None] * count  # participant i's retired stream, in band i
+    owned = np.empty((count, 2), dtype=np.int64)
 
-    def generate(index: int) -> RunImage:
-        """Participant ``index``'s image, its prologue partner already folded in."""
+    def keyed(stream, key: int) -> tuple:
+        """``stream`` with the per-fragment tie-break keys a depth merge needs."""
+        return (*stream, np.full(len(stream[0]), key, dtype=np.int64) if with_depth else None)
+
+    def generate(index: int) -> tuple:
+        """Participant ``index``'s stream, its prologue partner already folded in."""
         nonlocal merges, total_active
-        rank = participants[index]
+        rank = int(participants[index])
         image = _materialize(factory, rank, width, height, ledger)
         total_active += image.active_pixels
+        stream = (image.pixels, image.rgba, image.depth if with_depth else None)
         if rank in fold_partner:
             sender = fold_partner[rank]
             partner = _materialize(factory, sender, width, height, ledger)
             total_active += partner.active_pixels
-            payload, nbytes = partner.piece_message(0, num_pixels, with_depth=with_depth)
-            comm.exchange([(sender, rank, payload, nbytes)], round_index=0)
-            fragment_sets = [(rank, *image.fragments(0, num_pixels)), (sender, *payload[:3])]
-            resolved, folded = merge_groups([(index, fragment_sets)], num_pixels, mode)
+            nbytes = partner.wire_bytes(0, partner.active_pixels, with_depth)
+            traffic[0, :2, sender] += nbytes, 1
+            traffic[0, 2:, rank] += nbytes, 1
+            back = (partner.pixels, partner.rgba, partner.depth if with_depth else None)
+            merged, folded = merge_sorted_pair(keyed(stream, rank), keyed(back, sender), mode)
             merges += folded
-            image = _replace_image(image, resolved[index])
+            stream = merged[:3]
             ledger.release()  # the folded pair partner retires immediately
-        return image
+        return stream
 
-    def exchange_round(store, intervals, members, round_index: int, stride: int) -> None:
-        """Round ``round_index`` over ``members`` (full images or retired pieces).
+    def retire(band, members: np.ndarray, intervals: np.ndarray) -> None:
+        """Keep each member's slice of ``band`` (the slices tile it, so views pin nothing extra)."""
+        cuts = np.searchsorted(band[0], np.append(members, members[-1] + 1) * num_pixels).tolist()
+        for index, lo, hi in zip(members.tolist(), cuts, cuts[1:]):
+            pieces[index] = tuple(None if plane is None else plane[lo:hi] for plane in band)
+        owned[members] = intervals
+
+    def cut_round(band, members: np.ndarray, intervals: np.ndarray, round_index: int, stride: int):
+        """Cut and charge round ``round_index`` over the whole groups ``members`` (ascending) held in ``band``.
 
         Every member cuts its interval ``radix`` ways, keeps piece ``digit``
         and sends each other piece to the group partner holding that digit.
+        Returns ``(levels, intervals)``: the owners' new intervals, and what
+        each owner is to fold, as copies (so the caller can drop ``band``
+        before the fold allocates its output).  ``levels[l]`` is piece
+        ``digit(owner)`` of each owner's ``l``-th group member, moved into
+        the owner's band -- one ascending stream over all owners; a round
+        wider than ``PAIRWISE_FOLD_MAX_SETS`` has a single entry, every
+        member's piece owner-major, so that each pixel's fragments arrive in
+        rank order.
+        """
+        pixels, rgba, depth = band
+        radix = radices[round_index]
+        slots = np.arange(len(members))
+        digits = members // stride % radix
+        edges = intervals[:, :1] + _partition_edges(intervals[:, 1] - intervals[:, 0], radix)
+        bounds = np.searchsorted(pixels, edges + (members * num_pixels)[:, None])
+        # sources[o, l]: the slot of the l-th member of owner o's group.
+        partners = members[:, None] + (np.arange(radix) - digits[:, None]) * stride
+        sources = np.searchsorted(members, partners)
+
+        posted = np.ones((len(members), radix), dtype=bool)
+        posted[slots, digits] = False  # a member keeps its own piece
+        if schedule.skip_empty_pieces:
+            posted &= edges[:, 1:] > edges[:, :-1]
+        nbytes = np.where(posted, wire_bytes_table(pixels, bounds, with_depth), 0.0)
+        totals, ranks = traffic[first_round + round_index], participants[members]
+        totals[0, ranks] += nbytes.sum(axis=1)
+        totals[1, ranks] += posted.sum(axis=1)
+        totals[2, ranks] += nbytes[sources, digits[:, None]].sum(axis=1)
+        totals[3, ranks] += posted[sources, digits[:, None]].sum(axis=1)
+
+        def gathered(levels: slice) -> tuple:
+            source = sources[:, levels]
+            lows = bounds[source, digits[:, None]].ravel()
+            lengths = bounds[source, digits[:, None] + 1].ravel() - lows
+            rows = expand_runs(lows, lengths)
+            shift = ((members[:, None] - members[source]) * num_pixels).ravel()
+            return (
+                pixels[rows] + np.repeat(shift, lengths),
+                rgba.take(rows, axis=0),  # whole rows at a time: ~4x the speed of rgba[rows]
+                depth[rows] if with_depth else None,
+                # Ranks ascend with the digit inside a group, so they serve as fold keys.
+                np.repeat(ranks[source].ravel(), lengths) if with_depth else None,
+            )
+
+        wide = radix > PAIRWISE_FOLD_MAX_SETS
+        levels = [slice(None)] if wide else [slice(level, level + 1) for level in range(radix)]
+        intervals = np.stack([edges[slots, digits], edges[slots, digits + 1]], axis=1)
+        return [gathered(level) for level in levels], intervals
+
+    def fold_round(levels: list, radix: int) -> tuple:
+        """The owners' band: every group of a cut round folded in rank order, ``levels`` freed on the way.
+
+        A narrow round is ``radix - 1`` calls of
+        :func:`~repro.compositing.merge.merge_sorted_pair` and a wide one a
+        single :func:`~repro.compositing.merge.merge_fragments` bag, however
+        many groups the round holds: the same elementwise blends in the same
+        per-pixel order as one fold per group.
         """
         nonlocal merges
-        radix = radices[round_index]
-        bounds = np.array([intervals[index] for index in members], dtype=np.int64)
-        cuts = bounds[:, :1] + _partition_edges(bounds[:, 1] - bounds[:, 0], radix)
-        sends, kept = [], {}
-        for index, edges in zip(members, cuts):
-            digit = index // stride % radix
-            messages = store[index].piece_table(edges, with_depth=with_depth)
-            kept[index] = messages[digit][0][:3]
-            intervals[index] = (int(edges[digit]), int(edges[digit + 1]))
-            for other in range(radix):
-                if other == digit or (
-                    schedule.skip_empty_pieces and edges[other] == edges[other + 1]
-                ):
-                    continue
-                payload, nbytes = messages[other]
-                partner = index + (other - digit) * stride
-                sends.append((participants[index], participants[partner], payload, nbytes))
-        delivered = comm.exchange(sends, round_index=first_round + round_index)
-        # Ranks ascend with the digit inside a group, so they serve as fold keys.
-        groups = []
-        for index in members:
-            rank = participants[index]
-            received = [(source, *payload[:3]) for source, payload in delivered.get(rank, [])]
-            groups.append((index, [(rank, *kept[index]), *received]))
-        resolved, folded = merge_groups(groups, num_pixels, mode)
-        merges += folded
-        for index in members:
-            store[index] = _replace_image(store[index], resolved[index])
+        merged = levels.pop(0)
+        if radix > PAIRWISE_FOLD_MAX_SETS:
+            bag_pixels, bag_rgba, bag_depth, keys = merged
+            *merged, folded = merge_fragments(bag_pixels, keys, bag_rgba, bag_depth, mode)
+            merges += folded
+        while levels:
+            merged, folded = merge_sorted_pair(merged, levels.pop(0), mode)
+            merges += folded
+        return merged[0], merged[1], merged[2] if with_depth else None
 
     if radices and (
         radices[0] > PAIRWISE_FOLD_MAX_SETS or (radices[0] > budget and not fold_partner)
@@ -414,57 +471,42 @@ def run_schedule(
         radix = radices[0]
         edges = _partition_edges(num_pixels, radix)
         posted = edges[1:] > edges[:-1] if schedule.skip_empty_pieces else np.ones(radix, dtype=bool)
-        sent_bytes = np.zeros(comm.size)
-        sent_msgs = np.zeros(comm.size, dtype=np.int64)
-        recv_bytes = np.zeros(comm.size)
-        recv_msgs = np.zeros(comm.size, dtype=np.int64)
+        totals = traffic[first_round]
         for group_start in range(0, count, radix):
-            group_ranks = np.asarray(participants[group_start : group_start + radix])
+            group = np.arange(group_start, group_start + radix)
+            group_ranks = participants[group]
             partial = None
             for chunk_start in range(group_start, group_start + radix, budget):
                 cohorts += 1
                 members = range(chunk_start, min(chunk_start + budget, group_start + radix))
-                images = [generate(index) for index in members]
-                for index, image in zip(members, images):
-                    nbytes = image.piece_wire_table(edges, with_depth)
+                streams = [generate(index) for index in members]
+                for index, stream in zip(members, streams):
+                    cuts = np.searchsorted(stream[0], edges)
+                    nbytes = wire_bytes_table(stream[0], cuts, with_depth)
                     mask = posted.copy()
                     mask[index - group_start] = False
-                    sent_bytes[participants[index]] += float(nbytes[mask].sum())
-                    sent_msgs[participants[index]] += int(np.count_nonzero(mask))
-                    recv_bytes[group_ranks] += np.where(mask, nbytes, 0.0)
-                    recv_msgs[group_ranks] += mask
-                active = np.array([image.active_pixels for image in images], dtype=np.int64)
+                    totals[0, participants[index]] += nbytes[mask].sum()
+                    totals[1, participants[index]] += np.count_nonzero(mask)
+                    totals[2, group_ranks] += np.where(mask, nbytes, 0.0)
+                    totals[3, group_ranks] += mask
+                active = [len(stream[0]) for stream in streams]
                 first_fold = partial is None
                 partial, folded = fold_bag_into_partial(
                     partial,
-                    np.concatenate([image.pixels for image in images]),
-                    np.concatenate([image.rgba for image in images]),
-                    np.concatenate([image.depth for image in images]) if with_depth else None,
+                    *_concatenate(streams, with_depth),
                     np.repeat(np.asarray(members, dtype=np.int64), active) if with_depth else None,
                     mode,
                 )
                 merges += folded
                 if first_fold:
                     ledger.acquire()  # the running partial counts as one live image
-                del images
+                del streams
                 ledger.release(len(members))
-            # The pieces tile the partial, so views of it pin nothing extra.
             pixels, rgba, depth, _ = partial
-            bounds = np.searchsorted(pixels, edges)
-            for digit in range(radix):
-                lo, hi = int(bounds[digit]), int(bounds[digit + 1])
-                index = group_start + digit
-                pieces[index] = RunImage.from_arrays(
-                    pixels[lo:hi],
-                    rgba[lo:hi],
-                    depth[lo:hi] if with_depth else np.zeros(hi - lo),
-                    width,
-                    height,
-                    key=participants[index],
-                )
-                owned[index] = (int(edges[digit]), int(edges[digit + 1]))
+            active = np.diff(np.searchsorted(pixels, edges))
+            band = (pixels + np.repeat(group * num_pixels, active), rgba, depth)
+            retire(band, group, np.stack([edges[:-1], edges[1:]], axis=1))
             ledger.release()
-        comm.record_link_totals(first_round, sent_bytes, sent_msgs, recv_bytes, recv_msgs)
         local_rounds = 1
     else:
         block, local_rounds = 1, 0
@@ -473,46 +515,59 @@ def run_schedule(
             local_rounds += 1
         for block_start in range(0, count, block):
             cohorts += 1
-            members = range(block_start, block_start + block)
-            store = {index: generate(index) for index in members}
-            intervals = dict.fromkeys(members, (0, num_pixels))
+            members = np.arange(block_start, block_start + block)
+            streams = [generate(index) for index in range(block_start, block_start + block)]
+            active = [len(stream[0]) for stream in streams]
+            band = _concatenate(streams, with_depth)
+            del streams  # the band holds copies: the rank images go before the exchange
+            np.add(band[0], np.repeat(members * num_pixels, active), out=band[0])
+            intervals = np.tile(np.array([0, num_pixels]), (block, 1))
             stride = 1
             for round_index in range(local_rounds):
-                exchange_round(store, intervals, members, round_index, stride)
+                levels, intervals = cut_round(band, members, intervals, round_index, stride)
+                del band  # the cut stream goes before the fold allocates its output
+                band = fold_round(levels, radices[round_index])
                 stride *= radices[round_index]
-            for index in members:
-                pieces[index] = _retire_piece(store[index], *intervals[index], width, height)
-                owned[index] = intervals[index]
-                ledger.release()
-            del store
+            retire(band, members, intervals)
+            ledger.release(block)
 
     stride = int(np.prod(radices[:local_rounds], dtype=np.int64))
     for round_index in range(local_rounds, len(radices)):
-        exchange_round(pieces, owned, range(count), round_index, stride)
-        stride *= radices[round_index]
+        radix = radices[round_index]
+        # One base per group; a pass takes whole groups, budget members at most.
+        groups = np.arange(count // radix)
+        bases = groups // stride * (stride * radix) + groups % stride
+        per_pass = max(1, budget // radix)
+        for pass_start in range(0, len(bases), per_pass):
+            group_bases = bases[pass_start : pass_start + per_pass]
+            members = np.sort((group_bases[:, None] + np.arange(radix) * stride).ravel())
+            band = _concatenate([pieces[index] for index in members.tolist()], with_depth)
+            levels, intervals = cut_round(band, members, owned[members], round_index, stride)
+            del band
+            retire(fold_round(levels, radix), members, intervals)
+        stride *= radix
 
-    # Gather: the owned intervals tile [0, num_pixels), so concatenating the
-    # pieces (sorted by pixel) yields the complete composited image.
-    sends = []
-    for index in range(1, count):
-        start, stop = owned[index]
-        if start < stop:
-            payload, nbytes = pieces[index].piece_message(start, stop, with_depth=with_depth)
-            sends.append((participants[index], 0, payload, nbytes))
-    delivered = comm.exchange(sends, round_index=assembly_round)
-    fragments = [pieces[0].fragments(*owned[0])]
-    fragments += [payload[:3] for _, payload in delivered.get(0, [])]
-    all_pixels = np.concatenate([piece[0] for piece in fragments])
-    order = np.argsort(all_pixels, kind="stable")  # owned intervals are disjoint
-    if with_depth:
-        depth = np.concatenate([piece[2] for piece in fragments])[order]
-    else:
-        depth = np.zeros(len(all_pixels))  # over-mode depth lives in the keys
+    # Gather: the owned intervals tile [0, num_pixels), so the pieces sorted
+    # by image pixel are the complete composited image.
+    pixels, rgba, depth = _concatenate(pieces, with_depth)
+    cuts = np.searchsorted(pixels, np.arange(count + 1) * num_pixels)
+    nbytes = wire_bytes_table(pixels, cuts, with_depth)
+    posted = owned[:, 1] > owned[:, 0]
+    posted[0] = False  # participant 0 is rank 0, the root
+    totals = traffic[assembly_round]
+    totals[0, participants[posted]] = nbytes[posted]
+    totals[1, participants[posted]] = 1
+    totals[2:, 0] = nbytes[posted].sum(), np.count_nonzero(posted)
+    for round_index, totals in enumerate(traffic):
+        comm.record_link_totals(round_index, *totals)
+    image_pixels = pixels % num_pixels
+    order = np.argsort(image_pixels, kind="stable")  # owned intervals are disjoint
     final = RunImage.from_arrays(
-        all_pixels[order],
-        np.concatenate([piece[1] for piece in fragments])[order],
-        depth,
+        image_pixels[order],
+        rgba[order],
+        depth[order] if with_depth else np.zeros(len(order)),  # over-mode depth lives in the keys
         width,
         height,
     )
-    return final, merges, StreamStats(budget, ledger.peak, cohorts, total_active)
+    stats = StreamStats(budget, ledger.peak, cohorts, total_active, ledger.factory_timer.elapsed)
+    return final, merges, stats

@@ -12,11 +12,12 @@ Two interchangeable engines execute the exchange:
   compacted to :class:`~repro.compositing.runimage.RunImage` run-length
   sub-images and the algorithm's :class:`~repro.compositing.algorithms.Schedule`
   runs through the one cohort driver
-  (:func:`~repro.compositing.algorithms.run_schedule`): rounds exchange
-  array-valued payloads in one batched
-  :meth:`~repro.runtime.communicator.SimulatedCommunicator.exchange`, and
-  merges resolve through the batched dpp kernels of
-  :mod:`repro.compositing.merge`.  :meth:`Compositor.composite` and
+  (:func:`~repro.compositing.algorithms.run_schedule`): a round is array
+  operations over all of its groups at once -- one cut, one per-link byte
+  table posted with
+  :meth:`~repro.runtime.communicator.SimulatedCommunicator.record_link_totals`,
+  and the batched kernels of :mod:`repro.compositing.merge`.
+  :meth:`Compositor.composite` and
   :meth:`Compositor.composite_streaming` are the same engine: the first
   serves the images from a list with the whole population as its live
   budget, the second takes a ``factory`` and a ``max_live_ranks`` bound.
@@ -61,7 +62,9 @@ class CompositeResult:
     framebuffer:
         The final image (assembled at rank 0).
     local_seconds:
-        Measured wall-clock time spent blending pixels.
+        Measured wall-clock time of the exchange driver -- cutting, wire
+        accounting and blending -- without the ``factory(position)`` calls
+        that produce the rank images.
     network_seconds:
         Network-model estimate of the exchange time (critical path over
         rounds).
@@ -267,7 +270,7 @@ class Compositor:
         framebuffer = self._assemble(final, mode, num_tasks, np.asarray(fill), background)
         return CompositeResult(
             framebuffer=framebuffer,
-            local_seconds=timer.elapsed,
+            local_seconds=timer.elapsed - stats.factory_seconds,
             network_seconds=comm.estimate_time(),
             bytes_exchanged=comm.total_bytes(),
             messages=comm.total_messages(),

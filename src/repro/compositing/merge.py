@@ -3,25 +3,31 @@
 The dense reference path (:mod:`repro.compositing.reference`) merges pixel
 runs one pair at a time with :func:`repro.compositing.image.composite_pixels`
 -- O(pixels · pieces) Python work per compositing round.  The fast path
-resolves each merge group (one rank's owned interval in one round) with a
-constant number of array operations, through two kernels:
+hands the kernels a whole exchange round at once: the driver offsets every
+owner's fragments into the disjoint pixel band ``owner * num_pixels + pixel``,
+so any number of merge groups are one ascending stream (or one bag) and a
+round costs a constant number of array operations.  Three kernels:
 
 * :func:`merge_sorted_pair` -- vectorized union of two pixel-sorted fragment
   streams (two-pointer merge via ``searchsorted``, no sort).  Shared pixels
   are blended with exactly the straight-alpha OVER formula of
   ``composite_pixels`` (``"over"``), or selected by nearest depth with
-  smallest-key tie-breaking (``"depth"``).  Narrow groups -- binary-swap's
-  pairs, radix-k's k-way groups -- fold through this kernel in ascending
-  visibility-key order, the association of the reference's
-  ``_ordered_fold``, so results agree to floating-point roundoff (well
-  inside the 1e-10 differential tolerance).
-* :func:`merge_fragments` -- the wide-group path (a radix above
-  :data:`PAIRWISE_FOLD_MAX_SETS`): one combined-key sort groups the whole
-  round's fragment bag per pixel -- every group offset into the disjoint band
-  ``group_id * num_pixels + pixel`` -- then the device-routed
+  smallest-key tie-breaking (``"depth"``).  A round of narrow groups --
+  binary-swap's pairs, radix-k's k-way groups -- folds through this kernel
+  one group member at a time in ascending visibility-key order, the
+  association of the reference's ``_ordered_fold``, so results agree to
+  floating-point roundoff (well inside the 1e-10 differential tolerance).
+* :func:`merge_fragments` -- a round of wide groups (a radix above
+  :data:`PAIRWISE_FOLD_MAX_SETS`): one sort groups the whole round's
+  fragment bag per pixel, then the device-routed
   :func:`repro.dpp.primitives.segmented_argmin` picks each pixel's nearest
   fragment (``"depth"``), or the fragments are folded front-to-back one
   *visibility layer* at a time with vectorized OVER blends (``"over"``).
+* :func:`fold_bag_into_partial` -- the same bag, folded onto a running
+  partial: how a *first*-round group too wide to hold live is streamed.
+
+All three apply the same elementwise operations in the same per-pixel
+order, so which one resolves a round changes the time, never a bit.
 
 ``"over"`` merging tracks visibility through the integer keys alone; the
 per-pixel depth of an over-mode merge is not meaningful and is returned as
@@ -35,11 +41,14 @@ import numpy as np
 
 from repro.dpp.primitives import gather, segmented_argmin
 
-__all__ = ["merge_fragments", "merge_sorted_pair", "merge_groups", "fold_bag_into_partial"]
+__all__ = ["merge_fragments", "merge_sorted_pair", "fold_bag_into_partial"]
 
-#: Groups with at most this many fragment sets fold pairwise through
-#: :func:`merge_sorted_pair`; wider groups use the sorted bag (and the driver
-#: streams a wider *first*-round group through :func:`fold_bag_into_partial`).
+#: A round whose groups have at most this many members folds member by member
+#: through :func:`merge_sorted_pair` -- ``radix - 1`` passes over the growing
+#: result, no sort; a wider round is one sorted bag (and the driver streams a
+#: wider *first*-round group through :func:`fold_bag_into_partial`).  Measured
+#: on whole composites at 128^2: radix 2 folds 1.2-1.4x faster than it bags,
+#: radix 4 ties, radix 9-18 bags 1.1-1.9x faster than it folds.
 PAIRWISE_FOLD_MAX_SETS = 8
 
 #: Shared ascending-index pool; slicing it replaces per-merge ``np.arange``
@@ -134,7 +143,8 @@ def merge_sorted_pair(
     total = len(out_pix)
     out_rgba = np.empty((total, 4), dtype=np.float64)
     out_rgba[front_dest] = front_rgba
-    out_rgba[back_dest] = back_rgba[back_only]
+    # ndarray.take copies whole rgba rows: ~4x the speed of boolean or fancy indexing.
+    out_rgba[back_dest] = back_rgba.take(np.flatnonzero(back_only), axis=0)
     out_depth = out_keys = None
     if with_depth:
         out_depth = np.empty(total, dtype=np.float64)
@@ -159,7 +169,10 @@ def merge_sorted_pair(
             out_depth[shared_dest] = np.where(take_b, depth_b, depth_a)
             out_keys[shared_dest] = np.where(take_b, keys_b, keys_a)
         else:
-            out_rgba[shared_dest] = _blend_over(front_rgba[shared_front], back_rgba[shared_back])
+            out_rgba[shared_dest] = _blend_over(
+                front_rgba.take(shared_front, axis=0),
+                back_rgba.take(np.flatnonzero(shared_back), axis=0),
+            )
     return (out_pix, out_rgba, out_depth, out_keys), merge_ops
 
 
@@ -354,140 +367,3 @@ def fold_bag_into_partial(
             dest = bag_dest[segments]
             out_rgba[dest] = _blend_over(out_rgba[dest], rgba_sorted[rows])
     return (out_pix, out_rgba, None, None), bag_ops + shared_ops
-
-
-def _fold_groups_over(
-    groups: list[tuple[int, list[tuple[int, np.ndarray, np.ndarray, np.ndarray | None]]]],
-    widest: int,
-) -> tuple[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]], int]:
-    """Ascending-key OVER fold of narrow groups with level-batched blends.
-
-    Per fold level the union alignment runs per group (cache-resident int
-    work), but the shared-pixel OVER blends of *all* groups are concatenated
-    into a single :func:`_blend_over` call, amortizing the blend's
-    array-operation overhead across the round.  The per-group fold order is
-    exactly :func:`merge_sorted_pair`'s, so results are identical.
-    """
-    merge_ops = 0
-    state: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    ordered = [
-        (group_id, sorted(fragment_sets, key=lambda item: item[0]))
-        for group_id, fragment_sets in groups
-    ]
-    for group_id, fragment_sets in ordered:
-        _, pixels, rgba, _ = fragment_sets[0]
-        state[group_id] = (pixels, rgba)
-    for level in range(1, widest):
-        deferred: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        for group_id, fragment_sets in ordered:
-            if level >= len(fragment_sets):
-                continue
-            front_pix, front_rgba = state[group_id]
-            _, back_pix, back_rgba, _ = fragment_sets[level]
-            if len(back_pix) == 0:
-                continue
-            if len(front_pix) == 0:
-                state[group_id] = (back_pix, back_rgba)
-                continue
-            out_pix, front_dest, back_dest, shared_front, shared_back = _align_union(
-                front_pix, back_pix
-            )
-            out_rgba = np.empty((len(out_pix), 4), dtype=np.float64)
-            out_rgba[front_dest] = front_rgba
-            out_rgba[back_dest] = back_rgba[~shared_back]
-            shared = len(front_pix) + len(back_pix) - len(out_pix)
-            if shared:
-                merge_ops += shared
-                deferred.append(
-                    (out_rgba, front_dest[shared_front],
-                     front_rgba[shared_front], back_rgba[shared_back])
-                )
-            state[group_id] = (out_pix, out_rgba)
-        if deferred:
-            blended = _blend_over(
-                np.concatenate([entry[2] for entry in deferred]),
-                np.concatenate([entry[3] for entry in deferred]),
-            )
-            offset = 0
-            for out_rgba, destinations, _, _ in deferred:
-                count = len(destinations)
-                out_rgba[destinations] = blended[offset : offset + count]
-                offset += count
-    resolved = {
-        group_id: (pixels, rgba, np.zeros(len(pixels)))
-        for group_id, (pixels, rgba) in state.items()
-    }
-    return resolved, merge_ops
-
-
-def merge_groups(
-    groups: list[tuple[int, list[tuple[int, np.ndarray, np.ndarray, np.ndarray | None]]]],
-    num_pixels: int,
-    mode: str,
-) -> tuple[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]], int]:
-    """Resolve every merge group of one compositing round.
-
-    ``groups`` holds ``(group_id, fragment_sets)`` pairs where each fragment
-    set is ``(key, pixels, rgba, depth)`` with pixel-sorted members
-    (``depth`` may be ``None`` in ``"over"`` mode).  Narrow groups (at most
-    :data:`PAIRWISE_FOLD_MAX_SETS` sets) fold in ascending key order through
-    :func:`merge_sorted_pair`; wider groups are offset into
-    disjoint pixel bands and resolved in one :func:`merge_fragments` bag.
-
-    Returns ``({group_id: (pixels, rgba, depth)}, merge_ops)``.
-    """
-    widest = max((len(fragment_sets) for _, fragment_sets in groups), default=0)
-    merge_ops = 0
-    if widest <= PAIRWISE_FOLD_MAX_SETS:
-        if mode == "over":
-            return _fold_groups_over(groups, widest)
-        resolved: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for group_id, fragment_sets in groups:
-            ordered = sorted(fragment_sets, key=lambda item: item[0])
-            key, pixels, rgba, depth = ordered[0]
-            acc = (pixels, rgba, depth, np.full(len(pixels), key, dtype=np.int64))
-            for key, pixels, rgba, depth in ordered[1:]:
-                piece = (pixels, rgba, depth, np.full(len(pixels), key, dtype=np.int64))
-                acc, folded = merge_sorted_pair(acc, piece, mode)
-                merge_ops += folded
-            resolved[group_id] = (acc[0], acc[1], acc[2])
-        return resolved, merge_ops
-
-    all_pixels: list[np.ndarray] = []
-    all_rgba: list[np.ndarray] = []
-    all_depth: list[np.ndarray] = []
-    with_depth = mode == "depth"
-    for group_id, fragment_sets in groups:
-        base = group_id * num_pixels
-        # Ascending key order lets merge_fragments use fragment position as
-        # the implicit visibility key (no per-set key arrays needed).
-        for key, pixels, rgba, depth in sorted(fragment_sets, key=lambda item: item[0]):
-            if len(pixels) == 0:
-                continue
-            all_pixels.append(pixels + base)
-            all_rgba.append(rgba)
-            if with_depth:
-                all_depth.append(depth)
-    if not all_pixels:
-        empty = (np.empty(0, dtype=np.int64), np.empty((0, 4)), np.empty(0))
-        return {group_id: empty for group_id, _ in groups}, 0
-
-    merged_pixels, merged_rgba, merged_depth, merge_ops = merge_fragments(
-        np.concatenate(all_pixels),
-        None,
-        np.concatenate(all_rgba),
-        np.concatenate(all_depth) if with_depth else None,
-        mode,
-    )
-    bases = np.array([group_id for group_id, _ in groups], dtype=np.int64) * num_pixels
-    lows = np.searchsorted(merged_pixels, bases)
-    highs = np.searchsorted(merged_pixels, bases + num_pixels)
-    resolved = {}
-    for index, (group_id, _) in enumerate(groups):
-        lo, hi = int(lows[index]), int(highs[index])
-        resolved[group_id] = (
-            merged_pixels[lo:hi] - group_id * num_pixels,
-            merged_rgba[lo:hi],
-            merged_depth[lo:hi],
-        )
-    return resolved, merge_ops

@@ -45,6 +45,7 @@ __all__ = [
     "expand_runs",
     "runs_from_pixels",
     "run_image_from_framebuffer",
+    "wire_bytes_table",
 ]
 
 
@@ -118,16 +119,8 @@ class RunImage:
     def _run_positions(self) -> np.ndarray:
         """Payload positions where a new contiguous run starts (excluding 0)."""
         if self._positions is None:
-            self._positions = self._run_breaks()
+            self._positions = np.flatnonzero(np.diff(self.pixels) != 1) + 1
         return self._positions
-
-    def _run_breaks(self) -> np.ndarray:
-        """:attr:`_run_positions` without caching: the compositing driver cuts a
-        whole cohort of live images once each, and a cache per image only adds
-        to the peak (~2.5 MB of 38 at 1,024 ranks under a 256-image budget)."""
-        if self._positions is not None:
-            return self._positions
-        return np.flatnonzero(np.diff(self.pixels) != 1) + 1
 
     @property
     def num_runs(self) -> int:
@@ -163,17 +156,6 @@ class RunImage:
         return cls(width, height, pixels, rgba, depth, key=key)
 
     # -- pieces (the exchange granularity) ---------------------------------------------
-    def _slice_bounds(self, start: int, stop: int) -> tuple[int, int]:
-        return (
-            int(np.searchsorted(self.pixels, start, side="left")),
-            int(np.searchsorted(self.pixels, stop, side="left")),
-        )
-
-    def fragments(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(pixels, rgba, depth)`` views restricted to the run ``[start, stop)``."""
-        lo, hi = self._slice_bounds(start, stop)
-        return self.pixels[lo:hi], self.rgba[lo:hi], self.depth[lo:hi]
-
     def wire_bytes(self, lo: int, hi: int, with_depth: bool) -> float:
         """Simulated wire size of payload slice ``[lo, hi)`` in run-length encoding.
 
@@ -207,7 +189,7 @@ class RunImage:
         ``"over"`` compositing sends no depth plane: the scalar visibility
         key stands in for it.
         """
-        lo, hi = self._slice_bounds(start, stop)
+        lo, hi = np.searchsorted(self.pixels, (start, stop)).tolist()
         payload = (
             self.pixels[lo:hi],
             self.rgba[lo:hi],
@@ -216,55 +198,28 @@ class RunImage:
         )
         return payload, self.wire_bytes(lo, hi, with_depth)
 
-    def piece_wire_table(self, edges: np.ndarray, with_depth: bool = True) -> np.ndarray:
-        """Vectorized :meth:`wire_bytes` for every interval ``[edges[i], edges[i+1])``.
 
-        Returns the ``(len(edges) - 1,)`` float array of simulated wire sizes
-        without materializing any payload views -- the link-total accounting
-        of a streamed exchange group needs one such row per member (k entries
-        each), and a per-piece Python loop would make that O(k^2) interpreter
-        work.
-        """
-        edges = np.asarray(edges, dtype=np.int64)
-        bounds = np.searchsorted(self.pixels, edges)
-        active = np.diff(bounds)
-        positions = self._run_breaks()
-        run_low = np.searchsorted(positions, bounds[:-1], side="right")
-        run_high = np.searchsorted(positions, bounds[1:], side="left")
-        runs = 1 + (run_high - run_low)
-        per_pixel = 40.0 if with_depth else 32.0
-        nbytes = 64.0 + 16.0 * runs + per_pixel * active
-        return np.where(active > 0, nbytes, 64.0)
+def wire_bytes_table(pixels: np.ndarray, bounds: np.ndarray, with_depth: bool) -> np.ndarray:
+    """Vectorized :meth:`RunImage.wire_bytes` of the slices ``[bounds[..., i], bounds[..., i+1])``.
 
-    def piece_table(self, edges: np.ndarray, with_depth: bool = True) -> list:
-        """:meth:`piece_message` for every interval ``[edges[i], edges[i+1])``.
-
-        One vectorized slicing pass replaces per-piece ``searchsorted`` calls
-        when an image is cut along a whole partition (direct-send's P pieces,
-        radix-k's k pieces).  Returns a list of ``(payload, wire_bytes)``.
-        """
-        edges = np.asarray(edges, dtype=np.int64)
-        bounds = np.searchsorted(self.pixels, edges)
-        positions = self._run_breaks()
-        run_low = np.searchsorted(positions, bounds[:-1], side="right")
-        run_high = np.searchsorted(positions, bounds[1:], side="left")
-        per_pixel = 40.0 if with_depth else 32.0
-        messages = []
-        for index in range(len(edges) - 1):
-            lo, hi = int(bounds[index]), int(bounds[index + 1])
-            active = hi - lo
-            if active <= 0:
-                nbytes = 64.0
-            else:
-                nbytes = 64.0 + 16.0 * (1 + int(run_high[index] - run_low[index])) + per_pixel * active
-            payload = (
-                self.pixels[lo:hi],
-                self.rgba[lo:hi],
-                self.depth[lo:hi] if with_depth else None,
-                self.key,
-            )
-            messages.append((payload, nbytes))
-        return messages
+    ``pixels`` is any ascending stream -- one image, or a whole exchange
+    round's members offset into disjoint pixel bands -- and ``bounds`` holds
+    payload positions, one row of ascending cuts per member.  Returns the
+    simulated wire size of every slice (shape ``bounds.shape`` less one on
+    the last axis) without materializing a payload view: a per-piece Python
+    loop would make a ``k``-way round O(k^2) interpreter work.  A slice never
+    spans two members, so a run that happens to continue across a band
+    boundary is never counted inside one.
+    """
+    # breaks_before[p]: contiguous-run starts at payload positions 1..p-1.
+    breaks_before = np.zeros(len(pixels) + 1, dtype=np.int64)
+    if len(pixels) > 1:
+        np.cumsum(np.diff(pixels) != 1, out=breaks_before[2:])
+    lows, highs = bounds[..., :-1], bounds[..., 1:]
+    active = highs - lows
+    runs = 1 + breaks_before[highs] - breaks_before[np.minimum(lows + 1, highs)]
+    nbytes = 64.0 + 16.0 * runs + (40.0 if with_depth else 32.0) * active
+    return np.where(active > 0, nbytes, 64.0)
 
 
 def run_image_from_framebuffer(framebuffer: Framebuffer, mode: str, key: int = 0) -> RunImage:

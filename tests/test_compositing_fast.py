@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 from repro.compositing import Compositor, composite_reference, run_image_from_framebuffer
 from repro.compositing.algorithms import _pixel_partition, factor_radices
 from repro.compositing.image import composite_pixels, from_framebuffer
-from repro.compositing.merge import merge_fragments, merge_groups, merge_sorted_pair
+from repro.compositing.merge import merge_fragments, merge_sorted_pair
 from repro.compositing.runimage import (
     RunImage,
     active_mask,
     expand_runs,
     runs_from_pixels,
+    wire_bytes_table,
 )
 from repro.rendering.framebuffer import Framebuffer
 from repro.runtime.communicator import SimulatedCommunicator
@@ -118,6 +119,74 @@ class TestDifferential:
                 engine="reference",
             )
             assert np.allclose(fast.framebuffer.rgba, reference.framebuffer.rgba, atol=1e-10, rtol=0.0)
+
+    @given(
+        tasks=st.integers(1, 40),
+        width=st.integers(1, 6),
+        height=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_degenerate_images_match_reference_on_every_path(self, tasks, width, height, seed):
+        """The merge kernels' edges: more ranks than pixels, and images that are
+        empty, alpha 0, NaN-coloured or all at one depth, through every algorithm
+        (radix-k on a random explicit schedule), both modes and two live budgets."""
+        rng = np.random.default_rng(seed)
+        framebuffers = []
+        for kind in rng.choice(["random", "empty", "alpha0", "nan", "flat"], size=tasks):
+            framebuffer = Framebuffer(width, height)
+            if kind != "empty":
+                mask = rng.random((height, width)) < 0.6
+                covered = int(mask.sum())
+                if kind != "alpha0":  # background colour at a finite depth: active only in z-buffer mode
+                    framebuffer.rgba[mask] = np.column_stack(
+                        [rng.random((covered, 3)), np.full(covered, 0.7)]
+                    )
+                if kind == "nan":
+                    framebuffer.rgba[mask, :3] = np.nan
+                framebuffer.depth[mask] = 2.0 if kind == "flat" else rng.random(covered) * 5.0
+            framebuffers.append(framebuffer)
+        # A random ordered factorization of the rank count (1 -> [1]; a prime p -> [p]).
+        factors, rest = [], tasks
+        for prime in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+            while rest % prime == 0:
+                factors.append(prime)
+                rest //= prime
+        radices = [1]
+        for factor in rng.permutation(factors):
+            if radices[-1] == 1 or rng.random() < 0.4:
+                radices[-1] *= int(factor)
+            else:
+                radices.append(int(factor))
+        budgets = (int(rng.integers(1, tasks + 1)), tasks + 3)
+        for algorithm in ALGORITHMS:
+            compositor = Compositor(algorithm, radices=radices if algorithm == "radix-k" else None)
+            for mode in ("depth", "over"):
+                kwargs = {"visibility_order": list(range(tasks))} if mode == "over" else {}
+                reference = compositor.composite(
+                    [fb.copy() for fb in framebuffers], mode=mode, engine="reference", **kwargs
+                ).framebuffer
+                images = [
+                    run_image_from_framebuffer(fb, mode, key=rank)
+                    for rank, fb in enumerate(framebuffers)
+                ]
+                small, large = (
+                    compositor.composite_streaming(
+                        images.__getitem__, tasks, width, height, mode, max_live_ranks=budget,
+                        rank_background=tuple(framebuffers[0].background),
+                    )
+                    for budget in budgets
+                )
+                case = (algorithm, mode, radices, budgets)
+                assert np.allclose(
+                    small.framebuffer.rgba, reference.rgba, atol=1e-10, rtol=0.0, equal_nan=True
+                ), case
+                assert np.allclose(small.framebuffer.depth, reference.depth, atol=1e-10, rtol=0.0), case
+                assert small.framebuffer.rgba.tobytes() == large.framebuffer.rgba.tobytes(), case
+                assert small.framebuffer.depth.tobytes() == large.framebuffer.depth.tobytes(), case
+                assert small.merge_operations == large.merge_operations, case
+                assert small.bytes_exchanged == large.bytes_exchanged, case
+                assert small.messages == large.messages, case
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("mode", ("depth", "over"))
@@ -233,17 +302,31 @@ class TestRunImage:
         assert over_payload[2] is None
         assert over_bytes == 64.0 + 32.0 + 96.0
 
-    def test_piece_table_matches_piece_message(self, rng):
-        pixels = np.sort(rng.choice(100, size=40, replace=False))
-        image = RunImage.from_arrays(
-            pixels, rng.random((40, 4)), rng.random(40), width=100, height=1
-        )
+    def test_wire_bytes_table_matches_piece_message(self, rng):
+        """One image cut along a partition, then two images end to end in disjoint bands."""
+        images = [
+            RunImage.from_arrays(
+                np.sort(rng.choice(100, size=count, replace=False)),
+                rng.random((count, 4)), rng.random(count), width=100, height=1,
+            )
+            for count in (40, 97)  # the second has long runs, and one that ends on pixel 99
+        ]
+        images[1].pixels[-1] = 99
         edges = np.array([0, 17, 40, 41, 90, 100])
-        table = image.piece_table(edges)
-        for index in range(len(edges) - 1):
-            payload, nbytes = image.piece_message(int(edges[index]), int(edges[index + 1]))
-            assert np.array_equal(table[index][0][0], payload[0])
-            assert table[index][1] == nbytes
+        expected = np.array([
+            [image.piece_message(int(lo), int(hi))[1] for lo, hi in zip(edges, edges[1:])]
+            for image in images
+        ])
+        for image, row in zip(images, expected):
+            cuts = np.searchsorted(image.pixels, edges)
+            assert np.array_equal(wire_bytes_table(image.pixels, cuts, True), row)
+        band = np.concatenate([images[0].pixels, images[1].pixels + 100])
+        bounds = np.searchsorted(band, edges + np.array([[0], [100]]))
+        assert np.array_equal(wire_bytes_table(band, bounds, True), expected)
+        over = wire_bytes_table(band, bounds, False)
+        assert np.array_equal(over, expected - 8.0 * np.diff(bounds, axis=1))
+        assert np.array_equal(wire_bytes_table(band[:0], np.zeros((2, 3), dtype=np.int64), True),
+                              np.full((2, 2), 64.0))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -326,21 +409,30 @@ class TestMergeKernels:
         with pytest.raises(ValueError):
             merge_fragments(np.array([1]), None, np.ones((1, 4)), np.ones(1), "nope")
 
-    def test_merge_groups_bands_do_not_leak(self, rng):
-        """Fragments of one group never appear in another group's result."""
-        num_pixels = 32
-        groups = []
-        for group_id in (0, 2, 5):
-            sets = []
-            for key in range(2):
-                pixels = np.sort(rng.choice(num_pixels, 10, replace=False))
-                sets.append((key, pixels, rng.random((10, 4)), rng.random(10)))
-            groups.append((group_id, sets))
-        resolved, _ = merge_groups(groups, num_pixels, "depth")
-        assert set(resolved) == {0, 2, 5}
-        for group_id, (pixels, rgba, depth) in resolved.items():
-            assert len(pixels) and pixels.min() >= 0 and pixels.max() < num_pixels
-            assert len(rgba) == len(pixels) == len(depth)
+    @pytest.mark.parametrize("max_live", (4, 12))
+    def test_banded_groups_do_not_leak(self, rng, max_live):
+        """Every group of a round shares one stream; no fragment may cross into another's band.
+
+        All ranks cover every pixel, so any leak between bands changes a
+        winner: the z-buffer result must be each pixel's nearest rank, exactly.
+        """
+        tasks, width, height = 12, 6, 4
+        depth = rng.permuted(np.tile(np.arange(tasks, dtype=float), (width * height, 1)), axis=1).T
+        colors = rng.random((tasks, 4))
+        images = [
+            RunImage.from_arrays(
+                np.arange(width * height), np.tile(colors[rank], (width * height, 1)),
+                depth[rank], width, height, key=rank,
+            )
+            for rank in range(tasks)
+        ]
+        result = Compositor("radix-k", radices=[2, 3, 2]).composite_streaming(
+            images.__getitem__, tasks, width, height, "depth", max_live_ranks=max_live
+        )
+        nearest = np.argmin(depth, axis=0)
+        assert np.array_equal(result.framebuffer.rgba.reshape(-1, 4), colors[nearest])
+        assert np.array_equal(result.framebuffer.depth.reshape(-1), np.zeros(width * height))
+        assert result.merge_operations == (tasks - 1) * width * height
 
 
 class TestAccountingSemantics:

@@ -25,6 +25,7 @@ GPU architecture profiles.
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -38,12 +39,13 @@ from repro.compositing import (
     scene_factory,
     validate_radices,
 )
-from repro.compositing.algorithms import _partition_edges, schedule_for
+from repro.compositing.algorithms import _partition_edges, run_schedule, schedule_for
 from repro.compositing.runimage import RunImage, run_image_from_framebuffer
 from repro.machines.archspec import get_architecture
 from repro.modeling.features import contention_features_from_result
 from repro.rendering.rays import CameraPath
 from repro.rendering.framebuffer import Framebuffer
+from repro.runtime.communicator import SimulatedCommunicator
 from repro.simulations import create_proxy
 from repro.simulations.amr import AmrProxy
 from repro.study import cli as study_cli
@@ -132,6 +134,20 @@ class TestDenseOracle:
         for engine in ("cohort", "warp-drive"):
             with pytest.raises(ValueError, match="unknown compositing engine"):
                 Compositor().composite(framebuffers, mode="depth", engine=engine)
+
+    def test_local_seconds_is_blending_time_not_image_generation(self):
+        """``factory(position)`` runs inside the driver but is not compositing work."""
+        tasks, size, nap = 20, 8, 0.005
+        factory = scene_factory("uniform", tasks, size, size, mode="depth", seed=3)
+
+        def slow_factory(position):
+            time.sleep(nap)
+            return factory(position)
+
+        result = Compositor("binary-swap").composite_streaming(
+            slow_factory, tasks, size, size, "depth", max_live_ranks=4
+        )
+        assert 0.0 < result.local_seconds < tasks * nap
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("mode", ("depth", "over"))
@@ -248,6 +264,55 @@ class TestScheduleFamily:
         empty_owners = max(0, tasks - size * size)
         assert as_radix.messages == direct.messages + empty_owners * (tasks - 1)
         assert as_radix.bytes_exchanged == direct.bytes_exchanged + 64.0 * empty_owners * (tasks - 1)
+
+
+class TestRoundBooks:
+    """A round is posted as per-link totals, never as messages; a per-message oracle audits them."""
+
+    @pytest.mark.parametrize("mode", ("depth", "over"))
+    @pytest.mark.parametrize("tasks", (12, 52, 300))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_round_zero_is_the_sum_of_its_messages(self, algorithm, tasks, mode):
+        size = 12  # 144 pixels: at 300 ranks direct-send has owners with nothing to receive
+        factory = scene_factory("amr", tasks, size, size, mode=mode, seed=11)
+        images = [factory(rank) for rank in range(tasks)]
+        schedule = schedule_for(algorithm, tasks)
+        comm = SimulatedCommunicator(tasks)
+        run_schedule(schedule, images.__getitem__, size, size, comm, mode, max_live_ranks=16)
+
+        expected: dict[int, list] = {}  # rank -> [sent bytes, sent msgs, received bytes, received msgs]
+
+        def post(source, dest, start, stop):
+            _, nbytes = images[source].piece_message(start, stop, with_depth=mode == "depth")
+            for rank, column in ((source, 0), (dest, 2)):
+                row = expected.setdefault(rank, [0.0, 0, 0.0, 0])
+                row[column] += nbytes
+                row[column + 1] += 1
+
+        if schedule.fold_pairs:  # binary-swap off a power of two: round 0 is the prologue
+            for keeper, sender in schedule.fold_pairs:
+                post(sender, keeper, 0, size * size)
+        else:  # round 0 is a radices[0]-way exchange inside groups of consecutive ranks
+            radix = schedule.radices[0]
+            cuts = np.linspace(0, size * size, radix + 1).astype(np.int64).tolist()
+            for rank in range(tasks):
+                group = rank - rank % radix
+                for digit, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+                    if group + digit != rank and not (schedule.skip_empty_pieces and start == stop):
+                        post(rank, group + digit, start, stop)
+        log = comm.round_link_totals()
+        assert log[0] == {rank: tuple(row) for rank, row in expected.items()}
+
+        seconds = comm.network.transfer_seconds
+        by_hand = sum(
+            max(
+                (max(seconds(sent, sent_msgs), seconds(received, received_msgs))
+                 for sent, sent_msgs, received, received_msgs in links.values()),
+                default=0.0,
+            )
+            for links in log
+        )
+        assert comm.estimate_time() == by_hand
 
 
 class TestCohortInvariance:
