@@ -1,7 +1,10 @@
 """Benchmark harness package.
 
-Making this a package lets the perf-trajectory emitter run as a module:
-``PYTHONPATH=src python -m benchmarks.emit_bench``.  The individual
-``bench_*.py`` files remain runnable through pytest (they import helpers from
-``common`` via the ``conftest.py`` path hook).
+The ``bench_table*`` / ``bench_fig*`` files regenerate the paper's tables and
+figures; the ``perf``-marked floors are same-run ratios
+(``python -m pytest benchmarks -m perf``); ``e2e/`` is the end-to-end
+benchmark (``python3 benchmarks/e2e/run.py``).  Being a package lets the
+scale gate run as a module: ``python -m benchmarks.bench_compositing_scale``.
+The ``bench_*.py`` files import helpers from ``common`` via the
+``conftest.py`` path hook.
 """

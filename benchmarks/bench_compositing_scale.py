@@ -1,12 +1,11 @@
-"""Thousand-rank streaming compositing: the CI scale gate and its perf keys.
+"""Thousand-rank streaming compositing: the CI scale gate.
 
-Companion to ``bench_compositing_throughput.py`` for the cohort scheduler:
-where that module measures the run-length engine against the dense reference
-at 64-256 ranks, this one drives
-:meth:`repro.compositing.Compositor.composite_streaming` at 1k-16k simulated
-ranks -- the same driver under a live budget far below the population,
-where neither a list of framebuffers nor the reference fits in memory.
-Three entry points:
+Drives :meth:`repro.compositing.Compositor.composite_streaming` at 1k-16k
+simulated ranks -- the driver that serves 64-rank ``composite()`` calls, here
+under a live budget far below the population, where neither a list of
+framebuffers nor ``composite_reference`` fits in memory.  Every check is
+machine-independent: byte equality across budgets, merge counts, the
+live-image ledger, and ``tracemalloc`` bytes.  Two entry points:
 
 CI smoke (the ``compositing-scale-smoke`` job):
 
@@ -26,10 +25,6 @@ Scale completion (the acceptance configuration):
 
 completes each algorithm at the requested rank count and fails if the peak
 traced allocation exceeds the budget.
-
-Perf keys (consumed by ``perf_guard.py`` / ``emit_bench.py``):
-:func:`measure_scale_section` returns the ``compositing_scale`` section --
-ranks/s at 1k and 4k ranks plus the 1k peak-memory bytes.
 """
 
 from __future__ import annotations
@@ -59,15 +54,6 @@ SMOKE_LIVE_BUDGETS = (64, 256)
 SMOKE_MEMORY_BUDGET_BYTES = 40_000_000
 
 SMOKE_ALGORITHMS = ("binary-swap", "radix-k")
-
-#: Perf-guard keys of the ``compositing_scale`` section and their regression
-#: direction (ranks/s falls, peak bytes rise).
-SCALE_KEYS = {
-    "binary-swap_1024_ranks_per_s": True,
-    "radix-k_1024_ranks_per_s": True,
-    "binary-swap_4096_ranks_per_s": True,
-    "binary-swap_1024_peak_memory_bytes": False,
-}
 
 
 def measure_scale(
@@ -109,21 +95,6 @@ def measure_scale(
         "round_summary": result.round_summary,
         "checksum": result.framebuffer.rgba.tobytes().hex()[:32],
     }
-
-
-def measure_scale_section() -> dict[str, float]:
-    """The ``compositing_scale`` perf keys (ranks/s at 1k and 4k, 1k peak bytes)."""
-    section: dict[str, float] = {}
-    for key in SCALE_KEYS:
-        algorithm, rest = key.split("_", 1)
-        ranks = int(rest.split("_", 1)[0])
-        if key.endswith("peak_memory_bytes"):
-            row = measure_scale(algorithm, ranks, trace_memory=True)
-            section[key] = float(row["peak_memory_bytes"])
-        else:
-            row = measure_scale(algorithm, ranks)
-            section[key] = round(row["ranks_per_s"], 2)
-    return section
 
 
 def run_smoke(round_log_path: str | None) -> int:

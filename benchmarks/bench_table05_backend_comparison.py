@@ -2,14 +2,10 @@
 
 Two substitutions combine here: the Phi architectures are synthesized
 (mic-phi-openmp / mic-phi-ispc), and the back-end swap is additionally
-demonstrated for real by running the DPP primitives on every device adapter
-registered on this machine -- ``serial`` versus ``vectorized`` always (the
-reproduction's analogue of a poorly and a well matched back-end), plus the
-optional ``jax`` accelerator device when installed.
-
-:func:`measure_device` is also the measurement behind the
-``device_comparison`` section of ``BENCH_render.json`` (see ``emit_bench``
-and ``perf_guard``).
+demonstrated for real by running the DPP primitives on both device adapters
+-- ``serial`` versus ``vectorized``, the reproduction's analogue of a poorly
+and a well matched back-end.  The assertion is a same-run comparison of the
+two, never a recorded number.
 """
 
 from __future__ import annotations
@@ -28,8 +24,7 @@ COMPACTION_ELEMENTS = 200_000
 #: Segments for the segmented_argmin round (the ray tracer's winner pick).
 ARGMIN_SEGMENTS = 2_000
 
-#: Measurement rounds per primitive (after one untimed warm-up round, which
-#: lets jit back-ends compile outside the timed region).
+#: Measurement rounds per primitive (after one untimed warm-up round).
 ROUNDS = 3
 
 
@@ -54,7 +49,6 @@ def measure_device(name: str, elements: int = COMPACTION_ELEMENTS) -> dict[str, 
     rng = np.random.default_rng(51)
     flags, payload, values, tiebreak, starts = _workload(rng)
     with use_device(name):
-        # Warm-up: triggers jit compilation / caching on accelerator devices.
         stream_compact(flags[:1024], payload[:1024])
         segmented_argmin(values[:1024], starts[:4], tiebreak[:1024])
 
@@ -75,7 +69,7 @@ def measure_device(name: str, elements: int = COMPACTION_ELEMENTS) -> dict[str, 
 
 
 def measure_all_devices() -> dict[str, dict[str, float]]:
-    """:func:`measure_device` for every device registered on this machine."""
+    """:func:`measure_device` for every registered device."""
     return {name: measure_device(name) for name in list_devices()}
 
 

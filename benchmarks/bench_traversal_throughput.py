@@ -1,141 +1,33 @@
-"""Traversal-engine throughput: Mrays/s for WORKLOAD1-3 at 96^2 and 192^2.
+"""Traversal floor: the float32 ray-state mode against float64, in the same run.
 
-This benchmark starts the repo's perf trajectory for the ray-tracing hot
-path: it measures end-to-end render throughput (excluding the one-time BVH
-build) of the compacted-frontier traversal engine over the rm-family scenes
-of the benchmark pool, at the classic substrate size (96^2) and the larger
-size (192^2) the engine made practical, and compares against the recorded
-seed-engine baseline.
-
-Run explicitly (the ``perf`` marker keeps it out of tier-1):
+Both modes trace the same primary rays through the same BVH of the first
+surface-pool scene at 192^2 (WORKLOAD1, one warm render each, then one timed
+render each); the floor is a ratio of those two timings, so it needs no
+recorded baseline and no other machine's numbers.  Correctness of the traversal
+engine is tier-1's job (``tests/test_traversal_frontier.py`` and
+``tests/test_raytracer.py`` check it against ``brute_force_closest_hit``).
 
     PYTHONPATH=src python -m pytest benchmarks/bench_traversal_throughput.py -m perf -s
-
-or emit the JSON trajectory record:
-
-    PYTHONPATH=src python -m benchmarks.emit_bench
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
 
-from common import BENCH_IMAGE_SIZE, BENCH_IMAGE_SIZE_LARGE, print_table, surface_scene_pool
+from common import BENCH_IMAGE_SIZE_LARGE, surface_scene_pool
 from repro.geometry import Camera
 from repro.rendering import RayTracer, RayTracerConfig, Workload
-from repro.rendering.raytracer.traversal import brute_force_closest_hit, closest_hit
 
-#: Seed-engine baseline (Mrays/s) measured with the pre-frontier `_traverse`
-#: on the same scene subset, machine, and ray accounting as `measure_all`.
-#: Recorded once at the start of this perf trajectory (PR 1) so every later
-#: run can report its speedup against the original seed kernel.
-SEED_BASELINE_MRAYS = {
-    "intersection_only_96": 0.0466,
-    "shading_96": 0.0458,
-    "full_96": 0.0351,
-    "intersection_only_192": 0.0731,
-    "shading_192": 0.0746,
-    "full_192": 0.0429,
-}
-
-#: Acceptance floors for this trajectory versus the seed engine.
-SPEEDUP_FLOORS = {"intersection_only": 3.0, "full": 2.0}
-
-#: The rm-family subset of the pool used for throughput numbers (matches the
-#: scenes the seed baseline was recorded on).
-POOL_SLICE = slice(0, 3)
-
-
-def _workload_rays(config: RayTracerConfig, camera: Camera, result) -> int:
-    """Rays traced by one render: primary rays plus AO/shadow rays per hit.
-
-    With ``supersample=1`` the primary-hit count equals ``active_pixels``,
-    which is how the secondary-ray volume is reconstructed for WORKLOAD3.
-    """
-    primary = camera.width * camera.height * config.supersample
-    if config.workload is not Workload.FULL:
-        return primary
-    hits = result.features.active_pixels
-    return primary + hits * (config.ao_samples + 1)  # one light in pool scenes
-
-
-def measure_workload(workload: Workload, size: int, pool=None) -> dict:
-    """Aggregate Mrays/s of one workload at one image size over the pool."""
-    pool = surface_scene_pool()[POOL_SLICE] if pool is None else pool
-    total_rays = 0
-    total_seconds = 0.0
-    for entry in pool:
-        camera = Camera.framing_bounds(entry.scene.mesh.bounds, size, size)
-        config = RayTracerConfig(workload=workload, ao_samples=4, seed=7)
-        tracer = RayTracer(entry.scene, config)
-        tracer.build_acceleration_structure()
-        result = tracer.render(camera)
-        total_rays += _workload_rays(config, camera, result)
-        total_seconds += result.seconds_excluding("bvh_build")
-    return {
-        "rays": int(total_rays),
-        "seconds": total_seconds,
-        "mrays_per_s": total_rays / total_seconds / 1e6,
-    }
-
-
-def measure_all() -> dict:
-    """The full trajectory record: every workload at 96^2 and 192^2."""
-    results = {}
-    for size in (BENCH_IMAGE_SIZE, BENCH_IMAGE_SIZE_LARGE):
-        for workload in (Workload.INTERSECTION_ONLY, Workload.SHADING, Workload.FULL):
-            key = f"{workload.name.lower()}_{size}"
-            results[key] = measure_workload(workload, size)
-    return results
-
-
-def verify_pool_differential() -> None:
-    """Check the engine against brute force on every pool scene (hit ids and t)."""
-    for entry in surface_scene_pool():
-        mesh = entry.scene.mesh
-        camera = Camera.framing_bounds(mesh.bounds, 48, 48)
-        origins, directions = camera.generate_rays()
-        tracer = RayTracer(entry.scene)
-        bvh = tracer.build_acceleration_structure()
-        fast = closest_hit(bvh, mesh, origins, directions)
-        slow = brute_force_closest_hit(mesh, origins, directions)
-        assert np.array_equal(fast.triangle, slow.triangle), entry.name
-        hit = fast.hit_mask
-        assert np.allclose(fast.t[hit], slow.t[hit], atol=1e-6, rtol=0.0), entry.name
-
-
-@pytest.mark.perf
-def test_traversal_throughput():
-    verify_pool_differential()
-    results = measure_all()
-    rows = []
-    for key, record in results.items():
-        baseline = SEED_BASELINE_MRAYS[key]
-        speedup = record["mrays_per_s"] / baseline
-        rows.append(
-            [key, record["rays"], f"{record['seconds']:.3f}",
-             f"{record['mrays_per_s']:.4f}", f"{baseline:.4f}", f"{speedup:.2f}x"]
-        )
-    print_table(
-        "Traversal throughput (frontier engine vs seed)",
-        ["configuration", "rays", "seconds", "Mrays/s", "seed Mrays/s", "speedup"],
-        rows,
-    )
-    for size in (BENCH_IMAGE_SIZE, BENCH_IMAGE_SIZE_LARGE):
-        w1 = results[f"intersection_only_{size}"]["mrays_per_s"]
-        full = results[f"full_{size}"]["mrays_per_s"]
-        assert w1 >= SPEEDUP_FLOORS["intersection_only"] * SEED_BASELINE_MRAYS[f"intersection_only_{size}"]
-        assert full >= SPEEDUP_FLOORS["full"] * SEED_BASELINE_MRAYS[f"full_{size}"]
+#: Most float32 may cost, as a multiple of float64's time on the same render.
+FLOAT32_OVER_FLOAT64_CEILING = 1.25
 
 
 @pytest.mark.perf
 def test_float32_mode_throughput():
     """The optional float32 ray-state mode must not be slower than float64."""
-    pool = surface_scene_pool()[POOL_SLICE]
-    entry = pool[0]
+    entry = surface_scene_pool()[0]
     camera = Camera.framing_bounds(entry.scene.mesh.bounds, BENCH_IMAGE_SIZE_LARGE, BENCH_IMAGE_SIZE_LARGE)
     timings = {}
     for ray_dtype in ("float64", "float32"):
@@ -147,4 +39,4 @@ def test_float32_mode_throughput():
         tracer.render(camera)
         timings[ray_dtype] = time.perf_counter() - start
     print(f"\nfloat64 {timings['float64']:.3f}s vs float32 {timings['float32']:.3f}s")
-    assert timings["float32"] <= timings["float64"] * 1.25
+    assert timings["float32"] <= timings["float64"] * FLOAT32_OVER_FLOAT64_CEILING

@@ -38,9 +38,8 @@ __all__ = [
 #: through the cost model).
 BENCH_IMAGE_SIZE = 96
 
-#: Larger image size used by the traversal-throughput trajectory benchmarks
-#: (`bench_traversal_throughput.py`), within reach since the
-#: compacted-frontier traversal engine landed.
+#: Larger image size of the float32-vs-float64 traversal floor
+#: (`bench_traversal_throughput.py`).
 BENCH_IMAGE_SIZE_LARGE = 192
 
 #: Full-scale pixel count the synthetic throughput numbers are quoted at.

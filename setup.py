@@ -30,9 +30,6 @@ setup(
         # scipy provides the non-negative least squares solver the paper-style
         # model fits use; tests exercise it, the core library degrades without it.
         "models": ["scipy"],
-        # The optional accelerator back-end (CPU wheels are enough: the dpp
-        # "jax" device registers lazily and only needs jax importable).
-        "jax": ["jax"],
         "test": ["pytest", "hypothesis", "pytest-benchmark", "scipy"],
     },
 )

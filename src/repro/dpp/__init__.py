@@ -12,6 +12,8 @@ This package reproduces that layer in Python:
   ``vectorized`` device executes primitives with numpy; the ``serial`` device
   runs explicit Python loops (useful for differential testing of the
   vectorized kernels, mirroring the paper's OpenMP-vs-ISPC back-end swap).
+  These two are the whole registry unless a caller adds one with
+  :func:`register_device`.
 * :mod:`repro.dpp.primitives` -- the primitives themselves, dispatching to the
   active device and recording per-invocation instrumentation.
 * :mod:`repro.dpp.instrument` -- per-scope operation counters and primitive
@@ -25,14 +27,11 @@ from repro.dpp.frontier import FrontierEngine, FrontierKernel, FrontierLanes
 from repro.dpp.device import (
     Device,
     DeviceRegistry,
-    DeviceUnavailableError,
     SerialDevice,
     VectorizedDevice,
-    device_available,
     get_device,
     list_devices,
     register_device,
-    register_lazy_device,
     use_device,
 )
 from repro.dpp.instrument import OpCounters, get_instrumentation
@@ -51,14 +50,12 @@ from repro.dpp.primitives import (
 __all__ = [
     "Device",
     "DeviceRegistry",
-    "DeviceUnavailableError",
     "FrontierEngine",
     "FrontierKernel",
     "FrontierLanes",
     "OpCounters",
     "SerialDevice",
     "VectorizedDevice",
-    "device_available",
     "exclusive_scan",
     "gather",
     "get_device",
@@ -68,7 +65,6 @@ __all__ = [
     "map_field",
     "reduce_field",
     "register_device",
-    "register_lazy_device",
     "reverse_index",
     "scatter",
     "segmented_argmin",

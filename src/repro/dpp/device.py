@@ -3,7 +3,7 @@
 EAVL and VTK-m compile a single algorithm description to multiple back-ends
 (serial, OpenMP/TBB, CUDA, ISPC).  The reproduction keeps the same structure:
 primitives in :mod:`repro.dpp.primitives` never execute work themselves; they
-delegate to the active :class:`Device`.  Three devices ship in-tree:
+delegate to the active :class:`Device`.  Two devices ship in-tree:
 
 ``vectorized``
     Executes every primitive with numpy array operations.  This is the
@@ -17,14 +17,9 @@ delegate to the active :class:`Device`.  Three devices ship in-tree:
     poorly-matched back-end (OpenMP on Xeon Phi) is contrasted with a
     well-matched one (ISPC).
 
-``jax``
-    An accelerator back-end built on ``jax.jit``-compiled XLA kernels
-    (:mod:`repro.dpp.backends.jax_device`).  It is registered *lazily*: the
-    name only appears in :func:`list_devices` when the optional ``jax``
-    package is importable (``pip install -e ".[jax]"``), and the adapter is
-    constructed on first :func:`get_device` call.  Machines without JAX see
-    exactly the two CPU devices and never pay an import attempt beyond a
-    ``find_spec`` probe.
+:func:`register_device` adds an adapter under its ``name`` (the tests install
+a spy device this way); an unknown name is rejected in one place,
+:meth:`DeviceRegistry.get`, with a ``ValueError`` naming the choices.
 
 Devices are selected through :func:`use_device`, which is a context manager
 mirroring VTK-m's runtime device tracker.  The active device is tracked in a
@@ -38,46 +33,23 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import importlib.util
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
 
 __all__ = [
     "Device",
-    "DeviceUnavailableError",
     "SerialDevice",
     "VectorizedDevice",
     "DeviceRegistry",
     "register_device",
-    "register_lazy_device",
     "get_device",
     "use_device",
     "list_devices",
-    "device_available",
 ]
 
 #: Reduction operators every device must support.
 REDUCE_OPERATORS = ("add", "min", "max")
-
-
-class DeviceUnavailableError(KeyError):
-    """A registered device cannot be used on this machine.
-
-    Raised by :meth:`DeviceRegistry.get` when a lazily registered back-end's
-    capability probe fails (e.g. the ``jax`` package is not installed) or its
-    loader raises.  Subclasses :class:`KeyError` so callers treating "no such
-    device" and "device unusable here" alike keep working.
-    """
-
-    def __init__(self, name: str, reason: str) -> None:
-        super().__init__(name)
-        self.device_name = name
-        self.reason = reason
-
-    def __str__(self) -> str:
-        return f"device {self.device_name!r} is unavailable: {self.reason}"
 
 
 class Device:
@@ -293,38 +265,19 @@ class SerialDevice(Device):
         return out
 
 
-@dataclass
-class _LazyDevice:
-    """A device registered by name only, constructed on first use.
-
-    ``probe`` answers "could :func:`loader` succeed on this machine?" cheaply
-    (no heavyweight imports) by returning ``None`` when available or a
-    human-readable reason string when not.  ``loader`` performs the real
-    import and returns the constructed :class:`Device`.
-    """
-
-    name: str
-    loader: Callable[[], Device]
-    probe: Callable[[], str | None] = field(default=lambda: None)
-
-    def unavailable_reason(self) -> str | None:
-        return self.probe()
-
-
 class DeviceRegistry:
-    """Registry of available devices with a context-local active device.
+    """Registry of devices with a context-local active device.
 
     The active device is held in a :class:`contextvars.ContextVar`, not an
     instance attribute: each asyncio task and each thread resolves (and
     restores) its own activation, so interleaved :meth:`activate` blocks --
     the serving tier's event loop, the sweep executor's workers -- can never
     restore one another's device.  A context that never activated anything
-    falls back to the registry default (the first eagerly registered device).
+    falls back to the registry default (the first registered device).
     """
 
     def __init__(self) -> None:
         self._devices: dict[str, Device] = {}
-        self._lazy: dict[str, _LazyDevice] = {}
         self._default: str | None = None
         self._active: contextvars.ContextVar[str | None] = contextvars.ContextVar(
             "repro_dpp_active_device", default=None
@@ -333,73 +286,27 @@ class DeviceRegistry:
     def register(self, device: Device) -> None:
         """Add ``device``; the first registration becomes the default device."""
         self._devices[device.name] = device
-        self._lazy.pop(device.name, None)
         if self._default is None:
             self._default = device.name
 
-    def register_lazy(
-        self,
-        name: str,
-        loader: Callable[[], Device],
-        probe: Callable[[], str | None] | None = None,
-    ) -> None:
-        """Register a device by name without constructing (or importing) it.
-
-        ``loader`` is called on first :meth:`get`; ``probe`` (optional) is a
-        cheap capability check returning ``None`` when the back-end should
-        work here and a reason string otherwise.  Unavailable lazy devices are
-        hidden from :meth:`names`, so test parametrizations and device sweeps
-        over ``list_devices()`` adapt to the machine automatically.
-        """
-        if name not in self._devices:
-            self._lazy[name] = _LazyDevice(name, loader, probe or (lambda: None))
-
-    def available(self, name: str) -> bool:
-        """Whether :meth:`get` would return a device for ``name`` here."""
-        if name in self._devices:
-            return True
-        entry = self._lazy.get(name)
-        return entry is not None and entry.unavailable_reason() is None
-
     def get(self, name: str | None = None) -> Device:
-        """Return the named device, or the active device when ``name`` is None."""
+        """Return the named device, or the active device when ``name`` is None.
+
+        The one place an unknown device name is rejected.
+        """
         if name is None:
             name = self._active.get() or self._default
             if name is None:
                 raise RuntimeError("no device registered")
-        device = self._devices.get(name)
-        if device is not None:
-            return device
-        if name in self._lazy:
-            return self._materialize(self._lazy[name])
-        raise KeyError(
-            f"unknown device {name!r}; registered: {self.names()}"
-        )
-
-    def _materialize(self, entry: _LazyDevice) -> Device:
-        reason = entry.unavailable_reason()
-        if reason is not None:
-            raise DeviceUnavailableError(entry.name, reason)
         try:
-            device = entry.loader()
-        except Exception as error:  # e.g. a broken optional install
-            raise DeviceUnavailableError(
-                entry.name, f"back-end failed to load: {error!r}"
-            ) from error
-        if device.name != entry.name:
-            raise RuntimeError(
-                f"lazy device {entry.name!r} loaded an adapter named {device.name!r}"
-            )
-        self.register(device)
-        return device
+            return self._devices[name]
+        except KeyError:
+            choices = ", ".join(self.names())
+            raise ValueError(f"unknown device {name!r}; choose from {choices}") from None
 
     def names(self) -> list[str]:
-        """Names of every device usable on this machine (lazy ones probed)."""
-        usable = set(self._devices)
-        for name, entry in self._lazy.items():
-            if entry.unavailable_reason() is None:
-                usable.add(name)
-        return sorted(usable)
+        """Names of every registered device."""
+        return sorted(self._devices)
 
     @property
     def active(self) -> str | None:
@@ -417,42 +324,15 @@ class DeviceRegistry:
             self._active.reset(token)
 
 
-# ---------------------------------------------------------------------------
-# Built-in back-ends
-# ---------------------------------------------------------------------------
-
-def _jax_probe() -> str | None:
-    """Capability probe for the optional JAX back-end (no jax import)."""
-    if importlib.util.find_spec("jax") is None:
-        return "the 'jax' package is not installed (pip install -e \".[jax]\")"
-    return None
-
-
-def _load_jax_device() -> Device:
-    from repro.dpp.backends.jax_device import JaxDevice
-
-    return JaxDevice()
-
-
 #: Process-global registry used by the primitive front-ends.
 _REGISTRY = DeviceRegistry()
 _REGISTRY.register(VectorizedDevice())
 _REGISTRY.register(SerialDevice())
-_REGISTRY.register_lazy("jax", _load_jax_device, _jax_probe)
 
 
 def register_device(device: Device) -> None:
     """Register a custom device adapter in the global registry."""
     _REGISTRY.register(device)
-
-
-def register_lazy_device(
-    name: str,
-    loader: Callable[[], Device],
-    probe: Callable[[], str | None] | None = None,
-) -> None:
-    """Register a capability-gated device adapter in the global registry."""
-    _REGISTRY.register_lazy(name, loader, probe)
 
 
 def get_device(name: str | None = None) -> Device:
@@ -470,10 +350,5 @@ def use_device(name: str):
 
 
 def list_devices() -> list[str]:
-    """Names of all devices usable on this machine."""
+    """Names of all registered devices."""
     return _REGISTRY.names()
-
-
-def device_available(name: str) -> bool:
-    """Whether ``get_device(name)`` would succeed on this machine."""
-    return _REGISTRY.available(name)

@@ -17,12 +17,12 @@
   (``POST /predict``, ``GET /stats``, ``GET /healthz``, ``POST /reload``)
   with pipelining-aware connections and a ``models.json`` digest watcher.
 * :mod:`repro.serving.client` -- a minimal stdlib client used by the tests
-  and the load-generation benchmark.
+  and the ``serve_mixed`` workload of ``benchmarks/e2e``.
 
 Start a server with ``python -m repro.serve --models models.json``.  Served
 predictions are bit-identical to ``Predictor.predict_configurations`` on the
 same inputs -- the differential oracle the serving tests and the
-``bench_serving_throughput`` benchmark both enforce.
+``serve_mixed`` workload both enforce.
 """
 
 from repro.serving.core import (

@@ -25,8 +25,8 @@ Batching-window semantics:
   a response is produced, never *what* it contains.
 
 ``max_batch <= 1`` disables accumulation entirely: every submit flushes
-immediately, which is the per-request no-batching baseline the
-``bench_serving_throughput`` benchmark measures the speedup against.
+immediately: the per-request no-batching baseline, whose bytes the serving
+tests hold equal to the batched server's.
 """
 
 from __future__ import annotations

@@ -52,6 +52,7 @@ import sys
 from dataclasses import replace
 
 from repro.compositing import RadixFactorError, validate_radices
+from repro.dpp import get_device, list_devices
 from repro.modeling.study import StudyConfiguration
 from repro.reporting.report import generate_report
 from repro.reporting.suite import ModelSuite
@@ -89,11 +90,16 @@ def _comma_tuple(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _technique_names(text: str) -> tuple[str, ...]:
-    try:
-        return tuple(get_technique(name).name for name in _comma_tuple(text))
-    except ValueError as error:  # a typo is a usage error, not a plan of failing specs
-        raise argparse.ArgumentTypeError(str(error)) from None
+def _names_from(resolve):
+    """Parse a comma list through ``resolve``; a typo is a usage error, not a plan of failing specs."""
+
+    def parse(text: str) -> tuple[str, ...]:
+        try:
+            return tuple(resolve(name).name for name in _comma_tuple(text))
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+
+    return parse
 
 
 def _comma_ints(text: str) -> tuple[int, ...]:
@@ -108,14 +114,14 @@ def _add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
     matrix.add_argument("--simulations", type=_comma_tuple, help="comma list, e.g. kripke,lulesh")
     matrix.add_argument(
         "--techniques",
-        type=_technique_names,
+        type=_names_from(get_technique),
         help="comma list from " + ",".join(TECHNIQUES),
     )
     matrix.add_argument("--architectures", type=_comma_tuple, help="comma list, e.g. cpu-host,gpu1-k40m")
     matrix.add_argument(
         "--dpp-devices",
-        type=_comma_tuple,
-        help="comma list of DPP back-ends host renders run on, e.g. vectorized,jax",
+        type=_names_from(get_device),
+        help="DPP back-ends host renders run on, comma list from " + ",".join(list_devices()),
     )
     matrix.add_argument("--task-counts", type=_comma_ints, help="comma list of MPI task counts")
     matrix.add_argument(

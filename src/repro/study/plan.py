@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from operator import attrgetter
 
+from repro.dpp import get_device
 from repro.modeling.study import HOST_ARCHITECTURE, StudyConfiguration
 from repro.techniques import TECHNIQUES, get_technique
 from repro.util.rng import default_rng
@@ -187,11 +188,13 @@ def build_plan(config: StudyConfiguration, include_compositing: bool = True) -> 
 
     This is the one place the matrix is enumerated: the loop nesting *and*
     the RNG stream consumption here define the corpus order.  An unknown
-    technique, or host renders that would sample no rank, fail the plan here,
-    before anything is enumerated or run.
+    technique or DPP device, or host renders that would sample no rank, fail
+    the plan here, before anything is enumerated or run.
     """
     for technique in config.techniques:
         get_technique(technique)
+    for dpp_device in config.dpp_devices:
+        get_device(dpp_device)
     if HOST_ARCHITECTURE in config.architectures and config.techniques:
         require_sampled_ranks(config.max_sampled_ranks)
     specs: list[ExperimentSpec] = []

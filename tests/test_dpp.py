@@ -12,8 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dpp import (
-    DeviceUnavailableError,
-    device_available,
     exclusive_scan,
     gather,
     get_device,
@@ -41,8 +39,7 @@ def _clean_instrumentation():
 
 class TestDevices:
     def test_both_devices_registered(self):
-        assert "vectorized" in list_devices()
-        assert "serial" in list_devices()
+        assert list_devices() == ["serial", "vectorized"]
 
     def test_use_device_context(self):
         with use_device("serial") as device:
@@ -51,7 +48,8 @@ class TestDevices:
         assert get_device().name == "vectorized"
 
     def test_unknown_device_raises(self):
-        with pytest.raises(KeyError):
+        message = "unknown device 'does-not-exist'; choose from serial, vectorized"
+        with pytest.raises(ValueError, match=message):
             get_device("does-not-exist")
 
     @given(st.lists(st.integers(-100, 100), min_size=1, max_size=50))
@@ -74,6 +72,56 @@ class TestDevices:
         vec.scatter(values, unique, out_a)
         ser.scatter(values, unique, out_b)
         assert np.allclose(out_a, out_b)
+
+
+class TestDeviceRegistry:
+    """The registry seam ``register_device`` feeds, on a private registry."""
+
+    @staticmethod
+    def _registry(*devices):
+        registry = DeviceRegistry()
+        for device in devices:
+            registry.register(device)
+        return registry
+
+    def test_first_registration_is_the_default(self):
+        registry = self._registry(VectorizedDevice(), SerialDevice())
+        assert registry.names() == ["serial", "vectorized"]  # sorted, not in order of registration
+        assert registry.active == "vectorized"
+        assert registry.get().name == "vectorized"
+
+    def test_empty_registry_has_no_device(self):
+        registry = DeviceRegistry()
+        assert registry.names() == [] and registry.active is None
+        with pytest.raises(RuntimeError, match="no device registered"):
+            registry.get()
+
+    def test_unknown_name_lists_this_registrys_devices(self):
+        registry = self._registry(SerialDevice())
+        with pytest.raises(ValueError, match=r"^unknown device 'vectorized'; choose from serial$"):
+            registry.get("vectorized")
+
+    def test_activating_an_unknown_name_changes_nothing(self):
+        registry = self._registry(VectorizedDevice(), SerialDevice())
+        with pytest.raises(ValueError, match="unknown device 'nope'"):
+            with registry.activate("nope"):
+                pytest.fail("an unknown device must not be activated")
+        assert registry.active == "vectorized"
+
+    def test_activation_is_restored_when_the_block_raises(self):
+        registry = self._registry(VectorizedDevice(), SerialDevice())
+        with pytest.raises(ZeroDivisionError):
+            with registry.activate("serial"):
+                assert registry.get().name == "serial"
+                1 / 0
+        assert registry.active == "vectorized"
+
+    def test_private_registry_does_not_touch_the_global_one(self):
+        registry = self._registry(VectorizedDevice(), SerialDevice())
+        with registry.activate("serial"):
+            assert get_device().name == "vectorized"
+        with use_device("serial"):
+            assert registry.active == "vectorized" and registry.get().name == "vectorized"
 
 
 class TestContextLocalActivation:
@@ -256,73 +304,6 @@ class TestReverseIndexDispatch:
         assert instrumentation.invocations("reverse-index-test") == 1
         assert instrumentation.elements("reverse-index-test") == len(flags)
         assert instrumentation.bytes_moved("reverse-index-test") > 0
-
-
-class TestLazyRegistry:
-    """Capability-gated (lazy) device registration, on a private registry."""
-
-    @staticmethod
-    def _fresh_registry():
-        registry = DeviceRegistry()
-        registry.register(VectorizedDevice())
-        registry.register(SerialDevice())
-        return registry
-
-    def test_unavailable_device_hidden_and_raises_with_reason(self):
-        registry = self._fresh_registry()
-        registry.register_lazy(
-            "phi", lambda: VectorizedDevice(), probe=lambda: "no Xeon Phi on this host"
-        )
-        assert registry.names() == ["serial", "vectorized"]
-        assert not registry.available("phi")
-        with pytest.raises(DeviceUnavailableError) as excinfo:
-            registry.get("phi")
-        assert excinfo.value.device_name == "phi"
-        assert "no Xeon Phi" in str(excinfo.value)
-        # DeviceUnavailableError must stay catchable as KeyError.
-        assert isinstance(excinfo.value, KeyError)
-
-    def test_loader_called_once_then_cached(self):
-        registry = self._fresh_registry()
-        calls = []
-
-        class _Fake(SerialDevice):
-            name = "fake"
-
-        def loader():
-            calls.append(1)
-            return _Fake()
-
-        registry.register_lazy("fake", loader)
-        assert "fake" in registry.names()
-        assert registry.available("fake")
-        first = registry.get("fake")
-        second = registry.get("fake")
-        assert first is second
-        assert len(calls) == 1
-
-    def test_loader_failure_reported_as_unavailable(self):
-        registry = self._fresh_registry()
-
-        def broken():
-            raise ImportError("half-installed back-end")
-
-        registry.register_lazy("broken", broken)
-        with pytest.raises(DeviceUnavailableError, match="failed to load"):
-            registry.get("broken")
-
-    def test_misnamed_loader_rejected(self):
-        registry = self._fresh_registry()
-        registry.register_lazy("misnamed", lambda: SerialDevice())
-        with pytest.raises(RuntimeError, match="named"):
-            registry.get("misnamed")
-
-    def test_global_jax_entry_consistent(self):
-        # Whatever this machine has, list_devices and device_available agree.
-        assert device_available("jax") == ("jax" in list_devices())
-        if not device_available("jax"):
-            with pytest.raises(DeviceUnavailableError, match="jax"):
-                get_device("jax")
 
 
 class TestPrimitives:

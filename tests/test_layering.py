@@ -39,9 +39,8 @@ ORDER = [
 #: Root-level modules every layer may read; they import nothing from ``repro``.
 CONTRACT_MODULES = ("techniques",)
 
-#: The one import allowed inside a function: the optional JAX device loads
-#: its adapter (and ``jax``) on first use.
-LAZY_IMPORTS = {("repro.dpp.device", "repro.dpp.backends.jax_device")}
+#: Imports allowed inside a function: none.
+LAZY_IMPORTS = set()
 
 
 @pytest.fixture(scope="module")

@@ -1,17 +1,16 @@
-"""The reporting subsystem: suite registry, artifacts, predictor, CLI, guard logic."""
+"""The reporting subsystem: suite registry, artifacts, predictor, CLI."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dpp import list_devices
 from repro.modeling.features import (
     RenderingConfiguration,
     feature_arrays,
@@ -27,10 +26,6 @@ from repro.study import cli as study_cli
 from repro.study import run_study
 from repro.study.corpus_io import corpus_digest, save_corpus
 from repro.techniques import TECHNIQUES
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
-
-from perf_guard import compare_sections  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -583,90 +578,36 @@ class TestReportingCLI:
         assert captured.out == ""
         assert not out.exists() and not cache.exists()
 
+    @pytest.mark.parametrize("command", ["plan", "run"])
+    def test_unknown_dpp_device_is_rejected_before_anything_is_planned(self, command, tmp_path, capsys):
+        out, cache = tmp_path / "out.json", tmp_path / "cache"
+        args = [command, "--preset", "smoke", "--dpp-devices", "vectorised", "--out", str(out)]
+        if command == "run":
+            args += ["--cache-dir", str(cache), "--jobs", "1"]
+        with pytest.raises(SystemExit) as usage_error:
+            study_cli.main(args)
+        assert usage_error.value.code == 2
+        captured = capsys.readouterr()
+        assert "unknown device 'vectorised'; choose from serial, vectorized" in captured.err
+        assert captured.out == ""
+        assert not out.exists() and not cache.exists()
+        with pytest.raises(SystemExit):
+            study_cli.main([command, "--help"])
+        assert "comma list from serial,vectorized" in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("device", list_devices())
+    def test_every_registered_dpp_device_reaches_the_plan(self, device, tmp_path, capsys):
+        out = tmp_path / "plan.json"
+        args = ["plan", "--preset", "smoke", "--dpp-devices", f" {device} ,", "--out", str(out)]
+        assert study_cli.main(args) == 0
+        capsys.readouterr()
+        plan = json.loads(out.read_text())
+        assert plan["config"]["dpp_devices"] == [device]
+        renders = [spec for spec in plan["specs"] if spec["kind"] == "render"]
+        assert renders and {spec["dpp_device"] for spec in renders} == {device}
+
     def test_predict_requires_a_configuration_source(self, suite, tmp_path, capsys):
         models = str(suite.save(tmp_path / "models.json"))
         assert study_cli.main(["predict", models]) == 2
         assert "--configs" in capsys.readouterr().err
 
-
-class TestPerfGuardLogic:
-    BASELINE = {
-        "raytracer": {"current": {"full_96": 0.20}},
-        "volume": {"current": {"structured_96": 0.18}},
-        "compositing": {"current": {"radix-k_64": 0.16}},
-        "serving": {"current": {"smoke_predictions_per_s": 1000.0, "smoke_p99_ms": 50.0}},
-    }
-
-    def test_within_tolerance_passes(self):
-        measured = {
-            "raytracer": {"full_96": 0.15},  # -25% throughput: inside 30%
-            "volume": {"structured_96": 0.20},  # improvement
-            "compositing": {"radix-k_64": 0.20},  # +25% seconds: inside 30%
-        }
-        rows = compare_sections(self.BASELINE, measured, tolerance=0.30)
-        assert not any(row["regressed"] for row in rows)
-
-    def test_throughput_drop_fails(self):
-        rows = compare_sections(self.BASELINE, {"raytracer": {"full_96": 0.10}}, tolerance=0.30)
-        [row] = rows
-        assert row["regressed"] and row["regression"] == pytest.approx(0.5)
-
-    def test_seconds_rise_fails(self):
-        rows = compare_sections(self.BASELINE, {"compositing": {"radix-k_64": 0.30}}, tolerance=0.30)
-        [row] = rows
-        assert row["regressed"] and row["regression"] == pytest.approx(0.875)
-
-    def test_improvements_never_fail(self):
-        measured = {"raytracer": {"full_96": 10.0}, "compositing": {"radix-k_64": 0.001}}
-        rows = compare_sections(self.BASELINE, measured, tolerance=0.30)
-        assert not any(row["regressed"] for row in rows)
-        assert all(row["regression"] < 0.0 for row in rows)
-
-    def test_missing_baseline_key_is_reported_not_failed(self):
-        rows = compare_sections(self.BASELINE, {"raytracer": {"brand_new_96": 1.0}}, tolerance=0.30)
-        [row] = rows
-        assert not row["regressed"] and row["note"] == "no baseline entry"
-
-    def test_serving_section_mixes_directions_per_key(self):
-        # Throughput halves (fails); latency improves in the same section (passes).
-        measured = {"serving": {"smoke_predictions_per_s": 500.0, "smoke_p99_ms": 40.0}}
-        rows = compare_sections(self.BASELINE, measured, tolerance=0.30)
-        by_key = {row["key"]: row for row in rows}
-        assert by_key["smoke_predictions_per_s"]["regressed"]
-        assert by_key["smoke_predictions_per_s"]["regression"] == pytest.approx(0.5)
-        assert not by_key["smoke_p99_ms"]["regressed"]
-        assert by_key["smoke_p99_ms"]["regression"] == pytest.approx(-0.2)
-
-    def test_serving_latency_rise_fails(self):
-        rows = compare_sections(self.BASELINE, {"serving": {"smoke_p99_ms": 80.0}}, tolerance=0.30)
-        [row] = rows
-        assert row["regressed"] and row["regression"] == pytest.approx(0.6)
-
-    def test_control_plane_ratio_fails_only_above_its_ceiling(self):
-        from perf_guard import CONTROL_PLANE_CEILINGS, ceiling_rows
-
-        measured = {"inline_over_bare": 2.4, "pool_over_bare": 9.5}
-        by_key = {row["key"]: row for row in ceiling_rows(measured, CONTROL_PLANE_CEILINGS)}
-        assert set(by_key) == set(CONTROL_PLANE_CEILINGS)
-        assert not by_key["inline_over_bare"]["regressed"]
-        assert by_key["pool_over_bare"]["regressed"]
-        assert by_key["pool_over_bare"]["baseline"] == CONTROL_PLANE_CEILINGS["pool_over_bare"]
-
-    def test_checked_in_bench_record_has_every_smoke_key(self):
-        from perf_guard import HIGHER_IS_BETTER, SMOKE_KEYS
-
-        root = Path(__file__).resolve().parents[1]
-        record = json.loads((root / "BENCH_render.json").read_text())
-        record["serving"] = json.loads((root / "BENCH_serving.json").read_text())["serving"]
-        for section, keys in SMOKE_KEYS.items():
-            assert section in HIGHER_IS_BETTER
-            for key in keys:
-                assert key in record[section]["current"], f"{section}/{key}"
-
-    def test_checked_in_serving_record_meets_the_issue_floors(self):
-        serving = json.loads(
-            (Path(__file__).resolve().parents[1] / "BENCH_serving.json").read_text()
-        )["serving"]
-        assert serving["load"]["concurrent_configs"] >= 10_000
-        assert serving["current"]["speedup_vs_no_batching"] >= 5.0
-        assert serving["parity"]["bit_identical"] is True

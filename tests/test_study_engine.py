@@ -694,7 +694,7 @@ class TestSlowestRankSelection:
         [
             ({"technique": "does-not-exist"}, ValueError),
             ({"simulation": "not-a-simulation"}, KeyError),
-            ({"dpp_device": "not-a-device"}, KeyError),
+            ({"dpp_device": "not-a-device"}, ValueError),
             ({"max_sampled_ranks": 0}, ValueError),
         ],
         ids=["technique", "simulation", "device", "max_sampled_ranks"],
@@ -990,6 +990,22 @@ class TestResumeSemantics:
             build_plan(config)
         with pytest.raises(ValueError, match="unknown technique 'voluem'; choose from"):
             run_study(config, strict=False)
+
+    def test_unknown_dpp_device_fails_the_plan_not_its_specs(self):
+        # FAST_CONFIG plans no host render: the name is rejected all the same.
+        message = "unknown device 'vectorised'; choose from serial, vectorized"
+        for architectures in (FAST_CONFIG.architectures, ("cpu-host", "gpu1-k40m")):
+            config = dataclasses.replace(
+                FAST_CONFIG, architectures=architectures, dpp_devices=("vectorized", "vectorised")
+            )
+            with pytest.raises(ValueError, match=message):
+                build_plan(config)
+        # A stale spec still naming it is one ordinary failure row.
+        stale = _render_spec(dpp_device="vectorised")
+        corpus, report = run_plan(dataclasses.replace(build_plan(FAST_CONFIG), specs=[stale]), jobs=1)
+        assert report.failed == 1
+        (failure,) = corpus.failures
+        assert (failure.error_type, failure.message) == ("ValueError", message)
 
 
 # ---------------------------------------------------------------------------

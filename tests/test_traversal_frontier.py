@@ -13,7 +13,7 @@ import pytest
 
 from repro.dpp import get_instrumentation, use_device
 from repro.dpp.instrument import reset_instrumentation
-from repro.geometry import TriangleMesh
+from repro.geometry import Camera, TriangleMesh, isosurface_marching_tets, make_named_dataset
 from repro.rendering.raytracer import RayTracer, RayTracerConfig, Workload, build_bvh
 from repro.rendering.raytracer.traversal import (
     any_hit,
@@ -66,6 +66,28 @@ class TestTraversalEdgeCases:
         )
         assert np.array_equal(occluded_short, brute_short.hit_mask)
         assert occluded_short.sum() < occluded.sum()
+
+    @pytest.mark.parametrize(
+        ("dataset", "dims", "isovalue", "seed"),
+        [
+            ("rm", 25, 0.5, 3),
+            ("rm", 19, 0.5, 3),
+            ("rm", 15, 0.5, 3),
+            ("lead-telluride", 17, 0.4, 5),
+            ("seismic", 17, 0.6, 7),
+            ("enzo", 15, 0.4, 9),
+        ],
+        ids=["rm-25", "rm-19", "rm-15", "lead-telluride-17", "seismic-17", "enzo-15"],
+    )
+    def test_benchmark_pool_scenes(self, dataset, dims, isovalue, seed):
+        # The isosurfaces of ``benchmarks/common.py``'s ``surface_scene_pool``,
+        # which the paper-table benchmarks render, at 48^2.
+        grid = make_named_dataset(dataset, (dims, dims, dims), seed=seed)
+        mesh = isosurface_marching_tets(grid, next(iter(grid.point_fields)), isovalue)
+        assert mesh.num_triangles > 0
+        origins, directions = Camera.framing_bounds(mesh.bounds, 48, 48).generate_rays()
+        fast, _ = _assert_matches_brute_force(build_bvh(mesh), mesh, origins, directions)
+        assert fast.hit_mask.any()
 
     def test_rays_with_zero_direction_components(self, small_surface):
         center = small_surface.bounds.center
