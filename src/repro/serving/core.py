@@ -9,7 +9,8 @@ bit-identical to :meth:`Predictor.predict_configurations
 * :func:`canonical_config` validates one user-facing configuration dict and
   reduces it to a hashable canonical tuple (defaults filled, types pinned).
   The tuple *is* the config hash: equal tuples are equal queries.
-* :class:`LRUCache` is the result cache.  Keys are
+* :class:`LRUCache` is the result cache, read and written one batch of keys
+  per call at O(1) a key.  Keys are
   ``(models digest, schema version, canonical config, sigmas)`` so a hot
   reload of ``models.json`` invalidates by construction -- stale entries can
   never be served, they simply stop being referenced and age out.
@@ -29,7 +30,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import isfinite
 from pathlib import Path
 
@@ -62,8 +65,9 @@ RENDER_DEFAULTS = {
     "include_build": True,
 }
 
-#: Result fields attached to every response row, in canonical order.
-RESULT_FIELDS = ("seconds", "lower", "upper", "residual_std")
+#: Counts below this skip :func:`_number`: every such ``int`` converts to a
+#: finite float.  A module constant, because CPython does not fold ``2**1023``.
+_COUNT_LIMIT = 2**1023
 
 
 class ServingError(Exception):
@@ -86,9 +90,13 @@ def _number(value, what: str, kind: type, minimum: int = 0):
 
     JSON carries ``1e999`` (parsed to ``inf``) and ``NaN``: ``int(inf)`` raises
     ``OverflowError``, and a ``nan`` would be served as non-JSON output under a
-    cache key that never equals itself.
+    cache key that never equals itself.  A count (``kind`` is ``int``) must
+    already be integral -- a JSON integer or a float such as ``8.0`` -- since
+    ``int()`` would serve ``8.5``, ``true`` or ``"8"`` as a different query.
     """
     try:
+        if kind is int and not (type(value) is int or isinstance(value, float) and value.is_integer()):
+            raise ValueError(value)
         number = kind(value)
         if isfinite(number) and number >= minimum:
             return number
@@ -101,7 +109,10 @@ def _number(value, what: str, kind: type, minimum: int = 0):
 
 
 def _positive_int(config: dict, key: str) -> int:
-    return _number(config.get(key, RENDER_DEFAULTS[key]), key, int, 1)
+    value = config.get(key, RENDER_DEFAULTS[key])
+    if type(value) is int and 0 < value < _COUNT_LIMIT:
+        return value
+    return _number(value, key, int, 1)
 
 
 def canonical_config(config: dict) -> tuple:
@@ -161,38 +172,54 @@ def canonical_config(config: dict) -> tuple:
 
 
 class LRUCache:
-    """A counting LRU result cache; ``maxsize <= 0`` disables caching entirely."""
+    """A counting LRU result cache; ``maxsize <= 0`` disables caching entirely.
+
+    Built on an ``OrderedDict`` so that every operation is O(1): evicting the
+    front of a plain dict with ``next(iter(...))`` first walks the deleted
+    slots that earlier evictions left there, so under churn each put costs
+    5-10x what it costs while the cache fills.  Both methods take a batch of
+    keys and act exactly as one call per key, in order.
+    """
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize = int(maxsize)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._data: dict = {}
+        self._data: OrderedDict = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._data)
 
-    def get(self, key):
-        """The cached value, or ``None`` on a miss (values are never ``None``)."""
-        value = self._data.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        # Re-insertion moves the key to the MRU end (dicts preserve order).
-        del self._data[key]
-        self._data[key] = value
-        self.hits += 1
-        return value
+    def get_many(self, keys: list) -> list:
+        """The cached value per key, ``None`` per miss (values are never ``None``).
 
-    def put(self, key, value) -> None:
+        Each hit moves its key to the MRU end.
+        """
+        lookup = self._data.get
+        refresh = self._data.move_to_end
+        values = [lookup(key) for key in keys]
+        hits = 0
+        for key, value in zip(keys, values):
+            if value is not None:
+                refresh(key)
+                hits += 1
+        self.hits += hits
+        self.misses += len(values) - hits
+        return values
+
+    def put_many(self, keys: list, values: list) -> None:
+        """Store ``values[i]`` under ``keys[i]`` at the MRU end, evicting the LRU entry per overflow."""
         if self.maxsize <= 0:
             return
-        self._data.pop(key, None)
-        self._data[key] = value
-        while len(self._data) > self.maxsize:
-            self._data.pop(next(iter(self._data)))
-            self.evictions += 1
+        data = self._data
+        for key, value in zip(keys, values):
+            if key in data:
+                data.move_to_end(key)
+            data[key] = value
+            if len(data) > self.maxsize:
+                data.popitem(last=False)
+                self.evictions += 1
 
     def stats(self) -> dict:
         return {
@@ -294,27 +321,28 @@ class ServingCore:
         """
         handle = handle or self._handle
         sigmas = self.default_sigmas if sigmas is None else _number(sigmas, "sigmas", float)
-        results: list = [None] * len(canon)
+        digest, schema = handle.digest, handle.schema
+        keys = [(digest, schema, key, sigmas) for key in canon]
+        results = self.cache.get_many(keys)
         groups: dict[tuple, list[int]] = {}
-        cache = self.cache
-        for index, key in enumerate(canon):
-            cached = cache.get((handle.digest, handle.schema, key, sigmas))
-            if cached is not None:
-                results[index] = cached
-                continue
-            group = ("compositing",) if key[0] == "compositing" else (key[1], key[2], key[8])
-            groups.setdefault(group, []).append(index)
+        for index, cached in enumerate(results):
+            if cached is None:
+                key = canon[index]
+                group = ("compositing",) if key[0] == "compositing" else (key[1], key[2], key[8])
+                groups.setdefault(group, []).append(index)
         for group, indices in groups.items():
             batch = self._predict_group(handle, group, [canon[i] for i in indices], sigmas)
-            for position, index in enumerate(indices):
-                value = (
-                    float(batch.seconds[position]),
-                    float(batch.lower[position]),
-                    float(batch.upper[position]),
-                    float(batch.residual_std),
+            values = list(
+                zip(
+                    batch.seconds.tolist(),
+                    batch.lower.tolist(),
+                    batch.upper.tolist(),
+                    repeat(float(batch.residual_std)),
                 )
+            )
+            for index, value in zip(indices, values):
                 results[index] = value
-                cache.put((handle.digest, handle.schema, canon[index], sigmas), value)
+            self.cache.put_many([keys[index] for index in indices], values)
         self.predictions_served += len(canon)
         return results
 
@@ -363,8 +391,8 @@ class ServingCore:
         canon = [canonical_config(config) for config in configs]
         results = self.predict_canonical(canon, sigmas=sigmas, handle=handle)
         rows = [
-            {**config, **dict(zip(RESULT_FIELDS, result))}
-            for config, result in zip(configs, results)
+            {**config, "seconds": seconds, "lower": lower, "upper": upper, "residual_std": residual_std}
+            for config, (seconds, lower, upper, residual_std) in zip(configs, results)
         ]
         return rows, {"models_digest": handle.digest, "generation": handle.generation}
 

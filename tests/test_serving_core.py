@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.modeling.study import StudyConfiguration, StudyCorpus
 from repro.reporting import ModelSuite, Predictor
@@ -52,6 +54,60 @@ CONFIGS = [
 ]
 
 
+class DictLRU:
+    """The plain-dict LRU that ``LRUCache`` replaced, one key per call: the oracle."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = int(maxsize)
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self._data: dict = {}
+
+    def get(self, key):
+        value = self._data.get(key)
+        if value is None:
+            self.misses += 1
+            return None
+        del self._data[key]
+        self._data[key] = value
+        self.hits += 1
+        return value
+
+    def put(self, key, value) -> None:
+        if self.maxsize <= 0:
+            return
+        self._data.pop(key, None)
+        self._data[key] = value
+        while len(self._data) > self.maxsize:
+            self._data.pop(next(iter(self._data)))
+            self.evictions += 1
+
+    def stats(self) -> dict:
+        return {
+            "size": len(self._data),
+            "maxsize": self.maxsize,
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+        }
+
+
+def offline(predictor: Predictor, config: dict, sigmas: float) -> tuple:
+    """``(seconds, lower, upper, residual_std)`` of one config from a one-row ``Predictor`` call."""
+    canon = canonical_config(config)
+    if canon[0] == "compositing":
+        batch = predictor.predict_compositing(canon[1], canon[2], sigmas=sigmas)
+    else:
+        batch = predictor.predict_configurations(
+            canon[1], canon[2], num_tasks=canon[3], cells_per_task=canon[4],
+            image_width=canon[5], image_height=canon[6], samples_in_depth=canon[7],
+            include_build=canon[8], sigmas=sigmas,
+        )
+    return (float(batch.seconds[0]), float(batch.lower[0]), float(batch.upper[0]),
+            float(batch.residual_std))
+
+
 class TestCanonicalConfig:
     def test_defaults_fill_and_extras_are_ignored(self):
         sparse = canonical_config({"architecture": "a", "technique": "raytrace", "note": "hi"})
@@ -90,6 +146,13 @@ class TestCanonicalConfig:
             {"technique": "compositing", "average_active_pixels": -5.0, "pixels": 4096},
             {"technique": "compositing", "average_active_pixels": 512.0, "pixels": -1},
             {"technique": "compositing", "average_active_pixels": 512.0, "pixels": float("inf")},
+            # A count is a JSON integer or an integral float; nothing is coerced.
+            {"architecture": "a", "technique": "raytrace", "num_tasks": 8.5},
+            {"architecture": "a", "technique": "raytrace", "num_tasks": 1.9},
+            {"architecture": "a", "technique": "raytrace", "num_tasks": True},
+            {"architecture": "a", "technique": "raytrace", "num_tasks": "8"},
+            {"architecture": "a", "technique": "raytrace", "num_tasks": " 8 "},
+            {"technique": "compositing", "average_active_pixels": 512.0, "pixels": 640.7},
         ],
     )
     def test_hostile_values_are_rejected(self, config):
@@ -117,26 +180,42 @@ class TestCanonicalConfig:
 class TestLRUCache:
     def test_counts_hits_and_misses(self):
         cache = LRUCache(4)
-        assert cache.get("k") is None
-        cache.put("k", (1.0,))
-        assert cache.get("k") == (1.0,)
+        assert cache.get_many(["k"]) == [None]
+        cache.put_many(["k"], [(1.0,)])
+        assert cache.get_many(["k"]) == [(1.0,)]
         assert cache.stats() == {"size": 1, "maxsize": 4, "hits": 1, "misses": 1, "evictions": 0}
 
     def test_evicts_least_recently_used(self):
         cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a" to MRU
-        cache.put("c", 3)  # evicts "b", the LRU entry
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
+        cache.put_many(["a", "b"], [1, 2])
+        assert cache.get_many(["a"]) == [1]  # refresh "a" to MRU
+        cache.put_many(["c"], [3])  # evicts "b", the LRU entry
+        assert cache.get_many(["b", "a", "c"]) == [None, 1, 3]
         assert cache.evictions == 1
 
     def test_zero_maxsize_disables_caching(self):
         cache = LRUCache(0)
-        cache.put("a", 1)
-        assert cache.get("a") is None
+        cache.put_many(["a"], [1])
+        assert cache.get_many(["a"]) == [None]
         assert len(cache) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        maxsize=st.integers(0, 6),
+        calls=st.lists(st.tuples(st.booleans(), st.lists(st.integers(0, 9), max_size=8)), max_size=30),
+    )
+    def test_batches_act_as_the_dict_lru_one_key_at_a_time(self, maxsize, calls):
+        cache, oracle = LRUCache(maxsize), DictLRU(maxsize)
+        for call, (store, keys) in enumerate(calls):
+            if store:
+                values = [(call, position) for position in range(len(keys))]
+                cache.put_many(keys, values)
+                for key, value in zip(keys, values):
+                    oracle.put(key, value)
+            else:
+                assert cache.get_many(keys) == [oracle.get(key) for key in keys]
+            assert cache.stats() == oracle.stats()
+            assert list(cache._data.items()) == list(oracle._data.items())  # MRU order and contents
 
 
 class TestServingCoreParity:
@@ -144,20 +223,38 @@ class TestServingCoreParity:
         rows, meta = core.predict_rows(CONFIGS, sigmas=2.0)
         predictor = Predictor.load(models_path)
         for config, row in zip(CONFIGS, rows):
-            canon = canonical_config(config)
-            if canon[0] == "compositing":
-                batch = predictor.predict_compositing(canon[1], canon[2], sigmas=2.0)
-            else:
-                batch = predictor.predict_configurations(
-                    canon[1], canon[2], num_tasks=canon[3], cells_per_task=canon[4],
-                    image_width=canon[5], image_height=canon[6], samples_in_depth=canon[7],
-                    include_build=canon[8], sigmas=2.0,
-                )
-            assert row["seconds"] == float(batch.seconds[0])
-            assert row["lower"] == float(batch.lower[0])
-            assert row["upper"] == float(batch.upper[0])
-            assert row["residual_std"] == float(batch.residual_std)
+            seconds, lower, upper, residual_std = offline(predictor, config, 2.0)
+            assert row["seconds"] == seconds
+            assert row["lower"] == lower
+            assert row["upper"] == upper
+            assert row["residual_std"] == residual_std
         assert meta["models_digest"] == core.handle.digest
+
+    @pytest.mark.parametrize("cache_size", [0, 1, 4096])
+    def test_batched_cache_access_matches_per_row_calls(self, models_path, cache_size):
+        core = ServingCore.from_path(models_path, cache_size=cache_size)
+        predictor = Predictor.load(models_path)
+        configs = CONFIGS + [CONFIGS[2], CONFIGS[0], CONFIGS[2]]  # repeats within one batch
+        expected = [offline(predictor, config, 2.0) for config in configs]
+        oracle = DictLRU(cache_size)
+        for _ in range(2):  # the second call finds what the first stored
+            rows, _ = core.predict_rows(configs, sigmas=2.0)
+            got = [(row["seconds"], row["lower"], row["upper"], row["residual_std"]) for row in rows]
+            assert got == expected
+            # The per-row cache calls the batched ones replaced: every get, then
+            # one put per miss, group by group in order of first miss.
+            keys = [(core.handle.digest, core.handle.schema, canonical_config(c), 2.0) for c in configs]
+            groups: dict[tuple, list[int]] = {}
+            for index, key in enumerate(keys):
+                if oracle.get(key) is None:
+                    query = key[2]
+                    group = ("compositing",) if query[0] == "compositing" else query[1:3] + query[8:]
+                    groups.setdefault(group, []).append(index)
+            for indices in groups.values():
+                for index in indices:
+                    oracle.put(keys[index], expected[index])
+            assert core.cache.stats() == oracle.stats()
+            assert list(core.cache._data.items()) == list(oracle._data.items())
 
     def test_results_ignore_batch_composition_and_order(self, core):
         together = core.predict_canonical([canonical_config(c) for c in CONFIGS])
