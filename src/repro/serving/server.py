@@ -18,12 +18,18 @@ One event loop, no threads, no third-party dependencies.  Endpoints:
 * ``POST /reload`` -- force a ``models.json`` digest check right now (the
   watcher task does the same on a poll interval).
 
+Each target answers only its listed method; any other is a ``405``.
+
 Connections are **pipelining-aware**: the read loop parses every complete
 request in its buffer without awaiting responses, so a client that pipelines
 N single-config requests hands the micro-batcher N configurations in one
 window.  Responses are delivered through per-connection ordered slots
-(HTTP/1.1 requires in-order responses) and written coalesced -- one
-``writer.write`` per flushed run of ready responses.
+(HTTP/1.1 requires in-order responses).  Filling a slot does not write: the
+first fill of an event-loop turn schedules one write for the next turn, which
+sends the leading run of ready responses in one ``writer.write`` -- one write
+per connection per loop turn, so every response one flush owes a connection
+leaves together.  (Writing at each fill cost 92,002 ``socket.send`` calls for
+92,000 pipelined requests.)
 
 Hot reload: a watcher task polls the ``models.json`` path; when the file's
 bytes hash to a new digest, a fresh :class:`~repro.serving.core.ModelHandle`
@@ -71,14 +77,19 @@ def _error_response(status: int, code: str, message: str) -> bytes:
 
 
 class _Connection:
-    """Ordered response slots for one pipelined HTTP/1.1 connection."""
+    """Ordered response slots for one pipelined HTTP/1.1 connection.
 
-    __slots__ = ("writer", "slots", "closed")
+    Writes are deferred to the next event-loop turn: every response filled in
+    one turn (e.g. a whole flushed batch) leaves in a single ``writer.write``.
+    """
+
+    __slots__ = ("writer", "slots", "closed", "write_pending")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
         self.slots: list = []  # each slot: [bytes | None]; filled in request order
         self.closed = False
+        self.write_pending = False
 
     def reserve(self) -> list:
         slot = [None]
@@ -86,10 +97,18 @@ class _Connection:
         return slot
 
     def fill(self, slot: list, data: bytes) -> None:
-        """Complete one slot and write every leading run of ready responses."""
+        """Complete one slot; the first fill of a loop turn schedules its write."""
         slot[0] = data
         if self.closed:
             self.slots.clear()
+        elif not self.write_pending:
+            self.write_pending = True
+            asyncio.get_running_loop().call_soon(self.write_ready)
+
+    def write_ready(self) -> None:
+        """Write the leading run of ready responses in one ``writer.write``."""
+        self.write_pending = False
+        if self.closed:
             return
         ready = 0
         while ready < len(self.slots) and self.slots[ready][0] is not None:
@@ -254,32 +273,33 @@ class PredictionServer:
             self.errors += 1
             conn.fill(slot, _error_response(400, "bad-request", "malformed request line"))
             return
-        if target == b"/predict":
-            if method != b"POST":
-                self.errors += 1
-                conn.fill(slot, _error_response(405, "method-not-allowed", "POST /predict"))
-                return
-            self._route_predict(body, conn, slot)
-            return
-        if target == b"/stats":
-            conn.fill(slot, _json_response(200, self.stats()))
-            return
-        if target == b"/healthz":
-            handle = self.core.handle
-            conn.fill(slot, _json_response(200, {"status": "ok", "models_digest": handle.digest}))
-            return
-        if target == b"/reload":
-            reloaded = self.maybe_reload()
+        route = self._ROUTES.get(target)
+        if route is None:
+            self.errors += 1
             conn.fill(
-                slot,
-                _json_response(
-                    200, {"reloaded": reloaded, "models_digest": self.core.handle.digest}
-                ),
+                slot, _error_response(404, "not-found", f"no route {target.decode(errors='replace')}")
             )
             return
-        self.errors += 1
+        allowed, handler = route
+        if method != allowed:
+            self.errors += 1
+            conn.fill(
+                slot,
+                _error_response(405, "method-not-allowed", f"{allowed.decode()} {target.decode()}"),
+            )
+            return
+        handler(self, body, conn, slot)
+
+    def _route_stats(self, body: bytes, conn: _Connection, slot: list) -> None:
+        conn.fill(slot, _json_response(200, self.stats()))
+
+    def _route_healthz(self, body: bytes, conn: _Connection, slot: list) -> None:
+        conn.fill(slot, _json_response(200, {"status": "ok", "models_digest": self.core.handle.digest}))
+
+    def _route_reload(self, body: bytes, conn: _Connection, slot: list) -> None:
+        reloaded = self.maybe_reload()
         conn.fill(
-            slot, _error_response(404, "not-found", f"no route {target.decode(errors='replace')}")
+            slot, _json_response(200, {"reloaded": reloaded, "models_digest": self.core.handle.digest})
         )
 
     def _route_predict(self, body: bytes, conn: _Connection, slot: list) -> None:
@@ -337,6 +357,14 @@ class PredictionServer:
             conn.fill(slot, _json_response(status, error.payload()))
 
         self.batcher.submit(BatchRequest(configs, canon, sigmas, on_result, on_error))
+
+    #: target -> (the one method it answers, handler); any other method is a 405.
+    _ROUTES = {
+        b"/predict": (b"POST", _route_predict),
+        b"/stats": (b"GET", _route_stats),
+        b"/healthz": (b"GET", _route_healthz),
+        b"/reload": (b"POST", _route_reload),
+    }
 
     # -- introspection -------------------------------------------------------------------
     def stats(self) -> dict:

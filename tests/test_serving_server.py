@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
+import struct
 import threading
 
 import pytest
@@ -13,7 +15,7 @@ from repro.reporting import ModelSuite
 from repro.serving.batching import BatchRequest, MicroBatcher
 from repro.serving.client import ServingClient, read_response, request_bytes
 from repro.serving.core import ModelHandle, ServingCore, canonical_config
-from repro.serving.server import start_server
+from repro.serving.server import _Connection, start_server
 from repro.study import run_study
 
 
@@ -187,6 +189,13 @@ class TestHttpSurface:
                 assert status == 404 and payload["error"]["code"] == "not-found"
                 status, payload = await client.request("POST", "/predict", [])
                 assert status == 400
+                # Every route answers one method: a GET must not reload models.json.
+                for method, target in (
+                    ("GET", "/reload"), ("POST", "/stats"), ("DELETE", "/healthz"), ("PUT", "/predict"),
+                ):
+                    status, payload = await client.request(method, target)
+                    assert status == 405, (method, target)
+                    assert payload["error"]["code"] == "method-not-allowed", (method, target)
                 await client.close()
                 # Hostile numbers (raw bodies: 1e999 parses to inf, NaN to nan) are
                 # rejected, and the connection lives on to answer what follows.
@@ -302,6 +311,134 @@ class TestHttpSurface:
                 await server.close()
 
         asyncio.run(scenario())
+
+
+class _RecordingWriter:
+    def __init__(self) -> None:
+        self.writes: list[bytes] = []
+
+    def write(self, data: bytes) -> None:
+        self.writes.append(data)
+
+
+class TestWritePath:
+    """One ``write`` per connection per event-loop turn, and the seams it owns."""
+
+    def test_a_turns_filled_slots_leave_in_one_write(self):
+        async def scenario():
+            writer = _RecordingWriter()
+            conn = _Connection(writer)
+            slots = [conn.reserve() for _ in range(64)]
+            for index, slot in enumerate(slots):
+                conn.fill(slot, b"response %d;" % index)
+            assert writer.writes == [], "a fill only schedules the write"
+            await asyncio.sleep(0)
+            assert writer.writes == [b"".join(b"response %d;" % index for index in range(64))]
+            assert conn.slots == []
+
+        asyncio.run(scenario())
+
+    def test_nothing_is_written_until_the_leading_slot_is_ready(self):
+        async def scenario():
+            writer = _RecordingWriter()
+            conn = _Connection(writer)
+            slots = [conn.reserve() for _ in range(4)]
+            for index in (3, 1, 2):
+                conn.fill(slots[index], b"%d" % index)
+            await asyncio.sleep(0)
+            assert writer.writes == [] and len(conn.slots) == 4
+            conn.fill(slots[0], b"0")
+            await asyncio.sleep(0)
+            assert writer.writes == [b"0123"] and conn.slots == []
+
+        asyncio.run(scenario())
+
+    def test_a_closed_connection_writes_nothing(self):
+        async def scenario():
+            writer = _RecordingWriter()
+            conn = _Connection(writer)
+            conn.fill(conn.reserve(), b"scheduled")
+            conn.closed = True  # closed between the fill and its write
+            await asyncio.sleep(0)
+            conn.fill(conn.reserve(), b"late")
+            await asyncio.sleep(0)
+            assert writer.writes == [] and conn.slots == []
+
+        asyncio.run(scenario())
+
+    def test_a_reset_client_mid_batch_costs_its_batch_mates_nothing(self, models_path):
+        doomed_configs = [{**VOLUME, "num_tasks": tasks} for tasks in (2, 4, 8, 16)]
+        mate_configs = [{**CONFIG, "num_tasks": tasks} for tasks in (1, 2, 4, 8)]
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            raised: list[dict] = []
+            loop.set_exception_handler(lambda loop, context: raised.append(context))
+            server = await start_server(
+                models_path, watch=False, cache_size=0, max_batch=1_000_000, max_delay_us=10_000_000
+            )
+            try:
+                doomed = socket.create_connection((server.host, server.port))
+                doomed.sendall(b"".join(request_bytes("POST", "/predict", c) for c in doomed_configs))
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(b"".join(request_bytes("POST", "/predict", c) for c in mate_configs))
+                await writer.drain()
+                while server.batcher.stats()["pending"] < len(doomed_configs) + len(mate_configs):
+                    await asyncio.sleep(0.001)
+                # Linger 0: close() sends RST, and the flush in the same turn
+                # schedules a write onto the connection the peer just reset.
+                doomed.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                doomed.close()
+                server.batcher.flush()
+                bodies = []
+                for _ in mate_configs:
+                    status, body = await asyncio.wait_for(read_response(reader), timeout=5.0)
+                    assert status == 200
+                    bodies.append(body)
+                writer.close()
+                assert server.batcher.stats()["histogram"] == {"8": 1}
+                client = await ServingClient.connect(server.host, server.port)
+                status, health = await client.request("GET", "/healthz")
+                assert status == 200 and health["status"] == "ok"
+                await client.close()
+                assert raised == [], "the write onto the reset connection must not raise"
+                return bodies
+            finally:
+                await server.close()
+
+        bodies = asyncio.run(scenario())
+        for config, body in zip(mate_configs, bodies):
+            assert body == asyncio.run(_predict_alone(models_path, config, cache_size=0))
+
+    def test_a_half_closed_client_receives_every_owed_response_in_order(self, models_path):
+        configs = [{**VOLUME, "num_tasks": tasks} for tasks in (2, 4, 8)]
+
+        async def scenario():
+            # A 10 s window: only the EOF drain can answer within the timeout.
+            server = await start_server(
+                models_path, watch=False, cache_size=0, max_batch=1_000_000, max_delay_us=10_000_000
+            )
+            try:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                requests = [request_bytes("POST", "/predict", c) for c in configs]
+                # /healthz is answered at once, but its response must wait its turn.
+                requests.insert(1, request_bytes("GET", "/healthz"))
+                writer.write(b"".join(requests))
+                writer.write_eof()
+                responses = [
+                    await asyncio.wait_for(read_response(reader), timeout=5.0) for _ in requests
+                ]
+                assert await asyncio.wait_for(reader.read(), timeout=5.0) == b"", "closed after"
+                writer.close()
+                return responses
+            finally:
+                await server.close()
+
+        responses = asyncio.run(scenario())
+        status, health = responses.pop(1)
+        assert status == 200 and json.loads(health)["status"] == "ok"
+        for config, response in zip(configs, responses):
+            assert response == (200, asyncio.run(_predict_alone(models_path, config, cache_size=0)))
 
 
 class TestHotReload:
