@@ -38,10 +38,19 @@ __all__ = [
     "SCENARIOS",
     "amr_scene",
     "camera_orbit_scene",
+    "random_rgba",
     "scene_factory",
     "synthetic_run_image",
     "uniform_scene",
 ]
+
+
+def random_rgba(rng: np.random.Generator, count: int, alpha: float) -> np.ndarray:
+    """``count`` random colors with a constant ``alpha``, as one ``(count, 4)`` array."""
+    rgba = np.empty((count, 4))
+    rgba[:, :3] = rng.random((count, 3))
+    rgba[:, 3] = alpha
+    return rgba
 
 
 def synthetic_run_image(
@@ -60,14 +69,13 @@ def synthetic_run_image(
     depth bands overlap neighboring ranks without being degenerate.
     """
     num_pixels = width * height
-    count = int(np.clip(round(coverage * num_pixels), 0, num_pixels))
+    count = min(max(round(coverage * num_pixels), 0), num_pixels)
     if count == 0:
         return RunImage.from_arrays(
             np.empty(0, dtype=np.int64), np.empty((0, 4)), np.empty(0), width, height, key=rank
         )
     pixels = np.sort(rng.choice(num_pixels, size=count, replace=False)).astype(np.int64)
-    alpha = 1.0 if mode == "depth" else 0.6
-    rgba = np.column_stack([rng.random((count, 3)), np.full(count, alpha)])
+    rgba = random_rgba(rng, count, 1.0 if mode == "depth" else 0.6)
     depth = rank + rng.random(count)
     return RunImage.from_arrays(pixels, rgba, depth, width, height, key=rank)
 
@@ -187,8 +195,7 @@ def camera_orbit_scene(
                 np.empty(0, dtype=np.int64), np.empty((0, 4)), np.empty(0),
                 width, height, key=rank,
             )
-        alpha = 1.0 if mode == "depth" else 0.6
-        rgba = np.column_stack([rng.random((count, 3)), np.full(count, alpha)])
+        rgba = random_rgba(rng, count, 1.0 if mode == "depth" else 0.6)
         depth = distance[rank] + 0.01 * rng.random(count)
         return RunImage.from_arrays(pixels, rgba, depth, width, height, key=rank)
 

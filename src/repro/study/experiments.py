@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compositing import Compositor, scene_factory
+from repro.compositing import Compositor, RunImage, scene_factory
+from repro.compositing.scenarios import random_rgba
 from repro.dpp import get_device, use_device
 from repro.geometry.transforms import Camera
 from repro.machines.costmodel import synthesize_render_time
 from repro.modeling.features import RenderingConfiguration, map_configuration_to_features
 from repro.modeling.study import HOST_ARCHITECTURE, CompositingRecord, ExperimentRecord
 from repro.rendering import make_renderer
-from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.rays import pixels_reaching
 from repro.runtime.decomposition import BlockDecomposition
 from repro.study.plan import ExperimentSpec, require_sampled_ranks
@@ -207,8 +207,12 @@ def run_compositing_case(spec: ExperimentSpec) -> CompositingRecord:
 
     Per-rank sub-images are synthesized (a contiguous screen block of
     active pixels per rank whose size follows the Section 5.8 mapping)
-    rather than rendered, so that large task counts stay cheap -- the
-    run-length engine keeps even the 64-rank rows fast.  The recorded
+    rather than rendered, so that large task counts stay cheap.  Both sides
+    of ``spec.compositing_max_live_ranks`` are :class:`RunImage` factories
+    into :meth:`Compositor.composite_streaming`: at or under the budget a
+    list of block images built straight in run-length form (no framebuffer
+    is filled and re-scanned), all live at once; over it the scenario's
+    per-rank factory, streamed in bounded cohorts.  The recorded
     compositing time combines the simulated-network estimate of the
     exchange (critical path over rounds) with the blending work charged
     at :data:`COMPOSITING_BLEND_BYTES_PER_SECOND`.
@@ -234,18 +238,13 @@ def run_compositing_case(spec: ExperimentSpec) -> CompositingRecord:
             mode="over",
             seed=derive_seed(*stream),
         )
-        result = compositor.composite_streaming(
-            factory,
-            num_tasks,
-            pixel_size,
-            pixel_size,
-            mode="over",
-            max_live_ranks=spec.compositing_max_live_ranks,
-        )
+        max_live_ranks = spec.compositing_max_live_ranks
     else:
-        framebuffers = _synthetic_sub_images(num_tasks, pixel_size, pixel_size, default_rng(*stream))
-        visibility = list(np.arange(num_tasks, dtype=np.float64))
-        result = compositor.composite(framebuffers, mode="over", visibility_order=visibility)
+        images = _synthetic_run_images(num_tasks, pixel_size, pixel_size, default_rng(*stream))
+        factory, max_live_ranks = images.__getitem__, num_tasks
+    result = compositor.composite_streaming(
+        factory, num_tasks, pixel_size, pixel_size, mode="over", max_live_ranks=max_live_ranks
+    )
     # Blending happens concurrently on every rank, so charge the per-rank
     # share of the exchanged bytes (the critical path), not the total.
     blend_seconds = (
@@ -256,23 +255,28 @@ def run_compositing_case(spec: ExperimentSpec) -> CompositingRecord:
     )
 
 
-def _synthetic_sub_images(
+def _synthetic_run_images(
     tasks: int, width: int, height: int, rng: np.random.Generator
-) -> list[Framebuffer]:
-    """Synthetic per-rank framebuffers with mapping-consistent active-pixel counts."""
-    framebuffers = []
+) -> list[RunImage]:
+    """Synthetic per-rank ``"over"`` sub-images with mapping-consistent active-pixel counts.
+
+    Rank ``i`` covers one random square block of the screen; the block's
+    pixels are its active pixels, its colors are random with alpha 0.7, and
+    its depth is the visibility key ``i``.  The stream also draws a depth
+    plane per block that ``"over"`` compositing never reads: skipping it
+    would move every later rank's block and change the corpus rows.
+    """
+    images = []
     fill = 0.55 / tasks ** (1.0 / 3.0)
     active = max(int(fill * width * height), 1)
     side = max(int(np.sqrt(active)), 1)
-    for _ in range(tasks):
-        framebuffer = Framebuffer(width, height)
+    for rank in range(tasks):
         x0 = int(rng.integers(0, max(width - side, 1)))
         y0 = int(rng.integers(0, max(height - side, 1)))
-        block = (slice(y0, min(y0 + side, height)), slice(x0, min(x0 + side, width)))
-        shape = framebuffer.rgba[block][..., 0].shape
-        framebuffer.rgba[block] = np.concatenate(
-            [rng.random(shape + (3,)), np.full(shape + (1,), 0.7)], axis=-1
-        )
-        framebuffer.depth[block] = rng.random(shape) * 10.0
-        framebuffers.append(framebuffer)
-    return framebuffers
+        x1, y1 = min(x0 + side, width), min(y0 + side, height)
+        pixels = (np.arange(y0, y1, dtype=np.int64)[:, None] * width + np.arange(x0, x1)).reshape(-1)
+        count = len(pixels)
+        rgba = random_rgba(rng, count, 0.7)
+        rng.random(count)  # the unread depth plane
+        images.append(RunImage(width, height, pixels, rgba, np.full(count, float(rank)), key=rank))
+    return images

@@ -22,6 +22,7 @@ from repro.modeling import (
     map_configuration_to_features,
 )
 from repro.modeling.feasibility import images_within_budget
+from repro.modeling.features import DISTINCT_ROOT_MIN_ROWS
 from repro.modeling.models import MODEL_GROUPS
 from repro.modeling.regression import relative_errors
 from repro.rendering import make_renderer
@@ -169,6 +170,52 @@ class TestFeaturesMapping:
             RenderingConfiguration("raytrace", "cpu-host", 0, 10, 64, 64)
         with pytest.raises(ValueError):
             RenderingConfiguration("raytrace", "cpu-host", 1, 10, 0, 64)
+
+
+@st.composite
+def _task_batches(draw):
+    """Positive task counts with repeats, some non-integral, on both sides of the cut-over."""
+    counts = st.one_of(st.integers(1, 100_000).map(float), st.floats(1.0, 1e5, allow_nan=False))
+    pool = draw(st.lists(counts, min_size=1, max_size=12))
+    size = draw(
+        st.one_of(
+            st.integers(1, DISTINCT_ROOT_MIN_ROWS - 1),
+            st.integers(DISTINCT_ROOT_MIN_ROWS, 3 * DISTINCT_ROOT_MIN_ROWS),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.asarray(pool)[rng.integers(0, len(pool), size)], rng
+
+
+class TestBatchMapping:
+    """The batch mapping is the scalar one, element for element and bit for bit."""
+
+    @given(_task_batches())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_columns_equal_the_per_element_mapping(self, batch):
+        tasks, rng = batch
+        cells = rng.integers(1, 300, len(tasks))
+        sizes = rng.integers(1, 2048, len(tasks))
+        samples = rng.integers(1, 2000, len(tasks))
+        for technique in TECHNIQUES:
+            columns = map_configuration_batch(technique, tasks, cells, sizes, sizes, samples)
+            rows = [
+                map_configuration_batch(technique, tasks[i], cells[i], sizes[i], sizes[i], samples[i])
+                for i in range(len(tasks))
+            ]
+            for name, column in columns.items():
+                assert column.dtype == np.float64 and column.shape == tasks.shape
+                expected = np.concatenate([row[name] for row in rows])
+                assert column.tobytes() == expected.tobytes(), (technique, name)
+            for i in range(0, len(tasks), 7):
+                mapped = map_configuration_to_features(
+                    RenderingConfiguration(
+                        technique, "gpu1-k40m", float(tasks[i]), int(cells[i]),
+                        int(sizes[i]), int(sizes[i]), int(samples[i]),
+                    )
+                )
+                for name, column in columns.items():
+                    assert column[i] == float(getattr(mapped, name)), (technique, name, tasks[i])
 
 
 class TestTechniqueTable:
