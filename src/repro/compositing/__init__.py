@@ -15,12 +15,12 @@ Two merge modes are supported:
   volume renderers.
 """
 
-from repro.compositing.algorithms import RadixFactorError, StreamStats, validate_radices
+from repro.compositing.algorithms import RadixFactorError, StreamStats, get_algorithm, validate_radices
 from repro.compositing.compositor import CompositeResult, Compositor
 from repro.compositing.image import SubImage, composite_pixels
 from repro.compositing.reference import composite_reference
 from repro.compositing.runimage import RunImage, run_image_from_framebuffer
-from repro.compositing.scenarios import SCENARIOS, scene_factory
+from repro.compositing.scenarios import SCENARIOS, get_scenario, scene_factory
 
 __all__ = [
     "SCENARIOS",
@@ -32,6 +32,8 @@ __all__ = [
     "SubImage",
     "composite_pixels",
     "composite_reference",
+    "get_algorithm",
+    "get_scenario",
     "run_image_from_framebuffer",
     "scene_factory",
     "validate_radices",

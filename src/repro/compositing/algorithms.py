@@ -62,6 +62,7 @@ from repro.util.timing import Timer
 
 __all__ = [
     "ALGORITHMS",
+    "get_algorithm",
     "Schedule",
     "schedule_for",
     "run_schedule",
@@ -72,6 +73,14 @@ __all__ = [
 ]
 
 ALGORITHMS = ("direct-send", "binary-swap", "radix-k")
+
+
+def get_algorithm(name: str) -> str:
+    """``name`` if it is a compositing algorithm; the one place an unknown name is rejected."""
+    if name not in ALGORITHMS:
+        choices = ", ".join(ALGORITHMS)
+        raise ValueError(f"unknown compositing algorithm {name!r}; choose from {choices}")
+    return name
 
 
 def _partition_edges(lengths, parts: int) -> np.ndarray:
@@ -210,6 +219,7 @@ def schedule_for(algorithm: str, size: int, radices=None) -> Schedule:
     """
     if size < 1:
         raise ValueError("a compositing schedule needs at least one rank")
+    algorithm = get_algorithm(algorithm)
     if algorithm == "direct-send":
         return Schedule((size,), tuple(range(size)), skip_empty_pieces=True, trailing_round=False)
     if algorithm == "binary-swap":
@@ -219,12 +229,9 @@ def schedule_for(algorithm: str, size: int, radices=None) -> Schedule:
         pairs = tuple((keeper, keeper + 1) for keeper in range(2 * power - size, size, 2))
         participants = tuple(range(2 * power - size)) + tuple(keeper for keeper, _ in pairs)
         return Schedule((2,) * (power.bit_length() - 1), participants, fold_pairs=pairs)
-    if algorithm == "radix-k":
-        radices = factor_radices(size) if radices is None else validate_radices(size, radices)
-        return Schedule(tuple(radices), tuple(range(size)))
-    raise ValueError(
-        f"unknown compositing algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
-    )
+    # radix-k: the caller's schedule, or the task count factored.
+    radices = factor_radices(size) if radices is None else validate_radices(size, radices)
+    return Schedule(tuple(radices), tuple(range(size)))
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ import numpy as np
 
 from typing import Callable
 
-from repro.compositing.algorithms import ALGORITHMS, run_schedule, schedule_for
+from repro.compositing.algorithms import get_algorithm, run_schedule, schedule_for
 from repro.compositing.image import from_framebuffer
 from repro.compositing.reference import composite_reference
 from repro.compositing.runimage import RunImage, active_mask, run_image_from_framebuffer
@@ -132,10 +132,7 @@ class Compositor:
     radices: list[int] | None = None
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown compositing algorithm {self.algorithm!r}; choose from {sorted(ALGORITHMS)}"
-            )
+        get_algorithm(self.algorithm)
         if self.radices is not None and self.algorithm != "radix-k":
             raise ValueError("an explicit radix schedule requires algorithm='radix-k'")
 

@@ -38,6 +38,7 @@ __all__ = [
     "SCENARIOS",
     "amr_scene",
     "camera_orbit_scene",
+    "get_scenario",
     "random_rgba",
     "scene_factory",
     "synthetic_run_image",
@@ -211,12 +212,17 @@ SCENARIOS: dict[str, Callable[..., Callable[[int], RunImage]]] = {
 }
 
 
+def get_scenario(name: str) -> Callable[..., Callable[[int], RunImage]]:
+    """The factory builder of a scenario name; the one place an unknown name is rejected."""
+    try:
+        return SCENARIOS[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        choices = ", ".join(SCENARIOS)
+        raise ValueError(f"unknown compositing scenario {name!r}; choose from {choices}") from None
+
+
 def scene_factory(
     name: str, size: int, width: int, height: int, mode: str = "depth", seed: int = 2016, **kwargs
 ) -> Callable[[int], RunImage]:
     """Build a per-rank factory for a named scenario."""
-    try:
-        builder = SCENARIOS[name]
-    except KeyError:
-        raise KeyError(f"unknown compositing scenario {name!r}; known: {sorted(SCENARIOS)}") from None
-    return builder(size, width, height, mode=mode, seed=seed, **kwargs)
+    return get_scenario(name)(size, width, height, mode=mode, seed=seed, **kwargs)

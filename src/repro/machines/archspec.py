@@ -86,11 +86,12 @@ def register_architecture(spec: ArchitectureSpec) -> None:
 
 
 def get_architecture(name: str) -> ArchitectureSpec:
-    """Look up a named architecture."""
+    """The spec of a named architecture; the one place an unknown name is rejected."""
     try:
         return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown architecture {name!r}; known: {sorted(_REGISTRY)}") from None
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        choices = ", ".join(list_architectures())
+        raise ValueError(f"unknown architecture {name!r}; choose from {choices}") from None
 
 
 def list_architectures() -> list[str]:

@@ -32,7 +32,10 @@ Subcommands
     (:meth:`repro.serving.core.ServingCore.predict_rows`), so CLI answers are
     bit-identical to what ``python -m repro.serve`` returns over the socket.
 
-Exit codes: 0 success; 2 argument/usage errors (argparse); 3 a ``run`` with
+Exit codes: 0 success; 2 argument/usage errors (argparse), among them any
+matrix value its :data:`repro.study.plan.AXES` row rejects (a name no
+registry holds on every named axis, a count below its minimum), with nothing
+planned, run or written; 3 a ``run`` with
 ``--require-cached`` executed at least one experiment; 4 a ``run`` recorded
 failure rows; 5 a ``fit``/``report`` where *every* fit was degenerate (the
 structured failure report is printed as JSON); 6 a ``predict`` naming an
@@ -49,10 +52,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
-from repro.compositing import RadixFactorError, validate_radices
-from repro.dpp import get_device, list_devices
+from repro.compositing import RadixFactorError
 from repro.modeling.study import StudyConfiguration
 from repro.reporting.report import generate_report
 from repro.reporting.suite import ModelSuite
@@ -61,9 +63,8 @@ from repro.study.adaptive import run_adaptive_rounds, select_batch
 from repro.study.cache import CorpusCache
 from repro.study.corpus_io import load_corpus, merge_corpora, save_corpus
 from repro.study.executor import run_plan
-from repro.study.plan import build_plan, full_configuration, smoke_configuration
+from repro.study.plan import AXES, build_plan, full_configuration, smoke_configuration
 from repro.study.trajectory import append_trajectory_rows
-from repro.techniques import TECHNIQUES, get_technique
 
 #: Exit code of a fit/report whose every slice was degenerate.
 EXIT_ALL_FITS_DEGENERATE = 5
@@ -86,68 +87,34 @@ _PRESETS = {
 }
 
 
-def _comma_tuple(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+#: Configuration fields that hold a tuple: their flag takes a comma list.
+_LIST_FIELDS = {item.name for item in fields(StudyConfiguration) if str(item.type).startswith("tuple")}
 
 
-def _names_from(resolve):
-    """Parse a comma list through ``resolve``; a typo is a usage error, not a plan of failing specs."""
+def _axis_type(axis):
+    """The argparse ``type`` of an axis flag: each value through ``axis.resolve``; a typo is exit 2."""
 
-    def parse(text: str) -> tuple[str, ...]:
+    def parse(text: str):
         try:
-            return tuple(resolve(name).name for name in _comma_tuple(text))
+            if axis.field in _LIST_FIELDS:
+                return tuple(axis.resolve(part.strip()) for part in text.split(",") if part.strip())
+            return axis.resolve(text.strip())
         except ValueError as error:
             raise argparse.ArgumentTypeError(str(error)) from None
 
     return parse
 
 
-def _comma_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in _comma_tuple(text))
-
-
 def _add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
     matrix = parser.add_argument_group("matrix", "override the preset's sweep matrix")
     matrix.add_argument("--preset", choices=sorted(_PRESETS), default="default")
     matrix.add_argument("--seed", type=int, default=2016)
-    matrix.add_argument("--samples", type=int, help="stratified samples per technique")
-    matrix.add_argument("--simulations", type=_comma_tuple, help="comma list, e.g. kripke,lulesh")
-    matrix.add_argument(
-        "--techniques",
-        type=_names_from(get_technique),
-        help="comma list from " + ",".join(TECHNIQUES),
-    )
-    matrix.add_argument("--architectures", type=_comma_tuple, help="comma list, e.g. cpu-host,gpu1-k40m")
-    matrix.add_argument(
-        "--dpp-devices",
-        type=_names_from(get_device),
-        help="DPP back-ends host renders run on, comma list from " + ",".join(list_devices()),
-    )
-    matrix.add_argument("--task-counts", type=_comma_ints, help="comma list of MPI task counts")
-    matrix.add_argument(
-        "--compositing-algorithms",
-        type=_comma_tuple,
-        help="comma list from direct-send,binary-swap,radix-k",
-    )
+    for axis in AXES:
+        metavar = axis.flag[2:].replace("-", "_").upper()
+        matrix.add_argument(
+            axis.flag, dest=axis.field, type=_axis_type(axis), metavar=metavar, help=axis.help
+        )
     matrix.add_argument("--no-compositing", action="store_true", help="skip the Eq. 5.5 sweep")
-    matrix.add_argument(
-        "--compositing-tasks", type=_comma_ints, help="comma list of compositing rank counts"
-    )
-    matrix.add_argument(
-        "--radices",
-        type=_comma_ints,
-        help="explicit radix-k schedule; its product must equal every swept rank count",
-    )
-    matrix.add_argument(
-        "--max-live-ranks",
-        type=int,
-        help="cohort budget: rank counts above it stream through the cohort scheduler",
-    )
-    matrix.add_argument(
-        "--compositing-scenario",
-        choices=("uniform", "amr", "camera-orbit"),
-        help="scene family for streamed compositing rows",
-    )
 
 
 def _add_adaptive_arguments(parser: argparse.ArgumentParser) -> None:
@@ -167,38 +134,12 @@ def _add_adaptive_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _configuration_from(args: argparse.Namespace) -> StudyConfiguration:
-    config = _PRESETS[args.preset](args.seed)
-    overrides = {}
-    if args.samples is not None:
-        overrides["samples_per_technique"] = args.samples
-    if args.simulations:
-        overrides["simulations"] = args.simulations
-    if args.techniques:
-        overrides["techniques"] = args.techniques
-    if args.architectures:
-        overrides["architectures"] = args.architectures
-    if args.dpp_devices:
-        overrides["dpp_devices"] = args.dpp_devices
-    if args.task_counts:
-        overrides["task_counts"] = args.task_counts
-    if args.compositing_algorithms:
-        overrides["compositing_algorithms"] = args.compositing_algorithms
-    if getattr(args, "compositing_tasks", None):
-        overrides["compositing_task_counts"] = args.compositing_tasks
-    if getattr(args, "radices", None):
-        overrides["compositing_radices"] = args.radices
-    if getattr(args, "max_live_ranks", None) is not None:
-        overrides["compositing_max_live_ranks"] = args.max_live_ranks
-    if getattr(args, "compositing_scenario", None):
-        overrides["compositing_scenario"] = args.compositing_scenario
-    config = replace(config, **overrides) if overrides else config
-    if config.compositing_radices is not None and "radix-k" in config.compositing_algorithms:
-        # Validate the schedule against every swept rank count up front: a
-        # schedule that does not tile a count would otherwise only surface
-        # mid-sweep as an isolated failure row.
-        for tasks in config.compositing_task_counts:
-            validate_radices(tasks, config.compositing_radices)
-    return config
+    """The preset with the matrix flags given applied; an empty comma list keeps the preset's value."""
+    overrides = {axis.field: getattr(args, axis.field) for axis in AXES}
+    return replace(
+        _PRESETS[args.preset](args.seed),
+        **{name: value for name, value in overrides.items() if value not in (None, ())},
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,11 +295,7 @@ def _command_run_adaptive(args) -> int:
         args.out,
         metadata={"preset": args.preset, "adaptive_rounds": len(run.rounds)},
     )
-    print(
-        f"corpus: {len(run.corpus.records)} rendering rows, "
-        f"{len(run.corpus.compositing_records)} compositing rows, "
-        f"{len(run.corpus.failures)} failures -> {args.out}"
-    )
+    _print_corpus_line(run.corpus, args.out)
     if args.learning_out:
         payload = append_trajectory_rows(args.learning_out, run.trajectory_rows())
         print(f"learning curve: {len(payload['rows'])} rows -> {args.learning_out}")
@@ -406,11 +343,7 @@ def _command_run(args) -> int:
         f"sweep: planned={report.planned} cache_hits={report.cache_hits} "
         f"executed={report.executed} failed={report.failed}"
     )
-    print(
-        f"corpus: {len(corpus.records)} rendering rows, "
-        f"{len(corpus.compositing_records)} compositing rows, "
-        f"{len(corpus.failures)} failures -> {args.out}"
-    )
+    _print_corpus_line(corpus, args.out)
     for failure in report.failures:
         spec = plan.specs[failure.index]
         print(f"  FAILED [{failure.reason}] {spec.label()}: {failure.message}", file=sys.stderr)
@@ -438,11 +371,11 @@ def _command_merge(args) -> int:
     return 0
 
 
-def _print_corpus_line(corpus) -> None:
+def _print_corpus_line(corpus, path: str | None = None) -> None:
     print(
         f"corpus: {len(corpus.records)} rendering rows, "
         f"{len(corpus.compositing_records)} compositing rows, "
-        f"{len(corpus.failures)} failures"
+        f"{len(corpus.failures)} failures" + (f" -> {path}" if path else "")
     )
 
 

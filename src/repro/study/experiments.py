@@ -26,6 +26,7 @@ from repro.modeling.study import HOST_ARCHITECTURE, CompositingRecord, Experimen
 from repro.rendering import make_renderer
 from repro.rendering.rays import pixels_reaching
 from repro.runtime.decomposition import BlockDecomposition
+from repro.simulations.fields import get_simulation_field
 from repro.study.plan import ExperimentSpec, require_sampled_ranks
 from repro.techniques import get_technique
 from repro.util.rng import default_rng, derive_seed
@@ -42,36 +43,6 @@ __all__ = [
 #: images, so the corpus charges blending at a realistic rate instead and
 #: keeps the simulated-network estimate for communication.
 COMPOSITING_BLEND_BYTES_PER_SECOND = 2.5e9
-
-
-def _lulesh_field(points: np.ndarray) -> np.ndarray:
-    """Expanding-shell energy field (Sedov-like)."""
-    radius = np.linalg.norm(points - 0.1, axis=1)
-    return np.exp(-((radius - 0.55) ** 2) / 0.02) + 0.2 * np.exp(-radius / 0.3)
-
-
-def _kripke_field(points: np.ndarray) -> np.ndarray:
-    """Clustered scalar-flux field."""
-    centers = np.array([[0.3, 0.4, 0.5], [0.7, 0.6, 0.4], [0.5, 0.2, 0.7]])
-    widths = np.array([0.05, 0.08, 0.04])
-    value = np.full(len(points), 0.1)
-    for center, width in zip(centers, widths):
-        value += np.exp(-np.sum((points - center) ** 2, axis=1) / (2 * width))
-    return value
-
-
-def _cloverleaf_field(points: np.ndarray) -> np.ndarray:
-    """Advecting-front density field."""
-    return 1.0 / (1.0 + np.exp(-12.0 * (points[:, 0] - 0.4))) + 0.1 * np.sin(
-        6.0 * np.pi * points[:, 1]
-    ) * np.sin(6.0 * np.pi * points[:, 2])
-
-
-_SIMULATION_FIELDS = {
-    "lulesh": _lulesh_field,
-    "kripke": _kripke_field,
-    "cloverleaf": _cloverleaf_field,
-}
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
@@ -94,14 +65,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
     contract").
 
     ``spec.dpp_device`` selects the DPP back-end the render's primitives run
-    on (``""`` keeps the caller's active device).  An unknown technique or a
-    ``max_sampled_ranks`` below 1 (a stale plan file or cache entry) and an
-    unknown or unavailable device all raise before any block is built, which
-    the sweep executor records as an ordinary failure row.
+    on (``""`` keeps the caller's active device).  An unknown technique,
+    simulation or device and a ``max_sampled_ranks`` below 1 (a stale plan
+    file or cache entry) all raise before any block is built, which the sweep
+    executor records as an ordinary failure row.
     """
     technique = get_technique(spec.technique)
-    if spec.simulation not in _SIMULATION_FIELDS:
-        raise KeyError(f"unknown simulation {spec.simulation!r}")
+    simulation_field = get_simulation_field(spec.simulation)
     ranks = _sampled_ranks(spec.num_tasks, require_sampled_ranks(spec.max_sampled_ranks))
     decomposition = BlockDecomposition(spec.num_tasks, spec.cells_per_task)
     camera = Camera.framing_bounds(
@@ -116,9 +86,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
         for position in sorted(range(len(ranks)), key=lambda index: (-bounds[index], index)):
             if bounds[position] < slowest_key[0]:
                 break
-            grid = decomposition.block_grid_with_field(
-                ranks[position], "scalar", _SIMULATION_FIELDS[spec.simulation]
-            )
+            grid = decomposition.block_grid_with_field(ranks[position], "scalar", simulation_field)
             result = make_renderer(technique.name, grid, "scalar", spec.samples_in_depth).render(camera)
             key = (result.features.active_pixels, result.features.objects, -position)
             if key > slowest_key:
@@ -162,7 +130,11 @@ def run_synthetic_experiment(spec: ExperimentSpec) -> ExperimentRecord:
     of the experiment, never shared between experiments, so the record is
     a pure function of the spec -- executing the sweep in any order (or on
     any process pool) yields bit-identical synthetic rows.
+
+    The simulation is only a label here, but an unknown one (a stale plan
+    or cache entry) raises as on the render path: no mislabelled row.
     """
+    get_simulation_field(spec.simulation)
     rng = default_rng(
         spec.base_seed,
         "synthetic-experiment",

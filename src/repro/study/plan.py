@@ -29,13 +29,20 @@ import warnings
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from operator import attrgetter
+from typing import Callable, NamedTuple
 
-from repro.dpp import get_device
+from repro.compositing import SCENARIOS, get_algorithm, get_scenario, validate_radices
+from repro.compositing.algorithms import ALGORITHMS
+from repro.dpp import get_device, list_devices
+from repro.machines import get_architecture, list_architectures
 from repro.modeling.study import HOST_ARCHITECTURE, StudyConfiguration
+from repro.simulations.fields import SIMULATION_FIELDS, get_simulation_field
 from repro.techniques import TECHNIQUES, get_technique
 from repro.util.rng import default_rng
 
 __all__ = [
+    "AXES",
+    "Axis",
     "ExperimentSpec",
     "SweepPlan",
     "build_plan",
@@ -176,6 +183,90 @@ class SweepPlan:
         }
 
 
+class Axis(NamedTuple):
+    """A row of :data:`AXES`: ``resolve`` returns one value as the configuration holds it, or raises."""
+
+    flag: str
+    field: str
+    resolve: Callable
+    help: str
+
+
+def _named(flag: str, field: str, lookup: Callable, names, about: str = "comma list") -> Axis:
+    """The row of a registry's axis: a name is itself once ``lookup`` accepts it."""
+
+    def resolve(name: str) -> str:
+        lookup(name)
+        return name
+
+    return Axis(flag, field, resolve, f"{about} from {','.join(names)}")
+
+
+def _count(flag: str, field: str, minimum: int | None, help_text: str) -> Axis:
+    """The row of an integer axis whose values may not fall below ``minimum``."""
+
+    def resolve(value) -> int:
+        number = int(value)
+        if minimum is not None and number < minimum:
+            raise ValueError(f"{field} must be at least {minimum}, got {number}")
+        return number
+
+    return Axis(flag, field, resolve, help_text)
+
+
+def _architecture(name: str) -> None:
+    """:func:`get_architecture`, admitting the measured host too (it has no spec)."""
+    if name != HOST_ARCHITECTURE:
+        get_architecture(name)
+
+
+#: Every axis of :class:`StudyConfiguration` a caller may set: the CLI's matrix
+#: flags are these rows, and :func:`build_plan` resolves every value of every
+#: row before it enumerates, so a name no registry holds, or a count below its
+#: minimum, fails the plan.  ``--radices`` takes any integers: the rest of that
+#: check is ``validate_radices`` in :func:`build_plan` (``RadixFactorError``).
+AXES = (
+    _count("--samples", "samples_per_technique", 0, "stratified samples per technique"),
+    _named("--simulations", "simulations", get_simulation_field, SIMULATION_FIELDS),
+    _named("--techniques", "techniques", get_technique, TECHNIQUES),
+    _named("--architectures", "architectures", _architecture, (HOST_ARCHITECTURE, *list_architectures())),
+    _named(
+        "--dpp-devices",
+        "dpp_devices",
+        get_device,
+        list_devices(),
+        "DPP back-ends host renders run on, comma list",
+    ),
+    _count("--task-counts", "task_counts", 1, "comma list of MPI task counts"),
+    _named("--compositing-algorithms", "compositing_algorithms", get_algorithm, ALGORITHMS),
+    _count("--compositing-tasks", "compositing_task_counts", 1, "comma list of compositing rank counts"),
+    _count(
+        "--radices",
+        "compositing_radices",
+        None,
+        "explicit radix-k schedule; its product must equal every swept rank count",
+    ),
+    _count(
+        "--max-live-ranks",
+        "compositing_max_live_ranks",
+        1,
+        "cohort budget: rank counts above it stream through the cohort scheduler",
+    ),
+    _named(
+        "--compositing-scenario",
+        "compositing_scenario",
+        get_scenario,
+        SCENARIOS,
+        "scene family for streamed compositing rows, one",
+    ),
+)
+
+
+def _axis_values(value) -> tuple:
+    """A configuration field's values: a sequence's items, a scalar alone, none for ``None``."""
+    return () if value is None else tuple(value) if isinstance(value, (tuple, list)) else (value,)
+
+
 def require_sampled_ranks(max_sampled_ranks: int) -> int:
     """``max_sampled_ranks`` of a host render; the one place a value below 1 is rejected."""
     if max_sampled_ranks < 1:
@@ -187,14 +278,17 @@ def build_plan(config: StudyConfiguration, include_compositing: bool = True) -> 
     """Expand a study configuration into the explicit experiment matrix.
 
     This is the one place the matrix is enumerated: the loop nesting *and*
-    the RNG stream consumption here define the corpus order.  An unknown
-    technique or DPP device, or host renders that would sample no rank, fail
-    the plan here, before anything is enumerated or run.
+    the RNG stream consumption here define the corpus order.  A value no row
+    of :data:`AXES` admits, a radix-k schedule that does not tile a swept
+    rank count, or host renders that would sample no rank fail the plan
+    here, before anything is enumerated or run.
     """
-    for technique in config.techniques:
-        get_technique(technique)
-    for dpp_device in config.dpp_devices:
-        get_device(dpp_device)
+    for axis in AXES:
+        for value in _axis_values(getattr(config, axis.field)):
+            axis.resolve(value)
+    if config.compositing_radices is not None and "radix-k" in config.compositing_algorithms:
+        for tasks in config.compositing_task_counts:
+            validate_radices(tasks, config.compositing_radices)
     if HOST_ARCHITECTURE in config.architectures and config.techniques:
         require_sampled_ranks(config.max_sampled_ranks)
     specs: list[ExperimentSpec] = []

@@ -377,7 +377,7 @@ class TestMachines:
         for expected in ("cpu1-surface", "gpu1-k40m", "gpu2-titan-k20", "mic-phi-ispc"):
             assert expected in names
         assert get_architecture("gpu1-k40m").kind == "gpu"
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             get_architecture("nope")
 
     def test_spec_validation(self):

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compositing import SCENARIOS
+from repro.compositing.algorithms import ALGORITHMS
 from repro.dpp import list_devices
+from repro.machines import list_architectures
 from repro.modeling.features import (
     RenderingConfiguration,
     feature_arrays,
@@ -22,6 +25,7 @@ from repro.modeling.regression import LinearRegressionResult
 from repro.modeling.study import StudyConfiguration, StudyCorpus
 from repro.reporting import ModelSuite, Predictor, generate_report
 from repro.reporting.suite import MODELS_SCHEMA_VERSION, FittedModel, _coefficient_warnings
+from repro.simulations.fields import SIMULATION_FIELDS
 from repro.study import cli as study_cli
 from repro.study import run_study
 from repro.study.corpus_io import corpus_digest, save_corpus
@@ -565,16 +569,54 @@ class TestReportingCLI:
         assert "no fitted model" in captured.err
 
     @pytest.mark.parametrize("command", ["plan", "run"])
-    def test_unknown_technique_is_rejected_before_anything_is_planned(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [pytest.param(*row, id=row[0]) for row in [
+            (
+                "--simulations",
+                "kripke,krypke",
+                "unknown simulation 'krypke'; choose from lulesh, kripke, cloverleaf",
+            ),
+            (
+                "--techniques",
+                "raytrace,voluem",
+                "unknown technique 'voluem'; choose from " + ", ".join(TECHNIQUES),
+            ),
+            (
+                "--architectures",
+                "cpu-host,gpu1-k40",
+                "unknown architecture 'gpu1-k40'; choose from " + ", ".join(list_architectures()),
+            ),
+            ("--dpp-devices", "vectorised", "unknown device 'vectorised'; choose from serial, vectorized"),
+            (
+                "--compositing-algorithms",
+                "radix-k,binary-swp",
+                "unknown compositing algorithm 'binary-swp'; choose from direct-send, binary-swap, radix-k",
+            ),
+            (
+                "--compositing-scenario",
+                "orbit",
+                "unknown compositing scenario 'orbit'; choose from uniform, amr, camera-orbit",
+            ),
+            ("--samples", "-1", "samples_per_technique must be at least 0, got -1"),
+            ("--task-counts", "4,0", "task_counts must be at least 1, got 0"),
+            ("--compositing-tasks", "0", "compositing_task_counts must be at least 1, got 0"),
+            ("--max-live-ranks", "0", "compositing_max_live_ranks must be at least 1, got 0"),
+            ("--radices", "2,x", "invalid literal for int() with base 10: 'x'"),
+        ]],
+    )
+    def test_unknown_technique_is_rejected_before_anything_is_planned(
+        self, command, flag, value, message, tmp_path, capsys
+    ):
         out, cache = tmp_path / "out.json", tmp_path / "cache"
-        args = [command, "--preset", "smoke", "--techniques", "raytrace,voluem", "--out", str(out)]
+        args = [command, "--preset", "smoke", flag, value, "--out", str(out)]
         if command == "run":
             args += ["--cache-dir", str(cache)]
         with pytest.raises(SystemExit) as usage_error:
             study_cli.main(args)
         assert usage_error.value.code == 2
         captured = capsys.readouterr()
-        assert "unknown technique 'voluem'; choose from " + ", ".join(TECHNIQUES) in captured.err
+        assert f"argument {flag}: {message}" in captured.err
         assert captured.out == ""
         assert not out.exists() and not cache.exists()
 
@@ -593,7 +635,19 @@ class TestReportingCLI:
         assert not out.exists() and not cache.exists()
         with pytest.raises(SystemExit):
             study_cli.main([command, "--help"])
-        assert "comma list from serial,vectorized" in " ".join(capsys.readouterr().out.split())
+        help_text = capsys.readouterr().out
+        assert "comma list from serial,vectorized" in " ".join(help_text.split())
+        # Every named axis lists its registry (argparse may wrap a name at a hyphen).
+        registries = [
+            SIMULATION_FIELDS,
+            TECHNIQUES,
+            ["cpu-host", *list_architectures()],
+            list_devices(),
+            ALGORITHMS,
+            SCENARIOS,
+        ]
+        for names in registries:
+            assert "from" + ",".join(names) in "".join(help_text.split())
 
     @pytest.mark.parametrize("device", list_devices())
     def test_every_registered_dpp_device_reaches_the_plan(self, device, tmp_path, capsys):

@@ -34,6 +34,7 @@ from repro.rendering import Framebuffer, make_renderer
 from repro.rendering.rays import pixels_reaching
 from repro.rendering.result import ObservedFeatures, RenderResult
 from repro.runtime.decomposition import BlockDecomposition
+from repro.simulations.fields import get_simulation_field
 from repro.study import (
     CorpusCache,
     SweepExecutor,
@@ -558,9 +559,7 @@ def _block_camera(spec: ExperimentSpec) -> tuple[BlockDecomposition, Camera]:
 
 def _render_rank(spec: ExperimentSpec, rank: int) -> RenderResult:
     decomposition, camera = _block_camera(spec)
-    grid = decomposition.block_grid_with_field(
-        rank, "scalar", experiments._SIMULATION_FIELDS[spec.simulation]
-    )
+    grid = decomposition.block_grid_with_field(rank, "scalar", get_simulation_field(spec.simulation))
     renderer = make_renderer(spec.technique, grid, "scalar", spec.samples_in_depth)
     return renderer.render(camera)
 
@@ -693,7 +692,7 @@ class TestSlowestRankSelection:
         "override, error",
         [
             ({"technique": "does-not-exist"}, ValueError),
-            ({"simulation": "not-a-simulation"}, KeyError),
+            ({"simulation": "not-a-simulation"}, ValueError),
             ({"dpp_device": "not-a-device"}, ValueError),
             ({"max_sampled_ranks": 0}, ValueError),
         ],
@@ -931,13 +930,17 @@ class TestResumeSemantics:
             assert _config_key(a) == _config_key(b)
             assert a.phase_seconds == b.phase_seconds
 
-    def test_strict_run_raises_instead_of_shrinking_the_corpus(self):
+    def test_strict_run_raises_instead_of_shrinking_the_corpus(self, monkeypatch):
         # Library entry points keep the pre-engine contract: an experiment
         # failure is loud, never a silently smaller corpus under the fits.
+        # Every host render fails in-process (jobs=1) once it reaches a renderer.
+        def failing_make_renderer(*args):
+            raise RuntimeError("renderer unavailable")
+
+        monkeypatch.setattr(experiments, "make_renderer", failing_make_renderer)
         config = StudyConfiguration(
             architectures=("cpu-host",),
             techniques=("raytrace",),
-            simulations=("not-a-simulation",),
             samples_per_technique=2,
             task_counts=(1,),
             seed=5,
@@ -984,12 +987,77 @@ class TestResumeSemantics:
         # Failure rows never block fitting the healthy slice of the corpus.
         assert corpus.fit_all_models()
 
-    def test_unknown_technique_fails_the_plan_not_its_specs(self):
-        config = dataclasses.replace(FAST_CONFIG, techniques=("raytrace", "voluem"))
-        with pytest.raises(ValueError, match="unknown technique 'voluem'; choose from"):
+    @pytest.mark.parametrize(
+        "field, value, message, stale",
+        [pytest.param(*row, id=row[0]) for row in [
+            (
+                "simulations",
+                "krypke",
+                "unknown simulation 'krypke'; choose from lulesh, kripke, cloverleaf",
+                {"simulation": "krypke"},
+            ),
+            (
+                "techniques",
+                "voluem",
+                "unknown technique 'voluem'; choose from raytrace, raster, volume, volume_unstructured",
+                {"technique": "voluem"},
+            ),
+            (
+                "architectures",
+                "gpu1-k40",
+                "unknown architecture 'gpu1-k40'; choose from cpu-i7-4770k, ",
+                {"architecture": "gpu1-k40"},
+            ),
+            (
+                "dpp_devices",
+                "vectorised",
+                "unknown device 'vectorised'; choose from serial, vectorized",
+                None,
+            ),
+            (
+                "compositing_algorithms",
+                "binary-swp",
+                "unknown compositing algorithm 'binary-swp'; choose from direct-send, binary-swap, radix-k",
+                {"algorithm": "binary-swp"},
+            ),
+            (
+                "compositing_scenario",
+                "orbit",
+                "unknown compositing scenario 'orbit'; choose from uniform, amr, camera-orbit",
+                {"compositing_scenario": "orbit", "compositing_max_live_ranks": 1},
+            ),
+            ("samples_per_technique", -1, "samples_per_technique must be at least 0, got -1", None),
+            ("task_counts", 0, "task_counts must be at least 1, got 0", None),
+            ("compositing_task_counts", 0, "compositing_task_counts must be at least 1, got 0", None),
+            ("compositing_max_live_ranks", 0, "compositing_max_live_ranks must be at least 1, got 0", None),
+            ("compositing_radices", (3, 3), "radix schedule [3, 3] multiplies out to 9 ranks", None),
+        ]],
+    )
+    def test_unknown_technique_fails_the_plan_not_its_specs(self, field, value, message, stale):
+        default = getattr(FAST_CONFIG, field)
+        value = (*default, value) if isinstance(default, tuple) else value
+        config = dataclasses.replace(FAST_CONFIG, **{field: value})
+        with pytest.raises(ValueError) as planned:
             build_plan(config)
-        with pytest.raises(ValueError, match="unknown technique 'voluem'; choose from"):
+        assert str(planned.value).startswith(message)
+        with pytest.raises(ValueError) as studied:
             run_study(config, strict=False)
+        assert str(studied.value) == str(planned.value)
+        if stale is None:
+            return
+        # A stale spec still naming the value is one failure row, on the
+        # synthetic path as on the compositing path.
+        plan = build_plan(FAST_CONFIG)
+        kind = "compositing" if field.startswith("compositing") else "synthetic"
+        specs = list(plan.specs)
+        index = next(i for i, spec in enumerate(specs) if spec.kind == kind)
+        specs[index] = dataclasses.replace(specs[index], **stale)
+        corpus, report = run_plan(dataclasses.replace(plan, specs=specs), jobs=1)
+        assert report.failed == 1
+        assert len(corpus.records) + len(corpus.compositing_records) == len(specs) - 1
+        (failure,) = corpus.failures
+        assert (failure.kind, failure.error_type) == (kind, "ValueError")
+        assert failure.message.startswith(message)
 
     def test_unknown_dpp_device_fails_the_plan_not_its_specs(self):
         # FAST_CONFIG plans no host render: the name is rejected all the same.
