@@ -6,14 +6,11 @@ Chapter II/III desktop devices).  That hardware is not available to the
 reproduction, so this package supplies the substitution documented in
 DESIGN.md:
 
-* :mod:`repro.machines.archspec` -- named architecture specifications with
-  throughput parameters (relative compute rate, memory bandwidth, per-kernel
-  launch overhead, noise level).
-* :mod:`repro.machines.costmodel` -- an analytic per-phase cost synthesizer
-  that converts the *observed model-input variables* of a render (objects,
-  active pixels, samples, ...) into a plausible wall-clock time for a chosen
-  architecture, with multiplicative log-normal noise so the regression and
-  cross-validation machinery is exercised realistically.
+* :mod:`repro.machines.archspec` -- named architecture specifications: one
+  throughput rate per cost-model phase, a per-kernel overhead, a noise level.
+* :mod:`repro.machines.costmodel` -- per-phase seconds of a render on a chosen
+  architecture, synthesized from the terms of its performance equation with
+  multiplicative log-normal noise.
 
 The host architecture (``"cpu-host"``) is special: its times are real
 measurements of the numpy renderers, not synthesized.

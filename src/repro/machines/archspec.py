@@ -19,31 +19,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ArchitectureSpec", "get_architecture", "list_architectures", "register_architecture"]
+__all__ = [
+    "PHASE_RATES", "ArchitectureSpec", "get_architecture", "list_architectures", "register_architecture",
+]
+
+#: ``cost-model phase -> rate attribute``: the kernel of each phase (one term of
+#: ``repro.techniques.MODEL_GROUPS``) does its work at this many units per second.
+PHASE_RATES = {
+    "bvh_build": "build_rate",
+    "trace": "traversal_rate",
+    "shade": "shade_rate",
+    "culling": "cull_rate",
+    "rasterize": "raster_rate",
+    "cell_lookup": "cell_rate",
+    "sampling": "sample_rate",
+}
 
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
     """Throughput description of one device.
 
-    Rates are in "elements per second" for the corresponding model term:
+    Each ``*_rate`` is the work units per second of one cost-model phase:
+    :data:`PHASE_RATES` pairs them, and the phase's term in
+    ``repro.techniques.MODEL_GROUPS`` defines the unit (``traversal_rate``
+    counts active pixels x log2 objects, ``raster_rate`` VO x PPT, ...).
 
     Attributes
     ----------
-    build_rate:
-        BVH-build objects per second (the ``c0 * O`` term of Eq. 5.1).
-    traversal_rate:
-        Ray-traversal work units (active pixels x log2 objects) per second.
-    shade_rate:
-        Shaded pixels per second.
-    cull_rate:
-        Triangles culled per second (rasterizer ``c0 * O`` term).
-    raster_rate:
-        Candidate pixels (VO x PPT) per second.
-    cell_rate:
-        Volume cell lookups (AP x CS) per second.
-    sample_rate:
-        Volume samples (AP x SPR) per second.
     kernel_overhead_seconds:
         Fixed overhead per pipeline phase (kernel launches, API latency).
     noise_sigma:
@@ -64,17 +67,9 @@ class ArchitectureSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
-        for field_name in (
-            "build_rate",
-            "traversal_rate",
-            "shade_rate",
-            "cull_rate",
-            "raster_rate",
-            "cell_rate",
-            "sample_rate",
-        ):
-            if getattr(self, field_name) <= 0:
-                raise ValueError(f"{field_name} must be positive")
+        for rate in PHASE_RATES.values():
+            if getattr(self, rate) <= 0:
+                raise ValueError(f"{rate} must be positive")
 
 
 _REGISTRY: dict[str, ArchitectureSpec] = {}

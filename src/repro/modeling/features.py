@@ -223,7 +223,7 @@ def feature_arrays(feature_list: list[ObservedFeatures]) -> dict[str, np.ndarray
     """Column arrays (float64) for a list of observed features.
 
     Fitting, cross validation and prediction all consume these: the models'
-    term groups (:data:`repro.modeling.models.MODEL_GROUPS`) build their design
+    term groups (:data:`repro.techniques.MODEL_GROUPS`) build their design
     matrices from the columns.
     """
     return {

@@ -3,8 +3,8 @@
 A performance model is a table of *term groups*.  Each group is one linear
 regression -- the paper fits them with R's ``lm`` -- over a short list of terms
 computed from the observed (or mapped) input variables; the model's prediction
-is the sum of its groups.  :data:`MODEL_GROUPS` is that table, and it is the
-list of the paper's equations:
+is the sum of its groups.  :data:`repro.techniques.MODEL_GROUPS` is that table
+(re-exported here), and it is the list of the paper's equations:
 
 ==============  =========  ==============================================
 family          group      equation
@@ -26,10 +26,9 @@ Everything else -- fitting, cross validation, prediction, the coefficient
 table -- is written once over ``model.groups`` and never asks which technique
 it is serving.
 
-Each equation has exactly one definition: the vectorized ``*_terms`` function
-of its group, mapping feature column arrays (see
-:func:`repro.modeling.features.feature_arrays`) to the ``(n, p)`` design
-matrix.  A single observation is the one-row batch.
+Each equation has exactly one definition, the ``work`` of each of its terms:
+:func:`design_matrix` evaluates it on feature column arrays (a single
+observation is the one-row batch), the cost model on one render's floats.
 
 The total multi-node time (Eq. 5.4, ``T_total = max_tasks(T_LR) + T_COMP``)
 is composed by its one consumer, :mod:`repro.modeling.feasibility`.
@@ -42,65 +41,25 @@ import numpy as np
 from repro.modeling.crossval import CrossValidationSummary, k_fold_cross_validation
 from repro.modeling.features import feature_arrays
 from repro.modeling.regression import LinearRegressionResult, fit_linear_model
-from repro.techniques import ObservedFeatures, get_technique
+from repro.techniques import MODEL_GROUPS, ObservedFeatures, TermGroup, get_technique, included_groups
 
-__all__ = ["MODEL_GROUPS", "PerformanceModel", "make_model"]
-
-
-def _raytrace_build_terms(arrays: dict[str, np.ndarray]) -> np.ndarray:
-    objects = np.asarray(arrays["objects"], dtype=np.float64)
-    return np.stack([objects, np.ones_like(objects)], axis=1)
+__all__ = ["MODEL_GROUPS", "PerformanceModel", "design_matrix", "make_model"]
 
 
-def _raytrace_frame_terms(arrays: dict[str, np.ndarray]) -> np.ndarray:
-    objects = np.maximum(np.asarray(arrays["objects"], dtype=np.float64), 2.0)
-    active = np.asarray(arrays["active_pixels"], dtype=np.float64)
-    return np.stack([active * np.log2(objects), active, np.ones_like(active)], axis=1)
-
-
-def _raster_terms(arrays: dict[str, np.ndarray]) -> np.ndarray:
-    objects = np.asarray(arrays["objects"], dtype=np.float64)
-    candidates = np.asarray(arrays["visible_objects"], dtype=np.float64) * np.asarray(
-        arrays["pixels_per_triangle"], dtype=np.float64
-    )
-    return np.stack([objects, candidates, np.ones_like(objects)], axis=1)
-
-
-def _volume_terms(arrays: dict[str, np.ndarray]) -> np.ndarray:
-    active = np.asarray(arrays["active_pixels"], dtype=np.float64)
-    cells = np.asarray(arrays["cells_spanned"], dtype=np.float64)
-    samples = np.asarray(arrays["samples_per_ray"], dtype=np.float64)
-    return np.stack([active * cells, active * samples, np.ones_like(active)], axis=1)
-
-
-def _compositing_terms(arrays: dict[str, np.ndarray]) -> np.ndarray:
-    active = np.asarray(arrays["average_active_pixels"], dtype=np.float64)
-    pixels = np.asarray(arrays["pixels"], dtype=np.float64)
-    return np.stack([active, pixels, np.ones_like(active)], axis=1)
-
-
-#: ``model family -> ordered term groups``, each group a ``(name, term_names,
-#: term_matrix, nonnegative)`` tuple.  ``term_matrix(arrays)`` builds the
-#: ``(n, p)`` design from feature column arrays.  Renderer groups constrain
-#: coefficients to be non-negative (the paper treats negative coefficients as
-#: a sign of an invalid model); the compositing group keeps plain OLS,
-#: matching its negative intercept in Table 17.
-MODEL_GROUPS = {
-    "raytrace": (
-        ("build", ("c0_objects", "c1_intercept"), _raytrace_build_terms, True),
-        ("frame", ("c2_ap_log_o", "c3_ap", "c4_intercept"), _raytrace_frame_terms, True),
-    ),
-    "raster": (("fit", ("c0_objects", "c1_vo_ppt", "c2_intercept"), _raster_terms, True),),
-    "volume": (("fit", ("c0_ap_cs", "c1_ap_spr", "c2_intercept"), _volume_terms, True),),
-    "compositing": (
-        ("fit", ("c0_avg_active_pixels", "c1_pixels", "c2_intercept"), _compositing_terms, False),
-    ),
-}
+def design_matrix(group: TermGroup, columns: dict[str, np.ndarray]) -> np.ndarray:
+    """The ``(n, p)`` design of one group: each term's work column, then a ones column."""
+    works = [term.work(columns) for term in group.terms]
+    design = np.ones((len(works[0]), len(works) + 1))
+    for column, work in enumerate(works):
+        design[:, column] = work
+    return design
 
 
 def _columns(features) -> dict[str, np.ndarray]:
-    """Feature column arrays of a batch given as arrays or as a list of observations."""
-    return features if isinstance(features, dict) else feature_arrays(features)
+    """Float64 feature columns of a batch given as column sequences or as a list of observations."""
+    if isinstance(features, dict):
+        return {name: np.asarray(column, dtype=np.float64) for name, column in features.items()}
+    return feature_arrays(features)
 
 
 class PerformanceModel:
@@ -117,12 +76,12 @@ class PerformanceModel:
 
     def fit(self, features, *targets: np.ndarray) -> dict[str, LinearRegressionResult]:
         """Fit every group to its observed times (one target per group, in group order)."""
-        arrays = _columns(features)
+        columns = _columns(features)
         self.fits = {
-            name: fit_linear_model(term_matrix(arrays), target, term_names, nonnegative=nonnegative)
-            for (name, term_names, term_matrix, nonnegative), target in zip(
-                self.groups, targets, strict=True
+            group.name: fit_linear_model(
+                design_matrix(group, columns), target, group.term_names, nonnegative=group.nonnegative
             )
+            for group, target in zip(self.groups, targets, strict=True)
         }
         return self.fits
 
@@ -134,33 +93,26 @@ class PerformanceModel:
         The design concatenates every group's terms so each fold fits the same
         structure the full model uses.
         """
-        arrays = _columns(features)
-        design = np.concatenate([term_matrix(arrays) for _, _, term_matrix, _ in self.groups], axis=1)
-        nonnegative = all(nonnegative for *_, nonnegative in self.groups)
+        columns = _columns(features)
+        design = np.concatenate([design_matrix(group, columns) for group in self.groups], axis=1)
+        nonnegative = all(group.nonnegative for group in self.groups)
         return k_fold_cross_validation(design, np.sum(targets, axis=0), k, seed, nonnegative=nonnegative)
 
-    def group_fits(self, include_build: bool = True) -> list[tuple[object, LinearRegressionResult]]:
-        """The ``(term_matrix, fit)`` pairs a prediction sums, in group order.
-
-        ``include_build=False`` leaves out the group named ``build`` (the
-        one-time BVH construction); a model without one is unaffected.
-        """
+    def group_fits(self, include_build: bool = True) -> list[tuple[TermGroup, LinearRegressionResult]]:
+        """The ``(group, fit)`` pairs a prediction sums, in group order
+        (:func:`repro.techniques.included_groups` decides which)."""
         if not self.fits:
             raise RuntimeError(f"the {self.technique} model has not been fit yet")
-        return [
-            (term_matrix, self.fits[name])
-            for name, _, term_matrix, _ in self.groups
-            if include_build or name != "build"
-        ]
+        return [(group, self.fits[group.name]) for group in included_groups(self.groups, include_build)]
 
     def predict(self, features, include_build: bool = True):
         """Predicted seconds: an array for a batch, a float for one :class:`ObservedFeatures`."""
         if isinstance(features, ObservedFeatures):
             return float(self.predict([features], include_build)[0])
-        arrays = _columns(features)
+        columns = _columns(features)
         seconds = None
-        for term_matrix, fit in self.group_fits(include_build):
-            group_seconds = fit.predict(term_matrix(arrays))
+        for group, fit in self.group_fits(include_build):
+            group_seconds = fit.predict(design_matrix(group, columns))
             seconds = group_seconds if seconds is None else seconds + group_seconds
         return seconds
 
@@ -168,15 +120,15 @@ class PerformanceModel:
     def coefficients(self) -> dict[str, float]:
         """Named coefficients of every group, in group order (Table 17 layout)."""
         named: dict[str, float] = {}
-        for name, *_ in self.groups:
-            named.update(self.fits[name].named_coefficients())
+        for group in self.groups:
+            named.update(self.fits[group.name].named_coefficients())
         return named
 
     @property
     def r_squared(self) -> float:
         """R-squared of the last group: the render-time fit (for ray tracing the
         paper reports the per-frame fit, not the build's)."""
-        return self.fits[self.groups[-1][0]].r_squared
+        return self.fits[self.groups[-1].name].r_squared
 
 
 def make_model(technique: str) -> PerformanceModel:

@@ -304,8 +304,8 @@ class StudyCorpus:
             rows = self.select(architecture, technique)
             arrays = feature_arrays([row.features for row in rows])
             targets = [
-                np.array([getattr(row, _GROUP_TARGET[name]) for row in rows])
-                for name, *_ in model.groups
+                np.array([getattr(row, _GROUP_TARGET[group.name]) for row in rows])
+                for group in model.groups
             ]
         return model, arrays, targets
 

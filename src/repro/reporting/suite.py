@@ -361,7 +361,7 @@ def _entry_payload(entry: FittedModel) -> dict:
 def _entry_from_payload(payload: dict) -> FittedModel:
     technique = payload["technique"]
     model = make_model(technique)
-    model.fits = {name: _fit_from_payload(payload["fits"][name]) for name, *_ in model.groups}
+    model.fits = {group.name: _fit_from_payload(payload["fits"][group.name]) for group in model.groups}
     crossval = payload.get("crossval") or None
     return FittedModel(
         architecture=payload["architecture"],

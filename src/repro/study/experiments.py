@@ -21,7 +21,11 @@ from repro.compositing.scenarios import random_rgba
 from repro.dpp import get_device, use_device
 from repro.geometry.transforms import Camera
 from repro.machines.costmodel import synthesize_render_time
-from repro.modeling.features import RenderingConfiguration, map_configuration_to_features
+from repro.modeling.features import (
+    CAMERA_FILL_FRACTION,
+    RenderingConfiguration,
+    map_configuration_to_features,
+)
 from repro.modeling.study import HOST_ARCHITECTURE, CompositingRecord, ExperimentRecord
 from repro.rendering import make_renderer
 from repro.rendering.rays import pixels_reaching
@@ -239,7 +243,7 @@ def _synthetic_run_images(
     would move every later rank's block and change the corpus rows.
     """
     images = []
-    fill = 0.55 / tasks ** (1.0 / 3.0)
+    fill = CAMERA_FILL_FRACTION / tasks ** (1.0 / 3.0)
     active = max(int(fill * width * height), 1)
     side = max(int(np.sqrt(active)), 1)
     for rank in range(tasks):

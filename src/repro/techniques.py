@@ -1,4 +1,4 @@
-"""The contract both sides of the system share: technique rows and observed features.
+"""The contract both sides of the system share: techniques, equations, observed features.
 
 :data:`TECHNIQUES` is the one place that says which techniques exist and what
 each needs; the experiment bodies, the Section 5.8 mapping, the cost model,
@@ -7,16 +7,25 @@ instead of comparing names.  A row's ``name`` is the wire spelling -- what
 specs, corpus rows, cache keys, ``models.json``, the CLI and HTTP carry and
 what the renderer reports as ``RenderResult.technique``.  Adding a technique
 is one row here plus one constructor in :mod:`repro.rendering`; DESIGN.md
-("Technique table") says what a new model family needs.  :class:`ObservedFeatures`
-is what a render reports and a model is fitted on.  This module imports nothing
-from ``repro`` (DESIGN.md, "Layering"): the model side reads it without a renderer.
+("Technique table") says what a new model family needs.  :data:`MODEL_GROUPS`
+is the one definition of each family's performance equation: the fitter
+builds its design matrices from it and the cost model synthesizes one phase
+per term of it.  :class:`ObservedFeatures` is what a render reports and a
+model is fitted on.  This module imports nothing from ``repro`` (DESIGN.md,
+"Layering"): the model side reads it without a renderer.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
-__all__ = ["ObservedFeatures", "TECHNIQUES", "Technique", "get_technique"]
+import numpy as np
+
+__all__ = [
+    "MODEL_GROUPS", "ObservedFeatures", "TECHNIQUES", "Technique", "Term", "TermGroup", "get_technique",
+    "included_groups",
+]
 
 
 @dataclass(frozen=True)
@@ -24,8 +33,8 @@ class Technique:
     """One rendering technique."""
 
     name: str
-    #: Model family: the key of the technique's equation (``MODEL_GROUPS``), of
-    #: its cost-model phases and of its Section 5.8 mapping extras.
+    #: Model family: the key of the technique's equation and cost-model phases
+    #: (:data:`MODEL_GROUPS`) and of its Section 5.8 mapping extras.
     family: str
     #: Renders the block's external faces (``12 N^2`` objects, depth
     #: compositing) rather than its cells (``N^3`` objects, OVER compositing).
@@ -53,6 +62,81 @@ def get_technique(name: str) -> Technique:
         raise ValueError(f"unknown technique {name!r}; choose from {choices}") from None
 
 
+@dataclass(frozen=True)
+class Term:
+    """One non-intercept term of an equation: ``coefficient * work(columns)``.
+
+    ``phase`` is the cost-model kernel doing the work (``None`` for
+    compositing, which the simulated network times).  ``work`` reads columns
+    named like :class:`ObservedFeatures` attributes, as floats or as arrays.
+    """
+
+    coefficient: str
+    phase: str | None
+    work: Callable
+
+
+@dataclass(frozen=True)
+class TermGroup:
+    """One linear regression: its terms plus an intercept, fit to one measured time."""
+
+    name: str
+    terms: tuple[Term, ...]
+    intercept: str
+    nonnegative: bool = True  # the paper reads a negative coefficient as an invalid model
+
+    @property
+    def term_names(self) -> tuple[str, ...]:
+        """Coefficient names in design-matrix column order, the intercept last."""
+        return (*(term.coefficient for term in self.terms), self.intercept)
+
+
+def _ap_log_o(c):
+    return c["active_pixels"] * np.log2(np.maximum(c["objects"], 2.0))  # log2 of an empty scene is clamped
+
+
+#: ``model family -> ordered term groups``: the paper's Eqs. 5.1-5.3 and 5.5.
+#: The compositing group keeps plain OLS, matching its negative intercept in
+#: Table 17.
+MODEL_GROUPS = {
+    # Eq. 5.1: (c0 * O + c1) + (c2 * (AP * log2(O)) + c3 * AP + c4)
+    "raytrace": (
+        TermGroup("build", (Term("c0_objects", "bvh_build", lambda c: c["objects"]),), "c1_intercept"),
+        TermGroup("frame", (
+            Term("c2_ap_log_o", "trace", _ap_log_o),
+            Term("c3_ap", "shade", lambda c: c["active_pixels"]),
+        ), "c4_intercept"),
+    ),
+    # Eq. 5.2: c0 * O + c1 * (VO * PPT) + c2
+    "raster": (
+        TermGroup("fit", (
+            Term("c0_objects", "culling", lambda c: c["objects"]),
+            Term("c1_vo_ppt", "rasterize", lambda c: c["visible_objects"] * c["pixels_per_triangle"]),
+        ), "c2_intercept"),
+    ),
+    # Eq. 5.3: c0 * (AP * CS) + c1 * (AP * SPR) + c2
+    "volume": (
+        TermGroup("fit", (
+            Term("c0_ap_cs", "cell_lookup", lambda c: c["active_pixels"] * c["cells_spanned"]),
+            Term("c1_ap_spr", "sampling", lambda c: c["active_pixels"] * c["samples_per_ray"]),
+        ), "c2_intercept"),
+    ),
+    # Eq. 5.5: c0 * avg(AP) + c1 * Pixels + c2
+    "compositing": (
+        TermGroup("fit", (
+            Term("c0_avg_active_pixels", None, lambda c: c["average_active_pixels"]),
+            Term("c1_pixels", None, lambda c: c["pixels"]),
+        ), "c2_intercept", nonnegative=False),
+    ),
+}
+
+
+def included_groups(groups: tuple[TermGroup, ...], include_build: bool) -> list[TermGroup]:
+    """The groups a time sums: ``include_build=False`` leaves out the group named
+    ``build`` (the one-time BVH construction); a family without one is unaffected."""
+    return [group for group in groups if include_build or group.name != "build"]
+
+
 @dataclass
 class ObservedFeatures:
     """Observed values of the model input variables for one local render.
@@ -70,12 +154,13 @@ class ObservedFeatures:
     cells_spanned: int = 0
 
     def as_dict(self) -> dict[str, float]:
-        """Dictionary keyed by the short names used in the model equations."""
+        """One render's feature columns (attribute name -> float): the scalar twin
+        of ``repro.modeling.features.feature_arrays`` that a :class:`Term` reads."""
         return {
-            "O": float(self.objects),
-            "AP": float(self.active_pixels),
-            "VO": float(self.visible_objects),
-            "PPT": float(self.pixels_per_triangle),
-            "SPR": float(self.samples_per_ray),
-            "CS": float(self.cells_spanned),
+            "objects": float(self.objects),
+            "active_pixels": float(self.active_pixels),
+            "visible_objects": float(self.visible_objects),
+            "pixels_per_triangle": float(self.pixels_per_triangle),
+            "samples_per_ray": float(self.samples_per_ray),
+            "cells_spanned": float(self.cells_spanned),
         }

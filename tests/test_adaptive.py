@@ -92,7 +92,7 @@ def _volume_entry(architecture: str, residual_std: float) -> FittedModel:
         r_squared=1.0,
         residual_std=residual_std,
         num_observations=10,
-        term_names=model.groups[0][1],
+        term_names=model.groups[0].term_names,
     )
     return FittedModel(architecture, "volume", model, num_rows=10)
 

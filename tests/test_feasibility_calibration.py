@@ -32,7 +32,7 @@ def _hand_model(technique: str, **coefficients) -> PerformanceModel:
     """A model whose groups carry hand-chosen coefficients (``group name -> values``)."""
     model = make_model(technique)
     model.fits = {
-        name: _fit(coefficients[name], term_names) for name, term_names, *_ in model.groups
+        group.name: _fit(coefficients[group.name], group.term_names) for group in model.groups
     }
     return model
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import Camera
 from repro.machines import ArchitectureSpec, KernelCostModel, get_architecture, list_architectures
+from repro.machines.archspec import PHASE_RATES
 from repro.machines.costmodel import synthesize_render_time
 from repro.modeling import (
     RenderingConfiguration,
@@ -23,7 +24,7 @@ from repro.modeling import (
 )
 from repro.modeling.feasibility import images_within_budget
 from repro.modeling.features import DISTINCT_ROOT_MIN_ROWS
-from repro.modeling.models import MODEL_GROUPS
+from repro.modeling.models import MODEL_GROUPS, design_matrix
 from repro.modeling.regression import relative_errors
 from repro.rendering import make_renderer
 from repro.rendering.result import PHASE_GROUPS, ObservedFeatures
@@ -52,7 +53,7 @@ def _synthetic_features(rng, count, technique="volume"):
 def _design(model, features, group="fit"):
     """One group's design matrix for a list of observations (or column arrays)."""
     arrays = features if isinstance(features, dict) else feature_arrays(features)
-    return next(term_matrix(arrays) for name, _, term_matrix, _ in model.groups if name == group)
+    return next(design_matrix(g, arrays) for g in model.groups if g.name == group)
 
 
 class TestRegression:
@@ -249,7 +250,7 @@ class TestTechniqueTable:
         assert model.technique == row.name and model.groups is MODEL_GROUPS[row.family]
         phases = synthesize_render_time("gpu1-k40m", row.name, mapped, np.random.default_rng(0))
         assert all(seconds > 0.0 for seconds in phases.values())
-        assert ("bvh_build" in phases) == ("build" in [name for name, *_ in model.groups])
+        assert ("bvh_build" in phases) == ("build" in [group.name for group in model.groups])
         assert "bvh_build" not in synthesize_render_time(
             "gpu1-k40m", row.name, mapped, np.random.default_rng(0), include_build=False
         )
@@ -275,7 +276,7 @@ class TestTechniqueTable:
         for call in (
             lambda: RenderingConfiguration("nope", "cpu-host", 1, 10, 64, 64),
             lambda: map_configuration_batch("nope", 1, 10, 64, 64),
-            lambda: synthesize_render_time("gpu1-k40m", "nope", ObservedFeatures()),
+            lambda: synthesize_render_time("gpu1-k40m", "nope", ObservedFeatures(), np.random.default_rng(0)),
             lambda: make_model("nope"),
         ):
             with pytest.raises(ValueError) as raised:
@@ -365,7 +366,7 @@ class TestModels:
         for technique, groups in MODEL_GROUPS.items():
             model = make_model(technique)
             assert model.technique == technique and model.groups is groups and model.fits == {}
-        assert [name for name, *_ in make_model("raytrace").groups] == ["build", "frame"]
+        assert [group.name for group in make_model("raytrace").groups] == ["build", "frame"]
         assert make_model("volume").groups is make_model("volume_unstructured").groups
         with pytest.raises(ValueError):
             make_model("nope")
@@ -380,9 +381,12 @@ class TestMachines:
         with pytest.raises(ValueError):
             get_architecture("nope")
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            ArchitectureSpec("x", "cpu", 0, 1, 1, 1, 1, 1, 1)
+    @pytest.mark.parametrize("rate", PHASE_RATES.values())
+    def test_spec_validation(self, rate):
+        rates = dict.fromkeys(PHASE_RATES.values(), 1.0)
+        ArchitectureSpec("x", "cpu", **rates)
+        with pytest.raises(ValueError, match=f"^{rate} must be positive$"):
+            ArchitectureSpec("x", "cpu", **{**rates, rate: 0.0})
 
     def test_gpu_faster_than_cpu_for_same_features(self):
         features = ObservedFeatures(objects=50_000, active_pixels=500_000, samples_per_ray=100, cells_spanned=128)
@@ -408,7 +412,7 @@ class TestMachines:
 
     def test_unknown_technique(self):
         with pytest.raises(ValueError):
-            synthesize_render_time("gpu1-k40m", "nope", ObservedFeatures())
+            synthesize_render_time("gpu1-k40m", "nope", ObservedFeatures(), np.random.default_rng(0))
 
     def test_frames_per_second_helper(self):
         features = ObservedFeatures(objects=10_000, active_pixels=100_000)

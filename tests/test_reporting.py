@@ -20,7 +20,7 @@ from repro.modeling.features import (
     map_configuration_batch,
     map_configuration_to_features,
 )
-from repro.modeling.models import MODEL_GROUPS, make_model
+from repro.modeling.models import MODEL_GROUPS, design_matrix, make_model
 from repro.modeling.regression import LinearRegressionResult
 from repro.modeling.study import StudyConfiguration, StudyCorpus
 from repro.reporting import ModelSuite, Predictor, generate_report
@@ -85,7 +85,7 @@ class TestModelSuite:
             r_squared=0.9,
             residual_std=0.01,
             num_observations=10,
-            term_names=model.groups[0][1],
+            term_names=model.groups[0].term_names,
         )
         entry = FittedModel("-", "compositing", model, 10)
         warnings = _coefficient_warnings(entry)
@@ -275,7 +275,7 @@ def _volume_rows(f: dict) -> list[float]:  # Eq. 5.3: c0 * (AP * CS) + c1 * (AP 
 
 #: The paper's equations written out for ONE observation ``f`` (a dict of
 #: floats), one list of terms per group -- the oracle the registry's
-#: vectorized ``term_matrix`` functions are checked against.
+#: vectorized design matrices are checked against.
 PAPER_EQUATIONS = {
     "raytrace": {
         # Eq. 5.1: (c0 * O + c1) + (c2 * (AP * log2(O)) + c3 * AP + c4)
@@ -303,10 +303,10 @@ def _assert_groups_match_paper(arrays: dict[str, np.ndarray], techniques) -> Non
     count = len(next(iter(arrays.values())))
     observations = [{name: float(column[i]) for name, column in arrays.items()} for i in range(count)]
     for technique in techniques:
-        for name, term_names, term_matrix, _ in MODEL_GROUPS[technique]:
-            expected = np.array([PAPER_EQUATIONS[technique][name](f) for f in observations])
-            assert expected.shape == (count, len(term_names))
-            assert np.array_equal(term_matrix(arrays), expected), (technique, name)
+        for group in MODEL_GROUPS[technique]:
+            expected = np.array([PAPER_EQUATIONS[technique][group.name](f) for f in observations])
+            assert expected.shape == (count, len(group.term_names))
+            assert np.array_equal(design_matrix(group, arrays), expected), (technique, group.name)
 
 
 class TestTermGroups:
@@ -350,7 +350,7 @@ class TestTermGroups:
             suite.entries[entry.key] = entry
         loaded = ModelSuite.from_payload(json.loads(json.dumps(suite.to_payload())))
         loaded_model = loaded.get("arch", technique).model
-        assert list(loaded_model.fits) == [name for name, *_ in model.groups]
+        assert list(loaded_model.fits) == [group.name for group in model.groups]
         for include_build in (True, False):
             whole = model.predict(arrays, include_build)
             assert np.array_equal(loaded_model.predict(arrays, include_build), whole)
