@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.modeling.features import map_configuration_batch
+from repro.modeling.features import SAMPLES_IN_DEPTH, map_configuration_batch
 from repro.modeling.models import PerformanceModel
 
 __all__ = [
@@ -78,7 +78,7 @@ def images_within_budget(
     cells_per_task: int = 200,
     image_sizes: np.ndarray | None = None,
     compositing_model: PerformanceModel | None = None,
-    samples_in_depth: int = 1000,
+    samples_in_depth: int = SAMPLES_IN_DEPTH,
 ) -> list[BudgetPoint]:
     """Predict how many images fit in a time budget for every fitted model.
 

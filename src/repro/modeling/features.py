@@ -3,45 +3,53 @@
 Domain scientists think of a rendering task in terms of its *configuration* --
 architecture, rendering technique, number of MPI tasks, image resolution, and
 per-task data size.  The performance models, however, consume the *variable
-inputs* O, AP, VO, PPT, SPR, and CS.  :func:`map_configuration_to_features`
-bridges the two exactly as the paper's mapping does:
+inputs* O, AP, VO, PPT, SPR, and CS.  One formula body bridges the two exactly
+as the paper's mapping does, behind two entries:
+:func:`map_configuration_to_features` maps one configuration (Python floats)
+and :func:`map_configuration_batch` maps aligned arrays of them.
 
 * ``Objects``: ``12 N^2`` external-face triangles for the surface renderers
   (two triangles per boundary quad on each of the six faces of an ``N^3``
   block), ``N^3`` cells for volume rendering.
-* ``Active Pixels``: a fixed camera fill fraction of the image, divided by the
-  cube root of the task count (each direction of the block grid shrinks a
-  task's screen footprint).
+* ``Active Pixels``: :func:`active_pixel_estimate` rounded to a whole pixel
+  -- a fixed camera fill fraction of the image, divided by the
+  :func:`task_shrink`, the cube root of the task count (each direction of
+  the block grid shrinks a task's screen footprint).
 * ``Visible Objects``: ``min(AP, O)``.
 * ``Pixels Per Triangle``: ``4 AP / VO`` -- front and back faces overlap each
   active pixel and the two "other" triangles of each quad also consider the
   pixel before failing their inside test.
-* ``Samples Per Ray``: a per-task baseline shrinking with the cube root of the
-  task count.
+* ``Samples Per Ray``: a per-task baseline over the same :func:`task_shrink`.
 * ``Cells Spanned``: ``N``.
 
-The constants (camera fill fraction, samples baseline) are module-level so
-tests and alternative camera models can adjust them.
+The constants (camera fill fraction, samples baseline) are module-level and
+read only here, at call time, so tests and alternative camera models can
+adjust them: the adaptive scorer's compositing candidates and the synthetic
+compositing sub-images take their active pixels from
+:func:`active_pixel_estimate` too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from repro.techniques import ObservedFeatures, get_technique
+from repro.techniques import ObservedFeatures, Technique, get_technique
 
 __all__ = [
     "RenderingConfiguration",
     "CompositingFeatures",
     "map_configuration_to_features",
     "map_configuration_batch",
+    "task_shrink",
+    "active_pixel_estimate",
     "feature_arrays",
     "compositing_features_from_result",
     "contention_features_from_result",
     "CAMERA_FILL_FRACTION",
     "SAMPLES_PER_RAY_BASELINE",
+    "SAMPLES_IN_DEPTH",
 ]
 
 #: Fraction of image pixels the default framing camera covers on one task
@@ -49,9 +57,14 @@ __all__ = [
 #: reproduction's framing camera fills a bit less on its smaller scenes).
 CAMERA_FILL_FRACTION = 0.55
 
-#: Baseline samples-per-ray for a single task (373 in the paper's full-scale
-#: study with 1000 samples in depth; proportionally smaller here because the
-#: default renderer uses 200 samples in depth).
+#: Volume-rendering samples in depth of the paper's full-scale studies: the
+#: default of every configuration, and the depth at which a task's samples
+#: per ray are :data:`SAMPLES_PER_RAY_BASELINE`.
+SAMPLES_IN_DEPTH = 1000
+
+#: Baseline samples-per-ray for a single task at :data:`SAMPLES_IN_DEPTH`
+#: samples in depth (373 in the paper's full-scale study); the mapping scales
+#: it linearly with a configuration's samples in depth.
 SAMPLES_PER_RAY_BASELINE = 373.0
 
 #: How many pixels each visible triangle considers per active pixel it covers
@@ -68,7 +81,7 @@ PIXELS_PER_TRIANGLE_FACTOR = 4.0
 DISTINCT_ROOT_MIN_ROWS = 128
 
 #: The Section 5.8 inputs beyond ``O`` / ``AP`` / ``CS`` that each model
-#: family's equation consumes and both mappings therefore fill in.
+#: family's equation consumes and the mapping therefore fills in.
 _FAMILY_EXTRAS = {
     "raytrace": (),
     "raster": ("visible_objects", "pixels_per_triangle"),
@@ -94,7 +107,7 @@ class RenderingConfiguration:
         Output resolution.
     samples_in_depth:
         Volume-rendering sample count used to scale ``SPR`` (the paper's
-        full-scale studies use 1000).
+        full-scale studies use :data:`SAMPLES_IN_DEPTH`).
     """
 
     technique: str
@@ -103,7 +116,7 @@ class RenderingConfiguration:
     cells_per_task: int
     image_width: int
     image_height: int
-    samples_in_depth: int = 1000
+    samples_in_depth: int = SAMPLES_IN_DEPTH
 
     def __post_init__(self) -> None:
         get_technique(self.technique)
@@ -123,6 +136,66 @@ class RenderingConfiguration:
         return self.num_tasks * self.cells_per_task**3
 
 
+def task_shrink(num_tasks):
+    """How much each direction of the block grid shrinks one task's share of
+    the screen and of a ray: the cube root of the task count.
+
+    Takes a number or a float64 array.  numpy's array power differs from
+    CPython's scalar ``**`` by one ulp for some inputs (e.g. 127 ** (1/3)),
+    which would let a rounded active-pixel count diverge between the two
+    mapping entries, so an array takes scalar pow per element (per distinct
+    element in large batches).
+    """
+    if not isinstance(num_tasks, np.ndarray):
+        return num_tasks ** (1.0 / 3.0)
+    if num_tasks.size < DISTINCT_ROOT_MIN_ROWS:
+        return _cube_roots(num_tasks)
+    distinct, inverse = np.unique(num_tasks, return_inverse=True)
+    return _cube_roots(distinct)[inverse]
+
+
+def _cube_roots(values: np.ndarray) -> np.ndarray:
+    return np.array([value ** (1.0 / 3.0) for value in values.tolist()], dtype=np.float64)
+
+
+def active_pixel_estimate(pixels, shrink):
+    """A-priori active pixels of one task, unrounded: the camera fill fraction
+    of ``pixels`` over the :func:`task_shrink` ``shrink``.
+
+    Takes numbers or aligned float64 arrays.  The mapping rounds it to AP; the
+    compositing scorer and the synthetic compositing sub-images read it as a
+    task's ``avg(AP)``.
+    """
+    return CAMERA_FILL_FRACTION * pixels / shrink
+
+
+def _mapped_columns(technique: Technique, num_tasks, cells, pixels, samples_in_depth) -> dict:
+    """The Section 5.8 mapping: one column per :class:`ObservedFeatures` field.
+
+    Evaluates Python floats (one configuration) or aligned float64 arrays (a
+    batch) with the same operations in the same order, so both entries agree
+    bit for bit.  Columns outside the technique's family are zero.
+    """
+    shrink = task_shrink(num_tasks)
+    active_pixels = np.rint(active_pixel_estimate(pixels, shrink))
+    objects = np.floor(12.0 * cells * cells if technique.surface else cells**3)
+    columns = {"objects": objects, "active_pixels": active_pixels, "cells_spanned": np.copy(cells)}
+    extras = _FAMILY_EXTRAS[technique.family]
+    if "visible_objects" in extras:
+        visible = np.minimum(active_pixels, objects)
+        columns["visible_objects"] = visible
+        columns["pixels_per_triangle"] = PIXELS_PER_TRIANGLE_FACTOR * active_pixels / np.maximum(visible, 1.0)
+    if "samples_per_ray" in extras:
+        scale = samples_in_depth / SAMPLES_IN_DEPTH
+        columns["samples_per_ray"] = SAMPLES_PER_RAY_BASELINE * scale / shrink
+    # ``0.0 * AP``, not ``np.zeros_like``, which costs ~3 us a column on a
+    # float; the two differ only where AP itself is not finite.
+    return {
+        item.name: columns[item.name] if item.name in columns else 0.0 * active_pixels
+        for item in fields(ObservedFeatures)
+    }
+
+
 def map_configuration_to_features(config: RenderingConfiguration) -> ObservedFeatures:
     """A-priori estimate of the model input variables for a configuration.
 
@@ -131,31 +204,14 @@ def map_configuration_to_features(config: RenderingConfiguration) -> ObservedFea
     mapping err on the slow side (Section 5.8, "overestimates lead to
     conservative results").
     """
-    technique = get_technique(config.technique)
-    n = config.cells_per_task
-    task_shrink = config.num_tasks ** (1.0 / 3.0)
-    active_pixels = CAMERA_FILL_FRACTION * config.pixels / task_shrink
-    features = ObservedFeatures(
-        objects=int(12 * n * n if technique.surface else n**3),
-        active_pixels=int(round(active_pixels)),
-        cells_spanned=n,
+    columns = _mapped_columns(
+        get_technique(config.technique),
+        float(config.num_tasks),
+        float(config.cells_per_task),
+        float(config.pixels),
+        float(config.samples_in_depth),
     )
-    extras = _FAMILY_EXTRAS[technique.family]
-    if "visible_objects" in extras:
-        visible = min(features.active_pixels, features.objects)
-        features.visible_objects = int(visible)
-        features.pixels_per_triangle = (
-            PIXELS_PER_TRIANGLE_FACTOR * features.active_pixels / max(visible, 1)
-        )
-    if "samples_per_ray" in extras:
-        scale = config.samples_in_depth / 1000.0
-        features.samples_per_ray = SAMPLES_PER_RAY_BASELINE * scale / task_shrink
-    return features
-
-
-def _cube_roots(values: np.ndarray) -> np.ndarray:
-    """Scalar-pow cube root of every element (bit-equal to the scalar mapping)."""
-    return np.array([value ** (1.0 / 3.0) for value in values.tolist()], dtype=np.float64)
+    return ObservedFeatures.from_columns(columns)
 
 
 def map_configuration_batch(
@@ -164,59 +220,24 @@ def map_configuration_batch(
     cells_per_task: np.ndarray,
     image_width: np.ndarray,
     image_height: np.ndarray,
-    samples_in_depth: np.ndarray | int = 1000,
+    samples_in_depth: np.ndarray | int = SAMPLES_IN_DEPTH,
 ) -> dict[str, np.ndarray]:
     """Vectorized :func:`map_configuration_to_features` over arrays of configurations.
 
     All parameters broadcast against each other; the result is a dictionary of
-    1-D float64 arrays keyed like :meth:`ObservedFeatures` attribute names.
+    1-D float64 arrays keyed like :class:`ObservedFeatures` attribute names.
     Element for element the mapping is exactly the scalar one (same rounding,
     same clamps), so the batch :class:`~repro.reporting.predictor.Predictor`
     and the scalar prediction path agree bit for bit.
     """
     technique = get_technique(technique)
+    inputs = (num_tasks, cells_per_task, image_width, image_height, samples_in_depth)
     num_tasks, cells, width, height, samples = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(num_tasks, dtype=np.float64)),
-        np.atleast_1d(np.asarray(cells_per_task, dtype=np.float64)),
-        np.atleast_1d(np.asarray(image_width, dtype=np.float64)),
-        np.atleast_1d(np.asarray(image_height, dtype=np.float64)),
-        np.atleast_1d(np.asarray(samples_in_depth, dtype=np.float64)),
+        *[np.atleast_1d(np.asarray(value, dtype=np.float64)) for value in inputs]
     )
     if np.any(num_tasks < 1) or np.any(cells < 1) or np.any(width < 1) or np.any(height < 1):
         raise ValueError("num_tasks, cells_per_task, and image dimensions must be positive")
-    # numpy's array power differs from CPython's scalar ``**`` by one ulp for
-    # some inputs (e.g. 127 ** (1/3)), which would let a rounded active-pixel
-    # count diverge between the scalar and batch mappings.  The cube root is
-    # therefore taken with scalar pow per element (per distinct element in
-    # large batches); everything downstream stays vectorized.
-    if num_tasks.size < DISTINCT_ROOT_MIN_ROWS:
-        task_shrink = _cube_roots(num_tasks)
-    else:
-        distinct, inverse = np.unique(num_tasks, return_inverse=True)
-        task_shrink = _cube_roots(distinct)[inverse]
-    pixels = width * height
-    active_pixels = np.rint(CAMERA_FILL_FRACTION * pixels / task_shrink)
-
-    objects = np.floor(12.0 * cells * cells if technique.surface else cells**3)
-    arrays = {
-        "objects": objects,
-        "active_pixels": active_pixels,
-        "visible_objects": np.zeros_like(active_pixels),
-        "pixels_per_triangle": np.zeros_like(active_pixels),
-        "samples_per_ray": np.zeros_like(active_pixels),
-        "cells_spanned": cells.copy(),
-    }
-    extras = _FAMILY_EXTRAS[technique.family]
-    if "visible_objects" in extras:
-        visible = np.minimum(active_pixels, objects)
-        arrays["visible_objects"] = visible
-        arrays["pixels_per_triangle"] = (
-            PIXELS_PER_TRIANGLE_FACTOR * active_pixels / np.maximum(visible, 1.0)
-        )
-    if "samples_per_ray" in extras:
-        scale = samples / 1000.0
-        arrays["samples_per_ray"] = SAMPLES_PER_RAY_BASELINE * scale / task_shrink
-    return arrays
+    return _mapped_columns(technique, num_tasks, cells, width * height, samples)
 
 
 def feature_arrays(feature_list: list[ObservedFeatures]) -> dict[str, np.ndarray]:
@@ -227,14 +248,8 @@ def feature_arrays(feature_list: list[ObservedFeatures]) -> dict[str, np.ndarray
     matrices from the columns.
     """
     return {
-        "objects": np.array([float(f.objects) for f in feature_list], dtype=np.float64),
-        "active_pixels": np.array([float(f.active_pixels) for f in feature_list], dtype=np.float64),
-        "visible_objects": np.array([float(f.visible_objects) for f in feature_list], dtype=np.float64),
-        "pixels_per_triangle": np.array(
-            [float(f.pixels_per_triangle) for f in feature_list], dtype=np.float64
-        ),
-        "samples_per_ray": np.array([float(f.samples_per_ray) for f in feature_list], dtype=np.float64),
-        "cells_spanned": np.array([float(f.cells_spanned) for f in feature_list], dtype=np.float64),
+        item.name: np.array([float(getattr(f, item.name)) for f in feature_list], dtype=np.float64)
+        for item in fields(ObservedFeatures)
     }
 
 

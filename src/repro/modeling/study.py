@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from repro.modeling.features import compositing_features_from_result, feature_arrays
+from repro.modeling.features import SAMPLES_IN_DEPTH, compositing_features_from_result, feature_arrays
 from repro.modeling.models import PerformanceModel, make_model
 from repro.techniques import ObservedFeatures
 
@@ -100,7 +100,7 @@ class StudyConfiguration:
     synthetic_image_size_range: tuple[int, int] = (512, 2880)
     synthetic_cells_per_task_range: tuple[int, int] = (128, 320)
     samples_in_depth: int = 60
-    synthetic_samples_in_depth: int = 1000
+    synthetic_samples_in_depth: int = SAMPLES_IN_DEPTH
     max_sampled_ranks: int = 2
     seed: int = 2016
     compositing_task_counts: tuple[int, ...] = (2, 4, 8, 16, 32, 64)
@@ -350,14 +350,7 @@ def experiment_record_to_payload(record: ExperimentRecord) -> dict:
         "cells_per_task": record.cells_per_task,
         "image_width": record.image_width,
         "image_height": record.image_height,
-        "features": {
-            "objects": record.features.objects,
-            "active_pixels": record.features.active_pixels,
-            "visible_objects": record.features.visible_objects,
-            "pixels_per_triangle": record.features.pixels_per_triangle,
-            "samples_per_ray": record.features.samples_per_ray,
-            "cells_spanned": record.features.cells_spanned,
-        },
+        "features": {item.name: getattr(record.features, item.name) for item in fields(ObservedFeatures)},
         "phase_seconds": dict(record.phase_seconds),
         "build_seconds": record.build_seconds,
         "frame_seconds": record.frame_seconds,
@@ -367,7 +360,6 @@ def experiment_record_to_payload(record: ExperimentRecord) -> dict:
 
 
 def experiment_record_from_payload(payload: dict) -> ExperimentRecord:
-    features = payload["features"]
     return ExperimentRecord(
         architecture=payload["architecture"],
         technique=payload["technique"],
@@ -376,14 +368,7 @@ def experiment_record_from_payload(payload: dict) -> ExperimentRecord:
         cells_per_task=int(payload["cells_per_task"]),
         image_width=int(payload["image_width"]),
         image_height=int(payload["image_height"]),
-        features=ObservedFeatures(
-            objects=int(features["objects"]),
-            active_pixels=int(features["active_pixels"]),
-            visible_objects=int(features["visible_objects"]),
-            pixels_per_triangle=float(features["pixels_per_triangle"]),
-            samples_per_ray=float(features["samples_per_ray"]),
-            cells_spanned=int(features["cells_spanned"]),
-        ),
+        features=ObservedFeatures.from_columns(payload["features"]),
         phase_seconds={name: float(value) for name, value in payload["phase_seconds"].items()},
         build_seconds=float(payload["build_seconds"]),
         frame_seconds=float(payload["frame_seconds"]),

@@ -28,7 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.modeling.features import CAMERA_FILL_FRACTION, feature_arrays, map_configuration_batch
+from repro.modeling.features import (
+    SAMPLES_IN_DEPTH,
+    active_pixel_estimate,
+    feature_arrays,
+    map_configuration_batch,
+    task_shrink,
+)
 from repro.reporting.suite import FittedModel, ModelSuite
 from repro.techniques import ObservedFeatures
 
@@ -124,7 +130,7 @@ class Predictor:
         cells_per_task: np.ndarray | int,
         image_width: np.ndarray | int,
         image_height: np.ndarray | int,
-        samples_in_depth: np.ndarray | int = 1000,
+        samples_in_depth: np.ndarray | int = SAMPLES_IN_DEPTH,
         include_build: bool = True,
         sigmas: float = DEFAULT_INTERVAL_SIGMAS,
     ) -> PredictionBatch:
@@ -167,8 +173,8 @@ class Predictor:
         * ``render``/``synthetic`` specs go through the Section 5.8 mapping
           (``include_build=True``, so ray-tracing widths quadrature-combine
           the build and frame residuals);
-        * ``compositing`` specs use the mapping's a-priori active-pixel
-          estimate (camera fill fraction over the task count's cube root);
+        * ``compositing`` specs take their ``avg(AP)`` from the mapping's
+          a-priori :func:`~repro.modeling.features.active_pixel_estimate`;
         * a spec whose ``(architecture, technique)`` slice has no fitted model
           scores ``inf`` -- an unfit slice is maximal uncertainty and must
           outrank every fitted one.
@@ -194,18 +200,8 @@ class Predictor:
             rows = [spec_payloads[index] for index in indices]
             if technique == "compositing":
                 pixels = np.array([float(row["pixel_size"]) ** 2 for row in rows], dtype=np.float64)
-                # A-priori avg(AP) estimate: the Section 5.8 camera fill
-                # fraction shrunk by the task count's cube root, matching
-                # map_configuration_to_features (scalar pow: see
-                # map_configuration_batch on why not array pow).
-                active = np.array(
-                    [
-                        CAMERA_FILL_FRACTION * float(row["pixel_size"]) ** 2
-                        / float(row["num_tasks"]) ** (1.0 / 3.0)
-                        for row in rows
-                    ],
-                    dtype=np.float64,
-                )
+                tasks = np.array([float(row["num_tasks"]) for row in rows], dtype=np.float64)
+                active = active_pixel_estimate(pixels, task_shrink(tasks))
                 batch = self.predict_compositing(active, pixels, sigmas=sigmas)
             else:
                 samples = np.array(

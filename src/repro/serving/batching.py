@@ -108,17 +108,7 @@ class MicroBatcher:
                 (m for m in (handle.missing_slice(c) for c in request.canon) if m is not None), None
             )
             if missing is not None:
-                request.on_error(
-                    ServingError(
-                        "unknown-model",
-                        f"no fitted model for ({missing[0]!r}, {missing[1]!r})",
-                        architecture=missing[0],
-                        technique=missing[1],
-                        available=handle.availability(),
-                        models_digest=handle.digest,
-                    ),
-                    meta,
-                )
+                request.on_error(handle.unknown_model(missing), meta)
                 continue
             servable.append(request)
 

@@ -38,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.modeling.features import SAMPLES_IN_DEPTH
 from repro.reporting.predictor import DEFAULT_INTERVAL_SIGMAS, Predictor
 from repro.reporting.suite import MODELS_SCHEMA_VERSION, ModelSuite
 from repro.techniques import get_technique
@@ -55,13 +56,13 @@ __all__ = [
 #: Default maximum number of cached prediction results.
 DEFAULT_CACHE_SIZE = 4096
 
-#: Defaults filled into render configurations (mirrors the ``predict`` CLI).
+#: Defaults filled into render configurations (and the ``predict`` CLI's flag defaults).
 RENDER_DEFAULTS = {
     "num_tasks": 32,
     "cells_per_task": 200,
     "image_width": 1024,
     "image_height": 1024,
-    "samples_in_depth": 1000,
+    "samples_in_depth": SAMPLES_IN_DEPTH,
     "include_build": True,
 }
 
@@ -267,6 +268,17 @@ class ModelHandle:
         key = (canon[1], canon[2])
         return None if key in self.available else key
 
+    def unknown_model(self, missing: tuple[str, str]) -> ServingError:
+        """The ``unknown-model`` error for a slice :meth:`missing_slice` named."""
+        return ServingError(
+            "unknown-model",
+            f"no fitted model for ({missing[0]!r}, {missing[1]!r})",
+            architecture=missing[0],
+            technique=missing[1],
+            available=self.availability(),
+            models_digest=self.digest,
+        )
+
     def availability(self) -> list[list[str]]:
         """Sorted JSON-friendly list of servable ``(architecture, technique)`` keys."""
         keys = sorted(self.available)
@@ -349,14 +361,7 @@ class ServingCore:
     def _predict_group(self, handle: ModelHandle, group: tuple, canon: list[tuple], sigmas: float):
         missing = handle.missing_slice(canon[0])
         if missing is not None:
-            raise ServingError(
-                "unknown-model",
-                f"no fitted model for ({missing[0]!r}, {missing[1]!r})",
-                architecture=missing[0],
-                technique=missing[1],
-                available=handle.availability(),
-                models_digest=handle.digest,
-            )
+            raise handle.unknown_model(missing)
         if group[0] == "compositing":
             return handle.predictor.predict_compositing(
                 average_active_pixels=np.array([key[1] for key in canon], dtype=np.float64),

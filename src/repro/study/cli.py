@@ -56,9 +56,10 @@ from dataclasses import fields, replace
 
 from repro.compositing import RadixFactorError
 from repro.modeling.study import StudyConfiguration
+from repro.reporting.predictor import DEFAULT_INTERVAL_SIGMAS
 from repro.reporting.report import generate_report
 from repro.reporting.suite import ModelSuite
-from repro.serving.core import ServingCore, ServingError
+from repro.serving.core import RENDER_DEFAULTS, ServingCore, ServingError
 from repro.study.adaptive import run_adaptive_rounds, select_batch
 from repro.study.cache import CorpusCache
 from repro.study.corpus_io import load_corpus, merge_corpora, save_corpus
@@ -199,13 +200,15 @@ def build_parser() -> argparse.ArgumentParser:
     predict_parser.add_argument("--configs", help="JSON file: list of configuration objects")
     predict_parser.add_argument("--architecture", help="inline configuration: architecture")
     predict_parser.add_argument("--technique", help="inline configuration: technique")
-    predict_parser.add_argument("--num-tasks", type=int, default=32)
-    predict_parser.add_argument("--cells-per-task", type=int, default=200)
-    predict_parser.add_argument("--image-size", type=int, default=1024, help="square image edge")
-    predict_parser.add_argument("--samples-in-depth", type=int, default=1000)
+    predict_parser.add_argument("--num-tasks", type=int, default=RENDER_DEFAULTS["num_tasks"])
+    predict_parser.add_argument("--cells-per-task", type=int, default=RENDER_DEFAULTS["cells_per_task"])
+    predict_parser.add_argument(
+        "--image-size", type=int, default=RENDER_DEFAULTS["image_width"], help="square image edge"
+    )
+    predict_parser.add_argument("--samples-in-depth", type=int, default=RENDER_DEFAULTS["samples_in_depth"])
     predict_parser.add_argument("--no-build", action="store_true", help="exclude the BVH build")
     predict_parser.add_argument(
-        "--sigmas", type=float, default=2.0, help="interval half-width in residual stds"
+        "--sigmas", type=float, default=DEFAULT_INTERVAL_SIGMAS, help="interval half-width in residual stds"
     )
     predict_parser.add_argument("--out", help="write the prediction JSON here instead of stdout")
 

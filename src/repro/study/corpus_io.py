@@ -1,8 +1,9 @@
 """Corpus files: save / load (atomic) and merging.
 
 The row codecs and :func:`corpus_digest` live with the rows in
-:mod:`repro.modeling.study`; they are re-exported here for the frozen
-``benchmarks/e2e`` and the CI steps (DESIGN.md, "Layering").
+:mod:`repro.modeling.study`.  ``corpus_digest`` and ``corpus_to_payload`` are
+re-exported here because the frozen ``benchmarks/e2e`` and the CI steps import
+them from this module (DESIGN.md, "Layering").
 """
 
 from __future__ import annotations
@@ -11,37 +12,16 @@ import json
 import os
 from pathlib import Path
 
-from repro.modeling.study import (
-    SCHEMA_VERSION,
-    StudyCorpus,
-    compositing_record_from_payload,
-    compositing_record_to_payload,
-    corpus_digest,
-    corpus_from_payload,
-    corpus_to_payload,
-    experiment_record_from_payload,
-    experiment_record_to_payload,
-    failure_record_from_payload,
-    failure_record_to_payload,
-    record_from_payload,
-)
+from repro.modeling.study import StudyCorpus, corpus_digest, corpus_from_payload, corpus_to_payload
 
 __all__ = [
-    "SCHEMA_VERSION",
-    "experiment_record_to_payload",
-    "experiment_record_from_payload",
-    "compositing_record_to_payload",
-    "compositing_record_from_payload",
-    "failure_record_to_payload",
-    "failure_record_from_payload",
-    "record_from_payload",
     "corpus_to_payload",
-    "corpus_from_payload",
     "corpus_digest",
     "save_corpus",
     "load_corpus",
     "merge_corpora",
 ]
+
 
 def save_corpus(corpus: StudyCorpus, path: str | Path, metadata: dict | None = None) -> Path:
     """Write the corpus file atomically: a reader (or an interrupted ``run

@@ -22,9 +22,10 @@ from repro.dpp import get_device, use_device
 from repro.geometry.transforms import Camera
 from repro.machines.costmodel import synthesize_render_time
 from repro.modeling.features import (
-    CAMERA_FILL_FRACTION,
     RenderingConfiguration,
+    active_pixel_estimate,
     map_configuration_to_features,
+    task_shrink,
 )
 from repro.modeling.study import HOST_ARCHITECTURE, CompositingRecord, ExperimentRecord
 from repro.rendering import make_renderer
@@ -243,8 +244,7 @@ def _synthetic_run_images(
     would move every later rank's block and change the corpus rows.
     """
     images = []
-    fill = CAMERA_FILL_FRACTION / tasks ** (1.0 / 3.0)
-    active = max(int(fill * width * height), 1)
+    active = max(int(active_pixel_estimate(width * height, task_shrink(tasks))), 1)
     side = max(int(np.sqrt(active)), 1)
     for rank in range(tasks):
         x0 = int(rng.integers(0, max(width - side, 1)))

@@ -18,7 +18,7 @@ model is fitted on.  This module imports nothing from ``repro`` (DESIGN.md,
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -141,9 +141,11 @@ def included_groups(groups: tuple[TermGroup, ...], include_build: bool) -> list[
 class ObservedFeatures:
     """Observed values of the model input variables for one local render.
 
-    Attributes mirror Section 5.3's variable list.  Variables that do not
-    apply to a renderer are left at zero (e.g. ``samples_per_ray`` for the
-    ray tracer).
+    Attributes mirror Section 5.3's variable list, and their order is the one
+    list of the model inputs: feature columns, the Section 5.8 mapping's
+    output and a corpus row's ``features`` block all follow it.  Variables
+    that do not apply to a renderer are left at zero (e.g. ``samples_per_ray``
+    for the ray tracer).
     """
 
     objects: int = 0
@@ -156,11 +158,10 @@ class ObservedFeatures:
     def as_dict(self) -> dict[str, float]:
         """One render's feature columns (attribute name -> float): the scalar twin
         of ``repro.modeling.features.feature_arrays`` that a :class:`Term` reads."""
-        return {
-            "objects": float(self.objects),
-            "active_pixels": float(self.active_pixels),
-            "visible_objects": float(self.visible_objects),
-            "pixels_per_triangle": float(self.pixels_per_triangle),
-            "samples_per_ray": float(self.samples_per_ray),
-            "cells_spanned": float(self.cells_spanned),
-        }
+        return {item.name: float(getattr(self, item.name)) for item in fields(self)}
+
+    @classmethod
+    def from_columns(cls, columns: dict) -> "ObservedFeatures":
+        """One observation from a value per attribute name, each cast to its
+        declared type (every default is a zero of that type)."""
+        return cls(**{item.name: type(item.default)(columns[item.name]) for item in fields(cls)})

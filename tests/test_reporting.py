@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from repro.simulations.fields import SIMULATION_FIELDS
 from repro.study import cli as study_cli
 from repro.study import run_study
 from repro.study.corpus_io import corpus_digest, save_corpus
-from repro.techniques import TECHNIQUES
+from repro.study.experiments import _synthetic_run_images
+from repro.techniques import TECHNIQUES, ObservedFeatures
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +244,7 @@ class TestBatchMapping:
             height = rng.integers(16, 4096, 64)
             samples = rng.integers(10, 1500, 64)
             batch = map_configuration_batch(technique, tasks, cells, width, height, samples)
+            assert list(batch) == [item.name for item in dataclasses.fields(ObservedFeatures)]
             for i in range(64):
                 scalar = map_configuration_to_features(
                     RenderingConfiguration(
@@ -254,12 +257,33 @@ class TestBatchMapping:
                         samples_in_depth=int(samples[i]),
                     )
                 )
-                assert batch["objects"][i] == float(scalar.objects)
-                assert batch["active_pixels"][i] == float(scalar.active_pixels)
-                assert batch["visible_objects"][i] == float(scalar.visible_objects)
-                assert batch["pixels_per_triangle"][i] == float(scalar.pixels_per_triangle)
-                assert batch["samples_per_ray"][i] == float(scalar.samples_per_ray)
-                assert batch["cells_spanned"][i] == float(scalar.cells_spanned)
+                for name, declared in typing.get_type_hints(ObservedFeatures).items():
+                    value = getattr(scalar, name)
+                    assert type(value) is declared, (technique, name, type(value))
+                    assert batch[name][i] == float(value), (technique, name)
+
+    def test_every_active_pixel_reader_follows_the_fill_fraction(self, suite, monkeypatch):
+        # 0.25 of the pixels over 8 tasks (cube root exactly 2): an eighth of the image.
+        monkeypatch.setattr("repro.modeling.features.CAMERA_FILL_FRACTION", 0.25)
+        config = RenderingConfiguration("raster", "gpu1-k40m", 8, 100, 512, 512)
+        assert map_configuration_to_features(config).active_pixels == 512 * 512 // 8
+
+        predictor = Predictor(suite)
+        scored = []
+        predict_compositing = predictor.predict_compositing
+
+        def spy(active, pixels, sigmas):
+            scored.append(active.tolist())
+            return predict_compositing(active, pixels, sigmas)
+
+        monkeypatch.setattr(predictor, "predict_compositing", spy)
+        spec = {"kind": "compositing", "num_tasks": 8, "pixel_size": 64}
+        assert np.isfinite(predictor.interval_widths_for_specs([spec])).all()
+        assert scored == [[64 * 64 / 8]]
+
+        images = _synthetic_run_images(8, 64, 64, np.random.default_rng(1))
+        side = int(np.sqrt(64 * 64 // 8))
+        assert [len(image.pixels) for image in images] == [side * side] * 8
 
     def test_batch_mapping_validates_inputs(self):
         with pytest.raises(ValueError, match="unknown technique"):

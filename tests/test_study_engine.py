@@ -29,7 +29,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.transforms import Camera
-from repro.modeling.study import FailureRecord, StudyConfiguration
+from repro.modeling.study import (
+    FailureRecord,
+    StudyConfiguration,
+    corpus_from_payload,
+    corpus_to_payload,
+    record_from_payload,
+)
 from repro.rendering import Framebuffer, make_renderer
 from repro.rendering.rays import pixels_reaching
 from repro.rendering.result import ObservedFeatures, RenderResult
@@ -516,7 +522,7 @@ class TestPlan:
             build_plan(config).specs[0], cells_per_task=4, image_width=32, image_height=32
         )
         assert (spec.kind, spec.simulation, spec.num_tasks) == ("render", "kripke", 2)
-        record = corpus_io.record_from_payload(execute_spec(spec))
+        record = record_from_payload(execute_spec(spec))
         assert record.samples_in_depth == 12
         assert record.technique == "volume_unstructured"
         assert set(record.phase_seconds) <= set(PHASE_GROUPS)
@@ -1101,7 +1107,7 @@ class TestCorpusIO:
         corpus, _ = run_plan(build_plan(FAST_CONFIG, include_compositing=False), jobs=1)
         path = corpus_io.save_corpus(corpus, tmp_path / "corpus.json")
         good = path.read_bytes()
-        assert good == json.dumps(corpus_io.corpus_to_payload(corpus), indent=1).encode()
+        assert good == json.dumps(corpus_to_payload(corpus), indent=1).encode()
         # The metadata is the last section: everything before it has been
         # streamed out when the encoder meets the object it cannot serialize.
         with pytest.raises(TypeError):
@@ -1110,7 +1116,7 @@ class TestCorpusIO:
         assert [entry.name for entry in tmp_path.iterdir()] == ["corpus.json"]
 
     def test_payload_without_failures_section_loads(self):
-        corpus = corpus_io.corpus_from_payload({"schema": 1, "records": [], "compositing_records": []})
+        corpus = corpus_from_payload({"schema": 1, "records": [], "compositing_records": []})
         assert corpus.failures == []
 
     def test_merge(self):
