@@ -32,6 +32,7 @@ compositing sub-images take their active pixels from
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from math import inf
 
 import numpy as np
 
@@ -73,12 +74,20 @@ SAMPLES_PER_RAY_BASELINE = 373.0
 PIXELS_PER_TRIANGLE_FACTOR = 4.0
 
 #: Batches of at least this many rows take the cube root once per distinct
-#: task count instead of once per row.  ``np.unique`` costs a fixed ~11 us,
-#: more than the per-row roots of a serving group (1-81 rows, median 10, in
-#: the ``serve_mixed`` load).  With eight distinct counts the two break even
-#: near 128 rows (timeit, 2-vCPU x86-64, numpy 2.4), and a sweep's 10,000-row,
-#: ten-count batch drops from ~0.8 ms to ~0.2 ms.
+#: task count instead of once per row.  Finding the distinct counts costs a
+#: fixed ~11 us, more than the per-row roots of a serving group (1-81 rows,
+#: median 10, in the ``serve_mixed`` load).  The two break even near 128 rows
+#: (timeit, 2-vCPU x86-64, numpy 2.4), and a sweep's 10,000-row, ten-count
+#: batch drops from ~1.1 ms to 0.04-0.07 ms.
 DISTINCT_ROOT_MIN_ROWS = 128
+
+#: Table slots per row the distinct-root route may spend: whole counts no
+#: larger than this many times the batch's rows are found through a table
+#: indexed by the count (``np.bincount``).  A slot costs ~3.5 ns, a per-row
+#: root ~120 ns, so at this bound the table costs at most ~1.3x the per-row
+#: roots (every count distinct) and wins 3-20x at ten distinct counts
+#: (timeit, 2-vCPU x86-64, numpy 2.4, 128-10,000 rows).
+DISTINCT_ROOT_SLOTS_PER_ROW = 8
 
 #: The Section 5.8 inputs beyond ``O`` / ``AP`` / ``CS`` that each model
 #: family's equation consumes and the mapping therefore fills in.
@@ -120,10 +129,13 @@ class RenderingConfiguration:
 
     def __post_init__(self) -> None:
         get_technique(self.technique)
-        if self.num_tasks < 1 or self.cells_per_task < 1:
+        # Chained comparisons: NaN fails both, like infinity fails the upper bound.
+        if not (1 <= self.num_tasks < inf and 1 <= self.cells_per_task < inf):
             raise ValueError("num_tasks and cells_per_task must be positive")
-        if self.image_width < 1 or self.image_height < 1:
+        if not (1 <= self.image_width < inf and 1 <= self.image_height < inf):
             raise ValueError("image dimensions must be positive")
+        if not 1 <= self.samples_in_depth < inf:
+            raise ValueError("samples_in_depth must be positive")
 
     @property
     def pixels(self) -> int:
@@ -143,15 +155,29 @@ def task_shrink(num_tasks):
     Takes a number or a float64 array.  numpy's array power differs from
     CPython's scalar ``**`` by one ulp for some inputs (e.g. 127 ** (1/3)),
     which would let a rounded active-pixel count diverge between the two
-    mapping entries, so an array takes scalar pow per element (per distinct
-    element in large batches).
+    mapping entries, so an array takes scalar pow per element.  Batches of
+    :data:`DISTINCT_ROOT_MIN_ROWS` rows or more whose counts are whole and at
+    most :data:`DISTINCT_ROOT_SLOTS_PER_ROW` times the rows take it once per
+    distinct count instead, found through a table indexed by the count; the
+    two routes give the same bits.
     """
     if not isinstance(num_tasks, np.ndarray):
         return num_tasks ** (1.0 / 3.0)
     if num_tasks.size < DISTINCT_ROOT_MIN_ROWS:
         return _cube_roots(num_tasks)
-    distinct, inverse = np.unique(num_tasks, return_inverse=True)
-    return _cube_roots(distinct)[inverse]
+    high = num_tasks.max()
+    # NaN fails every comparison, so it falls through to the per-row roots.
+    if (
+        high <= DISTINCT_ROOT_SLOTS_PER_ROW * num_tasks.size
+        and 0 <= num_tasks.min()
+        and (np.trunc(num_tasks) == num_tasks).all()
+    ):
+        index = num_tasks.astype(np.intp)
+        distinct = np.flatnonzero(np.bincount(index))
+        roots = np.zeros(int(high) + 1)
+        roots[distinct] = _cube_roots(distinct.astype(np.float64))
+        return roots.take(index)
+    return _cube_roots(num_tasks)
 
 
 def _cube_roots(values: np.ndarray) -> np.ndarray:
@@ -231,12 +257,16 @@ def map_configuration_batch(
     and the scalar prediction path agree bit for bit.
     """
     technique = get_technique(technique)
-    inputs = (num_tasks, cells_per_task, image_width, image_height, samples_in_depth)
-    num_tasks, cells, width, height, samples = np.broadcast_arrays(
-        *[np.atleast_1d(np.asarray(value, dtype=np.float64)) for value in inputs]
-    )
-    if np.any(num_tasks < 1) or np.any(cells < 1) or np.any(width < 1) or np.any(height < 1):
-        raise ValueError("num_tasks, cells_per_task, and image dimensions must be positive")
+    inputs = [
+        np.atleast_1d(np.asarray(value, dtype=np.float64))
+        for value in (num_tasks, cells_per_task, image_width, image_height, samples_in_depth)
+    ]
+    # One min and one max per column, before broadcasting: NaN propagates
+    # through both and fails the comparisons, and ``initial`` passes an empty
+    # batch.
+    if not all(1 <= column.min(initial=1.0) and column.max(initial=1.0) < inf for column in inputs):
+        raise ValueError("num_tasks, cells_per_task, image dimensions and samples_in_depth must be positive")
+    num_tasks, cells, width, height, samples = np.broadcast_arrays(*inputs)
     return _mapped_columns(technique, num_tasks, cells, width * height, samples)
 
 

@@ -27,8 +27,10 @@ table -- is written once over ``model.groups`` and never asks which technique
 it is serving.
 
 Each equation has exactly one definition, the ``work`` of each of its terms:
-:func:`design_matrix` evaluates it on feature column arrays (a single
-observation is the one-row batch), the cost model on one render's floats.
+fitting stacks it into :func:`design_matrix`, prediction sums it times its
+coefficient without one (both on feature column arrays; a single
+observation is the one-row batch), the cost model evaluates it on one
+render's floats.
 
 The total multi-node time (Eq. 5.4, ``T_total = max_tasks(T_LR) + T_COMP``)
 is composed by its one consumer, :mod:`repro.modeling.feasibility`.
@@ -112,7 +114,7 @@ class PerformanceModel:
         columns = _columns(features)
         seconds = None
         for group, fit in self.group_fits(include_build):
-            group_seconds = fit.predict(design_matrix(group, columns))
+            group_seconds = fit.predict_terms([term.work(columns) for term in group.terms])
             seconds = group_seconds if seconds is None else seconds + group_seconds
         return seconds
 

@@ -41,38 +41,42 @@ class LinearRegressionResult:
     term_names: tuple[str, ...] = ()
 
     def predict(self, design: np.ndarray) -> np.ndarray:
-        """Predictions for a new design matrix with the same columns.
-
-        Accumulates column-by-column in fixed term order instead of calling
-        BLAS gemv: each row's result is then bit-identical however many rows
-        share the call (gemv picks different kernels by matrix size, which
-        perturbs the last ulp).  The serving tier's batch-invariance contract
-        -- a micro-batched prediction must equal the same query served alone
-        -- depends on this.
-        """
+        """Predictions for a new design matrix with the same columns."""
         design = np.atleast_2d(np.asarray(design, dtype=np.float64))
         if design.shape[1] != len(self.coefficients):
             raise ValueError(
                 f"design matrix has {design.shape[1]} columns, expected {len(self.coefficients)}"
             )
-        coefficients = self.coefficients
-        total = design[:, 0] * coefficients[0]
-        for column in range(1, len(coefficients)):
-            total = total + design[:, column] * coefficients[column]
+        return self._weighted_sum(design.T)
+
+    def predict_terms(self, works: list[np.ndarray]) -> np.ndarray:
+        """Predictions from each term's work column, the intercept's ones column
+        left out: the same sums as :meth:`predict` on the design matrix built
+        from ``works``, without building it (``1.0 * c == c``)."""
+        if len(works) != len(self.coefficients) - 1:
+            raise ValueError(f"got {len(works)} work columns, expected {len(self.coefficients) - 1}")
+        total = self._weighted_sum(works)
+        total += self.coefficients[-1]
+        return total
+
+    def _weighted_sum(self, columns) -> np.ndarray:
+        """``column_i * c_i`` accumulated in fixed term order over ``columns``.
+
+        Not BLAS gemv: each row's result is then bit-identical however many
+        rows share the call (gemv picks different kernels by matrix size, which
+        perturbs the last ulp).  The serving tier's batch-invariance contract
+        -- a micro-batched prediction must equal the same query served alone
+        -- depends on this.
+        """
+        total = columns[0] * self.coefficients[0]
+        for column, coefficient in zip(columns[1:], self.coefficients[1:]):
+            total += column * coefficient
         return total
 
     def named_coefficients(self) -> dict[str, float]:
         """Coefficients keyed by term name (``c0``, ``c1``, ... when unnamed)."""
         names = self.term_names or tuple(f"c{i}" for i in range(len(self.coefficients)))
         return {name: float(value) for name, value in zip(names, self.coefficients)}
-
-    def has_negative_coefficients(self, tolerance: float = 0.0) -> bool:
-        """True when any coefficient is below ``-tolerance``.
-
-        The paper uses negative coefficients as a red flag: "no input
-        variables should have a negative linear relationship to run-time".
-        """
-        return bool(np.any(self.coefficients < -tolerance))
 
 
 def fit_linear_model(

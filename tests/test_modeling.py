@@ -23,7 +23,7 @@ from repro.modeling import (
     map_configuration_to_features,
 )
 from repro.modeling.feasibility import images_within_budget
-from repro.modeling.features import DISTINCT_ROOT_MIN_ROWS
+from repro.modeling.features import DISTINCT_ROOT_MIN_ROWS, DISTINCT_ROOT_SLOTS_PER_ROW, task_shrink
 from repro.modeling.models import MODEL_GROUPS, design_matrix
 from repro.modeling.regression import relative_errors
 from repro.rendering import make_renderer
@@ -65,7 +65,7 @@ class TestRegression:
         assert result.r_squared == pytest.approx(1.0)
         assert result.residual_std == pytest.approx(0.0, abs=1e-10)
         assert result.named_coefficients()["a"] == pytest.approx(2.0)
-        assert not result.has_negative_coefficients()
+        assert not np.any(result.coefficients < 0.0)  # the paper's red flag for an invalid model
 
     def test_nonnegative_constraint(self, rng):
         design = np.column_stack([rng.random(40), np.ones(40)])
@@ -79,8 +79,11 @@ class TestRegression:
         design = np.column_stack([rng.random(20), np.ones(20)])
         result = fit_linear_model(design, design @ np.array([1.0, 2.0]))
         assert np.allclose(result.predict(design), design @ np.array([1.0, 2.0]))
+        assert result.predict_terms([design[:, 0]]).tobytes() == result.predict(design).tobytes()
         with pytest.raises(ValueError):
             result.predict(np.ones((3, 5)))
+        with pytest.raises(ValueError):
+            result.predict_terms([design[:, 0], design[:, 0]])
         with pytest.raises(ValueError):
             fit_linear_model(design[:1], np.ones(1))
         with pytest.raises(ValueError):
@@ -165,27 +168,61 @@ class TestFeaturesMapping:
         assert many.active_pixels < few.active_pixels
 
     def test_configuration_validation(self):
-        with pytest.raises(ValueError):
-            RenderingConfiguration("nope", "cpu-host", 1, 10, 64, 64)
-        with pytest.raises(ValueError):
-            RenderingConfiguration("raytrace", "cpu-host", 0, 10, 64, 64)
-        with pytest.raises(ValueError):
-            RenderingConfiguration("raytrace", "cpu-host", 1, 10, 0, 64)
+        rows = [
+            ("nope", 1, 10, 64, 1000),
+            ("raytrace", 0, 10, 64, 1000),
+            ("raytrace", 1, 10, 0, 1000),
+            ("raytrace", 1, 10, 64, 0),
+            ("raytrace", float("nan"), 10, 64, 1000),
+            ("raytrace", float("inf"), 10, 64, 1000),
+            ("raytrace", 1, float("nan"), 64, 1000),
+            ("raytrace", 1, float("inf"), 64, 1000),
+            ("raytrace", 1, 10, float("nan"), 1000),
+            ("raytrace", 1, 10, float("inf"), 1000),
+            ("volume", 1, 10, 64, float("nan")),
+            ("volume", 1, 10, 64, float("inf")),
+        ]
+        for technique, tasks, cells, width, samples in rows:
+            with pytest.raises(ValueError):
+                RenderingConfiguration(technique, "cpu-host", tasks, cells, width, 64, samples)
 
 
 @st.composite
 def _task_batches(draw):
-    """Positive task counts with repeats, some non-integral, on both sides of the cut-over."""
-    counts = st.one_of(st.integers(1, 100_000).map(float), st.floats(1.0, 1e5, allow_nan=False))
-    pool = draw(st.lists(counts, min_size=1, max_size=12))
+    """Positive task counts with repeats, for both cube-root routes of ``task_shrink``.
+
+    Batches on both sides of the per-row cut-over hold either whole counts the
+    count-indexed table takes, optionally with one count too large for it or
+    one fractional count, or up to 12 arbitrary counts from 1 to 1e5.
+    """
     size = draw(
         st.one_of(
             st.integers(1, DISTINCT_ROOT_MIN_ROWS - 1),
             st.integers(DISTINCT_ROOT_MIN_ROWS, 3 * DISTINCT_ROOT_MIN_ROWS),
         )
     )
+    cap = DISTINCT_ROOT_SLOTS_PER_ROW * size
+    # numpy's array power is one ulp off scalar pow at 27 and 127.
+    whole = st.one_of(st.sampled_from((27.0, 127.0)), st.integers(1, cap).map(float))
+    mixed = st.one_of(st.integers(1, 100_000).map(float), st.floats(1.0, 1e5, allow_nan=False))
+    pool, outlier = draw(
+        st.one_of(
+            st.tuples(
+                st.lists(whole, min_size=1, max_size=12),
+                st.one_of(
+                    st.none(),
+                    st.integers(cap + 1, 100_000).map(float),
+                    st.floats(1.0, 1e5).filter(lambda value: not value.is_integer()),
+                ),
+            ),
+            st.tuples(st.lists(mixed, min_size=1, max_size=12), st.none()),
+        )
+    )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return np.asarray(pool)[rng.integers(0, len(pool), size)], rng
+    tasks = np.asarray(pool)[rng.integers(0, len(pool), size)]
+    if outlier is not None:
+        tasks[rng.integers(0, size)] = outlier
+    return tasks, rng
 
 
 class TestBatchMapping:
@@ -195,6 +232,8 @@ class TestBatchMapping:
     @settings(max_examples=40, deadline=None)
     def test_batch_columns_equal_the_per_element_mapping(self, batch):
         tasks, rng = batch
+        roots = np.array([count ** (1.0 / 3.0) for count in tasks.tolist()])
+        assert task_shrink(tasks).tobytes() == roots.tobytes()
         cells = rng.integers(1, 300, len(tasks))
         sizes = rng.integers(1, 2048, len(tasks))
         samples = rng.integers(1, 2000, len(tasks))

@@ -290,6 +290,17 @@ class TestBatchMapping:
             map_configuration_batch("nope", 1, 1, 64, 64)
         with pytest.raises(ValueError, match="positive"):
             map_configuration_batch("raytrace", 0, 10, 64, 64)
+        good = [np.full(200, value) for value in (8.0, 10.0, 64.0, 64.0, 1000.0)]
+        for column in range(5):
+            for bad in (np.nan, np.inf, -np.inf, 0.0):
+                inputs = [values.copy() for values in good]
+                inputs[column][150] = bad
+                with pytest.raises(ValueError, match="positive"):
+                    map_configuration_batch("raytrace", *inputs)
+                with pytest.raises(ValueError, match="positive"):
+                    map_configuration_batch("raytrace", *[values[150] for values in inputs])
+        empty = map_configuration_batch("raytrace", [], [], [], [], [])
+        assert all(len(values) == 0 for values in empty.values())
 
 
 
