@@ -170,12 +170,11 @@ class Camera:
         # NDC in [-1, 1] with y up.
         ndc_x = (2.0 * px / self.width - 1.0) * tan_half * self.aspect
         ndc_y = (1.0 - 2.0 * py / self.height) * tan_half
-        directions = (
-            forward[None, :]
-            + ndc_x[:, None] * right[None, :]
-            + ndc_y[:, None] * true_up[None, :]
-        )
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        # Column-wise: the same products and sums, in the same order, as
+        # ``np.linalg.norm`` over the length-3 axis, without its strided reduce.
+        dx, dy, dz = (forward[axis] + ndc_x * right[axis] + ndc_y * true_up[axis] for axis in range(3))
+        norm = np.sqrt(dx * dx + dy * dy + dz * dz)
+        directions = np.column_stack([dx / norm, dy / norm, dz / norm])
         origins = np.broadcast_to(self.position, directions.shape).copy()
         return origins, directions
 

@@ -180,6 +180,26 @@ def _boundary_quads(connectivity: np.ndarray) -> np.ndarray:
     return faces[unique_mask]
 
 
+def _structured_boundary_quads(cell_dims: tuple[int, int, int], connectivity: np.ndarray) -> np.ndarray:
+    """:func:`_boundary_quads` of a structured grid, written down instead of searched for.
+
+    Face ``f`` of cell ``(i, j, k)`` is on the boundary exactly when the cell
+    is first or last along the face's axis (``_HEX_FACES`` order: -z, +z, -y,
+    +y, -x, +x).  Flattening the ``(k, j, i, face)`` mask yields the pairs in
+    cell-then-face order, the order the sort path keeps them in.
+    """
+    cx, cy, cz = cell_dims
+    on_boundary = np.zeros((cz, cy, cx, 6), dtype=bool)
+    on_boundary[0, :, :, 0] = True
+    on_boundary[-1, :, :, 1] = True
+    on_boundary[:, 0, :, 2] = True
+    on_boundary[:, -1, :, 3] = True
+    on_boundary[:, :, 0, 4] = True
+    on_boundary[:, :, -1, 5] = True
+    cells, faces = np.divmod(np.flatnonzero(on_boundary), 6)
+    return connectivity[cells[:, None], _HEX_FACES[faces]]
+
+
 def external_faces(
     mesh: UnstructuredHexMesh | UniformGrid | RectilinearGrid | StructuredGrid,
     scalar_field: str | None = None,
@@ -189,8 +209,9 @@ def external_faces(
     Parameters
     ----------
     mesh:
-        An unstructured hex mesh or any structured grid (which is converted on
-        the fly).
+        An unstructured hex mesh, whose boundary is found by matching shared
+        faces, or any structured grid, whose boundary is known from its
+        dimensions; both give the same triangles in the same order.
     scalar_field:
         Optional name of a point field on the mesh to carry onto the surface
         vertices; cell fields are averaged onto the points first.
@@ -201,35 +222,39 @@ def external_faces(
         Boundary triangles referencing a compacted vertex array.
     """
     if isinstance(mesh, (UniformGrid, RectilinearGrid, StructuredGrid)):
-        hex_mesh = UnstructuredHexMesh.from_structured(mesh)
+        connectivity = mesh.cell_connectivity()
+        quads = _structured_boundary_quads(mesh.cell_dims, connectivity)
     else:
-        hex_mesh = mesh
-
-    quads = _boundary_quads(hex_mesh.connectivity)
+        connectivity = mesh.connectivity
+        quads = _boundary_quads(connectivity)
     triangles = quad_to_triangles(quads)
 
-    # Compact to only the vertices referenced by the surface.
-    used, inverse = np.unique(triangles.ravel(), return_inverse=True)
-    compacted_triangles = inverse.reshape(-1, 3)
-    vertices = hex_mesh.points()[used]
+    # Compact to only the vertices referenced by the surface, keeping their
+    # order: a vertex's new id is the number of referenced vertices before it.
+    referenced = np.zeros(mesh.num_points, dtype=bool)
+    referenced[triangles] = True
+    used = np.flatnonzero(referenced)
+    compacted_triangles = (np.cumsum(referenced) - 1)[triangles]
+    vertices = mesh.points()[used]
 
     scalars = None
     if scalar_field is not None:
-        association, values = hex_mesh.field(scalar_field)
-        if association == "point":
-            scalars = np.asarray(values, dtype=np.float64)[used]
-        else:
-            point_values = _cell_to_point_average(hex_mesh, np.asarray(values, dtype=np.float64))
-            scalars = point_values[used]
+        association, values = mesh.field(scalar_field)
+        values = np.asarray(values, dtype=np.float64)
+        if association == "cell":
+            values = _cell_to_point_average(mesh.num_points, connectivity, values)
+        scalars = values[used]
     return TriangleMesh(vertices, compacted_triangles, scalars)
 
 
-def _cell_to_point_average(mesh: UnstructuredHexMesh, cell_values: np.ndarray) -> np.ndarray:
+def _cell_to_point_average(
+    num_points: int, connectivity: np.ndarray, cell_values: np.ndarray
+) -> np.ndarray:
     """Average cell-centered values onto points (simple arithmetic mean)."""
-    sums = np.zeros(mesh.num_points, dtype=np.float64)
-    counts = np.zeros(mesh.num_points, dtype=np.float64)
+    sums = np.zeros(num_points, dtype=np.float64)
+    counts = np.zeros(num_points, dtype=np.float64)
     for corner in range(8):
-        np.add.at(sums, mesh.connectivity[:, corner], cell_values)
-        np.add.at(counts, mesh.connectivity[:, corner], 1.0)
+        np.add.at(sums, connectivity[:, corner], cell_values)
+        np.add.at(counts, connectivity[:, corner], 1.0)
     counts[counts == 0.0] = 1.0
     return sums / counts

@@ -205,21 +205,22 @@ class Rasterizer:
             & (bary_v >= 0.0)
             & (bary_w >= 0.0)
         )
-        if not np.any(inside):
+        covered = np.flatnonzero(inside)
+        if len(covered) == 0:
             return 0
 
-        depth = bary_w * v0[:, 2] + bary_u * v1[:, 2] + bary_v * v2[:, 2]
+        # Depth and color only for the covered pairs: a pair's values depend
+        # on that pair alone, so they are the ones every candidate would get.
+        bary_u, bary_v, bary_w = bary_u[covered], bary_v[covered], bary_w[covered]
+        tri_ids = tri_ids[covered]
+        depth = bary_w * v0[covered, 2] + bary_u * v1[covered, 2] + bary_v * v2[covered, 2]
         corner = tri_corners[tri_ids]
         colors = (
             bary_w[:, None] * vertex_colors[corner[:, 0]]
             + bary_u[:, None] * vertex_colors[corner[:, 1]]
             + bary_v[:, None] * vertex_colors[corner[:, 2]]
         ) * lambert[tri_ids, None]
-        pixel_flat = py * image_width + px
-
-        pixel_flat = pixel_flat[inside]
-        depth = depth[inside]
-        colors = colors[inside]
+        pixel_flat = py[covered] * image_width + px[covered]
 
         # Depth-test resolution: keep the nearest fragment per pixel.
         order = np.lexsort((depth, pixel_flat))

@@ -6,13 +6,17 @@ and private ray/bounds interval clips in the structured volume caster and the
 connectivity ray-caster baseline (one of which lost the sign of tiny negative
 direction components).  :class:`RayEmitter` centralizes all of it on top of
 :meth:`repro.geometry.transforms.Camera.generate_rays` and the shared slab
-test :func:`repro.geometry.aabb.ray_box_intervals`.
+test :func:`repro.geometry.aabb.ray_box_intervals`.  Which pixels get a ray is
+decided in one place, :func:`screen_footprint`: the pixels whose center rays
+can reach the bounds of what is rendered, so a block that covers a fraction
+of the screen pays for that fraction.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -20,7 +24,7 @@ from repro.geometry.aabb import AABB, ray_box_intervals
 from repro.geometry.transforms import Camera
 from repro.util.morton import morton_encode_2d
 
-__all__ = ["CameraPath", "RayEmitter", "pixels_reaching"]
+__all__ = ["CameraPath", "RayEmitter", "pixels_reaching", "screen_footprint"]
 
 #: How far :func:`pixels_reaching` grows a box before the slab test, as a
 #: fraction of the box diagonal.  The renderers decide coverage with their own
@@ -56,62 +60,33 @@ class RayEmitter:
         if self.supersample not in (1, 4):
             raise ValueError("supersample must be 1 or 4")
 
-    # -- orderings -------------------------------------------------------------
-    def _morton_pixel_order(self) -> np.ndarray:
-        """Pixel ids sorted along a Morton curve of the framebuffer."""
-        camera = self.camera
-        pixel_ids = np.arange(camera.width * camera.height, dtype=np.int64)
-        px = (pixel_ids % camera.width).astype(np.uint32)
-        py = (pixel_ids // camera.width).astype(np.uint32)
-        codes = morton_encode_2d(px, py)
-        return pixel_ids[np.argsort(codes, kind="stable")]
+    def emit(self, bounds: AABB | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Primary rays ``(pixel_ids, origins, directions)`` for the pixels of :func:`screen_footprint`.
 
-    # -- emission --------------------------------------------------------------
-    def emit(self, pixel_ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Primary rays; returns ``(pixel_ids, origins, directions)``.
-
-        ``pixel_ids`` restricts emission to specific (row-major) pixels and
-        overrides the Morton ordering; with 4x super-sampling each pixel id
-        appears four times with jittered sub-pixel positions.
+        Only pixels whose center ray can reach ``bounds`` (the whole screen
+        without it) are emitted: each pixel's ray is the one a full-screen
+        emission gives it, and the order is the full-screen order with the
+        other pixels left out.  With 4x super-sampling each pixel id appears
+        four times in a row, one ray per pixel of the 2x2 block under it on a
+        double-resolution camera; those rays pass a quarter pixel from the
+        center, well inside the footprint's one pixel of padding.
         """
         camera = self.camera
+        pixel_ids = screen_footprint(camera, bounds)
+        if self.morton_order:
+            codes = morton_encode_2d(
+                (pixel_ids % camera.width).astype(np.uint32),
+                (pixel_ids // camera.width).astype(np.uint32),
+            )
+            pixel_ids = pixel_ids[np.argsort(codes, kind="stable")]
         if self.supersample == 1:
-            if pixel_ids is None:
-                if self.morton_order:
-                    pixel_ids = self._morton_pixel_order()
-                else:
-                    pixel_ids = np.arange(camera.width * camera.height, dtype=np.int64)
-            else:
-                pixel_ids = np.asarray(pixel_ids, dtype=np.int64)
             origins, directions = camera.generate_rays(pixel_ids)
             return pixel_ids, origins, directions
-        if pixel_ids is not None:
-            raise ValueError("explicit pixel_ids are not supported with super-sampling")
-        # Four-ray super-sampling: jitter by generating rays on a double-res
-        # camera and mapping each fine pixel back to its coarse parent.
-        fine = Camera(
-            position=camera.position,
-            look_at=camera.look_at,
-            up=camera.up,
-            fov_y_degrees=camera.fov_y_degrees,
-            width=camera.width * 2,
-            height=camera.height * 2,
-            near=camera.near,
-            far=camera.far,
-        )
-        fine_ids = np.arange(fine.width * fine.height, dtype=np.int64)
-        fx = fine_ids % fine.width
-        fy = fine_ids // fine.width
-        parent = (fy // 2) * camera.width + (fx // 2)
-        if self.morton_order:
-            order = np.argsort(
-                morton_encode_2d((fx // 2).astype(np.uint32), (fy // 2).astype(np.uint32)),
-                kind="stable",
-            )
-        else:
-            order = np.argsort(parent, kind="stable")
-        origins, directions = fine.generate_rays(fine_ids[order])
-        return parent[order], origins, directions
+        fine = replace(camera, width=camera.width * 2, height=camera.height * 2)
+        corner = 2 * (pixel_ids // camera.width) * fine.width + 2 * (pixel_ids % camera.width)
+        fine_ids = (corner[:, None] + np.array([0, 1, fine.width, fine.width + 1])).ravel()
+        origins, directions = fine.generate_rays(fine_ids)
+        return np.repeat(pixel_ids, 4), origins, directions
 
     def emit_clipped(
         self, bounds: AABB
@@ -124,7 +99,7 @@ class RayEmitter:
         ``t_far > t_near`` are kept.  This is the shared "ray setup" phase of
         the volume ray casters.
         """
-        pixel_ids, origins, directions = self.emit()
+        pixel_ids, origins, directions = self.emit(bounds)
         t_near, t_far = _clamped_spans(origins, directions, bounds)
         kept = np.flatnonzero(t_far > t_near)
         return pixel_ids[kept], origins[kept], directions[kept], t_near[kept], t_far[kept]
@@ -138,6 +113,36 @@ def _clamped_spans(
     return np.maximum(t_near, 0.0), t_far
 
 
+def screen_footprint(camera: Camera, bounds: AABB | None) -> np.ndarray:
+    """Row-major ids of the pixel rectangle holding every pixel whose center ray can reach ``bounds``.
+
+    The box's eight corners are projected with the basis and ``tan_half``
+    arithmetic of :meth:`Camera.generate_rays`.  A center ray meets the box
+    at a point that projects onto its pixel center, and a box wholly in
+    front of the camera projects inside its corners' rectangle, so every
+    such pixel lies in that rectangle; one pixel of padding absorbs the
+    rounding of both computations, which is many orders below a pixel.  The
+    result is clamped to the screen and may be empty.  The whole screen is
+    returned for ``bounds=None`` and whenever a corner is at or behind the
+    camera plane or does not project to a finite position.
+    """
+    width, height = camera.width, camera.height
+    columns, rows = (0, width), (0, height)
+    if bounds is not None:
+        right, true_up, forward = camera.basis()
+        tan_half = np.tan(np.radians(camera.fov_y_degrees) / 2.0)
+        corners = np.array(list(product(*zip(bounds.low, bounds.high)))) - camera.position
+        depth = corners @ forward
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            column = ((corners @ right) / (depth * tan_half * camera.aspect) + 1.0) * 0.5 * width - 0.5
+            row = (1.0 - (corners @ true_up) / (depth * tan_half)) * 0.5 * height - 0.5
+        if np.all(depth > 0.0) and np.all(np.isfinite(column)) and np.all(np.isfinite(row)):
+            columns = (max(int(np.ceil(column.min())) - 1, 0), min(int(np.floor(column.max())) + 2, width))
+            rows = (max(int(np.ceil(row.min())) - 1, 0), min(int(np.floor(row.max())) + 2, height))
+    row_ids = np.arange(*rows, dtype=np.int64)[:, None] * width
+    return (row_ids + np.arange(*columns, dtype=np.int64)[None, :]).ravel()
+
+
 def pixels_reaching(camera: Camera, boxes: Sequence[AABB]) -> list[int]:
     """Per box, how many pixel-center rays of ``camera`` reach it.
 
@@ -146,15 +151,15 @@ def pixels_reaching(camera: Camera, boxes: Sequence[AABB]) -> list[int]:
     the geometry, hence the box.  The test is :meth:`RayEmitter.emit_clipped`'s
     on the box grown by :data:`REACH_MARGIN`, and growing a box only widens
     every ray's span, so the bound is never below the structured caster's
-    count and absorbs the other renderers' rounding on the silhouette.  Rays
-    are generated once for all boxes.
+    count and absorbs the other renderers' rounding on the silhouette.  Each
+    box pays only for the rays of its own :func:`screen_footprint`.
     """
-    origins, directions = camera.generate_rays()
+    emitter = RayEmitter(camera)
     counts = []
     for box in boxes:
-        t_near, t_far = _clamped_spans(
-            origins, directions, box.expanded(REACH_MARGIN * box.diagonal)
-        )
+        grown = box.expanded(REACH_MARGIN * box.diagonal)
+        _, origins, directions = emitter.emit(grown)
+        t_near, t_far = _clamped_spans(origins, directions, grown)
         counts.append(int(np.count_nonzero(t_far > t_near)))
     return counts
 

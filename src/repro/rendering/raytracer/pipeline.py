@@ -3,8 +3,9 @@
 The renderer processes all rays of a generation together through a fixed
 sequence of pipeline stages built from data-parallel primitives:
 
-1. **Primary ray generation** (map) -- one ray per pixel (or four with
-   super-sampling), ordered along a Morton curve of the framebuffer.
+1. **Primary ray generation** (map) -- one ray per pixel the mesh bounds
+   can cover (or four with super-sampling), ordered along a Morton curve of
+   the framebuffer.
 2. **Traversal and intersection** (map) -- BVH traversal and Moller-Trumbore
    intersection, the "if-if" structure of Aila and Laine.
 3. **Stream compaction** (reduce/scan/gather, optional) -- drop rays that
@@ -45,7 +46,7 @@ from repro.rendering.raytracer.shading import (
     occlusion_to_ambient,
 )
 from repro.rendering.raytracer.traversal import any_hit, closest_hit
-from repro.rendering.rays import RayEmitter
+from repro.rendering.rays import REACH_MARGIN, RayEmitter
 from repro.rendering.result import ObservedFeatures, PhaseClock, RenderResult
 from repro.rendering.scene import Scene
 from repro.util.rng import default_rng
@@ -147,9 +148,15 @@ class RayTracer:
 
     # -- ray generation --------------------------------------------------------------
     def _generate_rays(self, camera: Camera) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Primary rays in Morton order via the shared :class:`RayEmitter`."""
+        """Primary rays in Morton order via the shared :class:`RayEmitter`.
+
+        Only pixels whose center ray can reach the mesh bounds, grown by
+        :data:`~repro.rendering.rays.REACH_MARGIN` as the pixel bound grows
+        them, get a ray; a ray outside them would miss every triangle.
+        """
         emitter = RayEmitter(camera, supersample=self.config.supersample, morton_order=True)
-        return emitter.emit()
+        bounds = self.scene.mesh.bounds
+        return emitter.emit(bounds.expanded(REACH_MARGIN * bounds.diagonal))
 
     def visibility_depth(self, camera: Camera) -> float:
         """Distance from the camera to the scene center (for visibility ordering)."""

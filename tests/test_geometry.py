@@ -171,6 +171,31 @@ class TestTriangles:
         assert surface.scalars is not None
         assert len(surface.scalars) == surface.num_vertices
 
+    @pytest.mark.parametrize("cell_dims", [(1, 1, 1), (1, 3, 5), (7, 2, 1), (17, 17, 17)])
+    @pytest.mark.parametrize("kind", ["uniform", "rectilinear", "structured"])
+    def test_structured_boundary_equals_the_shared_face_search(self, kind, cell_dims):
+        # A structured grid's boundary is written down from its dimensions;
+        # the same grid as an explicit hex mesh goes through the face sort.
+        rng = np.random.default_rng(sum(cell_dims))
+        dims = tuple(cells + 1 for cells in cell_dims)
+        uniform = UniformGrid(dims, origin=(0.5, -1.0, 2.0), spacing=(0.25, 1.0, 0.5))
+        grid = {
+            "uniform": uniform,
+            "rectilinear": RectilinearGrid(*(np.cumsum(rng.uniform(0.1, 1.0, n)) for n in dims)),
+            "structured": StructuredGrid(
+                dims, uniform.points() + rng.normal(scale=0.02, size=(uniform.num_points, 3))
+            ),
+        }[kind]
+        grid.add_point_field("p", rng.random(grid.num_points))
+        grid.add_cell_field("c", rng.random(grid.num_cells))
+        explicit = UnstructuredHexMesh.from_structured(grid)
+        for field in ("p", "c"):
+            fast = external_faces(grid, scalar_field=field)
+            slow = external_faces(explicit, scalar_field=field)
+            assert fast.vertices.tobytes() == slow.vertices.tobytes()
+            assert fast.triangles.tobytes() == slow.triangles.tobytes()
+            assert fast.scalars.tobytes() == slow.scalars.tobytes()
+
     def test_triangle_mesh_quantities(self, small_surface):
         normals = small_surface.normals()
         assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-9)

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.aabb import AABB, ray_box_intervals
 from repro.geometry.transforms import Camera
-from repro.rendering.rays import RayEmitter
+from repro.rendering.rays import REACH_MARGIN, RayEmitter, screen_footprint
+from repro.runtime.decomposition import BlockDecomposition
 
 
 def _camera(width=16, height=12):
@@ -40,12 +43,23 @@ class TestOrdering:
         first_block = {(int(p) % 8, int(p) // 8) for p in pixel_ids[:4]}
         assert first_block == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
-    def test_explicit_pixel_ids_override_ordering(self):
-        camera = _camera()
-        subset = np.array([5, 3, 40], dtype=np.int64)
-        pixel_ids, origins, directions = RayEmitter(camera, morton_order=True).emit(subset)
-        assert np.array_equal(pixel_ids, subset)
-        assert origins.shape == (3, 3) and directions.shape == (3, 3)
+    @pytest.mark.parametrize("supersample", [1, 4])
+    @pytest.mark.parametrize("morton_order", [False, True])
+    def test_bounds_leave_out_the_pixels_outside_their_footprint(self, supersample, morton_order):
+        # A box in one corner of the view: the emission is the full-screen
+        # one with every ray of a pixel outside the footprint removed, the
+        # same rays bit for bit and in the same order.
+        camera = _camera(width=24, height=20)
+        bounds = AABB(np.array([0.6, 0.4, -0.3]), np.array([1.4, 1.1, 0.2]))
+        emitter = RayEmitter(camera, supersample=supersample, morton_order=morton_order)
+        full_ids, full_origins, full_dirs = emitter.emit()
+        footprint = screen_footprint(camera, bounds)
+        assert 0 < len(footprint) < camera.width * camera.height // 4
+        kept = np.isin(full_ids, footprint)
+        pixel_ids, origins, directions = emitter.emit(bounds)
+        assert np.array_equal(pixel_ids, full_ids[kept])
+        assert origins.tobytes() == full_origins[kept].tobytes()
+        assert directions.tobytes() == full_dirs[kept].tobytes()
 
 
 class TestSupersampling:
@@ -84,8 +98,6 @@ class TestSupersampling:
     def test_supersample_validation(self):
         with pytest.raises(ValueError):
             RayEmitter(_camera(), supersample=2)
-        with pytest.raises(ValueError):
-            RayEmitter(_camera(), supersample=4).emit(np.array([0, 1]))
 
 
 class TestBoundsClipping:
@@ -132,3 +144,64 @@ class TestBoundsClipping:
         assert len(pixel_ids) == camera.width * camera.height
         assert np.all(t_near == 0.0)  # rays start inside the box
         assert np.all(t_far > 0.0)
+
+
+class TestScreenFootprint:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        low=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+        extent=st.tuples(*[st.floats(0.05, 4.0)] * 3),
+        azimuth=st.floats(0.0, 360.0),
+        elevation=st.floats(-80.0, 80.0),
+        zoom=st.floats(0.25, 4.0),
+        width=st.integers(1, 64),
+        height=st.integers(1, 64),
+        fractions=st.tuples(*[st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted)] * 3),
+    )
+    def test_every_reaching_pixel_is_in_the_footprint(
+        self, low, extent, azimuth, elevation, zoom, width, height, fractions
+    ):
+        # The certificate every emission rests on: a pixel whose full-screen
+        # center ray reaches a box is never left out.  At zoom up to 4 the
+        # camera can sit inside the framed box, and a sub-box can hold it too.
+        frame = AABB(np.array(low), np.array(low) + np.array(extent))
+        camera = Camera.framing_bounds(
+            frame, width, height,
+            azimuth_degrees=azimuth, elevation_degrees=elevation, zoom=zoom,
+        )
+        (lo_x, hi_x), (lo_y, hi_y), (lo_z, hi_z) = fractions
+        box = AABB(
+            frame.low + np.array([lo_x, lo_y, lo_z]) * frame.extent,
+            frame.low + np.array([hi_x, hi_y, hi_z]) * frame.extent,
+        )
+        box = box.expanded(REACH_MARGIN * box.diagonal)
+        origins, directions = camera.generate_rays()
+        t_near, t_far = ray_box_intervals(origins, directions, box.low, box.high)
+        reaching = np.flatnonzero(t_far > np.maximum(t_near, 0.0))
+        footprint = screen_footprint(camera, box)
+        assert np.all(np.diff(footprint) > 0)
+        assert np.isin(reaching, footprint).all()
+        if box.contains_points(camera.position[None, :])[0]:
+            assert np.array_equal(footprint, np.arange(width * height))
+
+    def test_a_corner_block_gets_a_strict_sub_rectangle(self):
+        decomposition = BlockDecomposition(8, 6)
+        camera = Camera.framing_bounds(decomposition.global_bounds, 150, 150)
+        for rank in (0, 7):
+            footprint = screen_footprint(camera, decomposition.block_bounds(rank))
+            columns, rows = footprint % 150, footprint // 150
+            # A full rectangle of pixels, well under half the screen.
+            spanned = (np.ptp(columns) + 1) * (np.ptp(rows) + 1)
+            assert len(footprint) == spanned < 150 * 150 // 2
+
+    def test_no_bounds_and_a_camera_inside_give_the_whole_screen(self):
+        camera = _camera()
+        whole = np.arange(camera.width * camera.height)
+        assert np.array_equal(screen_footprint(camera, None), whole)
+        around = AABB(np.full(3, -10.0), np.full(3, 10.0))
+        assert np.array_equal(screen_footprint(camera, around), whole)
+
+    def test_a_box_off_screen_gets_no_pixels(self):
+        camera = _camera()
+        beside = AABB(np.array([40.0, -0.5, -0.5]), np.array([41.0, 0.5, 0.5]))
+        assert len(screen_footprint(camera, beside)) == 0

@@ -37,6 +37,7 @@ from repro.modeling.study import (
     record_from_payload,
 )
 from repro.rendering import Framebuffer, make_renderer
+from repro.rendering import rays
 from repro.rendering.rays import pixels_reaching
 from repro.rendering.result import ObservedFeatures, RenderResult
 from repro.runtime.decomposition import BlockDecomposition
@@ -641,6 +642,26 @@ class TestSlowestRankSelection:
         decomposition, camera = _block_camera(spec)
         (bound,) = pixels_reaching(camera, [decomposition.block_bounds(rank)])
         assert bound >= _render_rank(spec, rank).features.active_pixels
+
+    @pytest.mark.parametrize("rank", [0, 7])
+    @pytest.mark.parametrize("technique", list(TECHNIQUES))
+    def test_a_corner_block_renders_as_on_the_whole_screen(self, technique, rank, monkeypatch):
+        # Rays and the pixel bound come from the block's screen footprint, a
+        # strict sub-rectangle here; emitting every pixel must change no byte
+        # of the image, no feature and no bound.
+        spec = _render_spec(technique=technique)  # 8 tasks
+        decomposition, camera = _block_camera(spec)
+        block = decomposition.block_bounds(rank)
+        assert len(rays.screen_footprint(camera, block)) < camera.width * camera.height
+        result, bound = _render_rank(spec, rank), pixels_reaching(camera, [block])
+        monkeypatch.setattr(
+            rays, "screen_footprint", lambda camera, bounds: np.arange(camera.width * camera.height)
+        )
+        oracle, oracle_bound = _render_rank(spec, rank), pixels_reaching(camera, [block])
+        assert result.framebuffer.rgba.tobytes() == oracle.framebuffer.rgba.tobytes()
+        assert result.framebuffer.depth.tobytes() == oracle.framebuffer.depth.tobytes()
+        assert result.features == oracle.features
+        assert bound == oracle_bound
 
     @pytest.mark.parametrize("technique", list(TECHNIQUES))
     def test_an_inconclusive_bound_renders_the_rank(

@@ -13,13 +13,24 @@ import pytest
 
 from repro.dpp import get_instrumentation, use_device
 from repro.dpp.instrument import reset_instrumentation
-from repro.geometry import Camera, TriangleMesh, isosurface_marching_tets, make_named_dataset
+from repro.geometry import (
+    Camera,
+    TriangleMesh,
+    external_faces,
+    isosurface_marching_tets,
+    make_named_dataset,
+)
+from repro.rendering import rays
+from repro.rendering.rays import screen_footprint
 from repro.rendering.raytracer import RayTracer, RayTracerConfig, Workload, build_bvh
 from repro.rendering.raytracer.traversal import (
     any_hit,
     brute_force_closest_hit,
     closest_hit,
 )
+from repro.rendering.scene import Scene
+from repro.runtime.decomposition import BlockDecomposition
+from repro.simulations.fields import get_simulation_field
 
 
 @pytest.fixture(autouse=True)
@@ -88,6 +99,45 @@ class TestTraversalEdgeCases:
         origins, directions = Camera.framing_bounds(mesh.bounds, 48, 48).generate_rays()
         fast, _ = _assert_matches_brute_force(build_bvh(mesh), mesh, origins, directions)
         assert fast.hit_mask.any()
+
+    @pytest.mark.parametrize("rank", [0, 7])
+    def test_off_centre_block_render_matches_a_full_screen_trace(self, rank):
+        # A corner block of an 8-rank decomposition under the camera that
+        # frames all eight: the renderer traces only the block's screen
+        # footprint, the oracle every pixel of the screen.
+        decomposition = BlockDecomposition(8, 6)
+        grid = decomposition.block_grid_with_field(rank, "scalar", get_simulation_field("kripke"))
+        mesh = external_faces(grid, scalar_field="scalar")
+        camera = Camera.framing_bounds(decomposition.global_bounds, 48, 48)
+        assert len(screen_footprint(camera, mesh.bounds)) < 48 * 48 // 2
+        origins, directions = camera.generate_rays()
+        slow = brute_force_closest_hit(mesh, origins, directions)
+        config = RayTracerConfig(workload=Workload.INTERSECTION_ONLY)
+        result = RayTracer(Scene(mesh), config).render(camera)
+        depth = result.framebuffer.depth.ravel()
+        covered = np.flatnonzero(slow.hit_mask)
+        assert np.array_equal(np.flatnonzero(np.isfinite(depth)), covered)
+        assert result.features.active_pixels == len(covered) > 0
+        assert np.allclose(depth[covered], slow.t[covered], rtol=0.0, atol=1e-6)
+
+    def test_off_centre_block_supersampled_render_is_the_full_screen_one(self, monkeypatch):
+        # Super-samples sit a quarter pixel off their pixel center, inside the
+        # footprint's one pixel of padding: ambient occlusion, shadows and the
+        # 4x average must come out byte for byte as with every pixel emitted.
+        decomposition = BlockDecomposition(8, 6)
+        grid = decomposition.block_grid_with_field(7, "scalar", get_simulation_field("kripke"))
+        scene = Scene(external_faces(grid, scalar_field="scalar"))
+        camera = Camera.framing_bounds(decomposition.global_bounds, 40, 40)
+        config = RayTracerConfig(workload=Workload.FULL, supersample=4, seed=3)
+        footprint = RayTracer(scene, config).render(camera)
+        monkeypatch.setattr(
+            rays, "screen_footprint", lambda camera, bounds: np.arange(camera.width * camera.height)
+        )
+        whole_screen = RayTracer(scene, config).render(camera)
+        assert footprint.framebuffer.rgba.tobytes() == whole_screen.framebuffer.rgba.tobytes()
+        assert footprint.framebuffer.depth.tobytes() == whole_screen.framebuffer.depth.tobytes()
+        assert footprint.features == whole_screen.features
+        assert footprint.features.active_pixels > 0
 
     def test_rays_with_zero_direction_components(self, small_surface):
         center = small_surface.bounds.center
