@@ -27,9 +27,8 @@ setup(
     python_requires=">=3.11",
     install_requires=["numpy"],
     extras_require={
-        # scipy provides the non-negative least squares solver the paper-style
-        # model fits use; tests exercise it, the core library degrades without it.
-        "models": ["scipy"],
+        # scipy is the tests' oracle for the in-tree non-negative least squares
+        # solver (tests/test_regression.py); the library itself needs only numpy.
         "test": ["pytest", "hypothesis", "pytest-benchmark", "scipy"],
     },
 )

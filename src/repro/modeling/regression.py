@@ -2,7 +2,9 @@
 
 The paper fits its models with R's ``lm`` and evaluates them with multiple
 R-squared and residual standard deviation; this module provides the same
-mathematics on numpy (ordinary least squares through ``lstsq``).
+mathematics on numpy: ordinary least squares through ``lstsq``, and the
+non-negative fit of Eqs. 5.1-5.3 through :func:`_nnls`, the Lawson-Hanson
+active-set method built on the same ``lstsq``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["LinearRegressionResult", "fit_linear_model", "relative_errors"]
+
+_EPSILON = np.finfo(np.float64).eps
 
 
 @dataclass
@@ -98,14 +102,20 @@ def fit_linear_model(
         Optional labels for the ``p`` columns.
     nonnegative:
         Constrain every coefficient to be non-negative (solved with
-        ``scipy.optimize.nnls``).  The paper argues that negative
-        coefficients indicate an invalid rendering model; the renderer models
-        use this constraint so that extrapolation to exascale-sized
-        configurations (Section 5.9) cannot produce negative times.
+        :func:`_nnls`).  The paper argues that negative coefficients indicate
+        an invalid rendering model; the renderer models use this constraint
+        so that extrapolation to exascale-sized configurations (Section 5.9)
+        cannot produce negative times.
 
     Returns
     -------
     LinearRegressionResult
+
+    Raises
+    ------
+    ValueError
+        On mismatched shapes, fewer rows than columns, or a NaN or infinite
+        entry in ``design`` or ``response`` (on both paths alike).
     """
     design = np.atleast_2d(np.asarray(design, dtype=np.float64))
     response = np.asarray(response, dtype=np.float64).ravel()
@@ -114,17 +124,16 @@ def fit_linear_model(
         raise ValueError("design and response must have the same number of rows")
     if n < p:
         raise ValueError(f"need at least {p} observations to fit {p} coefficients (got {n})")
+    if not (np.isfinite(design).all() and np.isfinite(response).all()):
+        raise ValueError("design and response must be finite (found NaN or inf)")
 
     if nonnegative:
-        from scipy.optimize import nnls
-
         # NNLS is poorly conditioned when columns differ by many orders of
         # magnitude (e.g. an intercept column of ones next to a pixel-count
         # column in the millions), so solve in column-scaled space.
         scale = np.linalg.norm(design, axis=0)
         scale[scale == 0.0] = 1.0
-        scaled_coefficients, _ = nnls(design / scale, response)
-        coefficients = scaled_coefficients / scale
+        coefficients = _nnls(design / scale, response) / scale
     else:
         coefficients, _, _, _ = np.linalg.lstsq(design, response, rcond=None)
     predictions = design @ coefficients
@@ -141,6 +150,69 @@ def fit_linear_model(
         num_observations=n,
         term_names=tuple(term_names) if term_names else (),
     )
+
+
+def _nnls(design: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """``argmin ||design @ x - response||`` subject to ``x >= 0``.
+
+    The Lawson-Hanson active-set method (*Solving Least Squares Problems*,
+    ch. 23), each passive-set subproblem solved with ``lstsq``.  Starting from
+    ``x = 0`` it moves into the passive set the zero coordinate whose gradient
+    ``design.T @ (response - design @ x)`` is largest and solves the
+    unconstrained problem on the passive columns.  While that solution has a
+    non-positive entry, ``x`` moves toward it only until its first coordinate
+    reaches zero, that coordinate leaves the passive set and the subproblem
+    is solved again.  It stops when no zero coordinate's gradient exceeds a
+    round-off tolerance: then ``x`` satisfies the KKT conditions.
+
+    A candidate whose own coordinate is not positive in its subproblem's
+    solution is passed over, as in Lawson-Hanson.  A column that duplicates a
+    passive one has a gradient within round-off of zero, so it stays at
+    exactly zero.  When the unconstrained solution is already non-negative it
+    is the constrained optimum and is returned without iterating.
+    """
+    solution = np.linalg.lstsq(design, response, rcond=None)[0]
+    if (solution >= 0.0).all():
+        return solution
+    n, p = design.shape
+    # Round-off in a gradient entry grows with the problem size and the norms
+    # of the design and the response (so the test is unit-free).
+    tolerance = 10.0 * _EPSILON * max(n, p) * np.linalg.norm(design) * np.linalg.norm(response)
+    x = np.zeros(p)
+    passive: list[int] = []  # column indices, ascending
+    for _ in range(3 * p):
+        gradient = (design.T @ (response - design @ x)).tolist()
+        candidates = [j for j in range(p) if j not in passive and gradient[j] > tolerance]
+        while candidates:
+            # The largest gradient; on a tie within round-off the lowest index, so
+            # which of two identical columns enters does not depend on BLAS rounding.
+            best = max(gradient[j] for j in candidates)
+            entering = next(j for j in candidates if gradient[j] >= best - tolerance)
+            candidates.remove(entering)
+            trial = sorted([*passive, entering])
+            z = _passive_solve(design, response, trial)
+            if z[entering] > 0.0:
+                break
+        else:
+            return x
+        passive = trial
+        while passive and z[passive].min() <= 0.0:
+            blocking = [j for j in passive if z[j] <= 0.0]
+            ratios = x[blocking] / (x[blocking] - z[blocking])
+            x += ratios.min() * (z - x)
+            x[blocking[int(np.argmin(ratios))]] = 0.0
+            passive = [j for j in passive if x[j] > 0.0]
+            z = _passive_solve(design, response, passive)
+        x = z
+    raise RuntimeError(f"non-negative least squares did not converge in {3 * p} iterations")
+
+
+def _passive_solve(design: np.ndarray, response: np.ndarray, passive: list[int]) -> np.ndarray:
+    """Least squares on the passive columns, zero elsewhere."""
+    z = np.zeros(design.shape[1])
+    if passive:
+        z[passive] = np.linalg.lstsq(design[:, passive], response, rcond=None)[0]
+    return z
 
 
 def relative_errors(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:

@@ -16,26 +16,34 @@ reusable prediction API:
   intervals.
 * :mod:`repro.reporting.report` -- :func:`generate_report`, the deterministic
   corpus -> artifact-tree orchestrator behind ``python -m repro.study report``.
+
+The names below are resolved on first access (PEP 562), so a process that
+only loads a suite and predicts -- the prediction server -- never imports the
+report, table and figure emitters.
 """
 
-from repro.reporting.predictor import DEFAULT_INTERVAL_SIGMAS, PredictionBatch, Predictor
-from repro.reporting.report import REPORT_SCHEMA_VERSION, ReportResult, generate_report
-from repro.reporting.suite import (
-    MODELS_SCHEMA_VERSION,
-    COMPOSITING_ARCHITECTURE,
-    FittedModel,
-    ModelSuite,
-)
+from importlib import import_module
 
-__all__ = [
-    "COMPOSITING_ARCHITECTURE",
-    "DEFAULT_INTERVAL_SIGMAS",
-    "FittedModel",
-    "MODELS_SCHEMA_VERSION",
-    "ModelSuite",
-    "PredictionBatch",
-    "Predictor",
-    "REPORT_SCHEMA_VERSION",
-    "ReportResult",
-    "generate_report",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "COMPOSITING_ARCHITECTURE": "suite",
+    "DEFAULT_INTERVAL_SIGMAS": "predictor",
+    "FittedModel": "suite",
+    "MODELS_SCHEMA_VERSION": "suite",
+    "ModelSuite": "suite",
+    "PredictionBatch": "predictor",
+    "Predictor": "predictor",
+    "REPORT_SCHEMA_VERSION": "report",
+    "ReportResult": "report",
+    "generate_report": "report",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

@@ -78,3 +78,17 @@ def test_serving_with_the_render_side_blocked_equals_the_offline_predictor(tmp_p
     assert "repro.serving.core" in served["loaded"] and "repro.reporting.predictor" in served["loaded"]
     strays = [name for name in served["loaded"] if name.split(".")[1] in NOT_ON_THE_MODEL_SIDE]
     assert strays == []
+
+
+def test_the_server_does_not_import_the_report_emitters():
+    # ``repro.reporting`` resolves its names lazily, so the server loads the
+    # suite and the predictor but not the table, figure and report modules.
+    child = subprocess.run(
+        [sys.executable, "-c", "import json, sys; sys.path[:] = json.loads(sys.argv[1]); import repro.serve; "
+         "print(json.dumps(sorted(sys.modules)))", json.dumps(sys.path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = set(json.loads(child.stdout))
+    assert {"repro.reporting.predictor", "repro.reporting.suite"} <= loaded
+    assert not loaded & {"repro.reporting.report", "repro.reporting.figures", "repro.reporting.tables", "scipy"}

@@ -130,6 +130,24 @@ class TestModelSuite:
         assert failure["error_type"] == "ValueError"
         assert failure["num_rows"] == len(mystery)
 
+    def test_a_non_finite_time_makes_its_slice_a_failure(self, corpus):
+        # NaN on a non-negative renderer fit, inf on the plain-OLS compositing
+        # fit: both slices are recorded as ValueError failures, the rest fit.
+        raster = corpus.select("gpu1-k40m", "raster")
+        raster[0] = dataclasses.replace(raster[0], frame_seconds=float("nan"))
+        composites = list(corpus.compositing_records)
+        composites[0] = dataclasses.replace(composites[0], seconds=float("inf"))
+        mixed = StudyCorpus(
+            records=corpus.select("gpu1-k40m", "volume") + raster, compositing_records=composites
+        )
+        suite = ModelSuite.fit_corpus(mixed)
+        assert sorted(suite.entries) == [("gpu1-k40m", "volume")]
+        assert suite.compositing is None
+        assert sorted(failure["technique"] for failure in suite.failures) == ["compositing", "raster"]
+        for failure in suite.failures:
+            assert failure["error_type"] == "ValueError"
+            assert "must be finite" in failure["message"]
+
     def test_get_unknown_key_lists_available(self, suite):
         with pytest.raises(KeyError, match="gpu1-k40m/raytrace"):
             suite.get("nope", "raytrace")
