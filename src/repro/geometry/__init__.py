@@ -33,7 +33,6 @@ from repro.geometry.transforms import (
 from repro.geometry.triangles import TriangleMesh, external_faces, quad_to_triangles
 from repro.geometry.tetra import (
     hex_to_tets,
-    tet_face_adjacency,
     tet_face_planes,
     tetrahedralize_uniform_grid,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "enzo_like_field",
     "external_faces",
     "hex_to_tets",
-    "tet_face_adjacency",
     "tet_face_planes",
     "isosurface_marching_tets",
     "look_at_matrix",

@@ -17,9 +17,6 @@ The fragment-sorted volume sampler additionally needs per-tet *face* geometry:
   (and the opposite-vertex clearances) of every tetrahedron -- the analytic
   entry/exit span of a pixel column through a tet is the intersection of the
   four half-spaces, evaluated per pixel.
-* :func:`tet_face_adjacency` pairs faces shared between tets (HAVS-style
-  face connectivity), which doubles as a conformity check: a face shared by
-  more than two tets is a non-manifold input.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from repro.geometry.mesh import (
 __all__ = [
     "TET_FACES",
     "hex_to_tets",
-    "tet_face_adjacency",
     "tet_face_planes",
     "tetrahedralize_uniform_grid",
 ]
@@ -150,41 +146,6 @@ def tet_face_planes(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sign = np.where(heights < 0.0, -1.0, 1.0)
     planes = np.concatenate([normal * sign[..., None], (offset * sign)[..., None]], axis=2)
     return planes, heights * sign
-
-
-def tet_face_adjacency(connectivity: np.ndarray) -> np.ndarray:
-    """Neighbour tet across each face, ``-1`` on boundary faces.
-
-    Faces are keyed by their sorted vertex triple, so two tets are adjacent
-    exactly when they share three vertices -- the conforming-mesh contract the
-    parity decomposition of :func:`hex_to_tets` guarantees.  A face shared by
-    more than two tets means the input is non-manifold and raises.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(num_tets, 4)`` int64; entry ``[t, k]`` is the tet sharing face
-        ``k`` of tet ``t`` (the face opposite vertex ``k``), or ``-1``.
-    """
-    connectivity = np.asarray(connectivity, dtype=np.int64)
-    if connectivity.ndim != 2 or connectivity.shape[1] != 4:
-        raise ValueError("tet_face_adjacency expects a (num_tets, 4) connectivity array")
-    num_tets = len(connectivity)
-    faces = np.sort(connectivity[:, TET_FACES], axis=2).reshape(-1, 3)
-    order = np.lexsort((faces[:, 2], faces[:, 1], faces[:, 0]))
-    grouped = faces[order]
-    new_run = np.ones(len(grouped), dtype=bool)
-    new_run[1:] = np.any(grouped[1:] != grouped[:-1], axis=1)
-    run_starts = np.flatnonzero(new_run)
-    run_lengths = np.diff(np.append(run_starts, len(grouped)))
-    if np.any(run_lengths > 2):
-        raise ValueError("non-manifold mesh: a face is shared by more than two tets")
-    adjacency = np.full(num_tets * 4, -1, dtype=np.int64)
-    owner = order // 4
-    paired = run_starts[run_lengths == 2]
-    adjacency[order[paired]] = owner[paired + 1]
-    adjacency[order[paired + 1]] = owner[paired]
-    return adjacency.reshape(num_tets, 4)
 
 
 def _structured_parity(cell_dims: tuple[int, int, int]) -> np.ndarray:

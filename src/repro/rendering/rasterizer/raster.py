@@ -50,6 +50,10 @@ class RasterizerConfig:
     backface_culling: bool = False
     pair_chunk: int = 2_000_000
 
+    def __post_init__(self) -> None:
+        if self.pair_chunk < 1:
+            raise ValueError("pair_chunk must be positive")
+
 
 @dataclass
 class Rasterizer:

@@ -44,6 +44,7 @@ from repro.geometry.transforms import Camera
 from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.rays import RayEmitter
 from repro.rendering.result import ObservedFeatures, PhaseClock, RenderResult
+from repro.rendering.volume import budget
 from repro.rendering.volume.transfer_function import TransferFunction
 
 __all__ = ["StructuredVolumeConfig", "StructuredVolumeRenderer"]
@@ -63,12 +64,22 @@ class StructuredVolumeConfig:
         Accumulated opacity at which a ray stops sampling.
     sample_chunk:
         Number of depth samples composited per vectorized slab (one frontier
-        engine step), bounding memory use.
+        engine step).  It bounds the slab's depth only: the lanes of a slab
+        run in blocks of at most :data:`~repro.rendering.volume.budget.SAMPLE_BUDGET`
+        samples, which is what bounds memory use.
     """
 
     samples_in_depth: int = 200
     early_termination_alpha: float = 0.98
     sample_chunk: int = 32
+
+    def __post_init__(self) -> None:
+        if self.samples_in_depth < 1:
+            raise ValueError("samples_in_depth must be positive")
+        if not 0.0 < self.early_termination_alpha <= 1.0:
+            raise ValueError("early_termination_alpha must be in (0, 1]")
+        if self.sample_chunk < 1:
+            raise ValueError("sample_chunk must be positive")
 
 
 class _Trilinear:
@@ -166,65 +177,79 @@ class _SlabSampleKernel:
 
     def step(self, lanes: FrontierLanes) -> np.ndarray:
         s = lanes.state
-        near = s["near"]
-        far = s["far"]
-        accum_alpha = s["accum_alpha"]
         n = len(lanes)
         count = min(self.chunk, self.max_samples - self.start)
         if count <= 0:
             return np.ones(n, dtype=bool)
         offsets = (self.start + np.arange(count) + 0.5) * self.step_length
-        t = near[:, None] + offsets[None, :]
-        inside = t < far[:, None]
-        any_retired = bool(lanes.retired.any())
-        live = ~lanes.retired
-        if any_retired:
-            inside &= live[:, None]
-        sel = np.flatnonzero(inside.ravel())
-        if len(sel):
-            lane_of = sel // count
-            t_sel = t.ravel().take(sel)
-            cx = s["gox"].take(lane_of) + t_sel * s["gdx"].take(lane_of)
-            cy = s["goy"].take(lane_of) + t_sel * s["gdy"].take(lane_of)
-            cz = s["goz"].take(lane_of) + t_sel * s["gdz"].take(lane_of)
-            # The interpolation + classification of every in-span sample runs
-            # through the map primitive: the op-counter choke point observes
-            # exactly SPR work, one element per sample taken.
-            rgb_sel, alpha_sel = map_field(self._classify, cx, cy, cz)
-            transmittance = np.full(n * count, 1.0)
-            transmittance[sel] = 1.0 - alpha_sel
-            transmittance = transmittance.reshape(n, count)
-            # Front-to-back compositing across this slab of samples: the
-            # weight of sample j is (remaining opacity) * (transparency
-            # accumulated before j within the slab) * alpha_j, evaluated only
-            # at the in-span samples.
-            transparency = np.cumprod(transmittance, axis=1)
-            leading = np.empty((n, count))
-            leading[:, 0] = 1.0
-            leading[:, 1:] = transparency[:, :-1]
-            weight_sel = (
-                (1.0 - accum_alpha).take(lane_of)
-                * leading.ravel().take(sel)
-                * alpha_sel
+        live = ~lanes.retired if lanes.retired.any() else None
+        # Lanes are independent, so the slab runs in row blocks that hold at
+        # most SAMPLE_BUDGET samples: the same per-lane arithmetic with
+        # temporaries bounded by the budget instead of by lanes x slab.
+        block = max(1, budget.SAMPLE_BUDGET // count)
+        for first in range(0, n, block):
+            rows = slice(first, first + block)
+            self._composite_block(
+                {name: array[rows] for name, array in s.items()},
+                offsets,
+                None if live is None else live[rows],
             )
-            row_counts = inside.sum(axis=1)
-            rows = np.flatnonzero(row_counts)
-            seg_starts = np.zeros(len(rows), dtype=np.int64)
-            np.cumsum(row_counts.take(rows)[:-1], out=seg_starts[1:])
-            contrib = weight_sel[:, None] * rgb_sel
-            s["accum_rgb"][rows] += np.add.reduceat(contrib, seg_starts, axis=0)
-            if any_retired:
-                accum_alpha[:] = np.where(
-                    live, 1.0 - (1.0 - accum_alpha) * transparency[:, -1], accum_alpha
-                )
-            else:
-                accum_alpha[:] = 1.0 - (1.0 - accum_alpha) * transparency[:, -1]
-            s["samples"] += row_counts
         self.start += count
         # Retirement: opacity crossed the early-termination threshold, or no
         # future sample of this lane can land inside its [near, far) span.
-        exhausted = near + (self.start + 0.5) * self.step_length >= far
-        return (accum_alpha >= self.early_termination_alpha) | exhausted
+        exhausted = s["near"] + (self.start + 0.5) * self.step_length >= s["far"]
+        return (s["accum_alpha"] >= self.early_termination_alpha) | exhausted
+
+    def _composite_block(self, s: dict, offsets: np.ndarray, live: np.ndarray | None) -> None:
+        """Composite one slab into a block of lanes; ``s`` holds views of their state.
+
+        ``live`` masks the lanes that may take samples (retired riders must
+        stay frozen); ``None`` when every lane is live.
+        """
+        accum_alpha = s["accum_alpha"]
+        n = len(accum_alpha)
+        count = len(offsets)
+        t = s["near"][:, None] + offsets[None, :]
+        inside = t < s["far"][:, None]
+        if live is not None:
+            inside &= live[:, None]
+        sel = np.flatnonzero(inside.ravel())
+        if not len(sel):
+            return
+        lane_of = sel // count
+        t_sel = t.ravel().take(sel)
+        cx = s["gox"].take(lane_of) + t_sel * s["gdx"].take(lane_of)
+        cy = s["goy"].take(lane_of) + t_sel * s["gdy"].take(lane_of)
+        cz = s["goz"].take(lane_of) + t_sel * s["gdz"].take(lane_of)
+        # The interpolation + classification of every in-span sample runs
+        # through the map primitive: the op-counter choke point observes
+        # exactly SPR work, one element per sample taken.
+        rgb_sel, alpha_sel = map_field(self._classify, cx, cy, cz)
+        transmittance = np.full(n * count, 1.0)
+        transmittance[sel] = 1.0 - alpha_sel
+        transmittance = transmittance.reshape(n, count)
+        # Front-to-back compositing across this slab of samples: the
+        # weight of sample j is (remaining opacity) * (transparency
+        # accumulated before j within the slab) * alpha_j, evaluated only
+        # at the in-span samples.
+        transparency = np.cumprod(transmittance, axis=1)
+        leading = np.empty((n, count))
+        leading[:, 0] = 1.0
+        leading[:, 1:] = transparency[:, :-1]
+        weight_sel = (
+            (1.0 - accum_alpha).take(lane_of)
+            * leading.ravel().take(sel)
+            * alpha_sel
+        )
+        row_counts = inside.sum(axis=1)
+        rows = np.flatnonzero(row_counts)
+        seg_starts = np.zeros(len(rows), dtype=np.int64)
+        np.cumsum(row_counts.take(rows)[:-1], out=seg_starts[1:])
+        contrib = weight_sel[:, None] * rgb_sel
+        s["accum_rgb"][rows] += np.add.reduceat(contrib, seg_starts, axis=0)
+        merged = 1.0 - (1.0 - accum_alpha) * transparency[:, -1]
+        accum_alpha[:] = merged if live is None else np.where(live, merged, accum_alpha)
+        s["samples"] += row_counts
 
 
 @dataclass

@@ -68,6 +68,7 @@ from repro.geometry.tetra import tet_face_planes
 from repro.geometry.transforms import Camera
 from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.result import ObservedFeatures, PhaseClock, RenderResult
+from repro.rendering.volume import budget
 from repro.rendering.volume.transfer_function import TransferFunction
 from repro.util.packing import chunk_ranges, segment_local_indices
 
@@ -90,13 +91,18 @@ class UnstructuredVolumeConfig:
     early_termination_alpha:
         Per-pixel opacity at which further samples are skipped.
     pair_chunk:
-        Maximum number of candidate (tet, sample) pairs evaluated per batch.
+        Maximum number of candidate pairs evaluated per batch.  On the
+        engine path (:meth:`UnstructuredVolumeRenderer.render`) a pair is a
+        (tet, pixel-column) pair of the column-span phase; the reference
+        sampler counts (tet, sample) pairs.  The default holds the column
+        phase's four face-plane evaluations per column at
+        :data:`~repro.rendering.volume.budget.SAMPLE_BUDGET`.
     """
 
     samples_in_depth: int = 200
     num_passes: int = 1
     early_termination_alpha: float = 0.98
-    pair_chunk: int = 4_000_000
+    pair_chunk: int = budget.SAMPLE_BUDGET // 4
 
     def __post_init__(self) -> None:
         if self.samples_in_depth < 1:
@@ -105,6 +111,8 @@ class UnstructuredVolumeConfig:
             raise ValueError("num_passes must be positive")
         if not 0.0 < self.early_termination_alpha <= 1.0:
             raise ValueError("early_termination_alpha must be in (0, 1]")
+        if self.pair_chunk < 1:
+            raise ValueError("pair_chunk must be positive")
 
 
 #: Conservative slack for the analytic face-plane span test, scaled by each
@@ -213,11 +221,13 @@ class _TetPassKernel:
             )
 
         with clock.phase("compositing"):
-            rows = gather(sample_scalar, lanes.lane_ids)
-            self.samples_with_data += int(np.count_nonzero(~np.isnan(rows)))
-            live = ~lanes.retired
-            renderer._composite_rows(
-                rows, lanes["accum_rgb"], accum_alpha, self.prepared.step_length, live
+            self.samples_with_data += renderer._composite_rows(
+                sample_scalar,
+                lanes["accum_rgb"],
+                accum_alpha,
+                self.prepared.step_length,
+                ~lanes.retired,
+                lane_ids=lanes.lane_ids,
             )
 
         if final_pass:
@@ -384,8 +394,7 @@ class UnstructuredVolumeRenderer:
                 cells_touched_max = max(cells_touched_max, pairs)
 
             with clock.phase("compositing"):
-                samples_with_data += int(np.count_nonzero(~np.isnan(sample_scalar)))
-                self._composite_rows(
+                samples_with_data += self._composite_rows(
                     sample_scalar, accum_rgb, accum_alpha, prepared.step_length, None
                 )
 
@@ -554,32 +563,33 @@ class UnstructuredVolumeRenderer:
         px, py, pixel_flat = px[has_span], py[has_span], pixel_flat[has_span]
         slot_start, slot_count = slot_start[has_span], slot_count[has_span]
 
-        # Expand the spans into per-(pixel, slot) fragments and re-run the
-        # reference sampler's exact inside test so the accepted set -- and
-        # with it the image -- matches the brute-force enumeration bit for
-        # bit (the span is conservative, never exact).
-        column_of = np.repeat(np.arange(len(tids)), slot_count)
-        slot = slot_start[column_of] + segment_local_indices(slot_count)
-        visited += int(len(slot))
-        tids = tids[column_of]
-        pixel_flat = pixel_flat[column_of]
-        sample_position = np.column_stack([px[column_of] + 0.5, py[column_of] + 0.5, slot + 0.5])
-        offset = sample_position - v0[tids]
-        barycentric = np.einsum("nij,nj->ni", inverse[tids], offset)
-        b0 = 1.0 - barycentric.sum(axis=1)
-        inside = (barycentric >= -1e-9).all(axis=1) & (b0 >= -1e-9)
-        if not np.any(inside):
-            return visited
-        tids = tids[inside]
-        barycentric = barycentric[inside]
-        values = (
-            b0[inside] * tet_scalars[tids, 0]
-            + barycentric[:, 0] * tet_scalars[tids, 1]
-            + barycentric[:, 1] * tet_scalars[tids, 2]
-            + barycentric[:, 2] * tet_scalars[tids, 3]
-        )
-        cell = pixel_flat[inside] * slots_per_row + (slot[inside] - first_slot)
-        fragments.append((cell, tids, values))
+        # Expand the spans into per-(pixel, slot) fragments, at most
+        # SAMPLE_BUDGET of them at a time, and re-run the reference sampler's
+        # exact inside test so the accepted set -- and with it the image --
+        # matches the brute-force enumeration bit for bit (the span is
+        # conservative, never exact).
+        for lo, hi in chunk_ranges(slot_count, budget.SAMPLE_BUDGET):
+            column_of = lo + np.repeat(np.arange(hi - lo), slot_count[lo:hi])
+            slot = slot_start[column_of] + segment_local_indices(slot_count[lo:hi])
+            visited += int(len(slot))
+            fragment_tids = tids[column_of]
+            sample_position = np.column_stack([px[column_of] + 0.5, py[column_of] + 0.5, slot + 0.5])
+            offset = sample_position - v0[fragment_tids]
+            barycentric = np.einsum("nij,nj->ni", inverse[fragment_tids], offset)
+            b0 = 1.0 - barycentric.sum(axis=1)
+            inside = (barycentric >= -1e-9).all(axis=1) & (b0 >= -1e-9)
+            if not np.any(inside):
+                continue
+            fragment_tids = fragment_tids[inside]
+            barycentric = barycentric[inside]
+            values = (
+                b0[inside] * tet_scalars[fragment_tids, 0]
+                + barycentric[:, 0] * tet_scalars[fragment_tids, 1]
+                + barycentric[:, 1] * tet_scalars[fragment_tids, 2]
+                + barycentric[:, 2] * tet_scalars[fragment_tids, 3]
+            )
+            cell = pixel_flat[column_of[inside]] * slots_per_row + (slot[inside] - first_slot)
+            fragments.append((cell, fragment_tids, values))
         return visited
 
     @staticmethod
@@ -791,17 +801,64 @@ class UnstructuredVolumeRenderer:
         accum_alpha: np.ndarray,
         step_length: float,
         live: np.ndarray | None,
-    ) -> None:
+        lane_ids: np.ndarray | None = None,
+    ) -> int:
         """Front-to-back composite sample rows into the matching accumulator rows.
 
-        ``live`` masks which rows may update their opacity (engine riders --
-        retired but not yet compacted lanes -- must stay frozen); ``None``
-        updates every row (the reference path's full-width behavior).
+        Accumulator row ``i`` takes sample row ``lane_ids[i]`` (row ``i``
+        when ``lane_ids`` is None).  ``live`` masks which rows may update
+        their opacity (engine riders -- retired but not yet compacted lanes
+        -- must stay frozen); ``None`` updates every row (the reference
+        path's full-width behavior).  Rows run in blocks of at most
+        ``SAMPLE_BUDGET`` samples; returns the number of samples with data.
         """
+        block = max(1, budget.SAMPLE_BUDGET // sample_scalar.shape[1])
+        with_data = 0
+        empty = []
+        for first in range(0, len(accum_alpha), block):
+            rows = slice(first, first + block)
+            if lane_ids is None:
+                samples = sample_scalar[rows]
+            else:
+                # Gather from the span of rows the block reads, so the dpp
+                # traffic counts the rows moved, not the buffer once a block.
+                ids = lane_ids[rows]
+                low = int(ids.min())
+                samples = gather(sample_scalar[low : int(ids.max()) + 1], ids - low)
+            taken = self._composite_block(
+                samples,
+                accum_rgb[rows],
+                accum_alpha[rows],
+                step_length,
+                None if live is None else live[rows],
+            )
+            with_data += taken
+            if not taken:
+                empty.append(rows)
+        if with_data:
+            # Once any row has data, a row without any still takes the opacity
+            # update with transparency 1: ``1 - (1 - a)``, which is not always
+            # ``a`` in floating point, so it is kept to keep the bits.
+            for rows in empty:
+                alpha = accum_alpha[rows]
+                merged = 1.0 - (1.0 - alpha)
+                alpha[:] = merged if live is None else np.where(live[rows], merged, alpha)
+        return with_data
+
+    def _composite_block(
+        self,
+        sample_scalar: np.ndarray,
+        accum_rgb: np.ndarray,
+        accum_alpha: np.ndarray,
+        step_length: float,
+        live: np.ndarray | None,
+    ) -> int:
+        """Composite one block of rows in place; returns its samples with data."""
         tf = self.transfer_function
         has_sample = ~np.isnan(sample_scalar)
-        if not np.any(has_sample):
-            return
+        with_data = int(np.count_nonzero(has_sample))
+        if not with_data:
+            return 0
         scalars = np.where(has_sample, sample_scalar, 0.0)
         rgb, alpha = tf.sample(scalars, step_length=step_length)
         alpha = np.where(has_sample, alpha, 0.0)
@@ -814,6 +871,7 @@ class UnstructuredVolumeRenderer:
             accum_alpha[:] = merged
         else:
             accum_alpha[:] = np.where(live, merged, accum_alpha)
+        return with_data
 
     def visibility_depth(self, camera: Camera) -> float:
         """Distance from the camera to the mesh center (for visibility ordering)."""

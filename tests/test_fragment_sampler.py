@@ -23,15 +23,47 @@ from repro.dpp.device import use_device
 from repro.geometry import (
     Camera,
     make_named_dataset,
-    tet_face_adjacency,
     tet_face_planes,
     tetrahedralize_uniform_grid,
 )
 from repro.geometry.mesh import UnstructuredTetMesh
 from repro.geometry.tetra import TET_FACES
 from repro.rendering import UnstructuredVolumeConfig, UnstructuredVolumeRenderer
+from repro.rendering.volume import budget
 
 UNIT_TET = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def tet_face_adjacency(connectivity: np.ndarray) -> np.ndarray:
+    """Neighbour tet across each face, ``-1`` on boundary faces.
+
+    The conformity oracle of :func:`tetrahedralize_uniform_grid` (no renderer
+    reads face adjacency).  Faces are keyed by their sorted vertex triple, so
+    two tets are adjacent exactly when they share three vertices -- the
+    conforming-mesh contract the parity decomposition guarantees.  A face
+    shared by more than two tets means the input is non-manifold and raises.
+    Entry ``[t, k]`` is the tet sharing face ``k`` of tet ``t`` (the face
+    opposite vertex ``k``), or ``-1``.
+    """
+    connectivity = np.asarray(connectivity, dtype=np.int64)
+    if connectivity.ndim != 2 or connectivity.shape[1] != 4:
+        raise ValueError("tet_face_adjacency expects a (num_tets, 4) connectivity array")
+    num_tets = len(connectivity)
+    faces = np.sort(connectivity[:, TET_FACES], axis=2).reshape(-1, 3)
+    order = np.lexsort((faces[:, 2], faces[:, 1], faces[:, 0]))
+    grouped = faces[order]
+    new_run = np.ones(len(grouped), dtype=bool)
+    new_run[1:] = np.any(grouped[1:] != grouped[:-1], axis=1)
+    run_starts = np.flatnonzero(new_run)
+    run_lengths = np.diff(np.append(run_starts, len(grouped)))
+    if np.any(run_lengths > 2):
+        raise ValueError("non-manifold mesh: a face is shared by more than two tets")
+    adjacency = np.full(num_tets * 4, -1, dtype=np.int64)
+    owner = order // 4
+    paired = run_starts[run_lengths == 2]
+    adjacency[order[paired]] = owner[paired + 1]
+    adjacency[order[paired + 1]] = owner[paired]
+    return adjacency.reshape(num_tets, 4)
 
 
 def _random_tet_soup(seed: int) -> UnstructuredTetMesh:
@@ -136,18 +168,47 @@ class TestFragmentDifferential:
         # the fast path reproduce the reference image bit for bit.
         assert np.array_equal(fast.framebuffer.rgba, slow.framebuffer.rgba)
 
-    def test_output_invariant_to_pair_chunk(self, small_tets):
+    @pytest.mark.parametrize("alpha", [0.98, 0.3])
+    @pytest.mark.parametrize("passes", [1, 3])
+    def test_output_invariant_to_pair_chunk(self, small_tets, passes, alpha, monkeypatch):
+        # Neither pair_chunk nor the sample budget changes a byte, on the
+        # engine path or the reference: 500 pairs and a 256-sample budget
+        # (span expansion and compositing in many blocks, most rows of a
+        # block empty) against one chunk and one block.  At alpha 0.3 pixels
+        # retire between passes, so later passes composite retired riders.
         camera = Camera.framing_bounds(small_tets.bounds, 40, 40, zoom=1.2)
-        images = {}
-        for chunk in (500, 4_000_000):
-            config = UnstructuredVolumeConfig(samples_in_depth=48, num_passes=2, pair_chunk=chunk)
-            renderer = UnstructuredVolumeRenderer(small_tets, "density", config=config)
-            images[chunk] = (
-                renderer.render(camera).framebuffer.rgba,
-                renderer.render_reference(camera).framebuffer.rgba,
+        renders = {}
+        for chunk, samples in ((500, 256), (4_000_000, 10**9)):
+            monkeypatch.setattr(budget, "SAMPLE_BUDGET", samples)
+            config = UnstructuredVolumeConfig(
+                samples_in_depth=48, num_passes=passes, early_termination_alpha=alpha, pair_chunk=chunk
             )
-        assert np.array_equal(images[500][0], images[4_000_000][0])
-        assert np.array_equal(images[500][1], images[4_000_000][1])
+            renderer = UnstructuredVolumeRenderer(small_tets, "density", config=config)
+            renders[chunk] = (renderer.render(camera), renderer.render_reference(camera))
+        for blocked, whole in zip(renders[500], renders[4_000_000]):
+            assert blocked.framebuffer.rgba.tobytes() == whole.framebuffer.rgba.tobytes()
+            assert blocked.framebuffer.depth.tobytes() == whole.framebuffer.depth.tobytes()
+            assert blocked.features == whole.features
+
+    @pytest.mark.parametrize("lane_ids", [None, np.array([2, 0, 1])])
+    def test_empty_block_keeps_the_opacity_update(self, small_tets, lane_ids, monkeypatch):
+        # Once a pass has data, a row without any still takes 1 - (1 - a),
+        # which is not a at a = 0.1: a one-row block must not skip it.
+        renderer = UnstructuredVolumeRenderer(small_tets, "density")
+        sample_scalar = np.full((3, 4), np.nan)
+        sample_scalar[2, 1] = 0.5
+        composited = []
+        for samples in (4, 10**9):
+            monkeypatch.setattr(budget, "SAMPLE_BUDGET", samples)
+            accum_rgb = np.zeros((3, 3))
+            accum_alpha = np.array([0.0, 0.1, 0.1])
+            taken = renderer._composite_rows(
+                sample_scalar, accum_rgb, accum_alpha, 0.05, None, lane_ids=lane_ids
+            )
+            composited.append((taken, accum_rgb.tobytes(), accum_alpha.tobytes()))
+        assert composited[0] == composited[1]
+        assert composited[0][0] == 1
+        assert 1.0 - (1.0 - 0.1) != 0.1
 
     def test_sliver_tets_match_reference(self):
         # Flat (zero-determinant) and near-flat sliver tets alongside a

@@ -37,6 +37,8 @@ from repro.rendering import (
 )
 from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.rays import screen_footprint
+from repro.rendering.volume import budget
+from repro.rendering.volume.structured import _SlabSampleKernel
 from repro.runtime.decomposition import BlockDecomposition
 from repro.simulations.fields import get_simulation_field
 from repro.techniques import TECHNIQUES
@@ -198,6 +200,48 @@ class TestGoldenStructured:
         slow = renderer.render_reference(camera)
         assert np.allclose(fast.framebuffer.rgba, slow.framebuffer.rgba, atol=1e-10, rtol=0.0)
         assert np.array_equal(fast.framebuffer.depth, slow.framebuffer.depth)
+
+    @pytest.mark.parametrize("alpha", [0.98, 0.3])
+    @pytest.mark.parametrize("rank", [0, 7])
+    def test_output_invariant_to_sample_budget(self, rank, alpha, monkeypatch):
+        # The slab's lane blocks size the temporaries and never a byte: three
+        # lanes a block and one block per slab give the same image and
+        # features, with the same dpp elements over more invocations.  At
+        # alpha 0.3 rays retire mid-march and ride on uncompacted, so the
+        # masked branch runs in several blocks of one slab.
+        decomposition = BlockDecomposition(8, 6)
+        grid = decomposition.block_grid_with_field(rank, "scalar", get_simulation_field("kripke"))
+        camera = Camera.framing_bounds(decomposition.global_bounds, 48, 48)
+        config = StructuredVolumeConfig(early_termination_alpha=alpha, sample_chunk=8)
+        renderer = StructuredVolumeRenderer(grid, "scalar", config=config)
+        masked = []
+        composite_block = _SlabSampleKernel._composite_block
+
+        def spy(kernel, state, offsets, live):
+            masked.append(live is not None)
+            composite_block(kernel, state, offsets, live)
+
+        monkeypatch.setattr(_SlabSampleKernel, "_composite_block", spy)
+        instrumentation = get_instrumentation()
+        runs = []
+        for samples in (3 * config.sample_chunk, 10**9):
+            monkeypatch.setattr(budget, "SAMPLE_BUDGET", samples)
+            reset_instrumentation()
+            masked.clear()
+            result = renderer.render(camera)
+            ops = (
+                instrumentation.elements("volume.sampling"),
+                instrumentation.invocations("volume.sampling"),
+            )
+            runs.append((result, sum(masked), ops))
+        (blocked, blocked_masked, blocked_ops), (whole, _, whole_ops) = runs
+        assert blocked.framebuffer.rgba.tobytes() == whole.framebuffer.rgba.tobytes()
+        assert blocked.framebuffer.depth.tobytes() == whole.framebuffer.depth.tobytes()
+        assert blocked.features == whole.features
+        assert blocked_ops[0] == whole_ops[0]
+        assert blocked_ops[1] > whole_ops[1]
+        if alpha < 0.5:
+            assert blocked_masked > 1
 
     def test_sampling_registers_dpp_traffic(self, blob_grid):
         camera = Camera.framing_bounds(blob_grid.bounds, 32, 32, zoom=1.2)

@@ -259,6 +259,25 @@ class TestUnstructuredVolume:
         with pytest.raises(ValueError):
             UnstructuredVolumeConfig(early_termination_alpha=0.0)
 
+    @pytest.mark.parametrize(
+        "config, field, value",
+        [
+            (StructuredVolumeConfig, "samples_in_depth", 0),
+            (StructuredVolumeConfig, "early_termination_alpha", 0.0),
+            (StructuredVolumeConfig, "early_termination_alpha", 1.5),
+            (StructuredVolumeConfig, "sample_chunk", 0),
+            (StructuredVolumeConfig, "sample_chunk", -8),
+            (UnstructuredVolumeConfig, "pair_chunk", 0),
+            (RasterizerConfig, "pair_chunk", 0),
+        ],
+    )
+    def test_config_rejects_out_of_range_field(self, config, field, value):
+        # sample_chunk=0 used to render a blank image with samples_per_ray 0,
+        # samples_in_depth=0 to divide by zero inside render, and pair_chunk=0
+        # to fail only later, inside chunk_ranges.
+        with pytest.raises(ValueError, match=field):
+            config(**{field: value})
+
     def test_missing_field_raises(self, small_tets):
         with pytest.raises(KeyError):
             UnstructuredVolumeRenderer(small_tets, "nope")
