@@ -5,11 +5,11 @@ and running the renderer of the largest 1-task spec of a full-scale
 ``sweep_render`` repetition -- the structured caster at 150^2 pixels over 16^3
 cells, the tet caster at 66^2 over 8^3 cells, 60 samples in depth.  Before the
 kernels ran in blocks of :data:`repro.rendering.volume.budget.SAMPLE_BUDGET`
-samples the structured slab held lanes x ``sample_chunk`` samples at once and
-the tet caster's column-span phase ran over every pixel column of the frame;
-these read 76.3 and 51.4 MB.  Blocked, they read 17.6 and 13.0 MB.  Traced
-bytes count numpy's allocations, not the machine's, so the head-room under
-the ceiling is for numpy versions, not for noise.
+samples the structured slab held lanes x ``structured.SAMPLE_CHUNK`` (32)
+samples at once and the tet caster's column-span phase ran over every pixel
+column of the frame; these read 76.3 and 51.4 MB.  Blocked, they read 17.6
+and 13.0 MB.  Traced bytes count numpy's allocations, not the machine's, so
+the head-room under the ceiling is for numpy versions, not for noise.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_render_memory.py -m perf -s
 """

@@ -381,7 +381,7 @@ def run_schedule(
             sender = fold_partner[rank]
             partner = _materialize(factory, sender, width, height, ledger)
             total_active += partner.active_pixels
-            nbytes = partner.wire_bytes(0, partner.active_pixels, with_depth)
+            nbytes = wire_bytes_table(partner.pixels, np.array([0, partner.active_pixels]), with_depth)[0]
             traffic[0, :2, sender] += nbytes, 1
             traffic[0, 2:, rank] += nbytes, 1
             back = (partner.pixels, partner.rgba, partner.depth if with_depth else None)

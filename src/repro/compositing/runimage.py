@@ -11,12 +11,11 @@ pixel.  :class:`RunImage` stores only the *active* pixels, structure-of-arrays:
 * ``key`` -- the image's integer visibility-order key (its rank position in
   the front-to-back ordering for ``"over"`` compositing, the source rank
   index for ``"depth"``);
-* ``run_offsets`` / ``run_lengths`` -- the contiguous-run view of ``pixels``
-  (per-run start pixel and length), derived lazily.  Runs are the *wire*
-  representation: simulated exchanges charge the network for IceT-style
-  run-length-encoded pieces (16-byte run header + SoA payload; see
-  :meth:`RunImage.wire_bytes`), which is what makes the exchanged byte
-  counts shrink with the active-pixel footprint.
+* contiguous runs of ``pixels`` are the *wire* representation: simulated
+  exchanges charge the network for IceT-style run-length-encoded pieces
+  (16-byte run header + SoA payload; see :func:`wire_bytes_table`), which is
+  what makes the exchanged byte counts shrink with the active-pixel
+  footprint.
 
 Activity is mode-dependent, following the depth convention enforced by
 :class:`repro.rendering.result.RenderResult` (covered pixel ⇔ alpha > 0 ⇔
@@ -33,7 +32,7 @@ directly: reverse-index the active mask, gather the survivors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,26 +42,13 @@ __all__ = [
     "RunImage",
     "active_mask",
     "expand_runs",
-    "runs_from_pixels",
     "run_image_from_framebuffer",
     "wire_bytes_table",
 ]
 
 
-def runs_from_pixels(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Contiguous ``(offsets, lengths)`` runs of an ascending pixel-id array."""
-    pixels = np.asarray(pixels, dtype=np.int64)
-    if len(pixels) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    breaks = np.flatnonzero(np.diff(pixels) != 1)
-    starts = np.concatenate(([0], breaks + 1))
-    stops = np.concatenate((breaks + 1, [len(pixels)]))
-    return pixels[starts], (stops - starts).astype(np.int64)
-
-
 def expand_runs(offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Invert :func:`runs_from_pixels`: the ascending active pixel ids."""
+    """The ascending pixel ids of the contiguous runs ``(offsets, lengths)``."""
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     total = int(lengths.sum())
@@ -92,7 +78,6 @@ class RunImage:
     rgba: np.ndarray
     depth: np.ndarray
     key: int = 0
-    _positions: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.pixels = np.asarray(self.pixels, dtype=np.int64)
@@ -114,33 +99,6 @@ class RunImage:
         """Pixels carrying a contribution -- the per-rank ``AP`` of Eq. 5.5."""
         return len(self.pixels)
 
-    # -- the run-length view ----------------------------------------------------------
-    @property
-    def _run_positions(self) -> np.ndarray:
-        """Payload positions where a new contiguous run starts (excluding 0)."""
-        if self._positions is None:
-            self._positions = np.flatnonzero(np.diff(self.pixels) != 1) + 1
-        return self._positions
-
-    @property
-    def num_runs(self) -> int:
-        return 0 if len(self.pixels) == 0 else 1 + len(self._run_positions)
-
-    @property
-    def run_offsets(self) -> np.ndarray:
-        """Start pixel of each contiguous active run."""
-        if len(self.pixels) == 0:
-            return np.empty(0, dtype=np.int64)
-        return self.pixels[np.concatenate(([0], self._run_positions))]
-
-    @property
-    def run_lengths(self) -> np.ndarray:
-        """Length of each contiguous active run."""
-        if len(self.pixels) == 0:
-            return np.empty(0, dtype=np.int64)
-        bounds = np.concatenate(([0], self._run_positions, [len(self.pixels)]))
-        return np.diff(bounds).astype(np.int64)
-
     # -- construction ---------------------------------------------------------------
     @classmethod
     def from_arrays(
@@ -155,52 +113,16 @@ class RunImage:
         """Build from ascending active pixel ids plus their SoA payload."""
         return cls(width, height, pixels, rgba, depth, key=key)
 
-    # -- pieces (the exchange granularity) ---------------------------------------------
-    def wire_bytes(self, lo: int, hi: int, with_depth: bool) -> float:
-        """Simulated wire size of payload slice ``[lo, hi)`` in run-length encoding.
-
-        The wire layout is IceT-style compressed sub-images: a 16-byte
-        ``(offset, length)`` header per run, 32 bytes of straight-alpha RGBA
-        per active pixel, 8 more bytes per pixel for the depth plane in
-        ``"depth"`` mode (``"over"`` sends the scalar visibility key
-        instead), plus a 64-byte message header.
-        """
-        active = hi - lo
-        if active <= 0:
-            return 64.0
-        if self._positions is not None:
-            positions = self._positions
-            runs = 1 + int(
-                np.searchsorted(positions, hi, side="left") - np.searchsorted(positions, lo, side="right")
-            )
-        else:
-            # Count run breaks inside the slice directly -- cheaper than
-            # materializing the whole image's run positions for one piece.
-            runs = 1 + int(np.count_nonzero(np.diff(self.pixels[lo:hi]) != 1))
-        return 64.0 + 16.0 * runs + (40.0 if with_depth else 32.0) * active
-
-    def piece_message(self, start: int, stop: int, with_depth: bool = True):
-        """The exchange form of ``[start, stop)``: ``(payload, wire_bytes)``.
-
-        ``payload`` is ``(pixels, rgba, depth_or_None, key)`` -- zero-copy
-        views handed straight to the receiving rank (all ranks share the
-        process), while ``wire_bytes`` is the run-length-encoded size the
-        simulated network charges for the transfer (see :meth:`wire_bytes`).
-        ``"over"`` compositing sends no depth plane: the scalar visibility
-        key stands in for it.
-        """
-        lo, hi = np.searchsorted(self.pixels, (start, stop)).tolist()
-        payload = (
-            self.pixels[lo:hi],
-            self.rgba[lo:hi],
-            self.depth[lo:hi] if with_depth else None,
-            self.key,
-        )
-        return payload, self.wire_bytes(lo, hi, with_depth)
-
 
 def wire_bytes_table(pixels: np.ndarray, bounds: np.ndarray, with_depth: bool) -> np.ndarray:
-    """Vectorized :meth:`RunImage.wire_bytes` of the slices ``[bounds[..., i], bounds[..., i+1])``.
+    """Simulated wire size of the payload slices ``[bounds[..., i], bounds[..., i+1])``.
+
+    The wire layout is IceT-style compressed sub-images: a 16-byte
+    ``(offset, length)`` header per contiguous run, 32 bytes of
+    straight-alpha RGBA per active pixel, 8 more bytes per pixel for the
+    depth plane in ``"depth"`` mode (``"over"`` sends the scalar visibility
+    key instead), plus a 64-byte message header; an empty slice costs the
+    header alone.
 
     ``pixels`` is any ascending stream -- one image, or a whole exchange
     round's members offset into disjoint pixel bands -- and ``bounds`` holds

@@ -21,10 +21,11 @@ structured and unstructured volume ray casters run on the same engine:
   lane has retired, and once enough lanes are dead it *flushes* (scatters the
   retired lanes' declared output fields back to full-width arrays) and
   *compacts* (drops dead lanes from every state array).  Both the flush and
-  the compaction run through :mod:`repro.dpp.primitives`, so they are
-  device-routed (the ``vectorized`` and ``serial`` back-ends execute the same
-  kernels) and observed by :class:`repro.dpp.instrument.OpCounters` -- the
-  reproduction's stand-in for PAPI/nvprof counters.
+  the compaction run through :mod:`repro.dpp.primitives` on the active device
+  (:func:`repro.dpp.device.use_device` selects it; the ``vectorized`` and
+  ``serial`` back-ends execute the same kernels) and are observed by
+  :class:`repro.dpp.instrument.OpCounters` -- the reproduction's stand-in
+  for PAPI/nvprof counters.
 
 Retired lanes may ride along in the frontier until the next compaction;
 kernels must treat them as inert (their retirement state is visible both in
@@ -53,6 +54,9 @@ FRONTIER_COMPACT_FRACTION = 0.25
 
 #: Minimum number of retired lanes before a re-compaction is worthwhile
 #: (below this the stream-compact overhead outweighs the dead-lane waste).
+#: :meth:`FrontierEngine.run` reads both thresholds at call time, so a test
+#: monkeypatches them (``FRONTIER_COMPACT_MIN = 1`` compacts after every
+#: retirement).
 FRONTIER_COMPACT_MIN = 256
 
 
@@ -135,36 +139,21 @@ class FrontierKernel(Protocol):
 class FrontierEngine:
     """Drives a :class:`FrontierKernel` over a frontier until all lanes retire.
 
+    A flush-and-compact runs once at least :data:`FRONTIER_COMPACT_MIN`
+    lanes *and* at least :data:`FRONTIER_COMPACT_FRACTION` of the resident
+    frontier have retired (or when every resident lane is dead).  The
+    engine's stream-compact/scatter traffic runs on the active
+    :mod:`repro.dpp.device`.
+
     Parameters
     ----------
-    compact_fraction, compact_min:
-        A flush-and-compact runs once at least ``compact_min`` lanes *and*
-        at least ``compact_fraction`` of the resident frontier have retired
-        (or when every resident lane is dead).  These are the knobs that
-        previously lived in ``rendering.raytracer.traversal``.
-    device:
-        Optional :mod:`repro.dpp.device` name routing the engine's
-        stream-compact/scatter traffic; ``None`` uses the active device.
     max_steps:
         Optional safety bound on engine iterations; exceeding it raises
         ``RuntimeError`` (a kernel that stops retiring lanes would otherwise
         loop forever).
     """
 
-    def __init__(
-        self,
-        compact_fraction: float = FRONTIER_COMPACT_FRACTION,
-        compact_min: int = FRONTIER_COMPACT_MIN,
-        device: str | None = None,
-        max_steps: int | None = None,
-    ) -> None:
-        if not 0.0 <= compact_fraction <= 1.0:
-            raise ValueError("compact_fraction must be in [0, 1]")
-        if compact_min < 1:
-            raise ValueError("compact_min must be positive")
-        self.compact_fraction = float(compact_fraction)
-        self.compact_min = int(compact_min)
-        self.device = device
+    def __init__(self, max_steps: int | None = None) -> None:
         self.max_steps = max_steps
 
     def run(
@@ -198,7 +187,7 @@ class FrontierEngine:
             dead = int(np.count_nonzero(lanes.retired))
             if dead and (
                 dead == n_resident
-                or (dead >= self.compact_min and dead >= self.compact_fraction * n_resident)
+                or (dead >= FRONTIER_COMPACT_MIN and dead >= FRONTIER_COMPACT_FRACTION * n_resident)
             ):
                 self._flush_and_compact(kernel, lanes, outputs)
                 if hook is not None and len(lanes):
@@ -217,18 +206,16 @@ class FrontierEngine:
             lanes.retired,
             lanes.lane_ids,
             *[lanes.state[name] for name in kernel.output_fields],
-            device=self.device,
         )
         done_ids = done[0]
         for name, values in zip(kernel.output_fields, done[1:]):
             out = outputs[name]
-            scatter(values.astype(out.dtype, copy=False), done_ids, out, device=self.device)
+            scatter(values.astype(out.dtype, copy=False), done_ids, out)
         names = list(lanes.state)
         _, kept = stream_compact(
             resident,
             lanes.lane_ids,
             *[lanes.state[name] for name in names],
-            device=self.device,
         )
         lanes.lane_ids = kept[0]
         lanes.state = dict(zip(names, kept[1:]))

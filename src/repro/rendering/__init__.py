@@ -21,7 +21,7 @@ from repro.geometry.transforms import Camera
 from repro.geometry.triangles import external_faces
 from repro.rendering.color import ColorTable, normalize_scalars
 from repro.rendering.framebuffer import Framebuffer
-from repro.rendering.rasterizer import Rasterizer, RasterizerConfig
+from repro.rendering.rasterizer import Rasterizer
 from repro.rendering.rays import RayEmitter
 from repro.rendering.raytracer import RayTracer, RayTracerConfig, Workload
 from repro.rendering.result import (
@@ -101,7 +101,6 @@ __all__ = [
     "PHASE_GROUP_ORDER",
     "PhaseClock",
     "Rasterizer",
-    "RasterizerConfig",
     "RayEmitter",
     "RayTracer",
     "RayTracerConfig",

@@ -52,13 +52,22 @@ __all__ = [
     "VisItStyleSampler",
 ]
 
+#: Leaf size of the specialised ray tracer's SAH BVH, tuned for its batch
+#: intersector (the study's "maximum leaf size of eight triangles").
+SPECIALIZED_LEAF_SIZE = 8
+
+#: (tet, pixel) splat pairs the projected-tetrahedra renderer handles per batch.
+SPLAT_PAIR_CHUNK = 4_000_000
+
+#: Bins per axis of the connectivity ray caster's uniform-grid cell locator.
+LOCATOR_RESOLUTION = 24
+
 
 @dataclass
 class SpecializedRayTracer:
     """Embree / OptiX-style specialised intersector (WORKLOAD1 comparisons)."""
 
     scene: Scene
-    leaf_size: int = 8
     _bvh=None
 
     def __post_init__(self) -> None:
@@ -69,7 +78,7 @@ class SpecializedRayTracer:
         """Build (once) the high-quality SAH BVH."""
         if self._bvh is None:
             with Timer() as timer:
-                self._bvh = build_bvh(self.scene.mesh, leaf_size=self.leaf_size, method="sah")
+                self._bvh = build_bvh(self.scene.mesh, leaf_size=SPECIALIZED_LEAF_SIZE, method="sah")
             self.build_seconds = timer.elapsed
 
     def trace(self, camera: Camera) -> tuple[int, float]:
@@ -105,7 +114,6 @@ class ProjectedTetrahedraRenderer:
     mesh: UnstructuredTetMesh
     field_name: str
     transfer_function: TransferFunction | None = None
-    pair_chunk: int = 4_000_000
 
     def __post_init__(self) -> None:
         if self.transfer_function is None:
@@ -149,7 +157,7 @@ class ProjectedTetrahedraRenderer:
             ordered = order[footprint[order] > 0]
             tf = self.transfer_function
             rgb_all, alpha_all = tf.sample(cell_scalar, step_length=None)
-            for start, end in chunk_ranges(footprint[ordered], self.pair_chunk):
+            for start, end in chunk_ranges(footprint[ordered], SPLAT_PAIR_CHUNK):
                 chunk = ordered[start:end]
                 counts = footprint[chunk]
                 tet_of_pair = np.repeat(np.arange(len(chunk)), counts)
@@ -200,7 +208,6 @@ class ConnectivityRayCaster:
     mesh: UnstructuredTetMesh
     field_name: str
     transfer_function: TransferFunction | None = None
-    locator_resolution: int = 24
     samples_in_depth: int = 120
 
     def __post_init__(self) -> None:
@@ -220,7 +227,7 @@ class ConnectivityRayCaster:
             return
         with Timer() as timer:
             bounds = self.mesh.bounds
-            res = self.locator_resolution
+            res = LOCATOR_RESOLUTION
             centers = self.mesh.cell_centers()
             extent = np.maximum(bounds.extent, 1e-12)
             bin_of = np.clip(((centers - bounds.low) / extent * res).astype(np.int64), 0, res - 1)

@@ -1,5 +1,5 @@
 """Object-order rasterizer (the third Chapter V rendering technique)."""
 
-from repro.rendering.rasterizer.raster import Rasterizer, RasterizerConfig
+from repro.rendering.rasterizer.raster import Rasterizer
 
-__all__ = ["Rasterizer", "RasterizerConfig"]
+__all__ = ["Rasterizer"]

@@ -20,7 +20,7 @@ fit and validate those terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,37 +30,24 @@ from repro.rendering.result import ObservedFeatures, PhaseClock, RenderResult
 from repro.rendering.scene import Scene
 from repro.util.packing import chunk_ranges, segment_local_indices
 
-__all__ = ["RasterizerConfig", "Rasterizer"]
+__all__ = ["Rasterizer"]
 
 
-@dataclass
-class RasterizerConfig:
-    """Tunable parameters of the rasterizer.
-
-    Attributes
-    ----------
-    backface_culling:
-        Discard triangles facing away from the camera.  Scientific surfaces
-        are usually rendered double-sided, so this defaults to off.
-    pair_chunk:
-        Maximum number of (triangle, pixel) candidate pairs processed per
-        batch, bounding peak memory.
-    """
-
-    backface_culling: bool = False
-    pair_chunk: int = 2_000_000
-
-    def __post_init__(self) -> None:
-        if self.pair_chunk < 1:
-            raise ValueError("pair_chunk must be positive")
+#: Maximum (triangle, pixel) candidate pairs rasterized per batch, bounding
+#: peak memory.  Read at call time, so tests monkeypatch it to force many
+#: batches or one.
+PAIR_CHUNK = 2_000_000
 
 
 @dataclass
 class Rasterizer:
-    """Object-order renderer over a triangle :class:`~repro.rendering.scene.Scene`."""
+    """Object-order renderer over a triangle :class:`~repro.rendering.scene.Scene`.
+
+    Triangles are drawn double-sided (no back-face culling), as scientific
+    surfaces usually are.
+    """
 
     scene: Scene
-    config: RasterizerConfig = field(default_factory=RasterizerConfig)
 
     def render(self, camera: Camera) -> RenderResult:
         """Rasterize the scene from ``camera``."""
@@ -88,11 +75,6 @@ class Rasterizer:
                 & (lo[:, 1] < camera.height)
             )
             visible = in_front & on_screen
-            if self.config.backface_culling:
-                edge1 = corner_screen[:, 1, :2] - corner_screen[:, 0, :2]
-                edge2 = corner_screen[:, 2, :2] - corner_screen[:, 0, :2]
-                signed_area = edge1[:, 0] * edge2[:, 1] - edge1[:, 1] * edge2[:, 0]
-                visible &= signed_area <= 0.0
 
         visible_ids = np.flatnonzero(visible)
         features.visible_objects = int(len(visible_ids))
@@ -156,7 +138,7 @@ class Rasterizer:
         # Candidate (triangle, pixel) pairs, processed in bounded chunks.
         order = np.flatnonzero(footprint > 0)
         fragments_written = 0
-        for start, end in chunk_ranges(footprint[order], self.config.pair_chunk):
+        for start, end in chunk_ranges(footprint[order], PAIR_CHUNK):
             fragments_written += self._rasterize_chunk(
                 framebuffer, order[start:end], tri_screen, tri_corners, lo, box_width,
                 box_height, vertex_colors, lambert, width,

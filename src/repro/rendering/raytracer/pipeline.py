@@ -8,8 +8,9 @@ sequence of pipeline stages built from data-parallel primitives:
    the framebuffer.
 2. **Traversal and intersection** (map) -- BVH traversal and Moller-Trumbore
    intersection, the "if-if" structure of Aila and Laine.
-3. **Stream compaction** (reduce/scan/gather, optional) -- drop rays that
-   missed all geometry before the more expensive secondary stages.
+3. **Stream compaction** (reduce/scan/gather, ``Workload.FULL`` only) --
+   drop rays that missed all geometry before the more expensive secondary
+   stages.
 4. **Ambient occlusion** (scatter + map) -- a user-defined number of random
    hemisphere rays per hit with a short maximum distance.
 5. **Shadows** (map) -- one visibility ray per hit per light.
@@ -37,7 +38,7 @@ import numpy as np
 from repro.dpp.primitives import map_field, stream_compact
 from repro.geometry.transforms import Camera
 from repro.rendering.framebuffer import Framebuffer
-from repro.rendering.raytracer.bvh import BVH, DEFAULT_LEAF_SIZE, build_bvh
+from repro.rendering.raytracer.bvh import BVH, build_bvh
 from repro.rendering.raytracer.shading import (
     blinn_phong,
     hemisphere_samples,
@@ -54,6 +55,12 @@ from repro.util.timing import Timer
 
 __all__ = ["Workload", "RayTracerConfig", "RayTracer"]
 
+#: Ambient-occlusion ray length as a fraction of the scene diagonal.
+AO_DISTANCE_FRACTION = 0.05
+
+#: Weight of the bounce color in a single-bounce reflection blend.
+REFLECTION_ATTENUATION = 0.3
+
 
 class Workload(enum.Enum):
     """The three ray-tracing workloads of the study (Section 2.5)."""
@@ -67,20 +74,19 @@ class Workload(enum.Enum):
 class RayTracerConfig:
     """Tunable parameters of the ray tracer.
 
+    The acceleration structure is always the LBVH at
+    :data:`~repro.rendering.raytracer.bvh.DEFAULT_LEAF_SIZE` (the SAH build
+    serves the specialised baselines), and dead rays are stream-compacted
+    exactly when the workload is ``Workload.FULL``.
+
     Attributes
     ----------
     workload:
         Which study workload to execute.
     ao_samples:
         Hemisphere samples per hit for ambient occlusion (WORKLOAD3).
-    ao_distance_fraction:
-        AO ray maximum distance as a fraction of the scene diagonal.
     supersample:
         Rays per pixel; 4 enables the study's anti-aliasing.
-    compaction:
-        Enable stream compaction of dead rays before secondary stages.
-    bvh_method / leaf_size:
-        Acceleration structure build options.
     reflections:
         Optional single-bounce specular reflections (off in all study
         workloads; provided as the paper's algorithm supports them).
@@ -95,13 +101,8 @@ class RayTracerConfig:
 
     workload: Workload = Workload.SHADING
     ao_samples: int = 4
-    ao_distance_fraction: float = 0.05
     supersample: int = 1
-    compaction: bool = False
-    bvh_method: str = "lbvh"
-    leaf_size: int = DEFAULT_LEAF_SIZE
     reflections: bool = False
-    reflection_attenuation: float = 0.3
     ray_dtype: str = "float64"
     seed: int | None = None
 
@@ -140,9 +141,7 @@ class RayTracer:
         """Build (or return the cached) BVH, recording its build time."""
         if self._bvh is None or force:
             with Timer() as timer:
-                self._bvh = build_bvh(
-                    self.scene.mesh, leaf_size=self.config.leaf_size, method=self.config.bvh_method
-                )
+                self._bvh = build_bvh(self.scene.mesh)
             self._bvh_seconds = timer.elapsed
         return self._bvh
 
@@ -191,8 +190,8 @@ class RayTracer:
             self._write_depth_image(framebuffer, camera, pixel_ids, hits)
             return RenderResult(framebuffer, clock.seconds, features, technique="raytrace")
 
-        # Optionally compact away rays that missed everything before shading.
-        if config.compaction or config.workload is Workload.FULL:
+        # The full workload compacts away rays that missed everything before shading.
+        if config.workload is Workload.FULL:
             with clock.phase("compaction"):
                 _, (pixel_ids, origins, directions, tri, t, u, v) = stream_compact(
                     hit_mask,
@@ -253,7 +252,7 @@ class RayTracer:
         sample_origins = np.repeat(points, config.ao_samples, axis=0)
         # Offset origins slightly along the normal to avoid self-hits.
         sample_origins = sample_origins + 1e-4 * np.repeat(normals, config.ao_samples, axis=0)
-        max_distance = config.ao_distance_fraction * max(self.scene.mesh.bounds.diagonal, 1e-12)
+        max_distance = AO_DISTANCE_FRACTION * max(self.scene.mesh.bounds.diagonal, 1e-12)
         occluded = any_hit(
             bvh,
             self.scene.mesh,
@@ -307,7 +306,7 @@ class RayTracer:
             scalars = interpolate_scalars(self.scene, bounce.triangle[mask], bounce.u[mask], bounce.v[mask])
             vmin, vmax = self.scene.scalar_range or (None, None)
             bounce_colors = self.scene.color_table.map_scalars(scalars, vmin, vmax)
-            weight = self.config.reflection_attenuation
+            weight = REFLECTION_ATTENUATION
             shaded = shaded.copy()
             shaded[mask] = np.clip((1.0 - weight) * shaded[mask] + weight * bounce_colors, 0.0, 1.0)
         return shaded

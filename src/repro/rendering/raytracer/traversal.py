@@ -48,12 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dpp.frontier import (
-    FRONTIER_COMPACT_FRACTION,
-    FRONTIER_COMPACT_MIN,
-    FrontierEngine,
-    FrontierLanes,
-)
+from repro.dpp.frontier import FrontierEngine, FrontierLanes
 from repro.dpp.primitives import segmented_argmin
 from repro.geometry.aabb import safe_reciprocal
 from repro.geometry.triangles import TriangleMesh
@@ -65,8 +60,6 @@ __all__ = [
     "any_hit",
     "ray_aabb_intersect",
     "moller_trumbore",
-    "FRONTIER_COMPACT_FRACTION",
-    "FRONTIER_COMPACT_MIN",
     "FRONTIER_POP_SCHEDULE",
 ]
 

@@ -1,7 +1,7 @@
 """The volume renderers' working-set bound.
 
 Both volume kernels build temporaries proportional to the samples they hold
-at once: the structured caster's slab step holds ``lanes x sample_chunk``
+at once: the structured caster's slab step holds ``lanes x SAMPLE_CHUNK``
 samples, the tet caster's span expansion one fragment per (pixel, slot, tet)
 candidate and its compositing one row of depth slots per pixel.  Each kernel
 runs that work in blocks of at most :data:`SAMPLE_BUDGET` samples, with the

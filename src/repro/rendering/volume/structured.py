@@ -49,6 +49,12 @@ from repro.rendering.volume.transfer_function import TransferFunction
 
 __all__ = ["StructuredVolumeConfig", "StructuredVolumeRenderer"]
 
+#: Depth samples composited per vectorized slab (one frontier engine step).
+#: It bounds the slab's depth only: the lanes of a slab run in blocks of at
+#: most :data:`~repro.rendering.volume.budget.SAMPLE_BUDGET` samples, which
+#: is what bounds memory use.  Read at call time, so tests monkeypatch it.
+SAMPLE_CHUNK = 32
+
 
 @dataclass
 class StructuredVolumeConfig:
@@ -62,24 +68,16 @@ class StructuredVolumeConfig:
         smaller images).
     early_termination_alpha:
         Accumulated opacity at which a ray stops sampling.
-    sample_chunk:
-        Number of depth samples composited per vectorized slab (one frontier
-        engine step).  It bounds the slab's depth only: the lanes of a slab
-        run in blocks of at most :data:`~repro.rendering.volume.budget.SAMPLE_BUDGET`
-        samples, which is what bounds memory use.
     """
 
     samples_in_depth: int = 200
     early_termination_alpha: float = 0.98
-    sample_chunk: int = 32
 
     def __post_init__(self) -> None:
         if self.samples_in_depth < 1:
             raise ValueError("samples_in_depth must be positive")
         if not 0.0 < self.early_termination_alpha <= 1.0:
             raise ValueError("early_termination_alpha must be in (0, 1]")
-        if self.sample_chunk < 1:
-            raise ValueError("sample_chunk must be positive")
 
 
 class _Trilinear:
@@ -144,9 +142,9 @@ class _Trilinear:
 class _SlabSampleKernel:
     """The structured ray caster's slab loop as a frontier kernel.
 
-    One step takes ``sample_chunk`` depth samples for every resident lane,
-    classifies the in-span ones through the transfer function, and composites
-    them front to back into the per-lane accumulators.  Early ray termination
+    One step takes ``chunk`` (:data:`SAMPLE_CHUNK`) depth samples for every
+    resident lane, classifies the in-span ones through the transfer function,
+    and composites them front to back into the per-lane accumulators.  Early ray termination
     and span exhaustion are expressed as lane retirement, turning both into
     engine compaction instead of per-slab fancy-indexed ``alive`` subsets.
     """
@@ -318,7 +316,7 @@ class StructuredVolumeRenderer:
                 self._trilinear_kernel,
                 self.transfer_function,
                 step,
-                config.sample_chunk,
+                SAMPLE_CHUNK,
                 max_samples,
                 config.early_termination_alpha,
             )
@@ -423,10 +421,10 @@ class StructuredVolumeRenderer:
             accum_alpha = np.zeros(len(active_ids))
             samples_taken = 0
             alive = np.arange(len(active_ids))
-            for start in range(0, max_samples, config.sample_chunk):
+            for start in range(0, max_samples, SAMPLE_CHUNK):
                 if len(alive) == 0:
                     break
-                count = min(config.sample_chunk, max_samples - start)
+                count = min(SAMPLE_CHUNK, max_samples - start)
                 offsets = (start + np.arange(count) + 0.5) * step
                 t = near[alive][:, None] + offsets[None, :]
                 inside = t < far[alive][:, None]

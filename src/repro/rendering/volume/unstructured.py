@@ -74,6 +74,14 @@ from repro.util.packing import chunk_ranges, segment_local_indices
 
 __all__ = ["UnstructuredVolumeConfig", "UnstructuredVolumeRenderer"]
 
+#: Maximum candidate pairs evaluated per batch.  On the engine path
+#: (:meth:`UnstructuredVolumeRenderer.render`) a pair is a (tet, pixel-column)
+#: pair of the column-span phase; the reference sampler counts (tet, sample)
+#: pairs.  The value holds the column phase's four face-plane evaluations per
+#: column at :data:`~repro.rendering.volume.budget.SAMPLE_BUDGET`.  Read at
+#: call time, so tests monkeypatch it.
+PAIR_CHUNK = budget.SAMPLE_BUDGET // 4
+
 
 @dataclass
 class UnstructuredVolumeConfig:
@@ -90,19 +98,11 @@ class UnstructuredVolumeConfig:
         between passes.
     early_termination_alpha:
         Per-pixel opacity at which further samples are skipped.
-    pair_chunk:
-        Maximum number of candidate pairs evaluated per batch.  On the
-        engine path (:meth:`UnstructuredVolumeRenderer.render`) a pair is a
-        (tet, pixel-column) pair of the column-span phase; the reference
-        sampler counts (tet, sample) pairs.  The default holds the column
-        phase's four face-plane evaluations per column at
-        :data:`~repro.rendering.volume.budget.SAMPLE_BUDGET`.
     """
 
     samples_in_depth: int = 200
     num_passes: int = 1
     early_termination_alpha: float = 0.98
-    pair_chunk: int = budget.SAMPLE_BUDGET // 4
 
     def __post_init__(self) -> None:
         if self.samples_in_depth < 1:
@@ -111,8 +111,6 @@ class UnstructuredVolumeConfig:
             raise ValueError("num_passes must be positive")
         if not 0.0 < self.early_termination_alpha <= 1.0:
             raise ValueError("early_termination_alpha must be in (0, 1]")
-        if self.pair_chunk < 1:
-            raise ValueError("pair_chunk must be positive")
 
 
 #: Conservative slack for the analytic face-plane span test, scaled by each
@@ -467,7 +465,6 @@ class UnstructuredVolumeRenderer:
         ``open_mask`` flags the pixels still accepting samples (resident,
         non-opaque lanes on the engine path).
         """
-        config = self.config
         width, height = camera.width, camera.height
         v0, inverse, valid = self._inverse_barycentric(vertices)
         lo_xy, _hi_xy, box_w, box_h = self._screen_boxes(vertices, width, height)
@@ -478,7 +475,7 @@ class UnstructuredVolumeRenderer:
         order = np.flatnonzero(columns > 0)
         visited = 0
         fragments: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for start, end in chunk_ranges(columns[order], config.pair_chunk):
+        for start, end in chunk_ranges(columns[order], PAIR_CHUNK):
             chunk = order[start:end]
             visited += self._fragment_chunk(
                 chunk,
@@ -638,7 +635,7 @@ class UnstructuredVolumeRenderer:
         so the unstable argsort is deterministic), and a segmented argmin
         keeps the highest-ordered tet per cell -- the same winner the
         reference loop's in-order overwrite produces -- independent of how
-        ``pair_chunk`` split the work.  The winners scatter into the buffer.
+        :data:`PAIR_CHUNK` split the work.  The winners scatter into the buffer.
         """
         cell = np.concatenate([f[0] for f in fragments])
         tet_order = np.concatenate([f[1] for f in fragments])
@@ -674,7 +671,6 @@ class UnstructuredVolumeRenderer:
         the pixels still accepting samples (below-threshold pixels on the
         reference path).
         """
-        config = self.config
         width, height = camera.width, camera.height
         v0, inverse, valid = self._inverse_barycentric(vertices)
         lo_xy, _hi_xy, box_w, box_h = self._screen_boxes(vertices, width, height)
@@ -692,7 +688,7 @@ class UnstructuredVolumeRenderer:
 
         order = np.flatnonzero(footprint > 0)
         visited = 0
-        for start, end in chunk_ranges(footprint[order], config.pair_chunk):
+        for start, end in chunk_ranges(footprint[order], PAIR_CHUNK):
             chunk = order[start:end]
             visited += self._sample_chunk(
                 chunk,

@@ -41,11 +41,9 @@ class NetworkModel:
     :meth:`SimulatedCommunicator.estimate_time` (per-round maxima, since
     exchanges within a compositing round proceed concurrently across links).
 
-    With ``ingress_contention`` (the default) the per-round critical path also
-    covers the receive side of every link: messages converging on one rank in
-    the same round serialize there, even when their senders are distinct.
-    Setting it to ``False`` restores the egress-only accounting the 256-rank
-    compositing tier shipped with, which is useful for differential tests.
+    The per-round critical path covers both sides of every link: messages
+    converging on one rank in the same round serialize there, even when their
+    senders are distinct.
 
     Defaults approximate a commodity cluster interconnect (a few microseconds
     of latency, a few GB/s per link).
@@ -53,7 +51,6 @@ class NetworkModel:
 
     latency_seconds: float = 5e-6
     bandwidth_bytes_per_second: float = 4e9
-    ingress_contention: bool = True
 
     def transfer_seconds(self, num_bytes: float, messages: int = 1) -> float:
         """Cost of moving ``num_bytes`` in ``messages`` messages over one link."""
@@ -77,14 +74,10 @@ class _MessageLog:
 
     def critical_seconds(self, model: NetworkModel) -> float:
         """Busiest link direction's communication time for this round."""
-        directions: tuple[tuple[dict[int, float], dict[int, int]], ...]
-        if model.ingress_contention:
-            directions = (
-                (self.bytes_by_rank, self.messages_by_rank),
-                (self.recv_bytes_by_rank, self.recv_messages_by_rank),
-            )
-        else:
-            directions = ((self.bytes_by_rank, self.messages_by_rank),)
+        directions = (
+            (self.bytes_by_rank, self.messages_by_rank),
+            (self.recv_bytes_by_rank, self.recv_messages_by_rank),
+        )
         busiest = 0.0
         for byte_map, msg_map in directions:
             for rank, num_bytes in byte_map.items():

@@ -25,7 +25,6 @@ order is pinned by a frozen plan digest in ``tests/test_study_engine.py``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from operator import attrgetter
@@ -415,26 +414,17 @@ def full_configuration(seed: int = 2016) -> StudyConfiguration:
     )
 
 
-def spec_from_payload(payload: dict, lenient: bool = False) -> ExperimentSpec:
+def spec_from_payload(payload: dict) -> ExperimentSpec:
     """Inverse of :meth:`ExperimentSpec.key_payload` (plan files, cache entries).
 
     Unknown payload keys raise: a key this spec schema does not carry means the
     payload came from a newer (or otherwise diverged) plan/cache schema, and
     silently dropping it would alias two *different* experiments onto one spec.
-    Pass ``lenient=True`` to downgrade the mismatch to a :class:`UserWarning`
-    (e.g. when deliberately reading a newer plan file for inspection).
     """
-    known = set(ExperimentSpec.__dataclass_fields__)
-    unknown = sorted(set(payload) - known)
+    unknown = sorted(set(payload) - set(ExperimentSpec.__dataclass_fields__))
     if unknown:
-        message = (
-            f"spec payload carries unknown keys {unknown}: plan/cache schema drift "
-            "(pass lenient=True to drop them anyway)"
-        )
-        if not lenient:
-            raise ValueError(message)
-        warnings.warn(message, UserWarning, stacklevel=2)
-    values = {name: value for name, value in payload.items() if name in known}
+        raise ValueError(f"spec payload carries unknown keys {unknown}: plan/cache schema drift")
+    values = dict(payload)
     if "compositing_radices" in values:  # a JSON round trip turns the tuple into a list
         values["compositing_radices"] = tuple(values["compositing_radices"])
     return ExperimentSpec(**values)

@@ -324,7 +324,7 @@ class TestTrajectoryLedger:
 
 
 class TestSpecFromPayloadStrict:
-    """Unknown payload keys raise (schema drift), or warn under lenient=True."""
+    """Unknown payload keys raise (schema drift)."""
 
     def test_round_trip_still_exact(self, base_config):
         spec = build_plan(base_config, include_compositing=False).specs[0]
@@ -335,13 +335,6 @@ class TestSpecFromPayloadStrict:
         payload["mystery_knob"] = 3
         with pytest.raises(ValueError, match="mystery_knob"):
             spec_from_payload(payload)
-
-    def test_lenient_warns_and_drops(self, base_config):
-        payload = build_plan(base_config, include_compositing=False).specs[0].key_payload()
-        payload["mystery_knob"] = 3
-        with pytest.warns(UserWarning, match="mystery_knob"):
-            spec = spec_from_payload(payload, lenient=True)
-        assert spec == build_plan(base_config, include_compositing=False).specs[0]
 
 
 class TestAdaptiveCli:

@@ -19,13 +19,7 @@ from repro.compositing import Compositor, composite_reference, run_image_from_fr
 from repro.compositing.algorithms import _pixel_partition, factor_radices
 from repro.compositing.image import composite_pixels, from_framebuffer
 from repro.compositing.merge import merge_fragments, merge_sorted_pair
-from repro.compositing.runimage import (
-    RunImage,
-    active_mask,
-    expand_runs,
-    runs_from_pixels,
-    wire_bytes_table,
-)
+from repro.compositing.runimage import RunImage, active_mask, expand_runs, wire_bytes_table
 from repro.rendering.framebuffer import Framebuffer
 from repro.runtime.communicator import SimulatedCommunicator
 
@@ -35,6 +29,31 @@ ALGORITHMS = ("direct-send", "binary-swap", "radix-k")
 #: non-powers-of-two (binary-swap's fold phase), and primes (radix-k's
 #: degenerate factorisation).
 RANK_COUNTS = (1, 2, 3, 4, 5, 7, 8, 11, 12, 13, 16)
+
+
+def runs_from_pixels(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: contiguous ``(offsets, lengths)`` runs of an ascending pixel-id array."""
+    pixels = np.asarray(pixels, dtype=np.int64)
+    if len(pixels) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    breaks = np.flatnonzero(np.diff(pixels) != 1)
+    starts = np.concatenate(([0], breaks + 1))
+    stops = np.concatenate((breaks + 1, [len(pixels)]))
+    return pixels[starts], (stops - starts).astype(np.int64)
+
+
+def piece_message(image: RunImage, start: int, stop: int, with_depth: bool = True):
+    """Oracle: one exchanged piece, pixels ``[start, stop)``, as ``(payload, wire_bytes)``.
+
+    ``payload`` is ``(pixels, rgba, depth_or_None, key)``; the wire size is
+    counted one piece at a time from the piece's own runs (64-byte header,
+    16 bytes a run, 40 bytes a pixel with depth or 32 without).
+    """
+    lo, hi = np.searchsorted(image.pixels, (start, stop)).tolist()
+    payload = (image.pixels[lo:hi], image.rgba[lo:hi], image.depth[lo:hi] if with_depth else None, image.key)
+    runs = len(runs_from_pixels(image.pixels[lo:hi])[0])
+    return payload, 64.0 + 16.0 * runs + (40.0 if with_depth else 32.0) * (hi - lo)
 
 
 def _random_framebuffers(rng, count, width=13, height=9, alpha=1.0, fill=0.5):
@@ -278,7 +297,7 @@ class TestRunImage:
             assert image.active_pixels == int(np.count_nonzero(active_mask(
                 framebuffer.rgba, framebuffer.depth, mode)))
             assert np.array_equal(np.sort(image.pixels), image.pixels)
-            assert image.run_lengths.sum() == covered
+            assert runs_from_pixels(image.pixels)[1].sum() == covered
         over_image = run_image_from_framebuffer(framebuffer, "over", key=3)
         assert np.all(over_image.depth == 3.0)
 
@@ -288,17 +307,17 @@ class TestRunImage:
         rgba = np.tile([0.5, 0.5, 0.5, 1.0], (6, 1))
         depth = np.arange(6, dtype=float)
         image = RunImage.from_arrays(pixels, rgba, depth, width=12, height=1)
-        assert image.num_runs == 2
-        payload, nbytes = image.piece_message(3, 9)
+        assert len(runs_from_pixels(image.pixels)[0]) == 2
+        payload, nbytes = piece_message(image, 3, 9)
         piece_pixels, piece_rgba, piece_depth, key = payload
         assert np.array_equal(piece_pixels, [3, 4, 8])
         assert piece_rgba.shape == (3, 4) and piece_depth.shape == (3,)
         # Two clipped runs ([3,5) and [8,9)): 64 header + 2*16 runs + 3*40 payload.
         assert nbytes == 64.0 + 32.0 + 120.0
-        empty_payload, empty_bytes = image.piece_message(5, 8)
+        empty_payload, empty_bytes = piece_message(image, 5, 8)
         assert len(empty_payload[0]) == 0 and empty_bytes == 64.0
         # over-mode payload omits the depth plane and charges 32 B/pixel.
-        over_payload, over_bytes = image.piece_message(3, 9, with_depth=False)
+        over_payload, over_bytes = piece_message(image, 3, 9, with_depth=False)
         assert over_payload[2] is None
         assert over_bytes == 64.0 + 32.0 + 96.0
 
@@ -314,7 +333,7 @@ class TestRunImage:
         images[1].pixels[-1] = 99
         edges = np.array([0, 17, 40, 41, 90, 100])
         expected = np.array([
-            [image.piece_message(int(lo), int(hi))[1] for lo, hi in zip(edges, edges[1:])]
+            [piece_message(image, int(lo), int(hi))[1] for lo, hi in zip(edges, edges[1:])]
             for image in images
         ])
         for image, row in zip(images, expected):

@@ -67,16 +67,6 @@ class TestCommunicator:
         world.rank(2).send(1, np.zeros(10))
         assert world.estimate_time() == pytest.approx(2.0, rel=1e-6)
 
-    def test_ingress_contention_flag_restores_egress_only_model(self):
-        network = NetworkModel(
-            latency_seconds=1.0, bandwidth_bytes_per_second=1e12, ingress_contention=False
-        )
-        world = SimulatedCommunicator(3, network)
-        world.rank(0).send(1, np.zeros(10))
-        world.rank(2).send(1, np.zeros(10))
-        # Legacy model only weighs the send side: the fan-in is free.
-        assert world.estimate_time() == pytest.approx(1.0, rel=1e-6)
-
     def test_gather(self):
         world = SimulatedCommunicator(3)
         results = []

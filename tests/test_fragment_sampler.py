@@ -7,7 +7,7 @@ collisions with a combined sort + segmented argmin.  Its contract is to
 reproduce the seed brute-force sampler (kept as ``render_reference``)
 *bit for bit*; these tests pin that contract on conforming meshes, degenerate
 geometry (slivers, sub-pixel and sub-slot tets), randomized tet soups on both
-devices, and across ``pair_chunk`` values.
+devices, and across ``PAIR_CHUNK`` values.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.geometry import (
 from repro.geometry.mesh import UnstructuredTetMesh
 from repro.geometry.tetra import TET_FACES
 from repro.rendering import UnstructuredVolumeConfig, UnstructuredVolumeRenderer
-from repro.rendering.volume import budget
+from repro.rendering.volume import budget, unstructured
 
 UNIT_TET = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -171,7 +171,7 @@ class TestFragmentDifferential:
     @pytest.mark.parametrize("alpha", [0.98, 0.3])
     @pytest.mark.parametrize("passes", [1, 3])
     def test_output_invariant_to_pair_chunk(self, small_tets, passes, alpha, monkeypatch):
-        # Neither pair_chunk nor the sample budget changes a byte, on the
+        # Neither PAIR_CHUNK nor the sample budget changes a byte, on the
         # engine path or the reference: 500 pairs and a 256-sample budget
         # (span expansion and compositing in many blocks, most rows of a
         # block empty) against one chunk and one block.  At alpha 0.3 pixels
@@ -180,8 +180,9 @@ class TestFragmentDifferential:
         renders = {}
         for chunk, samples in ((500, 256), (4_000_000, 10**9)):
             monkeypatch.setattr(budget, "SAMPLE_BUDGET", samples)
+            monkeypatch.setattr(unstructured, "PAIR_CHUNK", chunk)
             config = UnstructuredVolumeConfig(
-                samples_in_depth=48, num_passes=passes, early_termination_alpha=alpha, pair_chunk=chunk
+                samples_in_depth=48, num_passes=passes, early_termination_alpha=alpha
             )
             renderer = UnstructuredVolumeRenderer(small_tets, "density", config=config)
             renders[chunk] = (renderer.render(camera), renderer.render_reference(camera))
@@ -283,12 +284,14 @@ class TestFragmentDifferential:
     @given(seed=st.integers(0, 10_000), passes=st.integers(1, 3))
     def test_random_tet_soups_match_reference(self, seed, passes):
         mesh = _random_tet_soup(seed)
-        config = UnstructuredVolumeConfig(samples_in_depth=20, num_passes=passes, pair_chunk=300)
+        config = UnstructuredVolumeConfig(samples_in_depth=20, num_passes=passes)
         renderer = UnstructuredVolumeRenderer(mesh, "scalar", config=config)
         camera = Camera.framing_bounds(mesh.bounds, 16, 16, zoom=1.2)
-        for device in ("vectorized", "serial"):
-            with use_device(device):
-                _assert_images_match(renderer, camera)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(unstructured, "PAIR_CHUNK", 300)
+            for device in ("vectorized", "serial"):
+                with use_device(device):
+                    _assert_images_match(renderer, camera)
 
     def test_devices_agree_bit_for_bit(self, small_tets):
         camera = Camera.framing_bounds(small_tets.bounds, 20, 20, zoom=1.2)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.dpp import FrontierEngine, FrontierLanes, gather, use_device
+from repro.dpp import FrontierEngine, FrontierLanes, frontier, gather, use_device
 from repro.dpp.instrument import get_instrumentation, reset_instrumentation
 from repro.geometry import Camera
 from repro.geometry.aabb import ray_box_intervals, safe_reciprocal
@@ -37,7 +37,7 @@ from repro.rendering import (
 )
 from repro.rendering.framebuffer import Framebuffer
 from repro.rendering.rays import screen_footprint
-from repro.rendering.volume import budget
+from repro.rendering.volume import budget, structured
 from repro.rendering.volume.structured import _SlabSampleKernel
 from repro.runtime.decomposition import BlockDecomposition
 from repro.simulations.fields import get_simulation_field
@@ -71,7 +71,11 @@ class _CountdownKernel:
 
 
 class TestFrontierEngine:
-    def _run(self, device=None, compact_min=1):
+    @pytest.fixture(autouse=True)
+    def _compact_after_every_retirement(self, monkeypatch):
+        monkeypatch.setattr(frontier, "FRONTIER_COMPACT_MIN", 1)
+
+    def _run(self, device="vectorized"):
         budgets = np.array([1, 4, 2, 7, 3, 1, 5, 2], dtype=np.int64)
         lanes = FrontierLanes(
             np.arange(len(budgets), dtype=np.int64),
@@ -79,16 +83,17 @@ class TestFrontierEngine:
         )
         outputs = {"total": np.zeros(len(budgets), dtype=np.int64)}
         kernel = _CountdownKernel()
-        engine = FrontierEngine(compact_min=compact_min, device=device)
-        steps = engine.run(kernel, lanes, outputs)
+        with use_device(device):
+            steps = FrontierEngine().run(kernel, lanes, outputs)
         return budgets, outputs, steps, kernel
 
     def test_outputs_scattered_per_lane(self):
         budgets, outputs, steps, kernel = self._run()
         assert np.array_equal(outputs["total"], budgets)
         assert steps == budgets.max()
-        # compact_min=1 forces intermediate compactions, and the hook runs
-        # once up front plus once per compaction that left lanes resident.
+        # FRONTIER_COMPACT_MIN = 1 forces intermediate compactions, and the
+        # hook runs once up front plus once per compaction that left lanes
+        # resident.
         assert kernel.compactions >= 2
 
     def test_serial_device_identical(self):
@@ -117,10 +122,6 @@ class TestFrontierEngine:
             FrontierLanes(np.arange(3), {"bad": np.zeros(2)})
         with pytest.raises(ValueError):
             FrontierLanes(np.zeros((2, 2)), {})
-        with pytest.raises(ValueError):
-            FrontierEngine(compact_fraction=1.5)
-        with pytest.raises(ValueError):
-            FrontierEngine(compact_min=0)
 
 
 class TestSharedSlabInterval:
@@ -192,9 +193,10 @@ class TestGoldenStructured:
         assert fast.features.active_pixels == slow.features.active_pixels > 0
         assert fast.features.samples_per_ray == pytest.approx(slow.features.samples_per_ray)
 
-    def test_matches_reference_with_aggressive_termination(self, blob_grid):
+    def test_matches_reference_with_aggressive_termination(self, blob_grid, monkeypatch):
+        monkeypatch.setattr(structured, "SAMPLE_CHUNK", 8)
         camera = Camera.framing_bounds(blob_grid.bounds, 40, 40, zoom=1.3)
-        config = StructuredVolumeConfig(early_termination_alpha=0.3, sample_chunk=8)
+        config = StructuredVolumeConfig(early_termination_alpha=0.3)
         renderer = StructuredVolumeRenderer(blob_grid, "density", config=config)
         fast = renderer.render(camera)
         slow = renderer.render_reference(camera)
@@ -212,7 +214,8 @@ class TestGoldenStructured:
         decomposition = BlockDecomposition(8, 6)
         grid = decomposition.block_grid_with_field(rank, "scalar", get_simulation_field("kripke"))
         camera = Camera.framing_bounds(decomposition.global_bounds, 48, 48)
-        config = StructuredVolumeConfig(early_termination_alpha=alpha, sample_chunk=8)
+        monkeypatch.setattr(structured, "SAMPLE_CHUNK", 8)
+        config = StructuredVolumeConfig(early_termination_alpha=alpha)
         renderer = StructuredVolumeRenderer(grid, "scalar", config=config)
         masked = []
         composite_block = _SlabSampleKernel._composite_block
@@ -224,7 +227,7 @@ class TestGoldenStructured:
         monkeypatch.setattr(_SlabSampleKernel, "_composite_block", spy)
         instrumentation = get_instrumentation()
         runs = []
-        for samples in (3 * config.sample_chunk, 10**9):
+        for samples in (3 * structured.SAMPLE_CHUNK, 10**9):
             monkeypatch.setattr(budget, "SAMPLE_BUDGET", samples)
             reset_instrumentation()
             masked.clear()

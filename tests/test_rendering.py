@@ -13,7 +13,6 @@ from repro.rendering import (
     ColorTable,
     Framebuffer,
     Rasterizer,
-    RasterizerConfig,
     RayTracer,
     RayTracerConfig,
     Scene,
@@ -31,6 +30,7 @@ from repro.rendering.baselines import (
     SpecializedRayTracer,
     VisItStyleSampler,
 )
+from repro.rendering.rasterizer import raster
 
 
 class TestColor:
@@ -156,11 +156,25 @@ class TestRasterizer:
         result = Rasterizer(Scene(empty)).render(small_camera)
         assert result.features.active_pixels == 0
 
-    def test_chunking_gives_same_image(self, small_scene, small_camera):
-        whole = Rasterizer(small_scene, RasterizerConfig(pair_chunk=10_000_000)).render(small_camera)
-        chunked = Rasterizer(small_scene, RasterizerConfig(pair_chunk=500)).render(small_camera)
+    def test_chunking_gives_same_image(self, small_scene, small_camera, monkeypatch):
+        monkeypatch.setattr(raster, "PAIR_CHUNK", 10_000_000)
+        whole = Rasterizer(small_scene).render(small_camera)
+        monkeypatch.setattr(raster, "PAIR_CHUNK", 500)
+        chunked = Rasterizer(small_scene).render(small_camera)
         assert np.allclose(whole.framebuffer.depth, chunked.framebuffer.depth, equal_nan=True)
         assert np.allclose(whole.framebuffer.rgba, chunked.framebuffer.rgba)
+
+    def test_triangles_draw_double_sided(self, small_scene, small_camera):
+        # Isosurface windings are not oriented toward the camera, so reversing
+        # every triangle must draw the same pixels at the same depths.
+        mesh = small_scene.mesh
+        flipped = type(mesh)(mesh.vertices, mesh.triangles[:, ::-1].copy(), mesh.scalars)
+        front = Rasterizer(small_scene).render(small_camera)
+        back = Rasterizer(Scene(flipped)).render(small_camera)
+        assert back.features.visible_objects == front.features.visible_objects
+        assert back.features.active_pixels == front.features.active_pixels > 0
+        assert np.allclose(back.framebuffer.depth, front.framebuffer.depth, equal_nan=True)
+        assert np.allclose(back.framebuffer.rgba, front.framebuffer.rgba)
 
 
 class TestStructuredVolume:
@@ -265,16 +279,14 @@ class TestUnstructuredVolume:
             (StructuredVolumeConfig, "samples_in_depth", 0),
             (StructuredVolumeConfig, "early_termination_alpha", 0.0),
             (StructuredVolumeConfig, "early_termination_alpha", 1.5),
-            (StructuredVolumeConfig, "sample_chunk", 0),
-            (StructuredVolumeConfig, "sample_chunk", -8),
-            (UnstructuredVolumeConfig, "pair_chunk", 0),
-            (RasterizerConfig, "pair_chunk", 0),
+            (UnstructuredVolumeConfig, "samples_in_depth", 0),
+            (UnstructuredVolumeConfig, "num_passes", 0),
+            (UnstructuredVolumeConfig, "early_termination_alpha", 0.0),
+            (UnstructuredVolumeConfig, "early_termination_alpha", 1.5),
         ],
     )
     def test_config_rejects_out_of_range_field(self, config, field, value):
-        # sample_chunk=0 used to render a blank image with samples_per_ray 0,
-        # samples_in_depth=0 to divide by zero inside render, and pair_chunk=0
-        # to fail only later, inside chunk_ranges.
+        # samples_in_depth=0 used to divide by zero inside render.
         with pytest.raises(ValueError, match=field):
             config(**{field: value})
 

@@ -22,8 +22,9 @@ from repro.geometry import (
 )
 from repro.rendering import rays
 from repro.rendering.rays import screen_footprint
-from repro.rendering.raytracer import RayTracer, RayTracerConfig, Workload, build_bvh
+from repro.rendering.raytracer import BVH, RayTracer, RayTracerConfig, Workload, build_bvh
 from repro.rendering.raytracer.traversal import (
+    _TraversalKernel,
     any_hit,
     brute_force_closest_hit,
     closest_hit,
@@ -242,22 +243,55 @@ class TestDeepStacks:
         _assert_matches_brute_force(bvh, mesh, origins, directions)
 
 
+def _colocated_cluster(rng, count: int) -> TriangleMesh:
+    """``count`` near-identical triangles: every node box overlaps every ray."""
+    jitter = rng.normal(scale=1e-3, size=(count, 3, 3))
+    base = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    vertices = (base[None, :, :] + jitter).reshape(-1, 3)
+    return TriangleMesh(vertices, np.arange(len(vertices)).reshape(-1, 3))
+
+
 class TestDenseOverlap:
-    def test_colocated_cluster_grows_stack(self, rng):
-        # ~1k near-identical triangles make every node box overlap every ray,
-        # so the multi-pop tail window expands BFS-style far past the
-        # depth-based stack sizing; the engine must widen stacks on demand
-        # instead of overflowing into neighboring lanes.
-        jitter = rng.normal(scale=1e-3, size=(1024, 3, 3))
-        base = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        corners = base[None, :, :] + jitter
-        vertices = corners.reshape(-1, 3)
-        triangles = np.arange(len(vertices)).reshape(-1, 3)
-        mesh = TriangleMesh(vertices, triangles)
-        bvh = build_bvh(mesh)
-        origins = np.tile([0.25, 0.25, 2.0], (600, 1))
-        directions = np.tile([0.0, 0.0, -1.0], (600, 1))
-        _assert_matches_brute_force(bvh, mesh, origins, directions)
+    @pytest.mark.parametrize("claimed_depth", [None, 0])
+    def test_colocated_cluster_grows_stack(self, claimed_depth, monkeypatch):
+        # ~1k near-identical triangles in one-triangle leaves make every node
+        # box overlap every ray, so the multi-pop tail window expands
+        # BFS-style past the depth-based stack sizing and _grow_stack widens
+        # the stacks mid-traversal; claiming a depth-0 tree starts them at
+        # the bare multi-pop slack and makes them grow twice.  An entry lost
+        # in the widening would drop a subtree and change some ray's hit.
+        rng = np.random.default_rng(0)
+        mesh = _colocated_cluster(rng, 1024)
+        bvh = build_bvh(mesh, leaf_size=1)
+        if claimed_depth is not None:
+            monkeypatch.setattr(BVH, "max_depth", lambda self: claimed_depth)
+        grown = []
+        grow_stack = _TraversalKernel._grow_stack
+
+        def spy(kernel, lanes, new_max):
+            grown.append((kernel.max_stack, new_max))
+            return grow_stack(kernel, lanes, new_max)
+
+        monkeypatch.setattr(_TraversalKernel, "_grow_stack", spy)
+        count = 600
+        origins = np.column_stack(
+            [rng.uniform(-0.2, 1.0, count), rng.uniform(-0.2, 1.0, count), np.full(count, 2.0)]
+        )
+        directions = np.tile([0.0, 0.0, -1.0], (count, 1))
+        fast = closest_hit(bvh, mesh, origins, directions)
+        assert len(grown) >= (1 if claimed_depth is None else 2)
+        slow = brute_force_closest_hit(mesh, origins, directions)
+        assert 0 < np.count_nonzero(slow.hit_mask) < count
+        for name in ("triangle", "t", "u", "v"):
+            assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
+
+        grown.clear()
+        t_max = rng.uniform(1.5, 2.5, count)
+        occluded = any_hit(bvh, mesh, origins, directions, t_max=t_max)
+        assert grown
+        limited = brute_force_closest_hit(mesh, origins, directions, t_max=t_max)
+        assert 0 < np.count_nonzero(limited.hit_mask) < np.count_nonzero(slow.hit_mask)
+        assert np.array_equal(occluded, limited.hit_mask)
 
 
 class TestGeometryCacheInvalidation:
