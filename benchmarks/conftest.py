@@ -1,8 +1,9 @@
 """Session-scoped fixtures shared by every benchmark.
 
-The model-fitting benchmarks (Tables 12-17, Figures 11-15) all need the study
-corpus; building it involves dozens of real renders, so it is built once per
-pytest session and reused.
+The model-side artifacts (Tables 12-17, Figures 11-15:
+``bench_model_artifacts.py``) all read the study corpus and its fitted suite;
+building the corpus involves dozens of real renders, so it is built once per
+pytest session and reused.  Table 15 reads a calibration corpus of its own.
 
 The corpus is built by the sweep engine (:func:`repro.study.run_study`), the
 same pipeline ``python -m repro.study run`` and the CI ``sweep-smoke`` job
@@ -44,9 +45,9 @@ def study_corpus():
 def model_suite(study_corpus):
     """The fitted-model registry (suite) over the default corpus.
 
-    The table/figure benchmarks consume models through the same
-    :class:`~repro.reporting.suite.ModelSuite` the ``report`` CLI and CI
-    artifacts use, so a registry regression shows up here too.
+    The artifact benchmarks call the ``report`` CLI's emitters on the same
+    :class:`~repro.reporting.suite.ModelSuite` it fits, so a registry
+    regression shows up here too.
     """
     from repro.reporting import ModelSuite
 
@@ -54,13 +55,24 @@ def model_suite(study_corpus):
 
 
 @pytest.fixture(scope="session")
-def fitted_models(model_suite):
-    """All six fitted single-node models keyed by (architecture, technique)."""
-    return model_suite.models()
+def calibration_corpus():
+    """Table 15's corpus: the Section 5.7 small-sample calibration on the Titan stand-in.
+
+    Ten synthesized CloverLeaf3D experiments per technique on
+    ``gpu2-titan-k20`` alone (the paper ran 20-31 on Titan), no compositing.
+    """
+    config = StudyConfiguration(
+        architectures=("gpu2-titan-k20",),
+        simulations=("cloverleaf",),
+        samples_per_technique=10,
+        seed=41,
+    )
+    return run_study(config, include_compositing=False)
 
 
 @pytest.fixture(scope="session")
-def compositing_model(model_suite):
-    """The fitted Eq. 5.5 compositing model."""
-    assert model_suite.compositing is not None
-    return model_suite.compositing.model
+def calibration_suite(calibration_corpus):
+    """The suite fitted on :func:`calibration_corpus`."""
+    from repro.reporting import ModelSuite
+
+    return ModelSuite.fit_corpus(calibration_corpus)

@@ -16,8 +16,8 @@ The package implements the full Chapter V methodology:
   image compositing): one model type over a registry table of term groups.
 * :mod:`repro.modeling.study` -- the study's data model: the sweep
   configuration, the corpus rows with their JSON codecs and digest, and the
-  corpus that fits the models (:mod:`repro.study` runs the sweep that gathers
-  it, and the Section 5.7 calibration workflow that sweeps and fits).
+  corpus that fits the models (:mod:`repro.study` gathers it; the Section 5.7
+  calibration is a small one-architecture corpus like any other).
 * :mod:`repro.modeling.feasibility` -- the in situ viability analyses of
   Section 5.9 (images within a time budget; ray tracing versus
   rasterization).

@@ -46,6 +46,9 @@ LARGE_SCALE_ORACLE_SEED = 314
 #: the experiment being validated.
 HOST_MAPPING_SAMPLES_IN_DEPTH = 200
 
+#: Host experiments per technique Table 16 maps (the first rows of each slice).
+HOST_MAPPING_ROWS_PER_TECHNIQUE = 2
+
 
 def markdown_table(headers: list[str], rows: list[list[object]]) -> str:
     """A GitHub-flavored Markdown table."""
@@ -231,16 +234,14 @@ def table15_large_scale_prediction(suite: ModelSuite, corpus: StudyCorpus) -> tu
 # -- Table 16 -------------------------------------------------------------------------
 
 
-def table16_mapping_validation(
-    suite: ModelSuite, corpus: StudyCorpus, rows_per_technique: int = 2
-) -> tuple[dict, str]:
+def table16_mapping_validation(suite: ModelSuite, corpus: StudyCorpus) -> tuple[dict, str]:
     """Mapped (a-priori) versus observed model inputs on host experiments."""
     rows = []
     for technique in corpus.techniques():
         entry = suite.entries.get((HOST_ARCHITECTURE, technique))
         if entry is None:
             continue
-        for record in corpus.select(HOST_ARCHITECTURE, technique)[:rows_per_technique]:
+        for record in corpus.select(HOST_ARCHITECTURE, technique)[:HOST_MAPPING_ROWS_PER_TECHNIQUE]:
             config = RenderingConfiguration(
                 technique=record.technique,
                 architecture=HOST_ARCHITECTURE,

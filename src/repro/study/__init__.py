@@ -23,8 +23,6 @@ pipeline:
   models, score candidates by prediction-interval width, select the widest
   batch deterministically (with :mod:`repro.study.trajectory` recording the
   error-vs-corpus-size learning curve);
-* :mod:`repro.study.calibration` -- the Section 5.7 workflow: sweep a small
-  calibration sample for a new machine, fit, predict at scale;
 * :mod:`repro.study.cli` -- ``python -m repro.study`` with ``plan
   [--adaptive]`` / ``run [--adaptive] --jobs N --resume`` / ``merge`` /
   ``fit`` subcommands.
@@ -32,9 +30,9 @@ pipeline:
 :func:`run_study` is the one configuration -> corpus call (plan, execute,
 raise on failure rows); the library, the examples and the benchmark suite's
 corpus fixtures all go through it, so every table/figure benchmark rides the
-same pipeline CI exercises.  The serial oracle is the executor itself at
-``jobs=1`` (an in-process loop, no pool, no cache): a pool run is
-contractually row-for-row equal to it.
+same pipeline CI exercises (the Section 5.7 calibration is one such corpus).
+The serial oracle is the executor itself at ``jobs=1`` (an in-process loop, no
+pool, no cache): a pool run is contractually row-for-row equal to it.
 """
 
 from repro.modeling.study import StudyConfiguration

@@ -48,7 +48,6 @@ __all__ = [
     "require_sampled_ranks",
     "smoke_configuration",
     "full_configuration",
-    "spec_from_payload",
     "spec_corpus_key",
     "corpus_spec_keys",
 ]
@@ -412,22 +411,6 @@ def full_configuration(seed: int = 2016) -> StudyConfiguration:
         image_size_range=(64, 192),
         seed=seed,
     )
-
-
-def spec_from_payload(payload: dict) -> ExperimentSpec:
-    """Inverse of :meth:`ExperimentSpec.key_payload` (plan files, cache entries).
-
-    Unknown payload keys raise: a key this spec schema does not carry means the
-    payload came from a newer (or otherwise diverged) plan/cache schema, and
-    silently dropping it would alias two *different* experiments onto one spec.
-    """
-    unknown = sorted(set(payload) - set(ExperimentSpec.__dataclass_fields__))
-    if unknown:
-        raise ValueError(f"spec payload carries unknown keys {unknown}: plan/cache schema drift")
-    values = dict(payload)
-    if "compositing_radices" in values:  # a JSON round trip turns the tuple into a list
-        values["compositing_radices"] = tuple(values["compositing_radices"])
-    return ExperimentSpec(**values)
 
 
 # ---------------------------------------------------------------------------

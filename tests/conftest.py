@@ -7,6 +7,7 @@ import pytest
 
 from repro.geometry import Camera, isosurface_marching_tets, make_named_dataset, tetrahedralize_uniform_grid
 from repro.rendering.scene import Scene
+from repro.study.plan import ExperimentSpec
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +52,25 @@ def small_tets(blob_grid):
 def rng():
     """Deterministic RNG for per-test randomness."""
     return np.random.default_rng(1234)
+
+
+def _spec_from_payload(payload: dict) -> ExperimentSpec:
+    """Inverse of :meth:`ExperimentSpec.key_payload`, the payload plan files and cache keys carry.
+
+    Unknown payload keys raise: a key this spec schema does not carry means the
+    payload came from a newer (or otherwise diverged) plan/cache schema, and
+    silently dropping it would alias two *different* experiments onto one spec.
+    """
+    unknown = sorted(set(payload) - set(ExperimentSpec.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"spec payload carries unknown keys {unknown}: plan/cache schema drift")
+    values = dict(payload)
+    if "compositing_radices" in values:  # a JSON round trip turns the tuple into a list
+        values["compositing_radices"] = tuple(values["compositing_radices"])
+    return ExperimentSpec(**values)
+
+
+@pytest.fixture(scope="session")
+def spec_from_payload():
+    """The ``key_payload`` round-trip oracle: payload dict -> :class:`ExperimentSpec`."""
+    return _spec_from_payload

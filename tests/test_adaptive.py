@@ -43,7 +43,6 @@ from repro.study.plan import (
     corpus_spec_keys,
     smoke_configuration,
     spec_corpus_key,
-    spec_from_payload,
 )
 from repro.study.trajectory import (
     append_trajectory_rows,
@@ -326,11 +325,11 @@ class TestTrajectoryLedger:
 class TestSpecFromPayloadStrict:
     """Unknown payload keys raise (schema drift)."""
 
-    def test_round_trip_still_exact(self, base_config):
+    def test_round_trip_still_exact(self, base_config, spec_from_payload):
         spec = build_plan(base_config, include_compositing=False).specs[0]
         assert spec_from_payload(spec.key_payload()) == spec
 
-    def test_unknown_key_raises(self, base_config):
+    def test_unknown_key_raises(self, base_config, spec_from_payload):
         payload = build_plan(base_config, include_compositing=False).specs[0].key_payload()
         payload["mystery_knob"] = 3
         with pytest.raises(ValueError, match="mystery_knob"):

@@ -1,8 +1,9 @@
-"""Golden paths of the Section 5.7/5.9 analyses: feasibility curves and calibration.
+"""Golden paths of the Section 5.9 analyses: the feasibility curves.
 
-The feasibility tests pin the Figure 14 budget arithmetic and the Figure 15
-ratio grid to hand-computed values via models with chosen coefficients; the
-calibration tests run the small-sample Titan-style workflow end to end.
+The tests pin the Figure 14 budget arithmetic and the Figure 15 ratio grid to
+hand-computed values via models with chosen coefficients.  The Section 5.7
+calibration is Table 15's emitter over a small one-architecture corpus; its
+tests live with the other emitters' in ``test_reporting.py``.
 """
 
 from __future__ import annotations
@@ -10,9 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.machines import KernelCostModel
 from repro.modeling import RenderingConfiguration, map_configuration_to_features
-from repro.study.calibration import MachineCalibration, validate_large_scale_prediction
 from repro.modeling.feasibility import images_within_budget, raytracing_vs_rasterization
 from repro.modeling.models import PerformanceModel, make_model
 from repro.modeling.regression import LinearRegressionResult
@@ -181,76 +180,3 @@ class TestRaytracingVsRasterization:
         )
         assert np.array_equal(heat["image_sizes"], [384, 768])
         assert np.array_equal(heat["data_sizes"], [100, 200, 400])
-
-
-class TestMachineCalibration:
-    """The Section 5.7 workflow: small-sample calibration, large-scale prediction."""
-
-    @pytest.fixture(scope="class")
-    def calibration(self):
-        calibrator = MachineCalibration(
-            "gpu1-k40m", simulation="cloverleaf", calibration_samples=6, seed=5, task_counts=(1, 2)
-        )
-        return calibrator.calibrate("raster")
-
-    def test_calibration_fits_from_the_small_sample(self, calibration):
-        assert calibration.architecture == "gpu1-k40m"
-        assert calibration.technique == "raster"
-        assert calibration.sample_points == 6
-        assert calibration.model.r_squared > 0.0
-
-    def test_prediction_goes_through_the_mapping(self, calibration):
-        config = RenderingConfiguration(
-            technique="raster", architecture="gpu1-k40m", num_tasks=1024,
-            cells_per_task=252, image_width=2048, image_height=2048,
-        )
-        predicted = calibration.predict_configuration(config)
-        features = map_configuration_to_features(config)
-        assert predicted == pytest.approx(calibration.model.predict(features), rel=1e-12)
-        assert predicted > 0.0
-
-    def test_validate_large_scale_prediction_row(self, calibration):
-        config = RenderingConfiguration(
-            technique="raster", architecture="gpu1-k40m", num_tasks=1024,
-            cells_per_task=252, image_width=2048, image_height=2048,
-        )
-        oracle = KernelCostModel("gpu1-k40m", seed=314)
-        features = map_configuration_to_features(config)
-        measured = oracle.total("raster", features, include_build=False)
-        row = validate_large_scale_prediction(calibration, config, measured)
-        assert set(row) == {"actual_seconds", "predicted_seconds", "difference_percent", "sample_points"}
-        assert row["actual_seconds"] == pytest.approx(measured)
-        assert row["sample_points"] == 6.0
-        expected = 100.0 * (row["predicted_seconds"] - measured) / measured
-        assert row["difference_percent"] == pytest.approx(expected, rel=1e-9)
-
-    def test_only_the_target_architecture_is_planned(self):
-        # A synthesized target used to plan ("cpu-host", target): every
-        # calibrate() rendered ``calibration_samples`` host experiments whose
-        # rows the fit never selected.  Dropping them must not move the fit.
-        calibrator = MachineCalibration("gpu2-titan-k20")  # seed 77
-        corpus = calibrator._run_technique("raytrace")
-        assert corpus.architectures() == ["gpu2-titan-k20"]
-        assert len(corpus.records) == calibrator.calibration_samples
-        fits = calibrator.calibrate("raytrace").model.fits
-        assert fits["build"].coefficients == pytest.approx(
-            [1.5628570736545823e-08, 0.00060021626056256], rel=1e-9
-        )
-        assert fits["frame"].coefficients == pytest.approx(
-            [0.0, 1.0968606331312317e-08, 0.0006757174359861035], rel=1e-9
-        )
-        # The host stays when it *is* the target.
-        assert MachineCalibration("cpu-host")._config.architectures == ("cpu-host",)
-
-    def test_repeated_calibration_is_deterministic_and_isolated(self):
-        calibrator = MachineCalibration(
-            "gpu1-k40m", simulation="kripke", calibration_samples=6, seed=11, task_counts=(1, 2)
-        )
-        first = calibrator.calibrate("raster")
-        # The stored configuration is never mutated by a calibrate call ...
-        assert calibrator._config.techniques == ("raytrace", "raster", "volume")
-        second = calibrator.calibrate("raster")
-        # ... so synthetic-architecture refits reproduce coefficients exactly.
-        assert np.array_equal(
-            first.model.fits["fit"].coefficients, second.model.fits["fit"].coefficients
-        )

@@ -26,6 +26,12 @@ from repro.modeling.regression import LinearRegressionResult
 from repro.modeling.study import StudyConfiguration, StudyCorpus
 from repro.reporting import ModelSuite, Predictor, generate_report
 from repro.reporting.suite import MODELS_SCHEMA_VERSION, FittedModel, _coefficient_warnings
+from repro.reporting.tables import (
+    LARGE_SCALE_CELLS,
+    LARGE_SCALE_IMAGE,
+    LARGE_SCALE_TASKS,
+    table15_large_scale_prediction,
+)
 from repro.simulations.fields import SIMULATION_FIELDS
 from repro.study import cli as study_cli
 from repro.study import run_study
@@ -507,6 +513,58 @@ class TestGenerateReport:
         for number in range(11, 16):
             assert f"### Figure {number}:" in markdown
         assert corpus_digest(corpus) in markdown
+
+
+class TestTable15LargeScalePrediction:
+    """The Section 5.7 workflow: a small corpus fits the models, the mapping predicts at scale."""
+
+    @staticmethod
+    def _rows(suite, corpus) -> dict[tuple[str, str], dict]:
+        payload, _ = table15_large_scale_prediction(suite, corpus)
+        return {(row["architecture"], row["technique"]): row for row in payload["rows"]}
+
+    def test_prediction_goes_through_the_mapping(self, corpus, suite):
+        rows = self._rows(suite, corpus)
+        assert sorted(rows) == sorted(suite.entries)
+        for (architecture, technique), row in rows.items():
+            config = RenderingConfiguration(
+                technique=technique,
+                architecture=architecture,
+                num_tasks=LARGE_SCALE_TASKS,
+                cells_per_task=LARGE_SCALE_CELLS,
+                image_width=LARGE_SCALE_IMAGE,
+                image_height=LARGE_SCALE_IMAGE,
+            )
+            model = suite.entries[(architecture, technique)].model
+            expected = model.predict(map_configuration_to_features(config), include_build=False)
+            assert row["predicted_seconds"] == float(expected)
+            assert row["predicted_seconds"] > 0.0
+
+    def test_difference_is_relative_to_the_actual_time(self, corpus, suite):
+        for row in self._rows(suite, corpus).values():
+            actual, predicted = row["actual_seconds"], row["predicted_seconds"]
+            assert actual > 0.0
+            assert row["difference_percent"] == 100.0 * (predicted - actual) / max(actual, 1e-12)
+
+    def test_sample_points_count_the_slice_rows(self, corpus, suite):
+        for (architecture, technique), row in self._rows(suite, corpus).items():
+            assert row["sample_points"] == len(corpus.select(architecture, technique))
+
+    def test_host_slices_are_excluded(self, corpus, suite):
+        # No oracle exists for real hardware at 1024 tasks: a host entry gets no row.
+        raster = suite.entries[("gpu1-k40m", "raster")]
+        host = FittedModel("cpu-host", "raster", raster.model, raster.num_rows)
+        with_host = dataclasses.replace(suite, entries={**suite.entries, host.key: host})
+        assert self._rows(with_host, corpus) == self._rows(suite, corpus)
+
+    def test_each_row_has_its_own_oracle(self, corpus, suite):
+        # A shared noise stream would make a row's "actual" depend on the rows
+        # emitted before it; one technique alone must read what it reads among three.
+        together = self._rows(suite, corpus)
+        assert len(together) == 3
+        for key, entry in suite.entries.items():
+            alone = self._rows(dataclasses.replace(suite, entries={key: entry}), corpus)
+            assert alone[key]["actual_seconds"] == together[key]["actual_seconds"]
 
 
 class TestReportingCLI:

@@ -53,7 +53,7 @@ from repro.study import (
 )
 from repro.study import cli as study_cli
 from repro.study import corpus_io, experiments
-from repro.study.plan import ExperimentSpec, smoke_configuration, spec_from_payload
+from repro.study.plan import ExperimentSpec, smoke_configuration
 from repro.techniques import TECHNIQUES
 
 
@@ -448,12 +448,12 @@ class TestPlan:
         assert counts == {"render": 12, "synthetic": 12, "compositing": 30}
         assert sum(plan.breakdown().values()) == len(plan)
 
-    def test_spec_payload_round_trip(self):
+    def test_spec_payload_round_trip(self, spec_from_payload):
         plan = build_plan(self.CONFIG)
         for spec in plan.specs[:5]:
             assert spec_from_payload(spec.key_payload()) == spec
 
-    def test_payload_and_corpus_key_agree_with_the_dataclass(self):
+    def test_payload_and_corpus_key_agree_with_the_dataclass(self, spec_from_payload):
         # key_payload() skips the asdict deep copy and spec_corpus_key(spec)
         # reads attributes; both must stay what the generic forms say.
         from repro.study.plan import full_configuration, smoke_configuration, spec_corpus_key
@@ -466,7 +466,7 @@ class TestPlan:
                 assert spec_corpus_key(spec) == spec_corpus_key(payload)
                 assert spec_from_payload(json.loads(json.dumps(payload))) == spec
 
-    def test_compositing_specs_carry_the_streaming_knobs(self):
+    def test_compositing_specs_carry_the_streaming_knobs(self, spec_from_payload):
         config = dataclasses.replace(
             self.CONFIG,
             compositing_algorithms=("radix-k",),

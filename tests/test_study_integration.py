@@ -1,15 +1,20 @@
-"""Integration tests: the study sweep, calibration, and feasibility analyses end to end."""
+"""Integration tests: the study sweep, the model fits and the feasibility analyses end to end."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.machines import KernelCostModel
 from repro.modeling import RenderingConfiguration, map_configuration_to_features
-from repro.study.calibration import MachineCalibration, validate_large_scale_prediction
 from repro.modeling.feasibility import images_within_budget, raytracing_vs_rasterization
 from repro.modeling.study import COMPOSITING_ARCHITECTURE, StudyConfiguration
+from repro.reporting import ModelSuite
+from repro.reporting.tables import (
+    LARGE_SCALE_CELLS,
+    LARGE_SCALE_IMAGE,
+    LARGE_SCALE_TASKS,
+    table15_large_scale_prediction,
+)
 from repro.study import run_study
 
 
@@ -116,12 +121,30 @@ class TestMappingValidation:
 
 class TestCalibrationAndFeasibility:
     def test_titan_style_calibration(self):
-        calibration = MachineCalibration("gpu2-titan-k20", calibration_samples=8, seed=31).calibrate("raytrace")
-        assert calibration.sample_points == 8
-        config = RenderingConfiguration("raytrace", "gpu2-titan-k20", 1024, 128, 1024, 1024)
-        features = map_configuration_to_features(config)
-        measured = KernelCostModel("gpu2-titan-k20", seed=7).total("raytrace", features, include_build=False)
-        row = validate_large_scale_prediction(calibration, config, measured)
+        # Section 5.7: a small one-architecture sweep fits the model, and
+        # Table 15's emitter predicts the 1024-task run through the mapping.
+        corpus = run_study(
+            StudyConfiguration(
+                architectures=("gpu2-titan-k20",),
+                techniques=("raytrace",),
+                simulations=("cloverleaf",),
+                samples_per_technique=8,
+                seed=31,
+            ),
+            include_compositing=False,
+        )
+        suite = ModelSuite.fit_corpus(corpus)
+        payload, _ = table15_large_scale_prediction(suite, corpus)
+        (row,) = payload["rows"]
+        assert (row["architecture"], row["technique"]) == ("gpu2-titan-k20", "raytrace")
+        assert row["sample_points"] == 8
+        config = RenderingConfiguration(
+            "raytrace", "gpu2-titan-k20", LARGE_SCALE_TASKS, LARGE_SCALE_CELLS,
+            LARGE_SCALE_IMAGE, LARGE_SCALE_IMAGE,
+        )
+        model = suite.entries[("gpu2-titan-k20", "raytrace")].model
+        expected = model.predict(map_configuration_to_features(config), include_build=False)
+        assert row["predicted_seconds"] == float(expected)
         assert row["predicted_seconds"] > 0
         assert abs(row["difference_percent"]) < 400.0
 
