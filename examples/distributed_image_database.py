@@ -8,7 +8,8 @@ reproduces the workflow that motivates the paper's feasibility question:
 3. many camera angles are rendered to build a small Cinema-style image
    database, and
 4. the measured per-frame cost is extrapolated with the fitted models to
-   answer "how many images fit in a 60-second budget?".
+   answer "how many images fit in a 60-second budget?" -- Figure 14, printed
+   by the report's emitter (:func:`repro.reporting.figures.fig14_images_per_budget`).
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from repro.compositing import Compositor
 from repro.geometry import Camera
 from repro.geometry.triangles import external_faces
 from repro.insitu.imageio import write_ppm
-from repro.modeling.feasibility import images_within_budget
-from repro.modeling.study import COMPOSITING_ARCHITECTURE, StudyConfiguration
+from repro.modeling.study import StudyConfiguration
 from repro.rendering import RayTracer, RayTracerConfig, Scene, Workload
+from repro.reporting import ModelSuite
+from repro.reporting.figures import fig14_images_per_budget
 from repro.runtime import BlockDecomposition
 from repro.study import run_study
 
@@ -79,25 +81,13 @@ def main() -> None:
     print(f"\nmeasured mean frame cost: {np.mean(per_frame_seconds):.3f}s "
           f"(~{int(60.0 / np.mean(per_frame_seconds))} images per minute at this scale)")
 
-    # Extrapolate with the fitted models: the Figure 14 question at paper scale.
+    # Extrapolate with the fitted models: the Figure 14 question at paper scale,
+    # answered by the report's own emitter.
     print("\nfitting the performance models (small sweep)...")
     corpus = run_study(StudyConfiguration(samples_per_technique=8, seed=5))
-    models = corpus.fit_all_models()
-    compositing_model = corpus.fit_model(COMPOSITING_ARCHITECTURE, "compositing")
-    points = images_within_budget(
-        models,
-        budget_seconds=60.0,
-        num_tasks=32,
-        cells_per_task=200,
-        image_sizes=np.array([1024, 2048, 4096]),
-        compositing_model=compositing_model,
-    )
-    print("\nimages renderable in 60 s (32 tasks of 200^3 cells):")
-    for point in points:
-        print(
-            f"  {point.architecture:<10} {point.technique:<9} {point.image_size:>4}^2 : "
-            f"{point.images_in_budget:>6} images ({point.seconds_per_image * 1e3:.1f} ms/image)"
-        )
+    suite = ModelSuite.fit_corpus(corpus)
+    print()
+    print(fig14_images_per_budget(suite, corpus)[1])
 
 
 if __name__ == "__main__":

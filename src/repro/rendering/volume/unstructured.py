@@ -22,27 +22,32 @@ An initialization step (run once) computes the per-tet depth ranges used by
 pass selection.
 
 Since the frontier refactor the per-pixel accumulation runs on the shared
-:class:`repro.dpp.FrontierEngine`: every pixel is a lane carrying its RGBA
+:class:`repro.dpp.FrontierEngine`: every pixel of the block's *window* -- the
+rectangle its tets' clipped screen boxes span -- is a lane carrying its RGBA
 accumulators, one engine step executes one pass, and a pixel crossing the
 early-termination opacity *retires* -- the engine compacts it out, later
 passes' samplers skip it via the residency mask, and later compositing never
-touches its row.
+touches its row.  No sample reaches a pixel outside the window, so a corner
+block of a decomposed domain buffers and composites only its own corner.
 
 **Fragment-sorted sampling** (the fast path behind :meth:`render`) replaces
 the seed sampler's dense candidate enumeration.  The seed loop visited every
 ``box_w x box_h x box_d`` (pixel, depth-slot) pair of each tet's screen-space
 AABB and rejected 85-90% of them with the barycentric inside test; the
 fragment formulation (the HAVS-style competitor of the paper's Figure 6)
-enumerates only the 2D pixel columns, intersects each column with the tet's
-four inward face planes (:func:`repro.geometry.tetra.tet_face_planes`) to get
-the analytic entry/exit slot span, emits one fragment per (pixel, slot, tet)
-in the span, and resolves fragment collisions per sample-buffer cell with one
-combined sort + :func:`~repro.dpp.primitives.segmented_argmin` -- the same
-machinery the sort-last compositor uses.  The span is conservative (a slack
-proportional to the face clearance covers float rounding and the reference's
-``-1e-9`` barycentric tolerance) and every surviving fragment re-runs the
-reference's *exact* inside test, so the fast path reproduces the seed
-sampler's accepted-sample set -- and therefore its image -- bit for bit.
+enumerates only the 2D pixel columns a *silhouette cover* admits -- per box
+row, the padded x-span of the hull of the tet's four projected vertices --
+intersects each column with the tet's four inward face planes
+(:func:`repro.geometry.tetra.tet_face_planes`) to get the analytic entry/exit
+slot span, emits one fragment per (pixel, slot, tet) in the span, and
+resolves fragment collisions per sample-buffer cell with one combined sort +
+:func:`~repro.dpp.primitives.segmented_argmin` -- the same machinery the
+sort-last compositor uses.  The cover and the span are conservative (slacks
+proportional to the tet's extent and the face clearance cover float rounding
+and the reference's ``-1e-9`` barycentric tolerance) and every surviving
+fragment re-runs the reference's *exact* inside test, so the fast path
+reproduces the seed sampler's accepted-sample set -- and therefore its image
+-- bit for bit.
 :meth:`UnstructuredVolumeRenderer.render_reference` keeps the pre-frontier
 full-width loop with the seed sampler as the differential reference.
 """
@@ -121,6 +126,10 @@ class UnstructuredVolumeConfig:
 #: magnitude to spare while staying far below one depth slot.
 _SPAN_SLACK = 1e-6
 
+#: The six edges of a tet as vertex-index pairs: every edge of the projected
+#: hull of its four vertices is one of them.
+_HULL_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
+
 
 @dataclass
 class _PreparedTets:
@@ -144,12 +153,13 @@ class _PreparedTets:
 class _TetPassKernel:
     """One engine step per sampling pass over the depth-slot range.
 
-    Lanes are pixels; the kernel runs the pass-selection, screen-space, and
-    sampling phases full-width (they are object-order), gathers the resident
-    pixels' sample rows, and composites them into the lane accumulators.
-    Early ray termination is lane retirement: the engine compacts opaque
-    pixels away and the sampler's residency mask stops generating candidate
-    samples for them.
+    Lanes are the pixels of the block's window, numbered row-major inside it
+    (:meth:`UnstructuredVolumeRenderer._lane_window`); the kernel runs the
+    pass-selection, screen-space, and sampling phases over every active tet
+    (they are object-order), gathers the resident pixels' sample rows, and
+    composites them into the lane accumulators.  Early ray termination is
+    lane retirement: the engine compacts opaque pixels away and the sampler's
+    residency mask stops generating candidate samples for them.
     """
 
     output_fields = ("accum_rgb", "accum_alpha")
@@ -166,7 +176,8 @@ class _TetPassKernel:
         self.prepared = prepared
         self.clock = clock
         config = renderer.config
-        self.num_pixels = camera.width * camera.height
+        self.window = renderer._lane_window(prepared.screen_vertices, camera.width, camera.height)
+        self.num_lanes = self.window[2] * self.window[3]
         self.total_slots = config.samples_in_depth
         self.slots_per_pass = int(np.ceil(self.total_slots / config.num_passes))
         self.pass_index = 0
@@ -203,9 +214,9 @@ class _TetPassKernel:
         with clock.phase("sampling"):
             # Lane residency is the sampler's early-termination mask: only
             # pixels still resident (and not retired) receive samples.
-            open_mask = np.zeros(self.num_pixels, dtype=bool)
+            open_mask = np.zeros(self.num_lanes, dtype=bool)
             open_mask[lanes.lane_ids[~lanes.retired]] = True
-            sample_scalar = np.full((self.num_pixels, last_slot - first_slot), np.nan)
+            sample_scalar = np.full((self.num_lanes, last_slot - first_slot), np.nan)
             renderer._sample_pass(
                 self.camera,
                 vertices,
@@ -216,6 +227,7 @@ class _TetPassKernel:
                 last_slot,
                 sample_scalar,
                 open_mask,
+                self.window,
             )
 
         with clock.phase("compositing"):
@@ -306,23 +318,25 @@ class UnstructuredVolumeRenderer:
         """Volume render the tetrahedral mesh from ``camera`` on the frontier engine."""
         framebuffer = Framebuffer(camera.width, camera.height)
         features = ObservedFeatures(objects=self.mesh.num_cells)
-        num_pixels = camera.width * camera.height
 
         clock = PhaseClock("volume")
         with clock.phase("initialization"):
             prepared = self._prepare(camera)
+            kernel = _TetPassKernel(self, camera, prepared, clock)
 
-        kernel = _TetPassKernel(self, camera, prepared, clock)
+        # One lane per pixel of the block's window; no sample reaches a pixel
+        # outside it, so those pixels keep the zero a lane would end with.
+        num_lanes = kernel.num_lanes
         lanes = FrontierLanes(
-            np.arange(num_pixels, dtype=np.int64),
+            np.arange(num_lanes, dtype=np.int64),
             {
-                "accum_rgb": np.zeros((num_pixels, 3)),
-                "accum_alpha": np.zeros(num_pixels),
+                "accum_rgb": np.zeros((num_lanes, 3)),
+                "accum_alpha": np.zeros(num_lanes),
             },
         )
         outputs = {
-            "accum_rgb": np.zeros((num_pixels, 3)),
-            "accum_alpha": np.zeros(num_pixels),
+            "accum_rgb": np.zeros((num_lanes, 3)),
+            "accum_alpha": np.zeros(num_lanes),
         }
         # The engine's flush/compaction work runs between kernel steps, in no
         # phase the kernel opens; the enclosing phase keeps it as compositing
@@ -338,10 +352,14 @@ class UnstructuredVolumeRenderer:
 
         rgba = np.concatenate([accum_rgb, accum_alpha[:, None]], axis=1)
         written = np.flatnonzero(accum_alpha > 0.0)
+        x0, y0, window_width, _ = kernel.window
+        rows, columns = np.divmod(written, window_width)
         # Covered pixels report the nearest data depth, clamped at the camera
         # (behind-camera points must not produce negative layer depths).
         framebuffer.write_pixels(
-            written, rgba[written], np.full(len(written), max(prepared.depth_min, 0.0))
+            (rows + y0) * camera.width + (columns + x0),
+            rgba[written],
+            np.full(len(written), max(prepared.depth_min, 0.0)),
         )
         return RenderResult(framebuffer, clock.seconds, features, technique="volume_unstructured")
 
@@ -428,6 +446,22 @@ class UnstructuredVolumeRenderer:
         box_h = np.maximum(hi_xy[:, 1] - lo_xy[:, 1], 1)
         return lo_xy, hi_xy, box_w, box_h
 
+    @classmethod
+    def _lane_window(cls, vertices: np.ndarray, width: int, height: int) -> tuple[int, int, int, int]:
+        """``(x0, y0, w, h)``: the pixel rectangle the tets' clipped screen boxes span.
+
+        Rows count from the bottom, as :meth:`Camera.world_to_screen` puts
+        them.  The engine path keeps one lane per pixel of this rectangle and
+        indexes its per-pass buffers by ``(py - y0) * w + (px - x0)``.
+        """
+        if not len(vertices):
+            return 0, 0, 0, 0
+        lo_xy, _hi_xy, box_w, box_h = cls._screen_boxes(vertices, width, height)
+        x0, y0 = (int(value) for value in lo_xy.min(axis=0))
+        x1 = int((lo_xy[:, 0] + box_w).max())
+        y1 = int((lo_xy[:, 1] + box_h).max())
+        return x0, y0, x1 - x0, y1 - y0
+
     @staticmethod
     def _inverse_barycentric(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Inverse barycentric matrices: columns are the edge vectors from v0."""
@@ -451,19 +485,23 @@ class UnstructuredVolumeRenderer:
         last_slot: int,
         sample_scalar: np.ndarray,
         open_mask: np.ndarray,
+        window: tuple[int, int, int, int],
     ) -> int:
         """Fragment-sorted sampler: fill the pass's sample buffer.
 
-        Enumerates only the 2D pixel columns of each active tet's clipped
-        screen box, computes the analytic slot span of every surviving column
+        Enumerates, row by row of each active tet's clipped screen box, only
+        the pixel columns the padded x-span of the tet's projected silhouette
+        can cover, computes the analytic slot span of every surviving column
         from the tet's inward face planes, emits one fragment per in-span
         (pixel, slot) candidate, re-runs the exact barycentric inside test on
         the fragments, and resolves per-cell collisions with one combined
         sort + segmented argmin over the whole pass.  Returns the number of
         candidates visited (pixel columns plus span fragments).
 
-        ``open_mask`` flags the pixels still accepting samples (resident,
-        non-opaque lanes on the engine path).
+        ``window`` is the lane rectangle of :meth:`_lane_window`: row ``i`` of
+        ``sample_scalar`` and ``open_mask`` is its rectangle-local pixel
+        ``i``.  ``open_mask`` flags the pixels still accepting samples
+        (resident, non-opaque lanes on the engine path).
         """
         width, height = camera.width, camera.height
         v0, inverse, valid = self._inverse_barycentric(vertices)
@@ -479,6 +517,7 @@ class UnstructuredVolumeRenderer:
             chunk = order[start:end]
             visited += self._fragment_chunk(
                 chunk,
+                vertices,
                 lo_xy,
                 box_w,
                 box_h,
@@ -492,7 +531,7 @@ class UnstructuredVolumeRenderer:
                 sample_scalar.shape[1],
                 open_mask,
                 fragments,
-                image_width=width,
+                window=window,
             )
         if fragments:
             self._resolve_fragments(fragments, len(vertices), sample_scalar)
@@ -501,6 +540,7 @@ class UnstructuredVolumeRenderer:
     def _fragment_chunk(
         self,
         chunk: np.ndarray,
+        vertices: np.ndarray,
         lo_xy: np.ndarray,
         box_w: np.ndarray,
         box_h: np.ndarray,
@@ -515,22 +555,31 @@ class UnstructuredVolumeRenderer:
         open_mask: np.ndarray,
         fragments: list,
         *,
-        image_width: int,
+        window: tuple[int, int, int, int],
     ) -> int:
         """Emit the surviving (cell index, tet order, scalar) fragments of one chunk."""
-        counts = box_w[chunk] * box_h[chunk]
-        if counts.sum() == 0:
+        # Silhouette cover: expand each tet to its box rows and keep, per row,
+        # the box columns inside the padded x-span of the projected hull.
+        rows_per_tet = box_h[chunk]
+        tet_of_row = np.repeat(np.arange(len(chunk)), rows_per_tet)
+        row_y = lo_xy[chunk[tet_of_row], 1] + segment_local_indices(rows_per_tet)
+        span_lo, span_hi = self._row_spans(vertices[chunk, :, :2], tet_of_row, row_y + 0.5)
+        box_lo = lo_xy[chunk[tet_of_row], 0]
+        box_hi = box_lo + box_w[chunk[tet_of_row]]
+        # Pixel centers px + 0.5 inside [span_lo, span_hi], clipped to the box
+        # (the clip also bounds the floats so the integer casts are safe).
+        first_px = np.clip(np.ceil(span_lo - 0.5), box_lo, box_hi).astype(np.int64)
+        stop_px = np.clip(np.floor(span_hi - 0.5) + 1.0, box_lo, box_hi).astype(np.int64)
+        counts = np.maximum(stop_px - first_px, 0)
+        visited = int(counts.sum())
+        if visited == 0:
             return 0
-        tet_of_pair = np.repeat(np.arange(len(chunk)), counts)
-        local = segment_local_indices(counts)
-        w_rep = np.repeat(box_w[chunk], counts)
-        dx = local % w_rep
-        dy = local // w_rep
-        tids = chunk[tet_of_pair]
-        px = lo_xy[tids, 0] + dx
-        py = lo_xy[tids, 1] + dy
-        pixel_flat = py * image_width + px
-        visited = int(len(pixel_flat))
+        row_of_pair = np.repeat(np.arange(len(row_y)), counts)
+        tids = chunk[tet_of_row[row_of_pair]]
+        px = first_px[row_of_pair] + segment_local_indices(counts)
+        py = row_y[row_of_pair]
+        x0, y0, window_width, _ = window
+        pixel_flat = (py - y0) * window_width + (px - x0)
 
         # Early termination: drop columns on already-opaque pixels (a gather
         # through the dpp choke point, counted as sampling work).
@@ -590,6 +639,53 @@ class UnstructuredVolumeRenderer:
         return visited
 
     @staticmethod
+    def _row_spans(
+        tet_xy: np.ndarray, tet_of_row: np.ndarray, y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Padded x-span of each row's projected tet hull at pixel-center height ``y``.
+
+        ``tet_xy`` holds the chunk's projected vertices ``(n, 4, 2)`` and
+        ``tet_of_row`` the chunk-local tet of every row.  The hull of four
+        points meets a horizontal band in a convex piece whose x-extremes lie
+        on its six edges, so the span is the min/max of the edges' x over the
+        band ``[y - pad, y + pad]`` (clamped to each edge's y-range), widened
+        by ``pad`` again.  ``pad`` is the span slack scaled by the tet's
+        extent: it covers the exact test's ``-1e-9`` barycentric tolerance
+        and rounding, also for an edge lying on a pixel-center row.  A row
+        whose band misses the tet gets the empty span ``(inf, -inf)``.
+        """
+        # Per-tet edge table (low x, low y, high x, high y, slope), every edge
+        # oriented upward so it spans [low y, high y].  It is edge-major and
+        # contiguous, so the per-row reductions run over the six edges
+        # elementwise rather than as strided short reductions.
+        xs = np.ascontiguousarray(tet_xy[:, :, 0].T)  # (4, n)
+        ys = np.ascontiguousarray(tet_xy[:, :, 1].T)
+        ax, bx = xs[_HULL_EDGES[:, 0]], xs[_HULL_EDGES[:, 1]]  # (6, n)
+        ay, by = ys[_HULL_EDGES[:, 0]], ys[_HULL_EDGES[:, 1]]
+        flip = ay > by
+        # A NaN span (non-finite projected vertices) keeps its whole box row,
+        # so the caller's integer casts stay defined.
+        with np.errstate(all="ignore"):
+            low_x, high_x = np.where(flip, bx, ax), np.where(flip, ax, bx)
+            low_y, high_y = np.where(flip, by, ay), np.where(flip, ay, by)
+            rise = high_y - low_y
+            slope = np.where(rise > 0.0, (high_x - low_x) / rise, 0.0)
+            extent = np.maximum(np.abs(high_x - low_x), rise).max(axis=0)
+            table = np.concatenate([low_x, low_y, high_x, high_y, slope]).take(tet_of_row, axis=1)
+            low_x, low_y, high_x, high_y, slope = table.reshape(5, 6, -1)
+            pad = _SPAN_SLACK * (1.0 + extent[tet_of_row])
+            band_lo = np.maximum(low_y, y - pad)
+            band_hi = np.minimum(high_y, y + pad)
+            hit = band_lo <= band_hi
+            # Each end is interpolated from its nearer vertex, so a horizontal
+            # edge (slope 0) spans both of its endpoints' x.
+            x_low = low_x + (band_lo - low_y) * slope
+            x_high = high_x - (high_y - band_hi) * slope
+            span_lo = np.where(hit, np.minimum(x_low, x_high), np.inf).min(axis=0) - pad
+            span_hi = np.where(hit, np.maximum(x_low, x_high), -np.inf).max(axis=0) + pad
+        return np.where(np.isnan(span_lo), -np.inf, span_lo), np.where(np.isnan(span_hi), np.inf, span_hi)
+
+    @staticmethod
     def _column_spans(
         planes: np.ndarray,
         heights: np.ndarray,
@@ -605,19 +701,21 @@ class UnstructuredVolumeRenderer:
         ``(a, b, c, d)`` restricted to the column is ``base + c * s`` with
         ``base = a*x + b*y + d``; the span is the set of slot centers
         ``s = j + 0.5`` with ``base + c*s >= -slack`` for all four faces,
-        clipped to the pass's ``[first_slot, last_slot)`` slot range.
+        clipped to the pass's ``[first_slot, last_slot)`` slot range.  The
+        work runs face-major, ``(4, n)``, so the reductions over the four
+        faces are elementwise.
         """
-        base = planes[:, :, 0] * x[:, None] + planes[:, :, 1] * y[:, None] + planes[:, :, 3]
-        slope = planes[:, :, 2]
-        slack = _SPAN_SLACK * (1.0 + heights)
+        a, b, slope, d = np.ascontiguousarray(planes.transpose(2, 1, 0))
+        base = a * x + b * y + d
+        slack = _SPAN_SLACK * (1.0 + heights.T)
         rising = slope > 0.0
         falling = slope < 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = -(base + slack) / np.where(slope == 0.0, np.inf, slope)
-        span_lo = np.max(np.where(rising, bound, -np.inf), axis=1)
-        span_hi = np.min(np.where(falling, bound, np.inf), axis=1)
+        span_lo = np.where(rising, bound, -np.inf).max(axis=0)
+        span_hi = np.where(falling, bound, np.inf).min(axis=0)
         # A slot-parallel face decides the whole column at once.
-        dead = np.any(~rising & ~falling & (base < -slack), axis=1)
+        dead = (~rising & ~falling & (base < -slack)).any(axis=0)
         # Slot centers j + 0.5 inside [span_lo, span_hi], clipped to the pass
         # (the clip also bounds the floats so the integer casts are safe).
         start = np.clip(np.ceil(span_lo - 0.5), first_slot, last_slot).astype(np.int64)

@@ -149,13 +149,22 @@ class ModelSuite:
         singular designs, ...) become structured entries in :attr:`failures`
         rather than exceptions: a partially-degenerate corpus still yields
         every model it can support, and callers can tell exactly what was
-        skipped and why.
+        skipped and why.  A slice whose rows come from more than one dpp
+        device is a ``mixed-devices`` failure: one back-end's timings never
+        reach another back-end's model.
         """
         suite = cls(folds=folds, seed=seed)
-        slices = [(architecture, technique, len(rows)) for architecture, technique, rows in corpus.slices()]
+        slices = [
+            (architecture, technique, len(rows), sorted({row.dpp_device for row in rows}))
+            for architecture, technique, rows in corpus.slices()
+        ]
         if corpus.compositing_records:
-            slices.append((COMPOSITING_ARCHITECTURE, "compositing", len(corpus.compositing_records)))
-        for architecture, technique, num_rows in slices:
+            slices.append((COMPOSITING_ARCHITECTURE, "compositing", len(corpus.compositing_records), []))
+        for architecture, technique, num_rows, devices in slices:
+            if len(devices) > 1:
+                error = ValueError(f"rows span {len(devices)} dpp devices: {', '.join(devices)}")
+                suite.failures.append(_failure(architecture, technique, num_rows, error, "mixed-devices"))
+                continue
             try:
                 model = corpus.fit_model(architecture, technique)
             except Exception as error:  # noqa: BLE001 -- every degenerate fit becomes a row
@@ -308,11 +317,13 @@ class ModelSuite:
 # -- payload helpers ------------------------------------------------------------------
 
 
-def _failure(architecture: str, technique: str, num_rows: int, error: Exception) -> dict:
+def _failure(
+    architecture: str, technique: str, num_rows: int, error: Exception, reason: str = "degenerate-fit"
+) -> dict:
     return {
         "architecture": architecture,
         "technique": technique,
-        "reason": "degenerate-fit",
+        "reason": reason,
         "error_type": type(error).__name__,
         "message": str(error),
         "num_rows": num_rows,

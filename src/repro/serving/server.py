@@ -226,9 +226,12 @@ class PredictionServer:
                     header = buffer[:header_end]
                     length = 0
                     lowered = header.lower()
-                    marker = lowered.find(b"content-length:")
+                    # Only a line named Content-Length frames the body (the
+                    # request line comes first, so every header follows a CRLF);
+                    # ``X-Content-Length`` frames nothing.
+                    marker = lowered.find(b"\r\ncontent-length:")
                     if marker >= 0:
-                        value = lowered[marker + 15 :].split(b"\r\n", 1)[0].strip()
+                        value = lowered[marker + 17 :].split(b"\r\n", 1)[0].strip()
                         if not value.isdigit() or len(value) > 18:  # int() raises on ~4300 digits
                             # Where the next request starts is unknowable: answer, then close.
                             self.requests += 1

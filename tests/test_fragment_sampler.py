@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dpp import FrontierEngine
 from repro.dpp.device import use_device
 from repro.geometry import (
     Camera,
@@ -30,6 +31,8 @@ from repro.geometry.mesh import UnstructuredTetMesh
 from repro.geometry.tetra import TET_FACES
 from repro.rendering import UnstructuredVolumeConfig, UnstructuredVolumeRenderer
 from repro.rendering.volume import budget, unstructured
+from repro.runtime.decomposition import BlockDecomposition
+from repro.simulations.fields import get_simulation_field
 
 UNIT_TET = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -66,8 +69,18 @@ def tet_face_adjacency(connectivity: np.ndarray) -> np.ndarray:
     return adjacency.reshape(num_tets, 4)
 
 
-def _random_tet_soup(seed: int) -> UnstructuredTetMesh:
-    """A small random mesh of overlapping tets (not conforming on purpose)."""
+def _random_tet_soup(seed: int, kind: str) -> tuple[UnstructuredTetMesh, Camera]:
+    """A small random mesh of overlapping tets (not conforming on purpose) and its camera.
+
+    ``kind`` picks the screen-space situation the sampler's silhouette cover
+    must handle: ``"framed"`` tets fill a 16x16 view; ``"straddle"`` zooms in
+    so tets cross the screen edges; ``"row"`` puts half the points at world
+    y = 0 (x = 0 or x = y for a few), which the axis-aligned 15x15 camera maps
+    exactly onto pixel-center row 7 (column 7, the diagonal through the pixel
+    centers), so edges and faces lie on sampled pixel centers; ``"tiny"``
+    makes every tet its own cluster about a pixel wide, most of which cover
+    no pixel center.
+    """
     rng = np.random.default_rng(seed)
     num_points = int(rng.integers(8, 16))
     points = rng.uniform(-1.0, 1.0, size=(num_points, 3))
@@ -75,9 +88,23 @@ def _random_tet_soup(seed: int) -> UnstructuredTetMesh:
     connectivity = np.array(
         [rng.choice(num_points, size=4, replace=False) for _ in range(num_tets)], dtype=np.int64
     )
+    if kind == "row":
+        points[rng.random(num_points) < 0.5, 1] = 0.0
+        points[rng.random(num_points) < 0.25, 0] = 0.0
+        diagonal = rng.random(num_points) < 0.25
+        points[diagonal, 0] = points[diagonal, 1]
+    elif kind == "tiny":
+        centers = rng.uniform(-1.0, 1.0, size=(num_tets, 1, 3))
+        points = (centers + rng.uniform(-0.05, 0.05, size=(num_tets, 4, 3))).reshape(-1, 3)
+        num_points = len(points)
+        connectivity = np.arange(num_points, dtype=np.int64).reshape(num_tets, 4)
     mesh = UnstructuredTetMesh(points, connectivity)
     mesh.add_point_field("scalar", rng.uniform(0.0, 1.0, size=num_points))
-    return mesh
+    if kind == "row":
+        camera = Camera(width=15, height=15)
+    else:
+        camera = Camera.framing_bounds(mesh.bounds, 16, 16, zoom=2.0 if kind == "straddle" else 1.2)
+    return mesh, camera
 
 
 def _assert_images_match(renderer: UnstructuredVolumeRenderer, camera: Camera) -> None:
@@ -155,6 +182,58 @@ class TestTetFaceAdjacency:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             tet_face_adjacency(np.array([0, 1, 2, 3]))
+
+
+class TestSilhouetteCover:
+    def test_pairs_stay_within_twice_the_nonempty_spans(self, small_tets, monkeypatch):
+        # Every (tet, pixel) pair the sampler emits pays a face-plane span.
+        # Pairs taken from each tet's screen bounding box are 5x the pairs
+        # whose span holds a slot on this scene; the silhouette cover keeps
+        # them under 2x, and PAIR_CHUNK still bounds every chunk.
+        monkeypatch.setattr(unstructured, "PAIR_CHUNK", 500)
+        calls = []
+        column_spans = UnstructuredVolumeRenderer._column_spans
+
+        def spy(planes, heights, x, y, first_slot, last_slot):
+            start, count = column_spans(planes, heights, x, y, first_slot, last_slot)
+            calls.append((len(x), int(np.count_nonzero(count))))
+            return start, count
+
+        monkeypatch.setattr(UnstructuredVolumeRenderer, "_column_spans", staticmethod(spy))
+        camera = Camera.framing_bounds(small_tets.bounds, 48, 48, zoom=1.2)
+        config = UnstructuredVolumeConfig(samples_in_depth=60)
+        UnstructuredVolumeRenderer(small_tets, "density", config=config).render(camera)
+        pairs, spans = np.sum(calls, axis=0)
+        assert spans > 0
+        assert pairs <= 2 * spans
+        assert max(emitted for emitted, _ in calls) <= 500
+
+    @pytest.mark.parametrize("rank", [0, 7])
+    def test_corner_block_keeps_lanes_only_for_its_pixels(self, rank, monkeypatch):
+        # A corner block of an 8-rank decomposition under the camera that
+        # frames all eight: the engine keeps one lane per pixel of the
+        # rectangle its tets' screen boxes span, not one per screen pixel.
+        decomposition = BlockDecomposition(8, 6)
+        grid = decomposition.block_grid_with_field(rank, "scalar", get_simulation_field("kripke"))
+        tets = tetrahedralize_uniform_grid(grid)
+        camera = Camera.framing_bounds(decomposition.global_bounds, 48, 48)
+        lanes_seen = []
+
+        class RecordingEngine(FrontierEngine):
+            def run(self, kernel, lanes, outputs):
+                lanes_seen.append(len(lanes))
+                return super().run(kernel, lanes, outputs)
+
+        monkeypatch.setattr(unstructured, "FrontierEngine", RecordingEngine)
+        config = UnstructuredVolumeConfig(samples_in_depth=40, num_passes=2)
+        renderer = UnstructuredVolumeRenderer(tets, "scalar", config=config)
+        fast = renderer.render(camera)
+        slow = renderer.render_reference(camera)
+        assert 0 < lanes_seen[0] < camera.width * camera.height // 2
+        assert fast.framebuffer.rgba.tobytes() == slow.framebuffer.rgba.tobytes()
+        assert fast.framebuffer.depth.tobytes() == slow.framebuffer.depth.tobytes()
+        assert fast.features == slow.features
+        assert fast.features.active_pixels > 0
 
 
 class TestFragmentDifferential:
@@ -272,6 +351,7 @@ class TestFragmentDifferential:
             config.samples_in_depth,
             sample_scalar,
             np.ones(num_pixels, dtype=bool),
+            (0, 0, camera.width, camera.height),
         )
         filled = ~np.isnan(sample_scalar)
         covered = filled.any(axis=1)
@@ -280,13 +360,16 @@ class TestFragmentDifferential:
         starts_filled = filled[covered, 0].astype(np.int64)
         assert np.all(rising_edges + starts_filled == 1)
 
-    @settings(max_examples=12, deadline=None)
-    @given(seed=st.integers(0, 10_000), passes=st.integers(1, 3))
-    def test_random_tet_soups_match_reference(self, seed, passes):
-        mesh = _random_tet_soup(seed)
+    @settings(max_examples=24, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        passes=st.integers(1, 3),
+        kind=st.sampled_from(["framed", "straddle", "row", "tiny"]),
+    )
+    def test_random_tet_soups_match_reference(self, seed, passes, kind):
+        mesh, camera = _random_tet_soup(seed, kind)
         config = UnstructuredVolumeConfig(samples_in_depth=20, num_passes=passes)
         renderer = UnstructuredVolumeRenderer(mesh, "scalar", config=config)
-        camera = Camera.framing_bounds(mesh.bounds, 16, 16, zoom=1.2)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(unstructured, "PAIR_CHUNK", 300)
             for device in ("vectorized", "serial"):

@@ -154,6 +154,28 @@ class TestModelSuite:
             assert failure["error_type"] == "ValueError"
             assert "must be finite" in failure["message"]
 
+    def test_a_slice_spanning_two_dpp_devices_is_a_failure(self):
+        # One host slice timed on two back-ends used to be fitted as one
+        # model over all its rows, with no failure and no warning.
+        config = StudyConfiguration(
+            architectures=("cpu-host",),
+            techniques=("raster",),
+            dpp_devices=("vectorized", "serial"),
+            samples_per_technique=4,
+            seed=1,
+        )
+        corpus = run_study(config)
+        assert {row.dpp_device for row in corpus.records} == {"vectorized", "serial"}
+        suite = ModelSuite.fit_corpus(corpus)
+        assert ("cpu-host", "raster") not in suite.entries
+        [failure] = [f for f in suite.failures if f["technique"] == "raster"]
+        assert failure["reason"] == "mixed-devices"
+        assert failure["architecture"] == "cpu-host"
+        assert failure["num_rows"] == len(corpus.records) == 8
+        assert "serial, vectorized" in failure["message"]
+        one_device = StudyCorpus(records=corpus.select(dpp_device="serial"))
+        assert not [f for f in ModelSuite.fit_corpus(one_device).failures if f["reason"] == "mixed-devices"]
+
     def test_get_unknown_key_lists_available(self, suite):
         with pytest.raises(KeyError, match="gpu1-k40m/raytrace"):
             suite.get("nope", "raytrace")

@@ -268,6 +268,40 @@ class TestHttpSurface:
         if failures:
             raise failures[0]
 
+    @pytest.mark.parametrize("placement", ["alone", "before-content-length"])
+    def test_only_a_content_length_line_frames_the_body(self, models_path, placement):
+        # The server used to find ``content-length:`` anywhere in the header
+        # block, so ``X-Content-Length: 5`` framed the body: alone it took the
+        # next request's first five bytes as its body; placed before the real
+        # Content-Length it cut the body short.
+        body = json.dumps(CONFIG)
+        if placement == "alone":
+            first = b"GET /healthz HTTP/1.1\r\nX-Content-Length: 5\r\n\r\n"
+        else:
+            first = (
+                f"POST /predict HTTP/1.1\r\nX-Content-Length: 5\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n{body}"
+            ).encode()
+
+        async def scenario():
+            server = await start_server(models_path, watch=False)
+            try:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(first + request_bytes("POST", "/predict", CONFIG))
+                await writer.drain()
+                status, payload = await asyncio.wait_for(read_response(reader), 10.0)
+                if placement == "alone":
+                    assert status == 200 and json.loads(payload)["status"] == "ok"
+                else:
+                    assert (status, payload) == (200, solo)
+                assert await asyncio.wait_for(read_response(reader), 10.0) == (200, solo)
+                writer.close()
+            finally:
+                await server.close()
+
+        solo = asyncio.run(_predict_alone(models_path, CONFIG))
+        asyncio.run(scenario())
+
     def test_unknown_model_does_not_fail_batch_mates(self, models_path):
         """A bad request inside a pipelined batch answers 404; its mates answer 200."""
         async def scenario():
