@@ -158,6 +158,7 @@ class Camera:
         Pixel ids index the framebuffer row-major (``py * width + px``); when
         omitted, rays are generated for every pixel.  Rays pass through pixel
         centers.  Returns ``(origins, directions)`` with directions normalized.
+        Row 0 is the top of the image; :meth:`world_to_screen` counts from the bottom.
         """
         if pixel_ids is None:
             pixel_ids = np.arange(self.width * self.height, dtype=np.int64)
@@ -183,7 +184,8 @@ class Camera:
         """Project world points to ``(px, py, depth01)`` screen coordinates.
 
         Returns ``(screen, w)``; callers use ``w > 0`` to cull points behind
-        the camera.
+        the camera.  Row 0 is the bottom of the image; :meth:`generate_rays`
+        counts from the top.
         """
         ndc, w = project_points(points, self.view_projection_matrix())
         return viewport_transform(ndc, self.width, self.height), w

@@ -124,7 +124,9 @@ def screen_footprint(camera: Camera, bounds: AABB | None) -> np.ndarray:
     rounding of both computations, which is many orders below a pixel.  The
     result is clamped to the screen and may be empty.  The whole screen is
     returned for ``bounds=None`` and whenever a corner is at or behind the
-    camera plane or does not project to a finite position.
+    camera plane or does not project to a finite position.  Rows count from
+    the top, as in :meth:`Camera.generate_rays`, not from the bottom as in
+    :meth:`Camera.world_to_screen`.
     """
     width, height = camera.width, camera.height
     columns, rows = (0, width), (0, height)

@@ -9,7 +9,11 @@
   canonicalization, the LRU result cache keyed by
   ``(models digest, schema, canonical config, sigmas)``, vectorized group
   execution, and the immutable :class:`~repro.serving.core.ModelHandle`
-  snapshots hot reload swaps atomically.
+  snapshots hot reload swaps atomically.  A batch of rows (the CLI's
+  ``ServingCore.predict_rows``) is canonicalized and grouped by column,
+  falling back to the per-row ``canonical_config`` whenever a column does
+  not pass whole, so errors read as they do per row; the server
+  canonicalizes each request on arrival with ``canonical_config``.
 * :mod:`repro.serving.batching` -- the micro-batching queue: concurrent
   requests accumulate for a bounded window (``max_batch`` / ``max_delay_us``)
   and flush as one vectorized predictor call.
@@ -31,6 +35,7 @@ from repro.serving.core import (
     ServingCore,
     ServingError,
     canonical_config,
+    canonical_configs,
 )
 
-__all__ = ["LRUCache", "ModelHandle", "ServingCore", "ServingError", "canonical_config"]
+__all__ = ["LRUCache", "ModelHandle", "ServingCore", "ServingError", "canonical_config", "canonical_configs"]

@@ -8,7 +8,17 @@ bit-identical to :meth:`Predictor.predict_configurations
 
 * :func:`canonical_config` validates one user-facing configuration dict and
   reduces it to a hashable canonical tuple (defaults filled, types pinned).
-  The tuple *is* the config hash: equal tuples are equal queries.
+  The tuple *is* the config hash: equal tuples are equal queries.  Render
+  counts must lie in ``[1, 2**53)``, where float64 holds every integer
+  exactly and the mapping stays finite.
+* :func:`canonical_configs` is the same function over a batch, read by
+  column: each key's column is checked once (types as a set, range by
+  ``min``/``max``, defaults filled once) and zipped into the same tuples.
+  A batch with anything the columns cannot vouch for -- a non-dict, a
+  compositing row, a count that is not a plain ``int``, a bad name -- falls
+  back to :func:`canonical_config` row by row, so every error is the
+  per-row one.  :meth:`ServingCore.predict_rows` takes this path; the
+  server canonicalizes each request as it arrives, one dict at a time.
 * :class:`LRUCache` is the result cache, read and written one batch of keys
   per call at O(1) a key.  Keys are
   ``(models digest, schema version, canonical config, sigmas)`` so a hot
@@ -19,6 +29,11 @@ bit-identical to :meth:`Predictor.predict_configurations
   handle and swaps it with a single attribute assignment; any batch that
   captured the old handle keeps serving it to completion, so every response
   in a batch is stamped with the digest that actually produced it.
+
+The misses of a batch are predicted by column too: a batch of one model
+slice is recognised from its columns, and each slice's counts become one
+float64 block for one vectorized predictor call.  Per-row Python work is
+left only where the output is rows: cache keys, result tuples and echoes.
 
 Cached values hold only the numeric results ``(seconds, lower, upper,
 residual_std)``; the config echo in a response row always comes from the
@@ -32,8 +47,9 @@ import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from math import isfinite
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -41,13 +57,14 @@ import numpy as np
 from repro.modeling.features import SAMPLES_IN_DEPTH
 from repro.reporting.predictor import DEFAULT_INTERVAL_SIGMAS, Predictor
 from repro.reporting.suite import MODELS_SCHEMA_VERSION, ModelSuite
-from repro.techniques import get_technique
+from repro.techniques import TECHNIQUES, get_technique
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
     "RENDER_DEFAULTS",
     "ServingError",
     "canonical_config",
+    "canonical_configs",
     "LRUCache",
     "ModelHandle",
     "ServingCore",
@@ -66,9 +83,13 @@ RENDER_DEFAULTS = {
     "include_build": True,
 }
 
-#: Counts below this skip :func:`_number`: every such ``int`` converts to a
-#: finite float.  A module constant, because CPython does not fold ``2**1023``.
-_COUNT_LIMIT = 2**1023
+#: Render counts must stay below this: every integer under ``2**53`` is exact
+#: in float64, and the mapping of such counts stays finite (``10**200`` cells
+#: per task overflow it to ``inf``, which is not JSON).
+_COUNT_LIMIT = 2**53
+
+#: The count keys of a render configuration, in canonical-tuple order.
+_RENDER_COUNTS = ("num_tasks", "cells_per_task", "image_width", "image_height", "samples_in_depth")
 
 
 class ServingError(Exception):
@@ -113,7 +134,10 @@ def _positive_int(config: dict, key: str) -> int:
     value = config.get(key, RENDER_DEFAULTS[key])
     if type(value) is int and 0 < value < _COUNT_LIMIT:
         return value
-    return _number(value, key, int, 1)
+    number = _number(value, key, int, 1)
+    if number >= _COUNT_LIMIT:
+        raise ServingError("invalid-configuration", f"{key!r} must be below 2**53, got {value!r}")
+    return number
 
 
 def canonical_config(config: dict) -> tuple:
@@ -172,6 +196,88 @@ def canonical_config(config: dict) -> tuple:
     )
 
 
+def canonical_configs(configs: list) -> list[tuple]:
+    """``[canonical_config(config) for config in configs]``, reading each key's column once.
+
+    A batch of plain render dicts is checked a column at a time: a column's
+    types as one set, its counts' range by one ``min`` and ``max``.  A key
+    that no row sets is its default repeated, filled once and not checked.
+    On any doubt -- a non-dict, a compositing row, a count that is not an
+    ``int`` in ``[1, 2**53)``, a bad name -- the batch goes row by row through
+    :func:`canonical_config`, so the first error, its code and its message
+    are the per-row ones.
+    """
+    canon = _render_columns(configs)
+    return [canonical_config(config) for config in configs] if canon is None else canon
+
+
+def _column(configs: list[dict], key: str) -> list | None:
+    """Each row's ``key``, its default where a row leaves it out; ``None`` when no row sets it."""
+    try:
+        return [config[key] for config in configs]
+    except KeyError:
+        if not any(map(dict.__contains__, configs, repeat(key))):
+            return None
+        default = RENDER_DEFAULTS.get(key)
+        return [config.get(key, default) for config in configs]
+
+
+def _render_columns(configs: list) -> list[tuple] | None:
+    """The canonical tuples of a batch whose every column passes whole, else ``None``."""
+    if set(map(type, configs)) != {dict}:
+        return None
+    techniques = _column(configs, "technique")
+    try:
+        if techniques is None or not TECHNIQUES.keys() >= set(techniques):  # nor is "compositing"
+            return None
+    except TypeError:  # an unhashable technique
+        return None
+    architectures = _column(configs, "architecture")
+    if architectures is None or set(map(type, architectures)) != {str} or not all(architectures):
+        return None
+    builds = _column(configs, "include_build")
+    if builds is None:
+        builds = [RENDER_DEFAULTS["include_build"]] * len(configs)
+    elif set(map(type, builds)) != {bool}:
+        return None
+    counts = []
+    for key in _RENDER_COUNTS:
+        column = _column(configs, key)
+        if column is None:
+            column = [RENDER_DEFAULTS[key]] * len(configs)
+        elif set(map(type, column)) != {int} or min(column) < 1 or max(column) >= _COUNT_LIMIT:
+            return None
+        counts.append(column)
+    return list(zip(repeat("render"), architectures, techniques, *counts, builds))
+
+
+def _slices(canon: list[tuple], indices: list[int]) -> dict[tuple, list[int]]:
+    """``indices`` into ``canon`` by model slice, slices in order of first appearance.
+
+    A render slice is ``(architecture, technique, include_build)``; every
+    compositing row falls in the one ``("compositing",)`` slice.  A batch of
+    one render slice (a CLI or sweep call) is told from its columns; only a
+    batch that mixes slices (a server flush) is grouped row by row.
+    """
+    rows = [canon[index] for index in indices]
+    if set(map(itemgetter(0), rows)) == {"render"} and all(
+        len(set(map(itemgetter(field), rows))) == 1 for field in (1, 2, 8)
+    ):
+        first = rows[0]
+        return {(first[1], first[2], first[8]): indices}
+    groups: dict[tuple, list[int]] = {}
+    for index, row in zip(indices, rows):
+        group = ("compositing",) if row[0] == "compositing" else (row[1], row[2], row[8])
+        groups.setdefault(group, []).append(index)
+    return groups
+
+
+def _block(rows: list[tuple], fields, dtype) -> np.ndarray:
+    """``rows``' ``fields`` as one ``(len(fields), len(rows))`` array, read a field at a time."""
+    columns = chain.from_iterable(map(itemgetter(field), rows) for field in fields)
+    return np.fromiter(columns, dtype, len(fields) * len(rows)).reshape(len(fields), len(rows))
+
+
 class LRUCache:
     """A counting LRU result cache; ``maxsize <= 0`` disables caching entirely.
 
@@ -197,30 +303,38 @@ class LRUCache:
 
         Each hit moves its key to the MRU end.
         """
-        lookup = self._data.get
-        refresh = self._data.move_to_end
-        values = [lookup(key) for key in keys]
-        hits = 0
-        for key, value in zip(keys, values):
-            if value is not None:
-                refresh(key)
-                hits += 1
-        self.hits += hits
-        self.misses += len(values) - hits
+        values = list(map(self._data.get, keys))
+        misses = values.count(None)
+        if misses < len(values):
+            refresh = self._data.move_to_end
+            for key, value in zip(keys, values):
+                if value is not None:
+                    refresh(key)
+        self.hits += len(values) - misses
+        self.misses += misses
         return values
 
     def put_many(self, keys: list, values: list) -> None:
-        """Store ``values[i]`` under ``keys[i]`` at the MRU end, evicting the LRU entry per overflow."""
+        """Store ``values[i]`` under ``keys[i]`` at the MRU end, evicting the LRU entry per overflow.
+
+        One hash per new key: the store itself, told apart from an overwrite
+        by the size it leaves.  Only an overwritten key pays a second one, to
+        move it to the MRU end.
+        """
         if self.maxsize <= 0:
             return
         data = self._data
+        maxsize = self.maxsize
+        evictions = 0
         for key, value in zip(keys, values):
-            if key in data:
-                data.move_to_end(key)
+            size = len(data)
             data[key] = value
-            if len(data) > self.maxsize:
+            if len(data) == size:
+                data.move_to_end(key)
+            elif size >= maxsize:
                 data.popitem(last=False)
-                self.evictions += 1
+                evictions += 1
+        self.evictions += evictions
 
     def stats(self) -> dict:
         return {
@@ -333,17 +447,11 @@ class ServingCore:
         """
         handle = handle or self._handle
         sigmas = self.default_sigmas if sigmas is None else _number(sigmas, "sigmas", float)
-        digest, schema = handle.digest, handle.schema
-        keys = [(digest, schema, key, sigmas) for key in canon]
+        keys = list(zip(repeat(handle.digest), repeat(handle.schema), canon, repeat(sigmas)))
         results = self.cache.get_many(keys)
-        groups: dict[tuple, list[int]] = {}
-        for index, cached in enumerate(results):
-            if cached is None:
-                key = canon[index]
-                group = ("compositing",) if key[0] == "compositing" else (key[1], key[2], key[8])
-                groups.setdefault(group, []).append(index)
-        for group, indices in groups.items():
-            batch = self._predict_group(handle, group, [canon[i] for i in indices], sigmas)
+        misses = [index for index, cached in enumerate(results) if cached is None]
+        for group, indices in _slices(canon, misses).items():
+            batch = self._predict_group(handle, group, [canon[index] for index in indices], sigmas)
             values = list(
                 zip(
                     batch.seconds.tolist(),
@@ -363,20 +471,21 @@ class ServingCore:
         if missing is not None:
             raise handle.unknown_model(missing)
         if group[0] == "compositing":
-            return handle.predictor.predict_compositing(
-                average_active_pixels=np.array([key[1] for key in canon], dtype=np.float64),
-                pixels=np.array([key[2] for key in canon], dtype=np.float64),
-                sigmas=sigmas,
-            )
+            average_active_pixels, pixels = _block(canon, (1, 2), np.float64)
+            return handle.predictor.predict_compositing(average_active_pixels, pixels, sigmas=sigmas)
+        # Canonical counts are ints below 2**53: int64, then float64, hold them
+        # exactly, and numpy reads an int as int64 without a float per element.
+        counts = _block(canon, range(3, 8), np.int64).astype(np.float64)
+        num_tasks, cells_per_task, image_width, image_height, samples_in_depth = counts
         architecture, technique, include_build = group
         return handle.predictor.predict_configurations(
             architecture,
             technique,
-            num_tasks=np.array([key[3] for key in canon], dtype=np.float64),
-            cells_per_task=np.array([key[4] for key in canon], dtype=np.float64),
-            image_width=np.array([key[5] for key in canon], dtype=np.float64),
-            image_height=np.array([key[6] for key in canon], dtype=np.float64),
-            samples_in_depth=np.array([key[7] for key in canon], dtype=np.float64),
+            num_tasks=num_tasks,
+            cells_per_task=cells_per_task,
+            image_width=image_width,
+            image_height=image_height,
+            samples_in_depth=samples_in_depth,
             include_build=include_build,
             sigmas=sigmas,
         )
@@ -393,10 +502,9 @@ class ServingCore:
         composition, arrival order, or cache state.
         """
         handle = handle or self._handle
-        canon = [canonical_config(config) for config in configs]
-        results = self.predict_canonical(canon, sigmas=sigmas, handle=handle)
+        results = self.predict_canonical(canonical_configs(configs), sigmas=sigmas, handle=handle)
         rows = [
-            {**config, "seconds": seconds, "lower": lower, "upper": upper, "residual_std": residual_std}
+            dict(config, seconds=seconds, lower=lower, upper=upper, residual_std=residual_std)
             for config, (seconds, lower, upper, residual_std) in zip(configs, results)
         ]
         return rows, {"models_digest": handle.digest, "generation": handle.generation}

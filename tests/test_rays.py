@@ -205,3 +205,23 @@ class TestScreenFootprint:
         camera = _camera()
         beside = AABB(np.array([40.0, -0.5, -0.5]), np.array([41.0, 0.5, 0.5]))
         assert len(screen_footprint(camera, beside)) == 0
+
+
+class TestRowConventions:
+    """The two screen-row conventions as they stand; pinned here, not unified."""
+
+    def test_projection_counts_rows_from_the_bottom_and_rays_from_the_top(self):
+        camera = Camera(width=64, height=64)
+        above = np.array([0.0, 1.0, 0.0])  # one unit above the look-at point
+        # Object order (rasterizer, tet caster): row 0 is the bottom of the image.
+        screen, w = camera.world_to_screen(above[None, :])
+        assert w[0] > 0.0
+        assert screen[0, 0] == pytest.approx(32.0)
+        assert screen[0, 1] == pytest.approx(47.45, abs=0.01)
+        # Image order (ray tracer, structured caster): row 0 is the top.
+        footprint = screen_footprint(camera, AABB(above - 0.05, above + 0.05))
+        assert np.unique(footprint // camera.width).tolist() == [15, 16, 17]
+        origins, directions = camera.generate_rays(np.array([16 * 64 + 31, 47 * 64 + 31]))
+        heights = origins[:, 1] - origins[:, 2] / directions[:, 2] * directions[:, 1]  # at z = 0
+        assert heights[0] == pytest.approx(1.0, abs=0.01)
+        assert heights[1] == pytest.approx(-1.0, abs=0.01)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
+from math import isfinite
 
 import numpy as np
 import pytest
@@ -12,9 +13,17 @@ from hypothesis import strategies as st
 
 from repro.modeling.study import StudyConfiguration, StudyCorpus
 from repro.reporting import ModelSuite, Predictor
-from repro.serving import LRUCache, ModelHandle, ServingCore, ServingError, canonical_config
-from repro.serving.core import RENDER_DEFAULTS
+from repro.serving import (
+    LRUCache,
+    ModelHandle,
+    ServingCore,
+    ServingError,
+    canonical_config,
+    canonical_configs,
+)
+from repro.serving.core import _RENDER_COUNTS, RENDER_DEFAULTS, _render_columns
 from repro.study import run_study
+from repro.techniques import TECHNIQUES
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +162,10 @@ class TestCanonicalConfig:
             {"architecture": "a", "technique": "raytrace", "num_tasks": "8"},
             {"architecture": "a", "technique": "raytrace", "num_tasks": " 8 "},
             {"technique": "compositing", "average_active_pixels": 512.0, "pixels": 640.7},
+            # Past 2**53 float64 rounds counts and the mapping overflows to inf.
+            {"architecture": "a", "technique": "raytrace", "cells_per_task": 10**200},
+            {"architecture": "a", "technique": "raytrace", "num_tasks": 2**53},
+            {"architecture": "a", "technique": "raytrace", "image_width": 2.0**53},
         ],
     )
     def test_hostile_values_are_rejected(self, config):
@@ -175,6 +188,85 @@ class TestCanonicalConfig:
     def test_non_object_configuration_is_rejected(self):
         with pytest.raises(ServingError):
             canonical_config(["architecture", "a"])
+
+
+#: The values each column check stands on, at and on either side of its edge.
+_EDGE_VALUES = [0, -1, 1, 2**53 - 1, 2**53, 10**200, 8.0, 2.0**53, True, False, "8", "", None]
+_EDGES = st.sampled_from(_EDGE_VALUES)
+
+#: Any JSON-ish value a configuration key may carry, sane or not.
+_VALUES = st.one_of(
+    _EDGES,
+    st.integers(-3, 5000),
+    st.integers(1, 64).map(float),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+)
+_KEYS = ["architecture", "technique", "include_build", *_RENDER_COUNTS, "average_active_pixels", "pixels"]
+
+#: A render configuration the column path must take whole.
+_RENDER_ROW = st.fixed_dictionaries(
+    {
+        "architecture": st.sampled_from(["gpu1-k40m", "cpu-host"]),
+        "technique": st.sampled_from(sorted(TECHNIQUES)),
+    },
+    optional={
+        **{key: st.integers(1, 2**53 - 1) for key in _RENDER_COUNTS},
+        "include_build": st.booleans(),
+        "note": st.text(max_size=3),
+    },
+)
+
+#: A render row that is sane but for one key, which holds an edge value.
+_NEAR_ROW = st.builds(lambda row, key, value: {**row, key: value}, _RENDER_ROW, st.sampled_from(_KEYS), _EDGES)
+
+#: Anything else: non-dicts, compositing queries, render rows with any value under any key.
+_ODD_ROW = st.one_of(
+    st.integers(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.fixed_dictionaries(
+        {"technique": st.just("compositing")},
+        optional={"average_active_pixels": _VALUES, "pixels": _VALUES, "architecture": _VALUES},
+    ),
+    st.fixed_dictionaries(
+        {"technique": st.one_of(st.sampled_from([*TECHNIQUES, "compositing", "splatting"]), _VALUES)},
+        optional={key: _VALUES for key in _KEYS if key != "technique"},
+    ),
+)
+
+
+def _outcome(call) -> tuple:
+    """What a canonicalizer returns (by ``repr``, so ``8`` and ``8.0`` differ) or raises."""
+    try:
+        return "ok", repr(call())
+    except ServingError as error:
+        return "error", error.code, str(error), error.detail
+
+
+class TestCanonicalConfigs:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        rows=st.lists(_RENDER_ROW, max_size=8),
+        odd=st.lists(st.tuples(st.integers(0, 8), st.one_of(_NEAR_ROW, _ODD_ROW)), max_size=2),
+    )
+    def test_the_batch_equals_canonical_config_row_by_row(self, rows, odd):
+        configs = list(rows)
+        for position, row in odd:
+            configs.insert(position, row)
+        if configs and not odd:
+            assert _render_columns(configs) is not None  # a plain render batch is read by column
+        expected = _outcome(lambda: [canonical_config(config) for config in configs])
+        assert _outcome(lambda: canonical_configs(configs)) == expected
+
+    def test_every_column_edge_reads_as_it_does_row_by_row(self):
+        sane = [{"architecture": "gpu1-k40m", "technique": "raytrace", "num_tasks": 8}] * 3
+        for key in _KEYS:
+            for value in _EDGE_VALUES:
+                configs = [*sane, {**sane[0], key: value}]
+                expected = _outcome(lambda: [canonical_config(config) for config in configs])
+                assert _outcome(lambda: canonical_configs(configs)) == expected, (key, value)
 
 
 class TestLRUCache:
@@ -255,6 +347,21 @@ class TestServingCoreParity:
                     oracle.put(keys[index], expected[index])
             assert core.cache.stats() == oracle.stats()
             assert list(core.cache._data.items()) == list(oracle._data.items())
+
+    def test_counts_from_2_53_are_refused_and_counts_below_are_served_finite(self, core):
+        # 10**200 cells per task used to map to inf: HTTP 200 with a non-JSON body.
+        overflow = {**CONFIGS[0], "cells_per_task": 10**200}
+        with pytest.raises(ServingError) as excinfo:
+            core.predict_rows([CONFIGS[1], overflow])
+        assert excinfo.value.code == "invalid-configuration"
+        assert "cells_per_task" in str(excinfo.value)
+        largest = dict.fromkeys(_RENDER_COUNTS, 2**53 - 1)
+        for architecture, technique in sorted(core.handle.available):
+            for include_build in (True, False):
+                config = {"architecture": architecture, "technique": technique, **largest}
+                rows, _ = core.predict_rows([{**config, "include_build": include_build}])
+                values = [rows[0][key] for key in ("seconds", "lower", "upper", "residual_std")]
+                assert all(isfinite(value) for value in values), (config, values)
 
     def test_results_ignore_batch_composition_and_order(self, core):
         together = core.predict_canonical([canonical_config(c) for c in CONFIGS])

@@ -205,6 +205,9 @@ class TestHttpSurface:
                     '{"technique":"compositing","average_active_pixels":NaN,"pixels":4096}',
                     '{"technique":"compositing","average_active_pixels":512.0,"pixels":-1}',
                     '{"architecture":"gpu1-k40m","technique":"raytrace","include_build":"false"}',
+                    # Counts from 2**53 up: 10**200 cells used to be served as "inf".
+                    '{"architecture":"gpu1-k40m","technique":"raytrace","cells_per_task":1' + "0" * 200 + "}",
+                    '{"architecture":"gpu1-k40m","technique":"raytrace","num_tasks":9007199254740992}',
                     f'{{"configs":[{config}],"sigmas":NaN}}',
                     f'{{"configs":[{config}],"sigmas":1e999}}',
                     f'{{"configs":[{config}],"sigmas":-1}}',
