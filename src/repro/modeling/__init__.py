@@ -16,7 +16,9 @@ The package implements the full Chapter V methodology:
   image compositing): one model type over a registry table of term groups.
 * :mod:`repro.modeling.study` -- the study's data model: the sweep
   configuration, the corpus rows with their JSON codecs and digest, and the
-  corpus that fits the models (:mod:`repro.study` gathers it; the Section 5.7
+  one function that turns a corpus slice into a model and its regression
+  inputs (:mod:`repro.study` gathers the corpus, and
+  :meth:`repro.reporting.ModelSuite.fit_corpus` fits it; the Section 5.7
   calibration is a small one-architecture corpus like any other).
 * :mod:`repro.modeling.feasibility` -- the in situ viability analyses of
   Section 5.9 (images within a time budget; ray tracing versus

@@ -85,8 +85,8 @@ def images_within_budget(
     Parameters
     ----------
     models:
-        Mapping of ``(architecture, technique)`` to a fitted model (as
-        returned by :meth:`repro.modeling.study.StudyCorpus.fit_all_models`).
+        Mapping of ``(architecture, technique)`` to a fitted model (the
+        ``model`` of each entry of a :class:`repro.reporting.ModelSuite`).
     budget_seconds:
         The rendering budget (60 seconds in the paper's example).
     num_tasks, cells_per_task:
@@ -125,7 +125,6 @@ def images_within_budget(
 def raytracing_vs_rasterization(
     raytracing_model: PerformanceModel,
     rasterization_model: PerformanceModel,
-    architecture: str,
     num_tasks: int = 32,
     num_renderings: int = 100,
     image_sizes: np.ndarray | None = None,
@@ -137,9 +136,8 @@ def raytracing_vs_rasterization(
     ``num_renderings`` renderings is computed for both techniques, including
     the single amortised BVH build for ray tracing.  The returned dictionary
     holds the two axes and the ratio matrix (``ratio > 1`` means ray tracing
-    produces more images per unit time).  ``architecture`` names the machine
-    the two models were fitted for; the Section 5.8 mapping does not depend
-    on it.
+    produces more images per unit time).  Both models come from one
+    architecture's fits; the Section 5.8 mapping does not depend on it.
     """
     if image_sizes is None:
         image_sizes = np.arange(384, 4096 + 1, 128)

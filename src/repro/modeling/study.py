@@ -11,9 +11,10 @@ resulting corpus.  This module holds what that pipeline passes around:
 * :class:`ExperimentRecord` / :class:`CompositingRecord` /
   :class:`FailureRecord` -- one row each of the rendering corpus, the
   Eq. 5.5 compositing corpus, and the failed experiments of a sweep;
-* :class:`StudyCorpus` -- the gathered rows, which can fit all six
-  single-node models (Table 12 / 17), cross-validate them (Table 13,
-  Figure 11), and fit the compositing model (Table 14, Figures 12-13);
+* :class:`StudyCorpus` -- the gathered rows, their selection and slices;
+* :func:`model_inputs` -- the one place a slice becomes a model plus its
+  regression inputs, which :meth:`repro.reporting.ModelSuite.fit_corpus`
+  fits and cross-validates (Tables 12-14 and 17, Figures 11-13);
 * the row codecs (records <-> JSON payloads) and :func:`corpus_digest`: the
   one schema workers, the row cache and corpus files carry.
 
@@ -43,6 +44,7 @@ __all__ = [
     "CompositingRecord",
     "FailureRecord",
     "StudyCorpus",
+    "model_inputs",
     "SCHEMA_VERSION",
     "experiment_record_to_payload",
     "experiment_record_from_payload",
@@ -60,7 +62,7 @@ __all__ = [
 HOST_ARCHITECTURE = "cpu-host"
 
 #: Placeholder architecture label of the (architecture-independent) Eq. 5.5
-#: slice: ``fit_model(COMPOSITING_ARCHITECTURE, "compositing")``.
+#: slice of a fitted suite.
 COMPOSITING_ARCHITECTURE = "-"
 
 #: Which measured time of an :class:`ExperimentRecord` each term group is fit to.
@@ -235,7 +237,7 @@ class FailureRecord:
 
 @dataclass
 class StudyCorpus:
-    """The gathered experiment corpus plus model fitting helpers."""
+    """The gathered experiment corpus: rendering, compositing and failure rows."""
 
     records: list[ExperimentRecord] = field(default_factory=list)
     compositing_records: list[CompositingRecord] = field(default_factory=list)
@@ -282,53 +284,44 @@ class StudyCorpus:
                 if rows:
                     yield architecture, technique, rows
 
-    # -- model fitting -----------------------------------------------------------------
-    def _model_and_data(self, architecture: str, technique: str):
-        """``(model, arrays, targets)`` of one slice; an unknown technique raises.
-
-        ``"compositing"`` selects the Eq. 5.5 rows (which carry no
-        architecture); every other technique selects rendering rows.  Either
-        way the model sees feature column arrays plus one target per group.
-        """
-        model = make_model(technique)
-        if technique == "compositing":
-            rows = self.compositing_records
-            arrays = {
-                "average_active_pixels": np.array(
-                    [row.average_active_pixels for row in rows], dtype=np.float64
-                ),
-                "pixels": np.array([row.pixels for row in rows], dtype=np.float64),
-            }
-            targets = [np.array([row.seconds for row in rows])]
-        else:
-            rows = self.select(architecture, technique)
-            arrays = feature_arrays([row.features for row in rows])
-            targets = [
-                np.array([getattr(row, _GROUP_TARGET[group.name]) for row in rows])
-                for group in model.groups
-            ]
-        return model, arrays, targets
-
-    def fit_model(self, architecture: str, technique: str) -> PerformanceModel:
-        """Fit the technique's model to this corpus slice and return it."""
-        model, arrays, targets = self._model_and_data(architecture, technique)
-        if not len(targets[0]):
-            raise ValueError(f"no records for ({architecture!r}, {technique!r})")
-        model.fit(arrays, *targets)
-        return model
-
-    def fit_all_models(self) -> dict[tuple[str, str], PerformanceModel]:
-        """Fit every (architecture, technique) pair present in the corpus."""
-        return {
-            (architecture, technique): self.fit_model(architecture, technique)
-            for architecture, technique, _ in self.slices()
-        }
-
     # -- cross validation ------------------------------------------------------------------
     def cross_validate(self, architecture: str, technique: str, k: int = 3, seed: int | None = None):
-        """K-fold cross validation of one (architecture, technique) slice."""
-        model, arrays, targets = self._model_and_data(architecture, technique)
+        """K-fold cross validation of one slice, kept only for ``benchmarks/e2e/probes.py``.
+
+        :meth:`repro.reporting.ModelSuite.fit_corpus` is the fitter.  This
+        delegate goes with the benchmark revision that drops the probe's call
+        (ROADMAP, "The benchmark record measures right").
+        """
+        compositing = technique == "compositing"
+        rows = self.compositing_records if compositing else self.select(architecture, technique)
+        model, arrays, targets = model_inputs(technique, rows)
         return model.cross_validate(arrays, *targets, k=k, seed=seed)
+
+
+def model_inputs(
+    technique: str, rows: list
+) -> tuple[PerformanceModel, dict[str, np.ndarray], list[np.ndarray]]:
+    """``(model, arrays, targets)`` of one corpus slice; an unknown technique raises.
+
+    The one place a slice becomes regression inputs.  ``rows`` are the
+    slice's :class:`ExperimentRecord` rows, or :class:`CompositingRecord`
+    rows (which carry no architecture) when ``technique`` is
+    ``"compositing"``.  Either way the model sees feature column arrays plus
+    one target per term group.
+    """
+    model = make_model(technique)
+    if technique == "compositing":
+        arrays = {
+            "average_active_pixels": np.array([row.average_active_pixels for row in rows], dtype=np.float64),
+            "pixels": np.array([row.pixels for row in rows], dtype=np.float64),
+        }
+        targets = [np.array([row.seconds for row in rows])]
+    else:
+        arrays = feature_arrays([row.features for row in rows])
+        targets = [
+            np.array([getattr(row, _GROUP_TARGET[group.name]) for row in rows]) for group in model.groups
+        ]
+    return model, arrays, targets
 
 
 # -- row codecs: records <-> JSON payloads --------------------------------------------

@@ -159,7 +159,7 @@ def fig13_compositing_crossval(suite: ModelSuite, corpus: StudyCorpus) -> tuple[
 def fig14_images_per_budget(suite: ModelSuite, corpus: StudyCorpus) -> tuple[dict, str]:
     """Images renderable in a fixed budget for every fitted model (Figure 14)."""
     points = images_within_budget(
-        suite.models(),
+        {key: entry.model for key, entry in suite.entries.items()},
         budget_seconds=BUDGET_SECONDS,
         num_tasks=BUDGET_TASKS,
         cells_per_task=BUDGET_CELLS_PER_TASK,
@@ -216,7 +216,6 @@ def fig15_rt_vs_raster(suite: ModelSuite, corpus: StudyCorpus) -> tuple[dict, st
         heat = raytracing_vs_rasterization(
             raytrace.model,
             raster.model,
-            architecture,
             num_tasks=BUDGET_TASKS,
             num_renderings=RATIO_NUM_RENDERINGS,
             image_sizes=np.array(RATIO_IMAGE_SIZES),

@@ -38,24 +38,10 @@ from repro.modeling.features import (
 from repro.reporting.suite import FittedModel, ModelSuite
 from repro.techniques import ObservedFeatures
 
-__all__ = ["PredictionBatch", "Predictor", "TermPlan", "DEFAULT_INTERVAL_SIGMAS"]
+__all__ = ["PredictionBatch", "Predictor", "DEFAULT_INTERVAL_SIGMAS"]
 
 #: Interval half-width in residual standard deviations (~95% under normality).
 DEFAULT_INTERVAL_SIGMAS = 2.0
-
-
-@dataclass(frozen=True)
-class TermPlan:
-    """Hoisted interval metadata for one ``(entry, include_build)`` query shape.
-
-    Built once per shape and cached on the :class:`Predictor`: the combined
-    residual standard deviation of the term groups the shape sums.  Repeated
-    ``predict_features``/``predict_configurations`` calls on the same slice
-    reuse the plan instead of re-deriving the interval variance per call --
-    the serving tier's hot path hits this thousands of times per second.
-    """
-
-    residual_std: float
 
 
 @dataclass
@@ -87,7 +73,7 @@ class Predictor:
 
     def __init__(self, suite: ModelSuite) -> None:
         self.suite = suite
-        self._plans: dict[tuple[str, str, bool], TermPlan] = {}
+        self._plans: dict[tuple[str, str, bool], float] = {}
 
     @classmethod
     def load(cls, path: str | Path) -> "Predictor":
@@ -230,27 +216,29 @@ class Predictor:
         return widths
 
     # -- internals ---------------------------------------------------------------------
-    def term_plan(self, entry: FittedModel, include_build: bool) -> TermPlan:
-        """The cached :class:`TermPlan` for one entry and build-inclusion choice.
+    def term_plan(self, entry: FittedModel, include_build: bool) -> float:
+        """The cached combined residual std of one entry and build-inclusion choice.
 
         A single group's interval is its own residual standard deviation;
         several groups (ray tracing with the build included) combine in
-        quadrature.  Every later call on the same shape is a dictionary hit
-        with no new structure allocated.
+        quadrature.  Computed once per ``(architecture, technique,
+        include_build)`` shape: the serving tier's hot path hits this
+        thousands of times per second, and every later call is a dictionary
+        hit with no new structure allocated.
         """
         key = (entry.architecture, entry.technique, include_build)
-        plan = self._plans.get(key)
-        if plan is None:
+        residual_std = self._plans.get(key)
+        if residual_std is None:
             stds = [float(fit.residual_std) for _, fit in entry.model.group_fits(include_build)]
-            combined = stds[0] if len(stds) == 1 else float(np.sqrt(sum(std**2 for std in stds)))
-            plan = self._plans[key] = TermPlan(combined)
-        return plan
+            residual_std = stds[0] if len(stds) == 1 else float(np.sqrt(sum(std**2 for std in stds)))
+            self._plans[key] = residual_std
+        return residual_std
 
     def _predict_entry(
         self, entry: FittedModel, arrays: dict[str, np.ndarray], include_build: bool, sigmas: float
     ) -> PredictionBatch:
         seconds = entry.model.predict(arrays, include_build)
-        residual_std = self.term_plan(entry, include_build).residual_std
+        residual_std = self.term_plan(entry, include_build)
         half_width = sigmas * residual_std
         return PredictionBatch(
             seconds=seconds,

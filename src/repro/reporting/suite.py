@@ -25,7 +25,7 @@ import numpy as np
 from repro.modeling.crossval import CrossValidationSummary
 from repro.modeling.models import PerformanceModel, make_model
 from repro.modeling.regression import LinearRegressionResult
-from repro.modeling.study import COMPOSITING_ARCHITECTURE, StudyCorpus
+from repro.modeling.study import COMPOSITING_ARCHITECTURE, StudyCorpus, model_inputs
 
 __all__ = [
     "MODELS_SCHEMA_VERSION",
@@ -68,14 +68,10 @@ class FittedModel:
     def key(self) -> tuple[str, str]:
         return (self.architecture, self.technique)
 
-    def fit_groups(self) -> dict[str, LinearRegressionResult]:
-        """The model's OLS fit per term group (two for ray tracing, one otherwise)."""
-        return self.model.fits
-
     def diagnostics(self) -> dict:
         """Residual/coefficient diagnostics of every fit group."""
         groups = {}
-        for name, fit in self.fit_groups().items():
+        for name, fit in self.model.fits.items():
             coefficients = fit.named_coefficients()
             groups[name] = {
                 "r_squared": float(fit.r_squared),
@@ -96,7 +92,7 @@ def _coefficient_warnings(entry: FittedModel) -> list[dict]:
     discussion) uses to spot invalid models.
     """
     warnings = []
-    for group, fit in entry.fit_groups().items():
+    for group, fit in entry.model.fits.items():
         for term, value in fit.named_coefficients().items():
             if value < 0.0:
                 warnings.append(
@@ -115,7 +111,7 @@ def _coefficient_warnings(entry: FittedModel) -> list[dict]:
 def _quality_warnings(entry: FittedModel) -> list[dict]:
     """Low-R-squared residual diagnostics."""
     warnings = []
-    for group, fit in entry.fit_groups().items():
+    for group, fit in entry.model.fits.items():
         if fit.r_squared < LOW_R_SQUARED_FLOOR:
             warnings.append(
                 {
@@ -145,6 +141,10 @@ class ModelSuite:
     def fit_corpus(cls, corpus: StudyCorpus, folds: int = 3, seed: int = 2016) -> "ModelSuite":
         """Fit the full registry from a corpus in one call.
 
+        The only code that fits or cross-validates a corpus slice: each
+        slice's ``(model, arrays, targets)`` comes from
+        :func:`repro.modeling.study.model_inputs` once, the model is fit on
+        those arrays, and the k-fold cross validation runs on the same ones.
         Degenerate slices (too few rows for the slice's coefficient count,
         singular designs, ...) become structured entries in :attr:`failures`
         rather than exceptions: a partially-degenerate corpus still yields
@@ -155,61 +155,47 @@ class ModelSuite:
         """
         suite = cls(folds=folds, seed=seed)
         slices = [
-            (architecture, technique, len(rows), sorted({row.dpp_device for row in rows}))
+            (architecture, technique, rows, sorted({row.dpp_device for row in rows}))
             for architecture, technique, rows in corpus.slices()
         ]
         if corpus.compositing_records:
-            slices.append((COMPOSITING_ARCHITECTURE, "compositing", len(corpus.compositing_records), []))
-        for architecture, technique, num_rows, devices in slices:
+            slices.append((COMPOSITING_ARCHITECTURE, "compositing", corpus.compositing_records, []))
+        for architecture, technique, rows, devices in slices:
             if len(devices) > 1:
                 error = ValueError(f"rows span {len(devices)} dpp devices: {', '.join(devices)}")
-                suite.failures.append(_failure(architecture, technique, num_rows, error, "mixed-devices"))
+                suite.failures.append(_failure(architecture, technique, len(rows), error, "mixed-devices"))
                 continue
             try:
-                model = corpus.fit_model(architecture, technique)
+                model, arrays, targets = model_inputs(technique, rows)
+                model.fit(arrays, *targets)
             except Exception as error:  # noqa: BLE001 -- every degenerate fit becomes a row
-                suite.failures.append(_failure(architecture, technique, num_rows, error))
+                suite.failures.append(_failure(architecture, technique, len(rows), error))
                 continue
-            entry = FittedModel(architecture, technique, model, num_rows)
-            suite._finish_entry(
-                entry,
-                lambda: corpus.cross_validate(architecture, technique, k=folds, seed=seed),
-            )
+            entry = FittedModel(architecture, technique, model, len(rows))
+            entry.warnings.extend(_coefficient_warnings(entry))
+            entry.warnings.extend(_quality_warnings(entry))
+            try:
+                entry.crossval = model.cross_validate(arrays, *targets, k=folds, seed=seed)
+                entry.crossval_accuracy = entry.crossval.accuracy_row()
+            except Exception as error:  # noqa: BLE001 -- e.g. too few rows (ValueError),
+                # nnls non-convergence (RuntimeError), singular folds (LinAlgError):
+                # a pathological fold must degrade to a warning, not kill the report.
+                entry.crossval_skipped = str(error)
+                entry.warnings.append(
+                    {
+                        "kind": "crossval_skipped",
+                        "architecture": architecture,
+                        "technique": technique,
+                        "message": str(error),
+                    }
+                )
             if technique == "compositing":
                 suite.compositing = entry
             else:
                 suite.entries[entry.key] = entry
         return suite
 
-    def _finish_entry(self, entry: FittedModel, run_crossval) -> None:
-        """Attach cross validation and diagnostics to a freshly fitted entry."""
-        entry.warnings.extend(_coefficient_warnings(entry))
-        entry.warnings.extend(_quality_warnings(entry))
-        try:
-            entry.crossval = run_crossval()
-            entry.crossval_accuracy = entry.crossval.accuracy_row()
-        except Exception as error:  # noqa: BLE001 -- e.g. too few rows (ValueError),
-            # nnls non-convergence (RuntimeError), singular folds (LinAlgError):
-            # a pathological fold must degrade to a warning, not kill the report.
-            entry.crossval_skipped = str(error)
-            entry.warnings.append(
-                {
-                    "kind": "crossval_skipped",
-                    "architecture": entry.architecture,
-                    "technique": entry.technique,
-                    "message": str(error),
-                }
-            )
-
     # -- access ------------------------------------------------------------------------
-    def models(self) -> dict[tuple[str, str], PerformanceModel]:
-        """Renderer models keyed by ``(architecture, technique)``.
-
-        The same shape :meth:`StudyCorpus.fit_all_models` returns, so the
-        feasibility analyses (Figures 14/15) consume a suite unchanged.
-        """
-        return {key: entry.model for key, entry in self.entries.items()}
-
     def get(self, architecture: str, technique: str) -> FittedModel:
         """Entry lookup with a helpful error listing what is available."""
         if technique == "compositing":
@@ -258,7 +244,7 @@ class ModelSuite:
                     "technique": entry.technique,
                     "num_rows": int(entry.num_rows),
                     "residual_std": {
-                        name: float(fit.residual_std) for name, fit in entry.fit_groups().items()
+                        name: float(fit.residual_std) for name, fit in entry.model.fits.items()
                     },
                     "crossval_average_percent": (
                         float(accuracy["average_percent"]) if accuracy else None
@@ -361,7 +347,7 @@ def _entry_payload(entry: FittedModel) -> dict:
         "architecture": entry.architecture,
         "technique": entry.technique,
         "num_rows": entry.num_rows,
-        "fits": {name: _fit_payload(fit) for name, fit in entry.fit_groups().items()},
+        "fits": {name: _fit_payload(fit) for name, fit in entry.model.fits.items()},
         "diagnostics": entry.diagnostics(),
         "crossval": crossval,
         "crossval_skipped": entry.crossval_skipped,

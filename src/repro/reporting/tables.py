@@ -316,7 +316,7 @@ def table17_coefficients(suite: ModelSuite, corpus: StudyCorpus) -> tuple[dict, 
     rows = []
     for entry in suite.all_entries():
         coefficients = {}
-        for group, fit in entry.fit_groups().items():
+        for group, fit in entry.model.fits.items():
             for term, value in fit.named_coefficients().items():
                 coefficients[term] = float(value)
         rows.append(

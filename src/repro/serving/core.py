@@ -83,9 +83,11 @@ RENDER_DEFAULTS = {
     "include_build": True,
 }
 
-#: Render counts must stay below this: every integer under ``2**53`` is exact
-#: in float64, and the mapping of such counts stays finite (``10**200`` cells
-#: per task overflow it to ``inf``, which is not JSON).
+#: Render counts and both compositing inputs must stay below this: every
+#: integer under ``2**53`` is exact in float64, and predictions from such
+#: inputs stay finite (``10**200`` cells per task overflow the mapping to
+#: ``inf``, which is not JSON; Eq. 5.5 at ``1e308`` active pixels gives
+#: seconds near ``-3e301``).
 _COUNT_LIMIT = 2**53
 
 #: The count keys of a render configuration, in canonical-tuple order.
@@ -130,14 +132,19 @@ def _number(value, what: str, kind: type, minimum: int = 0):
     )
 
 
+def _below_limit(value, key: str, kind: type, minimum: int):
+    """:func:`_number` of ``value`` that is also below :data:`_COUNT_LIMIT`."""
+    number = _number(value, key, kind, minimum)
+    if number >= _COUNT_LIMIT:
+        raise ServingError("invalid-configuration", f"{key!r} must be below 2**53, got {value!r}")
+    return number
+
+
 def _positive_int(config: dict, key: str) -> int:
     value = config.get(key, RENDER_DEFAULTS[key])
     if type(value) is int and 0 < value < _COUNT_LIMIT:
         return value
-    number = _number(value, key, int, 1)
-    if number >= _COUNT_LIMIT:
-        raise ServingError("invalid-configuration", f"{key!r} must be below 2**53, got {value!r}")
-    return number
+    return _below_limit(value, key, int, 1)
 
 
 def canonical_config(config: dict) -> tuple:
@@ -166,8 +173,8 @@ def canonical_config(config: dict) -> tuple:
             )
         return (
             "compositing",
-            _number(config["average_active_pixels"], "average_active_pixels", float),
-            _number(config["pixels"], "pixels", int),
+            _below_limit(config["average_active_pixels"], "average_active_pixels", float, 0),
+            _below_limit(config["pixels"], "pixels", int, 0),
         )
     try:
         get_technique(technique)

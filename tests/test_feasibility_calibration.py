@@ -144,7 +144,7 @@ class TestRaytracingVsRasterization:
         image_sizes = np.array([512, 1024, 2048])
         data_sizes = np.array([100, 300])
         heat = raytracing_vs_rasterization(
-            raytracer, raster, "archA", num_tasks=32, num_renderings=100,
+            raytracer, raster, num_tasks=32, num_renderings=100,
             image_sizes=image_sizes, data_sizes=data_sizes,
         )
         assert heat["ratio"].shape == (2, 3)
@@ -169,13 +169,13 @@ class TestRaytracingVsRasterization:
         raytracer = _hand_raytracer(build=(1e-5, 1.0))
         raster = _hand_raster()
         kwargs = dict(image_sizes=np.array([1024]), data_sizes=np.array([200]))
-        few = raytracing_vs_rasterization(raytracer, raster, "archA", num_renderings=1, **kwargs)
-        many = raytracing_vs_rasterization(raytracer, raster, "archA", num_renderings=1000, **kwargs)
+        few = raytracing_vs_rasterization(raytracer, raster, num_renderings=1, **kwargs)
+        many = raytracing_vs_rasterization(raytracer, raster, num_renderings=1000, **kwargs)
         assert many["ratio"][0, 0] > few["ratio"][0, 0]
 
     def test_axes_are_returned_as_given(self):
         heat = raytracing_vs_rasterization(
-            _hand_raytracer(), _hand_raster(), "archA",
+            _hand_raytracer(), _hand_raster(),
             image_sizes=np.array([384, 768]), data_sizes=np.array([100, 200, 400]),
         )
         assert np.array_equal(heat["image_sizes"], [384, 768])

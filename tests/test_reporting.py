@@ -76,8 +76,16 @@ class TestModelSuite:
             assert entry.crossval_accuracy is not None
             assert entry.crossval_accuracy["within_50"] >= 0.0
 
-    def test_models_view_matches_fit_all_models_keys(self, corpus, suite):
-        assert set(suite.models()) == set(corpus.fit_all_models())
+    def test_corpus_cross_validate_delegate_matches_the_suite(self, corpus, suite):
+        # benchmarks/e2e/probes.py cross-validates through the corpus: it must
+        # score exactly what the suite's one fitting path scores, slice by slice.
+        entries = suite.all_entries()
+        assert len(entries) == len(list(corpus.slices())) + 1
+        assert entries[-1].technique == "compositing"
+        for entry in entries:
+            summary = corpus.cross_validate(entry.architecture, entry.technique, k=3, seed=suite.seed)
+            assert np.array_equal(summary.errors, entry.crossval.errors), entry.key
+            assert np.array_equal(summary.predictions, entry.crossval.predictions), entry.key
 
     def test_diagnostics_report_every_fit_group(self, suite):
         raytrace = suite.entries[("gpu1-k40m", "raytrace")]
@@ -125,15 +133,12 @@ class TestModelSuite:
             for row in corpus.select("gpu1-k40m", "volume")
         ]
         mixed = StudyCorpus(records=corpus.select("gpu1-k40m", "raster") + mystery)
-        with pytest.raises(ValueError, match="unknown technique 'mystery'"):
-            mixed.fit_model("gpu1-k40m", "mystery")
-        with pytest.raises(ValueError, match="unknown technique 'mystery'"):
-            mixed.cross_validate("gpu1-k40m", "mystery")
         suite = ModelSuite.fit_corpus(mixed)
         assert sorted(suite.entries) == [("gpu1-k40m", "raster")]
         [failure] = suite.failures
         assert (failure["architecture"], failure["technique"]) == ("gpu1-k40m", "mystery")
         assert failure["error_type"] == "ValueError"
+        assert failure["message"].startswith("unknown technique 'mystery'")
         assert failure["num_rows"] == len(mystery)
 
     def test_a_non_finite_time_makes_its_slice_a_failure(self, corpus):
@@ -197,8 +202,8 @@ class TestSerialization:
         loaded = ModelSuite.load(path)
         assert sorted(loaded.entries) == sorted(suite.entries)
         for key, entry in suite.entries.items():
-            for group, fit in entry.fit_groups().items():
-                loaded_fit = loaded.entries[key].fit_groups()[group]
+            for group, fit in entry.model.fits.items():
+                loaded_fit = loaded.entries[key].model.fits[group]
                 assert np.array_equal(loaded_fit.coefficients, fit.coefficients)
                 assert loaded_fit.residual_std == fit.residual_std
                 assert loaded_fit.term_names == fit.term_names

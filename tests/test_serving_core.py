@@ -166,6 +166,11 @@ class TestCanonicalConfig:
             {"architecture": "a", "technique": "raytrace", "cells_per_task": 10**200},
             {"architecture": "a", "technique": "raytrace", "num_tasks": 2**53},
             {"architecture": "a", "technique": "raytrace", "image_width": 2.0**53},
+            # Compositing inputs share the bound: 1e308 active pixels served -3e301 seconds.
+            {"technique": "compositing", "average_active_pixels": 1e308, "pixels": 4096},
+            {"technique": "compositing", "average_active_pixels": 2.0**53, "pixels": 4096},
+            {"technique": "compositing", "average_active_pixels": 512.0, "pixels": 2**53},
+            {"technique": "compositing", "average_active_pixels": 512.0, "pixels": 1.7e308},
         ],
     )
     def test_hostile_values_are_rejected(self, config):
@@ -362,6 +367,10 @@ class TestServingCoreParity:
                 rows, _ = core.predict_rows([{**config, "include_build": include_build}])
                 values = [rows[0][key] for key in ("seconds", "lower", "upper", "residual_std")]
                 assert all(isfinite(value) for value in values), (config, values)
+        compositing = {"technique": "compositing", "average_active_pixels": 2**53 - 1, "pixels": 2**53 - 1}
+        rows, _ = core.predict_rows([compositing])
+        values = [rows[0][key] for key in ("seconds", "lower", "upper", "residual_std")]
+        assert all(isfinite(value) for value in values), values
 
     def test_results_ignore_batch_composition_and_order(self, core):
         together = core.predict_canonical([canonical_config(c) for c in CONFIGS])
@@ -436,8 +445,8 @@ class TestTermPlans:
         with_build = predictor.term_plan(entry, include_build=True)
         frame_only = predictor.term_plan(entry, include_build=False)
         model = entry.model
-        assert frame_only.residual_std == float(model.fits["frame"].residual_std)
-        assert with_build.residual_std == pytest.approx(
+        assert frame_only == float(model.fits["frame"].residual_std)
+        assert with_build == pytest.approx(
             float(np.sqrt(model.fits["frame"].residual_std**2 + model.fits["build"].residual_std**2))
         )
 

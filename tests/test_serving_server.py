@@ -208,6 +208,9 @@ class TestHttpSurface:
                     # Counts from 2**53 up: 10**200 cells used to be served as "inf".
                     '{"architecture":"gpu1-k40m","technique":"raytrace","cells_per_task":1' + "0" * 200 + "}",
                     '{"architecture":"gpu1-k40m","technique":"raytrace","num_tasks":9007199254740992}',
+                    # Compositing inputs too: 1e308 active pixels served -3e301 seconds.
+                    '{"technique":"compositing","average_active_pixels":1e308,"pixels":4096}',
+                    '{"technique":"compositing","average_active_pixels":512.0,"pixels":9007199254740992}',
                     f'{{"configs":[{config}],"sigmas":NaN}}',
                     f'{{"configs":[{config}],"sigmas":1e999}}',
                     f'{{"configs":[{config}],"sigmas":-1}}',

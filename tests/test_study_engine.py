@@ -40,6 +40,7 @@ from repro.rendering import Framebuffer, make_renderer
 from repro.rendering import rays
 from repro.rendering.rays import pixels_reaching
 from repro.rendering.result import ObservedFeatures, RenderResult
+from repro.reporting import ModelSuite
 from repro.runtime.decomposition import BlockDecomposition
 from repro.simulations.fields import get_simulation_field
 from repro.study import (
@@ -864,9 +865,10 @@ class TestEngineMatchesOracle:
         assert engine_corpus.failures == []
 
     def test_engine_corpus_fits_models(self, engine_corpus):
-        fitted = engine_corpus.fit_all_models()
-        assert len(fitted) == 6
-        assert all(np.isfinite(model.r_squared) for model in fitted.values())
+        suite = ModelSuite.fit_corpus(engine_corpus)
+        assert not suite.failures
+        assert len(suite.entries) == 6
+        assert all(np.isfinite(entry.model.r_squared) for entry in suite.entries.values())
 
 
 class TestCompositingKnobsReachTheEngine:
@@ -1012,7 +1014,8 @@ class TestResumeSemantics:
                 "choose from raytrace, raster, volume, volume_unstructured"
             )
         # Failure rows never block fitting the healthy slice of the corpus.
-        assert corpus.fit_all_models()
+        suite = ModelSuite.fit_corpus(corpus)
+        assert suite.entries and not suite.failures
 
     @pytest.mark.parametrize(
         "field, value, message, stale",

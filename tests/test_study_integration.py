@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.modeling import RenderingConfiguration, map_configuration_to_features
 from repro.modeling.feasibility import images_within_budget, raytracing_vs_rasterization
-from repro.modeling.study import COMPOSITING_ARCHITECTURE, StudyConfiguration
+from repro.modeling.study import COMPOSITING_ARCHITECTURE, StudyConfiguration, StudyCorpus
 from repro.reporting import ModelSuite
 from repro.reporting.tables import (
     LARGE_SCALE_CELLS,
@@ -33,8 +35,15 @@ def small_corpus():
 
 
 @pytest.fixture(scope="module")
-def fitted_models(small_corpus):
-    return small_corpus.fit_all_models()
+def small_suite(small_corpus):
+    suite = ModelSuite.fit_corpus(small_corpus, seed=5)
+    assert not suite.failures
+    return suite
+
+
+@pytest.fixture(scope="module")
+def fitted_models(small_suite):
+    return {key: entry.model for key, entry in small_suite.entries.items()}
 
 
 class TestStudyCorpus:
@@ -60,23 +69,26 @@ class TestStudyCorpus:
             for value in model.coefficients.values():
                 assert value >= 0.0
 
-    def test_cross_validation_accuracy(self, small_corpus):
-        summary = small_corpus.cross_validate("gpu1-k40m", "volume", k=3, seed=5)
+    def test_cross_validation_accuracy(self, small_suite):
+        summary = small_suite.get("gpu1-k40m", "volume").crossval
         row = summary.accuracy_row()
         assert row["within_50"] >= 75.0
         assert row["average_percent"] < 60.0
 
-    def test_compositing_model_fit(self, small_corpus):
-        model = small_corpus.fit_model(COMPOSITING_ARCHITECTURE, "compositing")
-        assert np.isfinite(model.r_squared)
-        summary = small_corpus.cross_validate(COMPOSITING_ARCHITECTURE, "compositing", k=3, seed=5)
-        assert len(summary.errors) == len(small_corpus.compositing_records)
+    def test_compositing_model_fit(self, small_corpus, small_suite):
+        entry = small_suite.get(COMPOSITING_ARCHITECTURE, "compositing")
+        assert np.isfinite(entry.model.r_squared)
+        assert entry.crossval.num_folds == 3
+        assert len(entry.crossval.errors) == len(small_corpus.compositing_records)
 
     def test_select_filters(self, small_corpus):
         subset = small_corpus.select(architecture="cpu-host", technique="raster")
         assert all(r.architecture == "cpu-host" and r.technique == "raster" for r in subset)
-        with pytest.raises(ValueError):
-            small_corpus.fit_model("cpu-host", "unknown-technique")
+        unknown = StudyCorpus(records=[replace(subset[0], technique="unknown-technique")])
+        suite = ModelSuite.fit_corpus(unknown)
+        assert suite.is_empty()
+        (failure,) = suite.failures
+        assert (failure["technique"], failure["error_type"]) == ("unknown-technique", "ValueError")
 
     def test_gpu_records_use_paper_scale_configurations(self, small_corpus):
         for record in small_corpus.select("gpu1-k40m"):
@@ -163,7 +175,6 @@ class TestCalibrationAndFeasibility:
         heat = raytracing_vs_rasterization(
             fitted_models[("gpu1-k40m", "raytrace")],
             fitted_models[("gpu1-k40m", "raster")],
-            "gpu1-k40m",
             image_sizes=np.array([384, 1024, 2048, 4096]),
             data_sizes=np.array([100, 300, 500]),
         )
