@@ -38,10 +38,6 @@ __all__ = [
 #: through the cost model).
 BENCH_IMAGE_SIZE = 96
 
-#: Larger image size of the float32-vs-float64 traversal floor
-#: (`bench_traversal_throughput.py`).
-BENCH_IMAGE_SIZE_LARGE = 192
-
 #: Full-scale pixel count the synthetic throughput numbers are quoted at.
 FULL_SCALE_PIXELS = 1920 * 1080
 

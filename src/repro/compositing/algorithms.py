@@ -357,7 +357,6 @@ def run_schedule(
     fold_partner = dict(schedule.fold_pairs)
     first_round = 1 if fold_partner else 0
     assembly_round = first_round + len(radices) + int(schedule.trailing_round)
-    comm.ensure_rounds(assembly_round + 1)
     # traffic[round] rows: sent bytes, sent messages, received bytes, received messages.
     traffic = np.zeros((assembly_round + 1, 4, comm.size))
 

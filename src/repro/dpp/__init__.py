@@ -8,12 +8,11 @@ portable performance across CPU and GPU back-ends.
 
 This package reproduces that layer in Python:
 
-* :mod:`repro.dpp.device` -- back-end ("device adapter") registry.  The
+* :mod:`repro.dpp.device` -- the two back-ends ("device adapters").  The
   ``vectorized`` device executes primitives with numpy; the ``serial`` device
   runs explicit Python loops (useful for differential testing of the
   vectorized kernels, mirroring the paper's OpenMP-vs-ISPC back-end swap).
-  These two are the whole registry unless a caller adds one with
-  :func:`register_device`.
+  :func:`use_device` picks the active one.
 * :mod:`repro.dpp.primitives` -- the primitives themselves, dispatching to the
   active device and recording per-invocation instrumentation.
 * :mod:`repro.dpp.instrument` -- per-scope operation counters and primitive
@@ -26,12 +25,10 @@ This package reproduces that layer in Python:
 from repro.dpp.frontier import FrontierEngine, FrontierKernel, FrontierLanes
 from repro.dpp.device import (
     Device,
-    DeviceRegistry,
     SerialDevice,
     VectorizedDevice,
     get_device,
     list_devices,
-    register_device,
     use_device,
 )
 from repro.dpp.instrument import OpCounters, get_instrumentation
@@ -49,7 +46,6 @@ from repro.dpp.primitives import (
 
 __all__ = [
     "Device",
-    "DeviceRegistry",
     "FrontierEngine",
     "FrontierKernel",
     "FrontierLanes",
@@ -64,7 +60,6 @@ __all__ = [
     "list_devices",
     "map_field",
     "reduce_field",
-    "register_device",
     "reverse_index",
     "scatter",
     "segmented_argmin",

@@ -17,16 +17,16 @@ delegate to the active :class:`Device`.  Two devices ship in-tree:
     poorly-matched back-end (OpenMP on Xeon Phi) is contrasted with a
     well-matched one (ISPC).
 
-:func:`register_device` adds an adapter under its ``name`` (the tests install
-a spy device this way); an unknown name is rejected in one place,
-:meth:`DeviceRegistry.get`, with a ``ValueError`` naming the choices.
+These two are the whole set; an unknown name is rejected in one place,
+:func:`get_device`, with a ``ValueError`` naming the choices.
 
 Devices are selected through :func:`use_device`, which is a context manager
 mirroring VTK-m's runtime device tracker.  The active device is tracked in a
 :class:`contextvars.ContextVar`, so activation is task- and thread-local:
 concurrent ``use_device`` blocks on an asyncio event loop or across executor
 threads each see their own device and restore their own previous device on
-exit, instead of racing on one process-global slot.
+exit, instead of racing on one process-global slot.  A context that never
+activated a device runs on ``vectorized``.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ __all__ = [
     "Device",
     "SerialDevice",
     "VectorizedDevice",
-    "DeviceRegistry",
-    "register_device",
     "get_device",
     "use_device",
     "list_devices",
@@ -69,7 +67,7 @@ class Device:
     case only.
     """
 
-    #: Unique registry name.
+    #: Unique device name.
     name: str = "abstract"
 
     # -- mandatory primitive implementations ---------------------------------
@@ -265,90 +263,44 @@ class SerialDevice(Device):
         return out
 
 
-class DeviceRegistry:
-    """Registry of devices with a context-local active device.
+#: The devices by name.
+_DEVICES: dict[str, Device] = {device.name: device for device in (VectorizedDevice(), SerialDevice())}
 
-    The active device is held in a :class:`contextvars.ContextVar`, not an
-    instance attribute: each asyncio task and each thread resolves (and
-    restores) its own activation, so interleaved :meth:`activate` blocks --
-    the serving tier's event loop, the sweep executor's workers -- can never
-    restore one another's device.  A context that never activated anything
-    falls back to the registry default (the first registered device).
-    """
-
-    def __init__(self) -> None:
-        self._devices: dict[str, Device] = {}
-        self._default: str | None = None
-        self._active: contextvars.ContextVar[str | None] = contextvars.ContextVar(
-            "repro_dpp_active_device", default=None
-        )
-
-    def register(self, device: Device) -> None:
-        """Add ``device``; the first registration becomes the default device."""
-        self._devices[device.name] = device
-        if self._default is None:
-            self._default = device.name
-
-    def get(self, name: str | None = None) -> Device:
-        """Return the named device, or the active device when ``name`` is None.
-
-        The one place an unknown device name is rejected.
-        """
-        if name is None:
-            name = self._active.get() or self._default
-            if name is None:
-                raise RuntimeError("no device registered")
-        try:
-            return self._devices[name]
-        except KeyError:
-            choices = ", ".join(self.names())
-            raise ValueError(f"unknown device {name!r}; choose from {choices}") from None
-
-    def names(self) -> list[str]:
-        """Names of every registered device."""
-        return sorted(self._devices)
-
-    @property
-    def active(self) -> str | None:
-        """The calling context's active device name (default when unset)."""
-        return self._active.get() or self._default
-
-    @contextlib.contextmanager
-    def activate(self, name: str) -> Iterator[Device]:
-        """Temporarily make ``name`` the active device in this context."""
-        device = self.get(name)
-        token = self._active.set(device.name)
-        try:
-            yield device
-        finally:
-            self._active.reset(token)
-
-
-#: Process-global registry used by the primitive front-ends.
-_REGISTRY = DeviceRegistry()
-_REGISTRY.register(VectorizedDevice())
-_REGISTRY.register(SerialDevice())
-
-
-def register_device(device: Device) -> None:
-    """Register a custom device adapter in the global registry."""
-    _REGISTRY.register(device)
+#: The calling context's active device name.
+_ACTIVE: contextvars.ContextVar[str] = contextvars.ContextVar(
+    "repro_dpp_active_device", default=VectorizedDevice.name
+)
 
 
 def get_device(name: str | None = None) -> Device:
-    """Return a registered device (the active one when ``name`` is omitted)."""
-    return _REGISTRY.get(name)
+    """Return the named device, or the active device when ``name`` is None.
+
+    The one place an unknown device name is rejected.
+    """
+    if name is None:
+        name = _ACTIVE.get()
+    try:
+        return _DEVICES[name]
+    except KeyError:
+        choices = ", ".join(list_devices())
+        raise ValueError(f"unknown device {name!r}; choose from {choices}") from None
 
 
-def use_device(name: str):
+@contextlib.contextmanager
+def use_device(name: str) -> Iterator[Device]:
     """Context manager selecting the active device for the enclosed block.
 
     Activation is context-local (task- and thread-local): concurrent blocks
     do not observe or clobber each other's device.
     """
-    return _REGISTRY.activate(name)
+    device = get_device(name)
+    token = _ACTIVE.set(device.name)
+    try:
+        yield device
+    finally:
+        _ACTIVE.reset(token)
 
 
 def list_devices() -> list[str]:
-    """Names of all registered devices."""
-    return _REGISTRY.names()
+    """Names of all devices."""
+    return sorted(_DEVICES)

@@ -9,7 +9,7 @@ counted at this single choke point.
 
 Each primitive validates its inputs and hands the device call to
 :func:`_dispatch`, the one place dpp time is taken: it runs the call on the
-chosen :class:`repro.dpp.device.Device` and records wall-clock time, elements
+active :class:`repro.dpp.device.Device` and records wall-clock time, elements
 touched, and bytes moved into the global
 :class:`repro.dpp.instrument.OpCounters`.
 """
@@ -54,7 +54,7 @@ def _dispatch(call: Callable, elements: int, *operands):
     return result
 
 
-def map_field(functor: Callable, *arrays: np.ndarray, device: str | None = None):
+def map_field(functor: Callable, *arrays: np.ndarray):
     """Apply ``functor`` element-wise over equally sized input arrays.
 
     The functor receives the input arrays whole (the vectorized execution
@@ -69,8 +69,6 @@ def map_field(functor: Callable, *arrays: np.ndarray, device: str | None = None)
         Callable applied to the arrays.
     arrays:
         One or more numpy arrays sharing their leading dimension.
-    device:
-        Optional device name overriding the active device.
 
     Returns
     -------
@@ -84,10 +82,10 @@ def map_field(functor: Callable, *arrays: np.ndarray, device: str | None = None)
     for array in arrays[1:]:
         if len(array) != length:
             raise ValueError("map_field inputs must share their leading dimension")
-    return _dispatch(get_device(device).map, length, functor, *arrays)
+    return _dispatch(get_device().map, length, functor, *arrays)
 
 
-def gather(values: np.ndarray, indices: np.ndarray, device: str | None = None) -> np.ndarray:
+def gather(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Collect ``values[indices[i]]`` into an output the length of ``indices``.
 
     Gather is used to compact surviving rays, to collect per-pixel samples for
@@ -101,15 +99,10 @@ def gather(values: np.ndarray, indices: np.ndarray, device: str | None = None) -
         raise ValueError("cannot gather from an empty array")
     if len(indices) and (indices.min() < 0 or indices.max() >= len(values)):
         raise IndexError("gather index out of range")
-    return _dispatch(get_device(device).gather, len(indices), values, indices)
+    return _dispatch(get_device().gather, len(indices), values, indices)
 
 
-def scatter(
-    values: np.ndarray,
-    indices: np.ndarray,
-    output: np.ndarray,
-    device: str | None = None,
-) -> np.ndarray:
+def scatter(values: np.ndarray, indices: np.ndarray, output: np.ndarray) -> np.ndarray:
     """Write ``values[i]`` into ``output[indices[i]]`` (in place) and return it.
 
     The caller is responsible for index uniqueness when a race would matter,
@@ -123,10 +116,10 @@ def scatter(
         raise ValueError("scatter values and indices must have equal length")
     if len(indices) and (indices.min() < 0 or indices.max() >= len(output)):
         raise IndexError("scatter index out of range")
-    return _dispatch(get_device(device).scatter, len(indices), values, indices, output)
+    return _dispatch(get_device().scatter, len(indices), values, indices, output)
 
 
-def reduce_field(values: np.ndarray, operator: str = "add", device: str | None = None):
+def reduce_field(values: np.ndarray, operator: str = "add"):
     """Combine all values into one using ``add``, ``min``, or ``max``.
 
     An empty ``add`` reduction returns 0; empty ``min``/``max`` reductions
@@ -135,24 +128,22 @@ def reduce_field(values: np.ndarray, operator: str = "add", device: str | None =
     direct device callers get the identical contract.
     """
     values = np.asarray(values)
-    return _dispatch(get_device(device).reduce, len(values), values, operator)
+    return _dispatch(get_device().reduce, len(values), values, operator)
 
 
-def inclusive_scan(values: np.ndarray, device: str | None = None) -> np.ndarray:
+def inclusive_scan(values: np.ndarray) -> np.ndarray:
     """Inclusive prefix sum: ``out[i] = sum(values[:i+1])``."""
     values = np.asarray(values)
-    return _dispatch(get_device(device).scan, len(values), values, True)
+    return _dispatch(get_device().scan, len(values), values, True)
 
 
-def exclusive_scan(values: np.ndarray, device: str | None = None) -> np.ndarray:
+def exclusive_scan(values: np.ndarray) -> np.ndarray:
     """Exclusive prefix sum: ``out[i] = sum(values[:i])`` with ``out[0] = 0``."""
     values = np.asarray(values)
-    return _dispatch(get_device(device).scan, len(values), values, False)
+    return _dispatch(get_device().scan, len(values), values, False)
 
 
-def reverse_index(
-    scan_result: np.ndarray, flags: np.ndarray, device: str | None = None
-) -> np.ndarray:
+def reverse_index(scan_result: np.ndarray, flags: np.ndarray) -> np.ndarray:
     """Invert an exclusive scan of boolean flags into gather indices.
 
     Given ``flags`` marking surviving elements and ``scan_result`` their
@@ -169,14 +160,11 @@ def reverse_index(
         raise ValueError("reverse_index flags and scan_result must be one-dimensional")
     if len(flags) != len(scan_result):
         raise ValueError("flags and scan_result must have equal length")
-    return _dispatch(get_device(device).reverse_index, len(flags), scan_result, flags)
+    return _dispatch(get_device().reverse_index, len(flags), scan_result, flags)
 
 
 def segmented_argmin(
-    values: np.ndarray,
-    segment_starts: np.ndarray,
-    tiebreak: np.ndarray,
-    device: str | None = None,
+    values: np.ndarray, segment_starts: np.ndarray, tiebreak: np.ndarray
 ) -> np.ndarray:
     """Global index of the minimum value within each contiguous segment.
 
@@ -220,12 +208,10 @@ def segmented_argmin(
         # winner for it; reject it rather than diverge (use +inf for "no
         # candidate", as the ray tracer's masked intersection distances do).
         raise ValueError("segmented_argmin values must not contain NaN")
-    return _dispatch(
-        get_device(device).segmented_argmin, len(values), values, segment_starts, tiebreak
-    )
+    return _dispatch(get_device().segmented_argmin, len(values), values, segment_starts, tiebreak)
 
 
-def stream_compact(flags: np.ndarray, *arrays: np.ndarray, device: str | None = None):
+def stream_compact(flags: np.ndarray, *arrays: np.ndarray):
     """Remove the elements whose flag is false from every array, preserving order.
 
     Implements the compaction idiom from the ray tracer (Section 2.4 "Stream
@@ -240,8 +226,8 @@ def stream_compact(flags: np.ndarray, *arrays: np.ndarray, device: str | None = 
     """
     flags = np.asarray(flags)
     flag_ints = flags.astype(np.int64)
-    count = int(reduce_field(flag_ints, "add", device=device))
-    scanned = exclusive_scan(flag_ints, device=device)
-    indices = reverse_index(scanned, flags, device=device)
-    compacted = tuple(gather(array, indices, device=device) for array in arrays)
+    count = int(reduce_field(flag_ints, "add"))
+    scanned = exclusive_scan(flag_ints)
+    indices = reverse_index(scanned, flags)
+    compacted = tuple(gather(array, indices) for array in arrays)
     return count, compacted

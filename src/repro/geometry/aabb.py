@@ -108,11 +108,9 @@ def safe_reciprocal(directions: np.ndarray) -> np.ndarray:
     grazing rays; exact zeros (including ``-0.0``) map to the positive huge
     value, which the min/max folds of the slab test treat correctly because
     the corresponding plane distances become ``+/-inf`` of matching sign.
-    The replacement magnitude adapts to the dtype so the reciprocal stays
-    finite in ``float32`` throughput mode as well.
     """
     directions = np.asarray(directions)
-    tiny = 1e-300 if directions.dtype.itemsize >= 8 else np.float32(1e-30)
+    tiny = 1e-300
     small = np.abs(directions) < tiny
     safe = np.where(
         small,

@@ -55,17 +55,6 @@ class Framebuffer:
             self.depth.reshape(-1)[pixel_ids] = depth
 
     # -- compositing helpers ---------------------------------------------------------
-    def blend_over(self, other: "Framebuffer") -> "Framebuffer":
-        """Composite ``self`` over ``other`` using straight-alpha OVER."""
-        if (self.width, self.height) != (other.width, other.height):
-            raise ValueError("framebuffer dimensions must match for blending")
-        result = Framebuffer(self.width, self.height, tuple(other.background))
-        alpha_top = self.rgba[..., 3:4]
-        result.rgba[..., :3] = self.rgba[..., :3] * alpha_top + other.rgba[..., :3] * (1.0 - alpha_top)
-        result.rgba[..., 3] = self.rgba[..., 3] + other.rgba[..., 3] * (1.0 - self.rgba[..., 3])
-        result.depth = np.minimum(self.depth, other.depth)
-        return result
-
     def depth_composite(self, other: "Framebuffer") -> "Framebuffer":
         """Per-pixel nearest-depth selection (z-buffer compositing)."""
         if (self.width, self.height) != (other.width, other.height):

@@ -66,8 +66,8 @@ class BVH:
     primitive_order: np.ndarray
     leaf_size: int
     method: str
-    _triangle_soa: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _node_boxes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _triangle_soa: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _node_boxes: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _max_depth: int | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -103,61 +103,41 @@ class BVH:
                 self._max_depth = deepest
         return self._max_depth
 
-    def triangle_soa(
-        self, mesh: TriangleMesh, dtype: np.dtype | type = np.float64
-    ) -> tuple[np.ndarray, ...]:
+    def triangle_soa(self, mesh: TriangleMesh) -> tuple[np.ndarray, ...]:
         """Cached per-component triangle corner/edge SoA for the traversal kernel.
 
         Returns nine flat arrays ``(v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y,
         e2z)``.  The seed kernel re-expanded ``mesh.corners()`` and re-derived
         the Moller-Trumbore edge vectors on every ``closest_hit``/``any_hit``
-        call; the frontier engine instead computes them once per (BVH, dtype)
-        and reuses them across queries.  The cache is tied to the identity of
-        the mesh's corner expansion, so passing a different mesh -- or
-        mutating the mesh in place and calling
+        call; the frontier engine instead computes them once per BVH and
+        reuses them across queries.  The cache is tied to the identity of the
+        mesh's corner expansion, so passing a different mesh -- or mutating
+        the mesh in place and calling
         :meth:`~repro.geometry.triangles.TriangleMesh.invalidate_caches` --
         recomputes rather than serving stale geometry.
         """
-        dtype = np.dtype(dtype)
         corners = mesh.corners()
-        cached = self._triangle_soa.get(dtype)
-        if cached is None or cached[0] is not corners:
+        if self._triangle_soa is None or self._triangle_soa[0] is not corners:
             v0 = corners[:, 0]
             edge1 = corners[:, 1] - corners[:, 0]
             edge2 = corners[:, 2] - corners[:, 0]
             soa = tuple(
-                np.ascontiguousarray(vectors[:, axis], dtype=dtype)
+                np.ascontiguousarray(vectors[:, axis])
                 for vectors in (v0, edge1, edge2)
                 for axis in range(3)
             )
-            cached = (corners, soa)
-            self._triangle_soa[dtype] = cached
-        return cached[1]
+            self._triangle_soa = (corners, soa)
+        return self._triangle_soa[1]
 
-    def node_boxes(self, dtype: np.dtype | type = np.float64) -> tuple[np.ndarray, ...]:
-        """Cached per-component node AABB corners cast to ``dtype``.
-
-        Returns six flat arrays ``(lx, ly, lz, hx, hy, hz)``.  Casting
-        ``float64`` boxes down to ``float32`` rounds to nearest, which could
-        shrink a box by half an ulp and cause a false miss; the cast is
-        therefore padded one ulp outward on each side, keeping the
-        reduced-precision traversal conservative.
-        """
-        dtype = np.dtype(dtype)
-        cached = self._node_boxes.get(dtype)
-        if cached is None:
-            low = self.node_low.astype(dtype, copy=False)
-            high = self.node_high.astype(dtype, copy=False)
-            if dtype != self.node_low.dtype:
-                low = np.nextafter(low, dtype.type(-np.inf))
-                high = np.nextafter(high, dtype.type(np.inf))
-            cached = tuple(
+    def node_boxes(self) -> tuple[np.ndarray, ...]:
+        """Cached per-component node AABB corners: six flat arrays ``(lx, ly, lz, hx, hy, hz)``."""
+        if self._node_boxes is None:
+            self._node_boxes = tuple(
                 np.ascontiguousarray(corner[:, axis])
-                for corner in (low, high)
+                for corner in (self.node_low, self.node_high)
                 for axis in range(3)
             )
-            self._node_boxes[dtype] = cached
-        return cached
+        return self._node_boxes
 
     def validate(self, mesh: TriangleMesh, tolerance: float = 1e-9) -> bool:
         """Check containment invariants: every node box bounds its subtree.

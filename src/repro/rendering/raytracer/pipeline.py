@@ -90,11 +90,6 @@ class RayTracerConfig:
     reflections:
         Optional single-bounce specular reflections (off in all study
         workloads; provided as the paper's algorithm supports them).
-    ray_dtype:
-        Floating-point dtype of the traversal engine's mutable ray state:
-        ``"float64"`` (default, bit-identical hit selection to the brute-force
-        reference) or ``"float32"`` (halves frontier memory traffic at reduced
-        intersection precision).
     seed:
         RNG seed for the AO sample directions.
     """
@@ -103,7 +98,6 @@ class RayTracerConfig:
     ao_samples: int = 4
     supersample: int = 1
     reflections: bool = False
-    ray_dtype: str = "float64"
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -113,13 +107,6 @@ class RayTracerConfig:
             raise ValueError("supersample must be 1 or 4")
         if self.ao_samples < 1:
             raise ValueError("ao_samples must be positive")
-        if self.ray_dtype not in ("float32", "float64"):
-            raise ValueError("ray_dtype must be 'float32' or 'float64'")
-
-    @property
-    def ray_state_dtype(self) -> np.dtype:
-        """The configured traversal dtype as a numpy dtype."""
-        return np.dtype(self.ray_dtype)
 
 
 @dataclass
@@ -177,7 +164,7 @@ class RayTracer:
             pixel_ids, origins, directions = self._generate_rays(camera)
 
         with clock.phase("trace"):
-            hits = closest_hit(bvh, mesh, origins, directions, dtype=config.ray_state_dtype)
+            hits = closest_hit(bvh, mesh, origins, directions)
 
         framebuffer = Framebuffer(camera.width, camera.height)
         features = ObservedFeatures(objects=mesh.num_triangles)
@@ -253,14 +240,7 @@ class RayTracer:
         # Offset origins slightly along the normal to avoid self-hits.
         sample_origins = sample_origins + 1e-4 * np.repeat(normals, config.ao_samples, axis=0)
         max_distance = AO_DISTANCE_FRACTION * max(self.scene.mesh.bounds.diagonal, 1e-12)
-        occluded = any_hit(
-            bvh,
-            self.scene.mesh,
-            sample_origins,
-            sample_dirs,
-            t_max=max_distance,
-            dtype=config.ray_state_dtype,
-        )
+        occluded = any_hit(bvh, self.scene.mesh, sample_origins, sample_dirs, t_max=max_distance)
         return occlusion_to_ambient(occluded, config.ao_samples)
 
     def _shadows(self, bvh: BVH, points: np.ndarray) -> np.ndarray:
@@ -283,7 +263,6 @@ class RayTracer:
             origins.reshape(-1, 3),
             directions.reshape(-1, 3),
             t_max=(distance - 1e-3).ravel(),
-            dtype=self.config.ray_state_dtype,
         )
         return 1.0 - blocked.reshape(n_points, len(self.scene.lights)).astype(np.float64)
 
@@ -298,9 +277,7 @@ class RayTracer:
         """Single-bounce specular reflections blended into the shaded color."""
         reflect_dirs = directions - 2.0 * np.einsum("ij,ij->i", directions, normals)[:, None] * normals
         origins = points + 1e-4 * reflect_dirs
-        bounce = closest_hit(
-            bvh, self.scene.mesh, origins, reflect_dirs, dtype=self.config.ray_state_dtype
-        )
+        bounce = closest_hit(bvh, self.scene.mesh, origins, reflect_dirs)
         mask = bounce.hit_mask
         if np.any(mask):
             scalars = interpolate_scalars(self.scene, bounce.triangle[mask], bounce.u[mask], bounce.v[mask])

@@ -36,9 +36,8 @@ Two query types are provided:
 * :func:`any_hit` -- boolean occlusion within a distance (shadows, ambient
   occlusion).
 
-Both accept an optional reduced-precision ``dtype`` (``float32``) for the
-mutable ray state; the default ``float64`` path selects hits identically to
-:func:`brute_force_closest_hit` (both run the same componentwise
+Both keep the mutable ray state in ``float64`` and select hits identically
+to :func:`brute_force_closest_hit` (both run the same componentwise
 Moller-Trumbore kernel).
 """
 
@@ -228,7 +227,7 @@ def _pops_for_width(width: int) -> int:
     return FRONTIER_POP_SCHEDULE[-1][1]
 
 
-def _frontier_lanes(origins, directions, limit_t, dtype, max_stack, t_min) -> FrontierLanes:
+def _frontier_lanes(origins, directions, limit_t, max_stack, t_min) -> FrontierLanes:
     """Build the traversal frontier: a contiguous SoA of all mutable ray state.
 
     Lane liveness is encoded entirely in ``stack_tops``: a lane with an empty
@@ -236,29 +235,29 @@ def _frontier_lanes(origins, directions, limit_t, dtype, max_stack, t_min) -> Fr
     caches ``min(best_t, limit_t)`` and is tightened in place as hits land.
     """
     n = len(origins)
-    dx = np.ascontiguousarray(directions[:, 0], dtype=dtype)
-    dy = np.ascontiguousarray(directions[:, 1], dtype=dtype)
-    dz = np.ascontiguousarray(directions[:, 2], dtype=dtype)
+    dx = np.ascontiguousarray(directions[:, 0], dtype=np.float64)
+    dy = np.ascontiguousarray(directions[:, 1], dtype=np.float64)
+    dz = np.ascontiguousarray(directions[:, 2], dtype=np.float64)
     stack_node = np.full((n, max_stack), -1, dtype=np.int32)
-    stack_entry = np.zeros((n, max_stack), dtype=dtype)
+    stack_entry = np.zeros((n, max_stack))
     stack_node[:, 0] = 0
     stack_entry[:, 0] = t_min
     state = {
-        "ox": np.ascontiguousarray(origins[:, 0], dtype=dtype),
-        "oy": np.ascontiguousarray(origins[:, 1], dtype=dtype),
-        "oz": np.ascontiguousarray(origins[:, 2], dtype=dtype),
+        "ox": np.ascontiguousarray(origins[:, 0], dtype=np.float64),
+        "oy": np.ascontiguousarray(origins[:, 1], dtype=np.float64),
+        "oz": np.ascontiguousarray(origins[:, 2], dtype=np.float64),
         "dx": dx,
         "dy": dy,
         "dz": dz,
         "ix": safe_reciprocal(dx),
         "iy": safe_reciprocal(dy),
         "iz": safe_reciprocal(dz),
-        "best_t": np.full(n, np.inf, dtype=dtype),
+        "best_t": np.full(n, np.inf),
         "limit_t": limit_t,
         "limit": limit_t.copy(),
         "best_triangle": np.full(n, -1, dtype=np.int64),
-        "best_u": np.zeros(n, dtype=dtype),
-        "best_v": np.zeros(n, dtype=dtype),
+        "best_u": np.zeros(n),
+        "best_v": np.zeros(n),
         "visits": np.zeros(n, dtype=np.int64),
         "stack_node": stack_node,
         "stack_entry": stack_entry,
@@ -278,9 +277,9 @@ class _TraversalKernel:
 
     output_fields = ("best_triangle", "best_t", "best_u", "best_v", "visits")
 
-    def __init__(self, bvh: BVH, mesh: TriangleMesh, dtype, t_min: float, any_hit_mode: bool):
-        self.tri = bvh.triangle_soa(mesh, dtype)
-        self.boxes = bvh.node_boxes(dtype)
+    def __init__(self, bvh: BVH, mesh: TriangleMesh, t_min: float, any_hit_mode: bool):
+        self.tri = bvh.triangle_soa(mesh)
+        self.boxes = bvh.node_boxes()
         self.left_child = bvh.left_child
         self.right_child = bvh.right_child
         self.first_primitive = bvh.first_primitive
@@ -316,7 +315,7 @@ class _TraversalKernel:
         old_entry = lanes["stack_entry"]
         old = old_node.shape[1]
         node = np.full((n, new_max), -1, dtype=np.int32)
-        entry = np.zeros((n, new_max), dtype=old_entry.dtype)
+        entry = np.zeros((n, new_max))
         node[:, :old] = old_node
         entry[:, :old] = old_entry
         lanes["stack_node"] = node
@@ -561,10 +560,8 @@ def _traverse(
     t_min: float,
     t_max: float | np.ndarray,
     any_hit_mode: bool,
-    dtype: np.dtype | type = np.float64,
 ) -> HitRecord:
     """Shared frontier-engine traversal driver for closest/any-hit queries."""
-    dtype = np.dtype(dtype)
     origins = np.asarray(origins)
     directions = np.asarray(directions)
     n_rays = len(origins)
@@ -584,11 +581,9 @@ def _traverse(
     if n_rays == 0 or bvh.num_nodes == 0:
         return record
 
-    kernel = _TraversalKernel(bvh, mesh, dtype, t_min, any_hit_mode)
-    limit_t = np.broadcast_to(np.asarray(t_max, dtype=dtype), (n_rays,)).copy()
-    lanes = _frontier_lanes(
-        origins, directions, limit_t, dtype, kernel.initial_stack, kernel.t_min
-    )
+    kernel = _TraversalKernel(bvh, mesh, t_min, any_hit_mode)
+    limit_t = np.broadcast_to(np.asarray(t_max, dtype=np.float64), (n_rays,)).copy()
+    lanes = _frontier_lanes(origins, directions, limit_t, kernel.initial_stack, kernel.t_min)
     FrontierEngine().run(kernel, lanes, outputs)
     return record
 
@@ -600,10 +595,9 @@ def closest_hit(
     directions: np.ndarray,
     t_min: float = EPSILON,
     t_max: float | np.ndarray = np.inf,
-    dtype: np.dtype | type = np.float64,
 ) -> HitRecord:
     """Nearest intersection of each ray with the mesh."""
-    return _traverse(bvh, mesh, origins, directions, t_min, t_max, any_hit_mode=False, dtype=dtype)
+    return _traverse(bvh, mesh, origins, directions, t_min, t_max, any_hit_mode=False)
 
 
 def any_hit(
@@ -613,14 +607,13 @@ def any_hit(
     directions: np.ndarray,
     t_min: float = EPSILON,
     t_max: float | np.ndarray = np.inf,
-    dtype: np.dtype | type = np.float64,
 ) -> np.ndarray:
     """Boolean occlusion test: does each ray hit anything within ``[t_min, t_max]``?
 
     ``t_max`` may be a scalar or a per-ray array (shadow rays bound each ray
     by its own light distance).
     """
-    record = _traverse(bvh, mesh, origins, directions, t_min, t_max, any_hit_mode=True, dtype=dtype)
+    record = _traverse(bvh, mesh, origins, directions, t_min, t_max, any_hit_mode=True)
     return record.hit_mask
 
 

@@ -29,6 +29,7 @@ from repro.modeling.study import StudyCorpus, corpus_digest
 from repro.reporting.figures import FIGURE_EMITTERS
 from repro.reporting.suite import ModelSuite
 from repro.reporting.tables import TABLE_EMITTERS
+from repro.util.files import atomic_write
 
 __all__ = ["REPORT_SCHEMA_VERSION", "ReportResult", "generate_report"]
 
@@ -55,8 +56,8 @@ class ReportResult:
 
 
 def _write(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with atomic_write(path) as handle:
+        handle.write(text)
     return path
 
 

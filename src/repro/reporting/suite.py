@@ -26,6 +26,7 @@ from repro.modeling.crossval import CrossValidationSummary
 from repro.modeling.models import PerformanceModel, make_model
 from repro.modeling.regression import LinearRegressionResult
 from repro.modeling.study import COMPOSITING_ARCHITECTURE, StudyCorpus, model_inputs
+from repro.util.files import atomic_write
 
 __all__ = [
     "MODELS_SCHEMA_VERSION",
@@ -289,9 +290,10 @@ class ModelSuite:
         return suite
 
     def save(self, path: str | Path) -> Path:
+        """Write ``models.json`` atomically (the serving tier reloads it in place)."""
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n")
+        with atomic_write(path) as handle:
+            handle.write(json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n")
         return path
 
     @classmethod

@@ -17,14 +17,13 @@ picks up at large rank counts (e.g. direct-send funnelling P-1 messages into
 each destination inside a single round).
 
 The interface intentionally mirrors the small subset of mpi4py that IceT-style
-compositing needs: ``send``/``recv``, ``barrier``, ``gather``, plus rank/size
-queries.
+compositing needs: ``send``/``recv`` and ``gather``, plus rank/size queries.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -53,38 +52,8 @@ class NetworkModel:
     bandwidth_bytes_per_second: float = 4e9
 
     def transfer_seconds(self, num_bytes: float, messages: int = 1) -> float:
-        """Cost of moving ``num_bytes`` in ``messages`` messages over one link."""
+        """Cost of moving ``num_bytes`` in ``messages`` messages over one link (elementwise on arrays)."""
         return self.latency_seconds * messages + num_bytes / self.bandwidth_bytes_per_second
-
-
-@dataclass
-class _MessageLog:
-    """Per-round, per-link-direction accounting of simulated traffic."""
-
-    bytes_by_rank: dict[int, float] = field(default_factory=lambda: defaultdict(float))
-    messages_by_rank: dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    recv_bytes_by_rank: dict[int, float] = field(default_factory=lambda: defaultdict(float))
-    recv_messages_by_rank: dict[int, int] = field(default_factory=lambda: defaultdict(int))
-
-    def record(self, source: int, dest: int, num_bytes: float) -> None:
-        self.bytes_by_rank[source] += num_bytes
-        self.messages_by_rank[source] += 1
-        self.recv_bytes_by_rank[dest] += num_bytes
-        self.recv_messages_by_rank[dest] += 1
-
-    def critical_seconds(self, model: NetworkModel) -> float:
-        """Busiest link direction's communication time for this round."""
-        directions = (
-            (self.bytes_by_rank, self.messages_by_rank),
-            (self.recv_bytes_by_rank, self.recv_messages_by_rank),
-        )
-        busiest = 0.0
-        for byte_map, msg_map in directions:
-            for rank, num_bytes in byte_map.items():
-                seconds = model.transfer_seconds(num_bytes, msg_map[rank])
-                if seconds > busiest:
-                    busiest = seconds
-        return busiest
 
 
 def _payload_bytes(payload: Any) -> float:
@@ -108,8 +77,14 @@ class SimulatedCommunicator:
     with :meth:`next_round` so the network estimate can treat intra-round
     exchanges as concurrent and rounds as sequential.  Streaming drivers that
     revisit rounds out of order (cohort schedulers process one rank block at
-    a time) instead pre-open the log with :meth:`ensure_rounds` and address
-    rounds explicitly via the ``round_index`` arguments.
+    a time) instead address rounds explicitly via the ``round_index``
+    arguments, which open the log out to the round named.
+
+    The round log is one dense ``(4, size)`` array per round, indexed by
+    rank: sent bytes, sent messages, received bytes, received messages.
+    Every message adds into it, whether it came through
+    :meth:`RankCommunicator.send`, :meth:`exchange` or
+    :meth:`record_link_totals`.
     """
 
     def __init__(self, size: int, network: NetworkModel | None = None) -> None:
@@ -118,7 +93,7 @@ class SimulatedCommunicator:
         self.size = int(size)
         self.network = network or NetworkModel()
         self._mailboxes: dict[tuple[int, int, int], deque] = defaultdict(deque)
-        self._rounds: list[_MessageLog] = [_MessageLog()]
+        self._rounds: list[np.ndarray] = [np.zeros((4, self.size))]
 
     # -- rank views -----------------------------------------------------------------
     def rank(self, rank: int) -> "RankCommunicator":
@@ -136,14 +111,20 @@ class SimulatedCommunicator:
         if not 0 <= dest < self.size:
             raise IndexError(f"destination rank {dest} out of range")
         self._mailboxes[(source, dest, tag)].append(payload)
-        self._rounds[-1].record(source, dest, _payload_bytes(payload))
+        nbytes = _payload_bytes(payload)
+        log = self._rounds[-1]
+        log[0, source] += nbytes
+        log[1, source] += 1
+        log[2, dest] += nbytes
+        log[3, dest] += 1
 
-    def _round_log(self, round_index: int | None) -> _MessageLog:
+    def _round_log(self, round_index: int | None) -> np.ndarray:
         if round_index is None:
             return self._rounds[-1]
         if round_index < 0:
             raise IndexError(f"round index {round_index} out of range")
-        self.ensure_rounds(round_index + 1)
+        while len(self._rounds) <= round_index:
+            self.next_round()
         return self._rounds[round_index]
 
     def exchange(
@@ -170,15 +151,23 @@ class SimulatedCommunicator:
         """
         log = self._round_log(round_index)
         delivered: dict[int, list[tuple[int, Any]]] = defaultdict(list)
+        sources, dests, wire = [], [], []
         for send in sends:
             source, dest, payload = send[0], send[1], send[2]
             if not 0 <= source < self.size:
                 raise IndexError(f"source rank {source} out of range")
             if not 0 <= dest < self.size:
                 raise IndexError(f"destination rank {dest} out of range")
-            nbytes = float(send[3]) if len(send) > 3 else _payload_bytes(payload)
-            log.record(source, dest, nbytes)
+            sources.append(source)
+            dests.append(dest)
+            wire.append(float(send[3]) if len(send) > 3 else _payload_bytes(payload))
             delivered[dest].append((source, payload))
+        # np.add.at adds in posting order, as one send after another would.
+        sources, dests = np.array(sources, dtype=np.int64), np.array(dests, dtype=np.int64)
+        np.add.at(log[0], sources, wire)
+        np.add.at(log[1], sources, 1.0)
+        np.add.at(log[2], dests, wire)
+        np.add.at(log[3], dests, 1.0)
         return dict(delivered)
 
     def record_link_totals(
@@ -189,27 +178,19 @@ class SimulatedCommunicator:
         recv_bytes: np.ndarray,
         recv_messages: np.ndarray,
     ) -> None:
-        """Fold pre-aggregated per-rank link totals into one round's log.
+        """Add pre-aggregated per-rank link totals to one round's log.
 
         The compositing driver streams a wide exchange group by accumulating
         each cohort's traffic into dense per-rank arrays (one slot per link
         direction) instead of materializing the message matrix; this adds
-        those sums straight into the round's per-link maps.  All four arrays
-        must have shape ``(size,)``, indexed by rank.
+        those sums to the round's log in one step.  All four arrays must have
+        shape ``(size,)``, indexed by rank.
         """
         arrays = (sent_bytes, sent_messages, recv_bytes, recv_messages)
-        if any(np.asarray(array).shape != (self.size,) for array in arrays):
+        if any(np.shape(array) != (self.size,) for array in arrays):
             raise ValueError(f"link totals must be dense arrays of shape ({self.size},)")
         log = self._round_log(round_index)
-        for byte_array, msg_array, byte_map, msg_map in (
-            (sent_bytes, sent_messages, log.bytes_by_rank, log.messages_by_rank),
-            (recv_bytes, recv_messages, log.recv_bytes_by_rank, log.recv_messages_by_rank),
-        ):
-            byte_array = np.asarray(byte_array, dtype=np.float64)
-            msg_array = np.asarray(msg_array, dtype=np.int64)
-            for rank in np.flatnonzero((byte_array != 0.0) | (msg_array != 0)).tolist():
-                byte_map[rank] += float(byte_array[rank])
-                msg_map[rank] += int(msg_array[rank])
+        log += arrays
 
     def _recv(self, source: int, dest: int, tag: int) -> Any:
         queue = self._mailboxes.get((source, dest, tag))
@@ -222,48 +203,31 @@ class SimulatedCommunicator:
     # -- accounting -------------------------------------------------------------------
     def next_round(self) -> None:
         """Mark the end of a communication round (rounds execute sequentially)."""
-        self._rounds.append(_MessageLog())
-
-    def ensure_rounds(self, count: int) -> None:
-        """Open the round log out to ``count`` rounds (idempotent).
-
-        Streaming schedulers know the exchange schedule up front but fill it
-        block by block; pre-opening the rounds lets them record traffic into
-        the same round from many cohorts while :meth:`estimate_time` keeps
-        treating each round as one concurrent step.
-        """
-        while len(self._rounds) < count:
-            self._rounds.append(_MessageLog())
+        self._rounds.append(np.zeros((4, self.size)))
 
     def total_bytes(self) -> float:
         """All bytes sent in the lifetime of the communicator."""
-        return float(
-            sum(sum(log.bytes_by_rank.values()) for log in self._rounds)
-        )
+        return float(sum(log[0].sum() for log in self._rounds))
 
     def total_messages(self) -> int:
         """All messages sent in the lifetime of the communicator."""
-        return int(sum(sum(log.messages_by_rank.values()) for log in self._rounds))
+        return int(sum(log[1].sum() for log in self._rounds))
+
+    def _busiest_link_seconds(self) -> list[float]:
+        """Per round, the busiest link direction's communication time.
+
+        Messages converging on one link direction serialize there, so the
+        round's critical path is the maximum over ranks and directions of
+        ``NetworkModel.transfer_seconds(bytes, messages)``.
+        """
+        return [
+            float(self.network.transfer_seconds(log[0::2], log[1::2]).max())
+            for log in self._rounds
+        ]
 
     def estimate_time(self) -> float:
         """Network-model estimate of the communication critical path."""
-        return float(sum(log.critical_seconds(self.network) for log in self._rounds))
-
-    def round_totals(self) -> list[dict[int, tuple[float, int]]]:
-        """Per-round ``{rank: (bytes_sent, messages_sent)}`` -- the egress log.
-
-        One entry per communication round (including rounds with no traffic).
-        This is the send-side half of the accounting; the contention-aware
-        critical path of :meth:`estimate_time` also weighs the receive side,
-        which :meth:`round_link_totals` exposes in full.
-        """
-        return [
-            {
-                rank: (float(log.bytes_by_rank[rank]), int(log.messages_by_rank[rank]))
-                for rank in log.bytes_by_rank
-            }
-            for log in self._rounds
-        ]
+        return float(sum(self._busiest_link_seconds()))
 
     def round_summaries(self) -> list[dict]:
         """Compact per-round traffic summary (the round-log artifact format).
@@ -275,17 +239,15 @@ class SimulatedCommunicator:
         :meth:`estimate_time`.  Small enough to serialize at 16k ranks, where
         the full :meth:`round_link_totals` log is not.
         """
-        summaries = []
-        for log in self._rounds:
-            summaries.append(
-                {
-                    "bytes": float(sum(log.bytes_by_rank.values())),
-                    "messages": int(sum(log.messages_by_rank.values())),
-                    "active_links": len(set(log.bytes_by_rank) | set(log.recv_bytes_by_rank)),
-                    "busiest_link_seconds": float(log.critical_seconds(self.network)),
-                }
-            )
-        return summaries
+        return [
+            {
+                "bytes": float(log[0].sum()),
+                "messages": int(log[1].sum()),
+                "active_links": int(np.count_nonzero(log.any(axis=0))),
+                "busiest_link_seconds": busiest,
+            }
+            for log, busiest in zip(self._rounds, self._busiest_link_seconds())
+        ]
 
     def round_link_totals(self) -> list[dict[int, tuple[float, int, float, int]]]:
         """Per-round ``{rank: (sent_bytes, sent_msgs, recv_bytes, recv_msgs)}``.
@@ -298,23 +260,16 @@ class SimulatedCommunicator:
         """
         totals: list[dict[int, tuple[float, int, float, int]]] = []
         for log in self._rounds:
-            ranks = set(log.bytes_by_rank) | set(log.recv_bytes_by_rank)
+            ranks = np.flatnonzero(log.any(axis=0))
             totals.append(
                 {
-                    rank: (
-                        float(log.bytes_by_rank.get(rank, 0.0)),
-                        int(log.messages_by_rank.get(rank, 0)),
-                        float(log.recv_bytes_by_rank.get(rank, 0.0)),
-                        int(log.recv_messages_by_rank.get(rank, 0)),
+                    rank: (sent, int(sent_messages), received, int(received_messages))
+                    for rank, (sent, sent_messages, received, received_messages) in zip(
+                        ranks.tolist(), log[:, ranks].T.tolist()
                     )
-                    for rank in sorted(ranks)
                 }
             )
         return totals
-
-    def reset_accounting(self) -> None:
-        """Clear traffic logs (mailboxes are left untouched)."""
-        self._rounds = [_MessageLog()]
 
 
 @dataclass
@@ -338,9 +293,6 @@ class RankCommunicator:
         return self.world._recv(source, self.rank, tag)
 
     # -- collectives (driver-side helpers) ----------------------------------------------
-    def barrier(self) -> None:
-        """No-op in the single-process simulation (kept for interface parity)."""
-
     def gather(self, payload: Any, root: int = 0, tag: int = 99) -> list[Any] | None:
         """Send ``payload`` to ``root``; the root returns the list of payloads.
 

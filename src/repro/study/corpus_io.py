@@ -9,10 +9,10 @@ them from this module (DESIGN.md, "Layering").
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro.modeling.study import StudyCorpus, corpus_digest, corpus_from_payload, corpus_to_payload
+from repro.util.files import atomic_write
 
 __all__ = [
     "corpus_to_payload",
@@ -27,15 +27,8 @@ def save_corpus(corpus: StudyCorpus, path: str | Path, metadata: dict | None = N
     """Write the corpus file atomically: a reader (or an interrupted ``run
     --out``) finds the previous complete file or the new one, never a prefix."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(temporary, "w", encoding="utf-8") as handle:
-            json.dump(corpus_to_payload(corpus, metadata), handle, indent=1)
-        os.replace(temporary, path)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as handle:
+        json.dump(corpus_to_payload(corpus, metadata), handle, indent=1)
     return path
 
 

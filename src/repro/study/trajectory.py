@@ -20,6 +20,7 @@ from pathlib import Path
 
 from repro.modeling.study import corpus_digest
 from repro.study.plan import spec_corpus_key
+from repro.util.files import atomic_write
 
 __all__ = [
     "LEARNING_SCHEMA_VERSION",
@@ -83,8 +84,8 @@ def append_trajectory_rows(path: str | Path, rows: list[dict]) -> dict:
     payload = load_trajectory(path)
     payload["schema"] = LEARNING_SCHEMA_VERSION
     payload["rows"].extend(rows)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with atomic_write(path) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 
 

@@ -8,7 +8,11 @@ This package holds small building blocks used throughout :mod:`repro`:
   by :class:`repro.rendering.result.PhaseClock`).
 * :mod:`repro.util.rng` -- deterministic random-number-generator helpers so
   every experiment in the study is reproducible.
+* :mod:`repro.util.files` -- :func:`atomic_write`, the one way a whole output
+  file is written (temporary file, then rename).
 """
+
+from repro.util.files import atomic_write
 
 from repro.util.morton import (
     morton_decode_2d,
@@ -26,6 +30,7 @@ from repro.util.timing import Timer
 
 __all__ = [
     "Timer",
+    "atomic_write",
     "default_rng",
     "derive_seed",
     "morton_decode_2d",

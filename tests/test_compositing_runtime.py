@@ -104,17 +104,23 @@ class TestCommunicatorAccounting:
         round0 = max(2 * latency + 8000 / bandwidth, latency + 4000 / bandwidth)
         round1 = latency + 16000 / bandwidth
         assert world.estimate_time() == pytest.approx(round0 + round1, rel=1e-12)
-        # The public round log exposes exactly the per-rank (bytes, messages)
-        # terms the estimate is built from.
-        totals = world.round_totals()
+        # The public round log exposes exactly the per-link terms the
+        # estimate is built from: (sent bytes, sent msgs, received bytes, received msgs).
+        totals = world.round_link_totals()
         assert len(totals) == 3
-        assert totals[0][0] == (8000.0, 2)
-        assert totals[0][1] == (4000.0, 1)
-        assert totals[1][2] == (16000.0, 1)
+        assert totals[0][0] == (8000.0, 2, 0.0, 0)
+        assert totals[0][1] == (4000.0, 1, 4000.0, 1)
+        assert totals[0][2] == (0.0, 0, 4000.0, 1)
+        assert totals[1][2] == (16000.0, 1, 0.0, 0)
+        assert totals[1][0] == (0.0, 0, 16000.0, 1)
         assert totals[2] == {}
         recomputed = sum(
             max(
-                (network.transfer_seconds(nbytes, messages) for nbytes, messages in log.values()),
+                (
+                    network.transfer_seconds(nbytes, messages)
+                    for sent_bytes, sent_msgs, recv_bytes, recv_msgs in log.values()
+                    for nbytes, messages in ((sent_bytes, sent_msgs), (recv_bytes, recv_msgs))
+                ),
                 default=0.0,
             )
             for log in totals
@@ -134,33 +140,104 @@ class TestCommunicatorAccounting:
         )
         assert [source for source, _ in delivered[2]] == [0, 1]
         assert delivered[0][0][0] == 2
-        totals = world.round_totals()[0]
-        assert totals[0] == (123.0, 1)
-        assert totals[1] == (80.0, 1)
-        assert totals[2] == (7.0, 1)
+        totals = world.round_link_totals()[0]
+        assert totals[0] == (123.0, 1, 7.0, 1)
+        assert totals[1] == (80.0, 1, 0.0, 0)
+        assert totals[2] == (7.0, 1, 203.0, 2)
         with pytest.raises(IndexError):
             world.exchange([(0, 9, payload)])
         with pytest.raises(IndexError):
             world.exchange([(-1, 0, payload)])
 
-    def test_reset_accounting_isolates_composites(self, rng):
-        """Reusing one communicator across composites must not leak traffic."""
+    def test_a_fresh_communicator_accounts_nothing(self):
+        """Each composite gets a new communicator, which starts from an empty ledger."""
         network = NetworkModel(latency_seconds=1e-4, bandwidth_bytes_per_second=1e9)
         world = SimulatedCommunicator(2, network)
-        world.rank(0).send(1, np.zeros(1000))
-        world.next_round()
-        first_estimate = world.estimate_time()
-        first_bytes = world.total_bytes()
-        assert first_estimate > 0.0 and first_bytes == 8000.0
-        world.reset_accounting()
         assert world.estimate_time() == 0.0
         assert world.total_bytes() == 0.0
         assert world.total_messages() == 0
-        assert world.round_totals() == [{}]
-        # A second, smaller composite is accounted from scratch.
+        assert world.round_link_totals() == [{}]
+        assert world.round_summaries() == [
+            {"bytes": 0.0, "messages": 0, "active_links": 0, "busiest_link_seconds": 0.0}
+        ]
         world.rank(1).send(0, np.zeros(10))
         assert world.total_bytes() == 80.0
+        assert world.round_link_totals() == [{0: (0.0, 0, 80.0, 1), 1: (80.0, 1, 0.0, 0)}]
         assert world.estimate_time() == pytest.approx(network.transfer_seconds(80.0, 1), rel=1e-12)
+
+    def test_record_link_totals_rejects_a_wrong_shape(self):
+        world = SimulatedCommunicator(3)
+        with pytest.raises(ValueError, match="shape"):
+            world.record_link_totals(0, np.zeros(2), np.zeros(3), np.zeros(3), np.zeros(3))
+
+    @given(
+        size=st.integers(1, 6),
+        posts=st.lists(
+            st.tuples(
+                st.sampled_from(("send", "exchange", "totals")),
+                st.integers(0, 3),
+                st.lists(
+                    st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 100_000)),
+                    max_size=6,
+                ),
+            ),
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ledger_matches_brute_force(self, size, posts):
+        """Every read-out equals a recomputation from the list of messages posted."""
+        network = NetworkModel(latency_seconds=3e-6, bandwidth_bytes_per_second=1.7e9)
+        world = SimulatedCommunicator(size, network)
+        messages = []  # (round, source, dest, bytes)
+        rounds = 1
+        for kind, round_index, batch in posts:
+            batch = [(source % size, dest % size, nbytes) for source, dest, nbytes in batch]
+            world.exchange([], round_index=round_index)  # opens the log out to round_index
+            rounds = max(rounds, round_index + 1)
+            if kind == "send":  # a send always lands in the last open round
+                for source, dest, nbytes in batch:
+                    world.rank(source).send(dest, np.zeros(nbytes, dtype=np.uint8))
+                round_index = rounds - 1
+            elif kind == "exchange":
+                world.exchange([(s, d, None, float(n)) for s, d, n in batch], round_index=round_index)
+            else:
+                totals = np.zeros((4, size))
+                for source, dest, nbytes in batch:
+                    totals[:, source] += nbytes, 1, 0, 0
+                    totals[:, dest] += 0, 0, nbytes, 1
+                world.record_link_totals(round_index, *totals)
+            messages += [(round_index, *message) for message in batch]
+
+        links = [{} for _ in range(rounds)]  # round -> rank -> [sent B, sent msgs, recv B, recv msgs]
+        for round_index, source, dest, nbytes in messages:
+            for rank, offset in ((source, 0), (dest, 2)):
+                link = links[round_index].setdefault(rank, [0, 0, 0, 0])
+                link[offset] += nbytes
+                link[offset + 1] += 1
+        busiest = [
+            max(
+                [0.0]
+                + [network.transfer_seconds(link[0], link[1]) for link in log.values()]
+                + [network.transfer_seconds(link[2], link[3]) for link in log.values()]
+            )
+            for log in links
+        ]
+        assert world.total_bytes() == float(sum(message[3] for message in messages))
+        assert world.total_messages() == len(messages)
+        assert world.estimate_time() == sum(busiest)
+        assert world.round_summaries() == [
+            {
+                "bytes": float(sum(link[0] for link in log.values())),
+                "messages": sum(link[1] for link in log.values()),
+                "active_links": len(log),
+                "busiest_link_seconds": seconds,
+            }
+            for log, seconds in zip(links, busiest)
+        ]
+        assert world.round_link_totals() == [
+            {rank: tuple(log[rank]) for rank in sorted(log)} for log in links
+        ]
 
     def test_compositor_runs_are_isolated(self, rng):
         """Back-to-back composites report identical accounting (fresh comm each)."""

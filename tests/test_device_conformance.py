@@ -1,8 +1,8 @@
 """Device-conformance suite: one contract test per primitive, every device.
 
-Parametrized over ``list_devices()`` at collection time, so any adapter added
-with ``register_device`` is verified automatically against the same contract
-the two in-tree devices satisfy.  Expected values are computed with plain
+Parametrized over ``list_devices()`` at collection time, so both devices
+are held to the same contract; the ``device_name`` fixture activates each one
+with ``use_device`` around its test.  Expected values are computed with plain
 numpy, never with another device, so a shared bug cannot hide.
 
 Tolerance policy (DESIGN.md "The device back-end contract"): integer, boolean
@@ -15,6 +15,8 @@ from numpy's pairwise summation.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -46,8 +48,10 @@ FLOAT_ACCUMULATION_RTOL = 1e-12
 
 
 @pytest.fixture(params=DEVICES)
-def device_name(request) -> str:
-    return request.param
+def device_name(request) -> Iterator[str]:
+    """The device under test, active for the whole test."""
+    with use_device(request.param):
+        yield request.param
 
 
 @pytest.fixture(autouse=True)
@@ -86,12 +90,12 @@ class TestDeviceContract:
     def test_gather_matches_fancy_indexing(self, device_name, rng):
         values = rng.random((40, 3))
         indices = rng.integers(0, 40, size=25)
-        out = gather(values, indices, device=device_name)
+        out = gather(values, indices)
         assert_matches(device_name, out, values[indices])
 
     def test_gather_scalar_payload(self, device_name):
         values = np.arange(10, dtype=np.int64) * 7
-        out = gather(values, np.array([9, 0, 4]), device=device_name)
+        out = gather(values, np.array([9, 0, 4]))
         assert_matches(device_name, out, np.array([63, 0, 28]))
 
     def test_scatter_unique_indices(self, device_name, rng):
@@ -100,7 +104,7 @@ class TestDeviceContract:
         output = np.zeros((20, 4))
         expected = np.zeros((20, 4))
         expected[indices] = values
-        returned = scatter(values, indices, output, device=device_name)
+        returned = scatter(values, indices, output)
         assert returned is output, "scatter must mutate the caller's buffer in place"
         assert_matches(device_name, output, expected)
 
@@ -108,24 +112,24 @@ class TestDeviceContract:
         values = np.array([10.0, 20.0, 30.0, 40.0])
         indices = np.array([1, 3, 1, 3])
         output = np.full(5, -1.0)
-        scatter(values, indices, output, device=device_name)
+        scatter(values, indices, output)
         assert_matches(device_name, output, np.array([-1.0, 30.0, -1.0, 40.0, -1.0]))
 
     def test_scatter_empty(self, device_name):
         output = np.full(3, 7.0)
-        scatter(np.empty(0), np.empty(0, dtype=np.int64), output, device=device_name)
+        scatter(np.empty(0), np.empty(0, dtype=np.int64), output)
         assert_matches(device_name, output, np.full(3, 7.0))
 
     @pytest.mark.parametrize("operator", ["add", "min", "max"])
     def test_reduce_float_and_int(self, device_name, operator, rng):
         for values in (rng.random(33), rng.integers(-50, 50, size=33)):
             expected = {"add": values.sum(axis=0), "min": values.min(axis=0), "max": values.max(axis=0)}
-            out = reduce_field(values, operator, device=device_name)
+            out = reduce_field(values, operator)
             assert_matches(device_name, out, expected[operator], accumulation=operator == "add")
 
     def test_reduce_rows(self, device_name, rng):
         values = rng.integers(0, 100, size=(17, 3))
-        out = reduce_field(values, "add", device=device_name)
+        out = reduce_field(values, "add")
         assert_matches(device_name, out, values.sum(axis=0))
 
     def test_reduce_empty_contract(self, device_name):
@@ -144,7 +148,7 @@ class TestDeviceContract:
     @pytest.mark.parametrize("inclusive", [True, False])
     def test_scan_int_is_exact(self, device_name, inclusive, rng):
         values = rng.integers(-5, 9, size=50)
-        out = (inclusive_scan if inclusive else exclusive_scan)(values, device=device_name)
+        out = (inclusive_scan if inclusive else exclusive_scan)(values)
         expected = np.cumsum(values)
         if not inclusive:
             expected = np.concatenate([[0], expected[:-1]])
@@ -152,7 +156,7 @@ class TestDeviceContract:
 
     def test_scan_float_accumulation(self, device_name, rng):
         values = rng.random(64)
-        out = inclusive_scan(values, device=device_name)
+        out = inclusive_scan(values)
         assert_matches(device_name, out, np.cumsum(values), accumulation=True)
 
     def test_scan_empty(self, device_name):
@@ -163,15 +167,15 @@ class TestDeviceContract:
     def test_reverse_index_uses_scan_offsets(self, device_name):
         flags = np.array([True, False, True, True, False, True])
         scanned = np.concatenate([[0], np.cumsum(flags)[:-1]])
-        out = reverse_index(scanned, flags, device=device_name)
+        out = reverse_index(scanned, flags)
         assert_matches(device_name, out, np.flatnonzero(flags))
 
     def test_reverse_index_edge_cases(self, device_name):
-        none = reverse_index(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=bool), device=device_name)
+        none = reverse_index(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=bool))
         assert len(none) == 0
-        every = reverse_index(np.arange(4), np.ones(4, dtype=bool), device=device_name)
+        every = reverse_index(np.arange(4), np.ones(4, dtype=bool))
         assert_matches(device_name, every, np.arange(4))
-        empty = reverse_index(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), device=device_name)
+        empty = reverse_index(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
         assert len(empty) == 0
 
     def test_segmented_argmin_tiebreak_determinism(self, device_name):
@@ -179,12 +183,12 @@ class TestDeviceContract:
         # determinism the ray tracer's winner selection depends on.
         values = np.array([2.0, 2.0, 2.0, 1.0, 1.0, 5.0])
         tiebreak = np.array([7, 3, 3, 9, 9, 0])
-        out = segmented_argmin(values, np.array([0, 3, 5]), tiebreak, device=device_name)
+        out = segmented_argmin(values, np.array([0, 3, 5]), tiebreak)
         assert_matches(device_name, out, np.array([1, 3, 5]))
 
     def test_segmented_argmin_all_inf_segment(self, device_name):
         values = np.array([np.inf, np.inf, 1.0])
-        out = segmented_argmin(values, np.array([0, 2]), np.array([4, 2, 0]), device=device_name)
+        out = segmented_argmin(values, np.array([0, 2]), np.array([4, 2, 0]))
         assert_matches(device_name, out, np.array([1, 2]))
 
     def test_segmented_argmin_matches_serial_sweep(self, device_name, rng):
@@ -192,7 +196,7 @@ class TestDeviceContract:
         values[rng.integers(0, 200, 40)] = values[0]  # inject ties
         tiebreak = rng.integers(0, 25, 200)
         starts = np.concatenate([[0], np.unique(rng.integers(1, 200, 12))])
-        out = segmented_argmin(values, starts, tiebreak, device=device_name)
+        out = segmented_argmin(values, starts, tiebreak)
         boundaries = np.append(starts, 200)
         expected = [
             min(range(boundaries[s], boundaries[s + 1]), key=lambda i: (values[i], tiebreak[i], i))
@@ -204,9 +208,7 @@ class TestDeviceContract:
         flags = rng.random(80) < 0.4
         payload = rng.random(80)
         ids = np.arange(80)
-        count, (compact_payload, compact_ids) = stream_compact(
-            flags, payload, ids, device=device_name
-        )
+        count, (compact_payload, compact_ids) = stream_compact(flags, payload, ids)
         assert count == int(flags.sum())
         assert_matches(device_name, compact_payload, payload[flags])
         assert_matches(device_name, compact_ids, ids[flags])

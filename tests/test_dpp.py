@@ -26,7 +26,8 @@ from repro.dpp import (
     stream_compact,
     use_device,
 )
-from repro.dpp.device import DeviceRegistry, SerialDevice, VectorizedDevice
+from repro.dpp import device as device_module
+from repro.dpp.device import VectorizedDevice
 from repro.dpp.instrument import reset_instrumentation
 
 
@@ -74,54 +75,32 @@ class TestDevices:
         assert np.allclose(out_a, out_b)
 
 
-class TestDeviceRegistry:
-    """The registry seam ``register_device`` feeds, on a private registry."""
+class TestDeviceSelection:
+    """Picking a device: the default, unknown names, and restoring on exit."""
 
-    @staticmethod
-    def _registry(*devices):
-        registry = DeviceRegistry()
-        for device in devices:
-            registry.register(device)
-        return registry
+    def test_vectorized_is_the_default(self):
+        assert get_device().name == "vectorized"
 
-    def test_first_registration_is_the_default(self):
-        registry = self._registry(VectorizedDevice(), SerialDevice())
-        assert registry.names() == ["serial", "vectorized"]  # sorted, not in order of registration
-        assert registry.active == "vectorized"
-        assert registry.get().name == "vectorized"
-
-    def test_empty_registry_has_no_device(self):
-        registry = DeviceRegistry()
-        assert registry.names() == [] and registry.active is None
-        with pytest.raises(RuntimeError, match="no device registered"):
-            registry.get()
-
-    def test_unknown_name_lists_this_registrys_devices(self):
-        registry = self._registry(SerialDevice())
-        with pytest.raises(ValueError, match=r"^unknown device 'vectorized'; choose from serial$"):
-            registry.get("vectorized")
+    def test_naming_a_device_does_not_activate_it(self):
+        assert get_device("serial").name == "serial"
+        assert get_device().name == "vectorized"
+        with use_device("serial") as device:
+            assert device is get_device("serial") is get_device()
+            assert get_device("vectorized").name == "vectorized"
+        assert get_device().name == "vectorized"
 
     def test_activating_an_unknown_name_changes_nothing(self):
-        registry = self._registry(VectorizedDevice(), SerialDevice())
         with pytest.raises(ValueError, match="unknown device 'nope'"):
-            with registry.activate("nope"):
+            with use_device("nope"):
                 pytest.fail("an unknown device must not be activated")
-        assert registry.active == "vectorized"
+        assert get_device().name == "vectorized"
 
     def test_activation_is_restored_when_the_block_raises(self):
-        registry = self._registry(VectorizedDevice(), SerialDevice())
         with pytest.raises(ZeroDivisionError):
-            with registry.activate("serial"):
-                assert registry.get().name == "serial"
+            with use_device("serial"):
+                assert get_device().name == "serial"
                 1 / 0
-        assert registry.active == "vectorized"
-
-    def test_private_registry_does_not_touch_the_global_one(self):
-        registry = self._registry(VectorizedDevice(), SerialDevice())
-        with registry.activate("serial"):
-            assert get_device().name == "vectorized"
-        with use_device("serial"):
-            assert registry.active == "vectorized" and registry.get().name == "vectorized"
+        assert get_device().name == "vectorized"
 
 
 class TestContextLocalActivation:
@@ -272,20 +251,14 @@ class TestReverseIndexDispatch:
     instrumentation counters.
     """
 
-    def test_dispatches_to_active_device(self):
-        from repro.dpp import register_device
-        from repro.dpp.device import _REGISTRY
-
+    def test_dispatches_to_active_device(self, monkeypatch):
         spy = _SpyDevice()
-        register_device(spy)
-        try:
-            flags = np.array([True, False, True])
-            with use_device("spy"):
-                reverse_index(exclusive_scan(flags.astype(np.int64)), flags)
-                stream_compact(flags, np.arange(3.0))
-            assert spy.reverse_index_calls == 2
-        finally:
-            _REGISTRY._devices.pop("spy", None)  # keep list_devices() clean for later tests
+        monkeypatch.setitem(device_module._DEVICES, "spy", spy)
+        flags = np.array([True, False, True])
+        with use_device("spy"):
+            reverse_index(exclusive_scan(flags.astype(np.int64)), flags)
+            stream_compact(flags, np.arange(3.0))
+        assert spy.reverse_index_calls == 2
 
     def test_uses_the_scan_result_argument(self):
         # A shifted scan must shift the output slots: proof the primitive
@@ -416,8 +389,10 @@ class TestPrimitives:
         tiebreak = rng.integers(0, 20, 64)
         bounds = np.unique(rng.integers(1, 64, 6))
         starts = np.concatenate([[0], bounds])
-        vec = segmented_argmin(values, starts, tiebreak, device="vectorized")
-        ser = segmented_argmin(values, starts, tiebreak, device="serial")
+        with use_device("vectorized"):
+            vec = segmented_argmin(values, starts, tiebreak)
+        with use_device("serial"):
+            ser = segmented_argmin(values, starts, tiebreak)
         assert np.array_equal(vec, ser)
 
     def test_segmented_argmin_validation(self):

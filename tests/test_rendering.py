@@ -89,14 +89,6 @@ class TestFramebuffer:
         assert merged.rgba[0, 0, 0] == 1.0
         assert merged.depth[0, 0] == 1.0
 
-    def test_blend_over(self):
-        front, back = Framebuffer(1, 1), Framebuffer(1, 1)
-        front.rgba[0, 0] = [1.0, 0.0, 0.0, 0.5]
-        back.rgba[0, 0] = [0.0, 1.0, 0.0, 1.0]
-        blended = front.blend_over(back)
-        assert blended.rgba[0, 0, 0] == pytest.approx(0.5)
-        assert blended.rgba[0, 0, 3] == pytest.approx(1.0)
-
     def test_to_rgb8_range(self):
         fb = Framebuffer(2, 2)
         fb.rgba[..., :3] = 0.5
@@ -109,7 +101,7 @@ class TestFramebuffer:
         with pytest.raises(ValueError):
             Framebuffer(0, 3)
         with pytest.raises(ValueError):
-            Framebuffer(2, 2).blend_over(Framebuffer(3, 3))
+            Framebuffer(2, 2).depth_composite(Framebuffer(3, 3))
 
 
 class TestRasterizer:

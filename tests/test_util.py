@@ -1,7 +1,9 @@
-"""Tests for repro.util: Morton codes, timers, RNG helpers, packing utilities."""
+"""Tests for repro.util: Morton codes, timers, RNG helpers, packing utilities, atomic writes."""
 
 from __future__ import annotations
 
+import json
+import os
 import time
 
 import numpy as np
@@ -9,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.reporting.suite import ModelSuite
+from repro.study.trajectory import append_trajectory_rows
 from repro.util import (
     Timer,
+    atomic_write,
     default_rng,
     derive_seed,
     morton_decode_2d,
@@ -160,3 +165,41 @@ class TestPacking:
     def test_chunk_ranges_invalid_max(self):
         with pytest.raises(ValueError):
             chunk_ranges(np.array([1]), 0)
+
+
+class TestAtomicWrite:
+    def test_writes_the_whole_text_and_creates_the_directory(self, tmp_path):
+        path = tmp_path / "out" / "table.md"
+        with atomic_write(path) as handle:
+            handle.write("| a |\n")
+        assert path.read_bytes() == b"| a |\n"
+        assert [entry.name for entry in path.parent.iterdir()] == ["table.md"]
+
+    def test_failed_write_keeps_the_previous_files(self, tmp_path, monkeypatch):
+        models = ModelSuite(seed=1).save(tmp_path / "models.json")
+        ledger = tmp_path / "BENCH_learning.json"
+        append_trajectory_rows(ledger, [{"round": 0}])
+        before = {path: path.read_bytes() for path in (models, ledger)}
+
+        def fail_before_rename(source, target):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail_before_rename)
+        with pytest.raises(OSError, match="disk full"):
+            ModelSuite(seed=2).save(models)
+        with pytest.raises(OSError, match="disk full"):
+            append_trajectory_rows(ledger, [{"round": 1}])
+        assert {path: path.read_bytes() for path in (models, ledger)} == before
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["BENCH_learning.json", "models.json"]
+        monkeypatch.undo()
+        assert json.loads(ModelSuite(seed=2).save(models).read_text())["seed"] == 2
+
+    def test_a_block_that_raises_leaves_the_target_and_no_temporary_file(self, tmp_path):
+        path = tmp_path / "corpus.json"
+        path.write_text("old", encoding="utf-8")
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with atomic_write(path) as handle:
+                handle.write("new, but never finished")
+                raise RuntimeError("interrupted")
+        assert path.read_text(encoding="utf-8") == "old"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["corpus.json"]
