@@ -16,7 +16,8 @@ runs 1,024-rank binary-swap and radix-k at 128^2, asserts cohort-size
 invariance (two different ``max_live_ranks`` budgets produce byte-identical
 images), holds the peak traced allocation under
 :data:`SMOKE_MEMORY_BUDGET_BYTES`, and writes the per-round traffic log as a
-JSON artifact.
+JSON artifact.  The log holds traffic only, no allocation or timing, so two
+runs' logs compare byte for byte.
 
 Scale completion (the acceptance configuration):
 
@@ -142,7 +143,6 @@ def run_smoke(round_log_path: str | None) -> int:
             "ranks": SMOKE_RANKS,
             "pixels": first["pixels"],
             "max_live_ranks": [row["max_live_ranks"] for row in rows],
-            "peak_memory_bytes": first["peak_memory_bytes"],
             "rounds": first["round_summary"],
         }
         print(

@@ -96,11 +96,12 @@ class CompositeResult:
     engine: str = "runlength"
     #: Cohort bookkeeping of the run-length engine (zero on the reference
     #: engine): the live-image budget, the observed peak (contract: at most
-    #: budget + 1), generate->merge->retire batches, and a compact per-round
-    #: traffic summary (the round-log artifact the CI scale gate uploads).
+    #: budget + 1) and generate->merge->retire batches.
     max_live_ranks: int = 0
     peak_live_images: int = 0
     cohorts: int = 0
+    #: The compact per-round traffic summary of either engine's communicator
+    #: (the round-log artifact the CI scale gate uploads).
     round_summary: list[dict] = field(default_factory=list)
 
     @property
@@ -222,6 +223,7 @@ class Compositor:
             num_tasks=len(ordered),
             num_pixels=ordered[0].num_pixels,
             engine="reference",
+            round_summary=comm.round_summaries(),
         )
 
     def composite_streaming(

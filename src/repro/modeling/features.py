@@ -311,7 +311,7 @@ def compositing_features_from_result(result) -> CompositingFeatures:
 def contention_features_from_result(result) -> dict[str, float]:
     """Per-round contention descriptors of a composite.
 
-    The run-length engine attaches a compact round summary to every
+    Both compositing engines attach a compact round summary to every
     :class:`~repro.compositing.CompositeResult` (``round_summary``), from
     ``composite()`` and ``composite_streaming()`` alike; this flattens it
     into scalars a model or report row can consume:
@@ -324,8 +324,8 @@ def contention_features_from_result(result) -> dict[str, float]:
       busiest round: near ``1/rounds`` for balanced exchanges, approaching 1
       when one fan-in round (e.g. final assembly) dominates.
 
-    Returns all-zero features for results without a round summary (only
-    ``engine="reference"``, the oracle, records none).
+    Returns all-zero features for a result without a round summary (an
+    accounting object that is not a ``CompositeResult``).
     """
     summary = getattr(result, "round_summary", None) or []
     if not summary:

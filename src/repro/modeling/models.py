@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.modeling.crossval import CrossValidationSummary, k_fold_cross_validation
+from repro.modeling.crossval import FOLDS, CrossValidationSummary, k_fold_cross_validation
 from repro.modeling.features import feature_arrays
 from repro.modeling.regression import LinearRegressionResult, fit_linear_model
 from repro.techniques import MODEL_GROUPS, ObservedFeatures, TermGroup, get_technique, included_groups
@@ -88,7 +88,7 @@ class PerformanceModel:
         return self.fits
 
     def cross_validate(
-        self, features, *targets: np.ndarray, k: int = 3, seed: int | None = None
+        self, features, *targets: np.ndarray, k: int = FOLDS, seed: int | None = None
     ) -> CrossValidationSummary:
         """K-fold cross validation of the *total* (summed over groups) prediction.
 

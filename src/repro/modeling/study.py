@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from repro.modeling.crossval import FOLDS
 from repro.modeling.features import SAMPLES_IN_DEPTH, compositing_features_from_result, feature_arrays
 from repro.modeling.models import PerformanceModel, make_model
 from repro.techniques import ObservedFeatures
@@ -285,7 +286,7 @@ class StudyCorpus:
                     yield architecture, technique, rows
 
     # -- cross validation ------------------------------------------------------------------
-    def cross_validate(self, architecture: str, technique: str, k: int = 3, seed: int | None = None):
+    def cross_validate(self, architecture: str, technique: str, k: int = FOLDS, seed: int | None = None):
         """K-fold cross validation of one slice, kept only for ``benchmarks/e2e/probes.py``.
 
         :meth:`repro.reporting.ModelSuite.fit_corpus` is the fitter.  This

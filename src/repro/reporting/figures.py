@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.modeling.crossval import FOLDS
 from repro.modeling.feasibility import images_within_budget, raytracing_vs_rasterization
 from repro.modeling.study import StudyCorpus
 from repro.reporting.suite import ModelSuite
@@ -89,7 +90,7 @@ def fig11_crossval_error(suite: ModelSuite, corpus: StudyCorpus) -> tuple[dict, 
             ]
         )
     title = "Figure 11: cross-validation error vs predicted render time"
-    payload = _artifact(11, "crossval_error", title, folds=suite.folds, seed=suite.seed, series=series)
+    payload = _artifact(11, "crossval_error", title, folds=FOLDS, seed=suite.seed, series=series)
     markdown = f"### {title}\n\n" + markdown_table(
         ["architecture", "technique", "mean |err| fast half", "mean |err| slow half", "max |err|"],
         md_rows,

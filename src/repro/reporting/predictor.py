@@ -146,9 +146,7 @@ class Predictor:
         arrays = {"average_active_pixels": active, "pixels": pixel_counts}
         return self._predict_entry(entry, arrays, include_build=False, sigmas=sigmas)
 
-    def interval_widths_for_specs(
-        self, spec_payloads: list[dict], sigmas: float = DEFAULT_INTERVAL_SIGMAS
-    ) -> np.ndarray:
+    def interval_widths_for_specs(self, spec_payloads: list[dict]) -> np.ndarray:
         """Prediction-interval widths (``upper - lower``) for sweep-spec payloads.
 
         The adaptive planner's scoring seam: each payload is one
@@ -165,10 +163,12 @@ class Predictor:
           scores ``inf`` -- an unfit slice is maximal uncertainty and must
           outrank every fitted one.
 
-        Widths inherit the interval contract, including the clip of the lower
+        Widths are taken at :data:`DEFAULT_INTERVAL_SIGMAS`, read at call
+        time, and inherit the interval contract, including the clip of the lower
         bound at zero: a configuration whose predicted seconds sit inside the
         half-width has a genuinely narrower (one-sided) interval.
         """
+        sigmas = DEFAULT_INTERVAL_SIGMAS
         widths = np.empty(len(spec_payloads), dtype=np.float64)
         groups: dict[tuple[str, str], list[int]] = {}
         for index, payload in enumerate(spec_payloads):

@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.modeling.crossval import FOLDS
 from repro.modeling.study import StudyCorpus, corpus_digest
 from repro.reporting.figures import FIGURE_EMITTERS
 from repro.reporting.suite import ModelSuite
@@ -65,9 +66,7 @@ def _write_json(path: Path, payload: dict) -> Path:
     return _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def generate_report(
-    corpus: StudyCorpus, out_dir: str | Path, folds: int = 3, seed: int = 2016
-) -> ReportResult:
+def generate_report(corpus: StudyCorpus, out_dir: str | Path, seed: int = 2016) -> ReportResult:
     """Turn a study corpus into the full paper-artifact tree.
 
     Never raises on degenerate corpora: every slice that cannot be fitted is a
@@ -76,7 +75,7 @@ def generate_report(
     be an error (the CLI) check :meth:`ModelSuite.is_empty` on the result.
     """
     out_dir = Path(out_dir)
-    suite = ModelSuite.fit_corpus(corpus, folds=folds, seed=seed)
+    suite = ModelSuite.fit_corpus(corpus, seed=seed)
     paths: list[Path] = []
     markdown_parts: list[str] = []
 
@@ -98,7 +97,7 @@ def generate_report(
             "compositing_records": len(corpus.compositing_records),
             "failures": len(corpus.failures),
         },
-        "folds": folds,
+        "folds": FOLDS,
         "seed": seed,
         "fitted": [list(key) for key in sorted(suite.entries)],
         "compositing_fitted": suite.compositing is not None,
@@ -116,7 +115,7 @@ def generate_report(
         f"{len(corpus.compositing_records)}, sweep failures: {len(corpus.failures)}",
         f"- fitted models: {len(suite.entries)}"
         + (" + compositing" if suite.compositing is not None else ""),
-        f"- cross validation: {folds}-fold, seed {seed}",
+        f"- cross validation: {FOLDS}-fold, seed {seed}",
         "",
     ]
     warnings = suite.all_warnings()

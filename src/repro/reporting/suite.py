@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.modeling.crossval import CrossValidationSummary
+from repro.modeling.crossval import FOLDS, CrossValidationSummary
 from repro.modeling.models import PerformanceModel, make_model
 from repro.modeling.regression import LinearRegressionResult
 from repro.modeling.study import COMPOSITING_ARCHITECTURE, StudyCorpus, model_inputs
@@ -134,18 +134,18 @@ class ModelSuite:
     entries: dict[tuple[str, str], FittedModel] = field(default_factory=dict)
     compositing: FittedModel | None = None
     failures: list[dict] = field(default_factory=list)
-    folds: int = 3
     seed: int = 2016
 
     # -- fitting -----------------------------------------------------------------------
     @classmethod
-    def fit_corpus(cls, corpus: StudyCorpus, folds: int = 3, seed: int = 2016) -> "ModelSuite":
+    def fit_corpus(cls, corpus: StudyCorpus, seed: int = 2016) -> "ModelSuite":
         """Fit the full registry from a corpus in one call.
 
         The only code that fits or cross-validates a corpus slice: each
         slice's ``(model, arrays, targets)`` comes from
         :func:`repro.modeling.study.model_inputs` once, the model is fit on
-        those arrays, and the k-fold cross validation runs on the same ones.
+        those arrays, and the :data:`~repro.modeling.crossval.FOLDS`-fold
+        cross validation runs on the same ones.
         Degenerate slices (too few rows for the slice's coefficient count,
         singular designs, ...) become structured entries in :attr:`failures`
         rather than exceptions: a partially-degenerate corpus still yields
@@ -154,7 +154,7 @@ class ModelSuite:
         device is a ``mixed-devices`` failure: one back-end's timings never
         reach another back-end's model.
         """
-        suite = cls(folds=folds, seed=seed)
+        suite = cls(seed=seed)
         slices = [
             (architecture, technique, rows, sorted({row.dpp_device for row in rows}))
             for architecture, technique, rows in corpus.slices()
@@ -176,7 +176,7 @@ class ModelSuite:
             entry.warnings.extend(_coefficient_warnings(entry))
             entry.warnings.extend(_quality_warnings(entry))
             try:
-                entry.crossval = model.cross_validate(arrays, *targets, k=folds, seed=seed)
+                entry.crossval = model.cross_validate(arrays, *targets, k=FOLDS, seed=seed)
                 entry.crossval_accuracy = entry.crossval.accuracy_row()
             except Exception as error:  # noqa: BLE001 -- e.g. too few rows (ValueError),
                 # nnls non-convergence (RuntimeError), singular folds (LinAlgError):
@@ -265,7 +265,7 @@ class ModelSuite:
         """The versioned ``models.json`` payload (schema documented in DESIGN.md)."""
         return {
             "schema": MODELS_SCHEMA_VERSION,
-            "folds": self.folds,
+            "folds": FOLDS,
             "seed": self.seed,
             "models": [_entry_payload(self.entries[key]) for key in sorted(self.entries)],
             "compositing": _entry_payload(self.compositing) if self.compositing else None,
@@ -274,19 +274,31 @@ class ModelSuite:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "ModelSuite":
+    def from_payload(cls, payload: object) -> "ModelSuite":
+        """The suite a ``models.json`` payload holds; ``ValueError`` for any payload it cannot read.
+
+        A reader of the file (the serving tier's hot reload among them) then
+        has one exception to catch, whatever the JSON held: a list, ``null``,
+        a number, or a suite object whose entries are not entry objects.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(f"models.json holds a {type(payload).__name__}, not a suite object")
         schema = payload.get("schema")
         if schema != MODELS_SCHEMA_VERSION:
             raise ValueError(
                 f"models.json schema {schema!r} is not the supported {MODELS_SCHEMA_VERSION}"
             )
-        suite = cls(folds=int(payload.get("folds", 3)), seed=int(payload.get("seed", 2016)))
-        for entry_payload in payload.get("models", []):
-            entry = _entry_from_payload(entry_payload)
-            suite.entries[entry.key] = entry
-        if payload.get("compositing"):
-            suite.compositing = _entry_from_payload(payload["compositing"])
-        suite.failures = [dict(failure) for failure in payload.get("failures", [])]
+        try:
+            suite = cls(seed=int(payload.get("seed", 2016)))
+            for entry_payload in payload.get("models", []):
+                entry = _entry_from_payload(entry_payload)
+                suite.entries[entry.key] = entry
+            if payload.get("compositing"):
+                suite.compositing = _entry_from_payload(payload["compositing"])
+            suite.failures = [dict(failure) for failure in payload.get("failures", [])]
+        except (AttributeError, LookupError, TypeError) as error:
+            detail = f"{type(error).__name__}: {error}"
+            raise ValueError(f"models.json is not a readable suite ({detail})") from error
         return suite
 
     def save(self, path: str | Path) -> Path:

@@ -15,6 +15,7 @@ unavailable rows recorded as such -- the smoke corpus exercises exactly that.
 from __future__ import annotations
 
 from repro.machines.costmodel import KernelCostModel
+from repro.modeling.crossval import FOLDS
 from repro.modeling.features import RenderingConfiguration, map_configuration_to_features
 from repro.modeling.study import HOST_ARCHITECTURE, StudyCorpus
 from repro.reporting.suite import ModelSuite
@@ -127,8 +128,8 @@ def table13_crossval_accuracy(suite: ModelSuite, corpus: StudyCorpus) -> tuple[d
             }
         )
         md_rows.append([entry.architecture, entry.technique, *_accuracy_cells(entry)])
-    title = f"Table 13: {suite.folds}-fold cross-validation accuracy (% of held-out predictions in band)"
-    payload = _artifact(13, "crossval_accuracy", title, folds=suite.folds, seed=suite.seed, rows=rows)
+    title = f"Table 13: {FOLDS}-fold cross-validation accuracy (% of held-out predictions in band)"
+    payload = _artifact(13, "crossval_accuracy", title, folds=FOLDS, seed=suite.seed, rows=rows)
     markdown = f"### {title}\n\n" + markdown_table(
         ["architecture", "technique", "50%", "25%", "10%", "5%", "avg err %"], md_rows
     )
@@ -149,7 +150,7 @@ def table14_compositing_accuracy(suite: ModelSuite, corpus: StudyCorpus) -> tupl
         "num_rows": entry.num_rows,
     }
     payload = _artifact(
-        14, "compositing_accuracy", title, available=True, folds=suite.folds, rows=[row]
+        14, "compositing_accuracy", title, available=True, folds=FOLDS, rows=[row]
     )
     md_rows = [[*_accuracy_cells(entry), f"{row['r_squared']:.3f}", entry.num_rows]]
     markdown = f"### {title}\n\n" + markdown_table(

@@ -15,8 +15,9 @@
   not pass whole, so errors read as they do per row; the server
   canonicalizes each request on arrival with ``canonical_config``.
 * :mod:`repro.serving.batching` -- the micro-batching queue: concurrent
-  requests accumulate for a bounded window (``max_batch`` / ``max_delay_us``)
-  and flush as one vectorized predictor call.
+  requests accumulate for a bounded window (the module constants
+  ``MAX_BATCH`` configurations / ``MAX_DELAY_US``) and flush as one
+  vectorized predictor call.
 * :mod:`repro.serving.server` -- the asyncio HTTP/1.1 front end
   (``POST /predict``, ``GET /stats``, ``GET /healthz``, ``POST /reload``)
   with pipelining-aware connections and a ``models.json`` digest watcher.

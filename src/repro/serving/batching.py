@@ -1,8 +1,9 @@
 """The micro-batching queue: bounded-window accumulation, one vectorized flush.
 
 Concurrent requests enqueue synchronously (:meth:`MicroBatcher.submit` never
-awaits); the first pending request arms a ``max_delay_us`` timer, and the
-batch flushes early the moment ``max_batch`` configurations have accumulated.
+awaits); the first pending request arms a :data:`MAX_DELAY_US` timer, and the
+batch flushes early the moment :data:`MAX_BATCH` configurations have
+accumulated.  Both are module constants read at each submit.
 A flush captures the serving core's current :class:`~repro.serving.core.ModelHandle`
 exactly once, pre-screens each request against that handle's availability (so one
 request's unknown slice cannot fail its batch-mates), merges the surviving
@@ -14,8 +15,8 @@ the amortization that makes per-prediction cost approach the batch
 Batching-window semantics:
 
 * Requests are **atomic**: a request's configurations never split across
-  batches, so ``max_batch`` is a flush *threshold*, not a hard cap -- a batch
-  may overshoot by the size of its last request.
+  batches, so :data:`MAX_BATCH` is a flush *threshold*, not a hard cap -- a
+  batch may overshoot by the size of its last request.
 * Results are **delivered through callbacks** (``on_result(rows, meta)`` /
   ``on_error(error, meta)``), not futures: the HTTP server fills per-connection
   response slots directly from the flush, which keeps the per-request hot path
@@ -24,9 +25,9 @@ Batching-window semantics:
   ``(handle, config, sigmas)``.  Arrival order and batch split decide *when*
   a response is produced, never *what* it contains.
 
-``max_batch <= 1`` disables accumulation entirely: every submit flushes
-immediately: the per-request no-batching baseline, whose bytes the serving
-tests hold equal to the batched server's.
+``MAX_BATCH <= 1`` disables accumulation entirely, since every request
+reaches the threshold on its own: the per-request no-batching baseline, whose
+bytes the serving tests hold equal to the batched server's.
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ from typing import Callable
 
 from repro.serving.core import ServingCore, ServingError
 
-__all__ = ["BatchRequest", "MicroBatcher", "DEFAULT_MAX_BATCH", "DEFAULT_MAX_DELAY_US"]
+__all__ = ["BatchRequest", "MicroBatcher", "MAX_BATCH", "MAX_DELAY_US"]
 
-#: Default flush threshold (configurations per batch).
-DEFAULT_MAX_BATCH = 512
+#: Flush threshold (configurations per batch).
+MAX_BATCH = 512
 
-#: Default accumulation window in microseconds.
-DEFAULT_MAX_DELAY_US = 2000
+#: Accumulation window in microseconds.
+MAX_DELAY_US = 2000
 
 
 @dataclass
@@ -62,28 +63,22 @@ class MicroBatcher:
     """Accumulate requests for a bounded window, flush as one vectorized call."""
 
     core: ServingCore
-    max_batch: int = DEFAULT_MAX_BATCH
-    max_delay_us: int = DEFAULT_MAX_DELAY_US
-    batches_flushed: int = 0
-    configs_flushed: int = 0
-    histogram: dict[int, int] = field(default_factory=dict)
-    _pending: list[BatchRequest] = field(default_factory=list)
-    _pending_configs: int = 0
-    _timer: object = None
-
-    @property
-    def enabled(self) -> bool:
-        return self.max_batch > 1
+    batches_flushed: int = field(default=0, init=False)
+    configs_flushed: int = field(default=0, init=False)
+    histogram: dict[int, int] = field(default_factory=dict, init=False)
+    _pending: list[BatchRequest] = field(default_factory=list, init=False)
+    _pending_configs: int = field(default=0, init=False)
+    _timer: object = field(default=None, init=False)
 
     def submit(self, request: BatchRequest) -> None:
         """Enqueue one request; flushes inline when the threshold is reached."""
         self._pending.append(request)
         self._pending_configs += len(request.canon)
-        if not self.enabled or self._pending_configs >= self.max_batch:
+        if self._pending_configs >= MAX_BATCH:
             self.flush()
         elif self._timer is None:
             loop = asyncio.get_running_loop()
-            self._timer = loop.call_later(self.max_delay_us / 1e6, self.flush)
+            self._timer = loop.call_later(MAX_DELAY_US / 1e6, self.flush)
 
     def flush(self) -> None:
         """Serve everything pending against one captured handle snapshot."""
@@ -135,9 +130,9 @@ class MicroBatcher:
 
     def stats(self) -> dict:
         return {
-            "enabled": self.enabled,
-            "max_batch": self.max_batch,
-            "max_delay_us": self.max_delay_us,
+            "enabled": MAX_BATCH > 1,
+            "max_batch": MAX_BATCH,
+            "max_delay_us": MAX_DELAY_US,
             "batches": self.batches_flushed,
             "configs": self.configs_flushed,
             "pending": self._pending_configs,

@@ -70,7 +70,8 @@ __all__ = [
     "ServingCore",
 ]
 
-#: Default maximum number of cached prediction results.
+#: Maximum number of cached prediction results of a core built without a
+#: ``cache_size`` (the server's); read at call time.
 DEFAULT_CACHE_SIZE = 4096
 
 #: Defaults filled into render configurations (and the ``predict`` CLI's flag defaults).
@@ -361,7 +362,7 @@ class ModelHandle:
     digest: str
     path: str
     generation: int
-    schema: int = MODELS_SCHEMA_VERSION
+    schema: int = field(default=MODELS_SCHEMA_VERSION, init=False)
     available: frozenset = field(default_factory=frozenset)
     has_compositing: bool = False
 
@@ -411,25 +412,14 @@ class ModelHandle:
 class ServingCore:
     """Cache + vectorized group execution over an atomically swappable handle."""
 
-    def __init__(
-        self,
-        handle: ModelHandle,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        default_sigmas: float = DEFAULT_INTERVAL_SIGMAS,
-    ) -> None:
+    def __init__(self, handle: ModelHandle, cache_size: int | None = None) -> None:
         self._handle = handle
-        self.cache = LRUCache(cache_size)
-        self.default_sigmas = float(default_sigmas)
+        self.cache = LRUCache(DEFAULT_CACHE_SIZE if cache_size is None else cache_size)
         self.predictions_served = 0
 
     @classmethod
-    def from_path(
-        cls,
-        path: str | Path,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        default_sigmas: float = DEFAULT_INTERVAL_SIGMAS,
-    ) -> "ServingCore":
-        return cls(ModelHandle.load(path), cache_size=cache_size, default_sigmas=default_sigmas)
+    def from_path(cls, path: str | Path, cache_size: int | None = None) -> "ServingCore":
+        return cls(ModelHandle.load(path), cache_size=cache_size)
 
     @property
     def handle(self) -> ModelHandle:
@@ -453,7 +443,7 @@ class ServingCore:
         :meth:`ModelHandle.missing_slice`.
         """
         handle = handle or self._handle
-        sigmas = self.default_sigmas if sigmas is None else _number(sigmas, "sigmas", float)
+        sigmas = DEFAULT_INTERVAL_SIGMAS if sigmas is None else _number(sigmas, "sigmas", float)
         keys = list(zip(repeat(handle.digest), repeat(handle.schema), canon, repeat(sigmas)))
         results = self.cache.get_many(keys)
         misses = [index for index, cached in enumerate(results) if cached is None]

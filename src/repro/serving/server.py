@@ -31,13 +31,14 @@ per connection per loop turn, so every response one flush owes a connection
 leaves together.  (Writing at each fill cost 92,002 ``socket.send`` calls for
 92,000 pipelined requests.)
 
-Hot reload: a watcher task polls the ``models.json`` path; when the file's
-bytes hash to a new digest, a fresh :class:`~repro.serving.core.ModelHandle`
-is built and swapped in with one assignment.  In-flight batches captured the
-old handle and finish against it -- no request is dropped, no response mixes
-two suites, and every response says which digest served it.  A file that
-fails to parse (e.g. a torn mid-write read) is skipped and retried on the
-next poll; the old suite keeps serving.
+Hot reload: a watcher task polls the ``models.json`` path every
+:data:`RELOAD_POLL_S` seconds; when the file's bytes hash to a new digest, a
+fresh :class:`~repro.serving.core.ModelHandle` is built and swapped in with
+one assignment.  In-flight batches captured the old handle and finish against
+it -- no request is dropped, no response mixes two suites, and every response
+says which digest served it.  A file that does not read as a suite (a torn
+mid-write read, or JSON that is not a suite object) is skipped and retried on
+the next poll; the old suite keeps serving.
 """
 
 from __future__ import annotations
@@ -50,13 +51,14 @@ import sys
 import time
 from pathlib import Path
 
-from repro.serving.batching import DEFAULT_MAX_BATCH, DEFAULT_MAX_DELAY_US, BatchRequest, MicroBatcher
-from repro.serving.core import DEFAULT_CACHE_SIZE, ModelHandle, ServingCore, ServingError, canonical_config
+from repro.serving import batching
+from repro.serving.batching import BatchRequest, MicroBatcher
+from repro.serving.core import ModelHandle, ServingCore, ServingError, canonical_config
 
 __all__ = ["PredictionServer", "start_server", "build_parser", "main"]
 
-#: Default watcher poll interval (seconds).
-DEFAULT_RELOAD_POLL_S = 0.5
+#: Watcher poll interval (seconds); read at each poll.
+RELOAD_POLL_S = 0.5
 
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed"}
 
@@ -122,21 +124,11 @@ class _Connection:
 class PredictionServer:
     """The serving tier: core + micro-batcher + HTTP front end + reload watcher."""
 
-    def __init__(
-        self,
-        core: ServingCore,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        max_delay_us: int = DEFAULT_MAX_DELAY_US,
-        reload_poll_s: float = DEFAULT_RELOAD_POLL_S,
-        watch: bool = True,
-    ) -> None:
+    def __init__(self, core: ServingCore, host: str = "127.0.0.1", port: int = 0, watch: bool = True) -> None:
         self.core = core
         self.host = host
         self.port = port
-        self.batcher = MicroBatcher(core, max_batch=max_batch, max_delay_us=max_delay_us)
-        self.reload_poll_s = reload_poll_s
+        self.batcher = MicroBatcher(core)
         self.watch = watch
         self.requests = 0
         self.errors = 0
@@ -178,7 +170,7 @@ class PredictionServer:
     # -- hot reload ----------------------------------------------------------------------
     async def _watch(self) -> None:
         while True:
-            await asyncio.sleep(self.reload_poll_s)
+            await asyncio.sleep(RELOAD_POLL_S)
             self.maybe_reload()
 
     def maybe_reload(self) -> bool:
@@ -194,8 +186,9 @@ class PredictionServer:
         try:
             data = Path(path).read_bytes()
             handle = ModelHandle.from_bytes(data, path, generation=self.core.handle.generation + 1)
-        except (OSError, ValueError, KeyError) as error:
-            # A torn mid-write read or an invalid file: keep serving the old
+        except (OSError, ValueError) as error:
+            # A torn mid-write read or an invalid file (``from_payload`` raises
+            # ValueError for any payload it cannot read): keep serving the old
             # suite and retry on the next poll (the stat signature is only
             # committed on success).
             self.reload_errors += 1
@@ -381,26 +374,10 @@ class PredictionServer:
 
 
 async def start_server(
-    models: str | Path,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    max_batch: int = DEFAULT_MAX_BATCH,
-    max_delay_us: int = DEFAULT_MAX_DELAY_US,
-    cache_size: int = DEFAULT_CACHE_SIZE,
-    reload_poll_s: float = DEFAULT_RELOAD_POLL_S,
-    watch: bool = True,
+    models: str | Path, host: str = "127.0.0.1", port: int = 0, watch: bool = True
 ) -> PredictionServer:
     """Load ``models.json``, bind, and start serving (port 0 = ephemeral)."""
-    core = ServingCore.from_path(models, cache_size=cache_size)
-    server = PredictionServer(
-        core,
-        host=host,
-        port=port,
-        max_batch=max_batch,
-        max_delay_us=max_delay_us,
-        reload_poll_s=reload_poll_s,
-        watch=watch,
-    )
+    server = PredictionServer(ServingCore.from_path(models), host=host, port=port, watch=watch)
     return await server.start()
 
 
@@ -412,37 +389,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--models", required=True, help="models.json written by `report` or ModelSuite.save")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8766, help="0 binds an ephemeral port")
-    parser.add_argument("--max-batch", type=int, default=DEFAULT_MAX_BATCH, help="flush threshold (configs)")
-    parser.add_argument(
-        "--max-delay-us", type=int, default=DEFAULT_MAX_DELAY_US, help="accumulation window (microseconds)"
-    )
-    parser.add_argument("--cache-size", type=int, default=DEFAULT_CACHE_SIZE, help="LRU entries (0 disables)")
-    parser.add_argument(
-        "--reload-poll",
-        type=float,
-        default=DEFAULT_RELOAD_POLL_S,
-        help="models.json watch interval (seconds)",
-    )
     parser.add_argument("--no-watch", action="store_true", help="disable the hot-reload watcher")
     return parser
 
 
 async def _serve_forever(args: argparse.Namespace) -> None:
-    server = await start_server(
-        args.models,
-        host=args.host,
-        port=args.port,
-        max_batch=args.max_batch,
-        max_delay_us=args.max_delay_us,
-        cache_size=args.cache_size,
-        reload_poll_s=args.reload_poll,
-        watch=not args.no_watch,
-    )
+    server = await start_server(args.models, host=args.host, port=args.port, watch=not args.no_watch)
     handle = server.core.handle
     print(
         f"serving http://{server.host}:{server.port} models={handle.path} "
-        f"digest={handle.digest[:12]} max_batch={server.batcher.max_batch} "
-        f"max_delay_us={server.batcher.max_delay_us}",
+        f"digest={handle.digest[:12]} max_batch={batching.MAX_BATCH} "
+        f"max_delay_us={batching.MAX_DELAY_US}",
         flush=True,
     )
     try:

@@ -90,36 +90,28 @@ __all__ = [
 ]
 
 
-def run_study(
-    config=None,
-    include_compositing: bool = True,
-    jobs: int = 1,
-    cache_dir=None,
-    timeout: float | None = None,
-    resume: bool = True,
-    strict: bool = True,
-):
-    """One-call engine entry point: configuration -> corpus.
+def run_study(config=None, include_compositing: bool = True, jobs: int = 1, cache_dir=None):
+    """One-call engine entry point: configuration -> corpus, raising on any failure row.
 
     The configuration (default :class:`~repro.modeling.study.StudyConfiguration`)
     is expanded by :func:`build_plan` and executed by :func:`run_plan` --
     in-process when ``jobs == 1``, on a process pool otherwise.  ``cache_dir``
-    (a path) turns on the content-addressed row cache so repeated corpus
-    builds -- e.g. across benchmark sessions -- skip every unchanged
-    configuration.
+    (a path) turns on the content-addressed row cache, with resume, so
+    repeated corpus builds -- e.g. across benchmark sessions -- skip every
+    unchanged configuration.
 
-    ``strict`` (default) raises if any experiment failed, so a corpus consumed
-    by model fits can never silently shrink; pass ``strict=False`` (or use
-    :func:`run_plan`, which also returns the report) for failure isolation.
+    Any failed experiment raises, so a corpus consumed by model fits can never
+    silently shrink.  For failure isolation -- the partial corpus plus the
+    report -- call :func:`run_plan` on :func:`build_plan`'s plan.
     """
     plan = build_plan(config if config is not None else StudyConfiguration(), include_compositing)
-    corpus, _report = run_plan(plan, jobs=jobs, cache=cache_dir, timeout=timeout, resume=resume)
-    if strict and corpus.failures:
+    corpus, _report = run_plan(plan, jobs=jobs, cache=cache_dir)
+    if corpus.failures:
         details = "; ".join(
             f"[{f.reason}] {f.kind} {f.error_type}: {f.message}" for f in corpus.failures[:5]
         )
         raise RuntimeError(
             f"{len(corpus.failures)} of {len(plan.specs)} experiments failed "
-            f"(pass strict=False to keep the partial corpus): {details}"
+            f"(run_plan keeps the partial corpus): {details}"
         )
     return corpus

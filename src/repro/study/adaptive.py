@@ -16,7 +16,8 @@ One adaptive step is::
   continuum is fresh per corpus state yet exactly reproducible from it.
 * **Scores** are prediction-interval widths from
   :meth:`repro.reporting.predictor.Predictor.interval_widths_for_specs`
-  (quadrature-combined build+frame residuals for ray tracing).  A candidate
+  (quadrature-combined build+frame residuals for ray tracing) at the
+  serving default half-width, ``DEFAULT_INTERVAL_SIGMAS``.  A candidate
   whose ``(architecture, technique)`` slice has no fitted model scores
   ``inf``: an unfit slice is maximal uncertainty and ranks first.
 * **Selection** is the widest ``batch_size`` candidates, ties broken by the
@@ -38,7 +39,7 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 from repro.modeling.study import StudyConfiguration, StudyCorpus, corpus_digest
-from repro.reporting.predictor import Predictor
+from repro.reporting.predictor import DEFAULT_INTERVAL_SIGMAS, Predictor
 from repro.reporting.suite import ModelSuite
 from repro.study.corpus_io import merge_corpora
 from repro.study.executor import run_plan
@@ -139,7 +140,7 @@ class ScoredCandidate:
         }
 
 
-def score_candidates(specs: list[ExperimentSpec], suite, sigmas: float = 2.0) -> list[ScoredCandidate]:
+def score_candidates(specs: list[ExperimentSpec], suite) -> list[ScoredCandidate]:
     """Score candidates by interval width and sort widest-first.
 
     Unknown-model slices (``inf``) rank before every fitted slice; ties (all
@@ -148,7 +149,7 @@ def score_candidates(specs: list[ExperimentSpec], suite, sigmas: float = 2.0) ->
     selected batch -- is deterministic.
     """
     predictor = suite if isinstance(suite, Predictor) else Predictor(suite)
-    widths = predictor.interval_widths_for_specs([spec.key_payload() for spec in specs], sigmas=sigmas)
+    widths = predictor.interval_widths_for_specs([spec.key_payload() for spec in specs])
     scored = []
     for spec, width in zip(specs, widths):
         if spec.kind == "compositing":
@@ -168,7 +169,6 @@ class AdaptiveSelection:
     seed: int
     expand: int
     batch_size: int
-    sigmas: float
     candidates: list[ScoredCandidate] = field(default_factory=list)
     selected: list[ScoredCandidate] = field(default_factory=list)
     deduplicated: int = 0  #: candidate-matrix specs dropped as already-in-corpus
@@ -199,7 +199,7 @@ class AdaptiveSelection:
             "seed": self.seed,
             "expand": self.expand,
             "batch_size": self.batch_size,
-            "sigmas": self.sigmas,
+            "sigmas": DEFAULT_INTERVAL_SIGMAS,
             "candidates": len(self.candidates),
             "deduplicated": self.deduplicated,
             "unknown_candidates": self.unknown_candidates(),
@@ -215,8 +215,6 @@ def select_batch(
     batch_size: int = DEFAULT_BATCH_SIZE,
     seed: int = 2016,
     expand: int = DEFAULT_EXPAND,
-    sigmas: float = 2.0,
-    folds: int = 3,
     suite=None,
     candidates: list[ExperimentSpec] | None = None,
     include_compositing: bool = True,
@@ -248,15 +246,14 @@ def select_batch(
         seen.add(key)
         fresh.append(spec)
     if suite is None:
-        suite = ModelSuite.fit_corpus(corpus, folds=folds, seed=seed)
-    scored = score_candidates(fresh, suite, sigmas=sigmas)
+        suite = ModelSuite.fit_corpus(corpus, seed=seed)
+    scored = score_candidates(fresh, suite)
     return AdaptiveSelection(
         config=config,
         corpus_digest=digest,
         seed=seed,
         expand=expand,
         batch_size=batch_size,
-        sigmas=sigmas,
         candidates=scored,
         selected=scored[:batch_size],
         deduplicated=len(pool) - len(fresh),
@@ -302,8 +299,6 @@ def run_adaptive_rounds(
     batch_size: int = DEFAULT_BATCH_SIZE,
     seed: int = 2016,
     expand: int = DEFAULT_EXPAND,
-    sigmas: float = 2.0,
-    folds: int = 3,
     jobs: int = 1,
     timeout: float | None = None,
     cache=None,
@@ -327,14 +322,13 @@ def run_adaptive_rounds(
     pool = candidate_plan(config, token, expand, include_compositing).specs
     run = AdaptiveRun(corpus=corpus)
     for round_index in range(rounds):
-        suite = ModelSuite.fit_corpus(corpus, folds=folds, seed=seed)
+        suite = ModelSuite.fit_corpus(corpus, seed=seed)
         selection = select_batch(
             corpus,
             config,
             batch_size=batch_size,
             seed=seed,
             expand=expand,
-            sigmas=sigmas,
             suite=suite,
             candidates=pool,
         )
@@ -349,14 +343,13 @@ def run_adaptive_rounds(
         executed = {spec_corpus_key(candidate.spec) for candidate in selection.selected}
         pool = [spec for spec in pool if spec_corpus_key(spec) not in executed]
         run.rounds.append(AdaptiveRound(selection=selection, report=report, trajectory_row=row))
-    suite = ModelSuite.fit_corpus(corpus, folds=folds, seed=seed)
+    suite = ModelSuite.fit_corpus(corpus, seed=seed)
     final_selection = select_batch(
         corpus,
         config,
         batch_size=0,
         seed=seed,
         expand=expand,
-        sigmas=sigmas,
         suite=suite,
         candidates=pool,
     )

@@ -66,6 +66,7 @@ from repro.study.corpus_io import load_corpus, merge_corpora, save_corpus
 from repro.study.executor import run_plan
 from repro.study.plan import AXES, build_plan, full_configuration, smoke_configuration
 from repro.study.trajectory import append_trajectory_rows
+from repro.util.files import atomic_write
 
 #: Exit code of a fit/report whose every slice was degenerate.
 EXIT_ALL_FITS_DEGENERATE = 5
@@ -130,8 +131,6 @@ def _add_adaptive_arguments(parser: argparse.ArgumentParser) -> None:
     adaptive.add_argument(
         "--expand", type=int, default=4, help="candidate density multiplier over --samples"
     )
-    adaptive.add_argument("--sigmas", type=float, default=2.0, help="interval half-width in residual stds")
-    adaptive.add_argument("--folds", type=int, default=3, help="cross-validation folds per refit")
 
 
 def _configuration_from(args: argparse.Namespace) -> StudyConfiguration:
@@ -182,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit_parser = commands.add_parser("fit", help="fit the models to a corpus file")
     fit_parser.add_argument("corpus")
     fit_parser.add_argument("--crossval", action="store_true", help="also report 3-fold accuracy rows")
-    fit_parser.add_argument("--folds", type=int, default=3)
     fit_parser.add_argument("--seed", type=int, default=2016, help="cross-validation shuffle seed")
 
     report_parser = commands.add_parser(
@@ -190,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_parser.add_argument("corpus")
     report_parser.add_argument("--out-dir", default="study-report", help="artifact tree root")
-    report_parser.add_argument("--folds", type=int, default=3)
     report_parser.add_argument("--seed", type=int, default=2016, help="cross-validation shuffle seed")
 
     predict_parser = commands.add_parser(
@@ -250,15 +247,12 @@ def _command_plan_adaptive(args) -> int:
         batch_size=args.batch_size,
         seed=args.seed,
         expand=args.expand,
-        sigmas=args.sigmas,
-        folds=args.folds,
         include_compositing=not args.no_compositing,
     )
     _print_selection(selection)
     if args.out:
-        text = json.dumps(selection.to_payload(), indent=2, sort_keys=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        with atomic_write(args.out) as handle:
+            handle.write(json.dumps(selection.to_payload(), indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
     if not selection.candidates:
         print("error: the corpus already covers every candidate", file=sys.stderr)
@@ -278,8 +272,6 @@ def _command_run_adaptive(args) -> int:
         batch_size=args.batch_size,
         seed=args.seed,
         expand=args.expand,
-        sigmas=args.sigmas,
-        folds=args.folds,
         jobs=args.jobs,
         timeout=args.timeout,
         cache=cache,
@@ -320,7 +312,7 @@ def _command_plan(args) -> int:
         label = f"{kind:12s} {axis:12s} {technique or '-':22s}"
         print(f"  {label} {count:4d}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with atomic_write(args.out) as handle:
             json.dump(plan.to_payload(), handle, indent=1)
         print(f"wrote {args.out}")
     return 0
@@ -398,7 +390,7 @@ def _degenerate_exit(suite) -> int:
 def _command_fit(args) -> int:
     corpus = load_corpus(args.corpus)
     _print_corpus_line(corpus)
-    suite = ModelSuite.fit_corpus(corpus, folds=args.folds, seed=args.seed)
+    suite = ModelSuite.fit_corpus(corpus, seed=args.seed)
     for entry in suite.all_entries():
         label = entry.technique
         if entry.technique == "compositing":
@@ -427,7 +419,7 @@ def _command_fit(args) -> int:
 def _command_report(args) -> int:
     corpus = load_corpus(args.corpus)
     _print_corpus_line(corpus)
-    result = generate_report(corpus, args.out_dir, folds=args.folds, seed=args.seed)
+    result = generate_report(corpus, args.out_dir, seed=args.seed)
     print(
         f"report: {len(result.suite.entries)} renderer models"
         + (" + compositing" if result.suite.compositing is not None else "")
@@ -487,7 +479,7 @@ def _command_predict(args) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with atomic_write(args.out) as handle:
             handle.write(text + "\n")
         print(f"wrote {len(rows)} predictions -> {args.out}")
     else:

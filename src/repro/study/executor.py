@@ -220,20 +220,19 @@ class SweepExecutor:
         Per-experiment wall-clock budget in seconds.  Enforcement requires a
         killable process, so ``jobs=1`` with a timeout runs on a one-worker
         pool instead of in-process.
-    cache, key_fn:
-        Content-addressed row cache plus the spec -> key-payload projection
-        (defaults to ``spec.key_payload()``).  Results are always written
-        through; cached rows are only *read* when ``run(resume=True)``.
+    cache:
+        Content-addressed row cache, keyed by each spec's ``key_payload()``.
+        Results are always written through; cached rows are only *read* when
+        ``run(resume=True)``.
     """
 
-    def __init__(self, execute, jobs: int = 1, timeout: float | None = None, cache=None, key_fn=None):
+    def __init__(self, execute, jobs: int = 1, timeout: float | None = None, cache=None):
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         self.execute = execute
         self.jobs = jobs
         self.timeout = timeout
         self.cache = cache
-        self.key_fn = key_fn if key_fn is not None else lambda spec: spec.key_payload()
 
     # -- public -------------------------------------------------------------------------
     def run(self, specs: list, resume: bool = True) -> SweepOutcome:
@@ -244,7 +243,7 @@ class SweepExecutor:
         pending: list[int] = []
         for index, spec in enumerate(specs):
             if self.cache is not None:
-                keys[index] = self.cache.key(self.key_fn(spec))
+                keys[index] = self.cache.key(spec.key_payload())
                 if resume:
                     cached = self.cache.get(keys[index])
                     if cached is not None:
@@ -374,7 +373,7 @@ class SweepExecutor:
         outcome.payloads[index] = payload
         outcome.executed += 1
         if self.cache is not None and keys[index] is not None:
-            self.cache.put(keys[index], payload, spec_payload=self.key_fn(specs[index]))
+            self.cache.put(keys[index], payload, spec_payload=specs[index].key_payload())
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import json
 from pathlib import Path
 
 from repro.modeling.study import corpus_digest
+from repro.reporting.predictor import DEFAULT_INTERVAL_SIGMAS
 from repro.study.plan import spec_corpus_key
 from repro.util.files import atomic_write
 
@@ -32,6 +33,9 @@ __all__ = [
 
 #: Version guard of the ``BENCH_learning.json`` ledger.
 LEARNING_SCHEMA_VERSION = 1
+
+#: The most recent rows :func:`format_markdown` tabulates.
+MARKDOWN_ROWS = 20
 
 
 def trajectory_row(corpus, suite, selection, round_index: int = 0) -> dict:
@@ -56,7 +60,7 @@ def trajectory_row(corpus, suite, selection, round_index: int = 0) -> dict:
         "deduplicated": selection.deduplicated,
         "mean_interval_width": selection.mean_interval_width(),
         "max_interval_width": selection.max_interval_width(),
-        "sigmas": float(selection.sigmas),
+        "sigmas": DEFAULT_INTERVAL_SIGMAS,
         "selected": [list(spec_corpus_key(c.spec)) for c in selection.selected],
         "slices": suite.slice_errors(),
     }
@@ -89,9 +93,9 @@ def append_trajectory_rows(path: str | Path, rows: list[dict]) -> dict:
     return payload
 
 
-def format_markdown(payload: dict, limit: int = 20) -> str:
-    """The ledger as a Markdown learning-curve table (``$GITHUB_STEP_SUMMARY``)."""
-    rows = payload.get("rows", [])[-limit:]
+def format_markdown(payload: dict) -> str:
+    """The ledger's last :data:`MARKDOWN_ROWS` rows as a Markdown table (``$GITHUB_STEP_SUMMARY``)."""
+    rows = payload.get("rows", [])[-MARKDOWN_ROWS:]
     lines = [
         "## Adaptive learning curve",
         "",

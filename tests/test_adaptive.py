@@ -26,6 +26,7 @@ import pytest
 
 from repro.modeling.models import make_model
 from repro.modeling.regression import LinearRegressionResult
+from repro.reporting import predictor as predictor_module
 from repro.reporting.predictor import Predictor
 from repro.reporting.suite import FittedModel, ModelSuite
 from repro.study.adaptive import (
@@ -123,7 +124,7 @@ class TestRankingOracle:
             _volume_spec("arch-wide"),
             _volume_spec("arch-unknown"),
         ]
-        scored = score_candidates(specs, suite, sigmas=2.0)
+        scored = score_candidates(specs, suite)
         # Unknown slice = maximal uncertainty, then wide (2*2*0.5), then narrow.
         assert [c.spec.architecture for c in scored] == [
             "arch-unknown",
@@ -134,10 +135,11 @@ class TestRankingOracle:
         assert scored[1].width == pytest.approx(2.0)  # 2 sigmas * 0.5 * 2
         assert scored[2].width == pytest.approx(0.4)  # 2 sigmas * 0.1 * 2
 
-    def test_widths_scale_with_sigmas(self):
+    def test_widths_scale_with_sigmas(self, monkeypatch):
+        monkeypatch.setattr(predictor_module, "DEFAULT_INTERVAL_SIGMAS", 1.0)
         suite = ModelSuite()
         suite.entries[("arch-wide", "volume")] = _volume_entry("arch-wide", 0.5)
-        scored = score_candidates([_volume_spec("arch-wide")], suite, sigmas=1.0)
+        scored = score_candidates([_volume_spec("arch-wide")], suite)
         assert scored[0].width == pytest.approx(1.0)
 
     def test_unknown_slice_scores_inf_via_predictor(self):

@@ -167,12 +167,13 @@ class TestDenseOracle:
         _assert_same_composite(streamed, fast)
         assert streamed.peak_live_images <= 7 + 1
 
+    @pytest.mark.parametrize("engine", ("runlength", "reference"))
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("tasks", (8, 64))
-    def test_composite_records_the_round_log(self, rng, algorithm, tasks):
-        """Contention features exist on every row, not only above 256 ranks."""
+    def test_composite_records_the_round_log(self, rng, algorithm, tasks, engine):
+        """Contention features exist on every row, not only above 256 ranks, on either engine."""
         framebuffers = _random_framebuffers(rng, tasks)
-        result = Compositor(algorithm).composite(framebuffers, mode="depth")
+        result = Compositor(algorithm).composite(framebuffers, mode="depth", engine=engine)
         features = contention_features_from_result(result)
         assert features["rounds"] > 0
         assert features["network_seconds"] == result.network_seconds

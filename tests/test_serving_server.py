@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import socket
 import struct
@@ -12,6 +13,7 @@ import pytest
 
 from repro.modeling.study import StudyConfiguration
 from repro.reporting import ModelSuite
+from repro.serving import batching, core as serving_core, server as serving_server
 from repro.serving.batching import BatchRequest, MicroBatcher
 from repro.serving.client import ServingClient, read_response, request_bytes
 from repro.serving.core import ModelHandle, ServingCore, canonical_config
@@ -38,12 +40,27 @@ def models_path(tmp_path_factory):
     return _fit_suite(seed=11).save(tmp_path_factory.mktemp("serving-http") / "models.json")
 
 
+@pytest.fixture
+def uncached(monkeypatch):
+    """Servers started in this test cache nothing: every answer is computed."""
+    monkeypatch.setattr(serving_core, "DEFAULT_CACHE_SIZE", 0)
+
+
+@contextlib.contextmanager
+def _window(max_batch: int, max_delay_us: int):
+    """The micro-batching window of the servers started inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batching, "MAX_BATCH", max_batch)
+        patch.setattr(batching, "MAX_DELAY_US", max_delay_us)
+        yield
+
+
 CONFIG = {"architecture": "gpu1-k40m", "technique": "raytrace", "num_tasks": 4, "cells_per_task": 80}
 VOLUME = {"architecture": "gpu1-k40m", "technique": "volume", "num_tasks": 16}
 
 
-async def _predict_alone(models_path, config, **server_kwargs) -> bytes:
-    server = await start_server(models_path, watch=False, **server_kwargs)
+async def _predict_alone(models_path, config) -> bytes:
+    server = await start_server(models_path, watch=False)
     try:
         reader, writer = await asyncio.open_connection(server.host, server.port)
         writer.write(request_bytes("POST", "/predict", config))
@@ -97,12 +114,12 @@ class TestPredictEndpoint:
 
         asyncio.run(scenario())
 
-    def test_pipelined_requests_share_a_batch_and_bytes_match_solo(self, models_path):
+    def test_pipelined_requests_share_a_batch_and_bytes_match_solo(self, models_path, uncached):
         """N pipelined requests -> one flush; every body identical to solo serving."""
         configs = [{**VOLUME, "num_tasks": tasks} for tasks in (2, 4, 8, 16)]
 
         async def scenario():
-            server = await start_server(models_path, watch=False, cache_size=0)
+            server = await start_server(models_path, watch=False)
             try:
                 reader, writer = await asyncio.open_connection(server.host, server.port)
                 writer.write(b"".join(request_bytes("POST", "/predict", c) for c in configs))
@@ -121,20 +138,19 @@ class TestPredictEndpoint:
         bodies, histogram = asyncio.run(scenario())
         assert histogram == {"4": 1}, "the pipelined run must flush as one batch"
         for config, body in zip(configs, bodies):
-            solo = asyncio.run(_predict_alone(models_path, config, cache_size=0))
+            solo = asyncio.run(_predict_alone(models_path, config))
             assert body == solo, "batch composition must not change a single byte"
 
-    def test_no_batching_server_serves_identical_bytes(self, models_path):
-        batched = asyncio.run(_predict_alone(models_path, CONFIG, cache_size=0))
-        unbatched = asyncio.run(_predict_alone(models_path, CONFIG, cache_size=0, max_batch=1))
+    def test_no_batching_server_serves_identical_bytes(self, models_path, uncached):
+        batched = asyncio.run(_predict_alone(models_path, CONFIG))
+        with _window(1, batching.MAX_DELAY_US):
+            unbatched = asyncio.run(_predict_alone(models_path, CONFIG))
         assert batched == unbatched
 
     def test_batch_threshold_flushes_before_the_window(self, models_path):
-        """max_batch=2 with a 10s window: two requests must not wait for the timer."""
+        """MAX_BATCH=2 with a 10s window: two requests must not wait for the timer."""
         async def scenario():
-            server = await start_server(
-                models_path, watch=False, max_batch=2, max_delay_us=10_000_000
-            )
+            server = await start_server(models_path, watch=False)
             try:
                 reader, writer = await asyncio.open_connection(server.host, server.port)
                 writer.write(
@@ -149,14 +165,13 @@ class TestPredictEndpoint:
             finally:
                 await server.close()
 
-        asyncio.run(scenario())
+        with _window(2, 10_000_000):
+            asyncio.run(scenario())
 
     def test_window_timer_flushes_a_lone_request(self, models_path):
         """A single request under a 20ms window is answered by the timer flush."""
         async def scenario():
-            server = await start_server(
-                models_path, watch=False, max_batch=1_000_000, max_delay_us=20_000
-            )
+            server = await start_server(models_path, watch=False)
             try:
                 reader, writer = await asyncio.open_connection(server.host, server.port)
                 writer.write(request_bytes("POST", "/predict", CONFIG))
@@ -167,7 +182,8 @@ class TestPredictEndpoint:
             finally:
                 await server.close()
 
-        asyncio.run(scenario())
+        with _window(1_000_000, 20_000):
+            asyncio.run(scenario())
 
 
 class TestHttpSurface:
@@ -406,7 +422,7 @@ class TestWritePath:
 
         asyncio.run(scenario())
 
-    def test_a_reset_client_mid_batch_costs_its_batch_mates_nothing(self, models_path):
+    def test_a_reset_client_mid_batch_costs_its_batch_mates_nothing(self, models_path, uncached):
         doomed_configs = [{**VOLUME, "num_tasks": tasks} for tasks in (2, 4, 8, 16)]
         mate_configs = [{**CONFIG, "num_tasks": tasks} for tasks in (1, 2, 4, 8)]
 
@@ -414,9 +430,7 @@ class TestWritePath:
             loop = asyncio.get_running_loop()
             raised: list[dict] = []
             loop.set_exception_handler(lambda loop, context: raised.append(context))
-            server = await start_server(
-                models_path, watch=False, cache_size=0, max_batch=1_000_000, max_delay_us=10_000_000
-            )
+            server = await start_server(models_path, watch=False)
             try:
                 doomed = socket.create_connection((server.host, server.port))
                 doomed.sendall(b"".join(request_bytes("POST", "/predict", c) for c in doomed_configs))
@@ -446,18 +460,16 @@ class TestWritePath:
             finally:
                 await server.close()
 
-        bodies = asyncio.run(scenario())
+        with _window(1_000_000, 10_000_000):
+            bodies = asyncio.run(scenario())
         for config, body in zip(mate_configs, bodies):
-            assert body == asyncio.run(_predict_alone(models_path, config, cache_size=0))
+            assert body == asyncio.run(_predict_alone(models_path, config))
 
-    def test_a_half_closed_client_receives_every_owed_response_in_order(self, models_path):
+    def test_a_half_closed_client_receives_every_owed_response_in_order(self, models_path, uncached):
         configs = [{**VOLUME, "num_tasks": tasks} for tasks in (2, 4, 8)]
 
         async def scenario():
-            # A 10 s window: only the EOF drain can answer within the timeout.
-            server = await start_server(
-                models_path, watch=False, cache_size=0, max_batch=1_000_000, max_delay_us=10_000_000
-            )
+            server = await start_server(models_path, watch=False)
             try:
                 reader, writer = await asyncio.open_connection(server.host, server.port)
                 requests = [request_bytes("POST", "/predict", c) for c in configs]
@@ -474,11 +486,13 @@ class TestWritePath:
             finally:
                 await server.close()
 
-        responses = asyncio.run(scenario())
+        # A 10 s window: only the EOF drain can answer within the timeout.
+        with _window(1_000_000, 10_000_000):
+            responses = asyncio.run(scenario())
         status, health = responses.pop(1)
         assert status == 200 and json.loads(health)["status"] == "ok"
         for config, response in zip(configs, responses):
-            assert response == (200, asyncio.run(_predict_alone(models_path, config, cache_size=0)))
+            assert response == (200, asyncio.run(_predict_alone(models_path, config)))
 
 
 class TestHotReload:
@@ -507,12 +521,13 @@ class TestHotReload:
 
         asyncio.run(scenario())
 
-    def test_watcher_reloads_on_its_own(self, models_path, tmp_path):
+    def test_watcher_reloads_on_its_own(self, models_path, tmp_path, monkeypatch):
         models = tmp_path / "models.json"
         models.write_bytes(models_path.read_bytes())
+        monkeypatch.setattr(serving_server, "RELOAD_POLL_S", 0.05)
 
         async def scenario():
-            server = await start_server(models, reload_poll_s=0.05)
+            server = await start_server(models)
             try:
                 old_digest = server.core.handle.digest
                 _fit_suite(seed=29).save(models)
@@ -527,7 +542,12 @@ class TestHotReload:
 
         asyncio.run(scenario())
 
-    def test_invalid_file_keeps_the_old_suite_serving(self, models_path, tmp_path):
+    @pytest.mark.parametrize(
+        "invalid",
+        ['{"torn": ', "[]", "null", '{"schema": 1, "models": [1]}'],
+        ids=["torn-read", "list", "null", "non-object-entry"],
+    )
+    def test_invalid_file_keeps_the_old_suite_serving(self, models_path, tmp_path, invalid):
         models = tmp_path / "models.json"
         models.write_bytes(models_path.read_bytes())
 
@@ -536,9 +556,14 @@ class TestHotReload:
             try:
                 client = await ServingClient.connect(server.host, server.port)
                 old_digest = server.core.handle.digest
-                models.write_text('{"torn": ')  # a torn mid-write read
-                reload_payload = await client.reload()
-                assert reload_payload["reloaded"] is False
+                models.write_text(invalid)
+                # /healthz pipelined behind the failing /reload is answered too.
+                client.writer.write(request_bytes("POST", "/reload") + request_bytes("GET", "/healthz"))
+                await client.writer.drain()
+                status, reload_body = await asyncio.wait_for(read_response(client.reader), timeout=5.0)
+                assert status == 200 and json.loads(reload_body)["reloaded"] is False
+                status, health = await asyncio.wait_for(read_response(client.reader), timeout=5.0)
+                assert status == 200 and json.loads(health)["models_digest"] == old_digest
                 assert server.reload_errors == 1
                 status, payload = await client.predict(CONFIG)
                 assert status == 200 and payload["models_digest"] == old_digest
@@ -551,7 +576,7 @@ class TestHotReload:
     def test_in_flight_batch_is_stamped_with_the_handle_that_served_it(self, models_path):
         """A queued batch captures one handle at flush: no torn reads mid-batch."""
         core = ServingCore.from_path(models_path, cache_size=0)
-        batcher = MicroBatcher(core, max_batch=1_000_000, max_delay_us=10_000_000)
+        batcher = MicroBatcher(core)
         outcomes: list[tuple[tuple, dict]] = []
 
         async def scenario():
@@ -568,7 +593,8 @@ class TestHotReload:
             core.swap(swapped)
             batcher.flush()
 
-        asyncio.run(scenario())
+        with _window(1_000_000, 10_000_000):
+            asyncio.run(scenario())
         assert len(outcomes) == 2
         generations = {meta["generation"] for _, meta in outcomes}
         assert generations == {5}, "one batch, one handle: every response stamped alike"

@@ -84,8 +84,11 @@ def _hanging_execute(spec: dict) -> dict:
     return {"row_type": "echo", "value": spec["value"] * 2}
 
 
-def _dict_key(spec: dict) -> dict:
-    return spec
+class _Spec(dict):
+    """A dict spec with the one method the executor's cache reads."""
+
+    def key_payload(self) -> dict:
+        return dict(self)
 
 
 #: The culprit of the chunked-dispatch tests: far enough into the sweep that the
@@ -129,15 +132,15 @@ def _cache_writer(root: str, base: int, count: int, barrier) -> None:
 # ---------------------------------------------------------------------------
 
 class TestSweepExecutor:
-    SPECS = [{"value": index} for index in range(6)]
+    SPECS = [_Spec(value=index) for index in range(6)]
 
     def test_inline_executes_all(self):
-        outcome = SweepExecutor(_echo_execute, jobs=1, key_fn=_dict_key).run(self.SPECS)
+        outcome = SweepExecutor(_echo_execute, jobs=1).run(self.SPECS)
         assert [p["value"] for p in outcome.payloads] == [0, 2, 4, 6, 8, 10]
         assert outcome.executed == 6 and not outcome.failures
 
     def test_inline_isolates_exceptions(self):
-        outcome = SweepExecutor(_flaky_execute, jobs=1, key_fn=_dict_key).run(self.SPECS)
+        outcome = SweepExecutor(_flaky_execute, jobs=1).run(self.SPECS)
         assert outcome.payloads[2] is None
         assert [f.index for f in outcome.failures] == [2]
         assert outcome.failures[0].reason == "error"
@@ -145,18 +148,18 @@ class TestSweepExecutor:
         assert sum(p is not None for p in outcome.payloads) == 5
 
     def test_pool_matches_inline_order(self):
-        outcome = SweepExecutor(_echo_execute, jobs=3, key_fn=_dict_key).run(self.SPECS)
+        outcome = SweepExecutor(_echo_execute, jobs=3).run(self.SPECS)
         assert [p["value"] for p in outcome.payloads] == [0, 2, 4, 6, 8, 10]
 
     def test_pool_isolates_exceptions(self):
-        outcome = SweepExecutor(_flaky_execute, jobs=2, key_fn=_dict_key).run(self.SPECS)
+        outcome = SweepExecutor(_flaky_execute, jobs=2).run(self.SPECS)
         assert outcome.payloads[2] is None
         assert [f.index for f in outcome.failures] == [2]
         assert outcome.failures[0].reason == "error"
         assert "injected failure" in outcome.failures[0].message
 
     def test_pool_isolates_worker_crashes(self):
-        outcome = SweepExecutor(_crashing_execute, jobs=2, key_fn=_dict_key).run(self.SPECS)
+        outcome = SweepExecutor(_crashing_execute, jobs=2).run(self.SPECS)
         assert outcome.payloads[1] is None
         failures = {f.index: f for f in outcome.failures}
         assert failures[1].reason == "crash"
@@ -165,7 +168,7 @@ class TestSweepExecutor:
 
     def test_pool_enforces_per_experiment_timeout(self):
         start = time.monotonic()
-        outcome = SweepExecutor(_hanging_execute, jobs=2, timeout=1.0, key_fn=_dict_key).run(
+        outcome = SweepExecutor(_hanging_execute, jobs=2, timeout=1.0).run(
             self.SPECS
         )
         elapsed = time.monotonic() - start
@@ -177,7 +180,7 @@ class TestSweepExecutor:
     def test_serial_timeout_enforced_via_one_worker_pool(self):
         # jobs=1 cannot kill an in-process hang, so a timeout-carrying serial
         # run must transparently use a killable one-worker pool.
-        outcome = SweepExecutor(_hanging_execute, jobs=1, timeout=1.0, key_fn=_dict_key).run(
+        outcome = SweepExecutor(_hanging_execute, jobs=1, timeout=1.0).run(
             self.SPECS
         )
         failures = {f.index: f for f in outcome.failures}
@@ -186,7 +189,7 @@ class TestSweepExecutor:
 
     def test_cache_short_circuits_resume(self, tmp_path):
         cache = CorpusCache(tmp_path / "cache", token="t0")
-        executor = SweepExecutor(_echo_execute, jobs=1, cache=cache, key_fn=_dict_key)
+        executor = SweepExecutor(_echo_execute, jobs=1, cache=cache)
         first = executor.run(self.SPECS)
         assert first.executed == 6 and first.cache_hits == 0
         second = executor.run(self.SPECS, resume=True)
@@ -197,8 +200,8 @@ class TestSweepExecutor:
 
     def test_failures_are_never_cached(self, tmp_path):
         cache = CorpusCache(tmp_path / "cache", token="t0")
-        SweepExecutor(_flaky_execute, jobs=1, cache=cache, key_fn=_dict_key).run(self.SPECS)
-        resumed = SweepExecutor(_echo_execute, jobs=1, cache=cache, key_fn=_dict_key).run(
+        SweepExecutor(_flaky_execute, jobs=1, cache=cache).run(self.SPECS)
+        resumed = SweepExecutor(_echo_execute, jobs=1, cache=cache).run(
             self.SPECS, resume=True
         )
         # The previously-failed spec re-executes and succeeds this time.
@@ -209,7 +212,7 @@ class TestSweepExecutor:
 class TestChunkedDispatch:
     """Sub-millisecond specs travel many to a message; isolation stays per spec."""
 
-    SPECS = [{"value": index} for index in range(240)]
+    SPECS = [_Spec(value=index) for index in range(240)]
 
     @pytest.fixture
     def chunks(self, monkeypatch):
@@ -250,12 +253,12 @@ class TestChunkedDispatch:
         assert culprit_chunk[0] < CULPRIT < culprit_chunk[-1]
 
     def test_crash_fails_one_spec_and_requeues_its_chunk_mates(self, roomy_chunks):
-        outcome = SweepExecutor(_crash_at_culprit, jobs=2, key_fn=_dict_key).run(self.SPECS)
+        outcome = SweepExecutor(_crash_at_culprit, jobs=2).run(self.SPECS)
         self._assert_only_the_culprit_failed(outcome, roomy_chunks, "crash")
 
     def test_timeout_fails_one_spec_and_requeues_its_chunk_mates(self, roomy_chunks):
         start = time.monotonic()
-        outcome = SweepExecutor(_hang_at_culprit, jobs=2, timeout=1.0, key_fn=_dict_key).run(
+        outcome = SweepExecutor(_hang_at_culprit, jobs=2, timeout=1.0).run(
             self.SPECS
         )
         # The deadline restarts at each reply: one timeout, not one per chunk-mate.
@@ -263,12 +266,12 @@ class TestChunkedDispatch:
         self._assert_only_the_culprit_failed(outcome, roomy_chunks, "timeout")
 
     def test_exception_fails_one_spec_and_the_chunk_carries_on(self, roomy_chunks):
-        outcome = SweepExecutor(_raise_at_culprit, jobs=2, key_fn=_dict_key).run(self.SPECS)
+        outcome = SweepExecutor(_raise_at_culprit, jobs=2).run(self.SPECS)
         self._assert_only_the_culprit_failed(outcome, roomy_chunks, "error")
         assert outcome.failures[0].error_type == "ValueError"
 
     def test_chunks_never_exceed_the_tail_share(self, chunks):
-        SweepExecutor(_echo_execute, jobs=2, key_fn=_dict_key).run(self.SPECS)
+        SweepExecutor(_echo_execute, jobs=2).run(self.SPECS)
         assert sorted(index for chunk in chunks for index in chunk) == list(range(240))
         remaining = 240
         for chunk in chunks:
@@ -289,7 +292,7 @@ class TestChunkedDispatch:
                 return {"value": spec["value"]}
 
             specs = [{"value": index} for index in range(100_000)]
-            SweepExecutor(execute, jobs=2, key_fn=lambda spec: spec).run(specs)
+            SweepExecutor(execute, jobs=2).run(specs)
             """
         )
         sweep = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)])
@@ -319,7 +322,7 @@ class TestChunkedDispatch:
         assert not leaked, f"orphaned workers {leaked} outlived their dispatcher"
 
     def test_slow_specs_travel_alone_and_overlap(self, chunks):
-        outcome = SweepExecutor(_slow_execute, jobs=2, key_fn=_dict_key).run(self.SPECS[:6])
+        outcome = SweepExecutor(_slow_execute, jobs=2).run(self.SPECS[:6])
         assert all(len(chunk) == 1 for chunk in chunks) and len(chunks) == 6
         first, second = outcome.payloads[0], outcome.payloads[1]
         assert max(first["start"], second["start"]) < min(first["end"], second["end"])
@@ -740,7 +743,7 @@ class TestSlowestRankSelection:
         with pytest.raises(ValueError, match=message):
             build_plan(config)
         with pytest.raises(ValueError, match=message):
-            run_study(config, strict=False)
+            run_plan(build_plan(config))
         # No host renders planned, nothing to sample: the plan stands.
         modeled = dataclasses.replace(config, architectures=("gpu1-k40m",))
         assert len(build_plan(modeled)) == len(
@@ -976,7 +979,7 @@ class TestResumeSemantics:
         )
         with pytest.raises(RuntimeError, match="2 of 2 experiments failed"):
             run_study(config, include_compositing=False)
-        corpus = run_study(config, include_compositing=False, strict=False)
+        corpus, _report = run_plan(build_plan(config, include_compositing=False))
         assert len(corpus.failures) == 2 and corpus.records == []
         assert corpus.compositing_records == []
         # With the compositing matrix the failures stay and its rows land.
@@ -985,7 +988,7 @@ class TestResumeSemantics:
         )
         with pytest.raises(RuntimeError, match="2 of 3 experiments failed"):
             run_study(config)
-        corpus = run_study(config, strict=False)
+        corpus, _report = run_plan(build_plan(config))
         assert len(corpus.failures) == 2 and len(corpus.compositing_records) == 1
 
     def test_broken_config_records_failure_row(self, monkeypatch):
@@ -1071,7 +1074,7 @@ class TestResumeSemantics:
             build_plan(config)
         assert str(planned.value).startswith(message)
         with pytest.raises(ValueError) as studied:
-            run_study(config, strict=False)
+            run_plan(build_plan(config))
         assert str(studied.value) == str(planned.value)
         if stale is None:
             return

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.reporting.suite import ModelSuite
+from repro.study import cli as study_cli
+from repro.study.corpus_io import load_corpus
 from repro.study.trajectory import append_trajectory_rows
 from repro.util import (
     Timer,
@@ -193,6 +195,31 @@ class TestAtomicWrite:
         assert sorted(entry.name for entry in tmp_path.iterdir()) == ["BENCH_learning.json", "models.json"]
         monkeypatch.undo()
         assert json.loads(ModelSuite(seed=2).save(models).read_text())["seed"] == 2
+
+    def test_failed_cli_out_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        matrix = ["--preset", "smoke", "--architectures", "gpu1-k40m", "--techniques", "raytrace",
+                  "--samples", "4", "--no-compositing"]
+        corpus = tmp_path / "corpus.json"
+        assert study_cli.main(["run", *matrix, "--out", str(corpus)]) == 0
+        models = ModelSuite.fit_corpus(load_corpus(corpus)).save(tmp_path / "models.json")
+        writers = {
+            "plan.json": ["plan", *matrix],
+            "batch.json": ["plan", *matrix, "--adaptive", "--corpus", str(corpus), "--batch-size", "2"],
+            "rows.json": ["predict", str(models), "--architecture", "gpu1-k40m", "--technique", "raytrace"],
+        }
+        for name in writers:
+            (tmp_path / name).write_text(f"previous {name}\n", encoding="utf-8")
+        before = sorted(entry.name for entry in tmp_path.iterdir())
+
+        def fail_before_rename(source, target):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail_before_rename)
+        for name, argv in writers.items():
+            with pytest.raises(OSError, match="disk full"):
+                study_cli.main([*argv, "--out", str(tmp_path / name)])
+            assert (tmp_path / name).read_text(encoding="utf-8") == f"previous {name}\n"
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == before
 
     def test_a_block_that_raises_leaves_the_target_and_no_temporary_file(self, tmp_path):
         path = tmp_path / "corpus.json"
