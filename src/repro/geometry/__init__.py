@@ -28,7 +28,6 @@ from repro.geometry.transforms import (
     look_at_matrix,
     perspective_matrix,
     project_points,
-    viewport_transform,
 )
 from repro.geometry.triangles import TriangleMesh, external_faces, quad_to_triangles
 from repro.geometry.tetra import (
@@ -68,5 +67,4 @@ __all__ = [
     "richtmyer_meshkov_like_field",
     "tetrahedralize_uniform_grid",
     "triangle_aabbs",
-    "viewport_transform",
 ]

@@ -24,7 +24,6 @@ from repro.geometry.aabb import AABB
 __all__ = [
     "look_at_matrix",
     "perspective_matrix",
-    "viewport_transform",
     "project_points",
     "Camera",
 ]
@@ -67,20 +66,6 @@ def perspective_matrix(fov_y_degrees: float, aspect: float, near: float, far: fl
     proj[2, 3] = 2.0 * far * near / (near - far)
     proj[3, 2] = -1.0
     return proj
-
-
-def viewport_transform(ndc: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Map normalized device coordinates ``[-1, 1]`` to pixel coordinates.
-
-    Returns an ``(n, 3)`` array of ``(px, py, depth)`` where depth is the NDC
-    z remapped to ``[0, 1]`` (0 = near plane).
-    """
-    ndc = np.asarray(ndc, dtype=np.float64)
-    out = np.empty_like(ndc)
-    out[:, 0] = (ndc[:, 0] + 1.0) * 0.5 * width
-    out[:, 1] = (ndc[:, 1] + 1.0) * 0.5 * height
-    out[:, 2] = (ndc[:, 2] + 1.0) * 0.5
-    return out
 
 
 def project_points(points: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +143,7 @@ class Camera:
         Pixel ids index the framebuffer row-major (``py * width + px``); when
         omitted, rays are generated for every pixel.  Rays pass through pixel
         centers.  Returns ``(origins, directions)`` with directions normalized.
-        Row 0 is the top of the image; :meth:`world_to_screen` counts from the bottom.
+        Row 0 is the top of the image, as in :meth:`world_to_screen`.
         """
         if pixel_ids is None:
             pixel_ids = np.arange(self.width * self.height, dtype=np.int64)
@@ -184,11 +169,17 @@ class Camera:
         """Project world points to ``(px, py, depth01)`` screen coordinates.
 
         Returns ``(screen, w)``; callers use ``w > 0`` to cull points behind
-        the camera.  Row 0 is the bottom of the image; :meth:`generate_rays`
-        counts from the top.
+        the camera.  ``depth01`` is the NDC z remapped to ``[0, 1]`` (0 = near
+        plane).  Row 0 is the top of the image, as in :meth:`generate_rays`:
+        ``py`` is ``height`` minus the OpenGL viewport's bottom-up row, an
+        exact mirror, so a box's floor/ceil pixel edges mirror exactly too.
         """
         ndc, w = project_points(points, self.view_projection_matrix())
-        return viewport_transform(ndc, self.width, self.height), w
+        screen = np.empty_like(ndc)
+        screen[:, 0] = (ndc[:, 0] + 1.0) * 0.5 * self.width
+        screen[:, 1] = self.height - (ndc[:, 1] + 1.0) * 0.5 * self.height
+        screen[:, 2] = (ndc[:, 2] + 1.0) * 0.5
+        return screen, w
 
     def depth_along_view(self, points: np.ndarray) -> np.ndarray:
         """Distance of points along the view direction (camera-space -z)."""

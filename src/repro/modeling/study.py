@@ -437,18 +437,35 @@ def corpus_to_payload(corpus: StudyCorpus, metadata: dict | None = None) -> dict
     return payload
 
 
-def corpus_from_payload(payload: dict) -> StudyCorpus:
-    """Rebuild a corpus; tolerates payloads without a ``failures`` section."""
+def corpus_from_payload(payload: object) -> StudyCorpus:
+    """Rebuild a corpus; tolerates payloads without a ``failures`` section.
+
+    Raises ``ValueError`` naming the field for JSON of the wrong shape: a
+    payload that is not an object, a ``schema`` that is not an integer up to
+    :data:`SCHEMA_VERSION`, or a row section that is not a list of rows.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"the corpus is a JSON {type(payload).__name__}, not an object")
     schema = payload.get("schema", SCHEMA_VERSION)
+    if type(schema) is not int:
+        raise ValueError(f"corpus field 'schema' is {schema!r}, not an integer")
     if schema > SCHEMA_VERSION:
         raise ValueError(f"corpus schema {schema} is newer than supported {SCHEMA_VERSION}")
-    return StudyCorpus(
-        records=[experiment_record_from_payload(r) for r in payload.get("records", [])],
-        compositing_records=[
-            compositing_record_from_payload(r) for r in payload.get("compositing_records", [])
-        ],
-        failures=[failure_record_from_payload(r) for r in payload.get("failures", [])],
-    )
+    sections = {}
+    for name, decode in (
+        ("records", experiment_record_from_payload),
+        ("compositing_records", compositing_record_from_payload),
+        ("failures", failure_record_from_payload),
+    ):
+        rows = payload.get(name, [])
+        try:
+            if not isinstance(rows, list):
+                raise TypeError(f"a JSON {type(rows).__name__}")
+            sections[name] = [decode(row) for row in rows]
+        except (AttributeError, LookupError, TypeError, ValueError) as error:
+            detail = f"{type(error).__name__}: {error}"
+            raise ValueError(f"corpus field {name!r} is not a list of rows ({detail})") from None
+    return StudyCorpus(**sections)
 
 
 def corpus_digest(corpus: StudyCorpus) -> str:

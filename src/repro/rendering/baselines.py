@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.geometry.aabb import ray_box_intervals
 from repro.geometry.mesh import UnstructuredTetMesh
 from repro.geometry.transforms import Camera
 from repro.rendering.framebuffer import Framebuffer
+from repro.rendering.rays import RayEmitter, pixel_boxes
 from repro.rendering.raytracer.bvh import build_bvh
 from repro.rendering.raytracer.traversal import closest_hit
 from repro.rendering.result import ObservedFeatures, PhaseClock, RenderResult
@@ -141,15 +141,10 @@ class ProjectedTetrahedraRenderer:
             order = np.argsort(-cell_depth, kind="stable")  # back to front
 
         with clock.phase("rasterize"):
-            tet_xy = screen[corner][..., :2]
-            lo = np.floor(tet_xy.min(axis=1)).astype(np.int64)
-            hi = np.ceil(tet_xy.max(axis=1)).astype(np.int64)
-            lo[:, 0] = np.clip(lo[:, 0], 0, width - 1)
-            lo[:, 1] = np.clip(lo[:, 1], 0, height - 1)
-            hi[:, 0] = np.clip(hi[:, 0], 0, width)
-            hi[:, 1] = np.clip(hi[:, 1], 0, height)
-            box_w = np.maximum(hi[:, 0] - lo[:, 0], 1)
-            box_h = np.maximum(hi[:, 1] - lo[:, 1], 1)
+            # Every splat covers at least one pixel, as the sampler's tets do.
+            lo, hi = pixel_boxes(screen[corner][..., :2], width, height)
+            lo = np.minimum(lo, [width - 1, height - 1])
+            box_w, box_h = np.maximum(hi - lo, 1).T
             in_front = np.all(w[corner] > 0.0, axis=1)
             footprint = box_w * box_h * in_front
             accum_rgb = np.zeros((width * height, 3))
@@ -187,10 +182,6 @@ class ProjectedTetrahedraRenderer:
         nearest = float(cell_depth[ordered].min()) if len(ordered) else np.inf
         framebuffer.write_pixels(written, rgba[written], np.full(len(written), max(nearest, 0.0)))
         return RenderResult(framebuffer, clock.seconds, features, technique="havs_proxy")
-
-    def visibility_depth(self, camera: Camera) -> float:
-        """Distance from the camera to the mesh center (for visibility ordering)."""
-        return camera.visibility_distance(self.mesh.bounds)
 
 
 @dataclass
@@ -251,23 +242,16 @@ class ConnectivityRayCaster:
         tf = self.transfer_function
 
         with clock.phase("ray_setup"):
-            pixel_ids = np.arange(camera.width * camera.height, dtype=np.int64)
-            origins, directions = camera.generate_rays(pixel_ids)
-            near, far = ray_box_intervals(origins, directions, bounds.low, bounds.high)
-            near = np.maximum(near, 0.0)
-            active = far > near
+            active_ids, o, d, near, far = RayEmitter(camera).emit_clipped(bounds)
 
         with clock.phase("march"):
-            active_ids = np.flatnonzero(active)
             step = bounds.diagonal / self.samples_in_depth
             accum_rgb = np.zeros((len(active_ids), 3))
             accum_alpha = np.zeros(len(active_ids))
-            o = origins[active_ids]
-            d = directions[active_ids]
-            n_steps = int(np.ceil((far[active_ids] - near[active_ids]).max() / step)) if len(active_ids) else 0
+            n_steps = int(np.ceil((far - near).max() / step)) if len(active_ids) else 0
             for index in range(n_steps):
-                t = near[active_ids] + (index + 0.5) * step
-                inside_ray = t < far[active_ids]
+                t = near + (index + 0.5) * step
+                inside_ray = t < far
                 if not np.any(inside_ray):
                     break
                 position = o + t[:, None] * d
@@ -292,12 +276,8 @@ class ConnectivityRayCaster:
         written = active_ids[covered]
         # Covered pixels report their ray's entry distance (the shared depth
         # convention); misses stay inf.
-        framebuffer.write_pixels(written, rgba[covered], near[written])
+        framebuffer.write_pixels(written, rgba[covered], near[covered])
         return RenderResult(framebuffer, clock.seconds, features, technique="bunyk_proxy")
-
-    def visibility_depth(self, camera: Camera) -> float:
-        """Distance from the camera to the mesh center (for visibility ordering)."""
-        return camera.visibility_distance(self.mesh.bounds)
 
 
 @dataclass
@@ -326,7 +306,3 @@ class VisItStyleSampler:
         result = renderer.render(camera)
         result.technique = "visit_proxy"
         return result
-
-    def visibility_depth(self, camera: Camera) -> float:
-        """Distance from the camera to the mesh center (for visibility ordering)."""
-        return camera.visibility_distance(self.mesh.bounds)

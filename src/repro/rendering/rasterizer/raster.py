@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.geometry.transforms import Camera
 from repro.rendering.framebuffer import Framebuffer
+from repro.rendering.rays import pixel_boxes
 from repro.rendering.result import ObservedFeatures, PhaseClock, RenderResult
 from repro.rendering.scene import Scene
 from repro.util.packing import chunk_ranges, segment_local_indices
@@ -83,7 +84,7 @@ class Rasterizer:
 
         # -- rasterization phase: barycentric sampling of each footprint ------------
         with clock.phase("rasterize"):
-            pixels_considered, fragments = self._rasterize_visible(
+            pixels_considered = self._rasterize_visible(
                 camera, framebuffer, visible_ids, corner_screen, corner_ids
             )
 
@@ -104,11 +105,8 @@ class Rasterizer:
         visible_ids: np.ndarray,
         corner_screen: np.ndarray,
         corner_ids: np.ndarray,
-    ) -> tuple[int, int]:
-        """Depth-tested barycentric rasterization of the visible triangles.
-
-        Returns ``(pixels_considered, fragments_written)``.
-        """
+    ) -> int:
+        """Depth-tested barycentric rasterization of the visible triangles; returns the pixels considered."""
         width, height = camera.width, camera.height
         vertex_colors = self.scene.vertex_colors()
 
@@ -123,27 +121,21 @@ class Rasterizer:
         to_camera /= np.maximum(np.linalg.norm(to_camera, axis=1, keepdims=True), 1e-12)
         lambert = 0.3 + 0.7 * np.abs(np.einsum("ij,ij->i", normals, to_camera))
 
-        # Integer pixel bounding boxes, clipped to the viewport.
-        lo = np.floor(tri_screen[..., :2].min(axis=1)).astype(np.int64)
-        hi = np.ceil(tri_screen[..., :2].max(axis=1)).astype(np.int64)
-        lo[:, 0] = np.clip(lo[:, 0], 0, width - 1)
-        lo[:, 1] = np.clip(lo[:, 1], 0, height - 1)
-        hi[:, 0] = np.clip(hi[:, 0], 0, width)
-        hi[:, 1] = np.clip(hi[:, 1], 0, height)
-        box_width = np.maximum(hi[:, 0] - lo[:, 0], 0)
-        box_height = np.maximum(hi[:, 1] - lo[:, 1], 0)
+        # Integer pixel bounding boxes, clipped to the viewport; a box may be
+        # empty, and its pixels are the footprint PPT counts.
+        lo, hi = pixel_boxes(tri_screen[..., :2], width, height)
+        box_width, box_height = (hi - lo).T
         footprint = box_width * box_height
         pixels_considered = int(footprint.sum())
 
         # Candidate (triangle, pixel) pairs, processed in bounded chunks.
         order = np.flatnonzero(footprint > 0)
-        fragments_written = 0
         for start, end in chunk_ranges(footprint[order], PAIR_CHUNK):
-            fragments_written += self._rasterize_chunk(
+            self._rasterize_chunk(
                 framebuffer, order[start:end], tri_screen, tri_corners, lo, box_width,
                 box_height, vertex_colors, lambert, width,
             )
-        return pixels_considered, fragments_written
+        return pixels_considered
 
     def _rasterize_chunk(
         self,
@@ -157,13 +149,13 @@ class Rasterizer:
         vertex_colors: np.ndarray,
         lambert: np.ndarray,
         image_width: int,
-    ) -> int:
-        """Rasterize one chunk of triangles; returns the number of fragments written."""
+    ) -> None:
+        """Rasterize one chunk of triangles into the framebuffer."""
         widths = box_width[chunk]
         heights = box_height[chunk]
         counts = widths * heights
         if counts.sum() == 0:
-            return 0
+            return
         # Expand each triangle into its candidate pixel list.
         tri_of_pair = np.repeat(np.arange(len(chunk)), counts)
         local = segment_local_indices(counts)
@@ -193,7 +185,7 @@ class Rasterizer:
         )
         covered = np.flatnonzero(inside)
         if len(covered) == 0:
-            return 0
+            return
 
         # Depth and color only for the covered pairs: a pair's values depend
         # on that pair alone, so they are the ones every candidate would get.
@@ -223,4 +215,3 @@ class Rasterizer:
         flat_depth[target] = depth[winners][closer]
         flat_rgba[target, :3] = colors[winners][closer]
         flat_rgba[target, 3] = 1.0
-        return int(len(target))

@@ -9,7 +9,8 @@ direction components).  :class:`RayEmitter` centralizes all of it on top of
 test :func:`repro.geometry.aabb.ray_box_intervals`.  Which pixels get a ray is
 decided in one place, :func:`screen_footprint`: the pixels whose center rays
 can reach the bounds of what is rendered, so a block that covers a fraction
-of the screen pays for that fraction.
+of the screen pays for that fraction; it and the object-order renderers'
+boxes are :func:`pixel_boxes`, with row 0 at the top of the image.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.geometry.aabb import AABB, ray_box_intervals
 from repro.geometry.transforms import Camera
 from repro.util.morton import morton_encode_2d
 
-__all__ = ["CameraPath", "RayEmitter", "pixels_reaching", "screen_footprint"]
+__all__ = ["CameraPath", "RayEmitter", "pixel_boxes", "pixels_reaching", "screen_footprint"]
 
 #: How far :func:`pixels_reaching` grows a box before the slab test, as a
 #: fraction of the box diagonal.  The renderers decide coverage with their own
@@ -113,36 +114,46 @@ def _clamped_spans(
     return np.maximum(t_near, 0.0), t_far
 
 
+def pixel_boxes(xy: np.ndarray, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``: the pixels ``lo <= (px, py) < hi`` each of ``n`` sets of screen points touches.
+
+    ``xy`` is ``(n, k, 2)`` :meth:`Camera.world_to_screen` positions; a box runs from the floor of
+    the set's minimum to the ceiling of its maximum, clamped to the screen before the integer cast
+    (so it is empty off screen, and a huge, infinite or NaN position lands on an edge or 0).  A
+    caller that needs at least one pixel per box applies that minimum itself.
+    """
+    limit = np.array([width, height])
+    lo = np.fmin(np.fmax(np.floor(xy.min(axis=1)), 0), limit).astype(np.int64)
+    hi = np.fmin(np.fmax(np.ceil(xy.max(axis=1)), 0), limit).astype(np.int64)
+    return lo, hi
+
+
 def screen_footprint(camera: Camera, bounds: AABB | None) -> np.ndarray:
     """Row-major ids of the pixel rectangle holding every pixel whose center ray can reach ``bounds``.
 
-    The box's eight corners are projected with the basis and ``tan_half``
-    arithmetic of :meth:`Camera.generate_rays`.  A center ray meets the box
-    at a point that projects onto its pixel center, and a box wholly in
-    front of the camera projects inside its corners' rectangle, so every
-    such pixel lies in that rectangle; one pixel of padding absorbs the
-    rounding of both computations, which is many orders below a pixel.  The
-    result is clamped to the screen and may be empty.  The whole screen is
-    returned for ``bounds=None`` and whenever a corner is at or behind the
-    camera plane or does not project to a finite position.  Rows count from
-    the top, as in :meth:`Camera.generate_rays`, not from the bottom as in
-    :meth:`Camera.world_to_screen`.
+    The box's eight corners go through :meth:`Camera.world_to_screen`, and
+    the rectangle is :func:`pixel_boxes` of the corners grown by half a
+    pixel each way: every pixel whose center lies within one pixel of the
+    corners' rectangle.  A center ray meets the box at a point that projects
+    onto its pixel center, and a box wholly in front of the camera projects
+    inside its corners' rectangle, so every such pixel lies in that
+    rectangle; the pixel of padding absorbs the rounding of the projection
+    and of the ray setup, which is many orders below a pixel.  The result
+    may be empty.  The whole screen is returned for ``bounds=None`` and
+    whenever a corner is at or behind the camera plane or does not project
+    to a finite position.
     """
     width, height = camera.width, camera.height
-    columns, rows = (0, width), (0, height)
+    (x0, y0), (x1, y1) = (0, 0), (width, height)
     if bounds is not None:
-        right, true_up, forward = camera.basis()
-        tan_half = np.tan(np.radians(camera.fov_y_degrees) / 2.0)
-        corners = np.array(list(product(*zip(bounds.low, bounds.high)))) - camera.position
-        depth = corners @ forward
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            column = ((corners @ right) / (depth * tan_half * camera.aspect) + 1.0) * 0.5 * width - 0.5
-            row = (1.0 - (corners @ true_up) / (depth * tan_half)) * 0.5 * height - 0.5
-        if np.all(depth > 0.0) and np.all(np.isfinite(column)) and np.all(np.isfinite(row)):
-            columns = (max(int(np.ceil(column.min())) - 1, 0), min(int(np.floor(column.max())) + 2, width))
-            rows = (max(int(np.ceil(row.min())) - 1, 0), min(int(np.floor(row.max())) + 2, height))
-    row_ids = np.arange(*rows, dtype=np.int64)[:, None] * width
-    return (row_ids + np.arange(*columns, dtype=np.int64)[None, :]).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            screen, w = camera.world_to_screen(np.array(list(product(*zip(bounds.low, bounds.high)))))
+        corners = screen[:, :2]
+        if np.all(w > 0.0) and np.all(np.isfinite(corners)):
+            lo, hi = pixel_boxes(np.concatenate([corners - 0.5, corners + 0.5])[None], width, height)
+            (x0, y0), (x1, y1) = lo[0], hi[0]
+    row_ids = np.arange(y0, y1, dtype=np.int64)[:, None] * width
+    return (row_ids + np.arange(x0, x1, dtype=np.int64)[None, :]).ravel()
 
 
 def pixels_reaching(camera: Camera, boxes: Sequence[AABB]) -> list[int]:

@@ -23,7 +23,8 @@ pass selection.
 
 Since the frontier refactor the per-pixel accumulation runs on the shared
 :class:`repro.dpp.FrontierEngine`: every pixel of the block's *window* -- the
-rectangle its tets' clipped screen boxes span -- is a lane carrying its RGBA
+rectangle its tets' pixel boxes (:func:`repro.rendering.rays.pixel_boxes`,
+at least one pixel each) span -- is a lane carrying its RGBA
 accumulators, one engine step executes one pass, and a pixel crossing the
 early-termination opacity *retires* -- the engine compacts it out, later
 passes' samplers skip it via the residency mask, and later compositing never
@@ -72,6 +73,7 @@ from repro.geometry.mesh import UnstructuredTetMesh
 from repro.geometry.tetra import tet_face_planes
 from repro.geometry.transforms import Camera
 from repro.rendering.framebuffer import Framebuffer
+from repro.rendering.rays import pixel_boxes
 from repro.rendering.result import ObservedFeatures, PhaseClock, RenderResult
 from repro.rendering.volume import budget
 from repro.rendering.volume.transfer_function import TransferFunction
@@ -135,12 +137,17 @@ _HULL_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
 class _PreparedTets:
     """Per-tet screen-space state shared by the engine and reference paths.
 
-    ``screen_vertices`` holds the ``(px, py, depth-slot)`` positions; the face
-    planes/heights (:func:`tet_face_planes` over those vertices) power the
-    fragment sampler's analytic span test and are unused by the reference.
+    ``screen_vertices`` holds the ``(px, py, depth-slot)`` positions and
+    ``box_lo`` / ``box_size`` each tet's :func:`pixel_boxes` box, grown to at
+    least one pixel so sub-pixel tets leave no holes in a coarse mesh's image
+    (both samplers enumerate these pixel columns); the face planes/heights
+    (:func:`tet_face_planes` over the vertices) power the fragment sampler's
+    analytic span test and are unused by the reference.
     """
 
     screen_vertices: np.ndarray  # (nt, 4, 3)
+    box_lo: np.ndarray  # (nt, 2) first column and row
+    box_size: np.ndarray  # (nt, 2) columns and rows, each >= 1
     slot_low: np.ndarray  # (nt,)
     slot_high: np.ndarray  # (nt,)
     tet_scalars: np.ndarray  # (nt, 4)
@@ -153,13 +160,14 @@ class _PreparedTets:
 class _TetPassKernel:
     """One engine step per sampling pass over the depth-slot range.
 
-    Lanes are the pixels of the block's window, numbered row-major inside it
-    (:meth:`UnstructuredVolumeRenderer._lane_window`); the kernel runs the
-    pass-selection, screen-space, and sampling phases over every active tet
-    (they are object-order), gathers the resident pixels' sample rows, and
-    composites them into the lane accumulators.  Early ray termination is
-    lane retirement: the engine compacts opaque pixels away and the sampler's
-    residency mask stops generating candidate samples for them.
+    Lanes are the pixels of the block's window ``(x0, y0, w, h)``, the
+    rectangle the tets' pixel boxes span, numbered row-major inside it; the
+    kernel runs the pass-selection, screen-space, and sampling phases over
+    every active tet (they are object-order), gathers the resident pixels'
+    sample rows, and composites them into the lane accumulators.  Early ray
+    termination is lane retirement: the engine compacts opaque pixels away
+    and the sampler's residency mask stops generating candidate samples for
+    them.
     """
 
     output_fields = ("accum_rgb", "accum_alpha")
@@ -167,16 +175,18 @@ class _TetPassKernel:
     def __init__(
         self,
         renderer: "UnstructuredVolumeRenderer",
-        camera: Camera,
         prepared: _PreparedTets,
         clock: PhaseClock,
     ) -> None:
         self.renderer = renderer
-        self.camera = camera
         self.prepared = prepared
         self.clock = clock
         config = renderer.config
-        self.window = renderer._lane_window(prepared.screen_vertices, camera.width, camera.height)
+        self.window = (0, 0, 0, 0)
+        if len(prepared.box_lo):
+            x0, y0 = prepared.box_lo.min(axis=0).tolist()
+            x1, y1 = (prepared.box_lo + prepared.box_size).max(axis=0).tolist()
+            self.window = (x0, y0, x1 - x0, y1 - y0)
         self.num_lanes = self.window[2] * self.window[3]
         self.total_slots = config.samples_in_depth
         self.slots_per_pass = int(np.ceil(self.total_slots / config.num_passes))
@@ -207,6 +217,7 @@ class _TetPassKernel:
             # Screen-space tet vertices: (px, py, depth-slot), plus the face
             # planes powering the fragment sampler's analytic span test.
             vertices = self.prepared.screen_vertices[active]
+            box_lo, box_size = self.prepared.box_lo[active], self.prepared.box_size[active]
             active_planes = self.prepared.face_planes[active]
             active_heights = self.prepared.face_heights[active]
             active_scalars = self.prepared.tet_scalars[active]
@@ -218,8 +229,9 @@ class _TetPassKernel:
             open_mask[lanes.lane_ids[~lanes.retired]] = True
             sample_scalar = np.full((self.num_lanes, last_slot - first_slot), np.nan)
             renderer._sample_pass(
-                self.camera,
                 vertices,
+                box_lo,
+                box_size,
                 active_scalars,
                 active_planes,
                 active_heights,
@@ -265,18 +277,6 @@ class UnstructuredVolumeRenderer:
             )
 
     # -- phases ------------------------------------------------------------------------
-    def _initialization(self, camera: Camera) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-        """Per-tet screen vertices plus depth-slot ranges (the init step of Algorithm 2)."""
-        points = self.mesh.points()
-        screen, _ = camera.world_to_screen(points)
-        depth = camera.depth_along_view(points)
-        corner = self.mesh.connectivity
-        tet_screen_xy = screen[corner][..., :2]  # (nt, 4, 2)
-        tet_depth = depth[corner]  # (nt, 4)
-        depth_min = float(depth.min())
-        depth_max = float(depth.max())
-        return tet_screen_xy, tet_depth, corner, depth_min, depth_max
-
     def _pass_selection(
         self, slot_low: np.ndarray, slot_high: np.ndarray, first_slot: int, last_slot: int
     ) -> np.ndarray:
@@ -294,16 +294,25 @@ class UnstructuredVolumeRenderer:
         return gather(np.arange(len(flags), dtype=np.int64), indices)
 
     def _prepare(self, camera: Camera) -> _PreparedTets:
-        """Initialization phase shared by the engine and reference paths."""
+        """The init step of Algorithm 2, shared by the engine and reference paths."""
         total_slots = self.config.samples_in_depth
-        tet_screen_xy, tet_depth, corner, depth_min, depth_max = self._initialization(camera)
-        depth_extent = max(depth_max - depth_min, 1e-12)
-        tet_slots = (tet_depth - depth_min) / depth_extent * total_slots
+        points = self.mesh.points()
+        screen, _ = camera.world_to_screen(points)
+        depth = camera.depth_along_view(points)
+        corner = self.mesh.connectivity
+        tet_screen_xy = screen[corner][..., :2]  # (nt, 4, 2)
+        depth_min = float(depth.min())
+        depth_extent = max(float(depth.max()) - depth_min, 1e-12)
+        tet_slots = (depth[corner] - depth_min) / depth_extent * total_slots
         screen_vertices = np.concatenate([tet_screen_xy, tet_slots[..., None]], axis=2)
         face_planes, face_heights = tet_face_planes(screen_vertices)
         scalars = np.asarray(self.mesh.point_fields[self.field_name], dtype=np.float64)
+        box_lo, box_hi = pixel_boxes(tet_screen_xy, camera.width, camera.height)
+        box_lo = np.minimum(box_lo, [camera.width - 1, camera.height - 1])
         return _PreparedTets(
             screen_vertices=screen_vertices,
+            box_lo=box_lo,
+            box_size=np.maximum(box_hi - box_lo, 1),
             slot_low=tet_slots.min(axis=1),
             slot_high=tet_slots.max(axis=1),
             tet_scalars=scalars[corner],
@@ -322,7 +331,7 @@ class UnstructuredVolumeRenderer:
         clock = PhaseClock("volume")
         with clock.phase("initialization"):
             prepared = self._prepare(camera)
-            kernel = _TetPassKernel(self, camera, prepared, clock)
+            kernel = _TetPassKernel(self, prepared, clock)
 
         # One lane per pixel of the block's window; no sample reaches a pixel
         # outside it, so those pixels keep the zero a lane would end with.
@@ -381,7 +390,6 @@ class UnstructuredVolumeRenderer:
         accum_alpha = np.zeros(num_pixels)
         slots_per_pass = int(np.ceil(total_slots / config.num_passes))
         samples_with_data = 0
-        cells_touched_max = 0
 
         for pass_index in range(config.num_passes):
             first_slot = pass_index * slots_per_pass
@@ -399,15 +407,15 @@ class UnstructuredVolumeRenderer:
             with clock.phase("screen_space"):
                 # Screen-space tet vertices: (px, py, depth-slot).
                 vertices = prepared.screen_vertices[active]
-                active_scalars = prepared.tet_scalars[active]
+                lo, size = prepared.box_lo[active], prepared.box_size[active]
+                scalars = prepared.tet_scalars[active]
 
             with clock.phase("sampling"):
                 sample_scalar = np.full((num_pixels, last_slot - first_slot), np.nan)
                 open_mask = accum_alpha < config.early_termination_alpha
-                pairs = self._sample_pass_reference(
-                    camera, vertices, active_scalars, first_slot, last_slot, sample_scalar, open_mask
+                self._sample_pass_reference(
+                    camera, vertices, lo, size, scalars, first_slot, last_slot, sample_scalar, open_mask
                 )
-                cells_touched_max = max(cells_touched_max, pairs)
 
             with clock.phase("compositing"):
                 samples_with_data += self._composite_rows(
@@ -427,42 +435,6 @@ class UnstructuredVolumeRenderer:
 
     # -- sampling (fragment-sorted fast path) -----------------------------------------------
     @staticmethod
-    def _screen_boxes(
-        vertices: np.ndarray, width: int, height: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Clipped integer pixel bounding boxes of each tet's screen footprint.
-
-        Sub-pixel tets still get a one-pixel-column footprint (``box >= 1``)
-        so coarse meshes do not leave holes in the image; both samplers share
-        this function so they enumerate identical pixel columns.
-        """
-        lo_xy = np.floor(vertices[..., :2].min(axis=1)).astype(np.int64)
-        hi_xy = np.ceil(vertices[..., :2].max(axis=1)).astype(np.int64)
-        lo_xy[:, 0] = np.clip(lo_xy[:, 0], 0, width - 1)
-        lo_xy[:, 1] = np.clip(lo_xy[:, 1], 0, height - 1)
-        hi_xy[:, 0] = np.clip(hi_xy[:, 0], 0, width)
-        hi_xy[:, 1] = np.clip(hi_xy[:, 1], 0, height)
-        box_w = np.maximum(hi_xy[:, 0] - lo_xy[:, 0], 1)
-        box_h = np.maximum(hi_xy[:, 1] - lo_xy[:, 1], 1)
-        return lo_xy, hi_xy, box_w, box_h
-
-    @classmethod
-    def _lane_window(cls, vertices: np.ndarray, width: int, height: int) -> tuple[int, int, int, int]:
-        """``(x0, y0, w, h)``: the pixel rectangle the tets' clipped screen boxes span.
-
-        Rows count from the bottom, as :meth:`Camera.world_to_screen` puts
-        them.  The engine path keeps one lane per pixel of this rectangle and
-        indexes its per-pass buffers by ``(py - y0) * w + (px - x0)``.
-        """
-        if not len(vertices):
-            return 0, 0, 0, 0
-        lo_xy, _hi_xy, box_w, box_h = cls._screen_boxes(vertices, width, height)
-        x0, y0 = (int(value) for value in lo_xy.min(axis=0))
-        x1 = int((lo_xy[:, 0] + box_w).max())
-        y1 = int((lo_xy[:, 1] + box_h).max())
-        return x0, y0, x1 - x0, y1 - y0
-
-    @staticmethod
     def _inverse_barycentric(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Inverse barycentric matrices: columns are the edge vectors from v0."""
         v0 = vertices[:, 0]
@@ -476,8 +448,9 @@ class UnstructuredVolumeRenderer:
 
     def _sample_pass(
         self,
-        camera: Camera,
         vertices: np.ndarray,
+        box_lo: np.ndarray,
+        box_size: np.ndarray,
         tet_scalars: np.ndarray,
         face_planes: np.ndarray,
         face_heights: np.ndarray,
@@ -486,39 +459,34 @@ class UnstructuredVolumeRenderer:
         sample_scalar: np.ndarray,
         open_mask: np.ndarray,
         window: tuple[int, int, int, int],
-    ) -> int:
+    ) -> None:
         """Fragment-sorted sampler: fill the pass's sample buffer.
 
-        Enumerates, row by row of each active tet's clipped screen box, only
-        the pixel columns the padded x-span of the tet's projected silhouette
-        can cover, computes the analytic slot span of every surviving column
-        from the tet's inward face planes, emits one fragment per in-span
-        (pixel, slot) candidate, re-runs the exact barycentric inside test on
-        the fragments, and resolves per-cell collisions with one combined
-        sort + segmented argmin over the whole pass.  Returns the number of
-        candidates visited (pixel columns plus span fragments).
+        Enumerates, row by row of each active tet's pixel box, only the pixel
+        columns the padded x-span of the tet's projected silhouette can
+        cover, computes the analytic slot span of every surviving column from
+        the tet's inward face planes, emits one fragment per in-span (pixel,
+        slot) candidate, re-runs the exact barycentric inside test on the
+        fragments, and resolves per-cell collisions with one combined sort +
+        segmented argmin over the whole pass.
 
-        ``window`` is the lane rectangle of :meth:`_lane_window`: row ``i`` of
-        ``sample_scalar`` and ``open_mask`` is its rectangle-local pixel
-        ``i``.  ``open_mask`` flags the pixels still accepting samples
-        (resident, non-opaque lanes on the engine path).
+        ``window`` is the lane rectangle ``(x0, y0, w, h)`` the boxes lie in:
+        row ``i`` of ``sample_scalar`` and ``open_mask`` is its
+        rectangle-local pixel ``i``.  ``open_mask`` flags the pixels still
+        accepting samples (resident, non-opaque lanes on the engine path).
         """
-        width, height = camera.width, camera.height
         v0, inverse, valid = self._inverse_barycentric(vertices)
-        lo_xy, _hi_xy, box_w, box_h = self._screen_boxes(vertices, width, height)
+        box_w, box_h = box_size.T
 
         columns = box_w * box_h * valid
-        if int(columns.sum()) == 0:
-            return 0
         order = np.flatnonzero(columns > 0)
-        visited = 0
         fragments: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for start, end in chunk_ranges(columns[order], PAIR_CHUNK):
             chunk = order[start:end]
-            visited += self._fragment_chunk(
+            self._fragment_chunk(
                 chunk,
                 vertices,
-                lo_xy,
+                box_lo,
                 box_w,
                 box_h,
                 v0,
@@ -535,7 +503,6 @@ class UnstructuredVolumeRenderer:
             )
         if fragments:
             self._resolve_fragments(fragments, len(vertices), sample_scalar)
-        return visited
 
     def _fragment_chunk(
         self,
@@ -556,7 +523,7 @@ class UnstructuredVolumeRenderer:
         fragments: list,
         *,
         window: tuple[int, int, int, int],
-    ) -> int:
+    ) -> None:
         """Emit the surviving (cell index, tet order, scalar) fragments of one chunk."""
         # Silhouette cover: expand each tet to its box rows and keep, per row,
         # the box columns inside the padded x-span of the projected hull.
@@ -571,9 +538,8 @@ class UnstructuredVolumeRenderer:
         first_px = np.clip(np.ceil(span_lo - 0.5), box_lo, box_hi).astype(np.int64)
         stop_px = np.clip(np.floor(span_hi - 0.5) + 1.0, box_lo, box_hi).astype(np.int64)
         counts = np.maximum(stop_px - first_px, 0)
-        visited = int(counts.sum())
-        if visited == 0:
-            return 0
+        if not counts.any():
+            return
         row_of_pair = np.repeat(np.arange(len(row_y)), counts)
         tids = chunk[tet_of_row[row_of_pair]]
         px = first_px[row_of_pair] + segment_local_indices(counts)
@@ -585,7 +551,7 @@ class UnstructuredVolumeRenderer:
         # through the dpp choke point, counted as sampling work).
         open_pixel = gather(open_mask, pixel_flat)
         if not np.any(open_pixel):
-            return visited
+            return
         tids = tids[open_pixel]
         px, py, pixel_flat = px[open_pixel], py[open_pixel], pixel_flat[open_pixel]
 
@@ -604,7 +570,7 @@ class UnstructuredVolumeRenderer:
         )
         has_span = slot_count > 0
         if not np.any(has_span):
-            return visited
+            return
         tids = tids[has_span]
         px, py, pixel_flat = px[has_span], py[has_span], pixel_flat[has_span]
         slot_start, slot_count = slot_start[has_span], slot_count[has_span]
@@ -617,7 +583,6 @@ class UnstructuredVolumeRenderer:
         for lo, hi in chunk_ranges(slot_count, budget.SAMPLE_BUDGET):
             column_of = lo + np.repeat(np.arange(hi - lo), slot_count[lo:hi])
             slot = slot_start[column_of] + segment_local_indices(slot_count[lo:hi])
-            visited += int(len(slot))
             fragment_tids = tids[column_of]
             sample_position = np.column_stack([px[column_of] + 0.5, py[column_of] + 0.5, slot + 0.5])
             offset = sample_position - v0[fragment_tids]
@@ -636,7 +601,6 @@ class UnstructuredVolumeRenderer:
             )
             cell = pixel_flat[column_of[inside]] * slots_per_row + (slot[inside] - first_slot)
             fragments.append((cell, fragment_tids, values))
-        return visited
 
     @staticmethod
     def _row_spans(
@@ -757,40 +721,35 @@ class UnstructuredVolumeRenderer:
         self,
         camera: Camera,
         vertices: np.ndarray,
+        box_lo: np.ndarray,
+        box_size: np.ndarray,
         tet_scalars: np.ndarray,
         first_slot: int,
         last_slot: int,
         sample_scalar: np.ndarray,
         open_mask: np.ndarray,
-    ) -> int:
+    ) -> None:
         """Seed sampler: visit every candidate of each tet's 3D screen box.
 
-        Returns the number of candidate samples visited.  ``open_mask`` flags
-        the pixels still accepting samples (below-threshold pixels on the
-        reference path).
+        ``open_mask`` flags the pixels still accepting samples (below-threshold
+        pixels on the reference path).
         """
-        width, height = camera.width, camera.height
         v0, inverse, valid = self._inverse_barycentric(vertices)
-        lo_xy, _hi_xy, box_w, box_h = self._screen_boxes(vertices, width, height)
+        box_w, box_h = box_size.T
         lo_slot = np.clip(np.floor(vertices[..., 2].min(axis=1)).astype(np.int64), first_slot, last_slot - 1)
         hi_slot = np.clip(np.ceil(vertices[..., 2].max(axis=1)).astype(np.int64), first_slot, last_slot)
 
         # Sub-slot tets still get one candidate sample (box_d >= 1, matching
-        # the >= 1 pixel columns of _screen_boxes) so coarse meshes do not
+        # the >= 1 pixel columns of the tets' boxes) so coarse meshes do not
         # leave holes in the image.
         box_d = np.maximum(hi_slot - lo_slot, 1)
         footprint = box_w * box_h * box_d * valid
-        total_candidates = int(footprint.sum())
-        if total_candidates == 0:
-            return 0
-
         order = np.flatnonzero(footprint > 0)
-        visited = 0
         for start, end in chunk_ranges(footprint[order], PAIR_CHUNK):
             chunk = order[start:end]
-            visited += self._sample_chunk(
+            self._sample_chunk(
                 chunk,
-                lo_xy,
+                box_lo,
                 box_w,
                 box_h,
                 lo_slot,
@@ -801,9 +760,8 @@ class UnstructuredVolumeRenderer:
                 first_slot,
                 sample_scalar,
                 open_mask,
-                image_width=width,
+                image_width=camera.width,
             )
-        return visited
 
     def _sample_chunk(
         self,
@@ -821,7 +779,7 @@ class UnstructuredVolumeRenderer:
         open_mask: np.ndarray,
         *,
         image_width: int,
-    ) -> int:
+    ) -> None:
         """Evaluate the candidate samples of one chunk of tets.
 
         ``image_width`` is required (and keyword-only): it folds ``(px, py)``
@@ -829,8 +787,6 @@ class UnstructuredVolumeRenderer:
         alias every row onto the first (``py * 0 + px``).
         """
         counts = box_w[chunk] * box_h[chunk] * box_d[chunk]
-        if counts.sum() == 0:
-            return 0
         tet_of_pair = np.repeat(np.arange(len(chunk)), counts)
         local = segment_local_indices(counts)
         w_rep = np.repeat(box_w[chunk], counts)
@@ -851,7 +807,7 @@ class UnstructuredVolumeRenderer:
         # runs through the dpp choke point and is counted as sampling work.
         open_pixel = gather(open_mask, pixel_flat)
         if not np.any(open_pixel):
-            return int(len(pixel_flat))
+            return
         tids = tids[open_pixel]
         px, py, slot, pixel_flat = px[open_pixel], py[open_pixel], slot[open_pixel], pixel_flat[open_pixel]
 
@@ -864,7 +820,7 @@ class UnstructuredVolumeRenderer:
             & (b0 >= -1e-9)
         )
         if not np.any(inside):
-            return int(len(pixel_flat)) + int(np.count_nonzero(~open_pixel))
+            return
 
         tids = tids[inside]
         pixel_flat = pixel_flat[inside]
@@ -885,7 +841,6 @@ class UnstructuredVolumeRenderer:
             pixel_flat * slots_per_row + (slot - first_slot),
             sample_scalar.reshape(-1),
         )
-        return int(len(px)) + int(np.count_nonzero(~open_pixel))
 
     # -- compositing ---------------------------------------------------------------------------
     def _composite_rows(

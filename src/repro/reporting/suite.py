@@ -26,6 +26,7 @@ from repro.modeling.crossval import FOLDS, CrossValidationSummary
 from repro.modeling.models import PerformanceModel, make_model
 from repro.modeling.regression import LinearRegressionResult
 from repro.modeling.study import COMPOSITING_ARCHITECTURE, StudyCorpus, model_inputs
+from repro.techniques import TermGroup
 from repro.util.files import atomic_write
 
 __all__ = [
@@ -340,14 +341,22 @@ def _fit_payload(fit: LinearRegressionResult) -> dict:
     }
 
 
-def _fit_from_payload(payload: dict) -> LinearRegressionResult:
-    return LinearRegressionResult(
+def _fit_from_payload(payload: dict, group: TermGroup) -> LinearRegressionResult:
+    """One group's fit; ``ValueError`` unless its terms are the code's, in order, one coefficient each
+    (any other fit would be served against the wrong work columns or fail inside a serving batch)."""
+    fit = LinearRegressionResult(
         coefficients=np.asarray(payload["coefficients"], dtype=np.float64),
         r_squared=float(payload["r_squared"]),
         residual_std=float(payload["residual_std"]),
         num_observations=int(payload["num_observations"]),
         term_names=tuple(payload.get("term_names", ())),
     )
+    if fit.term_names != group.term_names or fit.coefficients.shape != (len(group.term_names),):
+        raise ValueError(
+            f"models.json group {group.name!r} has terms {list(fit.term_names)} and "
+            f"{fit.coefficients.size} coefficients; the code's are {list(group.term_names)}"
+        )
+    return fit
 
 
 def _entry_payload(entry: FittedModel) -> dict:
@@ -372,7 +381,7 @@ def _entry_payload(entry: FittedModel) -> dict:
 def _entry_from_payload(payload: dict) -> FittedModel:
     technique = payload["technique"]
     model = make_model(technique)
-    model.fits = {group.name: _fit_from_payload(payload["fits"][group.name]) for group in model.groups}
+    model.fits = {group.name: _fit_from_payload(payload["fits"][group.name], group) for group in model.groups}
     crossval = payload.get("crossval") or None
     return FittedModel(
         architecture=payload["architecture"],

@@ -118,7 +118,10 @@ class MicroBatcher:
                 merged.extend(request.canon)
             try:
                 results = self.core.predict_canonical(merged, sigmas=sigmas, handle=handle)
-            except ServingError as error:
+            except Exception as error:  # noqa: BLE001 -- a flush runs in a timer callback:
+                # an error it let escape would leave every merged request unanswered.
+                if not isinstance(error, ServingError):
+                    error = ServingError("internal-error", f"{type(error).__name__}: {error}")
                 for request in requests:
                     request.on_error(error, meta)
                 continue

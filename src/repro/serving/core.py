@@ -368,8 +368,12 @@ class ModelHandle:
 
     @classmethod
     def from_bytes(cls, data: bytes, path: str, generation: int = 0) -> "ModelHandle":
-        """Build a handle from raw ``models.json`` bytes (the watcher's entry point)."""
-        suite = ModelSuite.from_payload(json.loads(data))
+        """Build a handle from raw ``models.json`` bytes (the watcher's entry point); ``ValueError``
+        naming ``path`` for bytes that are not a suite this code can serve."""
+        try:
+            suite = ModelSuite.from_payload(json.loads(data))
+        except ValueError as error:
+            raise ValueError(f"{path}: {error}") from None
         return cls(
             predictor=Predictor(suite),
             digest=hashlib.sha256(data).hexdigest(),

@@ -49,6 +49,7 @@ import json
 import os
 import sys
 import time
+from http import HTTPStatus
 from pathlib import Path
 
 from repro.serving import batching
@@ -60,7 +61,7 @@ __all__ = ["PredictionServer", "start_server", "build_parser", "main"]
 #: Watcher poll interval (seconds); read at each poll.
 RELOAD_POLL_S = 0.5
 
-_STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed"}
+_STATUS_TEXT = {status: HTTPStatus(status).phrase for status in (200, 400, 404, 405, 500)}
 
 
 def _response_bytes(status: int, body: bytes) -> bytes:
@@ -349,7 +350,7 @@ class PredictionServer:
 
         def on_error(error: ServingError, meta: dict) -> None:
             self.errors += 1
-            status = 404 if error.code == "unknown-model" else 400
+            status = {"unknown-model": 404, "internal-error": 500}.get(error.code, 400)
             conn.fill(slot, _json_response(status, error.payload()))
 
         self.batcher.submit(BatchRequest(configs, canon, sigmas, on_result, on_error))

@@ -65,7 +65,7 @@ from repro.study.cache import CorpusCache
 from repro.study.corpus_io import load_corpus, merge_corpora, save_corpus
 from repro.study.executor import run_plan
 from repro.study.plan import AXES, build_plan, full_configuration, smoke_configuration
-from repro.study.trajectory import append_trajectory_rows
+from repro.study.trajectory import append_trajectory_rows, load_trajectory
 from repro.util.files import atomic_write
 
 #: Exit code of a fit/report whose every slice was degenerate.
@@ -214,12 +214,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- subcommands ----------------------------------------------------------------------
 
+def _read(load, path: str):
+    """``load(path)``, or ``None`` after an ``error:`` line (the loader names the file) if it cannot."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+
+
 def _load_adaptive_corpus(args):
     """The corpus behind ``--adaptive``, or ``None`` + exit code on usage error."""
     if not args.corpus:
         print("error: --adaptive needs --corpus (the models must fit on something)", file=sys.stderr)
         return None, 2
-    return load_corpus(args.corpus), 0
+    corpus = _read(load_corpus, args.corpus)
+    return corpus, 0 if corpus is not None else 2
 
 
 def _print_selection(selection) -> None:
@@ -264,6 +274,9 @@ def _command_run_adaptive(args) -> int:
     corpus, code = _load_adaptive_corpus(args)
     if corpus is None:
         return code
+    # The ledger is appended after the rounds ran: refuse an unreadable one first.
+    if args.learning_out and _read(load_trajectory, args.learning_out) is None:
+        return 2
     cache = CorpusCache(args.cache_dir) if args.cache_dir else None
     run = run_adaptive_rounds(
         corpus,
@@ -354,7 +367,9 @@ def _command_run(args) -> int:
 
 
 def _command_merge(args) -> int:
-    corpora = [load_corpus(path) for path in args.inputs]
+    corpora = [_read(load_corpus, path) for path in args.inputs]
+    if any(corpus is None for corpus in corpora):
+        return 2
     merged = merge_corpora(corpora)
     save_corpus(merged, args.output, metadata={"merged_from": list(args.inputs)})
     print(
@@ -388,7 +403,9 @@ def _degenerate_exit(suite) -> int:
 
 
 def _command_fit(args) -> int:
-    corpus = load_corpus(args.corpus)
+    corpus = _read(load_corpus, args.corpus)
+    if corpus is None:
+        return 2
     _print_corpus_line(corpus)
     suite = ModelSuite.fit_corpus(corpus, seed=args.seed)
     for entry in suite.all_entries():
@@ -417,7 +434,9 @@ def _command_fit(args) -> int:
 
 
 def _command_report(args) -> int:
-    corpus = load_corpus(args.corpus)
+    corpus = _read(load_corpus, args.corpus)
+    if corpus is None:
+        return 2
     _print_corpus_line(corpus)
     result = generate_report(corpus, args.out_dir, seed=args.seed)
     print(
@@ -434,7 +453,9 @@ def _command_report(args) -> int:
 
 
 def _command_predict(args) -> int:
-    core = ServingCore.from_path(args.models, cache_size=0)
+    core = _read(lambda path: ServingCore.from_path(path, cache_size=0), args.models)
+    if core is None:
+        return 2
     if args.configs:
         with open(args.configs, encoding="utf-8") as handle:
             configs = json.load(handle)

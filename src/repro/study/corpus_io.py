@@ -33,8 +33,12 @@ def save_corpus(corpus: StudyCorpus, path: str | Path, metadata: dict | None = N
 
 
 def load_corpus(path: str | Path) -> StudyCorpus:
+    """The corpus in ``path``; ``ValueError`` naming the file for one that is not a corpus file."""
     with open(path, encoding="utf-8") as handle:
-        return corpus_from_payload(json.load(handle))
+        try:
+            return corpus_from_payload(json.load(handle))
+        except ValueError as error:
+            raise ValueError(f"{path}: {error}") from None
 
 
 def merge_corpora(corpora: list[StudyCorpus]) -> StudyCorpus:

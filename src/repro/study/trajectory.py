@@ -67,18 +67,31 @@ def trajectory_row(corpus, suite, selection, round_index: int = 0) -> dict:
 
 
 def load_trajectory(path: str | Path) -> dict:
-    """Load a ledger, or an empty one if the file does not exist yet."""
+    """Load a ledger, or an empty one if the file does not exist yet.
+
+    Raises ``ValueError`` naming the file and the field for JSON of the wrong
+    shape, and for a schema newer than this reader's.
+    """
     path = Path(path)
     if not path.exists():
         return {"schema": LEARNING_SCHEMA_VERSION, "rows": []}
-    payload = json.loads(path.read_text())
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: the ledger is a JSON {type(payload).__name__}, not an object")
     schema = payload.get("schema", 0)
+    if type(schema) is not int:
+        raise ValueError(f"{path}: ledger field 'schema' is {schema!r}, not an integer")
     if schema > LEARNING_SCHEMA_VERSION:
         raise ValueError(
-            f"BENCH_learning schema {schema} is newer than supported "
+            f"{path}: BENCH_learning schema {schema} is newer than supported "
             f"{LEARNING_SCHEMA_VERSION}; refusing to append blind"
         )
-    payload.setdefault("rows", [])
+    rows = payload.setdefault("rows", [])
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: ledger field 'rows' is a JSON {type(rows).__name__}, not a list")
     return payload
 
 

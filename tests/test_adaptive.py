@@ -316,6 +316,22 @@ class TestTrajectoryLedger:
         with pytest.raises(ValueError, match="newer"):
             load_trajectory(path)
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("[]", "JSON list"),
+            ('{"schema": "1", "rows": []}', "'schema'"),
+            ('{"schema": 1, "rows": {}}', "'rows'"),
+        ],
+        ids=["list", "string-schema", "object-rows"],
+    )
+    def test_wrong_shape_is_a_value_error_naming_file_and_field(self, tmp_path, text, field):
+        path = tmp_path / "BENCH_learning.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=field) as caught:
+            load_trajectory(path)
+        assert str(caught.value).startswith(f"{path}: ")
+
     def test_markdown_table(self, tmp_path, base_corpus, base_config):
         path = tmp_path / "BENCH_learning.json"
         payload = append_trajectory_rows(path, [self._row(base_corpus, base_config)])
@@ -353,6 +369,19 @@ class TestAdaptiveCli:
         from repro.study.cli import main
 
         return main(list(argv))
+
+    def test_run_adaptive_refuses_an_unreadable_ledger_before_any_round(self, tmp_path, capsys):
+        corpus_path = self._write_corpus(tmp_path, _synthetic_config())
+        ledger = tmp_path / "BENCH_learning.json"
+        ledger.write_text('{"schema": "1", "rows": []}')
+        out = tmp_path / "out.json"
+        code = self._cli(
+            "run", "--preset", "smoke", "--adaptive", "--corpus", str(corpus_path),
+            "--learning-out", str(ledger), "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {ledger}: ledger field 'schema'")
+        assert not out.exists()
 
     def test_plan_adaptive_writes_deterministic_batch(self, tmp_path, capsys):
         config_args = [

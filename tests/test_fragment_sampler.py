@@ -342,8 +342,9 @@ class TestFragmentDifferential:
         num_pixels = camera.width * camera.height
         sample_scalar = np.full((num_pixels, config.samples_in_depth), np.nan)
         renderer._sample_pass(
-            camera,
             prepared.screen_vertices,
+            prepared.box_lo,
+            prepared.box_size,
             prepared.tet_scalars,
             prepared.face_planes,
             prepared.face_heights,

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.aabb import AABB, ray_box_intervals
-from repro.geometry.transforms import Camera
-from repro.rendering.rays import REACH_MARGIN, RayEmitter, screen_footprint
+from repro.geometry.transforms import Camera, project_points
+from repro.rendering.rays import REACH_MARGIN, RayEmitter, pixel_boxes, screen_footprint
 from repro.runtime.decomposition import BlockDecomposition
 
 
@@ -208,20 +208,51 @@ class TestScreenFootprint:
 
 
 class TestRowConventions:
-    """The two screen-row conventions as they stand; pinned here, not unified."""
+    """One screen-row convention for every renderer: row 0 is the top of the image."""
 
-    def test_projection_counts_rows_from_the_bottom_and_rays_from_the_top(self):
+    def test_a_point_above_the_look_at_lands_in_the_top_half(self):
         camera = Camera(width=64, height=64)
         above = np.array([0.0, 1.0, 0.0])  # one unit above the look-at point
-        # Object order (rasterizer, tet caster): row 0 is the bottom of the image.
+        # Object order (rasterizer, tet caster, splat baseline).
         screen, w = camera.world_to_screen(above[None, :])
         assert w[0] > 0.0
         assert screen[0, 0] == pytest.approx(32.0)
-        assert screen[0, 1] == pytest.approx(47.45, abs=0.01)
-        # Image order (ray tracer, structured caster): row 0 is the top.
+        assert screen[0, 1] == pytest.approx(16.55, abs=0.01)
+        # Image order (ray tracer, structured caster): the footprint of a
+        # small box around the point, and the rays through rows 16 and 47.
         footprint = screen_footprint(camera, AABB(above - 0.05, above + 0.05))
         assert np.unique(footprint // camera.width).tolist() == [15, 16, 17]
         origins, directions = camera.generate_rays(np.array([16 * 64 + 31, 47 * 64 + 31]))
         heights = origins[:, 1] - origins[:, 2] / directions[:, 2] * directions[:, 1]  # at z = 0
         assert heights[0] == pytest.approx(1.0, abs=0.01)
         assert heights[1] == pytest.approx(-1.0, abs=0.01)
+
+    def test_rows_are_the_exact_mirror_of_the_bottom_up_viewport(self):
+        # ``height - y``, not ``(1 - ndc_y) * height / 2``: only the exact
+        # mirror keeps every floor/ceil pixel edge, hence every object-order
+        # box and feature, the bottom-up convention's mirror image.
+        camera = Camera.framing_bounds(AABB(np.zeros(3), np.ones(3)), 41, 33)
+        points = np.random.default_rng(7).uniform(-0.5, 1.5, size=(200, 3))
+        screen, _ = camera.world_to_screen(points)
+        ndc, _ = project_points(points, camera.view_projection_matrix())
+        bottom_up = (ndc[:, 1] + 1.0) * 0.5 * camera.height
+        assert screen[:, 1].tobytes() == (camera.height - bottom_up).tobytes()
+
+
+class TestPixelBoxes:
+    def test_boxes_are_the_touched_pixels_clamped_to_the_screen(self):
+        xy = np.array([
+            [[1.2, 2.0], [3.5, 4.7]],      # inside: floor of the min to ceil of the max
+            [[-5.0, -3.0], [-1.0, -0.5]],  # off the top-left corner: empty
+            [[30.0, 1.0], [31.0, 2.0]],    # off the right edge: empty
+            [[-1.0, 0.2], [9.9, 0.4]],     # wider than the screen: clamped
+        ])
+        lo, hi = pixel_boxes(xy, 10, 8)
+        assert lo.tolist() == [[1, 2], [0, 0], [10, 1], [0, 0]]
+        assert hi.tolist() == [[4, 5], [0, 0], [10, 2], [10, 1]]
+
+    def test_the_clamp_comes_before_the_integer_cast(self):
+        xy = np.array([[[0.5, np.nan], [np.inf, 1e30]], [[-np.inf, 2.0], [1e300, 3.0]]])
+        lo, hi = pixel_boxes(xy, 10, 8)
+        assert lo.tolist() == [[0, 0], [0, 2]]
+        assert hi.tolist() == [[10, 0], [10, 3]]

@@ -56,6 +56,19 @@ def _window(max_batch: int, max_delay_us: int):
 
 
 CONFIG = {"architecture": "gpu1-k40m", "technique": "raytrace", "num_tasks": 4, "cells_per_task": 80}
+
+
+def _raytrace_frame_edited(edit):
+    """A ``models.json`` text whose ``frame`` fit of CONFIG's slice went through ``edit``."""
+
+    def invalid(payload: dict) -> str:
+        [entry] = [
+            e for e in payload["models"] if [e["architecture"], e["technique"]] == ["gpu1-k40m", "raytrace"]
+        ]
+        edit(entry["fits"]["frame"])
+        return json.dumps(payload)
+
+    return invalid
 VOLUME = {"architecture": "gpu1-k40m", "technique": "volume", "num_tasks": 16}
 
 
@@ -544,8 +557,17 @@ class TestHotReload:
 
     @pytest.mark.parametrize(
         "invalid",
-        ['{"torn": ', "[]", "null", '{"schema": 1, "models": [1]}'],
-        ids=["torn-read", "list", "null", "non-object-entry"],
+        [
+            lambda payload: '{"torn": ',
+            lambda payload: "[]",
+            lambda payload: "null",
+            lambda payload: '{"schema": 1, "models": [1]}',
+            _raytrace_frame_edited(lambda fit: fit["coefficients"].append(1e-9)),
+            _raytrace_frame_edited(
+                lambda fit: fit.update(term_names=["c2_trace", "c3_shade", "c4_intercept"])
+            ),
+        ],
+        ids=["torn-read", "list", "null", "non-object-entry", "extra-coefficient", "renamed-terms"],
     )
     def test_invalid_file_keeps_the_old_suite_serving(self, models_path, tmp_path, invalid):
         models = tmp_path / "models.json"
@@ -556,22 +578,49 @@ class TestHotReload:
             try:
                 client = await ServingClient.connect(server.host, server.port)
                 old_digest = server.core.handle.digest
-                models.write_text(invalid)
-                # /healthz pipelined behind the failing /reload is answered too.
-                client.writer.write(request_bytes("POST", "/reload") + request_bytes("GET", "/healthz"))
+                models.write_text(invalid(json.loads(models_path.read_text())))
+                # /healthz and /predict pipelined behind the failing /reload are answered too.
+                client.writer.write(
+                    request_bytes("POST", "/reload")
+                    + request_bytes("GET", "/healthz")
+                    + request_bytes("POST", "/predict", CONFIG)
+                )
                 await client.writer.drain()
                 status, reload_body = await asyncio.wait_for(read_response(client.reader), timeout=5.0)
                 assert status == 200 and json.loads(reload_body)["reloaded"] is False
                 status, health = await asyncio.wait_for(read_response(client.reader), timeout=5.0)
                 assert status == 200 and json.loads(health)["models_digest"] == old_digest
+                status, body = await asyncio.wait_for(read_response(client.reader), timeout=5.0)
+                assert status == 200 and json.loads(body)["models_digest"] == old_digest
                 assert server.reload_errors == 1
-                status, payload = await client.predict(CONFIG)
-                assert status == 200 and payload["models_digest"] == old_digest
                 await client.close()
             finally:
                 await server.close()
 
         asyncio.run(scenario())
+
+    def test_a_failing_merge_answers_every_request_with_an_error(self, models_path, monkeypatch):
+        """Any exception of the core call becomes each merged request's error reply."""
+        core = ServingCore.from_path(models_path, cache_size=0)
+
+        def broken(*args, **kwargs):
+            raise ValueError("got 2 work columns, expected 3")
+
+        monkeypatch.setattr(core, "predict_canonical", broken)
+        batcher = MicroBatcher(core)
+        errors = []
+
+        async def scenario():
+            for config in (CONFIG, VOLUME):
+                batcher.submit(BatchRequest(
+                    [config], [canonical_config(config)], None, None,
+                    lambda error, meta: errors.append((error.code, str(error))),
+                ))
+            batcher.flush()
+
+        with _window(1_000_000, 10_000_000):
+            asyncio.run(scenario())
+        assert errors == [("internal-error", "ValueError: got 2 work columns, expected 3")] * 2
 
     def test_in_flight_batch_is_stamped_with_the_handle_that_served_it(self, models_path):
         """A queued batch captures one handle at flush: no torn reads mid-batch."""

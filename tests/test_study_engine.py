@@ -1146,6 +1146,25 @@ class TestCorpusIO:
         corpus = corpus_from_payload({"schema": 1, "records": [], "compositing_records": []})
         assert corpus.failures == []
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("[]", "JSON list"),
+            ('{"schema": "1", "records": []}', "'schema'"),
+            ('{"schema": 1, "records": {}}', "'records'"),
+            ('{"schema": 1, "records": [], "compositing_records": [7]}', "'compositing_records'"),
+            ('{"schema": 1, "failures": [{"reason": "timeout"}]}', "'failures'"),
+            ('{"schema": 1, "records": [', "Expecting"),
+        ],
+        ids=["list", "string-schema", "object-rows", "number-row", "row-without-kind", "torn"],
+    )
+    def test_wrong_shape_is_a_value_error_naming_file_and_field(self, tmp_path, text, field):
+        path = tmp_path / "corpus.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=field) as caught:
+            corpus_io.load_corpus(path)
+        assert str(caught.value).startswith(f"{path}: ")
+
     def test_merge(self):
         first, _ = run_plan(build_plan(FAST_CONFIG, include_compositing=False), jobs=1)
         second, _ = run_plan(build_plan(FAST_CONFIG), jobs=1)
@@ -1188,6 +1207,27 @@ class TestCLI:
         assert study_cli.main(["run", *self.ARGS, "--out", out]) == 0
         assert study_cli.main(["fit", out]) == 0
         assert "R^2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command", ["fit", "report", "merge", "predict", "plan-adaptive", "run-adaptive"]
+    )
+    def test_an_unreadable_input_file_is_a_usage_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "x.json"
+        bad.write_text("[]")
+        argv = {
+            "fit": ["fit", str(bad)],
+            "report": ["report", str(bad), "--out-dir", str(tmp_path / "report")],
+            "merge": ["merge", str(tmp_path / "merged.json"), str(bad)],
+            "predict": ["predict", str(bad), "--architecture", "gpu1-k40m", "--technique", "raytrace"],
+            "plan-adaptive": ["plan", *self.ARGS, "--adaptive", "--corpus", str(bad)],
+            "run-adaptive": [
+                "run", *self.ARGS, "--adaptive", "--corpus", str(bad), "--out", str(tmp_path / "o.json")
+            ],
+        }[command]
+        assert study_cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "list" in err
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["x.json"]
 
     def test_merge_subcommand(self, tmp_path, capsys):
         a = str(tmp_path / "a.json")
