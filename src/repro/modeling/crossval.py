@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class CrossValidationSummary:
     predictions: np.ndarray
     actuals: np.ndarray
     num_folds: int
-    fold_r_squared: list[float] = field(default_factory=list)
 
     def fraction_within(self, percent: float) -> float:
         """Fraction of held-out predictions within ``percent`` relative error."""
@@ -56,17 +55,6 @@ class CrossValidationSummary:
             "within_10": 100.0 * self.fraction_within(10.0),
             "within_5": 100.0 * self.fraction_within(5.0),
             "average_percent": self.average_error_percent,
-        }
-
-    def to_payload(self) -> dict:
-        """JSON-serializable form (Figure 11/13 data plus the Table 13 row)."""
-        return {
-            "num_folds": self.num_folds,
-            "fold_r_squared": [float(value) for value in self.fold_r_squared],
-            "errors": [float(value) for value in self.errors],
-            "predictions": [float(value) for value in self.predictions],
-            "actuals": [float(value) for value in self.actuals],
-            "accuracy": self.accuracy_row(),
         }
 
 
@@ -100,11 +88,9 @@ def k_fold_cross_validation(
     all_errors: list[np.ndarray] = []
     all_predictions: list[np.ndarray] = []
     all_actuals: list[np.ndarray] = []
-    fold_r2: list[float] = []
     for held_out in folds:
         train = np.setdiff1d(permutation, held_out, assume_unique=True)
         fit = fit_linear_model(design[train], response[train], nonnegative=nonnegative)
-        fold_r2.append(fit.r_squared)
         predicted = fit.predict(design[held_out])
         actual = response[held_out]
         all_errors.append(relative_errors(actual, predicted))
@@ -116,5 +102,4 @@ def k_fold_cross_validation(
         predictions=np.concatenate(all_predictions),
         actuals=np.concatenate(all_actuals),
         num_folds=k,
-        fold_r_squared=fold_r2,
     )

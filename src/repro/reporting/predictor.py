@@ -57,16 +57,6 @@ class PredictionBatch:
     def __len__(self) -> int:
         return len(self.seconds)
 
-    def as_dict(self) -> dict:
-        """JSON-serializable form (the ``predict`` CLI's output rows)."""
-        return {
-            "seconds": [float(value) for value in self.seconds],
-            "lower": [float(value) for value in self.lower],
-            "upper": [float(value) for value in self.upper],
-            "residual_std": float(self.residual_std),
-            "sigmas": float(self.sigmas),
-        }
-
 
 class Predictor:
     """Batch prediction over every model of a fitted (or loaded) suite."""

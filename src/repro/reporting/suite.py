@@ -11,7 +11,9 @@ failure instead of dying.
 The suite serializes to a versioned ``models.json`` (:data:`MODELS_SCHEMA_VERSION`)
 that round-trips exactly: coefficients are stored at full float precision, so a
 :class:`~repro.reporting.predictor.Predictor` loaded from disk reproduces the
-in-memory suite's predictions bit for bit.
+in-memory suite's predictions bit for bit.  The file stores each fitted fact
+once; the warnings are derived from the fits (:attr:`FittedModel.warnings`)
+wherever the suite came from.
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ __all__ = [
     "LOW_R_SQUARED_FLOOR",
     "FittedModel",
     "ModelSuite",
+    "negative_coefficients",
 ]
 
 #: Version guard of the ``models.json`` schema.
-MODELS_SCHEMA_VERSION = 1
+MODELS_SCHEMA_VERSION = 2
 
 #: Fits explaining less variance than this are flagged with a structured
 #: warning (the paper's weakest usable model, compositing, sits near 0.7).
@@ -47,7 +50,7 @@ LOW_R_SQUARED_FLOOR = 0.5
 
 @dataclass
 class FittedModel:
-    """One fitted model plus its accuracy summary and diagnostics.
+    """One fitted model plus its accuracy summary; its warnings derive from both.
 
     ``crossval`` holds the full k-fold summary when the suite was fitted in
     this process (the figure emitters need the per-point errors);
@@ -64,68 +67,49 @@ class FittedModel:
     crossval: CrossValidationSummary | None = None
     crossval_accuracy: dict | None = None
     crossval_skipped: str = ""
-    warnings: list[dict] = field(default_factory=list)
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.architecture, self.technique)
 
-    def diagnostics(self) -> dict:
-        """Residual/coefficient diagnostics of every fit group."""
-        groups = {}
-        for name, fit in self.model.fits.items():
-            coefficients = fit.named_coefficients()
-            groups[name] = {
-                "r_squared": float(fit.r_squared),
-                "residual_std": float(fit.residual_std),
-                "num_observations": int(fit.num_observations),
-                "coefficients": coefficients,
-                "negative_terms": sorted(term for term, value in coefficients.items() if value < 0.0),
-            }
-        return groups
+    @property
+    def warnings(self) -> list[dict]:
+        """The structured red flags of this entry, derived from its fits and ``crossval_skipped``.
 
-
-def _coefficient_warnings(entry: FittedModel) -> list[dict]:
-    """Negative-coefficient red flags, promoted to structured warnings.
-
-    The renderer models are fit with a non-negativity constraint, so these
-    fire mainly on the plain-OLS compositing fit -- exactly the variable
-    selection discipline the paper (via Stine's least-angle-regression
-    discussion) uses to spot invalid models.
-    """
-    warnings = []
-    for group, fit in entry.model.fits.items():
-        for term, value in fit.named_coefficients().items():
-            if value < 0.0:
+        In order: every negative coefficient (the renderer models are fit
+        with a non-negativity constraint, so these fire mainly on the
+        plain-OLS compositing fit -- the paper's rule that no input variable
+        may have a negative linear relationship to run-time), every group
+        whose R-squared is below :data:`LOW_R_SQUARED_FLOOR`, then a skipped
+        cross validation.  ``models.json`` stores none of them: a loaded
+        suite derives the same list from the same fits.
+        """
+        warnings = []
+        where = {"architecture": self.architecture, "technique": self.technique}
+        for group, fit in self.model.fits.items():
+            for term, value in negative_coefficients(fit).items():
+                warnings.append(
+                    {"kind": "negative_coefficient", **where, "group": group, "term": term, "value": value}
+                )
+        for group, fit in self.model.fits.items():
+            if fit.r_squared < LOW_R_SQUARED_FLOOR:
                 warnings.append(
                     {
-                        "kind": "negative_coefficient",
-                        "architecture": entry.architecture,
-                        "technique": entry.technique,
+                        "kind": "low_r_squared",
+                        **where,
                         "group": group,
-                        "term": term,
-                        "value": float(value),
+                        "value": float(fit.r_squared),
+                        "floor": LOW_R_SQUARED_FLOOR,
                     }
                 )
-    return warnings
+        if self.crossval_skipped:
+            warnings.append({"kind": "crossval_skipped", **where, "message": self.crossval_skipped})
+        return warnings
 
 
-def _quality_warnings(entry: FittedModel) -> list[dict]:
-    """Low-R-squared residual diagnostics."""
-    warnings = []
-    for group, fit in entry.model.fits.items():
-        if fit.r_squared < LOW_R_SQUARED_FLOOR:
-            warnings.append(
-                {
-                    "kind": "low_r_squared",
-                    "architecture": entry.architecture,
-                    "technique": entry.technique,
-                    "group": group,
-                    "value": float(fit.r_squared),
-                    "floor": LOW_R_SQUARED_FLOOR,
-                }
-            )
-    return warnings
+def negative_coefficients(fit: LinearRegressionResult) -> dict[str, float]:
+    """The terms of ``fit`` whose coefficient is negative (the warnings' and Table 17's one test)."""
+    return {term: value for term, value in fit.named_coefficients().items() if value < 0.0}
 
 
 @dataclass
@@ -174,23 +158,13 @@ class ModelSuite:
                 suite.failures.append(_failure(architecture, technique, len(rows), error))
                 continue
             entry = FittedModel(architecture, technique, model, len(rows))
-            entry.warnings.extend(_coefficient_warnings(entry))
-            entry.warnings.extend(_quality_warnings(entry))
             try:
                 entry.crossval = model.cross_validate(arrays, *targets, k=FOLDS, seed=seed)
                 entry.crossval_accuracy = entry.crossval.accuracy_row()
             except Exception as error:  # noqa: BLE001 -- e.g. too few rows (ValueError),
                 # nnls non-convergence (RuntimeError), singular folds (LinAlgError):
                 # a pathological fold must degrade to a warning, not kill the report.
-                entry.crossval_skipped = str(error)
-                entry.warnings.append(
-                    {
-                        "kind": "crossval_skipped",
-                        "architecture": architecture,
-                        "technique": technique,
-                        "message": str(error),
-                    }
-                )
+                entry.crossval_skipped = str(error) or type(error).__name__
             if technique == "compositing":
                 suite.compositing = entry
             else:
@@ -271,7 +245,6 @@ class ModelSuite:
             "models": [_entry_payload(self.entries[key]) for key in sorted(self.entries)],
             "compositing": _entry_payload(self.compositing) if self.compositing else None,
             "failures": self.failures,
-            "warnings": self.all_warnings(),
         }
 
     @classmethod
@@ -297,7 +270,7 @@ class ModelSuite:
             if payload.get("compositing"):
                 suite.compositing = _entry_from_payload(payload["compositing"])
             suite.failures = [dict(failure) for failure in payload.get("failures", [])]
-        except (AttributeError, LookupError, TypeError) as error:
+        except (AttributeError, LookupError, OverflowError, TypeError) as error:
             detail = f"{type(error).__name__}: {error}"
             raise ValueError(f"models.json is not a readable suite ({detail})") from error
         return suite
@@ -360,21 +333,13 @@ def _fit_from_payload(payload: dict, group: TermGroup) -> LinearRegressionResult
 
 
 def _entry_payload(entry: FittedModel) -> dict:
-    crossval = None
-    if entry.crossval_accuracy is not None:
-        crossval = {"accuracy": entry.crossval_accuracy}
-        if entry.crossval is not None:
-            crossval["num_folds"] = entry.crossval.num_folds
-            crossval["fold_r_squared"] = [float(v) for v in entry.crossval.fold_r_squared]
     return {
         "architecture": entry.architecture,
         "technique": entry.technique,
         "num_rows": entry.num_rows,
         "fits": {name: _fit_payload(fit) for name, fit in entry.model.fits.items()},
-        "diagnostics": entry.diagnostics(),
-        "crossval": crossval,
+        "crossval": entry.crossval_accuracy,
         "crossval_skipped": entry.crossval_skipped,
-        "warnings": entry.warnings,
     }
 
 
@@ -382,13 +347,17 @@ def _entry_from_payload(payload: dict) -> FittedModel:
     technique = payload["technique"]
     model = make_model(technique)
     model.fits = {group.name: _fit_from_payload(payload["fits"][group.name], group) for group in model.groups}
-    crossval = payload.get("crossval") or None
+    accuracy = payload["crossval"]
+    if accuracy is not None:
+        accuracy = {name: float(value) for name, value in accuracy.items()}
+    skipped = payload["crossval_skipped"]
+    if not isinstance(skipped, str):
+        raise TypeError(f"crossval_skipped is a {type(skipped).__name__}, not a string")
     return FittedModel(
         architecture=payload["architecture"],
         technique=technique,
         model=model,
         num_rows=int(payload["num_rows"]),
-        crossval_accuracy=crossval["accuracy"] if crossval else None,
-        crossval_skipped=payload.get("crossval_skipped", ""),
-        warnings=[dict(warning) for warning in payload.get("warnings", [])],
+        crossval_accuracy=accuracy,
+        crossval_skipped=skipped,
     )

@@ -18,7 +18,7 @@ from repro.machines.costmodel import KernelCostModel
 from repro.modeling.crossval import FOLDS
 from repro.modeling.features import RenderingConfiguration, map_configuration_to_features
 from repro.modeling.study import HOST_ARCHITECTURE, StudyCorpus
-from repro.reporting.suite import ModelSuite
+from repro.reporting.suite import ModelSuite, negative_coefficients
 
 __all__ = [
     "markdown_table",
@@ -316,16 +316,16 @@ def table17_coefficients(suite: ModelSuite, corpus: StudyCorpus) -> tuple[dict, 
     """Experimentally determined coefficients of every fitted model."""
     rows = []
     for entry in suite.all_entries():
-        coefficients = {}
-        for group, fit in entry.model.fits.items():
-            for term, value in fit.named_coefficients().items():
-                coefficients[term] = float(value)
+        coefficients, negative_terms = {}, []
+        for fit in entry.model.fits.values():
+            coefficients.update(fit.named_coefficients())
+            negative_terms.extend(negative_coefficients(fit))
         rows.append(
             {
                 "architecture": entry.architecture,
                 "technique": entry.technique,
                 "coefficients": coefficients,
-                "negative_terms": sorted(t for t, v in coefficients.items() if v < 0.0),
+                "negative_terms": sorted(negative_terms),
             }
         )
     title = "Table 17: fitted model coefficients"

@@ -7,7 +7,7 @@
 * :mod:`repro.serving.core` -- the synchronous request path shared by the
   server and the ``python -m repro.study predict`` CLI: configuration
   canonicalization, the LRU result cache keyed by
-  ``(models digest, schema, canonical config, sigmas)``, vectorized group
+  ``(models digest, canonical config, sigmas)``, vectorized group
   execution, and the immutable :class:`~repro.serving.core.ModelHandle`
   snapshots hot reload swaps atomically.  A batch of rows (the CLI's
   ``ServingCore.predict_rows``) is canonicalized and grouped by column,

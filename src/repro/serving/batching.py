@@ -49,9 +49,8 @@ MAX_DELAY_US = 2000
 
 @dataclass
 class BatchRequest:
-    """One enqueued request: pre-canonicalized configs plus delivery callbacks."""
+    """One enqueued request: canonical configs plus delivery callbacks."""
 
-    configs: list[dict]
     canon: list[tuple]
     sigmas: float | None
     on_result: Callable[[list[tuple], dict], None]

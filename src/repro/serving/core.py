@@ -20,15 +20,16 @@ bit-identical to :meth:`Predictor.predict_configurations
   per-row one.  :meth:`ServingCore.predict_rows` takes this path; the
   server canonicalizes each request as it arrives, one dict at a time.
 * :class:`LRUCache` is the result cache, read and written one batch of keys
-  per call at O(1) a key.  Keys are
-  ``(models digest, schema version, canonical config, sigmas)`` so a hot
-  reload of ``models.json`` invalidates by construction -- stale entries can
-  never be served, they simply stop being referenced and age out.
+  per call at O(1) a key.  Keys are ``(models digest, canonical config,
+  sigmas)``: the digest is the sha256 of the file's bytes, so it also fixes
+  the schema, and a hot reload of ``models.json`` invalidates by construction
+  -- stale entries can never be served, they simply stop being referenced
+  and age out.
 * :class:`ModelHandle` is an immutable snapshot of one loaded ``models.json``
-  (predictor + content digest + availability set).  Hot reload builds a new
-  handle and swaps it with a single attribute assignment; any batch that
-  captured the old handle keeps serving it to completion, so every response
-  in a batch is stamped with the digest that actually produced it.
+  (predictor + content digest + the set of renderer slices).  Hot reload
+  builds a new handle and swaps it with a single attribute assignment; any
+  batch that captured the old handle keeps serving it to completion, so every
+  response in a batch is stamped with the digest that actually produced it.
 
 The misses of a batch are predicted by column too: a batch of one model
 slice is recognised from its columns, and each slice's counts become one
@@ -46,7 +47,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 from math import isfinite
 from operator import itemgetter
@@ -356,15 +357,19 @@ class LRUCache:
 
 @dataclass(frozen=True)
 class ModelHandle:
-    """One immutable loaded ``models.json``: the unit hot reload swaps atomically."""
+    """One immutable loaded ``models.json``: the unit hot reload swaps atomically.
+
+    ``available`` is the set of renderer ``(architecture, technique)`` slices
+    that :meth:`missing_slice` checks per request; what a client is shown is
+    :meth:`Predictor.available <repro.reporting.predictor.Predictor.available>`,
+    which lists the compositing model too.
+    """
 
     predictor: Predictor
     digest: str
     path: str
     generation: int
-    schema: int = field(default=MODELS_SCHEMA_VERSION, init=False)
-    available: frozenset = field(default_factory=frozenset)
-    has_compositing: bool = False
+    available: frozenset
 
     @classmethod
     def from_bytes(cls, data: bytes, path: str, generation: int = 0) -> "ModelHandle":
@@ -380,7 +385,6 @@ class ModelHandle:
             path=str(path),
             generation=generation,
             available=frozenset(suite.entries),
-            has_compositing=suite.compositing is not None,
         )
 
     @classmethod
@@ -390,7 +394,7 @@ class ModelHandle:
     def missing_slice(self, canon: tuple) -> tuple[str, str] | None:
         """The ``(architecture, technique)`` this handle cannot serve, if any."""
         if canon[0] == "compositing":
-            return None if self.has_compositing else ("-", "compositing")
+            return None if self.predictor.suite.compositing is not None else ("-", "compositing")
         key = (canon[1], canon[2])
         return None if key in self.available else key
 
@@ -401,16 +405,9 @@ class ModelHandle:
             f"no fitted model for ({missing[0]!r}, {missing[1]!r})",
             architecture=missing[0],
             technique=missing[1],
-            available=self.availability(),
+            available=[list(key) for key in self.predictor.available()],
             models_digest=self.digest,
         )
-
-    def availability(self) -> list[list[str]]:
-        """Sorted JSON-friendly list of servable ``(architecture, technique)`` keys."""
-        keys = sorted(self.available)
-        if self.has_compositing:
-            keys.append(("-", "compositing"))
-        return [list(key) for key in keys]
 
 
 class ServingCore:
@@ -448,7 +445,7 @@ class ServingCore:
         """
         handle = handle or self._handle
         sigmas = DEFAULT_INTERVAL_SIGMAS if sigmas is None else _number(sigmas, "sigmas", float)
-        keys = list(zip(repeat(handle.digest), repeat(handle.schema), canon, repeat(sigmas)))
+        keys = list(zip(repeat(handle.digest), canon, repeat(sigmas)))
         results = self.cache.get_many(keys)
         misses = [index for index, cached in enumerate(results) if cached is None]
         for group, indices in _slices(canon, misses).items():
@@ -516,9 +513,9 @@ class ServingCore:
             "models": {
                 "path": handle.path,
                 "digest": handle.digest,
-                "schema": handle.schema,
+                "schema": MODELS_SCHEMA_VERSION,
                 "generation": handle.generation,
-                "available": handle.availability(),
+                "available": [list(key) for key in handle.predictor.available()],
             },
             "cache": self.cache.stats(),
             "predictions_served": self.predictions_served,

@@ -353,7 +353,7 @@ class PredictionServer:
             status = {"unknown-model": 404, "internal-error": 500}.get(error.code, 400)
             conn.fill(slot, _json_response(status, error.payload()))
 
-        self.batcher.submit(BatchRequest(configs, canon, sigmas, on_result, on_error))
+        self.batcher.submit(BatchRequest(canon, sigmas, on_result, on_error))
 
     #: target -> (the one method it answers, handler); any other method is a 405.
     _ROUTES = {

@@ -223,6 +223,18 @@ def _read(load, path: str):
         return None
 
 
+def _load_configs(path: str) -> list:
+    """The configuration list of a ``predict --configs`` file; ``ValueError`` naming the file otherwise."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            configs = json.load(handle)
+    except (OSError, ValueError) as error:
+        raise ValueError(f"{path}: {getattr(error, 'strerror', None) or error}") from None
+    if not isinstance(configs, list):
+        raise ValueError(f"{path}: --configs must hold a JSON list of configuration objects")
+    return configs
+
+
 def _load_adaptive_corpus(args):
     """The corpus behind ``--adaptive``, or ``None`` + exit code on usage error."""
     if not args.corpus:
@@ -457,10 +469,8 @@ def _command_predict(args) -> int:
     if core is None:
         return 2
     if args.configs:
-        with open(args.configs, encoding="utf-8") as handle:
-            configs = json.load(handle)
-        if not isinstance(configs, list):
-            print("error: --configs must hold a JSON list of configuration objects", file=sys.stderr)
+        configs = _read(_load_configs, args.configs)
+        if configs is None:
             return 2
     else:
         if not args.architecture or not args.technique:

@@ -25,12 +25,13 @@ from repro.modeling.models import MODEL_GROUPS, design_matrix, make_model
 from repro.modeling.regression import LinearRegressionResult
 from repro.modeling.study import StudyConfiguration, StudyCorpus
 from repro.reporting import ModelSuite, Predictor, generate_report
-from repro.reporting.suite import MODELS_SCHEMA_VERSION, FittedModel, _coefficient_warnings
+from repro.reporting.suite import MODELS_SCHEMA_VERSION, FittedModel
 from repro.reporting.tables import (
     LARGE_SCALE_CELLS,
     LARGE_SCALE_IMAGE,
     LARGE_SCALE_TASKS,
     table15_large_scale_prediction,
+    table17_coefficients,
 )
 from repro.simulations.fields import SIMULATION_FIELDS
 from repro.study import cli as study_cli
@@ -87,12 +88,32 @@ class TestModelSuite:
             assert np.array_equal(summary.errors, entry.crossval.errors), entry.key
             assert np.array_equal(summary.predictions, entry.crossval.predictions), entry.key
 
-    def test_diagnostics_report_every_fit_group(self, suite):
-        raytrace = suite.entries[("gpu1-k40m", "raytrace")]
-        diagnostics = raytrace.diagnostics()
-        assert set(diagnostics) == {"build", "frame"}
-        for group in diagnostics.values():
-            assert set(group) >= {"r_squared", "residual_std", "coefficients", "negative_terms"}
+    def test_diagnostics_report_every_fit_group(self, corpus, suite):
+        # models.json keeps one record per fit group; Table 17 reads the same
+        # coefficients, and its negative terms are the warnings' negative terms.
+        payload = suite.to_payload()
+        records = [*payload["models"], payload["compositing"]]
+        rows = table17_coefficients(suite, corpus)[0]["rows"]
+        entries = suite.all_entries()
+        assert [(r["architecture"], r["technique"]) for r in records] == [e.key for e in entries]
+        assert [(r["architecture"], r["technique"]) for r in rows] == [e.key for e in entries]
+        raytrace = next(r for r in records if r["technique"] == "raytrace")
+        assert set(raytrace["fits"]) == {"build", "frame"}
+        for record, row, entry in zip(records, rows, entries):
+            assert list(record["fits"]) == [group.name for group in entry.model.groups]
+            negative = []
+            for name, group in record["fits"].items():
+                assert set(group) == {
+                    "term_names", "coefficients", "r_squared", "residual_std", "num_observations",
+                }
+                fit = entry.model.fits[name]
+                assert (group["r_squared"], group["residual_std"]) == (fit.r_squared, fit.residual_std)
+                named = dict(zip(group["term_names"], group["coefficients"]))
+                assert named.items() <= row["coefficients"].items()
+                negative += [term for term, value in named.items() if value < 0.0]
+            assert row["negative_terms"] == sorted(negative)
+            flagged = [w["term"] for w in entry.warnings if w["kind"] == "negative_coefficient"]
+            assert flagged == negative
 
     def test_negative_coefficients_become_structured_warnings(self):
         model = make_model("compositing")
@@ -104,8 +125,7 @@ class TestModelSuite:
             term_names=model.groups[0].term_names,
         )
         entry = FittedModel("-", "compositing", model, 10)
-        warnings = _coefficient_warnings(entry)
-        assert warnings == [
+        assert entry.warnings == [
             {
                 "kind": "negative_coefficient",
                 "architecture": "-",
@@ -115,6 +135,40 @@ class TestModelSuite:
                 "value": -0.25,
             }
         ]
+        [row] = table17_coefficients(ModelSuite(compositing=entry), StudyCorpus())[0]["rows"]
+        assert row["negative_terms"] == ["c2_intercept"]
+
+    def test_warnings_are_derived_from_the_fits_in_order(self):
+        # Negative coefficients, then low R-squared, then a skipped cross
+        # validation; a loaded suite derives the same list from the same fits.
+        model = make_model("raytrace")
+        for group, coefficients, r_squared in (
+            (model.groups[0], [-1e-7, 0.5], 0.2),
+            (model.groups[1], [1e-9, -2e-8, 0.01], 0.9),
+        ):
+            model.fits[group.name] = LinearRegressionResult(
+                coefficients=np.array(coefficients),
+                r_squared=r_squared,
+                residual_std=0.01,
+                num_observations=5,
+                term_names=group.term_names,
+            )
+        skipped = "need at least 6 observations"
+        entry = FittedModel("gpu1-k40m", "raytrace", model, 5, crossval_skipped=skipped)
+        where = {"architecture": "gpu1-k40m", "technique": "raytrace"}
+        expected = [
+            {"kind": "negative_coefficient", **where, "group": "build", "term": "c0_objects", "value": -1e-7},
+            {"kind": "negative_coefficient", **where, "group": "frame", "term": "c3_ap", "value": -2e-8},
+            {"kind": "low_r_squared", **where, "group": "build", "value": 0.2, "floor": 0.5},
+            {"kind": "crossval_skipped", **where, "message": skipped},
+        ]
+        assert entry.warnings == expected
+        payload = json.loads(json.dumps(ModelSuite(entries={entry.key: entry}).to_payload()))
+        assert ModelSuite.from_payload(payload).all_warnings() == expected
+        # The file stores the coefficient, not the warning: flipping its sign
+        # on disk changes what the loaded suite warns about.
+        payload["models"][0]["fits"]["frame"]["coefficients"][1] = 2e-8
+        assert ModelSuite.from_payload(payload).all_warnings() == [expected[0], *expected[2:]]
 
     def test_degenerate_slices_become_failures_not_exceptions(self, corpus):
         tiny = StudyCorpus(records=corpus.records[:2], compositing_records=corpus.compositing_records[:2])
@@ -194,6 +248,24 @@ class TestModelSuite:
         assert any(w["kind"] == "crossval_skipped" for w in entry.warnings)
 
 
+#: Any value ``json.loads`` can return (it parses ``NaN`` and ``Infinity`` too).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: (
+        st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def _json_paths(node, prefix=()):
+    """The key path of every node below the root of a JSON value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield (*prefix, key)
+        yield from _json_paths(child, (*prefix, key))
+
+
 class TestSerialization:
     def test_models_json_round_trip_is_exact(self, suite, tmp_path):
         path = suite.save(tmp_path / "models.json")
@@ -210,11 +282,93 @@ class TestSerialization:
         assert loaded.compositing is not None
         assert loaded.entries[("gpu1-k40m", "raytrace")].crossval_accuracy is not None
 
-    def test_unknown_schema_is_rejected(self, suite, tmp_path):
-        payload = suite.to_payload()
-        payload["schema"] = 999
-        with pytest.raises(ValueError, match="schema"):
+    @pytest.mark.parametrize("schema", [999, 1])
+    def test_unknown_schema_is_rejected(self, suite, schema):
+        # Schema 1 stored each fit and each warning twice; the version alone decides.
+        payload = {**suite.to_payload(), "schema": schema}
+        with pytest.raises(ValueError, match=f"schema {schema} is not the supported {MODELS_SCHEMA_VERSION}"):
             ModelSuite.from_payload(payload)
+
+    def test_the_file_holds_each_fact_once(self, suite):
+        payload = suite.to_payload()
+        assert set(payload) == {"schema", "folds", "seed", "models", "compositing", "failures"}
+        for entry in [*payload["models"], payload["compositing"]]:
+            assert set(entry) == {
+                "architecture", "technique", "num_rows", "fits", "crossval", "crossval_skipped",
+            }
+            assert set(entry["crossval"]) == {
+                "within_50", "within_25", "within_10", "within_5", "average_percent",
+            }
+
+    def test_payload_round_trips_through_the_reader(self, corpus, suite):
+        # A corpus with every entry shape: cross-validated slices, a slice too
+        # small to cross-validate (raster, 4 rows), a degenerate one (volume,
+        # 2 rows) and compositing.
+        odd = StudyCorpus(
+            records=corpus.select("gpu1-k40m", "raytrace")
+            + corpus.select("gpu1-k40m", "raster")[:4]
+            + corpus.select("gpu1-k40m", "volume")[:2],
+            compositing_records=corpus.compositing_records,
+        )
+        partial = ModelSuite.fit_corpus(odd)
+        assert partial.failures and partial.entries[("gpu1-k40m", "raster")].crossval_skipped
+        for fitted in (suite, partial):
+            payload = json.loads(json.dumps(fitted.to_payload()))
+            loaded = ModelSuite.from_payload(payload)
+            assert loaded.to_payload() == payload
+            assert loaded.all_warnings() == fitted.all_warnings()
+            assert loaded.slice_errors() == fitted.slice_errors()
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("seed",), float("inf")),
+            (("models", 0, "num_rows"), float("-inf")),
+            (("models", 0, "fits", "fit", "coefficients"), [10**400, 0.0, 0.0]),
+            (("compositing", "crossval", "within_50"), 10**400),
+        ],
+        ids=["infinite-seed", "infinite-rows", "huge-coefficient", "huge-accuracy"],
+    )
+    def test_numbers_no_float_holds_are_a_value_error(self, suite, path, value):
+        # json.loads reads Infinity, and Python's ints have no bound: int() or
+        # float() of those raise OverflowError, which the reader converts.
+        payload = json.loads(json.dumps(suite.to_payload()))
+        *parents, last = path
+        container = payload
+        for key in parents:
+            container = container[key]
+        container[last] = value
+        with pytest.raises(ValueError, match="OverflowError"):
+            ModelSuite.from_payload(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES, st.booleans())
+    def test_reader_raises_only_value_error_on_any_json(self, value, current_schema):
+        if current_schema and isinstance(value, dict):
+            value = {**value, "schema": MODELS_SCHEMA_VERSION}
+        try:
+            ModelSuite.from_payload(value)
+        except ValueError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_reader_raises_only_value_error_on_an_edited_file(self, suite, data):
+        # One node of a fitted suite's payload replaced by any JSON value, or
+        # one key deleted: the reader either loads it or raises ValueError.
+        payload = json.loads(json.dumps(suite.to_payload()))
+        *parents, last = data.draw(st.sampled_from(list(_json_paths(payload))))
+        container = payload
+        for key in parents:
+            container = container[key]
+        if isinstance(container, dict) and data.draw(st.booleans()):
+            del container[last]
+        else:
+            container[last] = data.draw(JSON_VALUES)
+        try:
+            ModelSuite.from_payload(payload)
+        except ValueError:
+            pass
 
 
 class TestPredictor:
@@ -276,13 +430,6 @@ class TestPredictor:
         batch = predictor.predict_compositing(np.array([500.0, 1500.0]), np.array([4096, 16384]))
         assert len(batch) == 2
         assert np.all(np.isfinite(batch.seconds))
-
-    def test_as_dict_is_json_ready(self, suite):
-        predictor = Predictor(suite)
-        batch = predictor.predict_compositing(800.0, 4096)
-        payload = batch.as_dict()
-        json.dumps(payload)
-        assert payload["sigmas"] == 2.0
 
 
 class TestBatchMapping:

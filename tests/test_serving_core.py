@@ -340,11 +340,11 @@ class TestServingCoreParity:
             assert got == expected
             # The per-row cache calls the batched ones replaced: every get, then
             # one put per miss, group by group in order of first miss.
-            keys = [(core.handle.digest, core.handle.schema, canonical_config(c), 2.0) for c in configs]
+            keys = [(core.handle.digest, canonical_config(c), 2.0) for c in configs]
             groups: dict[tuple, list[int]] = {}
             for index, key in enumerate(keys):
                 if oracle.get(key) is None:
-                    query = key[2]
+                    query = key[1]
                     group = ("compositing",) if query[0] == "compositing" else query[1:3] + query[8:]
                     groups.setdefault(group, []).append(index)
             for indices in groups.values():

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.modeling.study import StudyConfiguration
-from repro.reporting import ModelSuite
+from repro.reporting import MODELS_SCHEMA_VERSION, ModelSuite
 from repro.serving import batching, core as serving_core, server as serving_server
 from repro.serving.batching import BatchRequest, MicroBatcher
 from repro.serving.client import ServingClient, read_response, request_bytes
@@ -372,6 +372,10 @@ class TestHttpSurface:
                 assert stats["predictions_served"] == 2
                 assert stats["requests"]["total"] == 3  # includes this /stats call
                 assert stats["models"]["digest"] == server.core.handle.digest
+                assert stats["models"]["schema"] == MODELS_SCHEMA_VERSION
+                assert stats["models"]["available"] == [
+                    ["gpu1-k40m", "raytrace"], ["gpu1-k40m", "volume"], ["-", "compositing"],
+                ]
                 assert stats["batching"]["batches"] >= 1
                 status, health = await client.request("GET", "/healthz")
                 assert status == 200 and health["status"] == "ok"
@@ -561,13 +565,18 @@ class TestHotReload:
             lambda payload: '{"torn": ',
             lambda payload: "[]",
             lambda payload: "null",
-            lambda payload: '{"schema": 1, "models": [1]}',
+            lambda payload: json.dumps({"schema": MODELS_SCHEMA_VERSION, "models": [1]}),
             _raytrace_frame_edited(lambda fit: fit["coefficients"].append(1e-9)),
             _raytrace_frame_edited(
                 lambda fit: fit.update(term_names=["c2_trace", "c3_shade", "c4_intercept"])
             ),
+            lambda payload: json.dumps({**payload, "schema": 1}),
+            lambda payload: json.dumps({**payload, "seed": float("inf")}),
         ],
-        ids=["torn-read", "list", "null", "non-object-entry", "extra-coefficient", "renamed-terms"],
+        ids=[
+            "torn-read", "list", "null", "non-object-entry", "extra-coefficient", "renamed-terms",
+            "schema-1", "infinite-seed",
+        ],
     )
     def test_invalid_file_keeps_the_old_suite_serving(self, models_path, tmp_path, invalid):
         models = tmp_path / "models.json"
@@ -613,7 +622,7 @@ class TestHotReload:
         async def scenario():
             for config in (CONFIG, VOLUME):
                 batcher.submit(BatchRequest(
-                    [config], [canonical_config(config)], None, None,
+                    [canonical_config(config)], None, None,
                     lambda error, meta: errors.append((error.code, str(error))),
                 ))
             batcher.flush()
@@ -630,11 +639,11 @@ class TestHotReload:
 
         async def scenario():
             batcher.submit(BatchRequest(
-                [CONFIG], [canonical_config(CONFIG)], None,
+                [canonical_config(CONFIG)], None,
                 lambda results, meta: outcomes.append((results[0], meta)), None,
             ))
             batcher.submit(BatchRequest(
-                [VOLUME], [canonical_config(VOLUME)], None,
+                [canonical_config(VOLUME)], None,
                 lambda results, meta: outcomes.append((results[0], meta)), None,
             ))
             # Swap while both requests sit in the pending window.

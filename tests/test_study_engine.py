@@ -1209,11 +1209,23 @@ class TestCLI:
         assert "R^2" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "command", ["fit", "report", "merge", "predict", "plan-adaptive", "run-adaptive"]
+        "command",
+        [
+            "fit", "report", "merge", "predict", "plan-adaptive", "run-adaptive",
+            "predict-configs-torn", "predict-configs-missing",
+        ],
     )
     def test_an_unreadable_input_file_is_a_usage_error(self, tmp_path, capsys, command):
         bad = tmp_path / "x.json"
-        bad.write_text("[]")
+        bad.write_text('[{"architecture": ' if command == "predict-configs-torn" else "[]")
+        left = ["x.json"]
+        models = tmp_path / "models.json"
+        if command.startswith("predict-configs"):
+            ModelSuite().save(models)  # a readable suite: only the --configs file is at fault
+            left.append(models.name)
+        if command == "predict-configs-missing":
+            bad.unlink()
+            left.remove(bad.name)
         argv = {
             "fit": ["fit", str(bad)],
             "report": ["report", str(bad), "--out-dir", str(tmp_path / "report")],
@@ -1223,11 +1235,15 @@ class TestCLI:
             "run-adaptive": [
                 "run", *self.ARGS, "--adaptive", "--corpus", str(bad), "--out", str(tmp_path / "o.json")
             ],
+            "predict-configs-torn": ["predict", str(models), "--configs", str(bad)],
+            "predict-configs-missing": ["predict", str(models), "--configs", str(bad)],
         }[command]
         assert study_cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}: ") and "list" in err
-        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["x.json"]
+        reasons = {"predict-configs-torn": "Expecting", "predict-configs-missing": "No such file"}
+        reason = reasons.get(command, "list")
+        assert err.startswith(f"error: {bad}: ") and reason in err
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == sorted(left)
 
     def test_merge_subcommand(self, tmp_path, capsys):
         a = str(tmp_path / "a.json")
