@@ -28,9 +28,9 @@ EVICTING_PUTS = 40_000
 
 def measure_evict_over_fill(repeats: int = 5) -> float:
     """Per-put time under eviction over per-put time while filling: median of ``repeats``."""
-    # Keys shaped like the serving core's: (digest, schema, canonical config, sigmas).
+    # Keys shaped like the serving core's: (models digest, canonical config, sigmas).
     keys = [
-        ("0" * 64, 1, ("render", "gpu1-k40m", "raytrace", index, 200, 1024, 1024, 1000, True), 2.0)
+        ("0" * 64, ("render", "gpu1-k40m", "raytrace", index, 200, 1024, 1024, 1000, True), 2.0)
         for index in range(MAXSIZE + EVICTING_PUTS)
     ]
     values = [(1.0, 0.5, 1.5, 0.25)] * len(keys)

@@ -52,7 +52,6 @@ class PredictionBatch:
     lower: np.ndarray
     upper: np.ndarray
     residual_std: float
-    sigmas: float
 
     def __len__(self) -> int:
         return len(self.seconds)
@@ -235,5 +234,4 @@ class Predictor:
             lower=np.maximum(seconds - half_width, 0.0),
             upper=seconds + half_width,
             residual_std=residual_std,
-            sigmas=float(sigmas),
         )

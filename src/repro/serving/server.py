@@ -302,7 +302,7 @@ class PredictionServer:
     def _route_predict(self, body: bytes, conn: _Connection, slot: list) -> None:
         try:
             payload = json.loads(body)
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, UnicodeDecodeError, RecursionError):  # nested past the decoder's limit
             self.errors += 1
             conn.fill(slot, _error_response(400, "bad-request", "body is not valid JSON"))
             return

@@ -215,21 +215,23 @@ def build_parser() -> argparse.ArgumentParser:
 # -- subcommands ----------------------------------------------------------------------
 
 def _read(load, path: str):
-    """``load(path)``, or ``None`` after an ``error:`` line (the loader names the file) if it cannot."""
+    """``load(path)``, or ``None`` after an ``error: <path>: <reason>`` line if it cannot."""
     try:
         return load(path)
-    except (OSError, ValueError) as error:
+    except OSError as error:
+        print(f"error: {path}: {error.strerror or error}", file=sys.stderr)
+    except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
-        return None
+    return None
 
 
 def _load_configs(path: str) -> list:
     """The configuration list of a ``predict --configs`` file; ``ValueError`` naming the file otherwise."""
-    try:
-        with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle:
+        try:
             configs = json.load(handle)
-    except (OSError, ValueError) as error:
-        raise ValueError(f"{path}: {getattr(error, 'strerror', None) or error}") from None
+        except ValueError as error:
+            raise ValueError(f"{path}: {error}") from None
     if not isinstance(configs, list):
         raise ValueError(f"{path}: --configs must hold a JSON list of configuration objects")
     return configs

@@ -18,12 +18,14 @@ assertions are exact, not statistical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.modeling.features import active_pixel_estimate, task_shrink
 from repro.modeling.models import make_model
 from repro.modeling.regression import LinearRegressionResult
 from repro.reporting import predictor as predictor_module
@@ -142,14 +144,69 @@ class TestRankingOracle:
         scored = score_candidates([_volume_spec("arch-wide")], suite)
         assert scored[0].width == pytest.approx(1.0)
 
-    def test_unknown_slice_scores_inf_via_predictor(self):
+    def test_unknown_slice_scores_inf(self):
         suite = ModelSuite()
         suite.entries[("arch-wide", "volume")] = _volume_entry("arch-wide", 0.5)
-        widths = Predictor(suite).interval_widths_for_specs(
-            [_volume_spec("arch-unknown").key_payload(), _volume_spec("arch-wide").key_payload()]
+        scored = score_candidates([_volume_spec("arch-wide"), _volume_spec("arch-unknown")], suite)
+        assert [c.spec.architecture for c in scored] == ["arch-unknown", "arch-wide"]
+        assert math.isinf(scored[0].width) and not scored[0].known
+        assert math.isfinite(scored[1].width)
+
+    def test_compositing_width_takes_the_a_priori_active_pixels(self):
+        # Eq. 5.5 with no intercept: 1e-4 s per active pixel, 1e-6 s per pixel, half-width 0.1 s.
+        model = make_model("compositing")
+        model.fits["fit"] = LinearRegressionResult(
+            coefficients=np.array([1e-4, 1e-6, 0.0]),
+            r_squared=1.0,
+            residual_std=0.05,
+            num_observations=10,
+            term_names=model.groups[0].term_names,
         )
-        assert np.isinf(widths[0])
-        assert np.isfinite(widths[1])
+        suite = ModelSuite()
+        suite.compositing = FittedModel("-", "compositing", model, num_rows=10)
+        wide, clipped = (
+            ExperimentSpec("compositing", 2016, algorithm="binary-swap", num_tasks=tasks, pixel_size=size)
+            for tasks, size in ((8, 256), (27, 16))
+        )
+        scored = {c.spec.pixel_size: c for c in score_candidates([clipped, wide], suite)}
+        assert {c.slice for c in scored.values()} == {"-/compositing"}
+        # About 1.9 s predicted: the whole band, 2 sigmas * 0.05 * 2.
+        assert scored[256].width == pytest.approx(2 * 2.0 * 0.05)
+        # 5 ms predicted: the lower bound clips at zero, so the width is the
+        # prediction plus one half-width, at avg(AP) = 0.55 * 16**2 / 27**(1/3)
+        # and 16**2 pixels.
+        active = active_pixel_estimate(16**2, task_shrink(27))
+        assert active == pytest.approx(0.55 * 256 / 3)
+        assert scored[16].width == pytest.approx(1e-4 * active + 1e-6 * 16**2 + 2.0 * 0.05, rel=1e-12)
+
+    def test_render_specs_read_their_own_samples_in_depth(self):
+        # A volume fit on AP * SPR only, its predictions inside the 2 s half-width:
+        # the zero clip makes each width the prediction plus 2 s, so it moves with
+        # the samples in depth.  A host render reads ``samples_in_depth``, a
+        # synthetic spec ``synthetic_samples_in_depth``.
+        model = make_model("volume")
+        model.fits["fit"] = LinearRegressionResult(
+            coefficients=np.array([0.0, 1e-6, 0.0]),
+            r_squared=1.0,
+            residual_std=1.0,
+            num_observations=10,
+            term_names=model.groups[0].term_names,
+        )
+        suite = ModelSuite()
+        suite.entries[("arch-clip", "volume")] = FittedModel("arch-clip", "volume", model, num_rows=10)
+        synthetic = replace(_volume_spec("arch-clip"), samples_in_depth=1000)
+        render = replace(synthetic, kind="render", samples_in_depth=24, synthetic_samples_in_depth=1000)
+        scored = {c.spec.kind: c.width for c in score_candidates([render, synthetic], suite)}
+
+        def width(samples):
+            batch = Predictor(suite).predict_configurations(
+                "arch-clip", "volume", 4, 8, 64, 64, samples_in_depth=samples, include_build=True
+            )
+            return float(batch.upper[0] - batch.lower[0])
+
+        assert width(24) < 2 * 2.0 * 1.0  # clipped, so the oracle depends on the samples
+        assert width(24) != width(1000)
+        assert scored == {"render": width(24), "synthetic": width(24)}
 
 
 class TestDeterminism:
@@ -370,17 +427,22 @@ class TestAdaptiveCli:
 
         return main(list(argv))
 
-    def test_run_adaptive_refuses_an_unreadable_ledger_before_any_round(self, tmp_path, capsys):
+    @pytest.mark.parametrize("ledger_kind", ["torn", "directory"])
+    def test_run_adaptive_refuses_an_unreadable_ledger_before_any_round(self, tmp_path, capsys, ledger_kind):
         corpus_path = self._write_corpus(tmp_path, _synthetic_config())
         ledger = tmp_path / "BENCH_learning.json"
-        ledger.write_text('{"schema": "1", "rows": []}')
+        if ledger_kind == "directory":
+            ledger.mkdir()
+        else:
+            ledger.write_text('{"schema": "1", "rows": []}')
         out = tmp_path / "out.json"
         code = self._cli(
             "run", "--preset", "smoke", "--adaptive", "--corpus", str(corpus_path),
             "--learning-out", str(ledger), "--out", str(out),
         )
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: {ledger}: ledger field 'schema'")
+        reason = "Is a directory" if ledger_kind == "directory" else "ledger field 'schema'"
+        assert capsys.readouterr().err.startswith(f"error: {ledger}: {reason}")
         assert not out.exists()
 
     def test_plan_adaptive_writes_deterministic_batch(self, tmp_path, capsys):

@@ -36,8 +36,10 @@ from repro.reporting.tables import (
 from repro.simulations.fields import SIMULATION_FIELDS
 from repro.study import cli as study_cli
 from repro.study import run_study
+from repro.study.adaptive import score_candidates
 from repro.study.corpus_io import corpus_digest, save_corpus
 from repro.study.experiments import _synthetic_run_images
+from repro.study.plan import ExperimentSpec
 from repro.techniques import TECHNIQUES, ObservedFeatures
 
 
@@ -412,7 +414,6 @@ class TestPredictor:
         assert np.all(batch.seconds <= batch.upper)
         assert np.all(batch.lower >= 0.0)
         assert np.allclose(batch.upper - batch.seconds, 3.0 * batch.residual_std)
-        assert batch.sigmas == 3.0
 
     def test_raytrace_interval_widens_with_build(self, suite):
         predictor = Predictor(suite)
@@ -475,8 +476,8 @@ class TestBatchMapping:
             return predict_compositing(active, pixels, sigmas)
 
         monkeypatch.setattr(predictor, "predict_compositing", spy)
-        spec = {"kind": "compositing", "num_tasks": 8, "pixel_size": 64}
-        assert np.isfinite(predictor.interval_widths_for_specs([spec])).all()
+        spec = ExperimentSpec("compositing", 2016, algorithm="direct-send", num_tasks=8, pixel_size=64)
+        assert score_candidates([spec], predictor)[0].known
         assert scored == [[64 * 64 / 8]]
 
         images = _synthetic_run_images(8, 64, 64, np.random.default_rng(1))

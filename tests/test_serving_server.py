@@ -229,7 +229,7 @@ class TestHttpSurface:
                 # Hostile numbers (raw bodies: 1e999 parses to inf, NaN to nan) are
                 # rejected, and the connection lives on to answer what follows.
                 config = json.dumps(CONFIG)
-                for body in (
+                numbers = (
                     '{"architecture":"gpu1-k40m","technique":"raytrace","num_tasks":1e999}',
                     '{"technique":"compositing","average_active_pixels":NaN,"pixels":4096}',
                     '{"technique":"compositing","average_active_pixels":512.0,"pixels":-1}',
@@ -243,15 +243,20 @@ class TestHttpSurface:
                     f'{{"configs":[{config}],"sigmas":NaN}}',
                     f'{{"configs":[{config}],"sigmas":1e999}}',
                     f'{{"configs":[{config}],"sigmas":-1}}',
-                ):
+                )
+                hostile = [(body, "invalid-configuration") for body in numbers]
+                # A body nested past the JSON decoder's recursion limit is not valid
+                # JSON either, and must not close the connection unanswered.
+                hostile.append(("[" * 100_000, "bad-request"))
+                for body, code in hostile:
                     reader, writer = await asyncio.open_connection(server.host, server.port)
                     head = f"POST /predict HTTP/1.1\r\nHost: serving\r\nContent-Length: {len(body)}\r\n\r\n"
                     writer.write((head + body).encode() + request_bytes("POST", "/predict", CONFIG))
                     await writer.drain()
                     status, error = await read_response(reader)
-                    assert status == 400, body
-                    assert json.loads(error)["error"]["code"] == "invalid-configuration", body
-                    assert await read_response(reader) == (200, solo), body
+                    assert status == 400, body[:80]
+                    assert json.loads(error)["error"]["code"] == code, body[:80]
+                    assert await read_response(reader) == (200, solo), body[:80]
                     writer.close()
             finally:
                 await server.close()

@@ -1212,6 +1212,8 @@ class TestCLI:
         "command",
         [
             "fit", "report", "merge", "predict", "plan-adaptive", "run-adaptive",
+            "fit-missing", "report-missing", "merge-missing", "predict-missing",
+            "plan-adaptive-missing", "run-adaptive-missing",
             "predict-configs-torn", "predict-configs-missing",
         ],
     )
@@ -1223,7 +1225,8 @@ class TestCLI:
         if command.startswith("predict-configs"):
             ModelSuite().save(models)  # a readable suite: only the --configs file is at fault
             left.append(models.name)
-        if command == "predict-configs-missing":
+        missing = command.endswith("-missing")
+        if missing:
             bad.unlink()
             left.remove(bad.name)
         argv = {
@@ -1236,12 +1239,11 @@ class TestCLI:
                 "run", *self.ARGS, "--adaptive", "--corpus", str(bad), "--out", str(tmp_path / "o.json")
             ],
             "predict-configs-torn": ["predict", str(models), "--configs", str(bad)],
-            "predict-configs-missing": ["predict", str(models), "--configs", str(bad)],
-        }[command]
+            "predict-configs": ["predict", str(models), "--configs", str(bad)],
+        }[command.removesuffix("-missing")]
         assert study_cli.main(argv) == 2
         err = capsys.readouterr().err
-        reasons = {"predict-configs-torn": "Expecting", "predict-configs-missing": "No such file"}
-        reason = reasons.get(command, "list")
+        reason = "No such file" if missing else "Expecting" if command == "predict-configs-torn" else "list"
         assert err.startswith(f"error: {bad}: ") and reason in err
         assert sorted(entry.name for entry in tmp_path.iterdir()) == sorted(left)
 
